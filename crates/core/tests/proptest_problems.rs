@@ -382,6 +382,183 @@ fn minbucket_stats_match_the_pr4_snapshot() {
     }
 }
 
+/// Run-stats snapshot for the peel drivers [`PR4_STATS`] leaves
+/// unpinned, on the same seed generators and under the same
+/// technique-free baseline: per generator,
+/// `[rounds, subrounds, global_syncs, work, max_frontier, burdened_span]`
+/// for (k,h)-core with `h = 2` (recompute step), approx densest with
+/// `ε = 0.5` (threshold frontier source), and offline k-core and
+/// k-truss (offline step, default histogram).
+const DRIVER_STATS: &[(&str, [[u64; 6]; 4])] = &[
+    (
+        "path",
+        [
+            [3, 20, 40, 114, 2, 600020],
+            [1, 1, 1, 118, 40, 15001],
+            [2, 20, 60, 156, 2, 900020],
+            [1, 1, 3, 39, 39, 45001],
+        ],
+    ),
+    (
+        "cycle",
+        [
+            [5, 1, 2, 33, 33, 30001],
+            [1, 1, 1, 99, 33, 15001],
+            [3, 1, 3, 99, 33, 45001],
+            [1, 1, 3, 33, 33, 45001],
+        ],
+    ),
+    (
+        "star",
+        [
+            [65, 1, 2, 65, 65, 30001],
+            [1, 2, 2, 193, 64, 30002],
+            [2, 2, 6, 194, 64, 90002],
+            [1, 1, 3, 64, 64, 45001],
+        ],
+    ),
+    (
+        "complete",
+        [
+            [20, 1, 2, 20, 20, 30001],
+            [1, 1, 1, 400, 20, 15001],
+            [20, 1, 3, 400, 20, 45001],
+            [19, 1, 3, 190, 190, 45001],
+        ],
+    ),
+    (
+        "bipartite",
+        [
+            [13, 1, 2, 13, 13, 30001],
+            [1, 2, 2, 85, 9, 30002],
+            [5, 2, 6, 89, 9, 90002],
+            [1, 1, 3, 36, 36, 45001],
+        ],
+    ),
+    (
+        "grid2d",
+        [
+            [7, 25, 50, 1744, 26, 750025],
+            [1, 1, 1, 1958, 408, 15001],
+            [3, 20, 60, 2362, 34, 900020],
+            [1, 1, 3, 775, 775, 45001],
+        ],
+    ),
+    (
+        "grid3d",
+        [
+            [12, 14, 28, 1488, 52, 420014],
+            [1, 1, 1, 2060, 336, 15001],
+            [4, 9, 27, 2388, 72, 405009],
+            [1, 1, 3, 862, 862, 45001],
+        ],
+    ),
+    (
+        "mesh",
+        [
+            [12, 19, 38, 1199, 20, 570019],
+            [1, 2, 2, 1457, 140, 30002],
+            [4, 14, 42, 1794, 32, 630014],
+            [2, 14, 42, 1960, 80, 630014],
+        ],
+    ),
+    (
+        "road",
+        [
+            [7, 35, 70, 1578, 32, 1050035],
+            [1, 2, 2, 1740, 371, 30002],
+            [3, 15, 45, 2231, 65, 675015],
+            [2, 3, 9, 730, 546, 135003],
+        ],
+    ),
+    (
+        "erdos_renyi",
+        [
+            [25, 49, 98, 2924, 63, 1470049],
+            [1, 3, 3, 2080, 224, 45003],
+            [5, 15, 45, 2594, 49, 675015],
+            [2, 3, 9, 902, 780, 135003],
+        ],
+    ),
+    (
+        "barabasi_albert",
+        [
+            [68, 93, 186, 6303, 68, 2790093],
+            [1, 3, 3, 2788, 336, 45003],
+            [4, 15, 45, 3402, 150, 675015],
+            [3, 7, 21, 1574, 820, 315007],
+        ],
+    ),
+    (
+        "rmat",
+        [
+            [208, 141, 282, 16645, 208, 4230141],
+            [2, 7, 7, 6140, 393, 105007],
+            [21, 47, 141, 7630, 87, 2115047],
+            [13, 74, 222, 27842, 268, 3330074],
+        ],
+    ),
+    (
+        "knn",
+        [
+            [10, 40, 80, 888, 18, 1200040],
+            [1, 2, 2, 1478, 229, 30002],
+            [5, 4, 12, 1655, 107, 180004],
+            [4, 9, 27, 1233, 171, 405009],
+        ],
+    ),
+    (
+        "planted_core",
+        [
+            [57, 59, 118, 2367, 57, 1770059],
+            [2, 3, 3, 2534, 155, 45003],
+            [40, 16, 48, 2781, 83, 720016],
+            [39, 9, 27, 1516, 780, 405009],
+        ],
+    ),
+    (
+        "hcns",
+        [
+            [80, 1, 2, 80, 80, 30001],
+            [1, 2, 2, 3280, 51, 30002],
+            [41, 40, 120, 4060, 41, 1800040],
+            [40, 40, 120, 21360, 820, 1800040],
+        ],
+    ),
+];
+
+/// The stats half of the single-loop guard for the recompute, threshold
+/// and offline paths: every one must keep its round structure exactly.
+/// `exact_config` bypasses the env override so the `KCORE_TECHNIQUES`
+/// legs cannot change what runs.
+#[test]
+fn khcore_approx_densest_and_offline_stats_are_pinned() {
+    let offline = Config::with_techniques(Techniques::offline());
+    for (label, want) in DRIVER_STATS {
+        let g = seed_graph(label);
+        let kh = Decomposition::khcore(&g, 2).exact_config(Config::default()).run();
+        let ad = Decomposition::approx_densest(&g, 0.5).exact_config(Config::default()).run();
+        let kc = Decomposition::kcore(&g).exact_config(offline).run();
+        let kt = Decomposition::ktruss(&g).exact_config(offline).run();
+        for (name, stats, snap) in [
+            ("khcore-h2", kh.stats(), &want[0]),
+            ("approx-densest-0.5", ad.stats(), &want[1]),
+            ("offline k-core", kc.stats(), &want[2]),
+            ("offline k-truss", kt.stats(), &want[3]),
+        ] {
+            let got = [
+                stats.rounds,
+                stats.subrounds,
+                stats.global_syncs,
+                stats.work,
+                stats.max_frontier as u64,
+                stats.burdened_span,
+            ];
+            assert_eq!(&got, snap, "{label}/{name}: stats drifted from the snapshot");
+        }
+    }
+}
+
 /// The three problems agree on their shared structure: the densest
 /// run's coreness equals k-core's, and trussness respects it.
 #[test]

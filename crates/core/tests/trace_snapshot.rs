@@ -9,7 +9,7 @@
 //! a dedicated thread and scopes assertions to that thread's trace id;
 //! a shared lock serializes them because the recorder is process-global.
 
-use kcore::{Config, Decomposition};
+use kcore::{Config, Decomposition, TriangleCtx};
 use kcore_graph::{env_backend, gen, BackendKind};
 use kcore_obs::{set_level, Level, TraceReport};
 
@@ -123,4 +123,67 @@ fn offline_driver_shows_gather_histogram_apply_children() {
         assert!(tree.contains(&line), "expected {line:?} in tree:\n{tree}");
     }
     assert_eq!(report.span_count("subround"), stats.subrounds);
+}
+
+#[test]
+fn span_tree_of_a_fixed_ktruss_run_is_pinned() {
+    let _g = serial();
+    let g = gen::barabasi_albert(300, 3, 7);
+    // Build the triangle context outside the traced thread, so the
+    // tree holds only the peel (the `tri.*` setup spans depend on the
+    // intersection kernel).
+    let ctx = TriangleCtx::build(&g);
+    let (_, tid) =
+        traced(|| Decomposition::ktruss(&g).with_ctx(&ctx).exact_config(Config::default()).run());
+    let report = TraceReport::capture();
+    set_level(Level::Off);
+    // The two-phase snapshot step: settle, then the rule, per subround.
+    let expected = "\
+        k-truss x1\n\
+        \x20 round x3\n\
+        \x20   bucket.drain x3\n\
+        \x20   subround x6\n\
+        \x20     settle x6\n\
+        \x20     rule x6\n\
+        \x20     frontier.refile x6\n";
+    assert_eq!(report.span_tree(tid), expected);
+}
+
+#[test]
+fn span_tree_of_a_fixed_khcore_run_is_pinned() {
+    let _g = serial();
+    let g = gen::planted_core(120, 2, 15, 9);
+    let (_, tid) = traced(|| Decomposition::khcore(&g, 2).exact_config(Config::default()).run());
+    let report = TraceReport::capture();
+    set_level(Level::Off);
+    // The two-phase recompute step: settle, then the recompute pass.
+    let expected = "\
+        kh-core x1\n\
+        \x20 round x40\n\
+        \x20   bucket.drain x40\n\
+        \x20   subround x34\n\
+        \x20     settle x34\n\
+        \x20     recompute x34\n\
+        \x20     frontier.refile x34\n";
+    assert_eq!(report.span_tree(tid), expected);
+}
+
+#[test]
+fn span_tree_of_a_fixed_approx_densest_run_is_pinned() {
+    let _g = serial();
+    let g = gen::rmat(9, 8, 0.57, 0.19, 0.19, 5);
+    let (_, tid) =
+        traced(|| Decomposition::approx_densest(&g, 0.5).exact_config(Config::default()).run());
+    let report = TraceReport::capture();
+    set_level(Level::Off);
+    // The threshold frontier source: every round scans the live
+    // aggregates before its bulk drain.
+    let expected = "\
+        approx-densest x1\n\
+        \x20 round x2\n\
+        \x20   aggregates x2\n\
+        \x20   bucket.drain x2\n\
+        \x20   subround x7\n\
+        \x20     frontier.refile x7\n";
+    assert_eq!(report.span_tree(tid), expected);
 }
