@@ -4,67 +4,69 @@
 //! the Sec. 4 techniques) in terms of k-core, but nothing in the hot
 //! loop is vertex-specific: it peels an *element universe* by monotone
 //! integer *priorities*, where settling an element lowers the priorities
-//! of incident elements through a clamped-decrement rule. This module
+//! of incident elements through a clamped update rule. This module
 //! factors that skeleton out:
 //!
 //! * [`PeelProblem`] — the plug-in surface: universe size, initial
-//!   priorities, the decrement rule (an [`Incidence`]), an optional
-//!   per-settle action, and result assembly. k-core, k-truss, and
-//!   densest-subgraph are clients (see [`crate::problems`]).
-//! * [`PeelEngine`] — owns everything else: the round/subround loop,
-//!   the hash-bag frontier, the pluggable bucket structure, adaptive
-//!   strategy upgrades, and the sampling / VGC / offline techniques
-//!   with their Las-Vegas restart loop.
+//!   priorities, the update rule (an [`Incidence`]), the round
+//!   structure (a [`RoundPolicy`]), an optional per-settle action, and
+//!   result assembly. The clients live in [`crate::problems`].
+//! * [`PeelEngine`] — owns everything else: one round/subround loop,
+//!   the hash-bag frontier, the pluggable bucket structure with its
+//!   adaptive upgrade, and sampling's Las-Vegas restart loop.
 //!
-//! Three incidence flavors cover the known peeling problems:
+//! The loop is parameterized by two things.
 //!
-//! * [`Incidence::Unit`] — "each settled incident element costs one
-//!   priority unit" over static adjacency lists (k-core: vertex degree
-//!   over neighbors; densest-subgraph: the same). The atomic clamped
-//!   decrement makes settle + decrement race-free in a single fused
-//!   task, so subrounds need one global sync, VGC may chase local
-//!   chains, and the sampling scheme can approximate hub priorities.
-//! * [`Incidence::Snapshot`] — the decrement rule depends on *other*
-//!   elements' settle state (k-truss: a dying edge decrements the other
-//!   two edges of a triangle only while the triangle is still alive,
-//!   with tie-breaks among same-subround deaths). The engine then runs
-//!   each subround in two phases — stamp every frontier element
-//!   settled, global barrier, evaluate the rule against the frozen
-//!   [`SettleView`] — charging 2 syncs per subround in the burdened
-//!   span. Sampling and VGC assume unit semantics and are gated off.
-//! * [`Incidence::Recompute`] — a settle does not *decrement* incident
-//!   priorities; it invalidates them, and the problem *recomputes* each
-//!   affected priority from scratch over the survivors ((k,h)-core:
-//!   the live h-hop ball size, an h-index-style quantity that can drop
-//!   by many units per death). The engine runs the same two-phase
-//!   subround as snapshot rules and enforces monotone decrease with the
-//!   generalized CAS clamp [`clamped_update`] — the unit
-//!   [`clamped_decrement`] is now just its `d - 1` special case.
+//! **The frontier source** ([`RoundPolicy`]) opens each round: it fixes
+//! the round's *clamp* (no priority drops below it; elements that reach
+//! it settle this round) and drains the bucket structure.
 //!
-//! Orthogonally, a [`RoundPolicy`] chooses the round structure:
+//! * [`RoundPolicy::MinBucket`] — round `k` takes every element of
+//!   priority exactly `k`, and the clamp is `k`.
+//! * [`RoundPolicy::Threshold`] — the policy computes a threshold `t`
+//!   from the live [`RoundAggregates`], the bucket structure drains
+//!   everything at or below `t` in one step
+//!   ([`kcore_buckets::BucketStructure::drain_threshold`]), and the
+//!   clamp is `t`: the `O(log n)`-round regime of the (2+ε)-approximate
+//!   densest subgraph.
 //!
-//! * [`RoundPolicy::MinBucket`] — today's behavior, bit-identical:
-//!   round `k` peels the elements of priority exactly `k`.
-//! * [`RoundPolicy::Threshold`] — each round batches a whole priority
-//!   range: the policy computes a peel threshold `t` from the live
-//!   [`RoundAggregates`] (remaining elements, remaining priority sum),
-//!   the bucket structure drains everything at or below `t` in one
-//!   step ([`kcore_buckets::BucketStructure::drain_threshold`]), and
-//!   the clamp floor for the round is `t` instead of `k`. This is the
-//!   `O(log n)`-round regime of the (2+ε)-approximate densest
-//!   subgraph. Unit incidences only.
+//! **The subround step** peels one frontier and returns the next one
+//! (the elements its updates dragged down to the clamp), with its own
+//! sync and work accounting:
 //!
-//! Not every technique composes with the new axes: sampling and the
-//! offline driver are rejected with a panic (see
+//! * *fused* — [`Incidence::Unit`] online: each frontier element
+//!   settles and decrements its incident elements in one task, since
+//!   atomic clamped unit decrements over static lists commute. One
+//!   global sync per subround; VGC chases local chains inside the task,
+//!   and sampling approximates hub priorities, validated at round start
+//!   and round end (the only way a run can abort and restart).
+//! * *two-phase* — [`Incidence::Snapshot`] and [`Incidence::Recompute`]
+//!   online: stamp the whole frontier settled, barrier, then evaluate
+//!   the problem's rule against the frozen [`SettleView`]. A snapshot
+//!   rule emits unit decrements that may depend on other elements'
+//!   settle state (k-truss: a dying edge decrements the other two edges
+//!   of a triangle only while the triangle is still alive); a recompute
+//!   rule recomputes each affected priority from the survivors
+//!   ((k,h)-core: the live h-hop ball size, which can drop by many
+//!   units per death). Both go through the CAS clamp
+//!   [`clamped_update`]. Two global syncs per subround.
+//! * *offline* — [`crate::PeelMode::Offline`] with unit or snapshot
+//!   incidences: settle, gather the frontier's decrements, histogram
+//!   them, and apply them in bulk without per-target atomics. Three
+//!   global syncs per subround.
+//!
+//! Not every pairing is defined: sampling and the offline step need
+//! [`RoundPolicy::MinBucket`] and unit (or, for offline, snapshot)
+//! decrements, and are rejected with a panic otherwise (see
 //! [`PeelEngine::run`]); VGC composes with threshold rounds and is
-//! ignored (like for snapshot rules) under recompute incidences.
+//! ignored by the two-phase step.
 
 use super::sampling::SamplingState;
 use super::{offline, vgc};
-use crate::config::PeelMode;
+use crate::config::{HistogramKind, PeelMode};
 use crate::Config;
 use kcore_buckets::{BucketStrategy, BucketStructure, HierarchicalBuckets, PriorityView};
-use kcore_check::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use kcore_check::sync::atomic::{AtomicU32, Ordering};
 use kcore_graph::GraphBackend;
 use kcore_obs::span;
 use kcore_parallel::primitives::pack_index;
@@ -184,13 +186,6 @@ pub struct SettleView<'a> {
 }
 
 impl<'a> SettleView<'a> {
-    /// Crate-internal constructor: `current` identifies this subround's
-    /// stamps as peers. Only the engine's drivers build views — the
-    /// settle phase must have completed first.
-    pub(crate) fn new(stamps: &'a [AtomicU32], current: u32) -> Self {
-        Self { stamps, current }
-    }
-
     /// Settle state of element `e` in this subround's snapshot.
     #[inline]
     pub fn state(&self, e: u32) -> ElementState {
@@ -256,14 +251,16 @@ pub trait RecomputeRule: Sync {
 /// problem's clamped-decrement rule over its incidence relation.
 pub enum Incidence<'p> {
     /// One unit per settled incident element over static lists; peeled
-    /// by the fused single-sync driver with sampling + VGC available.
+    /// by the fused step (one sync per subround, sampling and VGC
+    /// available) or the offline step.
     Unit(&'p dyn UnitIncidence),
     /// Arbitrary rule against a consistent settle snapshot; peeled by
-    /// the two-phase driver (settle barrier before rule evaluation).
+    /// the two-phase step (settle barrier before rule evaluation) or
+    /// the offline step.
     Snapshot(&'p dyn SnapshotRule),
     /// Priorities recomputed from scratch over the survivors; peeled by
-    /// the two-phase driver with the generalized CAS clamp
-    /// ([`clamped_update`]) enforcing monotone decrease.
+    /// the two-phase step, with the CAS clamp (`clamped_update`)
+    /// enforcing monotone decrease.
     Recompute(&'p dyn RecomputeRule),
 }
 
@@ -298,16 +295,15 @@ pub trait ThresholdPolicy: Sync {
     fn threshold(&self, agg: &RoundAggregates) -> u32;
 }
 
-/// How the engine forms rounds — the round-structure axis of the
-/// framework, chosen by the problem via [`PeelProblem::round_policy`].
+/// How the engine opens rounds — the frontier source of the round
+/// loop, chosen by the problem via [`PeelProblem::round_policy`].
 pub enum RoundPolicy<'p> {
-    /// Round `k` peels priority exactly `k` (today's behavior,
-    /// bit-identical to the pre-policy engine).
+    /// Round `k` drains the minimum bucket, priority exactly `k`, and
+    /// clamps at `k`.
     MinBucket,
-    /// Round `r` peels every priority at or below a threshold computed
-    /// from the live aggregates; rounds batch whole priority ranges
-    /// and the clamp floor is the threshold. Requires
-    /// [`Incidence::Unit`].
+    /// Round `r` drains every priority at or below a threshold computed
+    /// from the live aggregates, so rounds batch whole priority ranges,
+    /// and clamps at the threshold. Requires [`Incidence::Unit`].
     Threshold(&'p dyn ThresholdPolicy),
 }
 
@@ -339,8 +335,8 @@ pub trait PeelProblem: Sync {
     /// The decrement rule.
     fn incidence(&self) -> Incidence<'_>;
 
-    /// The round structure. Default: [`RoundPolicy::MinBucket`], the
-    /// exact-priority rounds every pre-policy problem ran with.
+    /// The round structure. Default: [`RoundPolicy::MinBucket`], one
+    /// round per exact priority.
     #[inline]
     fn round_policy(&self) -> RoundPolicy<'_> {
         RoundPolicy::MinBucket
@@ -362,10 +358,11 @@ pub trait PeelProblem: Sync {
 /// The generic peeling engine: Alg. 1's round/subround loop with the
 /// Sec. 4 techniques, parameterized by a [`PeelProblem`].
 ///
-/// The engine runs `config` exactly as given — apply
-/// [`Config::apply_env_overrides`] first if the `KCORE_TECHNIQUES`
-/// override should be honored (the problem facades in
-/// [`crate::problems`] do this in their `new` constructors).
+/// The engine runs `config` exactly as given. [`crate::Decomposition`]
+/// resolves the `KCORE_TECHNIQUES` override
+/// ([`Config::apply_env_overrides`]) in its `run`, before it builds an
+/// engine; apply the override yourself when driving the engine
+/// directly and it should be honored.
 pub struct PeelEngine<'p, P: PeelProblem> {
     problem: &'p P,
     config: Config,
@@ -391,11 +388,11 @@ impl<'p, P: PeelProblem> PeelEngine<'p, P> {
     /// # Panics
     ///
     /// Panics when the configured techniques cannot honor the
-    /// problem's axes: sampling and the offline driver are
+    /// problem's axes: sampling and the offline step are
     /// `RoundPolicy::MinBucket` + `Unit`/`Snapshot` refinements and are
     /// rejected — never silently mis-run — under
     /// [`RoundPolicy::Threshold`] or [`Incidence::Recompute`] (see
-    /// [`validate_combination`]).
+    /// `validate_combination`).
     pub fn run(&self) -> P::Output {
         validate_combination(&self.config, &self.problem.round_policy(), &self.problem.incidence());
         if self.problem.num_elements() == 0 {
@@ -412,12 +409,7 @@ impl<'p, P: PeelProblem> PeelEngine<'p, P> {
                     self.problem.name(),
                     self.problem.num_elements() as u64,
                 );
-                match config.techniques.mode {
-                    PeelMode::Online => online_run(&config, self.problem, &mut stats),
-                    PeelMode::Offline(off) => {
-                        Ok(offline::run(&config, off, self.problem, &mut stats))
-                    }
-                }
+                peel(&config, self.problem, &mut stats)
             };
             match attempt {
                 Ok(rounds) => {
@@ -440,10 +432,10 @@ impl<'p, P: PeelProblem> PeelEngine<'p, P> {
 /// (or silently degraded) result.
 ///
 /// Sampling approximates priorities that decrease by units, and the
-/// offline driver histograms unit decrements — neither is defined for
+/// offline step histograms unit decrements — neither is defined for
 /// threshold-batched rounds or recomputed priorities. VGC composes
 /// with threshold rounds (the chase clamps to the round threshold) and
-/// is ignored under snapshot/recompute incidences, as before.
+/// is ignored by the two-phase step.
 pub(crate) fn validate_combination(
     config: &Config,
     policy: &RoundPolicy<'_>,
@@ -470,26 +462,243 @@ pub(crate) fn validate_combination(
     }
 }
 
-/// Swaps the adaptive strategy's flat array for HBS once round `k`
-/// reaches θ. Shared by the online and offline drivers.
-pub(crate) fn upgrade_adaptive_if_due(
-    bucket: &mut Box<dyn BucketStructure>,
-    pending: &mut bool,
-    k: u32,
-    theta: u32,
-    n: usize,
-    view: &LiveView<'_>,
-) {
-    if *pending && k >= theta {
-        let live = pack_index(n, |v| view.alive(v as u32));
-        let entries = live.iter().map(|&v| (v, view.key(v)));
-        *bucket = Box::new(HierarchicalBuckets::with_entries(k, entries));
-        *pending = false;
+/// Picks the subround step for the configured mode and the problem's
+/// incidence and runs the round loop with it; the frontier source is
+/// the problem's [`RoundPolicy`]. [`validate_combination`] has already
+/// rejected the pairings no step can honor.
+fn peel<P: PeelProblem>(
+    config: &Config,
+    problem: &P,
+    stats: &mut RunStats,
+) -> Result<Vec<u32>, Polluted> {
+    let n = problem.num_elements();
+    let init = problem.init_priorities();
+    match (config.techniques.mode, problem.incidence()) {
+        (PeelMode::Online, Incidence::Unit(inc)) => {
+            let step = Fused::new(config, inc, &init, stats);
+            rounds(config, problem, init, step, stats)
+        }
+        (PeelMode::Online, Incidence::Snapshot(rule)) => {
+            let step = TwoPhase::new(n, false, move |e, k, view, lower| {
+                let mut emitted = 0;
+                rule.for_each_decrement(e, k, view, &mut |t| {
+                    emitted += 1;
+                    lower.lower(t, |d| d - 1);
+                });
+                emitted
+            });
+            rounds(config, problem, init, step, stats)
+        }
+        (PeelMode::Online, Incidence::Recompute(rule)) => {
+            // Holds the last subround that recomputed each element, so
+            // a target named by several deaths is recomputed once.
+            let claimed: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+            let step = TwoPhase::new(n, true, move |e, _, view, lower| {
+                let mut recomputed = 0;
+                rule.for_each_target(e, &mut |t| {
+                    // Skip targets dead or dying alongside e, and those
+                    // another death already recomputed.
+                    if !view.alive(t)
+                        || claimed[t as usize].swap(view.current, Ordering::Relaxed) == view.current
+                    {
+                        return;
+                    }
+                    recomputed += 1;
+                    let fresh = rule.recompute(t, view);
+                    lower.lower(t, |_| fresh);
+                });
+                recomputed
+            });
+            rounds(config, problem, init, step, stats)
+        }
+        (PeelMode::Offline(off), Incidence::Unit(inc)) => {
+            // Unit incidences read liveness from `settled`, so they need
+            // no stamps; they charge the frontier's full incident lists
+            // (the gather scans them all, live or not).
+            let step =
+                OfflineStep::new(off.histogram, Stamps::none(), move |frontier, _, settled, _| {
+                    let arcs = frontier.iter().map(|&v| inc.num_incident(v) as u64).sum();
+                    (offline::gather_live(inc, frontier, settled), arcs)
+                });
+            rounds(config, problem, init, step, stats)
+        }
+        (PeelMode::Offline(off), Incidence::Snapshot(rule)) => {
+            // Snapshot rules charge the decrement list they emit.
+            let step =
+                OfflineStep::new(off.histogram, Stamps::new(n), move |frontier, k, _, view| {
+                    let gathered = offline::gather_rule(rule, frontier, k, view);
+                    let work = gathered.len() as u64;
+                    (gathered, work)
+                });
+            rounds(config, problem, init, step, stats)
+        }
+        (PeelMode::Offline(_), Incidence::Recompute(_)) => {
+            unreachable!("rejected by validate_combination")
+        }
     }
 }
 
-/// Shared references threaded through one fused (unit-incidence)
-/// subround's parallel peel, and the sampling recounts it triggers.
+/// The round loop (Alg. 1), shared by every problem and technique.
+///
+/// Each round the frontier source fixes the round's clamp and drains
+/// the bucket structure: [`RoundPolicy::MinBucket`] takes exactly the
+/// minimum live priority, [`RoundPolicy::Threshold`] takes everything
+/// at or below the policy's threshold in one bulk step. The `step` then
+/// peels frontier after frontier until the round is exhausted; each
+/// subround's frontier is what the previous one dragged down to the
+/// clamp. Settle rounds record the round *index*.
+///
+/// Survivors always end a round with priority above the clamp (the
+/// clamp only ever stops a decrement exactly at it, and elements that
+/// reach it are peeled), so live priorities stay exact across rounds
+/// and `floor = clamp + 1` bounds them from below. The clamp never
+/// drops below the floor, so every round settles elements or raises
+/// the floor: even a pathological threshold policy terminates.
+fn rounds<P: PeelProblem, S: Step>(
+    config: &Config,
+    problem: &P,
+    init: Vec<u32>,
+    mut step: S,
+    stats: &mut RunStats,
+) -> Result<Vec<u32>, Polluted> {
+    let n = init.len();
+    let source = problem.round_policy();
+    let prio: Vec<AtomicU32> = init.iter().map(|&d| AtomicU32::new(d)).collect();
+    let settled: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNSET)).collect();
+    let mut bucket: Box<dyn BucketStructure> = config.bucket_strategy.build(&init);
+    let mut adaptive_pending = matches!(config.bucket_strategy, BucketStrategy::Adaptive);
+    let max_prio = init.iter().copied().max().unwrap_or(0);
+    drop(init);
+    let collect_stats = config.collect_stats;
+    let mut remaining = n;
+    let (mut round, mut floor) = (0u32, 0u32);
+    while remaining > 0 {
+        assert!(floor <= max_prio, "peeling stalled: {remaining} elements left above {max_prio}");
+        let _round = span!("round", round);
+        let view = LiveView { prio: &prio, settled: &settled };
+        // Adaptive starts on the flat array and upgrades to HBS at the
+        // θ-core; the other strategies are fixed for the whole run.
+        if adaptive_pending && floor >= config.adaptive_theta {
+            let live = pack_index(n, |v| view.alive(v as u32));
+            let entries = live.iter().map(|&v| (v, view.key(v)));
+            bucket = Box::new(HierarchicalBuckets::with_entries(floor, entries));
+            adaptive_pending = false;
+        }
+        let clamp = match &source {
+            RoundPolicy::MinBucket => floor,
+            RoundPolicy::Threshold(policy) => {
+                // A threshold run has O(log n) rounds, so re-scanning
+                // the priority array at each boundary is noise next to
+                // the peel, and live priorities are exact (see above).
+                let priority_sum = {
+                    let _agg = span!("aggregates");
+                    let live_key = |v: u32| if view.alive(v) { u64::from(view.key(v)) } else { 0 };
+                    (0..n as u32).into_par_iter().map(live_key).sum()
+                };
+                let agg = RoundAggregates { round, remaining, priority_sum, floor };
+                policy.threshold(&agg).max(floor)
+            }
+        };
+        let mut frontier = {
+            let _drain = span!("bucket.drain", clamp);
+            match source {
+                RoundPolicy::MinBucket => bucket.next_frontier(clamp, &view),
+                RoundPolicy::Threshold(_) => bucket.drain_threshold(clamp, &view),
+            }
+        };
+        let r = Round { problem, prio: &prio, settled: &settled, bucket: &*bucket, round, clamp };
+        step.round_start(&r, &frontier)?;
+        let mut subrounds = 0u32;
+        loop {
+            if frontier.is_empty() {
+                frontier = step.round_end(&r);
+                if frontier.is_empty() {
+                    break;
+                }
+            }
+            subrounds += 1;
+            let _subround = span!("subround", frontier.len());
+            remaining -= frontier.len();
+            let wave = step.subround(&r, &frontier);
+            remaining -= wave.chased;
+            if collect_stats {
+                stats.max_frontier = stats.max_frontier.max(frontier.len());
+                stats.work += frontier.len() as u64 + wave.work;
+                stats.record_subround(wave.syncs, wave.chain);
+            }
+            frontier = wave.next;
+        }
+        if collect_stats {
+            stats.record_round(subrounds);
+        }
+        round += 1;
+        floor = clamp.saturating_add(1);
+    }
+    step.finish(stats);
+    Ok(settled.into_iter().map(AtomicU32::into_inner).collect())
+}
+
+/// What a subround step sees of the round in progress.
+struct Round<'a, P> {
+    problem: &'a P,
+    prio: &'a [AtomicU32],
+    settled: &'a [AtomicU32],
+    bucket: &'a dyn BucketStructure,
+    /// Round index: the settle round its elements record.
+    round: u32,
+    /// The round's clamp: no priority drops below it, and elements
+    /// that reach it settle this round.
+    clamp: u32,
+}
+
+/// One subround's outcome, as a step reports it to the round loop.
+struct Wave {
+    /// The next subround's frontier.
+    next: Vec<u32>,
+    /// Elements settled beyond the frontier itself (VGC chases).
+    chased: usize,
+    /// Global synchronizations the subround took.
+    syncs: u64,
+    /// Longest sequential chain within the subround.
+    chain: u64,
+    /// Work beyond touching the frontier itself.
+    work: u64,
+}
+
+/// A subround step: how a frontier settles and lowers the priorities
+/// its deaths affect.
+trait Step {
+    /// Round-start hook on the freshly drained frontier. Only the fused
+    /// step's sampling validation can fail it.
+    fn round_start<P: PeelProblem>(
+        &mut self,
+        _r: &Round<'_, P>,
+        _frontier: &[u32],
+    ) -> Result<(), Polluted> {
+        Ok(())
+    }
+
+    /// Round-end hook, called whenever a subround leaves no frontier:
+    /// returns the elements that reopen the round.
+    fn round_end<P: PeelProblem>(&mut self, _r: &Round<'_, P>) -> Vec<u32> {
+        Vec::new()
+    }
+
+    /// Peels one frontier.
+    fn subround<P: PeelProblem>(&mut self, r: &Round<'_, P>, frontier: &[u32]) -> Wave;
+
+    /// Folds run-long counters into `stats` once the run completes.
+    fn finish(&self, _stats: &mut RunStats) {}
+}
+
+/// Drains the hash bag into the next subround's frontier.
+fn refile(bag: &mut HashBag) -> Vec<u32> {
+    let _refile = span!("frontier.refile");
+    bag.extract_all()
+}
+
+/// Shared references threaded through one fused subround's parallel
+/// peel, and the sampling recounts it triggers.
 pub(crate) struct OnlineCtx<'a, P: PeelProblem> {
     pub(crate) problem: &'a P,
     pub(crate) inc: &'a dyn UnitIncidence,
@@ -503,136 +712,263 @@ pub(crate) struct OnlineCtx<'a, P: PeelProblem> {
     pub(crate) chain_limit: u32,
 }
 
-/// The online driver: dispatches on the problem's round policy and
-/// incidence flavor (unsupported pairings were rejected up front by
-/// [`validate_combination`]).
-fn online_run<P: PeelProblem>(
-    config: &Config,
-    problem: &P,
-    stats: &mut RunStats,
-) -> Result<Vec<u32>, Polluted> {
-    match (problem.round_policy(), problem.incidence()) {
-        (RoundPolicy::MinBucket, Incidence::Unit(inc)) => online_unit(config, problem, inc, stats),
-        (RoundPolicy::Threshold(policy), Incidence::Unit(inc)) => {
-            Ok(online_threshold(config, problem, inc, policy, stats))
+/// The fused step for unit incidences: settle and decrement run in one
+/// task per frontier element ([`vgc::peel_from`]), one global sync per
+/// subround, with the sampling hooks around each round.
+struct Fused<'p> {
+    inc: &'p dyn UnitIncidence,
+    sampling: Option<SamplingState>,
+    counters: TechniqueCounters,
+    chain_limit: u32,
+    collect_stats: bool,
+    bag: HashBag,
+}
+
+impl<'p> Fused<'p> {
+    fn new(
+        config: &Config,
+        inc: &'p dyn UnitIncidence,
+        init: &[u32],
+        stats: &mut RunStats,
+    ) -> Self {
+        let sampling =
+            config.techniques.sampling.and_then(|cfg| SamplingState::build(inc, init, cfg));
+        stats.sampled_vertices = sampling.as_ref().map_or(0, |s| s.num_sampled() as u64);
+        Self {
+            inc,
+            sampling,
+            counters: TechniqueCounters::new(),
+            chain_limit: config.techniques.vgc.map_or(0, |v| v.chain_limit),
+            collect_stats: config.collect_stats,
+            bag: HashBag::new(init.len()),
         }
-        (RoundPolicy::MinBucket, Incidence::Snapshot(rule)) => {
-            Ok(online_snapshot(config, problem, rule, stats))
-        }
-        (RoundPolicy::MinBucket, Incidence::Recompute(rule)) => {
-            Ok(online_recompute(config, problem, rule, stats))
-        }
-        (RoundPolicy::Threshold(_), _) => unreachable!("rejected by validate_combination"),
     }
 }
 
-/// Fused driver for unit incidences: Alg. 1 with the sampling and VGC
-/// hooks — settle and decrement run in one task per frontier element,
-/// one global sync per subround.
-fn online_unit<P: PeelProblem>(
-    config: &Config,
-    problem: &P,
-    inc: &dyn UnitIncidence,
-    stats: &mut RunStats,
-) -> Result<Vec<u32>, Polluted> {
-    let n = problem.num_elements();
-    let init = problem.init_priorities();
-    let prio: Vec<AtomicU32> = init.iter().map(|&d| AtomicU32::new(d)).collect();
-    let settled: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNSET)).collect();
-
-    let mut sampling =
-        config.techniques.sampling.and_then(|cfg| SamplingState::build(inc, &init, cfg));
-    if let Some(s) = &sampling {
-        stats.sampled_vertices = s.num_sampled() as u64;
+impl Step for Fused<'_> {
+    fn round_start<P: PeelProblem>(
+        &mut self,
+        r: &Round<'_, P>,
+        frontier: &[u32],
+    ) -> Result<(), Polluted> {
+        // Sample-mode elements surface with their last recounted
+        // priority; confirm it exactly before peeling them.
+        match &self.sampling {
+            Some(s) => s.validate_frontier(frontier, r.clamp, self.inc, r.settled, &self.counters),
+            None => Ok(()),
+        }
     }
-    let counters = TechniqueCounters::new();
-    let chain_limit = config.techniques.vgc.map_or(0, |v| v.chain_limit);
 
-    // Adaptive starts on the flat array and upgrades to HBS at the
-    // θ-core; the other strategies are fixed for the whole run.
-    let mut bucket: Box<dyn BucketStructure> = config.bucket_strategy.build(&init);
-    let mut adaptive_pending = matches!(config.bucket_strategy, BucketStrategy::Adaptive);
+    fn round_end<P: PeelProblem>(&mut self, r: &Round<'_, P>) -> Vec<u32> {
+        // Exact recounts of sample-mode elements near the boundary (all
+        // of them under `Validation::Full`). Anything caught at the
+        // clamp belongs to this round and re-opens it.
+        match self.sampling.as_mut() {
+            Some(s) => {
+                s.validate_round_end(r.clamp, self.inc, r.prio, r.settled, r.bucket, &self.counters)
+            }
+            None => Vec::new(),
+        }
+    }
 
-    let mut bag = HashBag::new(n);
-    let collect_stats = config.collect_stats;
-    let max_prio = *init.iter().max().unwrap_or(&0);
-    let mut remaining = n;
-    let mut k = 0u32;
-    while remaining > 0 {
-        assert!(k <= max_prio, "peeling stalled: {remaining} elements left after round {max_prio}");
-        let _round = span!("round", k);
-        let view = LiveView { prio: &prio, settled: &settled };
-        upgrade_adaptive_if_due(
-            &mut bucket,
-            &mut adaptive_pending,
-            k,
-            config.adaptive_theta,
-            n,
-            &view,
-        );
-        let mut frontier = {
-            let _drain = span!("bucket.drain", k);
-            bucket.next_frontier(k, &view)
+    fn subround<P: PeelProblem>(&mut self, r: &Round<'_, P>, frontier: &[u32]) -> Wave {
+        self.counters.reset_subround();
+        let arcs: usize = if self.collect_stats {
+            frontier.iter().map(|&v| self.inc.num_incident(v)).sum()
+        } else {
+            0
         };
-        if let Some(s) = &sampling {
-            // Sample-mode elements surface with their last recounted
-            // priority; confirm it exactly before peeling them.
-            s.validate_frontier(&frontier, k, inc, &settled, &counters)?;
+        let ctx = OnlineCtx {
+            problem: r.problem,
+            inc: self.inc,
+            prio: r.prio,
+            settled: r.settled,
+            bag: &self.bag,
+            bucket: r.bucket,
+            sampling: self.sampling.as_ref(),
+            counters: &self.counters,
+            chain_limit: self.chain_limit,
+        };
+        frontier.par_iter().for_each(|&v| vgc::peel_from(&ctx, v, r.round, r.clamp));
+        let c = &self.counters;
+        Wave {
+            chased: c.chased.load(Ordering::Relaxed) as usize,
+            syncs: 1,
+            chain: c.chain.get().max(1),
+            work: arcs as u64 + c.chased_work.load(Ordering::Relaxed),
+            next: refile(&mut self.bag),
         }
-        let mut subrounds = 0u32;
-        loop {
-            if frontier.is_empty() {
-                // End-of-round validation: exact recounts of sample-mode
-                // elements near the boundary (all of them under
-                // `Validation::Full`). Anything caught at `<= k` belongs
-                // to this round and re-opens it.
-                let caught = match sampling.as_mut() {
-                    Some(s) => s.validate_round_end(k, inc, &prio, &settled, &*bucket, &counters),
-                    None => Vec::new(),
-                };
-                if caught.is_empty() {
-                    break;
-                }
-                frontier = caught;
-            }
-            subrounds += 1;
-            let _subround = span!("subround", frontier.len());
-            counters.reset_subround();
-            remaining -= frontier.len();
-            if collect_stats {
-                stats.max_frontier = stats.max_frontier.max(frontier.len());
-                let arcs: usize = frontier.iter().map(|&v| inc.num_incident(v)).sum();
-                stats.work += (frontier.len() + arcs) as u64;
-            }
-            let ctx = OnlineCtx {
-                problem,
-                inc,
-                prio: &prio,
-                settled: &settled,
-                bag: &bag,
-                bucket: &*bucket,
-                sampling: sampling.as_ref(),
-                counters: &counters,
-                chain_limit,
-            };
-            frontier.par_iter().for_each(|&v| vgc::peel_from(&ctx, v, k, k));
-            remaining -= counters.chased.load(Ordering::Relaxed) as usize;
-            if collect_stats {
-                stats.work += counters.chased_work.load(Ordering::Relaxed);
-                stats.record_subround(1, counters.chain.get().max(1));
-            }
-            frontier = {
-                let _refile = span!("frontier.refile");
-                bag.extract_all()
-            };
-        }
-        if collect_stats {
-            stats.record_round(subrounds);
-        }
-        k += 1;
     }
-    counters.merge_sampling_into(stats);
-    Ok(settled.into_iter().map(AtomicU32::into_inner).collect())
+
+    fn finish(&self, stats: &mut RunStats) {
+        self.counters.merge_sampling_into(stats);
+    }
+}
+
+/// Subround stamps of the two-phase and offline steps: 0 = never
+/// settled; ids start at 1 and never reset, so [`SettleView::state`]
+/// tells same-subround peers from the dead.
+struct Stamps {
+    stamps: Vec<AtomicU32>,
+    current: u32,
+}
+
+impl Stamps {
+    fn new(n: usize) -> Self {
+        Self { stamps: (0..n).map(|_| AtomicU32::new(0)).collect(), current: 0 }
+    }
+
+    /// No stamps, for steps that read liveness from `settled` alone.
+    fn none() -> Self {
+        Self { stamps: Vec::new(), current: 0 }
+    }
+
+    /// The shared first phase: settles and stamps the whole frontier.
+    /// It completes before the caller's next phase reads the returned
+    /// view, so every worker sees the same snapshot.
+    fn settle<P: PeelProblem>(&mut self, r: &Round<'_, P>, frontier: &[u32]) -> SettleView<'_> {
+        self.current += 1;
+        let (stamps, current) = (&self.stamps, self.current);
+        let _settle = span!("settle", frontier.len());
+        frontier.par_iter().for_each(|&e| {
+            r.settled[e as usize].store(r.round, Ordering::Relaxed);
+            if let Some(stamp) = stamps.get(e as usize) {
+                stamp.store(current, Ordering::Relaxed);
+            }
+            r.problem.on_settle(e, r.round);
+        });
+        SettleView { stamps, current }
+    }
+}
+
+/// Lowers priorities in a two-phase subround and files every element
+/// it moved: into the hash bag when it reached the clamp (it is peeled
+/// exactly once, in the next subround), into the bucket structure
+/// otherwise.
+struct Lowering<'a> {
+    prio: &'a [AtomicU32],
+    bag: &'a HashBag,
+    bucket: &'a dyn BucketStructure,
+    clamp: u32,
+}
+
+impl Lowering<'_> {
+    #[inline]
+    fn lower(&self, t: u32, proposed: impl Fn(u32) -> u32) {
+        if let Some((prev, stored)) = clamped_update(&self.prio[t as usize], self.clamp, proposed) {
+            if stored == self.clamp {
+                self.bag.insert(t);
+            } else {
+                self.bucket.on_decrease(t, prev, stored, self.clamp);
+            }
+        }
+    }
+}
+
+/// The two-phase step for snapshot and recompute incidences: stamp the
+/// whole frontier settled, then, after that barrier, run `pass` for
+/// each settled element against the frozen snapshot. `pass` lowers the
+/// priorities the death affects and returns the work it did. Because
+/// it sees a fixed snapshot, the stored values, and so the whole
+/// decomposition, are deterministic. Two global syncs per subround.
+struct TwoPhase<F> {
+    stamps: Stamps,
+    bag: HashBag,
+    /// Names the second phase `recompute` instead of `rule`.
+    recompute: bool,
+    pass: F,
+}
+
+impl<F> TwoPhase<F>
+where
+    F: Fn(u32, u32, &SettleView<'_>, &Lowering<'_>) -> u64 + Sync,
+{
+    fn new(n: usize, recompute: bool, pass: F) -> Self {
+        Self { stamps: Stamps::new(n), bag: HashBag::new(n), recompute, pass }
+    }
+}
+
+impl<F> Step for TwoPhase<F>
+where
+    F: Fn(u32, u32, &SettleView<'_>, &Lowering<'_>) -> u64 + Sync,
+{
+    fn subround<P: PeelProblem>(&mut self, r: &Round<'_, P>, frontier: &[u32]) -> Wave {
+        let view = self.stamps.settle(r, frontier);
+        let lower = Lowering { prio: r.prio, bag: &self.bag, bucket: r.bucket, clamp: r.clamp };
+        let phase = if self.recompute {
+            span!("recompute", frontier.len())
+        } else {
+            span!("rule", frontier.len())
+        };
+        let pass = &self.pass;
+        let work = frontier.par_iter().map(|&e| pass(e, r.round, &view, &lower)).sum();
+        drop(phase);
+        Wave { next: refile(&mut self.bag), chased: 0, syncs: 2, chain: 1, work }
+    }
+}
+
+/// The offline (Julienne-style) step: settle the frontier, **gather**
+/// every decrement it causes into one list (with duplicates),
+/// **histogram** the list into `(element, multiplicity)` pairs, and
+/// **apply** each multiplicity as one bulk decrement clamped at the
+/// round; elements landing on the clamp form the next frontier. No
+/// per-target atomics, at the price of three global syncs per subround
+/// (Fig. 9's online/offline gap). Sampling and VGC exist to temper the
+/// online step's atomics and syncs and are ignored here.
+///
+/// `gather` returns the list and the work it charges.
+struct OfflineStep<G> {
+    histogram: HistogramKind,
+    stamps: Stamps,
+    gather: G,
+}
+
+impl<G> OfflineStep<G>
+where
+    G: Fn(&[u32], u32, &[AtomicU32], &SettleView<'_>) -> (Vec<u32>, u64),
+{
+    fn new(histogram: HistogramKind, stamps: Stamps, gather: G) -> Self {
+        Self { histogram, stamps, gather }
+    }
+}
+
+impl<G> Step for OfflineStep<G>
+where
+    G: Fn(&[u32], u32, &[AtomicU32], &SettleView<'_>) -> (Vec<u32>, u64),
+{
+    fn subround<P: PeelProblem>(&mut self, r: &Round<'_, P>, frontier: &[u32]) -> Wave {
+        let view = self.stamps.settle(r, frontier);
+        let (gathered, gather_work) = {
+            let _gather = span!("offline.gather", frontier.len());
+            (self.gather)(frontier, r.round, r.settled, &view)
+        };
+        let hist = {
+            let _hist = span!("offline.histogram", gathered.len());
+            offline::run_histogram(self.histogram, gathered, r.prio.len())
+        };
+        let _apply = span!("offline.apply", hist.len());
+        let k = r.clamp;
+        let next = hist
+            .par_iter()
+            .filter_map(|&(u, c)| {
+                if r.settled[u as usize].load(Ordering::Relaxed) != UNSET {
+                    return None;
+                }
+                let slot = &r.prio[u as usize];
+                let d = slot.load(Ordering::Relaxed);
+                debug_assert!(d > k, "live non-frontier elements sit above the round");
+                let nd = d.saturating_sub(c).max(k);
+                slot.store(nd, Ordering::Relaxed);
+                if nd == k {
+                    Some(u)
+                } else {
+                    r.bucket.on_decrease(u, d, nd, k);
+                    None
+                }
+            })
+            .collect();
+        Wave { next, chased: 0, syncs: 3, chain: 1, work: gather_work + hist.len() as u64 }
+    }
 }
 
 /// The generalized CAS clamp loop: lowers `slot` to
@@ -645,9 +981,9 @@ fn online_unit<P: PeelProblem>(
 /// round `k` under [`RoundPolicy::MinBucket`], the round threshold
 /// under [`RoundPolicy::Threshold`].
 ///
-/// The unit decrement ([`clamped_decrement`]) is the `|d| d - 1`
-/// special case; recompute incidences pass the freshly recomputed
-/// priority as a constant proposal.
+/// Unit and snapshot decrements propose `|d| d - 1`; recompute
+/// incidences pass the freshly recomputed priority as a constant
+/// proposal.
 #[inline]
 pub(crate) fn clamped_update(
     slot: &AtomicU32,
@@ -668,351 +1004,4 @@ pub(crate) fn clamped_update(
     })
     .ok()
     .map(|prev| (prev, stored))
-}
-
-/// Clamped unit decrement of `slot` while above `k`: returns the
-/// replaced value, or `None` when the value already sits at or below
-/// `k`. The historical hot-path form of [`clamped_update`].
-#[inline]
-pub(crate) fn clamped_decrement(slot: &AtomicU32, k: u32) -> Option<u32> {
-    clamped_update(slot, k, |d| d - 1).map(|(prev, _)| prev)
-}
-
-/// Threshold-batched driver for unit incidences: round `r` computes a
-/// peel threshold `t_r` from the live aggregates, drains every element
-/// at or below it in one bulk bucket step, and cascades the round with
-/// the clamp floored at `t_r` — an element whose priority is dragged
-/// down to the threshold mid-round settles in the same round. Settle
-/// rounds record the round *index*, not the threshold.
-///
-/// Because survivors always end a round with priority `> t_r` (the
-/// clamp only ever stops a decrement exactly at the threshold, and
-/// elements that reach it are peeled), live priorities stay exact
-/// across rounds and the effective thresholds strictly increase:
-/// `max(policy value, floor)` with `floor = t_{r-1} + 1`. Even a
-/// pathological policy therefore terminates — each round either
-/// settles elements or raises the floor, and a threshold at or above
-/// the maximum priority drains everything. VGC applies (the chase
-/// clamps to the threshold); sampling and offline were rejected up
-/// front.
-fn online_threshold<P: PeelProblem>(
-    config: &Config,
-    problem: &P,
-    inc: &dyn UnitIncidence,
-    policy: &dyn ThresholdPolicy,
-    stats: &mut RunStats,
-) -> Vec<u32> {
-    let n = problem.num_elements();
-    let init = problem.init_priorities();
-    let prio: Vec<AtomicU32> = init.iter().map(|&d| AtomicU32::new(d)).collect();
-    let settled: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNSET)).collect();
-
-    let counters = TechniqueCounters::new();
-    let chain_limit = config.techniques.vgc.map_or(0, |v| v.chain_limit);
-
-    let mut bucket: Box<dyn BucketStructure> = config.bucket_strategy.build(&init);
-    let mut adaptive_pending = matches!(config.bucket_strategy, BucketStrategy::Adaptive);
-
-    let mut bag = HashBag::new(n);
-    let collect_stats = config.collect_stats;
-    let max_prio = *init.iter().max().unwrap_or(&0);
-    let mut remaining = n;
-    let mut floor_next = 0u32; // lower bound on live priorities
-    let mut round = 0u32;
-    while remaining > 0 {
-        assert!(
-            u64::from(round) <= u64::from(max_prio) + 1,
-            "threshold peeling stalled: {remaining} elements left after round {round}"
-        );
-        let _round = span!("round", round);
-        let view = LiveView { prio: &prio, settled: &settled };
-        upgrade_adaptive_if_due(
-            &mut bucket,
-            &mut adaptive_pending,
-            floor_next,
-            config.adaptive_theta,
-            n,
-            &view,
-        );
-        // The live aggregates: a threshold run has O(log n) rounds, so
-        // re-scanning the priority array at each boundary is noise next
-        // to the peel itself — and keeps the subround hot path free of
-        // aggregate bookkeeping (survivor priorities are exact, see the
-        // driver docs, so the scan is the true live sum).
-        let priority_sum: u64 = {
-            let _agg = span!("aggregates");
-            (0..n)
-                .into_par_iter()
-                .map(|v| {
-                    if settled[v].load(Ordering::Relaxed) == UNSET {
-                        prio[v].load(Ordering::Relaxed) as u64
-                    } else {
-                        0
-                    }
-                })
-                .sum()
-        };
-        let agg = RoundAggregates { round, remaining, priority_sum, floor: floor_next };
-        let t = policy.threshold(&agg).max(floor_next);
-        let mut frontier = {
-            let _drain = span!("bucket.drain", t);
-            bucket.drain_threshold(t, &view)
-        };
-        let mut subrounds = 0u32;
-        while !frontier.is_empty() {
-            subrounds += 1;
-            let _subround = span!("subround", frontier.len());
-            counters.reset_subround();
-            remaining -= frontier.len();
-            if collect_stats {
-                stats.max_frontier = stats.max_frontier.max(frontier.len());
-                let arcs: usize = frontier.iter().map(|&v| inc.num_incident(v)).sum();
-                stats.work += (frontier.len() + arcs) as u64;
-            }
-            let ctx = OnlineCtx {
-                problem,
-                inc,
-                prio: &prio,
-                settled: &settled,
-                bag: &bag,
-                bucket: &*bucket,
-                sampling: None,
-                counters: &counters,
-                chain_limit,
-            };
-            frontier.par_iter().for_each(|&v| vgc::peel_from(&ctx, v, round, t));
-            remaining -= counters.chased.load(Ordering::Relaxed) as usize;
-            if collect_stats {
-                stats.work += counters.chased_work.load(Ordering::Relaxed);
-                stats.record_subround(1, counters.chain.get().max(1));
-            }
-            frontier = {
-                let _refile = span!("frontier.refile");
-                bag.extract_all()
-            };
-        }
-        if collect_stats {
-            stats.record_round(subrounds);
-        }
-        floor_next = t.saturating_add(1);
-        round += 1;
-    }
-    settled.into_iter().map(AtomicU32::into_inner).collect()
-}
-
-/// Two-phase driver for recompute incidences: per subround, stamp the
-/// whole frontier settled (phase 1), then — after the implicit global
-/// barrier — recompute the priorities the deaths may have lowered
-/// against the frozen snapshot and apply them through the generalized
-/// CAS clamp (phase 2). Each affected element is recomputed at most
-/// once per subround (a claim stamp deduplicates targets named by
-/// several deaths), and because `recompute` is a pure function of the
-/// snapshot, the stored value — and the whole decomposition — is
-/// deterministic. Two global syncs per subround in the burdened span;
-/// sampling and offline were rejected up front, VGC does not apply.
-fn online_recompute<P: PeelProblem>(
-    config: &Config,
-    problem: &P,
-    rule: &dyn RecomputeRule,
-    stats: &mut RunStats,
-) -> Vec<u32> {
-    let n = problem.num_elements();
-    let init = problem.init_priorities();
-    let prio: Vec<AtomicU32> = init.iter().map(|&d| AtomicU32::new(d)).collect();
-    let settled: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNSET)).collect();
-    // Subround stamps: 0 = never settled; ids start at 1 and never
-    // reset. `claimed` deduplicates per-subround recomputes.
-    let stamps: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let claimed: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let mut subround_id = 0u32;
-
-    let mut bucket: Box<dyn BucketStructure> = config.bucket_strategy.build(&init);
-    let mut adaptive_pending = matches!(config.bucket_strategy, BucketStrategy::Adaptive);
-
-    let mut bag = HashBag::new(n);
-    let collect_stats = config.collect_stats;
-    let recomputes = AtomicU64::new(0);
-    let max_prio = *init.iter().max().unwrap_or(&0);
-    let mut remaining = n;
-    let mut k = 0u32;
-    while remaining > 0 {
-        assert!(k <= max_prio, "peeling stalled: {remaining} elements left after round {max_prio}");
-        let _round = span!("round", k);
-        let view = LiveView { prio: &prio, settled: &settled };
-        upgrade_adaptive_if_due(
-            &mut bucket,
-            &mut adaptive_pending,
-            k,
-            config.adaptive_theta,
-            n,
-            &view,
-        );
-        let mut frontier = {
-            let _drain = span!("bucket.drain", k);
-            bucket.next_frontier(k, &view)
-        };
-        let mut subrounds = 0u32;
-        while !frontier.is_empty() {
-            subrounds += 1;
-            subround_id += 1;
-            let _subround = span!("subround", frontier.len());
-            remaining -= frontier.len();
-            if collect_stats {
-                stats.max_frontier = stats.max_frontier.max(frontier.len());
-                recomputes.store(0, Ordering::Relaxed);
-            }
-            // Phase 1: settle — every stamp lands before any recompute.
-            let settle_span = span!("settle", frontier.len());
-            frontier.par_iter().for_each(|&e| {
-                settled[e as usize].store(k, Ordering::Relaxed);
-                stamps[e as usize].store(subround_id, Ordering::Relaxed);
-                problem.on_settle(e, k);
-            });
-            drop(settle_span);
-            // Phase 2: recompute affected priorities from the snapshot.
-            let recompute_span = span!("recompute", frontier.len());
-            let sview = SettleView { stamps: &stamps, current: subround_id };
-            frontier.par_iter().for_each(|&e| {
-                let mut local = 0u64;
-                rule.for_each_target(e, &mut |t| {
-                    if stamps[t as usize].load(Ordering::Relaxed) != 0 {
-                        return; // dead or dying alongside e
-                    }
-                    if claimed[t as usize].swap(subround_id, Ordering::Relaxed) == subround_id {
-                        return; // another death already recomputed t
-                    }
-                    local += 1;
-                    let fresh = rule.recompute(t, &sview);
-                    if let Some((prev, stored)) = clamped_update(&prio[t as usize], k, |_| fresh) {
-                        if stored == k {
-                            // t dropped to the round: peeled exactly
-                            // once, in the next subround.
-                            bag.insert(t);
-                        } else {
-                            bucket.on_decrease(t, prev, stored, k);
-                        }
-                    }
-                });
-                if collect_stats && local > 0 {
-                    recomputes.fetch_add(local, Ordering::Relaxed);
-                }
-            });
-            drop(recompute_span);
-            if collect_stats {
-                stats.work += frontier.len() as u64 + recomputes.load(Ordering::Relaxed);
-                stats.record_subround(2, 1);
-            }
-            frontier = {
-                let _refile = span!("frontier.refile");
-                bag.extract_all()
-            };
-        }
-        if collect_stats {
-            stats.record_round(subrounds);
-        }
-        k += 1;
-    }
-    settled.into_iter().map(AtomicU32::into_inner).collect()
-}
-
-/// Two-phase driver for snapshot rules: per subround, stamp the whole
-/// frontier settled (phase 1), then — after the implicit global barrier
-/// — evaluate the rule against the frozen snapshot and apply clamped
-/// decrements (phase 2). Two global syncs per subround in the burdened
-/// span; sampling and VGC do not apply.
-fn online_snapshot<P: PeelProblem>(
-    config: &Config,
-    problem: &P,
-    rule: &dyn SnapshotRule,
-    stats: &mut RunStats,
-) -> Vec<u32> {
-    let n = problem.num_elements();
-    let init = problem.init_priorities();
-    let prio: Vec<AtomicU32> = init.iter().map(|&d| AtomicU32::new(d)).collect();
-    let settled: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNSET)).collect();
-    // Subround stamps: 0 = never settled; ids start at 1 and never
-    // reset, so `SettleView::state` distinguishes peers from the dead.
-    let stamps: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let mut subround_id = 0u32;
-
-    let mut bucket: Box<dyn BucketStructure> = config.bucket_strategy.build(&init);
-    let mut adaptive_pending = matches!(config.bucket_strategy, BucketStrategy::Adaptive);
-
-    let mut bag = HashBag::new(n);
-    let collect_stats = config.collect_stats;
-    let emitted = AtomicU64::new(0);
-    let max_prio = *init.iter().max().unwrap_or(&0);
-    let mut remaining = n;
-    let mut k = 0u32;
-    while remaining > 0 {
-        assert!(k <= max_prio, "peeling stalled: {remaining} elements left after round {max_prio}");
-        let _round = span!("round", k);
-        let view = LiveView { prio: &prio, settled: &settled };
-        upgrade_adaptive_if_due(
-            &mut bucket,
-            &mut adaptive_pending,
-            k,
-            config.adaptive_theta,
-            n,
-            &view,
-        );
-        let mut frontier = {
-            let _drain = span!("bucket.drain", k);
-            bucket.next_frontier(k, &view)
-        };
-        let mut subrounds = 0u32;
-        while !frontier.is_empty() {
-            subrounds += 1;
-            subround_id += 1;
-            let _subround = span!("subround", frontier.len());
-            remaining -= frontier.len();
-            if collect_stats {
-                stats.max_frontier = stats.max_frontier.max(frontier.len());
-                emitted.store(0, Ordering::Relaxed);
-            }
-            // Phase 1: settle — every stamp lands before any rule runs.
-            let settle_span = span!("settle", frontier.len());
-            frontier.par_iter().for_each(|&e| {
-                settled[e as usize].store(k, Ordering::Relaxed);
-                stamps[e as usize].store(subround_id, Ordering::Relaxed);
-                problem.on_settle(e, k);
-            });
-            drop(settle_span);
-            // Phase 2: evaluate the rule against the frozen snapshot.
-            let rule_span = span!("rule", frontier.len());
-            let sview = SettleView { stamps: &stamps, current: subround_id };
-            frontier.par_iter().for_each(|&e| {
-                let mut local = 0u64;
-                rule.for_each_decrement(e, k, &sview, &mut |t| {
-                    local += 1;
-                    if let Some(prev) = clamped_decrement(&prio[t as usize], k) {
-                        if prev == k + 1 {
-                            // This emit moved t to k: t is peeled
-                            // exactly once, in the next subround.
-                            bag.insert(t);
-                        } else {
-                            bucket.on_decrease(t, prev, prev - 1, k);
-                        }
-                    }
-                });
-                if collect_stats && local > 0 {
-                    emitted.fetch_add(local, Ordering::Relaxed);
-                }
-            });
-            drop(rule_span);
-            if collect_stats {
-                stats.work += frontier.len() as u64 + emitted.load(Ordering::Relaxed);
-                stats.record_subround(2, 1);
-            }
-            frontier = {
-                let _refile = span!("frontier.refile");
-                bag.extract_all()
-            };
-        }
-        if collect_stats {
-            stats.record_round(subrounds);
-        }
-        k += 1;
-    }
-    settled.into_iter().map(AtomicU32::into_inner).collect()
 }

@@ -1,20 +1,22 @@
 //! The work-efficient parallel peeling layer: the problem-agnostic
 //! [`engine`] plus the paper's Sec. 4 techniques.
 //!
-//! Round `k` peels every element of priority `k` until none remain,
-//! then advances to `k + 1`. Within a round, each *subround* peels the
-//! current frontier in parallel:
+//! Each round takes a frontier from the bucket structure (the minimum
+//! priority `k`, or everything up to a threshold) and fixes the round's
+//! clamp. Within a round, each *subround* peels the current frontier
+//! in parallel:
 //!
-//! 1. every frontier element settles (its settle round is `k`),
-//! 2. the problem's decrement rule lowers incident elements' priorities
-//!    through atomic **clamped decrements** — a priority decreases only
-//!    while it exceeds `k`, so it never drops below the current round
-//!    and every intermediate value is observed by exactly one
-//!    decrementing thread,
-//! 3. the unique thread that moves an element *to* `k` inserts it into
-//!    the parallel hash bag, which becomes the next subround's
-//!    frontier; decrements that stay above `k` are reported to the
-//!    bucket structure instead.
+//! 1. every frontier element settles (its settle round is the round
+//!    index),
+//! 2. the problem's update rule lowers other elements' priorities
+//!    through atomic **clamped updates** — a priority decreases only
+//!    while it exceeds the clamp, so it never drops below the round and
+//!    every intermediate value is observed by exactly one updating
+//!    thread,
+//! 3. the unique thread that moves an element *to* the clamp inserts it
+//!    into the parallel hash bag, which becomes the next subround's
+//!    frontier; updates that stay above it are reported to the bucket
+//!    structure instead.
 //!
 //! Initial per-round frontiers come from a pluggable
 //! [`kcore_buckets::BucketStructure`]; total work is `O(n + m)` plus
@@ -23,8 +25,10 @@
 //! The modules:
 //!
 //! * [`engine`] — [`engine::PeelProblem`] and [`engine::PeelEngine`]:
-//!   the subround loop, frontier plumbing, and technique dispatch. The
-//!   concrete problems (k-core, k-truss, densest subgraph) live in
+//!   the one round/subround loop, parameterized by a frontier source
+//!   ([`engine::RoundPolicy`]) and a subround step (fused, two-phase or
+//!   offline). The concrete problems — k-core, k-truss, densest
+//!   subgraph, (k,h)-core and approximate densest subgraph — live in
 //!   [`crate::problems`].
 //! * [`sampling`] — Sec. 4.1's sampling scheme: high-priority elements
 //!   track an approximate priority over a hashed incidence sample, and
@@ -32,9 +36,10 @@
 //! * [`vgc`] — Sec. 4.2's vertical granularity control: a worker chases
 //!   the local peel chain sequentially instead of bouncing every
 //!   frontier hit through the hash bag.
-//! * [`offline`] — the Julienne-style offline driver: per subround,
-//!   gather the frontier's decrements, histogram them, and apply bulk
-//!   updates without per-target atomics.
+//! * [`offline`] — the gather and histogram helpers of the
+//!   Julienne-style offline step (gather the frontier's decrements,
+//!   histogram them, apply bulk updates without per-target atomics),
+//!   and offline range peeling for single-core queries.
 
 pub mod engine;
 pub mod offline;

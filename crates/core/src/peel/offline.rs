@@ -1,29 +1,16 @@
-//! Offline (Julienne-style) histogram peeling, generic over
-//! [`PeelProblem`]s.
+//! Helpers of the offline (Julienne-style) histogram peeling.
 //!
-//! The online driver discovers `DecreaseKey`s with per-target atomic
-//! decrements. The offline driver (Julienne's `Peel`, the paper's
-//! online/offline ablation axis) avoids per-target atomics entirely:
-//! per subround it
-//!
-//! 1. settles the frontier (an exclusive phase, so later reads see a
-//!    stable snapshot),
-//! 2. **gathers** every priority decrement the frontier causes into one
-//!    list `L` (with duplicates) — live incident elements for
-//!    [`Incidence::Unit`] problems, the rule's emitted targets for
-//!    [`Incidence::Snapshot`] problems,
-//! 3. **histograms** `L` — `(element, multiplicity)` pairs, the number
-//!    of units each element just lost (see
-//!    [`kcore_parallel::histogram`]; the paper uses a parallel semisort
-//!    here),
-//! 4. **applies** the bulk decrements: each element's priority drops by
-//!    its multiplicity, clamped at the current round `k`; elements
-//!    landing on `k` form the next frontier, the rest re-file in the
-//!    bucket structure.
-//!
-//! The price is synchronization: three global syncs per subround
-//! instead of one, which is exactly how the burdened span accounts it
-//! (`record_subround(3, …)`; Fig. 9's online/offline gap).
+//! The fused and two-phase steps discover `DecreaseKey`s with
+//! per-target atomic decrements. The engine's offline step (Julienne's
+//! `Peel`, the paper's online/offline ablation axis) avoids them: per
+//! subround it settles the frontier, **gathers** every decrement the
+//! frontier causes into one list `L` with duplicates ([`gather_live`]
+//! for [`crate::Incidence::Unit`] problems, [`gather_rule`] for
+//! [`crate::Incidence::Snapshot`] ones), **histograms** `L` into
+//! `(element, multiplicity)` pairs ([`run_histogram`]; the paper uses a
+//! parallel semisort here), and **applies** each multiplicity as one
+//! bulk decrement clamped at the round. The price is three global syncs
+//! per subround instead of one (Fig. 9's online/offline gap).
 //!
 //! [`range_membership`] reuses the machinery for the *range* form: to
 //! extract one k-core, every element of priority `< k` is pulled in a
@@ -31,154 +18,12 @@
 //! cascade needs no round ordering at all — the serving path for
 //! individual core queries ([`crate::Decomposition::members`]).
 
-use super::engine::{
-    upgrade_adaptive_if_due, Incidence, LiveView, PeelProblem, SettleView, SnapshotRule,
-    UnitIncidence, UNSET,
-};
-use crate::config::{Config, HistogramKind, Offline};
-use kcore_buckets::{BucketStrategy, BucketStructure, SingleBucket};
+use super::engine::{LiveView, SettleView, SnapshotRule, UnitIncidence, UNSET};
+use crate::config::{HistogramKind, Offline};
+use kcore_buckets::{BucketStructure, SingleBucket};
 use kcore_check::sync::atomic::{AtomicU32, Ordering};
-use kcore_obs::span;
 use kcore_parallel::histogram::{histogram_atomic, histogram_auto, histogram_sort};
-use kcore_parallel::RunStats;
 use rayon::prelude::*;
-
-/// The offline decomposition driver. Sampling and VGC are online-only
-/// refinements (they exist to temper the online driver's atomics and
-/// subround synchronization) and are ignored here.
-pub(crate) fn run<P: PeelProblem>(
-    config: &Config,
-    off: Offline,
-    problem: &P,
-    stats: &mut RunStats,
-) -> Vec<u32> {
-    let n = problem.num_elements();
-    let init = problem.init_priorities();
-    let prio: Vec<AtomicU32> = init.iter().map(|&d| AtomicU32::new(d)).collect();
-    let settled: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNSET)).collect();
-    let incidence = problem.incidence();
-    // Subround stamps for snapshot rules (0 = never settled; ids start
-    // at 1). Unit incidences read liveness from `settled` directly.
-    let stamps: Vec<AtomicU32> = match incidence {
-        Incidence::Snapshot(_) => (0..n).map(|_| AtomicU32::new(0)).collect(),
-        Incidence::Unit(_) => Vec::new(),
-        // The engine rejects offline × recompute before dispatching
-        // (see `validate_combination`): recomputed priorities have no
-        // decrement multiset to histogram.
-        Incidence::Recompute(_) => unreachable!("offline driver rejected for Incidence::Recompute"),
-    };
-    let mut subround_id = 0u32;
-
-    let mut bucket: Box<dyn BucketStructure> = config.bucket_strategy.build(&init);
-    let mut adaptive_pending = matches!(config.bucket_strategy, BucketStrategy::Adaptive);
-
-    let collect_stats = config.collect_stats;
-    let max_prio = *init.iter().max().unwrap_or(&0);
-    let mut remaining = n;
-    let mut k = 0u32;
-    while remaining > 0 {
-        assert!(k <= max_prio, "peeling stalled: {remaining} elements left after round {max_prio}");
-        let _round = span!("round", k);
-        let view = LiveView { prio: &prio, settled: &settled };
-        upgrade_adaptive_if_due(
-            &mut bucket,
-            &mut adaptive_pending,
-            k,
-            config.adaptive_theta,
-            n,
-            &view,
-        );
-        let mut frontier = {
-            let _drain = span!("bucket.drain", k);
-            bucket.next_frontier(k, &view)
-        };
-        let mut subrounds = 0u32;
-        while !frontier.is_empty() {
-            subrounds += 1;
-            subround_id += 1;
-            let _subround = span!("subround", frontier.len());
-            remaining -= frontier.len();
-            if collect_stats {
-                stats.max_frontier = stats.max_frontier.max(frontier.len());
-                // Unit incidences charge the frontier's full incident
-                // lists (the gather scans them all, live or not);
-                // snapshot rules charge the emitted decrement list
-                // below, which is the work they actually perform.
-                stats.work += frontier.len() as u64;
-                if let Incidence::Unit(inc) = incidence {
-                    let arcs: usize = frontier.iter().map(|&v| inc.num_incident(v)).sum();
-                    stats.work += arcs as u64;
-                }
-            }
-            // 1. settle — exclusive phase, so the gather below reads a
-            // stable snapshot.
-            let settle_span = span!("settle", frontier.len());
-            frontier.par_iter().for_each(|&v| {
-                settled[v as usize].store(k, Ordering::Relaxed);
-                if let Incidence::Snapshot(_) = incidence {
-                    stamps[v as usize].store(subround_id, Ordering::Relaxed);
-                }
-                problem.on_settle(v, k);
-            });
-            drop(settle_span);
-            // 2. gather the decrement list, with duplicates.
-            let gather_span = span!("offline.gather", frontier.len());
-            let gathered = match incidence {
-                Incidence::Unit(inc) => gather_live(inc, &frontier, &settled),
-                Incidence::Snapshot(rule) => {
-                    let sview = SettleView::new(&stamps, subround_id);
-                    gather_rule(rule, &frontier, k, &sview)
-                }
-                Incidence::Recompute(_) => {
-                    unreachable!("offline driver rejected for Incidence::Recompute")
-                }
-            };
-            drop(gather_span);
-            if collect_stats {
-                if let Incidence::Snapshot(_) = incidence {
-                    stats.work += gathered.len() as u64;
-                }
-            }
-            // 3. histogram it.
-            let hist_span = span!("offline.histogram", gathered.len());
-            let hist = run_histogram(off.histogram, gathered, n);
-            drop(hist_span);
-            if collect_stats {
-                stats.work += hist.len() as u64;
-            }
-            // 4. apply bulk decrements; hits on k form the next frontier.
-            let apply_span = span!("offline.apply", hist.len());
-            frontier = hist
-                .par_iter()
-                .filter_map(|&(u, c)| {
-                    let u = u as usize;
-                    if settled[u].load(Ordering::Relaxed) != UNSET {
-                        return None;
-                    }
-                    let d = prio[u].load(Ordering::Relaxed);
-                    debug_assert!(d > k, "live non-frontier elements sit above the round");
-                    let nd = d.saturating_sub(c).max(k);
-                    prio[u].store(nd, Ordering::Relaxed);
-                    if nd == k {
-                        Some(u as u32)
-                    } else {
-                        bucket.on_decrease(u as u32, d, nd, k);
-                        None
-                    }
-                })
-                .collect();
-            drop(apply_span);
-            if collect_stats {
-                stats.record_subround(3, 1);
-            }
-        }
-        if collect_stats {
-            stats.record_round(subrounds);
-        }
-        k += 1;
-    }
-    settled.into_iter().map(AtomicU32::into_inner).collect()
-}
 
 /// Membership of the priority-`k` core by offline **range** peeling:
 /// one bulk extraction of every element below `k`, then histogram
@@ -230,7 +75,11 @@ pub(crate) fn range_membership(
 /// the list `L` of Julienne's `Peel`. The settle phase completed before
 /// this runs, so liveness reads are stable and the result is
 /// deterministic.
-fn gather_live(inc: &dyn UnitIncidence, frontier: &[u32], settled: &[AtomicU32]) -> Vec<u32> {
+pub(crate) fn gather_live(
+    inc: &dyn UnitIncidence,
+    frontier: &[u32],
+    settled: &[AtomicU32],
+) -> Vec<u32> {
     let per_elem: Vec<Vec<u32>> = frontier
         .par_iter()
         .map(|&v| {
@@ -249,9 +98,9 @@ fn gather_live(inc: &dyn UnitIncidence, frontier: &[u32], settled: &[AtomicU32])
 /// The decrement targets a snapshot rule emits for the settled
 /// frontier, with duplicates. The settle phase (including stamps)
 /// completed first, so the rule sees the same consistent snapshot as in
-/// the online two-phase driver and the gathered multiset is
+/// the online two-phase step and the gathered multiset is
 /// deterministic.
-fn gather_rule(
+pub(crate) fn gather_rule(
     rule: &dyn SnapshotRule,
     frontier: &[u32],
     k: u32,
@@ -278,7 +127,7 @@ fn flatten(parts: Vec<Vec<u32>>) -> Vec<u32> {
 }
 
 /// Dispatches to the configured histogram implementation.
-fn run_histogram(kind: HistogramKind, keys: Vec<u32>, domain: usize) -> Vec<(u32, u32)> {
+pub(crate) fn run_histogram(kind: HistogramKind, keys: Vec<u32>, domain: usize) -> Vec<(u32, u32)> {
     match kind {
         HistogramKind::Auto => histogram_auto(keys, domain),
         HistogramKind::Sort => histogram_sort(keys),

@@ -1,5 +1,5 @@
 //! Vertical granularity control (paper Sec. 4.2) and the fused
-//! settle-and-decrement hot path of the unit-incidence driver.
+//! settle-and-decrement hot path of the engine's fused step.
 //!
 //! On sparse inputs most subrounds move a handful of elements: the
 //! global synchronization between subrounds (burden ω in the span
@@ -22,11 +22,11 @@
 //! guarantees a unique thread moves each element to `k`, and that
 //! thread peeling it immediately (instead of a later subround) only
 //! reorders work within the round — the settle round at round `k` is
-//! `k` either way. This is exactly why the fused driver is restricted
+//! `k` either way. This is exactly why the fused step is restricted
 //! to [`crate::Incidence::Unit`] problems: unit decrements over static
 //! lists commute, so no settle barrier is needed.
 
-use super::engine::{clamped_decrement, OnlineCtx, PeelProblem};
+use super::engine::{clamped_update, OnlineCtx, PeelProblem};
 use kcore_check::sync::atomic::Ordering;
 use kcore_obs::{counter, gauge_max};
 
@@ -36,11 +36,10 @@ use kcore_obs::{counter, gauge_max};
 /// case: every discovered element goes straight to the hash bag.
 ///
 /// `floor` is the round's clamp value: equal to `round` under
-/// [`crate::RoundPolicy::MinBucket`] (the historical behavior), the
-/// round's peel threshold under [`crate::RoundPolicy::Threshold`] —
-/// there an element dragged down to the *threshold* settles in the
-/// current round even though its recorded settle round is the round
-/// index.
+/// [`crate::RoundPolicy::MinBucket`], the round's peel threshold under
+/// [`crate::RoundPolicy::Threshold`] — there an element dragged down to
+/// the *threshold* settles in the current round even though its
+/// recorded settle round is the round index.
 pub(crate) fn peel_from<P: PeelProblem>(ctx: &OnlineCtx<'_, P>, v: u32, round: u32, floor: u32) {
     let mut pending: Vec<u32> = Vec::new();
     let mut chased = 0u64;
@@ -60,8 +59,8 @@ pub(crate) fn peel_from<P: PeelProblem>(ctx: &OnlineCtx<'_, P>, v: u32, round: u
             // Clamped decrement: only while above the floor. Dead
             // elements already sit at or below it, so the guard also
             // excludes them.
-            if let Some(prev) = clamped_decrement(&ctx.prio[u as usize], floor) {
-                if prev == floor + 1 {
+            if let Some((prev, stored)) = clamped_update(&ctx.prio[u as usize], floor, |d| d - 1) {
+                if stored == floor {
                     // This thread moved u to the floor: u is peeled
                     // exactly once — chased locally under VGC, else via
                     // the bag.
@@ -71,7 +70,7 @@ pub(crate) fn peel_from<P: PeelProblem>(ctx: &OnlineCtx<'_, P>, v: u32, round: u
                         ctx.bag.insert(u);
                     }
                 } else {
-                    ctx.bucket.on_decrease(u, prev, prev - 1, floor);
+                    ctx.bucket.on_decrease(u, prev, stored, floor);
                 }
             }
         }

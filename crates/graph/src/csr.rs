@@ -71,14 +71,23 @@ impl CsrGraph {
     /// input; this constructor is for generators that produce CSR form
     /// directly.
     pub fn from_parts(offsets: Vec<usize>, edges: Vec<VertexId>) -> Self {
+        Self::try_from_parts(offsets, edges).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds a graph from CSR arrays, checking the invariants listed on
+    /// [`CsrGraph::from_parts`]; returns a description of the first
+    /// violation instead of panicking. The whole offsets array is
+    /// checked before any adjacency list is sliced, so arbitrary arrays
+    /// (a malformed file, say) are safe to pass.
+    pub fn try_from_parts(offsets: Vec<usize>, edges: Vec<VertexId>) -> Result<Self, String> {
         let g = Self {
             storage: Storage::Owned {
                 offsets: offsets.into_boxed_slice(),
                 edges: edges.into_boxed_slice(),
             },
         };
-        g.validate();
-        g
+        g.check()?;
+        Ok(g)
     }
 
     /// Builds a graph from CSR arrays without checking invariants.
@@ -260,37 +269,49 @@ impl CsrGraph {
     }
 
     /// Checks all structural invariants; panics with a description on
-    /// the first violation. Used by [`CsrGraph::from_parts`] and tests.
+    /// the first violation. Used by tests.
     pub fn validate(&self) {
-        let n = self.num_vertices();
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
+    }
+
+    /// Checks all structural invariants, returning a description of the
+    /// first violation.
+    fn check(&self) -> Result<(), String> {
         let offsets = self.offsets();
-        assert_eq!(offsets[0], 0, "offsets must start at 0");
-        assert_eq!(
-            *offsets.last().unwrap(),
-            self.edge_array().len(),
-            "offsets must end at the arc count"
-        );
+        if offsets.first() != Some(&0) {
+            return Err("offsets must start at 0".into());
+        }
+        if offsets.last() != Some(&self.edge_array().len()) {
+            return Err("offsets must end at the arc count".into());
+        }
+        if let Some(v) = offsets.windows(2).position(|w| w[0] > w[1]) {
+            return Err(format!("offsets must be non-decreasing at vertex {v}"));
+        }
+        // Every adjacency slice is now in range.
+        let n = self.num_vertices();
         for v in 0..n {
-            assert!(offsets[v] <= offsets[v + 1], "offsets must be non-decreasing at vertex {v}");
             let nbrs = self.neighbors(v as VertexId);
-            for w in nbrs.windows(2) {
-                assert!(
-                    w[0] < w[1],
-                    "adjacency of {v} must be strictly increasing: {} !< {}",
-                    w[0],
-                    w[1]
-                );
+            if let Some(w) = nbrs.windows(2).find(|w| w[0] >= w[1]) {
+                let (a, b) = (w[0], w[1]);
+                return Err(format!("adjacency of {v} must be strictly increasing: {a} !< {b}"));
             }
-            for &u in nbrs {
-                assert!((u as usize) < n, "neighbor {u} of {v} out of range");
-                assert_ne!(u as usize, v, "self-loop at {v}");
+            if let Some(&u) = nbrs.iter().find(|&&u| u as usize >= n) {
+                return Err(format!("neighbor {u} of {v} out of range"));
+            }
+            if nbrs.binary_search(&(v as VertexId)).is_ok() {
+                return Err(format!("self-loop at {v}"));
             }
         }
         // Symmetry: u -> v implies v -> u.
         let asymmetric = (0..n as VertexId)
             .into_par_iter()
             .any(|u| self.neighbors(u).iter().any(|&v| !self.has_edge(v, u)));
-        assert!(!asymmetric, "arc set must be symmetric");
+        if asymmetric {
+            return Err("arc set must be symmetric".into());
+        }
+        Ok(())
     }
 }
 

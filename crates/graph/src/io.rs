@@ -140,7 +140,7 @@ pub fn read_adjacency_graph<R: Read>(r: R) -> io::Result<CsrGraph> {
     }
     let n: usize = tokens.get(1).and_then(|s| s.parse().ok()).ok_or_else(|| bad("bad n"))?;
     let m: usize = tokens.get(2).and_then(|s| s.parse().ok()).ok_or_else(|| bad("bad m"))?;
-    if tokens.len() != 3 + n + m {
+    if n.checked_add(m).and_then(|x| x.checked_add(3)) != Some(tokens.len()) {
         return Err(bad("token count mismatch"));
     }
     let mut offsets = Vec::with_capacity(n + 1);
@@ -152,7 +152,7 @@ pub fn read_adjacency_graph<R: Read>(r: R) -> io::Result<CsrGraph> {
     for t in &tokens[3 + n..] {
         edges.push(t.parse::<VertexId>().map_err(|_| bad("bad edge"))?);
     }
-    Ok(CsrGraph::from_parts(offsets, edges))
+    CsrGraph::try_from_parts(offsets, edges).map_err(|e| bad(&e))
 }
 
 /// Writes `g` in the compact binary format: `KCOREGR1` magic, u64 n and
@@ -453,6 +453,20 @@ mod tests {
     #[test]
     fn adjacency_graph_rejects_bad_header() {
         assert!(read_adjacency_graph("NotAGraph\n1\n0\n0\n".as_bytes()).is_err());
+    }
+
+    #[test]
+    fn adjacency_graph_rejects_malformed_arrays() {
+        for (text, why) in [
+            ("AdjacencyGraph\n2\n1\n0\n1\n1\n", "symmetric"),
+            ("AdjacencyGraph\n3\n2\n0\n5\n2\n1\n0\n", "non-decreasing"),
+            ("AdjacencyGraph\n1\n1\n0\n0\n", "self-loop"),
+            ("AdjacencyGraph\n18446744073709551615\n1\n", "token count"),
+        ] {
+            let err = read_adjacency_graph(text.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{text:?}");
+            assert!(err.to_string().contains(why), "{text:?}: {err}");
+        }
     }
 
     #[test]

@@ -39,8 +39,8 @@
 //!   lazily built hub bitmaps.
 //!
 //! The paper's graphs reach terabyte scale; this crate targets
-//! laptop-scale analogs of the same families (see `DESIGN.md` §2 for the
-//! substitution argument), so vertex ids are [`u32`].
+//! laptop-scale analogs of the same families (the generators in
+//! [`gen`]), so vertex ids are [`u32`].
 
 pub mod backend;
 pub mod builder;

@@ -16,8 +16,9 @@
 //! * [`hashbag`] — the **parallel hash bag** (Sec. 2): concurrent inserts
 //!   into geometrically growing chunks with `O(λ + t)` extraction; used
 //!   for frontiers and, inside HBS, for bucket contents.
-//! * [`instrument`] — work / subround / burdened-span accounting, the
-//!   Cilkview substitute described in `DESIGN.md`.
+//! * [`instrument`] — work / subround / burdened-span accounting, a
+//!   substitute for Cilkview's burdened-span analysis (He, Leiserson,
+//!   Leiserson, SPAA'10).
 //! * [`pool`] — helpers for running under a fixed rayon thread count
 //!   plus the scheduler's steal/split counters (used by the scalability
 //!   experiments).
