@@ -251,11 +251,17 @@ impl Sampling {
 /// How sample-mode vertices are validated at the end of each round.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Validation {
-    /// Exactly re-count **every** live sample-mode vertex when a round's
-    /// frontier drains. Deterministically exact (the round-start
-    /// invariant "every live vertex has induced degree > k" is verified
-    /// outright), at `O(Σ d(v))` extra work over sampled vertices per
-    /// round. The default, and the mode the oracle test matrix runs.
+    /// Exactly re-count, when a round's frontier drains, every live
+    /// sample-mode vertex that could settle in it. Deterministically
+    /// exact: the round-start invariant "every live vertex has induced
+    /// degree > k" is verified outright. Two skips keep it cheap without
+    /// weakening that. A vertex with no neighbour removed since its last
+    /// recount has an exact stored priority. A vertex whose sampled
+    /// counter exceeds `k` has more than `k` live neighbours, since the
+    /// counter counts a subset of them. So the extra work is one
+    /// `O(d(v))` walk per hub per round that both lost a neighbour and
+    /// could reach `k`, not one per hub per round. The default, and the
+    /// mode the oracle test matrix runs.
     #[default]
     Full,
     /// Re-count only vertices whose sampled counter sits below the

@@ -148,6 +148,7 @@ pub(crate) fn peel_subset(
 mod tests {
     use super::*;
     use crate::bz::bz_coreness;
+    use crate::config::{Sampling, Techniques};
     use kcore_graph::{gen, GraphBuilder};
 
     /// Full-graph subset (no ghosts) must reproduce plain k-core.
@@ -204,5 +205,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Ghosts carry a priority (the boundary coreness) above their
+    /// one-element incidence list, so sampling must leave them exact: a
+    /// recount would settle them rounds early.
+    #[test]
+    fn ghosts_stay_out_of_sample_mode() {
+        let g = gen::complete(20);
+        let want = bz_coreness(&g);
+        let overlay = OverlayGraph::new(g);
+        let techniques =
+            Techniques { sampling: Some(Sampling::with_threshold(4)), ..Default::default() };
+        let sub = peel_subset(&overlay, &want, &[0], Config::with_techniques(techniques));
+        assert_eq!(sub.ghosts, 19);
+        assert_eq!(sub.coreness, &[19]);
+        assert_eq!(sub.stats.sampled_vertices, 1, "only the region vertex samples");
+        assert_eq!(sub.stats.restarts, 0);
     }
 }

@@ -9,7 +9,9 @@
 //! where each incidence is in the sample with probability `2^-r`,
 //! decided by a deterministic endpoint hash. A removal then touches the
 //! shared counter only for sampled incidences — a `2^r`-fold contention
-//! reduction — with a clamped (floor-0) atomic decrement.
+//! reduction. Nothing but removals writes the counter, so between
+//! subrounds it is exactly the number of live sampled incidences: a
+//! lower bound on the live priority.
 //!
 //! The scheme applies to [`crate::Incidence::Unit`] problems (each dead
 //! incident element costs one unit, so the sampled counter estimates
@@ -27,10 +29,15 @@
 //!   recount above `k` refreshes the stored priority (monotonically
 //!   decreasing) and re-files the element in the bucket structure.
 //! * **End-of-round validation** re-counts sample-mode elements when a
-//!   round's frontier drains — every live one under
-//!   [`Validation::Full`] (deterministically exact, the default), or
-//!   only those under the validation watermark for the paper-faithful
-//!   [`Validation::Watermark`] fast path
+//!   round's frontier drains, skipping those that provably stay above
+//!   the round: *clean* elements (no incidence removed since their last
+//!   end-of-round recount, so the stored priority is exact) and those
+//!   whose sampled counter alone exceeds `k` (it counts a subset of the
+//!   live incidences). Under [`Validation::Full`] (deterministically
+//!   exact, the default) every other live one is recounted, so a round
+//!   that kills no hub neighbour costs no recount; the paper-faithful
+//!   [`Validation::Watermark`] fast path further skips those above the
+//!   validation watermark
 //!   ([`kcore_parallel::RunStats::validate_calls`]).
 //! * **Frontier validation** re-counts sample-mode elements surfacing
 //!   in a round's initial frontier. Their stored priority is always an
@@ -102,8 +109,14 @@ pub(crate) struct SamplingState {
     log2_n: u32,
     /// Per-element mode (see the `EXACT` … `CLAIMED` constants).
     state: Vec<AtomicU8>,
-    /// Sampled live incidences per element (sample-mode only).
+    /// Sampled live incidences per element (sample-mode only). Only
+    /// removals touch it, so in the sequential gaps it is exact — and a
+    /// lower bound on the live priority.
     approx: Vec<AtomicU32>,
+    /// Elements that lost an incidence since their last gap recount
+    /// (all start clean: initial priorities are exact). A clean
+    /// element's stored priority is its live priority.
+    dirty: Vec<AtomicBool>,
     /// Elements that entered sample mode, pruned of dead entries at
     /// each end-of-round validation.
     sampled: Vec<u32>,
@@ -112,28 +125,32 @@ pub(crate) struct SamplingState {
 impl SamplingState {
     /// Builds sample-mode state for every element whose initial
     /// priority reaches the threshold; `None` when no element qualifies
-    /// (the run then skips the sampling hooks entirely).
+    /// (the run then skips the sampling hooks entirely). An element
+    /// whose initial priority is not its incidence count (a re-peel's
+    /// boundary ghost) stays exact: recounts measure incidences.
     pub(crate) fn build(
         inc: &dyn UnitIncidence,
         init_priorities: &[u32],
         cfg: Sampling,
     ) -> Option<Self> {
         let n = init_priorities.len();
-        let sampled = pack_index(n, |v| init_priorities[v] >= cfg.threshold);
+        let eligible = |v: usize| {
+            let d = init_priorities[v];
+            d >= cfg.threshold && inc.num_incident(v as u32) == d as usize
+        };
+        let sampled = pack_index(n, eligible);
         if sampled.is_empty() {
             return None;
         }
         let mask = (1u64 << cfg.rate_log2) - 1;
         let log2_n = (usize::BITS - n.max(2).next_power_of_two().leading_zeros() - 1).max(1);
-        let state: Vec<AtomicU8> = init_priorities
-            .iter()
-            .map(|&d| AtomicU8::new(if d >= cfg.threshold { SAMPLED } else { EXACT }))
-            .collect();
+        let state: Vec<AtomicU8> =
+            (0..n).map(|v| AtomicU8::new(if eligible(v) { SAMPLED } else { EXACT })).collect();
         let approx: Vec<AtomicU32> = (0..n as u32)
             .into_par_iter()
             .map(|v| {
                 let mut count = 0u32;
-                if init_priorities[v as usize] >= cfg.threshold {
+                if eligible(v as usize) {
                     // Streaming walk: no incident slice is held, so this
                     // is safe on decode-on-the-fly backends.
                     inc.for_each_incident(v, &mut |u| {
@@ -145,7 +162,8 @@ impl SamplingState {
                 AtomicU32::new(count)
             })
             .collect();
-        Some(Self { cfg, mask, log2_n, state, approx, sampled })
+        let dirty = (0..n).map(|_| AtomicBool::new(false)).collect();
+        Some(Self { cfg, mask, log2_n, state, approx, dirty, sampled })
     }
 
     /// Number of elements that entered sample mode.
@@ -162,10 +180,10 @@ impl SamplingState {
     }
 
     /// Processes the removal of incidence `(src, u)` for a sample-mode
-    /// `u`: decrement the sampled counter if the incidence is in the
-    /// sample, and recount exactly when the counter crosses the trigger
-    /// watermark (or bottoms out — past zero the approximation carries
-    /// no signal).
+    /// `u`: mark `u` dirty, decrement the sampled counter if the
+    /// incidence is in the sample, and recount exactly when the counter
+    /// crosses the trigger watermark (or bottoms out — past zero the
+    /// approximation carries no signal).
     #[inline]
     pub(crate) fn on_neighbor_removed<P: PeelProblem>(
         &self,
@@ -174,25 +192,23 @@ impl SamplingState {
         k: u32,
         ctx: &OnlineCtx<'_, P>,
     ) {
+        // Load first: a hub takes one write per validation, not one per
+        // removal.
+        let dirty = &self.dirty[u as usize];
+        if !dirty.load(Ordering::Relaxed) {
+            dirty.store(true, Ordering::Relaxed);
+        }
         if !edge_sampled(src, u, self.cfg.seed, self.mask) {
             return;
         }
-        let prev =
-            self.approx[u as usize].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |a| {
-                if a > 0 {
-                    Some(a - 1)
-                } else {
-                    None
-                }
-            });
-        if let Ok(prev) = prev {
-            let now = prev - 1;
-            // `==` rather than `<=`: the counter only decreases between
-            // recounts, so this fires once per crossing instead of on
-            // every removal below the watermark.
-            if now == self.trigger_watermark(k) || now == 0 {
-                self.recount_in_round(u, k, ctx);
-            }
+        // Each incidence is removed once, so the counter cannot
+        // underflow.
+        let now = self.approx[u as usize].fetch_sub(1, Ordering::Relaxed) - 1;
+        // `==` rather than `<=`: the counter only decreases, so this
+        // fires once per crossing instead of on every removal below the
+        // watermark.
+        if now == self.trigger_watermark(k) || now == 0 {
+            self.recount_in_round(u, k, ctx);
         }
     }
 
@@ -208,7 +224,7 @@ impl SamplingState {
             return;
         }
         counter!(ctx.counters.resamples, "sampling.resamples", 1);
-        let (exact, fresh) = self.count_exact(u, ctx.inc, ctx.settled);
+        let exact = self.count_live(u, ctx.inc, ctx.settled, false);
         if exact <= k {
             // The round-start invariant puts the priority at >= k when
             // the round opened, so the drop to <= k happened during this
@@ -217,8 +233,9 @@ impl SamplingState {
             ctx.bag.insert(u);
             self.state[u as usize].store(CLAIMED, Ordering::Relaxed);
         } else {
+            // A missed concurrent settle overstates `exact`, so `u`
+            // stays dirty: only a gap recount may clean it.
             if let Some(old) = store_decreased(&ctx.prio[u as usize], exact) {
-                self.approx[u as usize].store(fresh, Ordering::Relaxed);
                 ctx.bucket.on_decrease(u, old, exact, k);
             }
             self.state[u as usize].store(SAMPLED, Ordering::Relaxed);
@@ -247,7 +264,7 @@ impl SamplingState {
                 return;
             }
             counter!(counters.resamples, "sampling.resamples", 1);
-            let (exact, _) = self.count_exact(v, inc, settled);
+            let exact = self.count_live(v, inc, settled, false);
             if exact < k {
                 polluted.store(true, Ordering::Relaxed);
             } else {
@@ -265,10 +282,18 @@ impl SamplingState {
     }
 
     /// End-of-round validation: exactly re-counts live sample-mode
-    /// elements (all of them under [`Validation::Full`], those under
-    /// the validation watermark otherwise) and returns the ones whose
-    /// true priority already reached `k` — they re-open the round. Runs
-    /// in the sequential gap, so counts are exact.
+    /// elements that could settle at `k` and returns the ones whose true
+    /// priority already reached it — they re-open the round. Runs in the
+    /// sequential gap, so counts are exact. Two skips are sound, so
+    /// [`Validation::Full`] stays exact:
+    ///
+    /// * a clean element's stored priority is its live priority, and
+    ///   the bucket structure already holds it above `k`;
+    /// * `approx` counts a subset of the live incidences, so
+    ///   `approx > k` proves the live priority is above `k`.
+    ///
+    /// [`Validation::Watermark`] also skips elements whose sampled
+    /// counter sits above the validation watermark.
     pub(crate) fn validate_round_end(
         &mut self,
         k: u32,
@@ -280,27 +305,31 @@ impl SamplingState {
     ) -> Vec<u32> {
         self.sampled.retain(|&v| settled[v as usize].load(Ordering::Relaxed) == UNSET);
         let _validate = span!("sampling.validate_round_end", self.sampled.len());
-        let full = self.cfg.validation == Validation::Full;
-        let vwm = self.validation_watermark(k);
+        let bound = match self.cfg.validation {
+            Validation::Full => k,
+            Validation::Watermark => k.min(self.validation_watermark(k)),
+        };
         let this = &*self;
         this.sampled
             .par_iter()
             .filter_map(|&v| {
-                if this.state[v as usize].load(Ordering::Relaxed) != SAMPLED {
-                    return None;
-                }
-                if !full && this.approx[v as usize].load(Ordering::Relaxed) > vwm {
+                let approx = this.approx[v as usize].load(Ordering::Relaxed);
+                if this.state[v as usize].load(Ordering::Relaxed) != SAMPLED
+                    || approx > bound
+                    || !this.dirty[v as usize].load(Ordering::Relaxed)
+                {
                     return None;
                 }
                 counter!(counters.validate_calls, "sampling.validate_calls", 1);
                 counter!(counters.resamples, "sampling.resamples", 1);
-                let (exact, fresh) = this.count_exact(v, inc, settled);
+                let exact = this.count_live(v, inc, settled, false);
+                debug_assert_eq!(approx, this.count_live(v, inc, settled, true));
+                this.dirty[v as usize].store(false, Ordering::Relaxed);
                 if exact <= k {
                     this.state[v as usize].store(CLAIMED, Ordering::Relaxed);
                     Some(v)
                 } else {
                     if let Some(old) = store_decreased(&prio[v as usize], exact) {
-                        this.approx[v as usize].store(fresh, Ordering::Relaxed);
                         bucket.on_decrease(v, old, exact, k);
                     }
                     None
@@ -309,28 +338,31 @@ impl SamplingState {
             .collect()
     }
 
-    /// Exact live-incidence count of `v`, plus the count restricted to
-    /// sampled incidences (the refreshed approximation). During a
-    /// subround a concurrent settle can be missed — counted as still
-    /// alive — so the result only ever *over*states the truth, which
-    /// keeps the stored priority an upper bound; in the sequential gaps
-    /// it is exact.
-    fn count_exact(&self, v: u32, inc: &dyn UnitIncidence, settled: &[AtomicU32]) -> (u32, u32) {
-        let mut exact = 0u32;
-        let mut fresh = 0u32;
+    /// Live incidences of `v` — all of them, or only the sampled ones.
+    /// During a subround a concurrent settle can be missed — counted as
+    /// still alive — so the result only ever *over*states the truth,
+    /// which keeps the stored priority an upper bound; in the sequential
+    /// gaps it is exact.
+    fn count_live(
+        &self,
+        v: u32,
+        inc: &dyn UnitIncidence,
+        settled: &[AtomicU32],
+        sampled_only: bool,
+    ) -> u32 {
+        let mut live = 0u32;
         // Streaming walk: recounts fire *inside* a neighbor walk of the
         // peel loop (`on_neighbor_removed` → `recount_in_round`), so the
         // outer `incident` slice is live — the buffer-free form is
         // required here on decode-on-the-fly backends.
         inc.for_each_incident(v, &mut |w| {
-            if settled[w as usize].load(Ordering::Relaxed) == UNSET {
-                exact += 1;
-                if edge_sampled(v, w, self.cfg.seed, self.mask) {
-                    fresh += 1;
-                }
+            if settled[w as usize].load(Ordering::Relaxed) == UNSET
+                && (!sampled_only || edge_sampled(v, w, self.cfg.seed, self.mask))
+            {
+                live += 1;
             }
         });
-        (exact, fresh)
+        live
     }
 
     /// Sampled-counter level at which a mid-round removal triggers a

@@ -311,6 +311,29 @@ mod tests {
     }
 
     #[test]
+    fn full_validation_recounts_only_hubs_that_changed_and_could_settle() {
+        // About 80 rounds, most of which kill no hub neighbour: recounting
+        // every hub every round would take ~8k validations.
+        let g = gen::planted_core(3000, 4, 80, 7);
+        let techniques = Techniques {
+            sampling: Some(Sampling::with_threshold(32)),
+            vgc: Some(Vgc::default()),
+            mode: PeelMode::Online,
+        };
+        let r = KCore::with_exact_config(Config::with_techniques(techniques)).run(&g);
+        assert_eq!(r.coreness(), bz_coreness(&g).as_slice());
+        let s = r.stats();
+        assert!(s.sampled_vertices > 0, "hubs above the threshold must enter sample mode");
+        assert_eq!(s.restarts, 0, "full validation never restarts");
+        assert!(
+            s.validate_calls <= 4 * s.sampled_vertices,
+            "{} end-of-round recounts for {} sampled vertices",
+            s.validate_calls,
+            s.sampled_vertices
+        );
+    }
+
+    #[test]
     fn vgc_collapses_subrounds_on_a_path() {
         // A path peels inward from both ends: without VGC that is ~n/2
         // subrounds of 2 vertices; with VGC one worker chases the whole

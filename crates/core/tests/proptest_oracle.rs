@@ -5,7 +5,9 @@
 //! satisfy the defining k-core property.
 
 use kcore::bz::bz_coreness;
-use kcore::{BucketStrategy, Config, Decomposition, PeelMode, Sampling, Techniques, Vgc};
+use kcore::{
+    BucketStrategy, Config, Decomposition, PeelMode, Sampling, Techniques, Validation, Vgc,
+};
 use kcore_graph::{gen, CsrGraph, GraphBuilder};
 use proptest::prelude::*;
 
@@ -18,13 +20,22 @@ fn all_strategies() -> Vec<BucketStrategy> {
     ]
 }
 
-/// The techniques axes: sampling off/on × VGC off/on × online/offline.
-/// Sampling uses a low threshold (test graphs are small) and the
-/// deterministically-exact full validation; a short VGC chain bound
-/// forces the spill path to execute too.
+/// The techniques axes: sampling × VGC off/on × online/offline.
+/// Sampling uses a low threshold (test graphs are small) and runs three
+/// ways: full validation at the default rate, full validation with every
+/// edge sampled (the sampled counter then equals the live priority, so
+/// the lower-bound skip is tight), and watermark validation. A short VGC
+/// chain bound forces the spill path to execute too.
 fn all_techniques() -> Vec<Techniques> {
+    let base = Sampling::with_threshold(4);
+    let samplings = [
+        None,
+        Some(base),
+        Some(Sampling { rate_log2: 0, ..base }),
+        Some(Sampling { validation: Validation::Watermark, ..base }),
+    ];
     let mut out = Vec::new();
-    for sampling in [None, Some(Sampling::with_threshold(4))] {
+    for sampling in samplings {
         for vgc in [None, Some(Vgc { chain_limit: 6 })] {
             for mode in [PeelMode::Online, Techniques::offline().mode] {
                 out.push(Techniques { sampling, vgc, mode });

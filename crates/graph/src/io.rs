@@ -84,6 +84,12 @@ pub fn read_edge_list<R: Read>(r: R, min_vertices: usize) -> io::Result<CsrGraph
         }
         if t.starts_with('#') || t.starts_with('%') {
             if let Some(n) = header_vertex_hint(t) {
+                if n > VertexId::MAX as usize {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("header at line {} declares {n} vertices", lineno + 1),
+                    ));
+                }
                 b.reserve_vertices(n);
             }
             continue;
@@ -188,24 +194,24 @@ pub fn read_binary<R: Read>(r: R) -> io::Result<CsrGraph> {
     }
     let mut b8 = [0u8; 8];
     r.read_exact(&mut b8)?;
-    let n = u64::from_le_bytes(b8) as usize;
+    let n = u64::from_le_bytes(b8);
     r.read_exact(&mut b8)?;
-    let m = u64::from_le_bytes(b8) as usize;
-    let mut offsets = Vec::with_capacity(n + 1);
+    let m = u64::from_le_bytes(b8);
+    // The header is untrusted: the arrays grow as the bytes arrive, so
+    // a short file claiming a huge graph fails at its end instead of
+    // reserving what it claims.
+    let mut offsets = Vec::new();
     for _ in 0..=n {
         r.read_exact(&mut b8)?;
         offsets.push(u64::from_le_bytes(b8) as usize);
     }
-    let mut edges = Vec::with_capacity(m);
+    let mut edges = Vec::new();
     let mut b4 = [0u8; 4];
     for _ in 0..m {
         r.read_exact(&mut b4)?;
         edges.push(VertexId::from_le_bytes(b4));
     }
-    if offsets.last() != Some(&m) {
-        return Err(bad("offset/edge count mismatch"));
-    }
-    Ok(CsrGraph::from_parts_unchecked(offsets, edges))
+    CsrGraph::try_from_parts(offsets, edges).map_err(|e| bad(&e))
 }
 
 /// Convenience: writes the binary format to a file path.
@@ -442,6 +448,14 @@ mod tests {
     }
 
     #[test]
+    fn edge_list_rejects_headers_beyond_the_id_space() {
+        for text in ["# Nodes: 5000000000 Edges: 1\n0 1\n", "% 1 5000000000 5000000000\n0 1\n"] {
+            let err = read_edge_list(text.as_bytes(), 0).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{text:?}");
+        }
+    }
+
+    #[test]
     fn adjacency_graph_round_trip() {
         let g = sample();
         let mut buf = Vec::new();
@@ -484,6 +498,34 @@ mod tests {
         write_binary(&sample(), &mut buf).unwrap();
         buf[0] = b'X';
         assert!(read_binary(&buf[..]).is_err());
+    }
+
+    #[test]
+    fn binary_rejects_truncation_without_trusting_the_header() {
+        let mut buf = Vec::new();
+        write_binary(&sample(), &mut buf).unwrap();
+        let err = read_binary(&buf[..buf.len() - 3]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        // A bare header claiming 2^40 vertices must fail on the missing
+        // offsets, not try to reserve them.
+        let mut huge = BINARY_MAGIC.to_vec();
+        huge.extend((1u64 << 40).to_le_bytes());
+        huge.extend(0u64.to_le_bytes());
+        let err = read_binary(&huge[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn binary_rejects_malformed_arrays() {
+        // Path 0-1-2 with vertex 1's offset pushed past vertex 2's.
+        let g = gen::path(3);
+        let mut buf = Vec::new();
+        write_binary(&g, &mut buf).unwrap();
+        let offset_1 = 24 + 8;
+        buf[offset_1..offset_1 + 8].copy_from_slice(&4u64.to_le_bytes());
+        let err = read_binary(&buf[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("non-decreasing"), "{err}");
     }
 
     #[test]
