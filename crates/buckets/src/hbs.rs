@@ -2,7 +2,7 @@
 //!
 //! HBS manages the active set as a monotone radix heap over induced
 //! priorities: relative to a moving anchor `base`, the first
-//! [`NUM_SINGLE`] buckets each hold one exact key (`base`, `base + 1`,
+//! `NUM_SINGLE` buckets each hold one exact key (`base`, `base + 1`,
 //! ...), and the buckets after them hold exponentially growing key
 //! ranges (`[base + 8, base + 16)`, `[base + 16, base + 32)`, ...).
 //! `DecreaseKey` is a single push into the bucket owning the new key —

@@ -53,8 +53,9 @@ pub trait PriorityView: Sync {
 
 /// A structure producing per-round initial frontiers for peeling.
 ///
-/// Contract expected by the `kcore` peel engine (any [`PeelProblem`]
-/// client, not just k-core):
+/// Contract expected by the `kcore` peel engine (any `kcore::PeelProblem`
+/// client, not just k-core; this crate only sees opaque element ids and
+/// keys):
 /// * `next_frontier(k, view)` is called once per round with strictly
 ///   increasing `k`, between peels (exclusive access).
 /// * `on_decrease(v, old_key, new_key, k)` may be called concurrently
@@ -65,9 +66,6 @@ pub trait PriorityView: Sync {
 ///   structure skip updates that do not move the element between buckets
 ///   — the step that brings HBS down to its `O(log d(v))` per-element
 ///   bound.
-///
-/// [`PeelProblem`]: https://docs.rs/kcore — the trait lives in the
-/// `kcore` crate; this crate only sees opaque element ids and keys.
 pub trait BucketStructure: Send + Sync {
     /// Returns every active element with priority exactly `k`.
     fn next_frontier(&mut self, k: u32, view: &dyn PriorityView) -> Vec<u32>;

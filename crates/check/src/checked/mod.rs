@@ -1,7 +1,7 @@
 //! Instrumented counterparts of the `std` concurrency vocabulary.
 //!
 //! Every type here routes its operations through the active model
-//! execution ([`crate::exec`]) when one exists on the current thread,
+//! execution (the crate's `exec` module) when one exists on the current thread,
 //! and falls back to the real `std` behavior otherwise — so a binary
 //! compiled against these types still runs correctly outside a model,
 //! and the checker's own self-tests run under plain `cargo test`.

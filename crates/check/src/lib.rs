@@ -40,7 +40,7 @@
 //! Each ported primitive names its load-bearing orderings through
 //! [`mutate::ordering`] — e.g. the Chase–Lev publication fence is
 //! `mutate::ordering("deque.push.publish", Ordering::Release)`. Under
-//! `cfg(kcore_check)` a test can [`mutate::weaken`] one site to
+//! `cfg(kcore_check)` a test can `mutate::weaken` one site to
 //! `Relaxed`; the acceptance bar is that at least one model test then
 //! fails for every site in the table, proving the checker actually
 //! guards each contract. In normal builds `mutate::ordering` is an
@@ -197,7 +197,7 @@ pub mod annotate {
 
 /// Test-only ordering mutation table. Every load-bearing `Ordering` in
 /// the ported primitives is declared through [`mutate::ordering`] with
-/// a stable site name; [`mutate::weaken`] (only under
+/// a stable site name; `mutate::weaken` (only under
 /// `cfg(kcore_check)`) downgrades one site to `Relaxed` for the
 /// duration of a guard, and the model-test suite must then catch the
 /// resulting bug.

@@ -60,92 +60,6 @@ impl Config {
     pub fn with_techniques(techniques: Techniques) -> Self {
         Self { techniques, ..Self::default() }
     }
-
-    /// Applies the `KCORE_TECHNIQUES` environment override, if set.
-    ///
-    /// The variable holds a comma-separated subset of `sampling`, `vgc`,
-    /// `offline`, or the shorthand `all` (= `sampling,vgc`). CI uses it
-    /// to force the techniques subsystem on for the whole test suite, so
-    /// the default-off configuration cannot silently rot. Overrides only
-    /// ever *enable* features (with their default parameters); an unset
-    /// or empty variable leaves the config untouched.
-    pub fn apply_env_overrides(self) -> Self {
-        self.apply_env_overrides_filtered(&["sampling", "vgc", "offline"])
-    }
-
-    /// Applies the `KCORE_TECHNIQUES` environment override restricted
-    /// to `supported` tokens; known-but-unsupported tokens are dropped,
-    /// unknown tokens still panic.
-    ///
-    /// This is the env-override entry for problem facades whose axes
-    /// reject some techniques outright ([`crate::ApproxDensest`],
-    /// [`crate::KhCore`]): the engine panics on an *explicitly*
-    /// configured sampling/offline block under threshold rounds or
-    /// recompute incidences, but a CI matrix leg forcing
-    /// `KCORE_TECHNIQUES=offline` over the whole suite is a blanket
-    /// request, not a per-problem one — those facades honor the tokens
-    /// that apply to them and drop the rest, so the forced legs still
-    /// exercise every problem instead of tripping the combination
-    /// guard.
-    pub fn apply_env_overrides_filtered(self, supported: &[&str]) -> Self {
-        match std::env::var("KCORE_TECHNIQUES") {
-            Ok(spec) => self.apply_techniques_spec_filtered(&spec, supported),
-            Err(_) => self,
-        }
-    }
-
-    /// Applies a `KCORE_TECHNIQUES`-style spec string (see
-    /// [`Config::apply_env_overrides`]). Split out so the parsing is
-    /// testable without mutating process environment.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown tokens — a misspelled CI override should fail
-    /// loudly, not silently run the baseline.
-    pub fn apply_techniques_spec(self, spec: &str) -> Self {
-        self.apply_techniques_spec_filtered(spec, &["sampling", "vgc", "offline"])
-    }
-
-    /// Spec application restricted to `supported` tokens (the testable
-    /// core of [`Config::apply_env_overrides_filtered`]). The `all`
-    /// shorthand expands to `sampling,vgc` first and each component is
-    /// filtered individually.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown tokens, exactly like
-    /// [`Config::apply_techniques_spec`].
-    pub fn apply_techniques_spec_filtered(mut self, spec: &str, supported: &[&str]) -> Self {
-        let on = |name: &str| supported.contains(&name);
-        for token in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-            match token {
-                "sampling" if on("sampling") => {
-                    self.techniques.sampling.get_or_insert_with(Sampling::default);
-                }
-                "vgc" if on("vgc") => {
-                    self.techniques.vgc.get_or_insert_with(Vgc::default);
-                }
-                "offline" if on("offline") => {
-                    self.techniques.mode = PeelMode::Offline(Offline::default());
-                }
-                "all" => {
-                    if on("sampling") {
-                        self.techniques.sampling.get_or_insert_with(Sampling::default);
-                    }
-                    if on("vgc") {
-                        self.techniques.vgc.get_or_insert_with(Vgc::default);
-                    }
-                }
-                // Known token, filtered out for this problem's axes.
-                "sampling" | "vgc" | "offline" => {}
-                other => panic!(
-                    "KCORE_TECHNIQUES: unknown token {other:?} \
-                     (valid: sampling, vgc, offline, all)"
-                ),
-            }
-        }
-        self
-    }
 }
 
 /// The Sec. 4 techniques block: which practical refinements the peeling
@@ -314,6 +228,10 @@ pub enum HistogramKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env;
+    use crate::problems::kcore::KCoreProblem;
+    use crate::problems::khcore::KhCoreProblem;
+    use kcore_graph::CsrGraph;
 
     #[test]
     fn defaults_match_the_papers_final_design() {
@@ -359,48 +277,64 @@ mod tests {
         assert_eq!(c.bucket_strategy, Config::default().bucket_strategy);
     }
 
+    // The `KCORE_TECHNIQUES` spec tests: how a parsed spec fills a
+    // config, through `env::apply` so the process environment stays out.
+
+    /// k-core: unit incidence under min-bucket rounds admits everything.
+    fn kcore_apply(config: Config, spec: &str) -> Config {
+        env::apply(config, env::parse(spec), &KCoreProblem { g: &CsrGraph::empty() })
+    }
+
     #[test]
     fn techniques_spec_enables_features() {
-        let c = Config::default().apply_techniques_spec("sampling,vgc");
+        let c = kcore_apply(Config::default(), "sampling,vgc");
         assert!(c.techniques.sampling.is_some());
         assert!(c.techniques.vgc.is_some());
         assert_eq!(c.techniques.mode, PeelMode::Online);
 
-        let c = Config::default().apply_techniques_spec("all,offline");
+        let c = kcore_apply(Config::default(), "all,offline");
         assert!(c.techniques.sampling.is_some());
         assert!(c.techniques.vgc.is_some());
         assert!(matches!(c.techniques.mode, PeelMode::Offline(_)));
 
         // Empty spec and stray separators are no-ops.
-        assert_eq!(Config::default().apply_techniques_spec(" , "), Config::default());
+        assert_eq!(kcore_apply(Config::default(), " , "), Config::default());
     }
 
     #[test]
     fn techniques_spec_does_not_downgrade_explicit_settings() {
-        // A config that already enables sampling with custom parameters
-        // keeps them; the spec only fills gaps.
-        let custom = Sampling::with_threshold(7);
-        let base =
-            Config::with_techniques(Techniques { sampling: Some(custom), ..Techniques::default() });
-        let c = base.apply_techniques_spec("sampling,vgc");
-        assert_eq!(c.techniques.sampling, Some(custom));
+        // A config that already sets a technique keeps its parameters;
+        // the spec only fills gaps.
+        let sampling = Sampling::with_threshold(7);
+        let offline = Offline { histogram: HistogramKind::Sort };
+        let base = Config::with_techniques(Techniques {
+            sampling: Some(sampling),
+            mode: PeelMode::Offline(offline),
+            ..Techniques::default()
+        });
+        let c = kcore_apply(base, "sampling,vgc,offline");
+        assert_eq!(c.techniques.sampling, Some(sampling));
+        assert_eq!(c.techniques.mode, PeelMode::Offline(offline));
         assert!(c.techniques.vgc.is_some());
     }
 
     #[test]
     #[should_panic(expected = "unknown token")]
     fn techniques_spec_rejects_typos() {
-        let _ = Config::default().apply_techniques_spec("samplign");
+        let _ = env::parse("samplign");
     }
 
     #[test]
     fn filtered_spec_drops_unsupported_tokens() {
-        let c = Config::default().apply_techniques_spec_filtered("sampling,vgc,offline", &["vgc"]);
+        // The (k,h)-core recomputes priorities, which refuses sampling
+        // and offline: only VGC survives, including out of `all`.
+        let g = CsrGraph::empty();
+        let khcore = KhCoreProblem { g: &g, h: 2 };
+        let c = env::apply(Config::default(), env::parse("sampling,vgc,offline"), &khcore);
         assert!(c.techniques.sampling.is_none(), "sampling filtered out");
         assert!(c.techniques.vgc.is_some(), "vgc passes the filter");
         assert_eq!(c.techniques.mode, PeelMode::Online, "offline filtered out");
-        // The `all` shorthand filters per component.
-        let c = Config::default().apply_techniques_spec_filtered("all", &["vgc"]);
+        let c = env::apply(Config::default(), env::parse("all"), &khcore);
         assert!(c.techniques.sampling.is_none());
         assert!(c.techniques.vgc.is_some());
     }
@@ -408,6 +342,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown token")]
     fn filtered_spec_still_rejects_typos() {
-        let _ = Config::default().apply_techniques_spec_filtered("offlien", &["vgc"]);
+        // Parsing precedes filtering: a typo panics for every problem.
+        let g = CsrGraph::empty();
+        let _ =
+            env::apply(Config::default(), env::parse("offlien"), &KhCoreProblem { g: &g, h: 2 });
     }
 }

@@ -22,24 +22,25 @@
 //! assert!(Decomposition::khcore(&g, 2).run().kmax() >= 2);
 //! ```
 //!
-//! This replaces the per-problem constructor sprawl (`KCore::new`,
-//! `KTruss::new`, ...), each of which hand-rolled the same env/config
-//! handling; those entry points remain as thin deprecated shims for one
-//! release.
-//!
 //! # Configuration resolution
 //!
 //! [`Decomposition::config`] (or the field shortcuts
 //! [`Decomposition::strategy`] / [`Decomposition::techniques`]) applies
 //! the `KCORE_TECHNIQUES` environment override at [`Decomposition::run`]
-//! — filtered to the techniques the chosen problem supports, so CI's
-//! forced-techniques matrix reaches every code path without panicking on
-//! inapplicable tokens. [`Decomposition::exact_config`] opts out of the
-//! override for callers (and tests) that assert technique-specific
-//! behavior.
+//! — filtered to the techniques the chosen problem's axes admit, so
+//! CI's forced-techniques matrix reaches every code path without
+//! panicking on inapplicable tokens. [`Decomposition::exact_config`]
+//! opts out of the override for callers (and tests) that assert
+//! technique-specific behavior.
 
 use crate::config::Techniques;
-use crate::problems::{approx_densest, densest, kcore, khcore, ktruss};
+use crate::env;
+use crate::peel::engine::{PeelEngine, PeelProblem};
+use crate::problems::approx_densest::ApproxDensestProblem;
+use crate::problems::densest::{self, DensestProblem};
+use crate::problems::kcore::{self, KCoreProblem};
+use crate::problems::khcore::KhCoreProblem;
+use crate::problems::ktruss::KTrussProblem;
 use crate::{
     ApproxDensestResult, Config, CorenessResult, DensestResult, KhCoreResult, TrussnessResult,
 };
@@ -163,17 +164,19 @@ impl<'g, P, G> Decomposition<'g, P, G> {
         &self.config
     }
 
-    /// Resolves the effective config: env override unless exact, with
-    /// unsupported tokens dropped per problem.
-    fn resolve(&self, supported: Option<&'static [&'static str]>) -> Config {
+    /// The effective config for `problem`: the staged one, plus the
+    /// `KCORE_TECHNIQUES` techniques its axes admit unless exact.
+    fn resolve(&self, problem: &impl PeelProblem) -> Config {
         if self.exact {
             self.config
         } else {
-            match supported {
-                None => self.config.apply_env_overrides(),
-                Some(tokens) => self.config.apply_env_overrides_filtered(tokens),
-            }
+            env::resolve(self.config, problem)
         }
+    }
+
+    /// Peels `problem` on the engine with the effective config.
+    fn peel<Q: PeelProblem>(&self, problem: &Q) -> Q::Output {
+        PeelEngine::new(problem, self.resolve(problem)).run()
     }
 }
 
@@ -187,15 +190,17 @@ impl<'g, G: GraphBackend> Decomposition<'g, KcoreSpec, G> {
 
     /// Runs the decomposition.
     pub fn run(self) -> CorenessResult {
-        kcore::run_kcore(self.g, self.resolve(None))
+        // The axes, and so the resolved config, do not depend on the
+        // backend `run_kcore` ends up peeling.
+        kcore::run_kcore(self.g, self.resolve(&KCoreProblem { g: self.g }))
     }
 
     /// Membership of the `k`-core (`true` = coreness `>= k`), computed
     /// directly by offline range peeling — much cheaper than a full
-    /// decomposition when only one core is needed.
+    /// decomposition when only one core is needed. Only the staged
+    /// offline block (histogram kind) is read.
     pub fn members(self, k: u32) -> Vec<bool> {
-        let config = self.resolve(None);
-        kcore::members(self.g, &config, k)
+        kcore::members(self.g, &self.config, k)
     }
 }
 
@@ -220,11 +225,15 @@ impl<'g> Decomposition<'g, KtrussSpec<'g>> {
 
     /// Runs the decomposition.
     pub fn run(self) -> TrussnessResult {
-        let config = self.resolve(None);
-        match self.problem.ctx {
-            Some(ctx) => ktruss::run_ktruss_with_ctx(self.g, ctx, config),
-            None => ktruss::run_ktruss(self.g, config),
-        }
+        let built;
+        let ctx = match self.problem.ctx {
+            Some(ctx) => ctx,
+            None => {
+                built = TriangleCtx::build(self.g);
+                &built
+            }
+        };
+        self.peel(&KTrussProblem { g: self.g, ctx })
     }
 }
 
@@ -237,7 +246,7 @@ impl<'g, G: GraphBackend> Decomposition<'g, DensestSpec, G> {
 
     /// Runs the decomposition.
     pub fn run(self) -> DensestResult {
-        densest::run_densest(self.g, self.resolve(None))
+        densest::run_densest(self.g, self.resolve(&DensestProblem { g: self.g }))
     }
 }
 
@@ -252,15 +261,9 @@ impl<'g> Decomposition<'g, KhCoreSpec> {
         Self::with(g, KhCoreSpec { h })
     }
 
-    /// The hop bound `h`.
-    pub fn h(&self) -> u32 {
-        self.problem.h
-    }
-
     /// Runs the decomposition.
     pub fn run(self) -> KhCoreResult {
-        let config = self.resolve(Some(khcore::SUPPORTED_TECHNIQUES));
-        khcore::run_khcore(self.g, config, self.problem.h)
+        self.peel(&KhCoreProblem { g: self.g, h: self.problem.h })
     }
 }
 
@@ -277,15 +280,9 @@ impl<'g> Decomposition<'g, ApproxDensestSpec> {
         Self::with(g, ApproxDensestSpec { epsilon })
     }
 
-    /// The approximation slack ε (factor `2 + ε`).
-    pub fn epsilon(&self) -> f64 {
-        self.problem.epsilon
-    }
-
     /// Runs the decomposition.
     pub fn run(self) -> ApproxDensestResult {
-        let config = self.resolve(Some(approx_densest::SUPPORTED_TECHNIQUES));
-        approx_densest::run_approx_densest(self.g, config, self.problem.epsilon)
+        self.peel(&ApproxDensestProblem::new(self.g, self.problem.epsilon))
     }
 }
 
@@ -295,34 +292,6 @@ mod tests {
     use crate::bz::bz_coreness;
     use crate::config::{Sampling, Vgc};
     use kcore_graph::gen;
-
-    #[test]
-    fn builder_matches_the_per_problem_facades() {
-        #![allow(deprecated)]
-        use crate::{ApproxDensest, DensestSubgraph, KCore, KTruss, KhCore};
-        let g = gen::barabasi_albert(300, 3, 17);
-        let config = Config { bucket_strategy: BucketStrategy::Fixed(16), ..Config::default() };
-        assert_eq!(
-            Decomposition::kcore(&g).exact_config(config).run().coreness(),
-            KCore::with_exact_config(config).run(&g).coreness()
-        );
-        assert_eq!(
-            Decomposition::ktruss(&g).exact_config(config).run().trussness(),
-            KTruss::with_exact_config(config).run(&g).trussness()
-        );
-        assert_eq!(
-            Decomposition::densest(&g).exact_config(config).run().density(),
-            DensestSubgraph::with_exact_config(config).run(&g).density()
-        );
-        assert_eq!(
-            Decomposition::khcore(&g, 2).exact_config(config).run().kh_coreness(),
-            KhCore::with_exact_config(config, 2).run(&g).kh_coreness()
-        );
-        assert_eq!(
-            Decomposition::approx_densest(&g, 0.5).exact_config(config).run().density(),
-            ApproxDensest::with_exact_config(config, 0.5).run(&g).density()
-        );
-    }
 
     #[test]
     fn builder_shortcuts_stage_config_fields() {
@@ -344,14 +313,12 @@ mod tests {
     }
 
     #[test]
-    fn members_and_parameter_accessors() {
+    fn members_agree_with_coreness() {
         let g = gen::planted_core(200, 2, 40, 9);
         let coreness = Decomposition::kcore(&g).run();
         let members = Decomposition::kcore(&g).members(3);
         let want: Vec<bool> = coreness.coreness().iter().map(|&c| c >= 3).collect();
         assert_eq!(members, want);
-        assert_eq!(Decomposition::khcore(&g, 2).h(), 2);
-        assert_eq!(Decomposition::approx_densest(&g, 0.25).epsilon(), 0.25);
     }
 
     #[test]

@@ -12,22 +12,24 @@
 //!   bag for intra-round frontier collection. Per-round initial
 //!   frontiers come from a pluggable [`BucketStrategy`] (single bucket,
 //!   Julienne-style fixed window, HBS, or the adaptive hybrid).
-//! * [`KCore`] — k-core decomposition (vertices by induced degree),
-//!   bit-compatible with the pre-engine implementation. [`bz`] is the
-//!   sequential Batagelj–Zaveršnik oracle it is tested against.
-//! * [`KTruss`] — k-truss decomposition (edges by triangle support),
-//!   the snapshot-rule client: a dying edge charges the surviving edges
-//!   of its triangles under a consistent settle snapshot.
-//!   [`sequential_trussness`] is its recount oracle.
-//! * [`DensestSubgraph`] — Charikar's greedy densest subgraph as
-//!   min-degree peeling with a per-round density curve; a
+//! * **k-core** ([`Decomposition::kcore`]) — vertices by induced
+//!   degree, bit-compatible with the pre-engine implementation. [`bz`]
+//!   is the sequential Batagelj–Zaveršnik oracle it is tested against.
+//! * **k-truss** ([`Decomposition::ktruss`]) — edges by triangle
+//!   support, the snapshot-rule client: a dying edge charges the
+//!   surviving edges of its triangles under a consistent settle
+//!   snapshot. [`sequential_trussness`] is its recount oracle.
+//! * **densest subgraph** ([`Decomposition::densest`]) — Charikar's
+//!   greedy as min-degree peeling with a per-round density curve; a
 //!   2-approximation. [`sequential_greedy_density`] is its oracle.
-//! * [`KhCore`] — the distance-generalized (k,h)-core (vertices by
-//!   live h-hop ball size), the [`Incidence::Recompute`] client:
-//!   priorities are recomputed over survivors through the generalized
-//!   CAS clamp. [`sequential_kh_coreness`] is its recount oracle.
-//! * [`ApproxDensest`] — the batched (2+ε)-approximate densest
-//!   subgraph, the [`RoundPolicy::Threshold`] client: each round peels
+//! * **(k,h)-core** ([`Decomposition::khcore`]) — the
+//!   distance-generalized core (vertices by live h-hop ball size), the
+//!   [`Incidence::Recompute`] client: priorities are recomputed over
+//!   survivors through the generalized CAS clamp.
+//!   [`sequential_kh_coreness`] is its recount oracle.
+//! * **approximate densest subgraph**
+//!   ([`Decomposition::approx_densest`]) — the batched (2+ε) variant,
+//!   the [`RoundPolicy::Threshold`] client: each round peels
 //!   everything at or below `(1+ε/2)·`avg-degree, for `O(log₁₊ε n)`
 //!   rounds total.
 //!
@@ -48,8 +50,9 @@
 //! * **Offline peeling** ([`PeelMode::Offline`]) — the Julienne-style
 //!   histogram driver: gather the frontier's decrements, histogram
 //!   them, apply in bulk; no per-target atomics, three global syncs per
-//!   subround. Applies to every problem;
-//!   [`KCore::kcore_members`] reuses it to answer single-core queries
+//!   subround. Applies to min-bucket problems with unit or snapshot
+//!   incidences;
+//!   [`Decomposition::members`] reuses it to answer single-core queries
 //!   by bulk range peeling.
 //!
 //! Every problem is launched through the unified [`Decomposition`]
@@ -81,6 +84,7 @@
 pub mod bz;
 mod config;
 mod decomposition;
+mod env;
 pub mod maintain;
 mod peel;
 mod problems;
@@ -99,8 +103,7 @@ pub use peel::{
     SettleView, SnapshotRule, ThresholdPolicy, UnitIncidence,
 };
 pub use problems::{
-    sequential_greedy_density, sequential_kh_coreness, sequential_trussness, ApproxDensest,
-    ApproxDensestResult, DensestResult, DensestSubgraph, KCore, KTruss, KhCore, KhCoreResult,
-    TrussnessResult, SWEPT_EPSILONS,
+    sequential_greedy_density, sequential_kh_coreness, sequential_trussness, ApproxDensestResult,
+    DensestResult, KhCoreResult, TrussnessResult, SWEPT_EPSILONS,
 };
 pub use result::{CorenessResult, DecompositionResult};

@@ -12,10 +12,10 @@
 //! 2. [`DynamicGraph::apply_batch`] applies the changes, computes the
 //!    **affected region** — the changed-edge endpoints expanded by BFS
 //!    through vertices whose standing coreness lies in the batch's
-//!    confinement range (see [`region`]'s module docs for the theorem)
+//!    confinement range (see the `region` module docs for the theorem)
 //!    — and re-peels just that induced subgraph on the work-stealing
 //!    pool, with boundary neighbors pinned to their standing coreness
-//!    by ghost elements (see [`repeel`]).
+//!    by ghost elements (see the `repeel` module).
 //! 3. The re-peeled values are spliced into a standing versioned
 //!    [`CorenessResult`] (copy-on-write, so readers holding
 //!    [`CorenessResult::shared`] snapshots are never torn), and
@@ -47,6 +47,7 @@
 mod region;
 mod repeel;
 
+use crate::env;
 use crate::peel::engine::{Incidence, PeelEngine, PeelProblem};
 use crate::{Config, CorenessResult};
 use kcore_graph::{CsrGraph, OverlayGraph, VertexId};
@@ -187,22 +188,23 @@ impl DynamicGraph {
     pub const DEFAULT_COMPACTION_FRACTION: f64 = 0.5;
 
     /// Wraps `base` and computes its initial decomposition (version 0)
-    /// with the given configuration, after applying the
-    /// `KCORE_TECHNIQUES` environment override (see
-    /// [`Config::apply_env_overrides`]).
+    /// with the given configuration plus the `KCORE_TECHNIQUES`
+    /// environment override, as [`crate::Decomposition::config`] does.
     pub fn new(base: CsrGraph, config: Config) -> Self {
-        Self::build(base, config.apply_env_overrides())
+        Self::build(base, config, false)
     }
 
     /// Like [`DynamicGraph::new`] but takes `config` exactly as given,
     /// bypassing the environment override.
     pub fn with_exact_config(base: CsrGraph, config: Config) -> Self {
-        Self::build(base, config)
+        Self::build(base, config, true)
     }
 
-    fn build(base: CsrGraph, config: Config) -> Self {
+    fn build(base: CsrGraph, config: Config, exact: bool) -> Self {
         let graph = OverlayGraph::new(base);
-        let (coreness, stats) = PeelEngine::new(&LogicalKCore { g: &graph }, config).run();
+        let problem = LogicalKCore { g: &graph };
+        let config = if exact { config } else { env::resolve(config, &problem) };
+        let (coreness, stats) = PeelEngine::new(&problem, config).run();
         let result = CorenessResult::new(coreness, stats);
         Self {
             graph,

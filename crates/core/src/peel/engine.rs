@@ -359,10 +359,9 @@ pub trait PeelProblem: Sync {
 /// Sec. 4 techniques, parameterized by a [`PeelProblem`].
 ///
 /// The engine runs `config` exactly as given. [`crate::Decomposition`]
-/// resolves the `KCORE_TECHNIQUES` override
-/// ([`Config::apply_env_overrides`]) in its `run`, before it builds an
-/// engine; apply the override yourself when driving the engine
-/// directly and it should be honored.
+/// adds the `KCORE_TECHNIQUES` override to the config in its `run`,
+/// before it builds an engine; an engine driven directly never reads
+/// the environment.
 pub struct PeelEngine<'p, P: PeelProblem> {
     problem: &'p P,
     config: Config,
@@ -372,11 +371,6 @@ impl<'p, P: PeelProblem> PeelEngine<'p, P> {
     /// Creates an engine over `problem` with `config` taken verbatim.
     pub fn new(problem: &'p P, config: Config) -> Self {
         Self { problem, config }
-    }
-
-    /// The configuration this engine runs with.
-    pub fn config(&self) -> &Config {
-        &self.config
     }
 
     /// Peels the whole universe and assembles the problem's result.
@@ -426,16 +420,31 @@ impl<'p, P: PeelProblem> PeelEngine<'p, P> {
     }
 }
 
-/// Rejects technique × axis combinations the engine cannot honor,
-/// mirroring the `KCORE_TECHNIQUES` unknown-token panic: fail loudly
-/// with the valid combinations named, never silently produce a wrong
-/// (or silently degraded) result.
+/// Whether sampling and the offline step can run on these axes: both
+/// are `RoundPolicy::MinBucket` refinements of unit or snapshot
+/// incidences.
 ///
 /// Sampling approximates priorities that decrease by units, and the
 /// offline step histograms unit decrements — neither is defined for
 /// threshold-batched rounds or recomputed priorities. VGC composes
 /// with threshold rounds (the chase clamps to the round threshold) and
-/// is ignored by the two-phase step.
+/// is ignored by the two-phase step, so it is admitted everywhere.
+/// [`validate_combination`] panics on an explicit request this refuses;
+/// the `KCORE_TECHNIQUES` override drops it instead.
+pub(crate) fn admits_sampling_and_offline(
+    policy: &RoundPolicy<'_>,
+    incidence: &Incidence<'_>,
+) -> bool {
+    matches!(
+        (policy, incidence),
+        (RoundPolicy::MinBucket, Incidence::Unit(_) | Incidence::Snapshot(_))
+    )
+}
+
+/// Rejects technique × axis combinations the engine cannot honor,
+/// mirroring the `KCORE_TECHNIQUES` unknown-token panic: fail loudly
+/// with the valid combinations named, never silently produce a wrong
+/// (or silently degraded) result.
 pub(crate) fn validate_combination(
     config: &Config,
     policy: &RoundPolicy<'_>,
@@ -446,13 +455,15 @@ pub(crate) fn validate_combination(
          (sampling applies to Unit only and is otherwise ignored); \
          RoundPolicy::Threshold requires Incidence::Unit and composes with vgc; \
          Incidence::Recompute runs the online MinBucket driver, vgc ignored";
+    if admits_sampling_and_offline(policy, incidence) {
+        return;
+    }
     let axis = match (policy, incidence) {
-        (RoundPolicy::MinBucket, Incidence::Unit(_) | Incidence::Snapshot(_)) => return,
         (RoundPolicy::Threshold(_), Incidence::Unit(_)) => "RoundPolicy::Threshold",
-        (RoundPolicy::Threshold(_), Incidence::Snapshot(_) | Incidence::Recompute(_)) => {
+        (RoundPolicy::Threshold(_), _) => {
             panic!("RoundPolicy::Threshold requires Incidence::Unit ({VALID})")
         }
-        (RoundPolicy::MinBucket, Incidence::Recompute(_)) => "Incidence::Recompute",
+        (RoundPolicy::MinBucket, _) => "Incidence::Recompute",
     };
     if config.techniques.sampling.is_some() {
         panic!("{axis} does not support the sampling technique ({VALID})");

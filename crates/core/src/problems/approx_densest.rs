@@ -1,7 +1,7 @@
 //! (2+ε)-approximate densest subgraph as a [`PeelProblem`] — the
 //! threshold-policy client, peeling whole priority ranges per round.
 //!
-//! [`crate::DensestSubgraph`] peels min-degree rounds (Charikar's
+//! [`crate::Decomposition::densest`] peels min-degree rounds (Charikar's
 //! greedy, a 2-approximation) and therefore runs as many rounds as the
 //! degeneracy. The batched variant (Bahmani–Kumar–Vassilvitskii)
 //! trades a factor in the guarantee for exponentially fewer rounds:
@@ -30,10 +30,7 @@
 //! `2(1 + β)`-approximation; `β = ε/2` makes the end-to-end factor
 //! exactly `2 + ε`.
 
-use crate::peel::engine::{
-    Incidence, PeelEngine, PeelProblem, RoundAggregates, RoundPolicy, ThresholdPolicy,
-};
-use crate::Config;
+use crate::peel::engine::{Incidence, PeelProblem, RoundAggregates, RoundPolicy, ThresholdPolicy};
 use kcore_graph::CsrGraph;
 use kcore_parallel::RunStats;
 
@@ -44,10 +41,21 @@ use kcore_parallel::RunStats;
 pub const SWEPT_EPSILONS: [f64; 3] = [0.1, 0.5, 1.0];
 
 /// The batched densest-subgraph problem over one graph.
-struct ApproxDensestProblem<'g> {
+///
+/// All four bucket strategies drain its threshold rounds natively, and
+/// VGC composes with the in-round cascade; sampling and the offline
+/// driver do not apply to threshold rounds.
+pub(crate) struct ApproxDensestProblem<'g> {
     g: &'g CsrGraph,
     /// Removal rate `1 + ε/2`.
     rate: f64,
+}
+
+impl<'g> ApproxDensestProblem<'g> {
+    /// The problem targeting a `2 + epsilon` approximation factor.
+    pub(crate) fn new(g: &'g CsrGraph, epsilon: f64) -> Self {
+        Self { g, rate: 1.0 + epsilon / 2.0 }
+    }
 }
 
 impl ThresholdPolicy for ApproxDensestProblem<'_> {
@@ -122,84 +130,6 @@ impl PeelProblem for ApproxDensestProblem<'_> {
     }
 }
 
-/// The batched (2+ε)-approximate densest-subgraph framework.
-///
-/// Runs on [`RoundPolicy::Threshold`]: all four bucket strategies
-/// apply through their native threshold drains, and VGC composes with
-/// the in-round cascade. Sampling and the offline driver do not apply
-/// to threshold rounds and are rejected by the engine (the
-/// `KCORE_TECHNIQUES` env override is filtered accordingly, so the CI
-/// matrix legs run this problem with the inapplicable tokens dropped).
-#[derive(Debug, Clone)]
-pub struct ApproxDensest {
-    config: Config,
-    epsilon: f64,
-}
-
-/// Env-override tokens that apply to threshold peeling.
-pub(crate) const SUPPORTED_TECHNIQUES: &[&str] = &["vgc"];
-
-/// Runs batched approximate densest-subgraph with `config` exactly as
-/// given — the shared core behind
-/// [`crate::Decomposition::approx_densest`].
-pub(crate) fn run_approx_densest(
-    g: &CsrGraph,
-    config: Config,
-    epsilon: f64,
-) -> ApproxDensestResult {
-    let problem = ApproxDensestProblem { g, rate: 1.0 + epsilon / 2.0 };
-    PeelEngine::new(&problem, config).run()
-}
-
-impl ApproxDensest {
-    /// Creates the framework targeting a `2 + epsilon` approximation
-    /// factor, after applying the `KCORE_TECHNIQUES` override
-    /// restricted to the techniques threshold rounds support.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `epsilon` is finite and non-negative (`0.0` is
-    /// allowed: it degenerates to per-average rounds with the plain
-    /// factor 2), or if the configuration explicitly enables sampling
-    /// or the offline driver (rejected by the engine on `run`).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Decomposition::approx_densest(&g, epsilon).config(c).run()`"
-    )]
-    pub fn new(config: Config, epsilon: f64) -> Self {
-        assert!(epsilon.is_finite() && epsilon >= 0.0, "epsilon must be finite and >= 0");
-        Self { config: config.apply_env_overrides_filtered(SUPPORTED_TECHNIQUES), epsilon }
-    }
-
-    /// Creates the framework with `config` exactly as given (see
-    /// [`crate::Decomposition::exact_config`]).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Decomposition::approx_densest(&g, epsilon).exact_config(c).run()`"
-    )]
-    pub fn with_exact_config(config: Config, epsilon: f64) -> Self {
-        assert!(epsilon.is_finite() && epsilon >= 0.0, "epsilon must be finite and >= 0");
-        Self { config, epsilon }
-    }
-
-    /// The configuration this instance runs with.
-    pub fn config(&self) -> &Config {
-        &self.config
-    }
-
-    /// The approximation slack ε (factor `2 + ε`).
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    /// Peels `g` in threshold-batched rounds and returns the densest
-    /// standing subgraph observed — a `(2 + ε)`-approximation of the
-    /// densest subgraph, in `O(log₁₊ε n)` rounds.
-    pub fn run(&self, g: &CsrGraph) -> ApproxDensestResult {
-        run_approx_densest(g, self.config, self.epsilon)
-    }
-}
-
 /// The result of a batched approximate densest-subgraph run.
 #[derive(Debug, Clone, Default)]
 pub struct ApproxDensestResult {
@@ -269,11 +199,10 @@ impl crate::result::DecompositionResult for ApproxDensestResult {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the shim facades stay covered until removal
-
     use super::*;
-    use crate::config::{Sampling, Techniques};
+    use crate::config::{Sampling, Techniques, Vgc};
     use crate::problems::densest::sequential_greedy_density;
+    use crate::{env, Config, Decomposition};
     use kcore_buckets::BucketStrategy;
     use kcore_graph::{gen, CsrGraph, GraphBuilder};
 
@@ -293,7 +222,7 @@ mod tests {
         for eps in EPSILONS {
             for strategy in strategies() {
                 let config = Config::with_strategy(strategy);
-                let r = ApproxDensest::with_exact_config(config, eps).run(g);
+                let r = Decomposition::approx_densest(g, eps).exact_config(config).run();
                 let got = r.density();
                 assert!(
                     got <= oracle + 1e-9,
@@ -326,7 +255,10 @@ mod tests {
             let rounds: Vec<u64> = EPSILONS
                 .iter()
                 .map(|&eps| {
-                    ApproxDensest::with_exact_config(Config::default(), eps).run(&g).num_rounds()
+                    Decomposition::approx_densest(&g, eps)
+                        .exact_config(Config::default())
+                        .run()
+                        .num_rounds()
                 })
                 .collect();
             assert!(
@@ -348,8 +280,8 @@ mod tests {
     #[test]
     fn far_fewer_rounds_than_the_exact_greedy() {
         let g = gen::hcns(40); // degeneracy ~40: many min-bucket rounds
-        let exact = crate::DensestSubgraph::with_exact_config(Config::default()).run(&g);
-        let batched = ApproxDensest::with_exact_config(Config::default(), 0.5).run(&g);
+        let exact = Decomposition::densest(&g).exact_config(Config::default()).run();
+        let batched = Decomposition::approx_densest(&g, 0.5).exact_config(Config::default()).run();
         assert!(
             batched.num_rounds() * 3 < exact.stats().rounds,
             "batching must collapse rounds: {} vs {}",
@@ -361,7 +293,7 @@ mod tests {
     #[test]
     fn returned_subgraph_really_has_the_reported_density() {
         let g = gen::planted_core(300, 2, 50, 21);
-        let r = ApproxDensest::with_exact_config(Config::default(), 0.5).run(&g);
+        let r = Decomposition::approx_densest(&g, 0.5).exact_config(Config::default()).run();
         let members = r.members();
         let mk = g.edges().filter(|&(u, v)| members[u as usize] && members[v as usize]).count();
         assert_eq!(r.density(), mk as f64 / r.num_members() as f64);
@@ -372,7 +304,7 @@ mod tests {
     fn epsilon_zero_still_terminates_with_factor_two() {
         let g = gen::barabasi_albert(150, 3, 3);
         let oracle = sequential_greedy_density(&g);
-        let r = ApproxDensest::with_exact_config(Config::default(), 0.0).run(&g);
+        let r = Decomposition::approx_densest(&g, 0.0).exact_config(Config::default()).run();
         assert!(r.density() <= oracle + 1e-9);
         assert!(r.density() * 2.0 + 1e-9 >= oracle);
     }
@@ -380,9 +312,12 @@ mod tests {
     #[test]
     fn vgc_composes_with_threshold_rounds() {
         let g = gen::barabasi_albert(400, 3, 9);
-        let plain = ApproxDensest::with_exact_config(Config::default(), 0.5).run(&g);
-        let vgc = Config::default().apply_techniques_spec("vgc");
-        let chased = ApproxDensest::with_exact_config(vgc, 0.5).run(&g);
+        let plain = Decomposition::approx_densest(&g, 0.5).exact_config(Config::default()).run();
+        let vgc = Config::with_techniques(Techniques {
+            vgc: Some(Vgc::default()),
+            ..Techniques::default()
+        });
+        let chased = Decomposition::approx_densest(&g, 0.5).exact_config(vgc).run();
         assert_eq!(plain.rounds(), chased.rounds(), "VGC only reorders work within a round");
         assert_eq!(plain.densities(), chased.densities());
     }
@@ -390,8 +325,8 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_input() {
         let g = gen::rmat(8, 6, 0.57, 0.19, 0.19, 4);
-        let a = ApproxDensest::with_exact_config(Config::default(), 0.5).run(&g);
-        let b = ApproxDensest::with_exact_config(Config::default(), 0.5).run(&g);
+        let a = Decomposition::approx_densest(&g, 0.5).exact_config(Config::default()).run();
+        let b = Decomposition::approx_densest(&g, 0.5).exact_config(Config::default()).run();
         assert_eq!(a.rounds(), b.rounds());
         assert_eq!(a.best_round(), b.best_round());
         assert_eq!(a.densities(), b.densities());
@@ -399,11 +334,14 @@ mod tests {
 
     #[test]
     fn empty_and_trivial() {
-        let r = ApproxDensest::with_exact_config(Config::default(), 0.5).run(&CsrGraph::empty());
+        let r = Decomposition::approx_densest(&CsrGraph::empty(), 0.5)
+            .exact_config(Config::default())
+            .run();
         assert_eq!(r.density(), 0.0);
         assert_eq!(r.num_members(), 0);
-        let r = ApproxDensest::with_exact_config(Config::default(), 0.5)
-            .run(&GraphBuilder::new(4).build());
+        let r = Decomposition::approx_densest(&GraphBuilder::new(4).build(), 0.5)
+            .exact_config(Config::default())
+            .run();
         assert_eq!(r.density(), 0.0);
         assert_eq!(r.num_rounds(), 1, "isolated vertices all drain in round 0");
     }
@@ -413,25 +351,36 @@ mod tests {
     fn explicit_sampling_is_rejected() {
         let techniques =
             Techniques { sampling: Some(Sampling::with_threshold(4)), ..Techniques::default() };
-        let _ = ApproxDensest::with_exact_config(Config::with_techniques(techniques), 0.5)
-            .run(&gen::path(10));
+        let _ = Decomposition::approx_densest(&gen::path(10), 0.5)
+            .exact_config(Config::with_techniques(techniques))
+            .run();
     }
 
     #[test]
     #[should_panic(expected = "RoundPolicy::Threshold does not support the offline driver")]
     fn explicit_offline_is_rejected() {
-        let _ =
-            ApproxDensest::with_exact_config(Config::with_techniques(Techniques::offline()), 0.5)
-                .run(&gen::path(10));
+        let _ = Decomposition::approx_densest(&gen::path(10), 0.5)
+            .exact_config(Config::with_techniques(Techniques::offline()))
+            .run();
     }
 
     #[test]
     fn forced_env_tokens_are_filtered_not_fatal() {
         let g = gen::barabasi_albert(120, 3, 5);
-        let config = Config::default()
-            .apply_techniques_spec_filtered("sampling,vgc,offline", SUPPORTED_TECHNIQUES);
-        let got = ApproxDensest::with_exact_config(config, 0.5).run(&g);
-        let want = ApproxDensest::with_exact_config(Config::default(), 0.5).run(&g);
+        // What the KCORE_TECHNIQUES CI legs exercise, without reading
+        // the environment: threshold rounds keep only VGC, and the run
+        // is unchanged.
+        let problem = ApproxDensestProblem::new(&g, 0.5);
+        let config = env::apply(Config::default(), env::parse("sampling,vgc,offline"), &problem);
+        assert_eq!(
+            config,
+            Config::with_techniques(Techniques {
+                vgc: Some(Vgc::default()),
+                ..Techniques::default()
+            })
+        );
+        let got = Decomposition::approx_densest(&g, 0.5).exact_config(config).run();
+        let want = Decomposition::approx_densest(&g, 0.5).exact_config(Config::default()).run();
         assert_eq!(got.rounds(), want.rounds());
     }
 }

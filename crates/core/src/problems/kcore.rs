@@ -87,57 +87,12 @@ pub(crate) fn members<G: GraphBackend>(g: &G, config: &Config, k: u32) -> Vec<bo
     offline::range_membership(g, &g.degrees(), k, off)
 }
 
-/// The parallel k-core decomposition framework.
-#[derive(Debug, Clone, Default)]
-pub struct KCore {
-    config: Config,
-}
-
-impl KCore {
-    /// Creates the framework with the given configuration, after
-    /// applying the `KCORE_TECHNIQUES` environment override (see
-    /// [`Config::apply_env_overrides`]).
-    #[deprecated(since = "0.2.0", note = "use `Decomposition::kcore(&g).config(c).run()`")]
-    pub fn new(config: Config) -> Self {
-        Self { config: config.apply_env_overrides() }
-    }
-
-    /// Creates the framework with `config` exactly as given, bypassing
-    /// the `KCORE_TECHNIQUES` environment override. For callers (and
-    /// tests) that assert technique-specific behavior.
-    #[deprecated(since = "0.2.0", note = "use `Decomposition::kcore(&g).exact_config(c).run()`")]
-    pub fn with_exact_config(config: Config) -> Self {
-        Self { config }
-    }
-
-    /// The configuration this instance runs with.
-    pub fn config(&self) -> &Config {
-        &self.config
-    }
-
-    /// Decomposes `g`, returning every vertex's coreness.
-    ///
-    /// [`RunStats`] describe the successful attempt;
-    /// [`RunStats::restarts`] additionally counts aborted sampling
-    /// attempts (expected 0 — see [`crate::Sampling`]).
-    pub fn run(&self, g: &CsrGraph) -> CorenessResult {
-        run_kcore(g, self.config)
-    }
-
-    /// See [`crate::Decomposition::members`] — the serving path for
-    /// "give me the k-core" queries.
-    pub fn kcore_members(&self, g: &CsrGraph, k: u32) -> Vec<bool> {
-        members(g, &self.config, k)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the shim facades stay covered until removal
-
     use super::*;
     use crate::bz::bz_coreness;
     use crate::config::{PeelMode, Sampling, Techniques, Validation, Vgc};
+    use crate::Decomposition;
     use kcore_buckets::BucketStrategy;
     use kcore_graph::{gen, GraphBuilder};
     use kcore_parallel::pool::with_threads;
@@ -175,7 +130,7 @@ mod tests {
         for strategy in strategies() {
             for (techniques, tname) in technique_variants() {
                 let config = Config { bucket_strategy: strategy, techniques, ..Config::default() };
-                let got = KCore::new(config).run(g);
+                let got = Decomposition::kcore(g).config(config).run();
                 assert_eq!(
                     got.coreness(),
                     want.as_slice(),
@@ -187,7 +142,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let r = KCore::new(Config::default()).run(&CsrGraph::empty());
+        let r = Decomposition::kcore(&CsrGraph::empty()).run();
         assert_eq!(r.num_vertices(), 0);
         assert_eq!(r.kmax(), 0);
     }
@@ -195,7 +150,7 @@ mod tests {
     #[test]
     fn isolated_vertices_have_coreness_zero() {
         let g = GraphBuilder::new(5).build();
-        let r = KCore::new(Config::default()).run(&g);
+        let r = Decomposition::kcore(&g).run();
         assert_eq!(r.coreness(), &[0; 5]);
         assert_eq!(r.kmax(), 0);
     }
@@ -234,14 +189,14 @@ mod tests {
     #[test]
     fn grid_kmax_is_2() {
         let g = gen::grid2d(100, 100);
-        let r = KCore::new(Config::default()).run(&g);
+        let r = Decomposition::kcore(&g).run();
         assert_eq!(r.kmax(), 2);
     }
 
     #[test]
     fn stats_are_collected_by_default() {
         let g = gen::grid2d(30, 30);
-        let r = KCore::new(Config::default()).run(&g);
+        let r = Decomposition::kcore(&g).run();
         let s = r.stats();
         assert!(s.rounds >= 3, "grid peels over rounds 0..=2, got {}", s.rounds);
         assert!(s.subrounds >= s.rounds);
@@ -254,7 +209,7 @@ mod tests {
     fn stats_can_be_disabled() {
         let g = gen::grid2d(10, 10);
         let config = Config { collect_stats: false, ..Config::default() };
-        let r = KCore::new(config).run(&g);
+        let r = Decomposition::kcore(&g).config(config).run();
         assert_eq!(r.stats().rounds, 0);
         assert_eq!(r.stats().work, 0);
         // Coreness is still correct.
@@ -266,7 +221,7 @@ mod tests {
         // planted_core has kmax >= 39 > θ = 16, so Adaptive upgrades to
         // HBS mid-run; the result must be unaffected.
         let g = gen::planted_core(300, 2, 60, 21);
-        let adaptive = KCore::new(Config::default()).run(&g);
+        let adaptive = Decomposition::kcore(&g).run();
         assert_eq!(adaptive.coreness(), bz_coreness(&g).as_slice());
         assert!(adaptive.kmax() >= 16);
     }
@@ -274,8 +229,8 @@ mod tests {
     #[test]
     fn peeling_is_deterministic_for_fixed_input() {
         let g = gen::rmat(8, 6, 0.57, 0.19, 0.19, 2);
-        let a = KCore::new(Config::default()).run(&g);
-        let b = KCore::new(Config::default()).run(&g);
+        let a = Decomposition::kcore(&g).run();
+        let b = Decomposition::kcore(&g).run();
         assert_eq!(a.coreness(), b.coreness());
     }
 
@@ -287,7 +242,7 @@ mod tests {
             vgc: Some(Vgc::default()),
             mode: PeelMode::Online,
         };
-        let r = KCore::with_exact_config(Config::with_techniques(techniques)).run(&g);
+        let r = Decomposition::kcore(&g).exact_config(Config::with_techniques(techniques)).run();
         assert_eq!(r.coreness(), bz_coreness(&g).as_slice());
         let s = r.stats();
         assert!(s.sampled_vertices > 0, "hubs above the threshold must enter sample mode");
@@ -305,7 +260,8 @@ mod tests {
             let g = gen::barabasi_albert(1200, 6, seed);
             let techniques =
                 Techniques { sampling: Some(Sampling::with_threshold(8)), ..Techniques::default() };
-            let r = KCore::with_exact_config(Config::with_techniques(techniques)).run(&g);
+            let r =
+                Decomposition::kcore(&g).exact_config(Config::with_techniques(techniques)).run();
             assert_eq!(r.coreness(), bz_coreness(&g).as_slice(), "seed {seed}");
         }
     }
@@ -320,7 +276,7 @@ mod tests {
             vgc: Some(Vgc::default()),
             mode: PeelMode::Online,
         };
-        let r = KCore::with_exact_config(Config::with_techniques(techniques)).run(&g);
+        let r = Decomposition::kcore(&g).exact_config(Config::with_techniques(techniques)).run();
         assert_eq!(r.coreness(), bz_coreness(&g).as_slice());
         let s = r.stats();
         assert!(s.sampled_vertices > 0, "hubs above the threshold must enter sample mode");
@@ -340,9 +296,9 @@ mod tests {
         // chain. Run single-threaded for a deterministic chain shape.
         let g = gen::path(400);
         let (plain, chased) = with_threads(1, || {
-            let plain = KCore::with_exact_config(Config::default()).run(&g);
+            let plain = Decomposition::kcore(&g).exact_config(Config::default()).run();
             let vgc = Techniques { vgc: Some(Vgc { chain_limit: 1000 }), ..Techniques::default() };
-            let chased = KCore::with_exact_config(Config::with_techniques(vgc)).run(&g);
+            let chased = Decomposition::kcore(&g).exact_config(Config::with_techniques(vgc)).run();
             (plain, chased)
         });
         assert_eq!(plain.coreness(), chased.coreness());
@@ -361,7 +317,9 @@ mod tests {
     fn vgc_chain_limit_bounds_the_chain() {
         let g = gen::path(400);
         let vgc = Techniques { vgc: Some(Vgc { chain_limit: 10 }), ..Techniques::default() };
-        let r = with_threads(1, || KCore::with_exact_config(Config::with_techniques(vgc)).run(&g));
+        let r = with_threads(1, || {
+            Decomposition::kcore(&g).exact_config(Config::with_techniques(vgc)).run()
+        });
         assert_eq!(r.coreness(), bz_coreness(&g).as_slice());
         assert!(r.stats().peak_chain <= 10, "chain {} exceeds limit", r.stats().peak_chain);
     }
@@ -369,9 +327,10 @@ mod tests {
     #[test]
     fn offline_charges_more_syncs_per_subround() {
         let g = gen::mesh(20, 20);
-        let online = KCore::with_exact_config(Config::default()).run(&g);
-        let offline =
-            KCore::with_exact_config(Config::with_techniques(Techniques::offline())).run(&g);
+        let online = Decomposition::kcore(&g).exact_config(Config::default()).run();
+        let offline = Decomposition::kcore(&g)
+            .exact_config(Config::with_techniques(Techniques::offline()))
+            .run();
         assert_eq!(online.coreness(), offline.coreness());
         let (on, off) = (online.stats(), offline.stats());
         assert_eq!(on.global_syncs, on.subrounds);
@@ -399,7 +358,7 @@ mod tests {
                 ..Techniques::default()
             };
             let r = with_threads(1, || {
-                KCore::with_exact_config(Config::with_techniques(techniques)).run(&g)
+                Decomposition::kcore(&g).exact_config(Config::with_techniques(techniques)).run()
             });
             assert_eq!(r.coreness(), bz_coreness(&g).as_slice(), "seed {seed}");
             restarts += r.stats().restarts;
@@ -417,22 +376,21 @@ mod tests {
             }),
             ..Techniques::default()
         };
-        let r = KCore::with_exact_config(Config::with_techniques(techniques)).run(&g);
+        let r = Decomposition::kcore(&g).exact_config(Config::with_techniques(techniques)).run();
         assert_eq!(r.coreness(), bz_coreness(&g).as_slice());
         assert_eq!(r.stats().restarts, 0, "default slack keeps the failure probability negligible");
     }
 
     #[test]
     fn kcore_members_agree_with_coreness() {
-        let kc = KCore::new(Config::default());
         for (label, g) in [
             ("ba", gen::barabasi_albert(500, 3, 7)),
             ("mesh", gen::mesh(20, 20)),
             ("hcns", gen::hcns(30)),
         ] {
-            let coreness = kc.run(&g);
+            let coreness = Decomposition::kcore(&g).run();
             for k in [0, 1, 2, 3, 5, coreness.kmax(), coreness.kmax() + 1] {
-                let members = kc.kcore_members(&g, k);
+                let members = Decomposition::kcore(&g).members(k);
                 let want: Vec<bool> = coreness.coreness().iter().map(|&c| c >= k).collect();
                 assert_eq!(members, want, "{label}: {k}-core membership");
             }
@@ -444,7 +402,7 @@ mod tests {
         // Drive the engine directly (as a new problem's author would)
         // and check it matches the facade.
         let g = gen::barabasi_albert(400, 3, 5);
-        let via_facade = KCore::with_exact_config(Config::default()).run(&g);
+        let via_facade = Decomposition::kcore(&g).exact_config(Config::default()).run();
         let problem = KCoreProblem { g: &g };
         let via_engine = PeelEngine::new(&problem, Config::default()).run();
         assert_eq!(via_facade.coreness(), via_engine.coreness());

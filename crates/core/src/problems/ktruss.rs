@@ -41,22 +41,21 @@
 //! Because the snapshot is identical for every worker, the emitted
 //! multiset — and therefore the whole decomposition — is deterministic.
 
-use crate::peel::engine::{
-    ElementState, Incidence, PeelEngine, PeelProblem, SettleView, SnapshotRule,
-};
-use crate::Config;
+use crate::peel::engine::{ElementState, Incidence, PeelProblem, SettleView, SnapshotRule};
 use kcore_graph::triangles::for_each_triangle_of_edge;
 use kcore_graph::{CsrGraph, EdgeIndex, TriangleCtx};
 use kcore_parallel::RunStats;
 
-/// The k-truss decomposition problem over one graph.
-struct KTrussProblem<'g> {
-    g: &'g CsrGraph,
-    ctx: &'g TriangleCtx,
+/// The k-truss decomposition problem over one graph and its triangle
+/// setup (built by [`TriangleCtx::build`] from the same graph; a
+/// mismatched context yields meaningless trussness).
+pub(crate) struct KTrussProblem<'g> {
+    pub(crate) g: &'g CsrGraph,
+    pub(crate) ctx: &'g TriangleCtx,
 }
 
 impl PeelProblem for KTrussProblem<'_> {
-    type Output = (Vec<u32>, RunStats);
+    type Output = TrussnessResult;
 
     fn name(&self) -> &'static str {
         "k-truss"
@@ -74,8 +73,9 @@ impl PeelProblem for KTrussProblem<'_> {
         Incidence::Snapshot(self)
     }
 
-    fn assemble(&self, rounds: Vec<u32>, stats: RunStats) -> Self::Output {
-        (rounds, stats)
+    fn assemble(&self, rounds: Vec<u32>, stats: RunStats) -> TrussnessResult {
+        let trussness = rounds.into_iter().map(|r| r + 2).collect();
+        TrussnessResult { index: self.ctx.edge_index().clone(), trussness, stats }
     }
 }
 
@@ -121,64 +121,6 @@ impl SnapshotRule for KTrussProblem<'_> {
         } else {
             self.ctx.for_each_triangle_of_edge(self.g, e, |fe, ge, _w| consider(fe, ge));
         }
-    }
-}
-
-/// The parallel k-truss decomposition framework.
-///
-/// Runs on the same [`PeelEngine`] (and accepts the same [`Config`]) as
-/// [`crate::KCore`]: all four bucket strategies and the offline
-/// histogram driver apply. Sampling and VGC are unit-incidence
-/// techniques and are ignored for edge peeling.
-#[derive(Debug, Clone, Default)]
-pub struct KTruss {
-    config: Config,
-}
-
-/// Runs the k-truss decomposition with `config` exactly as given — the
-/// shared core behind [`crate::Decomposition::ktruss`]. Builds the
-/// fused triangle setup itself; callers that already hold a
-/// [`TriangleCtx`] use [`run_ktruss_with_ctx`].
-pub(crate) fn run_ktruss(g: &CsrGraph, config: Config) -> TrussnessResult {
-    run_ktruss_with_ctx(g, &TriangleCtx::build(g), config)
-}
-
-/// Runs the k-truss peel over a pre-built triangle setup, keeping the
-/// orientation/supports build out of the measured critical path.
-pub(crate) fn run_ktruss_with_ctx(
-    g: &CsrGraph,
-    ctx: &TriangleCtx,
-    config: Config,
-) -> TrussnessResult {
-    let problem = KTrussProblem { g, ctx };
-    let (rounds, stats) = PeelEngine::new(&problem, config).run();
-    let trussness = rounds.into_iter().map(|r| r + 2).collect();
-    TrussnessResult { index: ctx.edge_index().clone(), trussness, stats }
-}
-
-impl KTruss {
-    /// Creates the framework with the given configuration, after
-    /// applying the `KCORE_TECHNIQUES` environment override.
-    #[deprecated(since = "0.2.0", note = "use `Decomposition::ktruss(&g).config(c).run()`")]
-    pub fn new(config: Config) -> Self {
-        Self { config: config.apply_env_overrides() }
-    }
-
-    /// Creates the framework with `config` exactly as given (see
-    /// [`crate::Decomposition::exact_config`]).
-    #[deprecated(since = "0.2.0", note = "use `Decomposition::ktruss(&g).exact_config(c).run()`")]
-    pub fn with_exact_config(config: Config) -> Self {
-        Self { config }
-    }
-
-    /// The configuration this instance runs with.
-    pub fn config(&self) -> &Config {
-        &self.config
-    }
-
-    /// Decomposes `g`, returning every edge's trussness.
-    pub fn run(&self, g: &CsrGraph) -> TrussnessResult {
-        run_ktruss(g, self.config)
     }
 }
 
@@ -278,10 +220,9 @@ pub fn sequential_trussness(g: &CsrGraph) -> Vec<u32> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the shim facades stay covered until removal
-
     use super::*;
     use crate::config::Techniques;
+    use crate::{Config, Decomposition};
     use kcore_buckets::BucketStrategy;
     use kcore_graph::{gen, GraphBuilder};
 
@@ -303,7 +244,7 @@ mod tests {
     fn assert_matches_oracle(g: &CsrGraph, label: &str) {
         let want = sequential_trussness(g);
         for config in all_configs() {
-            let got = KTruss::with_exact_config(config).run(g);
+            let got = Decomposition::ktruss(g).exact_config(config).run();
             assert_eq!(
                 got.trussness(),
                 want.as_slice(),
@@ -316,17 +257,17 @@ mod tests {
 
     #[test]
     fn empty_and_edgeless() {
-        let r = KTruss::new(Config::default()).run(&CsrGraph::empty());
+        let r = Decomposition::ktruss(&CsrGraph::empty()).run();
         assert_eq!(r.num_edges(), 0);
         assert_eq!(r.max_trussness(), 0);
-        let r = KTruss::new(Config::default()).run(&GraphBuilder::new(5).build());
+        let r = Decomposition::ktruss(&GraphBuilder::new(5).build()).run();
         assert_eq!(r.num_edges(), 0);
     }
 
     #[test]
     fn triangle_free_graphs_are_all_twos() {
         for g in [gen::path(30), gen::star(20), gen::complete_bipartite(4, 6)] {
-            let r = KTruss::new(Config::default()).run(&g);
+            let r = Decomposition::ktruss(&g).run();
             assert!(r.trussness().iter().all(|&t| t == 2), "no triangles => trussness 2");
         }
     }
@@ -336,7 +277,7 @@ mod tests {
         // Every edge of K_n sits in n-2 triangles and the whole clique
         // peels in one round: trussness n for every edge.
         for n in [3usize, 5, 8] {
-            let r = KTruss::new(Config::default()).run(&gen::complete(n));
+            let r = Decomposition::ktruss(&gen::complete(n)).run();
             assert!(r.trussness().iter().all(|&t| t as usize == n), "K{n}");
             assert_eq!(r.max_trussness() as usize, n);
         }
@@ -348,7 +289,7 @@ mod tests {
         // has support 2, the outer edges support 1. All peel at round 1
         // (removing any outer edge drops the rest), trussness 3.
         let g = GraphBuilder::new(4).edges([(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]).build();
-        let r = KTruss::new(Config::default()).run(&g);
+        let r = Decomposition::ktruss(&g).run();
         assert_eq!(r.trussness(), sequential_trussness(&g).as_slice());
         assert!(r.trussness().iter().all(|&t| t == 3));
     }
@@ -367,8 +308,8 @@ mod tests {
     #[test]
     fn truss_is_deterministic() {
         let g = gen::barabasi_albert(150, 4, 2);
-        let a = KTruss::new(Config::default()).run(&g);
-        let b = KTruss::new(Config::default()).run(&g);
+        let a = Decomposition::ktruss(&g).run();
+        let b = Decomposition::ktruss(&g).run();
         assert_eq!(a.trussness(), b.trussness());
     }
 
@@ -377,7 +318,7 @@ mod tests {
         // Within the subgraph of edges with trussness >= t(e), edge e
         // must sit in >= t(e) - 2 triangles.
         let g = gen::planted_core(80, 2, 15, 5);
-        let r = KTruss::new(Config::default()).run(&g);
+        let r = Decomposition::ktruss(&g).run();
         let idx = r.edge_index();
         for e in 0..r.num_edges() as u32 {
             let t = r.trussness()[e as usize];
@@ -397,9 +338,9 @@ mod tests {
         // forcing them on must not change the output (this is what the
         // KCORE_TECHNIQUES=sampling,vgc CI leg exercises).
         let g = gen::planted_core(60, 2, 12, 3);
-        let want = KTruss::with_exact_config(Config::default()).run(&g);
-        let forced = Config::default().apply_techniques_spec("sampling,vgc");
-        let got = KTruss::with_exact_config(forced).run(&g);
+        let want = Decomposition::ktruss(&g).exact_config(Config::default()).run();
+        let forced = Config::with_techniques(Techniques::all_online());
+        let got = Decomposition::ktruss(&g).exact_config(forced).run();
         assert_eq!(got.trussness(), want.trussness());
         assert_eq!(got.stats().sampled_vertices, 0);
         assert_eq!(got.stats().resamples, 0);
@@ -408,7 +349,7 @@ mod tests {
     #[test]
     fn two_phase_subrounds_charge_two_syncs() {
         let g = gen::planted_core(60, 2, 12, 3);
-        let r = KTruss::with_exact_config(Config::default()).run(&g);
+        let r = Decomposition::ktruss(&g).exact_config(Config::default()).run();
         let s = r.stats();
         assert!(s.subrounds > 0);
         assert_eq!(s.global_syncs, 2 * s.subrounds, "settle + rule phases");

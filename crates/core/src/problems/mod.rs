@@ -1,9 +1,8 @@
 //! The peeling problems shipped on the [`crate::PeelEngine`].
 //!
-//! Each module pairs a [`crate::PeelProblem`] implementation with a
-//! public facade type mirroring the original `KCore` API (`new` /
-//! `with_exact_config` / `config` / `run`) and, where useful, a
-//! sequential oracle for testing:
+//! Each module pairs a [`crate::PeelProblem`] implementation, launched
+//! through one [`crate::Decomposition`] selector, with its result type
+//! and, where useful, a sequential oracle for testing:
 //!
 //! * [`kcore`] — vertex peeling by induced degree (the paper's
 //!   subject); unit incidence, every technique applies.
@@ -40,10 +39,11 @@
 //!    [`crate::RoundAggregates`] (unit incidences only — see
 //!    [`approx_densest`] for the worked example).
 //! 4. Assemble your result from the per-element settle rounds.
-//! 5. Wrap a facade that applies [`crate::Config::apply_env_overrides`]
-//!    — or its `_filtered` variant when your axes reject sampling or
-//!    offline — and test against a sequential oracle across all bucket
-//!    strategies (see `tests/proptest_problems.rs`).
+//! 5. Add a [`crate::Decomposition`] selector whose `run` builds the
+//!    problem and peels it; the `KCORE_TECHNIQUES` override follows
+//!    your axes on its own (sampling and offline are dropped where the
+//!    engine refuses them). Test against a sequential oracle across all
+//!    bucket strategies (see `tests/proptest_problems.rs`).
 
 pub mod approx_densest;
 pub mod densest;
@@ -51,8 +51,7 @@ pub mod kcore;
 pub mod khcore;
 pub mod ktruss;
 
-pub use approx_densest::{ApproxDensest, ApproxDensestResult, SWEPT_EPSILONS};
-pub use densest::{sequential_greedy_density, DensestResult, DensestSubgraph};
-pub use kcore::KCore;
-pub use khcore::{sequential_kh_coreness, KhCore, KhCoreResult};
-pub use ktruss::{sequential_trussness, KTruss, TrussnessResult};
+pub use approx_densest::{ApproxDensestResult, SWEPT_EPSILONS};
+pub use densest::{sequential_greedy_density, DensestResult};
+pub use khcore::{sequential_kh_coreness, KhCoreResult};
+pub use ktruss::{sequential_trussness, TrussnessResult};

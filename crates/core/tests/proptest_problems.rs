@@ -44,7 +44,8 @@ fn all_strategies() -> Vec<BucketStrategy> {
 }
 
 /// Strategy × online/offline sweep (sampling and VGC join through the
-/// `KCORE_TECHNIQUES` env legs, which `new` applies on top).
+/// `KCORE_TECHNIQUES` env legs, which `Decomposition::config` applies
+/// on top).
 fn all_configs() -> Vec<Config> {
     let mut out = Vec::new();
     for strategy in all_strategies() {

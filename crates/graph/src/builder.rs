@@ -14,7 +14,7 @@
 //! parallel counting sort by source. A one-level scatter (one cursor
 //! per vertex) touches a random cache line per arc, which loses to a
 //! cache-oblivious comparison sort on big vertex sets; so the arcs are
-//! first partitioned by *source bucket* (ranges of [`BUCKET_VERTS`]
+//! first partitioned by *source bucket* (ranges of `BUCKET_VERTS`
 //! consecutive vertices — writes stream into a few dozen cursors),
 //! then each bucket is counting-sorted with bucket-local count/offset
 //! arrays that fit in L1/L2, per-vertex sorted, and deduplicated. It

@@ -412,7 +412,7 @@ impl CompressedCsr {
     /// # Access contract
     ///
     /// The returned slice borrows a thread-local ring slot that is
-    /// recycled after [`RING`] further `neighbors` calls **on the same
+    /// recycled after `RING` further `neighbors` calls **on the same
     /// thread**. Hold at most one slice per thread at a time; for
     /// nested traversal, use [`CompressedCsr::for_each_neighbor`]
     /// (buffer-free) on the inner loop. The single-slice discipline is

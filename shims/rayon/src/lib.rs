@@ -6,8 +6,8 @@
 //! earlier revisions of this shim — which spawned scoped OS threads per
 //! operation over statically partitioned blocks — scheduling now runs
 //! on a **persistent work-stealing pool**: one Chase–Lev deque per
-//! worker ([`mod@deque`]), lazy binary splitting of index ranges, and a
-//! global injector ([`mod@registry`]). A parallel operation submits one
+//! worker (the `deque` module), lazy binary splitting of index ranges, and a
+//! global injector (the `registry` module). A parallel operation submits one
 //! task covering its whole index space; executors peel halves off onto
 //! their own deques down to a grain, so skewed workloads (power-law
 //! frontiers where a few blocks hold most of the work) rebalance by

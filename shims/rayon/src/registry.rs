@@ -79,7 +79,7 @@ pub(crate) struct WorkerCounters {
     wakes: AtomicU64,
 }
 
-/// Plain-value copy of one worker's [`WorkerCounters`].
+/// Plain-value copy of one worker's `WorkerCounters`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkerSnapshot {
     /// Tasks this worker took from a sibling's deque.
