@@ -47,6 +47,13 @@ impl FixedBuckets {
     fn rebuild(&mut self, view: &dyn PriorityView) {
         let base = self.base;
         let b = self.b;
+        // Overflow holds every live vertex at or past the new window, so
+        // the buckets have nothing to add: after the first build they
+        // hold only dead entries, and before it only early
+        // `on_decrease` files that overflow would duplicate.
+        for q in &self.buckets {
+            while q.pop().is_some() {}
+        }
         // Keep only live out-of-window vertices in overflow; in-window
         // ones move to their key's bucket.
         let keep = pack(&self.overflow, |&v| view.alive(v) && view.key(v) >= base + b);
@@ -128,7 +135,16 @@ impl BucketStructure for FixedBuckets {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{run_static_schedule, TestView};
+    use crate::testutil::{run_round_start_decreases, run_static_schedule, TestView};
+
+    #[test]
+    fn round_start_decreases_surface_once() {
+        // Width 4 rebuilds the window at rounds 0, 4 and 8; the first
+        // decreases are filed before the first build.
+        for b in [4, 16] {
+            run_round_start_decreases(|keys| FixedBuckets::new(keys, b));
+        }
+    }
 
     #[test]
     fn static_schedule_small_window() {

@@ -210,7 +210,12 @@ impl BucketStructure for HierarchicalBuckets {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{run_static_schedule, TestView};
+    use crate::testutil::{run_round_start_decreases, run_static_schedule, TestView};
+
+    #[test]
+    fn round_start_decreases_surface_once() {
+        run_round_start_decreases(HierarchicalBuckets::new);
+    }
 
     #[test]
     fn bucket_index_layout() {

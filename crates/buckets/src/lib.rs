@@ -66,6 +66,10 @@ pub trait PriorityView: Sync {
 ///   structure skip updates that do not move the element between buckets
 ///   — the step that brings HBS down to its `O(log d(v))` per-element
 ///   bound.
+/// * `on_decrease(v, old_key, new_key, k)` may also be called between
+///   rounds, before `next_frontier(k)` (a round's scheduled
+///   decrements), with `old_key > new_key >= k`. An element filed at
+///   `k` this way is in that call's frontier, exactly once.
 pub trait BucketStructure: Send + Sync {
     /// Returns every active element with priority exactly `k`.
     fn next_frontier(&mut self, k: u32, view: &dyn PriorityView) -> Vec<u32>;
@@ -246,6 +250,39 @@ pub(crate) mod testutil {
         if prev.is_some_and(|p| p >= maxk) {
             assert!(seen.iter().all(|&s| s), "some vertex never surfaced: {seen:?}");
         }
+    }
+
+    /// Files decreases *between* rounds, before each `next_frontier(k)`
+    /// (a round's scheduled decrements, including ones landing on `k`
+    /// itself and ones before the very first call), and checks that
+    /// every vertex surfaces once, at its final key.
+    pub fn run_round_start_decreases<S: super::BucketStructure>(build: impl Fn(&[u32]) -> S) {
+        let keys = [5, 3, 9, 20, 1, 30, 25];
+        let mut structure = build(&keys);
+        // Round -> (vertex, new key) filed just before that round's drain.
+        let schedule: &[(u32, &[(u32, u32)])] =
+            &[(0, &[(0, 0), (2, 2)]), (2, &[(3, 6)]), (6, &[(5, 6)]), (8, &[(6, 8)])];
+        let want = [0, 3, 2, 6, 1, 6, 8];
+        let view = TestView::new(&keys);
+        let mut seen = vec![false; keys.len()];
+        for k in 0..=30 {
+            for &(r, decreases) in schedule {
+                if r == k {
+                    for &(v, nk) in decreases {
+                        let old = view.key(v);
+                        view.set_key(v, nk);
+                        structure.on_decrease(v, old, nk, k);
+                    }
+                }
+            }
+            for v in structure.next_frontier(k, &view) {
+                assert_eq!(want[v as usize], k, "vertex {v} surfaced at wrong round {k}");
+                assert!(!seen[v as usize], "vertex {v} surfaced twice");
+                seen[v as usize] = true;
+                view.kill(v);
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "some vertex never surfaced: {seen:?}");
     }
 
     /// Drives a bucket structure through a full synthetic peeling

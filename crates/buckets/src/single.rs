@@ -74,7 +74,12 @@ impl BucketStructure for SingleBucket {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{run_static_schedule, TestView};
+    use crate::testutil::{run_round_start_decreases, run_static_schedule, TestView};
+
+    #[test]
+    fn round_start_decreases_surface_once() {
+        run_round_start_decreases(SingleBucket::new);
+    }
 
     #[test]
     fn static_schedule_surfaces_everyone_once() {

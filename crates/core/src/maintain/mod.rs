@@ -14,8 +14,9 @@
 //!    through vertices whose standing coreness lies in the batch's
 //!    confinement range (see the `region` module docs for the theorem)
 //!    — and re-peels just that induced subgraph on the work-stealing
-//!    pool, with boundary neighbors pinned to their standing coreness
-//!    by ghost elements (see the `repeel` module).
+//!    pool, with each boundary neighbor's support withdrawn at the
+//!    round of its standing coreness as a scheduled decrement (see the
+//!    `repeel` module).
 //! 3. The re-peeled values are spliced into a standing versioned
 //!    [`CorenessResult`] (copy-on-write, so readers holding
 //!    [`CorenessResult::shared`] snapshots are never torn), and
@@ -95,9 +96,10 @@ pub struct MaintainStats {
     /// Inclusive old-coreness range the confinement theorem restricted
     /// the region to.
     pub confinement: (u32, u32),
-    /// Ghost elements pinning the region's boundary (0 on the full
-    /// recompute path).
-    pub ghosts: usize,
+    /// Boundary arcs of the region (region vertex, neighbor outside),
+    /// whose withdrawals the re-peel schedules as round-start
+    /// decrements (0 on the full recompute path).
+    pub boundary_arcs: usize,
     /// Whether the region was large enough that the batch fell back to
     /// a full re-peel of the logical graph.
     pub full_recompute: bool,
@@ -128,7 +130,7 @@ impl MaintainStats {
                 ("seeds", self.seeds as u64),
                 ("candidates", self.candidates as u64),
                 ("region", self.region as u64),
-                ("ghosts", self.ghosts as u64),
+                ("boundary_arcs", self.boundary_arcs as u64),
                 ("full_recompute", self.full_recompute as u64),
                 ("compacted", self.compacted as u64),
                 ("region_nanos", self.region_nanos),
@@ -318,7 +320,7 @@ impl DynamicGraph {
         stats.confinement = (region.lo, region.hi);
 
         // An oversized region forfeits the locality win; peel the whole
-        // logical graph instead of paying for ghosts on half its arcs.
+        // logical graph instead of building a subproblem of most of it.
         stats.full_recompute = 2 * region.vertices.len() > n;
         let ((region_vertices, coreness), repeel_nanos) =
             kcore_obs::timed("maintain.repeel", || {
@@ -334,7 +336,7 @@ impl DynamicGraph {
                         &region.vertices,
                         self.config,
                     );
-                    stats.ghosts = sub.ghosts;
+                    stats.boundary_arcs = sub.boundary_arcs;
                     stats.repeel = sub.stats;
                     (Some(region.vertices), sub.coreness)
                 }
@@ -470,7 +472,7 @@ mod tests {
         dynamic.apply_batch(&[], &[(0, 1)]);
         assert_eq!(dynamic.last_stats().region, 50);
         assert!(dynamic.last_stats().full_recompute);
-        assert_eq!(dynamic.last_stats().ghosts, 0);
+        assert_eq!(dynamic.last_stats().boundary_arcs, 0);
         assert_current(&dynamic);
     }
 
@@ -523,10 +525,47 @@ mod tests {
     }
 
     #[test]
+    fn hub_heavy_batches_match_the_oracle_under_every_strategy() {
+        // A power-law graph, where a region's hubs carry most of their
+        // support across the boundary: delete 32 spread-out edges, then
+        // restore them, three times over.
+        let g = gen::rmat(10, 8, 0.57, 0.19, 0.19, 7);
+        let edges: Vec<(u32, u32)> = g.edges().collect();
+        let stride = (edges.len() / 32) | 1;
+        for strategy in [
+            kcore_buckets::BucketStrategy::Single,
+            kcore_buckets::BucketStrategy::Fixed(16),
+            kcore_buckets::BucketStrategy::Hierarchical,
+            kcore_buckets::BucketStrategy::Adaptive,
+        ] {
+            let mut dynamic = DynamicGraph::new(g.clone(), Config::with_strategy(strategy));
+            let (mut region, mut boundary_arcs) = (0, 0);
+            for start in [0usize, 11, 29] {
+                let batch: Vec<(u32, u32)> =
+                    (0..32).map(|i| edges[(start + i * stride) % edges.len()]).collect();
+                for (inserts, deletes) in [(&[][..], &batch[..]), (&batch[..], &[][..])] {
+                    dynamic.apply_batch(inserts, deletes);
+                    assert_current(&dynamic);
+                    let s = dynamic.last_stats();
+                    if !s.full_recompute {
+                        region += s.region;
+                        boundary_arcs += s.boundary_arcs;
+                    }
+                }
+            }
+            assert!(region > 0, "some batch re-peels a region under {strategy}");
+            assert!(
+                boundary_arcs > region,
+                "{boundary_arcs} boundary arcs vs {region} region vertices under {strategy}"
+            );
+        }
+    }
+
+    #[test]
     fn maintain_stats_are_populated() {
         // Two 4-cliques joined by a path; deleting an edge inside one
-        // clique re-peels exactly that clique, with ghosts pinning the
-        // path boundary.
+        // clique re-peels exactly that clique, with the path as its
+        // boundary.
         let mut b = GraphBuilder::new(10);
         for base in [0u32, 6] {
             for u in 0..4u32 {
@@ -547,7 +586,7 @@ mod tests {
         assert!(s.candidates >= s.region);
         assert_eq!(s.region, 4, "the touched clique re-peels");
         assert!(!s.full_recompute);
-        assert!(s.ghosts > 0, "an interior region has boundary arcs");
+        assert_eq!(s.boundary_arcs, 1, "the clique meets the path at one arc");
         assert!(s.repeel.rounds > 0, "RunStats must be threaded through");
         assert_current(&dynamic);
     }

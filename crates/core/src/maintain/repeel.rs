@@ -4,21 +4,26 @@
 //! Re-peeling only the affected region requires the boundary — region
 //! vertices' neighbors *outside* the region — to behave exactly as in a
 //! global peel: a neighbor `u` with (unchanged) coreness `c(u)` supports
-//! its region neighbor through round `c(u)` and withdraws its unit
-//! within that round, clamped at `c(u)`. That is precisely how a settled
-//! element behaves in the engine, so the boundary needs no new engine
-//! machinery: each boundary *arc* `(v ∈ R, u ∉ R)` becomes a **ghost
-//! element** whose incidence list is just `[v]` and whose initial
-//! priority is `c(u)` — the ghost settles in round `c(u)` and delivers
-//! the clamped decrement at exactly the right time. Ghost priorities are
-//! capped at `deg(v)`: a region vertex settles no later than round
-//! `deg(v)`, after which its ghosts' decrements hit a settled element
-//! and are ignored anyway, and the cap keeps the subproblem's round
-//! range bounded by the region's degrees.
+//! its region neighbor `v` through round `c(u)` and withdraws its unit
+//! within that round, clamped at `c(u)`. The withdrawal time is known
+//! before the peel starts, so the boundary needs no elements of its
+//! own: each boundary *arc* `(v ∈ R, u ∉ R)` becomes a **scheduled
+//! decrement** of `v` at round `c(u)`, handed to the engine through
+//! [`PeelProblem::round_decrements`]. The engine applies it clamped
+//! before the round's drain, so `v` settles in the same round the
+//! withdrawal would have put it in. Arcs with `c(u) >= deg v` are
+//! dropped: by round `deg v` the vertex has settled or is settling, so
+//! such a withdrawal can never lower it.
 //!
-//! The result is an ordinary unit-incidence [`PeelProblem`], so every
-//! bucket strategy and every Sec. 4 technique (sampling, VGC, offline
-//! histogram peeling) applies to the maintenance path unchanged.
+//! Arcs that withdraw from the same vertex in the same round collapse
+//! into one weighted decrement, so a hub with thousands of boundary
+//! leaves costs one CAS per distinct boundary coreness, not one
+//! decrement per leaf. The peel universe is exactly the
+//! region: an ordinary unit-incidence [`PeelProblem`] over the internal
+//! edges, so every bucket strategy and every Sec. 4 technique
+//! (sampling, VGC, offline histogram peeling) applies to the
+//! maintenance path unchanged. A vertex with boundary arcs starts above
+//! its internal incidence count, so sampling keeps it exact.
 
 use super::region::old_coreness;
 use crate::peel::engine::{Incidence, PeelEngine, PeelProblem, UnitIncidence};
@@ -30,22 +35,24 @@ use kcore_parallel::RunStats;
 pub(crate) struct SubsetPeel {
     /// New coreness values, parallel to the `region` slice passed in.
     pub(crate) coreness: Vec<u32>,
-    /// Ghost elements created (boundary arcs of the region).
-    pub(crate) ghosts: usize,
+    /// Boundary arcs of the region (region vertex, neighbor outside).
+    pub(crate) boundary_arcs: usize,
     /// Engine counters of the re-peel run.
     pub(crate) stats: RunStats,
 }
 
 /// The region re-indexed as a compact peel universe: region vertices
-/// take ids `0..r` (in ascending original-id order, so re-mapped
-/// adjacency stays sorted), ghosts take ids `r..`.
+/// take ids `0..r` in ascending original-id order, so re-mapped
+/// adjacency stays sorted.
 struct RegionProblem {
     offsets: Vec<usize>,
     edges: Vec<u32>,
+    /// Full degree in the logical graph: internal plus boundary arcs.
     prio: Vec<u32>,
-    /// Number of real region vertices; elements `>= region_len` are
-    /// ghosts.
-    region_len: usize,
+    /// Boundary withdrawals by round: round `p`'s `(vertex, units)`
+    /// pairs are `withdrawals[by_round[p]..by_round[p + 1]]`.
+    by_round: Vec<usize>,
+    withdrawals: Vec<(u32, u32)>,
 }
 
 impl UnitIncidence for RegionProblem {
@@ -75,9 +82,16 @@ impl PeelProblem for RegionProblem {
         Incidence::Unit(self)
     }
 
-    fn assemble(&self, mut rounds: Vec<u32>, stats: RunStats) -> Self::Output {
-        // Ghost settle rounds are scaffolding; only the region's matter.
-        rounds.truncate(self.region_len);
+    fn round_decrements(&self, k: u32, emit: &mut dyn FnMut(u32, u32)) {
+        let k = k as usize;
+        if k + 1 < self.by_round.len() {
+            for &(v, units) in &self.withdrawals[self.by_round[k]..self.by_round[k + 1]] {
+                emit(v, units);
+            }
+        }
+    }
+
+    fn assemble(&self, rounds: Vec<u32>, stats: RunStats) -> Self::Output {
         (rounds, stats)
     }
 }
@@ -98,7 +112,7 @@ pub(crate) fn peel_subset(
 ) -> SubsetPeel {
     let r = region.len();
     if r == 0 {
-        return SubsetPeel { coreness: Vec::new(), ghosts: 0, stats: RunStats::default() };
+        return SubsetPeel { coreness: Vec::new(), boundary_arcs: 0, stats: RunStats::default() };
     }
     let mut remap = vec![u32::MAX; g.num_vertices()];
     for (i, &v) in region.iter().enumerate() {
@@ -110,38 +124,65 @@ pub(crate) fn peel_subset(
     offsets.push(0usize);
     let mut edges = Vec::new();
     let mut prio = Vec::with_capacity(r);
-    // Ghost id `r + i` owns region vertex `ghost_owner[i]` with initial
-    // priority `ghost_prio[i]`.
-    let mut ghost_owner: Vec<u32> = Vec::new();
-    let mut ghost_prio: Vec<u32> = Vec::new();
+    // One `(round, vertex)` key per boundary arc that can withdraw.
+    let mut arcs = Vec::new();
     for (i, &v) in region.iter().enumerate() {
         let nbrs = g.neighbors(v);
         let deg = nbrs.len() as u32;
-        // Internal neighbors first: `region` ascending makes the remap
-        // monotone, so these stay strictly increasing.
-        edges.extend(nbrs.iter().map(|&w| remap[w as usize]).filter(|&w| w != u32::MAX));
-        // Then this vertex's ghosts: ids are assigned in increasing
-        // order and all exceed the internal range `0..r`.
         for &w in nbrs {
-            if remap[w as usize] == u32::MAX {
-                edges.push((r + ghost_owner.len()) as u32);
-                ghost_owner.push(i as u32);
-                ghost_prio.push(old_coreness(coreness, w).min(deg));
+            // `region` ascending makes the remap monotone, so internal
+            // neighbors stay strictly increasing.
+            match remap[w as usize] {
+                u32::MAX => {
+                    let p = old_coreness(coreness, w);
+                    if p < deg {
+                        arcs.push((p, i as u32));
+                    }
+                }
+                j => edges.push(j),
             }
         }
         offsets.push(edges.len());
         prio.push(deg);
     }
-    let ghosts = ghost_owner.len();
-    for owner in ghost_owner {
-        edges.push(owner);
-        offsets.push(edges.len());
-    }
-    prio.extend(ghost_prio);
 
-    let problem = RegionProblem { offsets, edges, prio, region_len: r };
+    let boundary_arcs = prio.iter().map(|&d| d as usize).sum::<usize>() - edges.len();
+    let (by_round, withdrawals) = schedule(&arcs);
+    let problem = RegionProblem { offsets, edges, prio, by_round, withdrawals };
     let (coreness, stats) = PeelEngine::new(&problem, config).run();
-    SubsetPeel { coreness, ghosts, stats }
+    SubsetPeel { coreness, boundary_arcs, stats }
+}
+
+/// Buckets `(round, vertex)` arcs, generated in ascending vertex order,
+/// into the by-round CSR of [`RegionProblem`]. A stable counting sort
+/// by round keeps each round's vertices ascending, so a vertex's arcs
+/// in one round sit together and run-length into one weighted
+/// decrement. Linear in the arcs plus the rounds they span.
+fn schedule(arcs: &[(u32, u32)]) -> (Vec<usize>, Vec<(u32, u32)>) {
+    let rounds = arcs.iter().map(|&(p, _)| p as usize + 1).max().unwrap_or(0);
+    let mut next = vec![0usize; rounds + 1];
+    for &(p, _) in arcs {
+        next[p as usize + 1] += 1;
+    }
+    for p in 0..rounds {
+        next[p + 1] += next[p];
+    }
+    let mut sorted = vec![0u32; arcs.len()];
+    for &(p, v) in arcs {
+        sorted[next[p as usize]] = v;
+        next[p as usize] += 1;
+    }
+    // `next[p]` now ends round `p`'s run of `sorted`.
+    let mut by_round = vec![0];
+    let mut withdrawals = Vec::new();
+    let mut start = 0;
+    for &end in &next[..rounds] {
+        let runs = sorted[start..end].chunk_by(|a, b| a == b);
+        withdrawals.extend(runs.map(|run| (run[0], run.len() as u32)));
+        by_round.push(withdrawals.len());
+        start = end;
+    }
+    (by_round, withdrawals)
 }
 
 #[cfg(test)]
@@ -151,7 +192,7 @@ mod tests {
     use crate::config::{Sampling, Techniques};
     use kcore_graph::{gen, GraphBuilder};
 
-    /// Full-graph subset (no ghosts) must reproduce plain k-core.
+    /// Full-graph subset (no boundary) must reproduce plain k-core.
     #[test]
     fn whole_graph_subset_matches_bz() {
         let g = gen::barabasi_albert(300, 3, 7);
@@ -159,30 +200,30 @@ mod tests {
         let region: Vec<u32> = (0..g.num_vertices() as u32).collect();
         let overlay = OverlayGraph::new(g);
         let sub = peel_subset(&overlay, &[], &region, Config::default());
-        assert_eq!(sub.ghosts, 0);
+        assert_eq!(sub.boundary_arcs, 0);
         assert_eq!(sub.coreness, want);
     }
 
     /// Re-peel one triangle of a barbell with the rest as boundary.
     #[test]
-    fn boundary_ghosts_pin_external_support() {
+    fn boundary_arcs_pin_external_support() {
         // Triangle {0,1,2} + pendant chain 2-3-4; coreness [2,2,2,1,1].
         let g = GraphBuilder::new(5).edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]).build();
         let coreness = bz_coreness(&g);
         let overlay = OverlayGraph::new(g);
-        // Region {0, 1, 2}: vertex 2 gets one ghost for neighbor 3.
+        // Region {0, 1, 2}: vertex 2 has one boundary arc, to 3.
         let sub = peel_subset(&overlay, &coreness, &[0, 1, 2], Config::default());
-        assert_eq!(sub.ghosts, 1);
+        assert_eq!(sub.boundary_arcs, 1);
         assert_eq!(sub.coreness, &[2, 2, 2]);
-        // Region {3}: two ghosts (2 and 4), both at coreness >= 1.
+        // Region {3}: two boundary arcs (2 and 4), both at coreness >= 1.
         let sub = peel_subset(&overlay, &coreness, &[3], Config::default());
-        assert_eq!(sub.ghosts, 2);
+        assert_eq!(sub.boundary_arcs, 2);
         assert_eq!(sub.coreness, &[1]);
     }
 
     /// Every region of every size must agree with global coreness when
     /// the boundary is exact — sweep contiguous windows of a random
-    /// graph under all bucket strategies.
+    /// graph under all bucket strategies and every peel design.
     #[test]
     fn arbitrary_regions_with_exact_boundaries_match_global() {
         let g = gen::erdos_renyi(60, 150, 5);
@@ -197,30 +238,83 @@ mod tests {
                     kcore_buckets::BucketStrategy::Hierarchical,
                     kcore_buckets::BucketStrategy::Adaptive,
                 ] {
-                    let config = Config { bucket_strategy: strategy, ..Config::default() };
-                    let sub = peel_subset(&overlay, &want, &region, config);
-                    let got: Vec<u32> = sub.coreness;
-                    let expect: Vec<u32> = region.iter().map(|&v| want[v as usize]).collect();
-                    assert_eq!(got, expect, "window {start}+{len} under {strategy}");
+                    for techniques in
+                        [Techniques::default(), Techniques::all_online(), Techniques::offline()]
+                    {
+                        let config =
+                            Config { bucket_strategy: strategy, techniques, ..Config::default() };
+                        let sub = peel_subset(&overlay, &want, &region, config);
+                        let expect: Vec<u32> = region.iter().map(|&v| want[v as usize]).collect();
+                        assert_eq!(
+                            sub.coreness, expect,
+                            "window {start}+{len} under {strategy}, {techniques:?}"
+                        );
+                    }
                 }
             }
         }
     }
 
-    /// Ghosts carry a priority (the boundary coreness) above their
-    /// one-element incidence list, so sampling must leave them exact: a
-    /// recount would settle them rounds early.
+    /// A boundary at coreness 0 withdraws before round 0's drain, so the
+    /// region peels exactly as its induced subgraph, whichever bucket
+    /// structure files the round-0 decrements.
     #[test]
-    fn ghosts_stay_out_of_sample_mode() {
+    fn zero_coreness_boundary_leaves_the_induced_subgraph() {
+        let g = gen::barabasi_albert(200, 3, 7);
+        let region: Vec<u32> = (0..100).collect();
+        let induced = GraphBuilder::new(100).edges(g.edges().filter(|&(u, v)| u < 100 && v < 100));
+        let want = bz_coreness(&induced.build());
+        let overlay = OverlayGraph::new(g);
+        for strategy in [
+            kcore_buckets::BucketStrategy::Single,
+            kcore_buckets::BucketStrategy::Fixed(16),
+            kcore_buckets::BucketStrategy::Hierarchical,
+            kcore_buckets::BucketStrategy::Adaptive,
+        ] {
+            let sub = peel_subset(&overlay, &[], &region, Config::with_strategy(strategy));
+            assert!(sub.boundary_arcs > 0);
+            assert_eq!(sub.coreness, want, "under {strategy}");
+        }
+    }
+
+    /// Boundary support raises a region vertex's priority above its
+    /// internal incidence list, so sampling must leave it exact: a
+    /// recount would see only the internal neighbors and settle it
+    /// rounds early.
+    #[test]
+    fn boundary_support_stays_out_of_sample_mode() {
         let g = gen::complete(20);
         let want = bz_coreness(&g);
         let overlay = OverlayGraph::new(g);
         let techniques =
             Techniques { sampling: Some(Sampling::with_threshold(4)), ..Default::default() };
         let sub = peel_subset(&overlay, &want, &[0], Config::with_techniques(techniques));
-        assert_eq!(sub.ghosts, 19);
+        assert_eq!(sub.boundary_arcs, 19);
         assert_eq!(sub.coreness, &[19]);
-        assert_eq!(sub.stats.sampled_vertices, 1, "only the region vertex samples");
+        assert_eq!(sub.stats.sampled_vertices, 0, "priority 19 over no internal incidences");
         assert_eq!(sub.stats.restarts, 0);
+    }
+
+    #[test]
+    fn schedule_buckets_by_round_and_merges_runs() {
+        // Arcs arrive in ascending vertex order, rounds in any order.
+        let (by_round, withdrawals) = schedule(&[(2, 0), (1, 0), (2, 0), (2, 1), (0, 3), (4, 3)]);
+        assert_eq!(by_round, [0, 1, 2, 4, 4, 5], "round 3 is empty");
+        assert_eq!(withdrawals, [(3, 1), (0, 1), (0, 2), (1, 1), (3, 1)]);
+        assert_eq!(schedule(&[]), (vec![0], vec![]));
+    }
+
+    /// Withdrawals from one vertex in one round collapse into a single
+    /// weighted decrement: a star's hub keeps 3 of its leaves in the
+    /// region and withdraws the other 40 (all coreness 1) in round 1.
+    #[test]
+    fn same_round_withdrawals_collapse_into_one_decrement() {
+        let g = gen::star(44);
+        let want = bz_coreness(&g);
+        let overlay = OverlayGraph::new(g);
+        let sub = peel_subset(&overlay, &want, &[0, 1, 2, 3], Config::default());
+        assert_eq!(sub.boundary_arcs, 40);
+        assert_eq!(sub.coreness, &[1, 1, 1, 1]);
+        assert_eq!(sub.stats.work, 4 + 6 + 1, "4 settles, 6 internal arcs, 1 scheduled pair");
     }
 }

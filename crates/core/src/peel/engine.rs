@@ -9,8 +9,9 @@
 //!
 //! * [`PeelProblem`] — the plug-in surface: universe size, initial
 //!   priorities, the update rule (an [`Incidence`]), the round
-//!   structure (a [`RoundPolicy`]), an optional per-settle action, and
-//!   result assembly. The clients live in [`crate::problems`].
+//!   structure (a [`RoundPolicy`]), an optional per-settle action,
+//!   optional scheduled decrements, and result assembly. The clients
+//!   live in [`crate::problems`].
 //! * [`PeelEngine`] — owns everything else: one round/subround loop,
 //!   the hash-bag frontier, the pluggable bucket structure with its
 //!   adaptive upgrade, and sampling's Las-Vegas restart loop.
@@ -22,7 +23,10 @@
 //! it settle this round) and drains the bucket structure.
 //!
 //! * [`RoundPolicy::MinBucket`] — round `k` takes every element of
-//!   priority exactly `k`, and the clamp is `k`.
+//!   priority exactly `k`, and the clamp is `k`. Before the drain, the
+//!   round applies the problem's scheduled decrements for `k`
+//!   ([`PeelProblem::round_decrements`]; weighted and clamped, so the
+//!   elements they bring down to `k` join the round's first frontier).
 //! * [`RoundPolicy::Threshold`] — the policy computes a threshold `t`
 //!   from the live [`RoundAggregates`], the bucket structure drains
 //!   everything at or below `t` in one step
@@ -342,6 +346,25 @@ pub trait PeelProblem: Sync {
         RoundPolicy::MinBucket
     }
 
+    /// Scheduled decrements for round `k`: calls `emit(e, units)` to
+    /// lower element `e` by `units` as the round opens. Default: none.
+    ///
+    /// Only [`RoundPolicy::MinBucket`] rounds ask; threshold rounds
+    /// never call this. The engine applies each pair after the round's
+    /// clamp is fixed and before the bucket drain, through the same CAS
+    /// clamp as every other decrement: settled elements and elements
+    /// already at `k` are untouched, and an element lowered to `k`
+    /// surfaces in this round's first frontier. This models incidences
+    /// outside the universe whose withdrawal time is known in advance
+    /// (a re-peel's boundary: a neighbor of standing coreness `c`
+    /// withdraws in round `c`). Sampling recounts priorities from the
+    /// incidence lists alone, so an element named here must start above
+    /// its incidence count, which keeps it out of sample mode.
+    #[inline]
+    fn round_decrements(&self, k: u32, emit: &mut dyn FnMut(u32, u32)) {
+        let _ = (k, emit);
+    }
+
     /// Settle action: invoked as element `e` settles at round `k`,
     /// possibly from parallel workers (keep it cheap and thread-safe).
     /// Default: no extra action beyond the engine's bookkeeping.
@@ -554,10 +577,11 @@ fn peel<P: PeelProblem>(
 /// Each round the frontier source fixes the round's clamp and drains
 /// the bucket structure: [`RoundPolicy::MinBucket`] takes exactly the
 /// minimum live priority, [`RoundPolicy::Threshold`] takes everything
-/// at or below the policy's threshold in one bulk step. The `step` then
-/// peels frontier after frontier until the round is exhausted; each
-/// subround's frontier is what the previous one dragged down to the
-/// clamp. Settle rounds record the round *index*.
+/// at or below the policy's threshold in one bulk step. Between the two,
+/// a `MinBucket` round applies the problem's scheduled decrements. The
+/// `step` then peels frontier after frontier until the round is
+/// exhausted; each subround's frontier is what the previous one dragged
+/// down to the clamp. Settle rounds record the round *index*.
 ///
 /// Survivors always end a round with priority above the clamp (the
 /// clamp only ever stops a decrement exactly at it, and elements that
@@ -610,6 +634,21 @@ fn rounds<P: PeelProblem, S: Step>(
                 policy.threshold(&agg).max(floor)
             }
         };
+        if let RoundPolicy::MinBucket = source {
+            let mut scheduled = 0u64;
+            problem.round_decrements(clamp, &mut |e, units| {
+                scheduled += 1;
+                let slot = &prio[e as usize];
+                if let Some((prev, stored)) =
+                    clamped_update(slot, clamp, |d| d.saturating_sub(units))
+                {
+                    bucket.on_decrease(e, prev, stored, clamp);
+                }
+            });
+            if collect_stats {
+                stats.work += scheduled;
+            }
+        }
         let mut frontier = {
             let _drain = span!("bucket.drain", clamp);
             match source {

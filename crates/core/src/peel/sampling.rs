@@ -127,7 +127,8 @@ impl SamplingState {
     /// priority reaches the threshold; `None` when no element qualifies
     /// (the run then skips the sampling hooks entirely). An element
     /// whose initial priority is not its incidence count (a re-peel's
-    /// boundary ghost) stays exact: recounts measure incidences.
+    /// region vertex with support from outside the region) stays exact:
+    /// recounts measure incidences.
     pub(crate) fn build(
         inc: &dyn UnitIncidence,
         init_priorities: &[u32],

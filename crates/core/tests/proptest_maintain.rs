@@ -3,11 +3,12 @@
 //! growth), random deletes of real edges, and no-op changes mixed in —
 //! the maintained coreness must be bit-identical to a full
 //! Batagelj–Zaveršnik recompute on a fresh CSR snapshot of the logical
-//! graph, at every version, for every bucket strategy. The affected
+//! graph, at every version, for every bucket strategy under the plain,
+//! full online (sampling + VGC) and offline peel designs. The affected
 //! region must stay within the vertex universe throughout.
 
 use kcore::bz::bz_coreness;
-use kcore::{BucketStrategy, Config, DynamicGraph};
+use kcore::{BucketStrategy, Config, DynamicGraph, Techniques};
 use kcore_graph::{CsrGraph, GraphBuilder, VertexId};
 use proptest::prelude::*;
 
@@ -56,8 +57,14 @@ fn resolve_deletes(dg: &DynamicGraph, picks: &[u64]) -> Vec<(u32, u32)> {
 
 /// The shim's prop_assert macros are plain asserts (no shrinking), so a
 /// panicking helper loses nothing.
-fn replay_and_check(base: &CsrGraph, batches: &[Batch], strategy: BucketStrategy) {
-    let mut dg = DynamicGraph::new(base.clone(), Config::with_strategy(strategy));
+fn replay_and_check(
+    base: &CsrGraph,
+    batches: &[Batch],
+    strategy: BucketStrategy,
+    techniques: Techniques,
+) {
+    let config = Config { bucket_strategy: strategy, techniques, ..Config::default() };
+    let mut dg = DynamicGraph::new(base.clone(), config);
     assert_eq!(dg.coreness(), bz_coreness(base).as_slice(), "construction under {strategy}");
     for (inserts, delete_picks) in batches {
         let deletes = resolve_deletes(&dg, delete_picks);
@@ -67,7 +74,7 @@ fn replay_and_check(base: &CsrGraph, batches: &[Batch], strategy: BucketStrategy
         assert_eq!(
             dg.coreness(),
             want.as_slice(),
-            "version {version:?} under {strategy} diverged from the BZ oracle"
+            "version {version:?} under {strategy}, {techniques:?} diverged from the BZ oracle"
         );
         let stats = dg.last_stats();
         assert!(
@@ -87,7 +94,11 @@ proptest! {
         batches in arb_batches(),
     ) {
         for strategy in all_strategies() {
-            replay_and_check(&base, &batches, strategy);
+            for techniques in
+                [Techniques::default(), Techniques::all_online(), Techniques::offline()]
+            {
+                replay_and_check(&base, &batches, strategy, techniques);
+            }
         }
     }
 

@@ -24,7 +24,8 @@
 //! * [`TriangleCtx`] — the k-truss setup: a **fused one-pass build** of
 //!   the [`EdgeIndex`], the oriented arcs annotated with edge ids, the
 //!   per-edge supports (computed from the oriented view, replacing the
-//!   full re-intersection), and — below [`TRI_CACHE_MAX_PAIRS`] — the
+//!   full re-intersection), and — when an upper bound on the triangle
+//!   count fits under [`TRI_CACHE_MAX_PAIRS`] — the
 //!   **triangle cache**, a CSR of each edge's companion edge-id pairs
 //!   counting-sorted from the same discovery sweep, which turns the
 //!   peel's per-death enumeration into a flat array walk. Lazily built
@@ -220,17 +221,22 @@ pub struct TriangleCtx {
     supports: Vec<u32>,
     /// Triangle cache in CSR form: `tri_offsets[e]..tri_offsets[e + 1]`
     /// indexes `tri_pairs` with edge `e`'s companion pairs. Empty when
-    /// the cache was not materialized (above [`TRI_CACHE_MAX_PAIRS`]).
+    /// the cache was not materialized (the triangle bound exceeded
+    /// [`TRI_CACHE_MAX_PAIRS`]).
     tri_offsets: Box<[u32]>,
     tri_pairs: Box<[[u32; 2]]>,
     hubs: Box<[OnceLock<HubMap>]>,
     kernel: TriKernel,
 }
 
-/// Upper bound on materialized triangle-cache entries (`3 ·
-/// #triangles`). The cache costs `O(#triangles)` space, which can dwarf
-/// `O(m)` on dense graphs; past this bound [`TriangleCtx`] skips the
-/// cache and the k-truss peel re-enumerates per death through the
+/// Cap on triangle-cache entries (`3 · #triangles` companion pairs).
+/// The cache costs `O(#triangles)` space, which can dwarf `O(m)` on
+/// dense graphs. [`TriangleCtx`] decides before it counts: it
+/// materializes the cache only when three times the upper bound
+/// Σ min(|N⁺(u)|, |N⁺(v)|) over the oriented arcs fits under this cap.
+/// The bound can exceed the true triangle count several times over, so
+/// a graph whose exact pair count is well below the cap can still skip
+/// the cache; the k-truss peel then re-enumerates per death through the
 /// intersection kernels instead.
 pub const TRI_CACHE_MAX_PAIRS: usize = 1 << 24;
 
@@ -500,7 +506,7 @@ impl TriangleCtx {
     /// edge-id pair per triangle containing `e`. Pair order within the
     /// list (and within a pair) is unspecified — consumers must be
     /// order-insensitive, which the snapshot decrement rule is. `None`
-    /// when the cache was not materialized (the graph exceeded
+    /// when the cache was not materialized (the triangle bound exceeded
     /// [`TRI_CACHE_MAX_PAIRS`]); callers then fall back to
     /// [`Self::for_each_triangle_of_edge`].
     #[inline]
