@@ -26,10 +26,6 @@ pub struct Config {
     /// How per-round initial frontiers are produced (the third axis of
     /// the paper's Tab. 3 ablation).
     pub bucket_strategy: BucketStrategy,
-    /// Round at which [`BucketStrategy::Adaptive`] switches from the
-    /// flat active array to HBS (the paper's θ; Sec. 5.3). Ignored by
-    /// the other strategies.
-    pub adaptive_theta: u32,
     /// Whether to fill [`kcore_parallel::RunStats`] (rounds, subrounds,
     /// work, burdened span). Cheap relative to the peeling itself, so
     /// on by default; benchmarks can turn it off.
@@ -43,7 +39,6 @@ impl Default for Config {
     fn default() -> Self {
         Self {
             bucket_strategy: BucketStrategy::Adaptive,
-            adaptive_theta: 16,
             collect_stats: true,
             techniques: Techniques::default(),
         }
@@ -90,10 +85,10 @@ impl Techniques {
         }
     }
 
-    /// Offline histogram peeling with default parameters (sampling and
-    /// VGC are online-only and stay off).
+    /// Offline histogram peeling (sampling and VGC are online-only and
+    /// stay off).
     pub fn offline() -> Self {
-        Self { sampling: None, vgc: None, mode: PeelMode::Offline(Offline::default()) }
+        Self { sampling: None, vgc: None, mode: PeelMode::Offline }
     }
 }
 
@@ -105,8 +100,11 @@ pub enum PeelMode {
     Online,
     /// Julienne-style offline peeling: per subround, gather the
     /// frontier's neighborhood, histogram it, and apply bulk decrements
-    /// — no per-edge atomics, more global synchronizations.
-    Offline(Offline),
+    /// — no per-edge atomics, more global synchronizations. The
+    /// histogram picks atomic counting or sort + run-length encode from
+    /// the gathered list's density
+    /// ([`kcore_parallel::histogram::histogram_auto`]).
+    Offline,
 }
 
 /// Parameters of the sampling scheme (Sec. 4.1).
@@ -117,14 +115,15 @@ pub enum PeelMode {
 /// count of *sampled* incident edges — each edge is in the sample with
 /// probability `2^-rate_log2`, decided by a deterministic hash of the
 /// endpoints and [`Sampling::seed`]. Removals of sampled edges decrement
-/// the counter (clamped at zero); when the counter crosses a watermark
-/// near the current round, the vertex is exactly re-counted
-/// ([`kcore_parallel::RunStats::resamples`]). A vertex in sample mode is
-/// only ever peeled after an exact recount confirms its induced degree,
-/// and an undershoot discovered in a round's initial frontier (the
-/// vertex should have been peeled earlier — the frontier is *polluted*)
-/// triggers a Las-Vegas restart without sampling
-/// ([`kcore_parallel::RunStats::restarts`], expected 0).
+/// the counter; when it crosses a trigger watermark near the current
+/// round, the vertex is exactly re-counted mid-round
+/// ([`kcore_parallel::RunStats::resamples`]). The watermark only
+/// schedules those early recounts and is not a correctness bound: when
+/// a round's frontier drains, every live sample-mode vertex that lost a
+/// neighbour and could reach the round is recounted exactly
+/// ([`kcore_parallel::RunStats::validate_calls`]). So every round starts
+/// with every live vertex's stored priority exact or an upper bound at
+/// or above the round, and every sample-mode settle is exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Sampling {
     /// Minimum initial degree for a vertex to enter sample mode.
@@ -132,24 +131,13 @@ pub struct Sampling {
     /// Sampling rate exponent: each edge is sampled with probability
     /// `2^-rate_log2`.
     pub rate_log2: u32,
-    /// Additive slack on the recount watermarks. Larger slack means
-    /// earlier recounts (more exact work, smaller failure probability).
-    pub slack: u32,
-    /// End-of-round validation policy.
-    pub validation: Validation,
     /// Seed of the deterministic edge-sampling hash.
     pub seed: u64,
 }
 
 impl Default for Sampling {
     fn default() -> Self {
-        Self {
-            threshold: 128,
-            rate_log2: 2,
-            slack: 32,
-            validation: Validation::Full,
-            seed: 0x9E37_79B9_7F4A_7C15,
-        }
+        Self { threshold: 128, rate_log2: 2, seed: 0x9E37_79B9_7F4A_7C15 }
     }
 }
 
@@ -160,30 +148,6 @@ impl Sampling {
     pub fn with_threshold(threshold: u32) -> Self {
         Self { threshold, ..Self::default() }
     }
-}
-
-/// How sample-mode vertices are validated at the end of each round.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Validation {
-    /// Exactly re-count, when a round's frontier drains, every live
-    /// sample-mode vertex that could settle in it. Deterministically
-    /// exact: the round-start invariant "every live vertex has induced
-    /// degree > k" is verified outright. Two skips keep it cheap without
-    /// weakening that. A vertex with no neighbour removed since its last
-    /// recount has an exact stored priority. A vertex whose sampled
-    /// counter exceeds `k` has more than `k` live neighbours, since the
-    /// counter counts a subset of them. So the extra work is one
-    /// `O(d(v))` walk per hub per round that both lost a neighbour and
-    /// could reach `k`, not one per hub per round. The default, and the
-    /// mode the oracle test matrix runs.
-    #[default]
-    Full,
-    /// Re-count only vertices whose sampled counter sits below the
-    /// validation watermark — the paper's fast path. Correct with high
-    /// probability; a miss that surfaces in a later round's frontier is
-    /// caught by the frontier recount and repaired by a Las-Vegas
-    /// restart with sampling disabled.
-    Watermark,
 }
 
 /// Parameters of vertical granularity control (Sec. 4.2).
@@ -202,29 +166,6 @@ impl Default for Vgc {
     }
 }
 
-/// Parameters of the offline (Julienne-style) driver.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Offline {
-    /// Which histogram implementation counts the gathered neighborhood.
-    pub histogram: HistogramKind,
-}
-
-/// Histogram implementation selector for offline peeling (see
-/// [`kcore_parallel::histogram`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum HistogramKind {
-    /// Pick per subround: atomic counting when the gathered list is
-    /// dense relative to the vertex set, sort + run-length encode
-    /// otherwise.
-    #[default]
-    Auto,
-    /// Always parallel sort + run-length encode (`O(t log t)` work).
-    Sort,
-    /// Always atomic counting into a vertex-indexed array
-    /// (`O(t + n)` work).
-    Atomic,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,7 +178,6 @@ mod tests {
     fn defaults_match_the_papers_final_design() {
         let c = Config::default();
         assert_eq!(c.bucket_strategy, BucketStrategy::Adaptive);
-        assert_eq!(c.adaptive_theta, 16);
         assert!(c.collect_stats);
         // Techniques are opt-in: the default config is the plain
         // framework (the ablation baseline).
@@ -251,7 +191,7 @@ mod tests {
     fn with_strategy_overrides_only_the_strategy() {
         let c = Config::with_strategy(BucketStrategy::Fixed(16));
         assert_eq!(c.bucket_strategy, BucketStrategy::Fixed(16));
-        assert_eq!(c.adaptive_theta, Config::default().adaptive_theta);
+        assert_eq!(c.collect_stats, Config::default().collect_stats);
     }
 
     #[test]
@@ -260,20 +200,19 @@ mod tests {
         assert!(t.sampling.is_some());
         assert!(t.vgc.is_some());
         assert_eq!(t.mode, PeelMode::Online);
-        assert_eq!(t.sampling.unwrap().validation, Validation::Full);
     }
 
     #[test]
     fn offline_preset_selects_the_offline_driver() {
         let t = Techniques::offline();
-        assert!(matches!(t.mode, PeelMode::Offline(_)));
+        assert_eq!(t.mode, PeelMode::Offline);
         assert!(t.sampling.is_none());
     }
 
     #[test]
     fn with_techniques_overrides_only_techniques() {
         let c = Config::with_techniques(Techniques::offline());
-        assert!(matches!(c.techniques.mode, PeelMode::Offline(_)));
+        assert_eq!(c.techniques.mode, PeelMode::Offline);
         assert_eq!(c.bucket_strategy, Config::default().bucket_strategy);
     }
 
@@ -295,7 +234,7 @@ mod tests {
         let c = kcore_apply(Config::default(), "all,offline");
         assert!(c.techniques.sampling.is_some());
         assert!(c.techniques.vgc.is_some());
-        assert!(matches!(c.techniques.mode, PeelMode::Offline(_)));
+        assert_eq!(c.techniques.mode, PeelMode::Offline);
 
         // Empty spec and stray separators are no-ops.
         assert_eq!(kcore_apply(Config::default(), " , "), Config::default());
@@ -305,17 +244,17 @@ mod tests {
     fn techniques_spec_does_not_downgrade_explicit_settings() {
         // A config that already sets a technique keeps its parameters;
         // the spec only fills gaps.
-        let sampling = Sampling::with_threshold(7);
-        let offline = Offline { histogram: HistogramKind::Sort };
+        let sampling = Sampling { threshold: 7, rate_log2: 3, seed: 11 };
+        let vgc = Vgc { chain_limit: 5 };
         let base = Config::with_techniques(Techniques {
             sampling: Some(sampling),
-            mode: PeelMode::Offline(offline),
-            ..Techniques::default()
+            vgc: Some(vgc),
+            mode: PeelMode::Online,
         });
         let c = kcore_apply(base, "sampling,vgc,offline");
         assert_eq!(c.techniques.sampling, Some(sampling));
-        assert_eq!(c.techniques.mode, PeelMode::Offline(offline));
-        assert!(c.techniques.vgc.is_some());
+        assert_eq!(c.techniques.vgc, Some(vgc));
+        assert_eq!(c.techniques.mode, PeelMode::Offline);
     }
 
     #[test]

@@ -197,10 +197,10 @@ impl<'g, G: GraphBackend> Decomposition<'g, KcoreSpec, G> {
 
     /// Membership of the `k`-core (`true` = coreness `>= k`), computed
     /// directly by offline range peeling — much cheaper than a full
-    /// decomposition when only one core is needed. Only the staged
-    /// offline block (histogram kind) is read.
+    /// decomposition when only one core is needed. The staged config
+    /// is not read.
     pub fn members(self, k: u32) -> Vec<bool> {
-        kcore::members(self.g, &self.config, k)
+        kcore::members(self.g, k)
     }
 }
 

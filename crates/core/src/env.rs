@@ -20,7 +20,7 @@
 //! backend type; resolving it here would put `&dyn GraphBackend` in the
 //! peel's inner loop.
 
-use crate::config::{Offline, PeelMode, Sampling, Vgc};
+use crate::config::{PeelMode, Sampling, Vgc};
 use crate::peel::engine::{admits_sampling_and_offline, PeelProblem};
 use crate::Config;
 use std::sync::OnceLock;
@@ -76,7 +76,7 @@ pub(crate) fn apply(mut config: Config, spec: Spec, problem: &impl PeelProblem) 
         techniques.vgc.get_or_insert_with(Vgc::default);
     }
     if spec.offline && refinable && techniques.mode == PeelMode::Online {
-        techniques.mode = PeelMode::Offline(Offline::default());
+        techniques.mode = PeelMode::Offline;
     }
     config
 }
@@ -100,7 +100,7 @@ mod tests {
             parse("sampling,vgc,offline"),
             &KTrussProblem { g: &g, ctx: &ctx },
         );
-        assert_eq!(c.techniques.mode, PeelMode::Offline(Offline::default()));
+        assert_eq!(c.techniques.mode, PeelMode::Offline);
         assert!(c.techniques.sampling.is_some());
         assert!(c.techniques.vgc.is_some());
     }

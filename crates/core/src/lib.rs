@@ -38,10 +38,11 @@
 //!
 //! * **Sampling** ([`Sampling`], Sec. 4.1) — high-priority elements
 //!   track an approximate priority over a hashed incidence sample,
-//!   shedding decrement contention on hubs; exact recounts at every
-//!   peel decision keep the output oracle-identical, and an undershoot
-//!   that pollutes a frontier triggers a Las-Vegas restart.
-//!   Unit-incidence problems only.
+//!   shedding decrement contention on hubs. Exact recounts whenever a
+//!   round's frontier drains keep every live hub's stored priority an
+//!   upper bound at or above the next round, so every hub settle is
+//!   exact and the output oracle-identical. Unit-incidence problems
+//!   only.
 //! * **Vertical granularity control** ([`Vgc`], Sec. 4.2) — workers
 //!   chase local peel chains sequentially instead of bouncing every
 //!   frontier hit through the hash bag, collapsing the tiny subrounds
@@ -90,7 +91,7 @@ mod peel;
 mod problems;
 mod result;
 
-pub use config::{Config, HistogramKind, Offline, PeelMode, Sampling, Techniques, Validation, Vgc};
+pub use config::{Config, PeelMode, Sampling, Techniques, Vgc};
 pub use decomposition::{
     ApproxDensestSpec, Decomposition, DensestSpec, KcoreSpec, KhCoreSpec, KtrussSpec,
 };

@@ -292,7 +292,6 @@ mod tests {
         assert_eq!(sub.boundary_arcs, 19);
         assert_eq!(sub.coreness, &[19]);
         assert_eq!(sub.stats.sampled_vertices, 0, "priority 19 over no internal incidences");
-        assert_eq!(sub.stats.restarts, 0);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   live in [`crate::problems`].
 //! * [`PeelEngine`] — owns everything else: one round/subround loop,
 //!   the hash-bag frontier, the pluggable bucket structure with its
-//!   adaptive upgrade, and sampling's Las-Vegas restart loop.
+//!   adaptive upgrade, and the sampling and VGC hooks.
 //!
 //! The loop is parameterized by two things.
 //!
@@ -42,8 +42,8 @@
 //!   settles and decrements its incident elements in one task, since
 //!   atomic clamped unit decrements over static lists commute. One
 //!   global sync per subround; VGC chases local chains inside the task,
-//!   and sampling approximates hub priorities, validated at round start
-//!   and round end (the only way a run can abort and restart).
+//!   and sampling approximates hub priorities, recounted exactly at
+//!   round end so every round-start claim is exact.
 //! * *two-phase* — [`Incidence::Snapshot`] and [`Incidence::Recompute`]
 //!   online: stamp the whole frontier settled, barrier, then evaluate
 //!   the problem's rule against the frozen [`SettleView`]. A snapshot
@@ -67,12 +67,13 @@
 
 use super::sampling::SamplingState;
 use super::{offline, vgc};
-use crate::config::{HistogramKind, PeelMode};
+use crate::config::PeelMode;
 use crate::Config;
 use kcore_buckets::{BucketStrategy, BucketStructure, HierarchicalBuckets, PriorityView};
 use kcore_check::sync::atomic::{AtomicU32, Ordering};
 use kcore_graph::GraphBackend;
 use kcore_obs::span;
+use kcore_parallel::histogram::histogram_auto;
 use kcore_parallel::primitives::pack_index;
 use kcore_parallel::{HashBag, RunStats, TechniqueCounters};
 use rayon::prelude::*;
@@ -95,12 +96,6 @@ impl PriorityView for LiveView<'_> {
         self.settled[v as usize].load(Ordering::Relaxed) == UNSET
     }
 }
-
-/// Error raised when a round's initial frontier contains a sample-mode
-/// element whose exact priority is *below* the round — the element
-/// should have been peeled earlier, so every settle since is suspect.
-/// The run is repeated without sampling (Las-Vegas recovery).
-pub(crate) struct Polluted;
 
 /// Unit-decrement incidence: `incident(e)` lists the elements whose
 /// settling costs `e` exactly one priority unit each (and vice versa —
@@ -396,11 +391,9 @@ impl<'p, P: PeelProblem> PeelEngine<'p, P> {
         Self { problem, config }
     }
 
-    /// Peels the whole universe and assembles the problem's result.
-    ///
-    /// Sampling's Las-Vegas restart loop lives here: a polluted
-    /// frontier aborts the attempt and the run repeats with sampling
-    /// disabled ([`RunStats::restarts`] counts the aborts).
+    /// Peels the whole universe once and assembles the problem's
+    /// result. Every technique is exact, so a run never restarts
+    /// ([`RunStats::restarts`] stays 0).
     ///
     /// # Panics
     ///
@@ -415,31 +408,18 @@ impl<'p, P: PeelProblem> PeelEngine<'p, P> {
         if self.problem.num_elements() == 0 {
             return self.problem.assemble(Vec::new(), RunStats::default());
         }
-        let mut config = self.config;
-        let mut restarts = 0u64;
-        loop {
-            let mut stats = RunStats::default();
-            let attempt = {
-                // Run-root span, named after the problem (one per
-                // Las-Vegas attempt); round/subround spans nest inside.
-                let _run = kcore_obs::SpanGuard::begin_dyn(
-                    self.problem.name(),
-                    self.problem.num_elements() as u64,
-                );
-                peel(&config, self.problem, &mut stats)
-            };
-            match attempt {
-                Ok(rounds) => {
-                    stats.restarts = restarts;
-                    stats.publish_metrics();
-                    return self.problem.assemble(rounds, stats);
-                }
-                Err(Polluted) => {
-                    restarts += 1;
-                    config.techniques.sampling = None;
-                }
-            }
-        }
+        let mut stats = RunStats::default();
+        let rounds = {
+            // Run-root span, named after the problem; round/subround
+            // spans nest inside.
+            let _run = kcore_obs::SpanGuard::begin_dyn(
+                self.problem.name(),
+                self.problem.num_elements() as u64,
+            );
+            peel(&self.config, self.problem, &mut stats)
+        };
+        stats.publish_metrics();
+        self.problem.assemble(rounds, stats)
     }
 }
 
@@ -491,7 +471,7 @@ pub(crate) fn validate_combination(
     if config.techniques.sampling.is_some() {
         panic!("{axis} does not support the sampling technique ({VALID})");
     }
-    if matches!(config.techniques.mode, PeelMode::Offline(_)) {
+    if config.techniques.mode == PeelMode::Offline {
         panic!("{axis} does not support the offline driver ({VALID})");
     }
 }
@@ -500,11 +480,7 @@ pub(crate) fn validate_combination(
 /// incidence and runs the round loop with it; the frontier source is
 /// the problem's [`RoundPolicy`]. [`validate_combination`] has already
 /// rejected the pairings no step can honor.
-fn peel<P: PeelProblem>(
-    config: &Config,
-    problem: &P,
-    stats: &mut RunStats,
-) -> Result<Vec<u32>, Polluted> {
+fn peel<P: PeelProblem>(config: &Config, problem: &P, stats: &mut RunStats) -> Vec<u32> {
     let n = problem.num_elements();
     let init = problem.init_priorities();
     match (config.techniques.mode, problem.incidence()) {
@@ -545,32 +521,34 @@ fn peel<P: PeelProblem>(
             });
             rounds(config, problem, init, step, stats)
         }
-        (PeelMode::Offline(off), Incidence::Unit(inc)) => {
+        (PeelMode::Offline, Incidence::Unit(inc)) => {
             // Unit incidences read liveness from `settled`, so they need
             // no stamps; they charge the frontier's full incident lists
             // (the gather scans them all, live or not).
-            let step =
-                OfflineStep::new(off.histogram, Stamps::none(), move |frontier, _, settled, _| {
-                    let arcs = frontier.iter().map(|&v| inc.num_incident(v) as u64).sum();
-                    (offline::gather_live(inc, frontier, settled), arcs)
-                });
+            let step = OfflineStep::new(Stamps::none(), move |frontier, _, settled, _| {
+                let arcs = frontier.iter().map(|&v| inc.num_incident(v) as u64).sum();
+                (offline::gather_live(inc, frontier, settled), arcs)
+            });
             rounds(config, problem, init, step, stats)
         }
-        (PeelMode::Offline(off), Incidence::Snapshot(rule)) => {
+        (PeelMode::Offline, Incidence::Snapshot(rule)) => {
             // Snapshot rules charge the decrement list they emit.
-            let step =
-                OfflineStep::new(off.histogram, Stamps::new(n), move |frontier, k, _, view| {
-                    let gathered = offline::gather_rule(rule, frontier, k, view);
-                    let work = gathered.len() as u64;
-                    (gathered, work)
-                });
+            let step = OfflineStep::new(Stamps::new(n), move |frontier, k, _, view| {
+                let gathered = offline::gather_rule(rule, frontier, k, view);
+                let work = gathered.len() as u64;
+                (gathered, work)
+            });
             rounds(config, problem, init, step, stats)
         }
-        (PeelMode::Offline(_), Incidence::Recompute(_)) => {
+        (PeelMode::Offline, Incidence::Recompute(_)) => {
             unreachable!("rejected by validate_combination")
         }
     }
 }
+
+/// Round at which [`BucketStrategy::Adaptive`] switches from the flat
+/// active array to HBS: the paper's θ (Sec. 5.3).
+const ADAPTIVE_THETA: u32 = 16;
 
 /// The round loop (Alg. 1), shared by every problem and technique.
 ///
@@ -595,7 +573,7 @@ fn rounds<P: PeelProblem, S: Step>(
     init: Vec<u32>,
     mut step: S,
     stats: &mut RunStats,
-) -> Result<Vec<u32>, Polluted> {
+) -> Vec<u32> {
     let n = init.len();
     let source = problem.round_policy();
     let prio: Vec<AtomicU32> = init.iter().map(|&d| AtomicU32::new(d)).collect();
@@ -613,7 +591,7 @@ fn rounds<P: PeelProblem, S: Step>(
         let view = LiveView { prio: &prio, settled: &settled };
         // Adaptive starts on the flat array and upgrades to HBS at the
         // θ-core; the other strategies are fixed for the whole run.
-        if adaptive_pending && floor >= config.adaptive_theta {
+        if adaptive_pending && floor >= ADAPTIVE_THETA {
             let live = pack_index(n, |v| view.alive(v as u32));
             let entries = live.iter().map(|&v| (v, view.key(v)));
             bucket = Box::new(HierarchicalBuckets::with_entries(floor, entries));
@@ -657,7 +635,7 @@ fn rounds<P: PeelProblem, S: Step>(
             }
         };
         let r = Round { problem, prio: &prio, settled: &settled, bucket: &*bucket, round, clamp };
-        step.round_start(&r, &frontier)?;
+        step.round_start(&r, &frontier);
         let mut subrounds = 0u32;
         loop {
             if frontier.is_empty() {
@@ -685,7 +663,7 @@ fn rounds<P: PeelProblem, S: Step>(
         floor = clamp.saturating_add(1);
     }
     step.finish(stats);
-    Ok(settled.into_iter().map(AtomicU32::into_inner).collect())
+    settled.into_iter().map(AtomicU32::into_inner).collect()
 }
 
 /// What a subround step sees of the round in progress.
@@ -718,15 +696,8 @@ struct Wave {
 /// A subround step: how a frontier settles and lowers the priorities
 /// its deaths affect.
 trait Step {
-    /// Round-start hook on the freshly drained frontier. Only the fused
-    /// step's sampling validation can fail it.
-    fn round_start<P: PeelProblem>(
-        &mut self,
-        _r: &Round<'_, P>,
-        _frontier: &[u32],
-    ) -> Result<(), Polluted> {
-        Ok(())
-    }
+    /// Round-start hook on the freshly drained frontier.
+    fn round_start<P: PeelProblem>(&mut self, _r: &Round<'_, P>, _frontier: &[u32]) {}
 
     /// Round-end hook, called whenever a subround leaves no frontier:
     /// returns the elements that reopen the round.
@@ -796,23 +767,19 @@ impl<'p> Fused<'p> {
 }
 
 impl Step for Fused<'_> {
-    fn round_start<P: PeelProblem>(
-        &mut self,
-        r: &Round<'_, P>,
-        frontier: &[u32],
-    ) -> Result<(), Polluted> {
-        // Sample-mode elements surface with their last recounted
-        // priority; confirm it exactly before peeling them.
-        match &self.sampling {
-            Some(s) => s.validate_frontier(frontier, r.clamp, self.inc, r.settled, &self.counters),
-            None => Ok(()),
+    fn round_start<P: PeelProblem>(&mut self, r: &Round<'_, P>, frontier: &[u32]) {
+        // Sample-mode elements surface with an exact priority (the
+        // previous round end recounted every one that could reach it);
+        // claim them so no mid-round recount peels them a second time.
+        if let Some(s) = &self.sampling {
+            s.claim_frontier(frontier, r.clamp, self.inc, r.settled);
         }
     }
 
     fn round_end<P: PeelProblem>(&mut self, r: &Round<'_, P>) -> Vec<u32> {
-        // Exact recounts of sample-mode elements near the boundary (all
-        // of them under `Validation::Full`). Anything caught at the
-        // clamp belongs to this round and re-opens it.
+        // Exact recounts of every sample-mode element that could settle
+        // at the clamp. Anything caught at it belongs to this round and
+        // re-opens it.
         match self.sampling.as_mut() {
             Some(s) => {
                 s.validate_round_end(r.clamp, self.inc, r.prio, r.settled, r.bucket, &self.counters)
@@ -968,7 +935,6 @@ where
 ///
 /// `gather` returns the list and the work it charges.
 struct OfflineStep<G> {
-    histogram: HistogramKind,
     stamps: Stamps,
     gather: G,
 }
@@ -977,8 +943,8 @@ impl<G> OfflineStep<G>
 where
     G: Fn(&[u32], u32, &[AtomicU32], &SettleView<'_>) -> (Vec<u32>, u64),
 {
-    fn new(histogram: HistogramKind, stamps: Stamps, gather: G) -> Self {
-        Self { histogram, stamps, gather }
+    fn new(stamps: Stamps, gather: G) -> Self {
+        Self { stamps, gather }
     }
 }
 
@@ -994,7 +960,7 @@ where
         };
         let hist = {
             let _hist = span!("offline.histogram", gathered.len());
-            offline::run_histogram(self.histogram, gathered, r.prio.len())
+            histogram_auto(gathered, r.prio.len())
         };
         let _apply = span!("offline.apply", hist.len());
         let k = r.clamp;

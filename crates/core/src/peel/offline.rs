@@ -7,7 +7,8 @@
 //! frontier causes into one list `L` with duplicates ([`gather_live`]
 //! for [`crate::Incidence::Unit`] problems, [`gather_rule`] for
 //! [`crate::Incidence::Snapshot`] ones), **histograms** `L` into
-//! `(element, multiplicity)` pairs ([`run_histogram`]; the paper uses a
+//! `(element, multiplicity)` pairs
+//! ([`kcore_parallel::histogram::histogram_auto`]; the paper uses a
 //! parallel semisort here), and **applies** each multiplicity as one
 //! bulk decrement clamped at the round. The price is three global syncs
 //! per subround instead of one (Fig. 9's online/offline gap).
@@ -19,10 +20,9 @@
 //! individual core queries ([`crate::Decomposition::members`]).
 
 use super::engine::{LiveView, SettleView, SnapshotRule, UnitIncidence, UNSET};
-use crate::config::{HistogramKind, Offline};
 use kcore_buckets::{BucketStructure, SingleBucket};
 use kcore_check::sync::atomic::{AtomicU32, Ordering};
-use kcore_parallel::histogram::{histogram_atomic, histogram_auto, histogram_sort};
+use kcore_parallel::histogram::histogram_auto;
 use rayon::prelude::*;
 
 /// Membership of the priority-`k` core by offline **range** peeling:
@@ -36,7 +36,6 @@ pub(crate) fn range_membership(
     inc: &dyn UnitIncidence,
     init_priorities: &[u32],
     k: u32,
-    off: Offline,
 ) -> Vec<bool> {
     let n = init_priorities.len();
     if n == 0 {
@@ -51,7 +50,7 @@ pub(crate) fn range_membership(
     while !frontier.is_empty() {
         frontier.par_iter().for_each(|&v| peeled[v as usize].store(0, Ordering::Relaxed));
         let gathered = gather_live(inc, &frontier, &peeled);
-        let hist = run_histogram(off.histogram, gathered, n);
+        let hist = histogram_auto(gathered, n);
         frontier = hist
             .par_iter()
             .filter_map(|&(u, c)| {
@@ -126,45 +125,19 @@ fn flatten(parts: Vec<Vec<u32>>) -> Vec<u32> {
     out
 }
 
-/// Dispatches to the configured histogram implementation.
-pub(crate) fn run_histogram(kind: HistogramKind, keys: Vec<u32>, domain: usize) -> Vec<(u32, u32)> {
-    match kind {
-        HistogramKind::Auto => histogram_auto(keys, domain),
-        HistogramKind::Sort => histogram_sort(keys),
-        HistogramKind::Atomic => histogram_atomic(&keys, domain),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bz::bz_coreness;
     use crate::config::Techniques;
     use crate::{Config, Decomposition};
     use kcore_graph::{gen, CsrGraph};
 
-    fn offline_config(kind: HistogramKind) -> Config {
-        Config::with_techniques(Techniques {
-            mode: crate::config::PeelMode::Offline(Offline { histogram: kind }),
-            ..Techniques::default()
-        })
-    }
-
-    #[test]
-    fn every_histogram_kind_matches_the_oracle() {
-        let g = gen::rmat(9, 8, 0.57, 0.19, 0.19, 5);
-        let want = bz_coreness(&g);
-        for kind in [HistogramKind::Auto, HistogramKind::Sort, HistogramKind::Atomic] {
-            let got = Decomposition::kcore(&g).config(offline_config(kind)).run();
-            assert_eq!(got.coreness(), want.as_slice(), "{kind:?}");
-        }
-    }
-
     #[test]
     fn offline_is_deterministic() {
         let g = gen::barabasi_albert(500, 3, 9);
-        let a = Decomposition::kcore(&g).config(offline_config(HistogramKind::Auto)).run();
-        let b = Decomposition::kcore(&g).config(offline_config(HistogramKind::Auto)).run();
+        let config = Config::with_techniques(Techniques::offline());
+        let a = Decomposition::kcore(&g).config(config).run();
+        let b = Decomposition::kcore(&g).config(config).run();
         assert_eq!(a.coreness(), b.coreness());
         assert_eq!(a.stats().subrounds, b.stats().subrounds);
     }
@@ -172,9 +145,9 @@ mod tests {
     #[test]
     fn membership_of_trivial_cores() {
         let g = gen::path(10);
-        let members = range_membership(&g, &g.degrees(), 0, Offline::default());
+        let members = range_membership(&g, &g.degrees(), 0);
         assert!(members.iter().all(|&m| m), "the 0-core is everything");
-        let members = range_membership(&g, &g.degrees(), 2, Offline::default());
+        let members = range_membership(&g, &g.degrees(), 2);
         assert!(members.iter().all(|&m| !m), "a path has no 2-core");
     }
 
@@ -188,7 +161,7 @@ mod tests {
         edges.push((21, 22));
         edges.push((22, 20));
         let g = kcore_graph::GraphBuilder::new(23).edges(edges).build();
-        let members = range_membership(&g, &g.degrees(), 2, Offline::default());
+        let members = range_membership(&g, &g.degrees(), 2);
         for (v, &member) in members.iter().enumerate() {
             assert_eq!(member, v >= 20, "vertex {v}: only the triangle is in the 2-core");
         }
@@ -197,6 +170,6 @@ mod tests {
     #[test]
     fn empty_graph_membership() {
         let g = CsrGraph::empty();
-        assert!(range_membership(&g, &g.degrees(), 3, Offline::default()).is_empty());
+        assert!(range_membership(&g, &g.degrees(), 3).is_empty());
     }
 }

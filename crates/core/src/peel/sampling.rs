@@ -19,67 +19,56 @@
 //! k-core the "incidences" are exactly the graph's edges, matching the
 //! paper's presentation.
 //!
-//! Exactness is restored at the decision points, all of which re-count
-//! the true priority ([`kcore_parallel::RunStats::resamples`]):
+//! Exactness is restored by exact recounts of the true priority
+//! ([`kcore_parallel::RunStats::resamples`]):
 //!
 //! * **Trigger recounts** fire inside a subround when the sampled
-//!   counter crosses the trigger watermark (see below). A recount at
-//!   `<= k` means the element belongs to the current round: it is
-//!   claimed and joins the next subround through the hash bag. A
-//!   recount above `k` refreshes the stored priority (monotonically
-//!   decreasing) and re-files the element in the bucket structure.
+//!   counter crosses the trigger watermark (see below) or bottoms out at
+//!   zero. A recount at `<= k` means the element belongs to the current
+//!   round: it is claimed and joins the next subround through the hash
+//!   bag. A recount above `k` refreshes the stored priority
+//!   (monotonically decreasing) and re-files the element in the bucket
+//!   structure.
 //! * **End-of-round validation** re-counts sample-mode elements when a
-//!   round's frontier drains, skipping those that provably stay above
-//!   the round: *clean* elements (no incidence removed since their last
-//!   end-of-round recount, so the stored priority is exact) and those
-//!   whose sampled counter alone exceeds `k` (it counts a subset of the
-//!   live incidences). Under [`Validation::Full`] (deterministically
-//!   exact, the default) every other live one is recounted, so a round
-//!   that kills no hub neighbour costs no recount; the paper-faithful
-//!   [`Validation::Watermark`] fast path further skips those above the
-//!   validation watermark
-//!   ([`kcore_parallel::RunStats::validate_calls`]).
-//! * **Frontier validation** re-counts sample-mode elements surfacing
-//!   in a round's initial frontier. Their stored priority is always an
-//!   upper bound on the truth, so a recount *below* the round proves an
-//!   earlier round missed the element — the frontier is polluted, and
-//!   the engine restarts the run without sampling
-//!   ([`kcore_parallel::RunStats::restarts`]; a Las-Vegas recovery that
-//!   the watermark deviation term makes vanishingly rare, and full
-//!   validation makes impossible).
+//!   round's frontier drains
+//!   ([`kcore_parallel::RunStats::validate_calls`]). It skips only those
+//!   that provably stay above the round: *clean* elements (no incidence
+//!   removed since their last end-of-round recount, so the stored
+//!   priority is exact) and those whose sampled counter alone exceeds
+//!   `k` (it counts a subset of the live incidences). Every other live
+//!   one is recounted, so a round that kills no hub neighbour costs no
+//!   recount.
 //!
-//! A sample-mode element is therefore **never peeled on approximate
-//! evidence** — every settle is preceded by an exact recount — which is
-//! how the scheme stays oracle-identical while shedding contention.
+//! End-of-round validation establishes the **round-start invariant**:
+//! when round `k` opens, every live element has true priority `>= k`,
+//! and the stored priority of a sample-mode element is an upper bound on
+//! its true one. A sample-mode element the bucket structure surfaces in
+//! round `k`'s initial frontier (stored priority `k`) therefore has
+//! true priority exactly `k`, and the **frontier claim** marks it
+//! without another recount (debug builds still recount and assert it).
+//! A sample-mode element is thus **never peeled on approximate
+//! evidence**: every settle is exact, which is how the scheme stays
+//! oracle-identical while shedding contention.
 //!
-//! ## Watermark constants
+//! ## Trigger watermark
 //!
 //! With sampling rate `2^-r`, an element of true live priority `d` has
-//! a sampled counter concentrated around `d / 2^r`. The paper's
-//! watermarks sit at the expected counter of the round boundary plus a
-//! Chernoff-style `O(√(μ log n))` deviation, which is what makes
-//! [`Validation::Watermark`] correct with high probability. We
-//! reproduce that shape exactly:
+//! a sampled counter concentrated around `d / 2^r`. The trigger sits at
+//! the expected counter of the round boundary plus a Chernoff-style
+//! `O(√(μ log n))` deviation, the shape of the paper's watermarks, plus
+//! a flat [`SLACK`]:
 //!
-//! * trigger: `((k+1) >> r) + ceil(√(3 · ((k+1) >> r) · log₂ n)) +
-//!   slack`,
-//! * validation: `2 ×` the trigger (the extra factor covers trigger
-//!   crossings that were skipped because the watermark moves up as `k`
-//!   grows).
+//! `((k+1) >> r) + ceil(√(3 · ((k+1) >> r) · log₂ n)) + SLACK`.
 //!
-//! **Delta from the paper:** earlier revisions of this module replaced
-//! the deviation term with the flat additive [`Sampling::slack`] alone
-//! (trigger `((k+1) >> r) + slack`, validation `2×`), which made the
-//! failure probability depend on the configured slack rather than on
-//! `n`. The Chernoff deviation is now computed per round as above;
-//! `slack` is retained on top as a tunable safety floor (default 32,
-//! set it to 0 to run the bare paper constants). The paper also keeps
-//! sampled counters in per-thread shards before they hit the shared
-//! counter; we take the hit on the shared atomic directly, which only
-//! strengthens the concentration argument (no shard staleness).
+//! The watermark only schedules mid-round recounts, which let a hub
+//! settle within the round its priority reaches `k` instead of
+//! re-opening the round at its end. It is not a correctness bound: a
+//! crossing it misses is caught by end-of-round validation. The paper
+//! also keeps sampled counters in per-thread shards before they hit the
+//! shared counter; we take the hit on the shared atomic directly.
 
-use super::engine::{OnlineCtx, PeelProblem, Polluted, UnitIncidence, UNSET};
-use crate::config::{Sampling, Validation};
+use super::engine::{OnlineCtx, PeelProblem, UnitIncidence, UNSET};
+use crate::config::Sampling;
 use kcore_buckets::BucketStructure;
 use kcore_check::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
 use kcore_obs::{counter, span};
@@ -97,6 +86,10 @@ const RECOUNT: u8 = 2;
 /// An exact recount confirmed the element peels in the current round;
 /// it sits in the frontier or hash bag and takes no further recounts.
 const CLAIMED: u8 = 3;
+
+/// Flat term of the trigger watermark on top of the Chernoff deviation:
+/// more mid-round recounts, fewer round re-openings at round end.
+const SLACK: u32 = 32;
 
 /// Per-run state of the sampling scheme.
 pub(crate) struct SamplingState {
@@ -243,58 +236,38 @@ impl SamplingState {
         }
     }
 
-    /// Confirms every sample-mode element in a round's initial frontier
-    /// by exact recount. Runs in the sequential gap between rounds, so
-    /// the counts are exact truths: an element below the round proves
-    /// the frontier polluted (an earlier round missed it) and aborts
-    /// the attempt.
-    pub(crate) fn validate_frontier(
+    /// Claims every sample-mode element in a round's initial frontier
+    /// so no mid-round recount peels it a second time. By the round-start
+    /// invariant (see the module docs) its true priority is exactly `k`,
+    /// so no recount is needed; debug builds recount to check it. Runs
+    /// in the sequential gap between rounds.
+    pub(crate) fn claim_frontier(
         &self,
         frontier: &[u32],
         k: u32,
         inc: &dyn UnitIncidence,
         settled: &[AtomicU32],
-        counters: &TechniqueCounters,
-    ) -> Result<(), Polluted> {
-        let _validate = span!("sampling.validate_frontier", frontier.len());
-        let polluted = AtomicBool::new(false);
+    ) {
         frontier.par_iter().for_each(|&v| {
             let state = self.state[v as usize].load(Ordering::Relaxed);
             debug_assert_ne!(state, CLAIMED, "claimed elements settle within their round");
-            if state != SAMPLED {
-                return;
-            }
-            counter!(counters.resamples, "sampling.resamples", 1);
-            let exact = self.count_live(v, inc, settled, false);
-            if exact < k {
-                polluted.store(true, Ordering::Relaxed);
-            } else {
-                // The stored priority (== k, or the bucket would not
-                // have surfaced v) upper-bounds the truth, so exact == k.
-                debug_assert_eq!(exact, k);
+            if state == SAMPLED {
+                debug_assert_eq!(self.count_live(v, inc, settled, false), k);
                 self.state[v as usize].store(CLAIMED, Ordering::Relaxed);
             }
         });
-        if polluted.load(Ordering::Relaxed) {
-            Err(Polluted)
-        } else {
-            Ok(())
-        }
     }
 
     /// End-of-round validation: exactly re-counts live sample-mode
     /// elements that could settle at `k` and returns the ones whose true
     /// priority already reached it — they re-open the round. Runs in the
-    /// sequential gap, so counts are exact. Two skips are sound, so
-    /// [`Validation::Full`] stays exact:
+    /// sequential gap, so counts are exact. Two skips are sound, so the
+    /// round-start invariant holds for the next round:
     ///
     /// * a clean element's stored priority is its live priority, and
     ///   the bucket structure already holds it above `k`;
     /// * `approx` counts a subset of the live incidences, so
     ///   `approx > k` proves the live priority is above `k`.
-    ///
-    /// [`Validation::Watermark`] also skips elements whose sampled
-    /// counter sits above the validation watermark.
     pub(crate) fn validate_round_end(
         &mut self,
         k: u32,
@@ -306,17 +279,13 @@ impl SamplingState {
     ) -> Vec<u32> {
         self.sampled.retain(|&v| settled[v as usize].load(Ordering::Relaxed) == UNSET);
         let _validate = span!("sampling.validate_round_end", self.sampled.len());
-        let bound = match self.cfg.validation {
-            Validation::Full => k,
-            Validation::Watermark => k.min(self.validation_watermark(k)),
-        };
         let this = &*self;
         this.sampled
             .par_iter()
             .filter_map(|&v| {
                 let approx = this.approx[v as usize].load(Ordering::Relaxed);
                 if this.state[v as usize].load(Ordering::Relaxed) != SAMPLED
-                    || approx > bound
+                    || approx > k
                     || !this.dirty[v as usize].load(Ordering::Relaxed)
                 {
                     return None;
@@ -368,17 +337,10 @@ impl SamplingState {
 
     /// Sampled-counter level at which a mid-round removal triggers a
     /// recount: the expected counter at the round boundary, plus the
-    /// Chernoff deviation term, plus the configured flat slack (see the
-    /// module docs for the delta discussion).
+    /// Chernoff deviation term, plus [`SLACK`] (see the module docs).
     fn trigger_watermark(&self, k: u32) -> u32 {
         let base = (k + 1) >> self.cfg.rate_log2;
-        base + deviation(base, self.log2_n) + self.cfg.slack
-    }
-
-    /// More generous end-of-round bound: catches elements whose trigger
-    /// crossing was skipped (the watermark moves up as `k` grows).
-    fn validation_watermark(&self, k: u32) -> u32 {
-        self.trigger_watermark(k) * 2
+        base + deviation(base, self.log2_n) + SLACK
     }
 }
 
@@ -495,28 +457,25 @@ mod tests {
     fn watermarks_scale_with_round_deviation_and_slack() {
         let g = gen::star(40); // n = 40 -> log2_n = 6
         let degrees = g.degrees();
-        let cfg = Sampling { rate_log2: 2, slack: 5, ..Sampling::with_threshold(10) };
+        let cfg = Sampling { rate_log2: 2, ..Sampling::with_threshold(10) };
         let s = SamplingState::build(&g, &degrees, cfg).unwrap();
         assert_eq!(s.log2_n, 6);
         // Round 0: base = 1 >> 2 = 0, so no deviation term — only slack.
-        assert_eq!(s.trigger_watermark(0), 5);
+        assert_eq!(s.trigger_watermark(0), SLACK);
         // Round 7: base = 8 >> 2 = 2, deviation = ceil(sqrt(3*2*6)) = 6.
-        assert_eq!(s.trigger_watermark(7), 2 + 6 + 5);
-        assert_eq!(s.validation_watermark(7), (2 + 6 + 5) * 2);
+        assert_eq!(s.trigger_watermark(7), 2 + 6 + SLACK);
     }
 
     #[test]
-    fn zero_slack_zero_base_recovers_bare_constants() {
-        // With slack 0 and a coarse rate, small rounds have base 0 and
-        // therefore no deviation term either: the trigger sits at 0 and
-        // only the bottom-out recount fires — the configuration the
-        // restart stress test relies on to actually produce pollution.
+    fn coarse_rate_leaves_only_the_slack_at_small_rounds() {
+        // A coarse rate gives small rounds base 0 and therefore no
+        // deviation term either: the trigger sits at the flat slack.
         let g = gen::star(40);
         let degrees = g.degrees();
-        let cfg = Sampling { rate_log2: 3, slack: 0, ..Sampling::with_threshold(10) };
+        let cfg = Sampling { rate_log2: 3, ..Sampling::with_threshold(10) };
         let s = SamplingState::build(&g, &degrees, cfg).unwrap();
-        assert_eq!(s.trigger_watermark(0), 0);
-        assert_eq!(s.trigger_watermark(6), 0);
-        assert!(s.trigger_watermark(15) >= 2, "base 2 brings the deviation with it");
+        assert_eq!(s.trigger_watermark(0), SLACK);
+        assert_eq!(s.trigger_watermark(6), SLACK);
+        assert!(s.trigger_watermark(15) >= SLACK + 2, "base 2 brings the deviation with it");
     }
 }

@@ -9,7 +9,6 @@
 //! [`CorenessResult`]. Every Sec. 4 technique applies: sampling (vertex
 //! degrees over edges), VGC chains, and the offline histogram driver.
 
-use crate::config::PeelMode;
 use crate::peel::engine::{Incidence, PeelEngine, PeelProblem};
 use crate::peel::offline;
 use crate::{Config, CorenessResult};
@@ -73,25 +72,21 @@ pub(crate) fn run_kcore<G: GraphBackend>(g: &G, config: Config) -> CorenessResul
 /// decomposition when only one core is needed (the serving path for
 /// "give me the k-core" queries). Applies the `KCORE_BACKEND` override
 /// like [`run_kcore`].
-pub(crate) fn members<G: GraphBackend>(g: &G, config: &Config, k: u32) -> Vec<bool> {
-    let off = match config.techniques.mode {
-        PeelMode::Offline(off) => off,
-        PeelMode::Online => crate::config::Offline::default(),
-    };
+pub(crate) fn members<G: GraphBackend>(g: &G, k: u32) -> Vec<bool> {
     if env_backend() == BackendKind::Compressed {
         if let Some(plain) = g.as_plain() {
             let c = CompressedCsr::from_graph(plain);
-            return offline::range_membership(&c, &c.degrees(), k, off);
+            return offline::range_membership(&c, &c.degrees(), k);
         }
     }
-    offline::range_membership(g, &g.degrees(), k, off)
+    offline::range_membership(g, &g.degrees(), k)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bz::bz_coreness;
-    use crate::config::{PeelMode, Sampling, Techniques, Validation, Vgc};
+    use crate::config::{PeelMode, Sampling, Techniques, Vgc};
     use crate::Decomposition;
     use kcore_buckets::BucketStrategy;
     use kcore_graph::{gen, GraphBuilder};
@@ -249,7 +244,6 @@ mod tests {
         assert!(s.resamples > 0, "sample-mode vertices are only peeled after exact recounts");
         assert!(s.validate_calls > 0, "end-of-round validation must have run");
         assert!(s.peak_chain >= 1, "subround chains feed peak_chain");
-        assert_eq!(s.restarts, 0, "full validation never restarts");
     }
 
     #[test]
@@ -280,7 +274,6 @@ mod tests {
         assert_eq!(r.coreness(), bz_coreness(&g).as_slice());
         let s = r.stats();
         assert!(s.sampled_vertices > 0, "hubs above the threshold must enter sample mode");
-        assert_eq!(s.restarts, 0, "full validation never restarts");
         assert!(
             s.validate_calls <= 4 * s.sampled_vertices,
             "{} end-of-round recounts for {} sampled vertices",
@@ -336,49 +329,6 @@ mod tests {
         assert_eq!(on.global_syncs, on.subrounds);
         assert_eq!(off.global_syncs, 3 * off.subrounds, "gather + histogram + apply");
         assert!(off.burdened_span > on.burdened_span);
-    }
-
-    #[test]
-    fn watermark_sampling_restarts_and_stays_exact() {
-        // Zero slack + coarse rate makes undershoot detection miss often
-        // enough that polluted frontiers actually occur; the Las-Vegas
-        // restart must repair every one of them. Single-threaded so the
-        // recount schedule (and thus the restart count) is reproducible.
-        let mut restarts = 0u64;
-        for seed in 0..6 {
-            let g = gen::barabasi_albert(600, 4, seed);
-            let techniques = Techniques {
-                sampling: Some(Sampling {
-                    threshold: 4,
-                    rate_log2: 3,
-                    slack: 0,
-                    validation: Validation::Watermark,
-                    seed,
-                }),
-                ..Techniques::default()
-            };
-            let r = with_threads(1, || {
-                Decomposition::kcore(&g).exact_config(Config::with_techniques(techniques)).run()
-            });
-            assert_eq!(r.coreness(), bz_coreness(&g).as_slice(), "seed {seed}");
-            restarts += r.stats().restarts;
-        }
-        assert!(restarts > 0, "zero slack must pollute at least one frontier across seeds");
-    }
-
-    #[test]
-    fn watermark_sampling_with_default_slack_does_not_restart() {
-        let g = gen::barabasi_albert(2000, 5, 3);
-        let techniques = Techniques {
-            sampling: Some(Sampling {
-                validation: Validation::Watermark,
-                ..Sampling::with_threshold(32)
-            }),
-            ..Techniques::default()
-        };
-        let r = Decomposition::kcore(&g).exact_config(Config::with_techniques(techniques)).run();
-        assert_eq!(r.coreness(), bz_coreness(&g).as_slice());
-        assert_eq!(r.stats().restarts, 0, "default slack keeps the failure probability negligible");
     }
 
     #[test]

@@ -6,14 +6,15 @@
 //! whp). We provide two implementations with the same interface:
 //!
 //! * [`histogram_sort`] — parallel sort + run-length encode:
-//!   `O(n log n)` work but branch-cheap and deterministic; the default.
+//!   `O(n log n)` work but branch-cheap and deterministic.
 //! * [`histogram_atomic`] — atomic counting into a dense `u32` domain:
 //!   `O(n + domain)` work, matching the semisort bound when the domain is
 //!   the vertex set (as it always is in peeling); used when the caller
 //!   can afford the domain-sized counter array.
 //!
 //! Both return `(key, count)` pairs sorted by key, which is what the
-//! offline peel consumes.
+//! offline peel consumes. [`histogram_auto`] picks between them by key
+//! density; it is what the offline peel calls.
 
 use kcore_check::sync::atomic::{AtomicU32, Ordering};
 use rayon::prelude::*;
@@ -61,9 +62,7 @@ pub fn histogram_atomic(keys: &[u32], domain: usize) -> Vec<(u32, u32)> {
 /// Counts occurrences of each key (< `domain`), picking the cheaper
 /// implementation: atomic counting when the key list is dense relative
 /// to the domain (the `O(t + domain)` cost is dominated by `t`),
-/// sort + run-length encode otherwise. This is the offline peeling
-/// driver's default ([`histogram_sort`] / [`histogram_atomic`] remain
-/// available for forced choices).
+/// sort + run-length encode otherwise. The offline peel calls this.
 pub fn histogram_auto(keys: Vec<u32>, domain: usize) -> Vec<(u32, u32)> {
     // Dense enough that the domain-sized counter scan is amortized.
     if keys.len() * 4 >= domain {
@@ -121,6 +120,11 @@ mod tests {
         // Sparse: 100 keys over a domain of 1M -> sort path.
         let sparse: Vec<u32> = (0..100u32).map(|i| i * 9973).collect();
         assert_eq!(histogram_auto(sparse.clone(), 1_000_000), reference(&sparse));
+        // The cutoff itself: 250 keys over 1000 is atomic
+        // (keys * 4 == domain), one key fewer sorts.
+        let at: Vec<u32> = (0..250u32).map(|i| (i * 37) % 101).collect();
+        assert_eq!(histogram_auto(at.clone(), 1000), reference(&at));
+        assert_eq!(histogram_auto(at[..249].to_vec(), 1000), reference(&at[..249]));
     }
 
     #[test]

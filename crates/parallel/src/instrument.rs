@@ -75,9 +75,10 @@ pub struct RunStats {
     pub sampled_vertices: u64,
     /// Resample operations performed.
     pub resamples: u64,
-    /// Validation calls performed.
+    /// End-of-round exact recounts of sample-mode vertices.
     pub validate_calls: u64,
-    /// Sampling error-recovery restarts (expected 0; Las-Vegas safety).
+    /// Run restarts. Always 0: every sampling settle is exact, so no
+    /// run repeats. Kept for readers of the published `restarts` key.
     pub restarts: u64,
     /// Maximum atomic updates applied to any single memory location
     /// (contention proxy; only filled when tracking is enabled).
