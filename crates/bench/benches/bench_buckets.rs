@@ -13,14 +13,8 @@ fn bench_strategies(c: &mut Criterion) {
         ("planted-core-1500", gen::planted_core(1500, 3, 70, 42)),
         ("grid2d-80x80", gen::grid2d(80, 80)),
     ];
-    let strategies = [
-        BucketStrategy::Single,
-        BucketStrategy::Fixed(16),
-        BucketStrategy::Hierarchical,
-        BucketStrategy::Adaptive,
-    ];
     for (name, g) in &graphs {
-        for strategy in strategies {
+        for strategy in BucketStrategy::ALL {
             let config = Config { collect_stats: false, ..Config::with_strategy(strategy) };
             c.bench_function(&format!("buckets/{name}/{strategy}"), |b| {
                 b.iter(|| black_box(Decomposition::kcore(g).config(config).run()))

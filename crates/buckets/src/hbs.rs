@@ -406,13 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn range_extraction_surfaces_everyone_once() {
-        let keys: Vec<u32> = (0..200).map(|i| (i * i) % 211).collect();
-        let mut s = HierarchicalBuckets::new(&keys);
-        crate::testutil::run_range_extraction(&mut s, &keys);
-    }
-
-    #[test]
     fn empty_structure() {
         let mut s = HierarchicalBuckets::new(&[]);
         let view = TestView::new(&[]);

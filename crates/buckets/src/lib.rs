@@ -15,8 +15,9 @@
 //!   work per round, optimal in total (Thm. 3.1) but with a large
 //!   constant on dense graphs.
 //! * [`FixedBuckets`] — Julienne's strategy: materialize the next `b`
-//!   frontiers every `b` rounds (`b = 16` by default) and keep the rest
-//!   in an overflow list. `O(d(v)/b + b)` per vertex.
+//!   frontiers every `b` rounds and keep the rest in an overflow list.
+//!   `O(d(v)/b + b)` per vertex; [`BucketStrategy::Fixed`] uses
+//!   Julienne's `b = 16`.
 //! * [`HierarchicalBuckets`] — the paper's **HBS**: eight single-key
 //!   buckets followed by exponentially ranged buckets, redistributing
 //!   lazily in the style of a monotone radix heap. `O(log d(v))` per
@@ -25,7 +26,11 @@
 //! The structures are deliberately decomposition-agnostic — they form a
 //! parallel priority structure over integer keys (the paper notes HBS
 //! "is also of independent interest") — and are reused by the `kcore`
-//! crate for every peeling variant.
+//! crate for every peeling variant. Each offers two extractions: the
+//! per-round frontier ([`BucketStructure::next_frontier`]) and the
+//! batched threshold drain ([`BucketStructure::drain_threshold`]).
+//! [`BucketStrategy`] names the four ablation choices (the three
+//! structures plus the adaptive single-to-HBS switch).
 
 pub mod fixed;
 pub mod hbs;
@@ -57,7 +62,9 @@ pub trait PriorityView: Sync {
 /// client, not just k-core; this crate only sees opaque element ids and
 /// keys):
 /// * `next_frontier(k, view)` is called once per round with strictly
-///   increasing `k`, between peels (exclusive access).
+///   increasing `k`, between peels (exclusive access). Threshold-policy
+///   rounds call [`BucketStructure::drain_threshold`] instead, under
+///   the same monotone key sequence.
 /// * `on_decrease(v, old_key, new_key, k)` may be called concurrently
 ///   during a peel, with `old_key > new_key > k` (keys that drop *to*
 ///   `k` go directly to the in-round frontier, never through the bucket
@@ -73,23 +80,6 @@ pub trait PriorityView: Sync {
 pub trait BucketStructure: Send + Sync {
     /// Returns every active element with priority exactly `k`.
     fn next_frontier(&mut self, k: u32, view: &dyn PriorityView) -> Vec<u32>;
-
-    /// Returns every active element with priority in `[lo, hi)` —
-    /// the bulk form used by offline range peeling (extracting the
-    /// sub-`k`-core prefix in one step rather than round by round).
-    ///
-    /// The default implementation concatenates the per-key frontiers;
-    /// the calls participate in the structure's usual monotone key
-    /// sequence, so a range extraction counts as having advanced the
-    /// structure to round `hi - 1`. Scan-based structures override this
-    /// with a single pass.
-    fn next_frontier_range(&mut self, lo: u32, hi: u32, view: &dyn PriorityView) -> Vec<u32> {
-        let mut out = Vec::new();
-        for k in lo..hi {
-            out.extend(self.next_frontier(k, view));
-        }
-        out
-    }
 
     /// Threshold extraction: returns every active element with priority
     /// `<= t` in one step — the batched round form used by
@@ -107,10 +97,9 @@ pub trait BucketStructure: Send + Sync {
     ///
     /// Required (no default): a generic fallback cannot know how far
     /// the structure's key sequence has advanced, so it could only
-    /// replay `next_frontier_range` from key 0 — violating the
-    /// monotone contract on the second drain of a run. Every strategy
-    /// implements the drain natively (building on its
-    /// [`BucketStructure::next_frontier_range`] machinery), so a
+    /// replay per-key frontiers from key 0 — violating the monotone
+    /// contract on the second drain of a run. Every strategy implements
+    /// the drain natively in one bulk pass over its buckets, so a
     /// threshold round is never simulated by repeated min-bucket pops.
     fn drain_threshold(&mut self, t: u32, view: &dyn PriorityView) -> Vec<u32>;
 
@@ -129,9 +118,9 @@ pub enum BucketStrategy {
     /// No bucket structure (equivalently, one bucket): scan the active
     /// array each round.
     Single,
-    /// Julienne-style fixed window of `b` single-key buckets plus an
+    /// Julienne-style fixed window of 16 single-key buckets plus an
     /// overflow list.
-    Fixed(u32),
+    Fixed,
     /// The hierarchical bucketing structure of Sec. 5.
     Hierarchical,
     /// The paper's final design (Sec. 5.3): start with a single bucket
@@ -141,13 +130,22 @@ pub enum BucketStrategy {
 }
 
 impl BucketStrategy {
+    /// Every strategy, in ablation order — the list tests and
+    /// benchmarks sweep.
+    pub const ALL: [BucketStrategy; 4] = [
+        BucketStrategy::Single,
+        BucketStrategy::Fixed,
+        BucketStrategy::Hierarchical,
+        BucketStrategy::Adaptive,
+    ];
+
     /// Instantiates the strategy over elements whose initial priorities
     /// are `priorities` (induced degrees for k-core, triangle supports
     /// for k-truss, ...).
     pub fn build(self, priorities: &[u32]) -> Box<dyn BucketStructure> {
         match self {
             BucketStrategy::Single => Box::new(SingleBucket::new(priorities)),
-            BucketStrategy::Fixed(b) => Box::new(FixedBuckets::new(priorities, b)),
+            BucketStrategy::Fixed => Box::new(FixedBuckets::new(priorities, 16)),
             BucketStrategy::Hierarchical => Box::new(HierarchicalBuckets::new(priorities)),
             // Adaptive switching is orchestrated by the framework (it
             // owns the live priority state needed to rebuild); it starts
@@ -161,7 +159,7 @@ impl std::fmt::Display for BucketStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BucketStrategy::Single => write!(f, "1-bucket"),
-            BucketStrategy::Fixed(b) => write!(f, "{b}-bucket"),
+            BucketStrategy::Fixed => write!(f, "16-bucket"),
             BucketStrategy::Hierarchical => write!(f, "HBS"),
             BucketStrategy::Adaptive => write!(f, "adaptive-HBS"),
         }
@@ -203,18 +201,6 @@ pub(crate) mod testutil {
         fn alive(&self, v: u32) -> bool {
             !self.dead[v as usize].load(Ordering::Relaxed)
         }
-    }
-
-    /// Checks that a bulk range extraction over `[0, max_key]` surfaces
-    /// every vertex exactly once (the offline range-peeling contract).
-    pub fn run_range_extraction(structure: &mut dyn super::BucketStructure, keys: &[u32]) {
-        let view = TestView::new(keys);
-        let maxk = keys.iter().copied().max().unwrap_or(0);
-        let mut got = structure.next_frontier_range(0, maxk + 1, &view);
-        got.sort_unstable();
-        let mut want: Vec<u32> = (0..keys.len() as u32).collect();
-        want.sort_unstable();
-        assert_eq!(got, want, "range extraction must surface every vertex once");
     }
 
     /// Drives a bucket structure through an increasing sequence of

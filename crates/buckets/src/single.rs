@@ -21,21 +21,9 @@ impl SingleBucket {
         Self { active: (0..priorities.len() as u32).collect() }
     }
 
-    /// Rebuilds from an explicit active list (used by the adaptive
-    /// strategy when switching representations).
-    pub fn from_active(active: Vec<u32>) -> Self {
-        Self { active }
-    }
-
     /// Remaining active vertices (diagnostic; exact after each round).
     pub fn active_len(&self) -> usize {
         self.active.len()
-    }
-
-    /// Hands the current active set over (used when the adaptive
-    /// strategy upgrades to HBS).
-    pub fn take_active(&mut self) -> Vec<u32> {
-        std::mem::take(&mut self.active)
     }
 }
 
@@ -45,13 +33,6 @@ impl BucketStructure for SingleBucket {
         // the frontier. Both are O(|A|), matching Thm. 3.1's assumption.
         self.active = pack(&self.active, |&v| view.alive(v) && view.key(v) >= k);
         pack(&self.active, |&v| view.key(v) == k)
-    }
-
-    fn next_frontier_range(&mut self, lo: u32, hi: u32, view: &dyn PriorityView) -> Vec<u32> {
-        // One pass instead of the default's (hi - lo) scans: refine the
-        // active set, then pack the whole key range out of it.
-        self.active = pack(&self.active, |&v| view.alive(v) && view.key(v) >= lo);
-        pack(&self.active, |&v| view.key(v) < hi)
     }
 
     fn drain_threshold(&mut self, t: u32, view: &dyn PriorityView) -> Vec<u32> {
@@ -124,13 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn range_extraction_is_one_pass_and_complete() {
-        let keys: Vec<u32> = (0..300).map(|i| (i * 31) % 97).collect();
-        let mut s = SingleBucket::new(&keys);
-        crate::testutil::run_range_extraction(&mut s, &keys);
-    }
-
-    #[test]
     fn threshold_drains_split_the_active_set() {
         let keys: Vec<u32> = (0..200).map(|i| (i * 13) % 61).collect();
         let mut s = SingleBucket::new(&keys);
@@ -152,15 +126,5 @@ mod tests {
             assert!(s.next_frontier(k, &view).is_empty());
         }
         assert_eq!(s.next_frontier(9, &view), vec![2]);
-    }
-
-    #[test]
-    fn range_extraction_respects_bounds() {
-        let keys = vec![0, 3, 5, 7, 9];
-        let view = TestView::new(&keys);
-        let mut s = SingleBucket::new(&keys);
-        let mut got = s.next_frontier_range(3, 8, &view);
-        got.sort_unstable();
-        assert_eq!(got, vec![1, 2, 3], "keys 3, 5, 7 lie in [3, 8)");
     }
 }

@@ -189,8 +189,8 @@ mod tests {
 
     #[test]
     fn with_strategy_overrides_only_the_strategy() {
-        let c = Config::with_strategy(BucketStrategy::Fixed(16));
-        assert_eq!(c.bucket_strategy, BucketStrategy::Fixed(16));
+        let c = Config::with_strategy(BucketStrategy::Fixed);
+        assert_eq!(c.bucket_strategy, BucketStrategy::Fixed);
         assert_eq!(c.collect_stats, Config::default().collect_stats);
     }
 

@@ -37,7 +37,6 @@ use crate::config::Techniques;
 use crate::env;
 use crate::peel::engine::{PeelEngine, PeelProblem};
 use crate::problems::approx_densest::ApproxDensestProblem;
-use crate::problems::densest::{self, DensestProblem};
 use crate::problems::kcore::{self, KCoreProblem};
 use crate::problems::khcore::KhCoreProblem;
 use crate::problems::ktruss::KTrussProblem;
@@ -244,9 +243,12 @@ impl<'g, G: GraphBackend> Decomposition<'g, DensestSpec, G> {
         Self::with(g, DensestSpec(()))
     }
 
-    /// Runs the decomposition.
+    /// Runs the decomposition: the k-core peel (same axes, so the same
+    /// config resolution and `KCORE_BACKEND` override), then the
+    /// density post-pass over its coreness.
     pub fn run(self) -> DensestResult {
-        densest::run_densest(self.g, self.resolve(&DensestProblem { g: self.g }))
+        let core = kcore::run_kcore(self.g, self.resolve(&KCoreProblem { g: self.g }));
+        DensestResult::from_coreness(self.g, core)
     }
 }
 

@@ -15,13 +15,16 @@
 //! * **k-core** ([`Decomposition::kcore`]) — vertices by induced
 //!   degree, bit-compatible with the pre-engine implementation. [`bz`]
 //!   is the sequential Batagelj–Zaveršnik oracle it is tested against.
+//!   It is the crate's only degree-by-adjacency problem: densest
+//!   subgraph and [`DynamicGraph`] peel it too.
 //! * **k-truss** ([`Decomposition::ktruss`]) — edges by triangle
 //!   support, the snapshot-rule client: a dying edge charges the
 //!   surviving edges of its triangles under a consistent settle
 //!   snapshot. [`sequential_trussness`] is its recount oracle.
 //! * **densest subgraph** ([`Decomposition::densest`]) — Charikar's
-//!   greedy as min-degree peeling with a per-round density curve; a
-//!   2-approximation. [`sequential_greedy_density`] is its oracle.
+//!   greedy as the k-core peel plus a per-round density post-pass over
+//!   the coreness; a 2-approximation. [`sequential_greedy_density`] is
+//!   its oracle.
 //! * **(k,h)-core** ([`Decomposition::khcore`]) — the
 //!   distance-generalized core (vertices by live h-hop ball size), the
 //!   [`Incidence::Recompute`] client: priorities are recomputed over
@@ -107,4 +110,4 @@ pub use problems::{
     sequential_greedy_density, sequential_kh_coreness, sequential_trussness, ApproxDensestResult,
     DensestResult, KhCoreResult, TrussnessResult, SWEPT_EPSILONS,
 };
-pub use result::{CorenessResult, DecompositionResult};
+pub use result::CorenessResult;

@@ -49,7 +49,7 @@ mod region;
 mod repeel;
 
 use crate::env;
-use crate::peel::engine::{Incidence, PeelEngine, PeelProblem};
+use crate::problems::kcore::{run_kcore_on, KCoreProblem};
 use crate::{Config, CorenessResult};
 use kcore_graph::{CsrGraph, OverlayGraph, VertexId};
 use kcore_obs::span;
@@ -141,37 +141,6 @@ impl MaintainStats {
     }
 }
 
-/// Full k-core decomposition of the overlay's logical graph — the
-/// construction-time and fallback path. An ordinary unit-incidence
-/// problem: the overlay serves merged adjacency slices directly.
-struct LogicalKCore<'g> {
-    g: &'g OverlayGraph,
-}
-
-impl PeelProblem for LogicalKCore<'_> {
-    type Output = (Vec<u32>, RunStats);
-
-    fn name(&self) -> &'static str {
-        "k-core/logical"
-    }
-
-    fn num_elements(&self) -> usize {
-        self.g.num_vertices()
-    }
-
-    fn init_priorities(&self) -> Vec<u32> {
-        self.g.degrees()
-    }
-
-    fn incidence(&self) -> Incidence<'_> {
-        Incidence::Unit(self.g)
-    }
-
-    fn assemble(&self, rounds: Vec<u32>, stats: RunStats) -> Self::Output {
-        (rounds, stats)
-    }
-}
-
 /// A graph under edge-batch mutation with its coreness decomposition
 /// maintained incrementally. See the [module docs](self) for the
 /// lifecycle and the algorithm.
@@ -203,11 +172,11 @@ impl DynamicGraph {
     }
 
     fn build(base: CsrGraph, config: Config, exact: bool) -> Self {
+        // The overlay serves merged adjacency slices, so the logical
+        // graph peels as an ordinary k-core problem.
         let graph = OverlayGraph::new(base);
-        let problem = LogicalKCore { g: &graph };
-        let config = if exact { config } else { env::resolve(config, &problem) };
-        let (coreness, stats) = PeelEngine::new(&problem, config).run();
-        let result = CorenessResult::new(coreness, stats);
+        let config = if exact { config } else { env::resolve(config, &KCoreProblem { g: &graph }) };
+        let result = run_kcore_on(&graph, config);
         Self {
             graph,
             config,
@@ -325,10 +294,9 @@ impl DynamicGraph {
         let ((region_vertices, coreness), repeel_nanos) =
             kcore_obs::timed("maintain.repeel", || {
                 if stats.full_recompute {
-                    let (coreness, run) =
-                        PeelEngine::new(&LogicalKCore { g: &self.graph }, self.config).run();
-                    stats.repeel = run;
-                    (None, coreness)
+                    let full = run_kcore_on(&self.graph, self.config);
+                    stats.repeel = full.stats().clone();
+                    (None, full.into_coreness())
                 } else {
                     let sub = repeel::peel_subset(
                         &self.graph,
@@ -532,12 +500,7 @@ mod tests {
         let g = gen::rmat(10, 8, 0.57, 0.19, 0.19, 7);
         let edges: Vec<(u32, u32)> = g.edges().collect();
         let stride = (edges.len() / 32) | 1;
-        for strategy in [
-            kcore_buckets::BucketStrategy::Single,
-            kcore_buckets::BucketStrategy::Fixed(16),
-            kcore_buckets::BucketStrategy::Hierarchical,
-            kcore_buckets::BucketStrategy::Adaptive,
-        ] {
+        for strategy in kcore_buckets::BucketStrategy::ALL {
             let mut dynamic = DynamicGraph::new(g.clone(), Config::with_strategy(strategy));
             let (mut region, mut boundary_arcs) = (0, 0);
             for start in [0usize, 11, 29] {

@@ -232,12 +232,7 @@ mod tests {
         for start in [0usize, 13, 37] {
             for len in [1usize, 7, 25, 60] {
                 let region: Vec<u32> = (start..(start + len).min(60)).map(|v| v as u32).collect();
-                for strategy in [
-                    kcore_buckets::BucketStrategy::Single,
-                    kcore_buckets::BucketStrategy::Fixed(16),
-                    kcore_buckets::BucketStrategy::Hierarchical,
-                    kcore_buckets::BucketStrategy::Adaptive,
-                ] {
+                for strategy in kcore_buckets::BucketStrategy::ALL {
                     for techniques in
                         [Techniques::default(), Techniques::all_online(), Techniques::offline()]
                     {
@@ -265,12 +260,7 @@ mod tests {
         let induced = GraphBuilder::new(100).edges(g.edges().filter(|&(u, v)| u < 100 && v < 100));
         let want = bz_coreness(&induced.build());
         let overlay = OverlayGraph::new(g);
-        for strategy in [
-            kcore_buckets::BucketStrategy::Single,
-            kcore_buckets::BucketStrategy::Fixed(16),
-            kcore_buckets::BucketStrategy::Hierarchical,
-            kcore_buckets::BucketStrategy::Adaptive,
-        ] {
+        for strategy in kcore_buckets::BucketStrategy::ALL {
             let sub = peel_subset(&overlay, &[], &region, Config::with_strategy(strategy));
             assert!(sub.boundary_arcs > 0);
             assert_eq!(sub.coreness, want, "under {strategy}");

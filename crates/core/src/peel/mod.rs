@@ -27,9 +27,8 @@
 //! * [`engine`] — [`engine::PeelProblem`] and [`engine::PeelEngine`]:
 //!   the one round/subround loop, parameterized by a frontier source
 //!   ([`engine::RoundPolicy`]) and a subround step (fused, two-phase or
-//!   offline). The concrete problems — k-core, k-truss, densest
-//!   subgraph, (k,h)-core and approximate densest subgraph — live in
-//!   [`crate::problems`].
+//!   offline). The concrete problems — k-core, k-truss, (k,h)-core
+//!   and approximate densest subgraph — live in [`crate::problems`].
 //! * [`sampling`] — Sec. 4.1's sampling scheme: high-priority elements
 //!   track an approximate priority over a hashed incidence sample, and
 //!   are only peeled after an exact recount.

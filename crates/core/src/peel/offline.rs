@@ -15,14 +15,14 @@
 //!
 //! [`range_membership`] reuses the machinery for the *range* form: to
 //! extract one k-core, every element of priority `< k` is pulled in a
-//! single bulk step ([`BucketStructure::next_frontier_range`]) and the
-//! cascade needs no round ordering at all — the serving path for
-//! individual core queries ([`crate::Decomposition::members`]).
+//! single pack and the cascade needs no round ordering at all — the
+//! serving path for individual core queries
+//! ([`crate::Decomposition::members`]).
 
-use super::engine::{LiveView, SettleView, SnapshotRule, UnitIncidence, UNSET};
-use kcore_buckets::{BucketStructure, SingleBucket};
+use super::engine::{SettleView, SnapshotRule, UnitIncidence, UNSET};
 use kcore_check::sync::atomic::{AtomicU32, Ordering};
 use kcore_parallel::histogram::histogram_auto;
+use kcore_parallel::primitives::pack_index;
 use rayon::prelude::*;
 
 /// Membership of the priority-`k` core by offline **range** peeling:
@@ -44,9 +44,7 @@ pub(crate) fn range_membership(
     let prio: Vec<AtomicU32> = init_priorities.iter().map(|&d| AtomicU32::new(d)).collect();
     // Reuse the settle array as the peeled marker (0 = peeled).
     let peeled: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNSET)).collect();
-    let mut bucket = SingleBucket::new(init_priorities);
-    let view = LiveView { prio: &prio, settled: &peeled };
-    let mut frontier = bucket.next_frontier_range(0, k, &view);
+    let mut frontier = pack_index(n, |v| init_priorities[v] < k);
     while !frontier.is_empty() {
         frontier.par_iter().for_each(|&v| peeled[v as usize].store(0, Ordering::Relaxed));
         let gathered = gather_live(inc, &frontier, &peeled);

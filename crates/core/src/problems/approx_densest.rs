@@ -187,16 +187,6 @@ impl ApproxDensestResult {
     }
 }
 
-impl crate::result::DecompositionResult for ApproxDensestResult {
-    fn num_elements(&self) -> usize {
-        self.membership.len()
-    }
-
-    fn stats(&self) -> &RunStats {
-        &self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,19 +198,10 @@ mod tests {
 
     const EPSILONS: [f64; 3] = SWEPT_EPSILONS;
 
-    fn strategies() -> Vec<BucketStrategy> {
-        vec![
-            BucketStrategy::Single,
-            BucketStrategy::Fixed(16),
-            BucketStrategy::Hierarchical,
-            BucketStrategy::Adaptive,
-        ]
-    }
-
     fn assert_sandwich(g: &CsrGraph, label: &str) {
         let oracle = sequential_greedy_density(g);
         for eps in EPSILONS {
-            for strategy in strategies() {
+            for strategy in BucketStrategy::ALL {
                 let config = Config::with_strategy(strategy);
                 let r = Decomposition::approx_densest(g, eps).exact_config(config).run();
                 let got = r.density();

@@ -1,5 +1,5 @@
-//! Greedy densest subgraph as a [`PeelProblem`] — min-degree peeling
-//! with running density tracking, a 2-approximation.
+//! Greedy densest subgraph — the k-core peel plus a density post-pass,
+//! a 2-approximation.
 //!
 //! Charikar's greedy algorithm repeatedly removes a minimum-degree
 //! vertex and returns the densest suffix of the removal order; the
@@ -7,9 +7,11 @@
 //! optimum). The engine's round structure *is* a min-degree greedy
 //! order — every vertex is settled while its induced degree equals the
 //! current minimum — and the suffix standing at the start of round `k`
-//! is exactly the k-core. So the parallel formulation is: peel as for
-//! k-core, track the density of each round's standing subgraph, and
-//! return the best core.
+//! is exactly the k-core. So the parallel formulation is: run the k-core
+//! peel, take the density of each round's standing subgraph, and
+//! return the best core. There is no separate peeling problem:
+//! [`crate::Decomposition::densest`] runs the k-core decomposition and
+//! hands its coreness to [`DensestResult`]'s post-pass.
 //!
 //! The approximation argument survives the coarser (per-round)
 //! checkpoints: consider an optimal subgraph `S*` with density `ρ*`,
@@ -27,49 +29,38 @@
 //! histograms give `(n_k, m_k)` for every round at once, which is the
 //! running density the greedy tracks, at round granularity.
 
-use crate::peel::engine::{Incidence, PeelEngine, PeelProblem};
-use crate::Config;
-use kcore_graph::{env_backend, BackendKind, CompressedCsr, CsrGraph, GraphBackend};
+use crate::CorenessResult;
+use kcore_graph::{CsrGraph, GraphBackend};
 use kcore_parallel::RunStats;
 
-/// The greedy densest-subgraph problem over one graph, generic over
-/// the adjacency backend. The peel itself is plain min-degree
-/// (unit-incidence) peeling, so every technique applies.
-pub(crate) struct DensestProblem<'g, G = CsrGraph> {
-    pub(crate) g: &'g G,
+/// The result of a greedy densest-subgraph run.
+#[derive(Debug, Clone, Default)]
+pub struct DensestResult {
+    coreness: Vec<u32>,
+    /// `densities[k]` = density (edges / vertices) of the subgraph
+    /// standing at the start of round `k`, i.e. of the k-core.
+    densities: Vec<f64>,
+    membership: Vec<bool>,
+    best_k: u32,
+    stats: RunStats,
 }
 
-impl<G: GraphBackend> PeelProblem for DensestProblem<'_, G> {
-    type Output = DensestResult;
-
-    fn name(&self) -> &'static str {
-        "densest-subgraph"
-    }
-
-    fn num_elements(&self) -> usize {
-        self.g.num_vertices()
-    }
-
-    fn init_priorities(&self) -> Vec<u32> {
-        self.g.degrees()
-    }
-
-    fn incidence(&self) -> Incidence<'_> {
-        Incidence::Unit(self.g)
-    }
-
-    fn assemble(&self, rounds: Vec<u32>, stats: RunStats) -> DensestResult {
-        // rounds[v] is v's coreness. Count, per round k, the standing
-        // vertices (coreness >= k) and surviving edges (both endpoint
-        // corenesses >= k) by suffix-summing histograms.
-        let coreness = rounds;
+impl DensestResult {
+    /// The density post-pass over a finished k-core peel of `g`: the
+    /// per-round density curve and the best core.
+    pub(crate) fn from_coreness(g: &impl GraphBackend, core: CorenessResult) -> Self {
+        let stats = core.stats().clone();
+        let coreness = core.into_coreness();
+        // Count, per round k, the standing vertices (coreness >= k) and
+        // surviving edges (both endpoint corenesses >= k) by
+        // suffix-summing histograms.
         let kmax = coreness.iter().copied().max().unwrap_or(0) as usize;
         let mut n_hist = vec![0u64; kmax + 2];
         for &c in &coreness {
             n_hist[c as usize] += 1;
         }
         let mut m_hist = vec![0u64; kmax + 2];
-        self.g.for_each_edge(&mut |u, v| {
+        g.for_each_edge(&mut |u, v| {
             let lvl = coreness[u as usize].min(coreness[v as usize]) as usize;
             m_hist[lvl] += 1;
         });
@@ -93,40 +84,7 @@ impl<G: GraphBackend> PeelProblem for DensestProblem<'_, G> {
         let membership = coreness.iter().map(|&c| c >= best_k).collect();
         DensestResult { coreness, densities, membership, best_k, stats }
     }
-}
 
-/// Runs greedy densest-subgraph extraction over exactly the backend
-/// given — no environment override.
-pub(crate) fn run_densest_on<G: GraphBackend>(g: &G, config: Config) -> DensestResult {
-    PeelEngine::new(&DensestProblem { g }, config).run()
-}
-
-/// Runs greedy densest-subgraph extraction with `config` exactly as
-/// given — the shared core behind [`crate::Decomposition::densest`].
-/// A plain-CSR graph is re-encoded through the `KCORE_BACKEND`-forced
-/// backend first; any other backend runs as-is.
-pub(crate) fn run_densest<G: GraphBackend>(g: &G, config: Config) -> DensestResult {
-    if env_backend() == BackendKind::Compressed {
-        if let Some(plain) = g.as_plain() {
-            return run_densest_on(&CompressedCsr::from_graph(plain), config);
-        }
-    }
-    run_densest_on(g, config)
-}
-
-/// The result of a greedy densest-subgraph run.
-#[derive(Debug, Clone, Default)]
-pub struct DensestResult {
-    coreness: Vec<u32>,
-    /// `densities[k]` = density (edges / vertices) of the subgraph
-    /// standing at the start of round `k`, i.e. of the k-core.
-    densities: Vec<f64>,
-    membership: Vec<bool>,
-    best_k: u32,
-    stats: RunStats,
-}
-
-impl DensestResult {
     /// Density (undirected edges per vertex) of the returned subgraph —
     /// at least half the optimum.
     pub fn density(&self) -> f64 {
@@ -163,16 +121,6 @@ impl DensestResult {
 
     /// Run counters (rounds, subrounds, work, burdened span, ...).
     pub fn stats(&self) -> &RunStats {
-        &self.stats
-    }
-}
-
-impl crate::result::DecompositionResult for DensestResult {
-    fn num_elements(&self) -> usize {
-        self.coreness.len()
-    }
-
-    fn stats(&self) -> &RunStats {
         &self.stats
     }
 }
@@ -216,18 +164,13 @@ mod tests {
     use super::*;
     use crate::bz::bz_coreness;
     use crate::config::{Sampling, Techniques, Vgc};
-    use crate::Decomposition;
+    use crate::{Config, Decomposition};
     use kcore_buckets::BucketStrategy;
     use kcore_graph::{gen, GraphBuilder};
 
     fn assert_sandwich(g: &CsrGraph, label: &str) {
         let oracle = sequential_greedy_density(g);
-        for strategy in [
-            BucketStrategy::Single,
-            BucketStrategy::Fixed(16),
-            BucketStrategy::Hierarchical,
-            BucketStrategy::Adaptive,
-        ] {
+        for strategy in BucketStrategy::ALL {
             for techniques in [Techniques::default(), Techniques::offline()] {
                 let config = Config { bucket_strategy: strategy, techniques, ..Config::default() };
                 let r = Decomposition::densest(g).exact_config(config).run();

@@ -8,6 +8,11 @@
 //! *is* its coreness, so `assemble` is the identity wrap into
 //! [`CorenessResult`]. Every Sec. 4 technique applies: sampling (vertex
 //! degrees over edges), VGC chains, and the offline histogram driver.
+//!
+//! This is the only degree-by-adjacency problem: greedy densest
+//! subgraph is this peel plus a density post-pass
+//! ([`crate::DensestResult`]), and [`crate::DynamicGraph`] peels it over
+//! its overlay graph at construction and on full recomputes.
 
 use crate::peel::engine::{Incidence, PeelEngine, PeelProblem};
 use crate::peel::offline;
@@ -46,23 +51,31 @@ impl<G: GraphBackend> PeelProblem for KCoreProblem<'_, G> {
 }
 
 /// Runs the k-core decomposition over exactly the backend given —
-/// no environment override.
+/// no environment override. Densest subgraph and maintenance (over the
+/// overlay graph) peel through here too.
 pub(crate) fn run_kcore_on<G: GraphBackend>(g: &G, config: Config) -> CorenessResult {
     PeelEngine::new(&KCoreProblem { g }, config).run()
 }
 
-/// Runs the k-core decomposition with `config` exactly as given — the
-/// shared core behind [`crate::Decomposition::kcore`] (env resolution
-/// happens in the builder). A plain-CSR graph is re-encoded through the
-/// `KCORE_BACKEND`-forced backend first (CI's compressed leg); any
-/// other backend runs as-is.
-pub(crate) fn run_kcore<G: GraphBackend>(g: &G, config: Config) -> CorenessResult {
-    if env_backend() == BackendKind::Compressed {
-        if let Some(plain) = g.as_plain() {
-            return run_kcore_on(&CompressedCsr::from_graph(plain), config);
-        }
+/// The `KCORE_BACKEND` override, applied in one place: a compressed
+/// re-encoding of `g` when the override forces the compressed backend
+/// and `g` is plain CSR (CI's compressed leg); `None` runs `g` as-is.
+fn forced_encoding<G: GraphBackend>(g: &G) -> Option<CompressedCsr> {
+    if env_backend() != BackendKind::Compressed {
+        return None;
     }
-    run_kcore_on(g, config)
+    g.as_plain().map(CompressedCsr::from_graph)
+}
+
+/// Runs the k-core decomposition with `config` exactly as given — the
+/// shared core behind [`crate::Decomposition::kcore`] and
+/// [`crate::Decomposition::densest`] (env resolution happens in the
+/// builder), under the `KCORE_BACKEND` override.
+pub(crate) fn run_kcore<G: GraphBackend>(g: &G, config: Config) -> CorenessResult {
+    match forced_encoding(g) {
+        Some(c) => run_kcore_on(&c, config),
+        None => run_kcore_on(g, config),
+    }
 }
 
 /// Membership of the `k`-core (`true` = vertex has coreness `>= k`),
@@ -73,13 +86,10 @@ pub(crate) fn run_kcore<G: GraphBackend>(g: &G, config: Config) -> CorenessResul
 /// "give me the k-core" queries). Applies the `KCORE_BACKEND` override
 /// like [`run_kcore`].
 pub(crate) fn members<G: GraphBackend>(g: &G, k: u32) -> Vec<bool> {
-    if env_backend() == BackendKind::Compressed {
-        if let Some(plain) = g.as_plain() {
-            let c = CompressedCsr::from_graph(plain);
-            return offline::range_membership(&c, &c.degrees(), k);
-        }
+    match forced_encoding(g) {
+        Some(c) => offline::range_membership(&c, &c.degrees(), k),
+        None => offline::range_membership(g, &g.degrees(), k),
     }
-    offline::range_membership(g, &g.degrees(), k)
 }
 
 #[cfg(test)]
@@ -91,16 +101,6 @@ mod tests {
     use kcore_buckets::BucketStrategy;
     use kcore_graph::{gen, GraphBuilder};
     use kcore_parallel::pool::with_threads;
-
-    /// Every bucketing strategy the framework supports.
-    fn strategies() -> Vec<BucketStrategy> {
-        vec![
-            BucketStrategy::Single,
-            BucketStrategy::Fixed(16),
-            BucketStrategy::Hierarchical,
-            BucketStrategy::Adaptive,
-        ]
-    }
 
     /// Technique variants the oracle tests sweep. Sampling uses a low
     /// threshold so sample mode actually engages on test-sized graphs.
@@ -122,7 +122,7 @@ mod tests {
     /// the BZ oracle on `g`.
     fn assert_matches_oracle(g: &CsrGraph, label: &str) {
         let want = bz_coreness(g);
-        for strategy in strategies() {
+        for strategy in BucketStrategy::ALL {
             for (techniques, tname) in technique_variants() {
                 let config = Config { bucket_strategy: strategy, techniques, ..Config::default() };
                 let got = Decomposition::kcore(g).config(config).run();

@@ -244,16 +244,6 @@ impl KhCoreResult {
     }
 }
 
-impl crate::result::DecompositionResult for KhCoreResult {
-    fn num_elements(&self) -> usize {
-        self.kh_coreness.len()
-    }
-
-    fn stats(&self) -> &RunStats {
-        &self.stats
-    }
-}
-
 /// Sequential recount oracle for the (k,h)-core decomposition.
 ///
 /// Maintains no incremental state: every peel decision re-counts the
@@ -293,15 +283,6 @@ mod tests {
     use kcore_buckets::BucketStrategy;
     use kcore_graph::{gen, GraphBuilder};
 
-    fn strategies() -> Vec<BucketStrategy> {
-        vec![
-            BucketStrategy::Single,
-            BucketStrategy::Fixed(16),
-            BucketStrategy::Hierarchical,
-            BucketStrategy::Adaptive,
-        ]
-    }
-
     #[test]
     fn h1_is_exactly_the_k_core() {
         for (label, g) in [
@@ -311,7 +292,7 @@ mod tests {
             ("hcns", gen::hcns(30)),
         ] {
             let want = bz_coreness(&g);
-            for strategy in strategies() {
+            for strategy in BucketStrategy::ALL {
                 let got = Decomposition::khcore(&g, 1)
                     .exact_config(Config::with_strategy(strategy))
                     .run();
@@ -330,7 +311,7 @@ mod tests {
             ("planted", gen::planted_core(35, 2, 10, 5)),
         ] {
             let want = sequential_kh_coreness(&g, 2);
-            for strategy in strategies() {
+            for strategy in BucketStrategy::ALL {
                 let got = Decomposition::khcore(&g, 2)
                     .exact_config(Config::with_strategy(strategy))
                     .run();

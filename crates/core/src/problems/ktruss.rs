@@ -166,16 +166,6 @@ impl TrussnessResult {
     }
 }
 
-impl crate::result::DecompositionResult for TrussnessResult {
-    fn num_elements(&self) -> usize {
-        self.trussness.len()
-    }
-
-    fn stats(&self) -> &RunStats {
-        &self.stats
-    }
-}
-
 /// Sequential triangle-recount peeler: the k-truss oracle.
 ///
 /// Maintains no incremental support state at all — every peel decision
@@ -228,12 +218,7 @@ mod tests {
 
     fn all_configs() -> Vec<Config> {
         let mut out = Vec::new();
-        for strategy in [
-            BucketStrategy::Single,
-            BucketStrategy::Fixed(16),
-            BucketStrategy::Hierarchical,
-            BucketStrategy::Adaptive,
-        ] {
+        for strategy in BucketStrategy::ALL {
             for techniques in [Techniques::default(), Techniques::offline()] {
                 out.push(Config { bucket_strategy: strategy, techniques, ..Config::default() });
             }

@@ -1,15 +1,19 @@
 //! The peeling problems shipped on the [`crate::PeelEngine`].
 //!
-//! Each module pairs a [`crate::PeelProblem`] implementation, launched
-//! through one [`crate::Decomposition`] selector, with its result type
-//! and, where useful, a sequential oracle for testing:
+//! Each module backs one [`crate::Decomposition`] selector with its
+//! result type and, where useful, a sequential oracle for testing.
+//! Every module but [`densest`] also holds the selector's
+//! [`crate::PeelProblem`] implementation:
 //!
 //! * [`kcore`] — vertex peeling by induced degree (the paper's
-//!   subject); unit incidence, every technique applies.
+//!   subject); unit incidence, every technique applies. The only
+//!   degree-by-adjacency problem: densest subgraph and maintenance
+//!   peel it too.
 //! * [`ktruss`] — edge peeling by triangle support; the snapshot-rule
 //!   client that exercises the two-phase driver.
-//! * [`densest`] — min-degree peeling with running density tracking;
-//!   Charikar's greedy 2-approximation at round granularity.
+//! * [`densest`] — no problem of its own: the k-core peel plus a
+//!   density post-pass over the coreness; Charikar's greedy
+//!   2-approximation at round granularity.
 //! * [`khcore`] — (k,h)-core / distance-generalized core; the
 //!   recompute-incidence client, h-hop ball priorities recomputed over
 //!   survivors through the generalized CAS clamp.
@@ -38,7 +42,9 @@
 //!    priority ranges from a threshold you compute out of the live
 //!    [`crate::RoundAggregates`] (unit incidences only — see
 //!    [`approx_densest`] for the worked example).
-//! 4. Assemble your result from the per-element settle rounds.
+//! 4. Assemble your result from the per-element settle rounds. If the
+//!    peel is an existing problem's, reuse that problem and post-process
+//!    its result instead (as [`densest`] does with k-core).
 //! 5. Add a [`crate::Decomposition`] selector whose `run` builds the
 //!    problem and peels it; the `KCORE_TECHNIQUES` override follows
 //!    your axes on its own (sampling and offline are dropped where the

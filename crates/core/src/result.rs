@@ -1,12 +1,8 @@
 //! Decomposition output.
 //!
-//! Every decomposition in this crate returns a result type implementing
-//! [`DecompositionResult`]: a uniform surface (element count, run
-//! counters, version) over the problem-specific payloads, so caching
-//! layers — the future `kcore-server` — can hold heterogeneous results
-//! behind one trait object.
-//!
-//! [`CorenessResult`] is additionally *versioned and updatable in
+//! Each problem returns its own result type with inherent accessors
+//! (every one exposes its run counters as `stats()`); this module holds
+//! the k-core one. [`CorenessResult`] is *versioned and updatable in
 //! place*: batch-dynamic maintenance ([`crate::maintain::DynamicGraph`])
 //! keeps one standing result per graph and splices re-peeled coreness
 //! values into it, bumping [`CorenessResult::version`] per batch. The
@@ -17,27 +13,6 @@
 use kcore_parallel::RunStats;
 use rayon::prelude::*;
 use std::sync::Arc;
-
-/// Shared surface of all decomposition results (coreness, trussness,
-/// density, (k,h)-core): the accessors a result cache needs without
-/// knowing the payload.
-pub trait DecompositionResult {
-    /// Number of peeled elements — vertices for vertex problems,
-    /// edges for k-truss.
-    fn num_elements(&self) -> usize;
-
-    /// Run counters of the pass that produced (or last updated) this
-    /// result. All-zero when the run was configured with
-    /// `collect_stats: false`.
-    fn stats(&self) -> &RunStats;
-
-    /// Monotone update counter: 0 for a one-shot decomposition, bumped
-    /// by every maintenance splice. Results that are never maintained
-    /// keep the default.
-    fn version(&self) -> u64 {
-        0
-    }
-}
 
 /// The result of a k-core decomposition: per-vertex coreness plus the
 /// run's instrumentation counters, versioned for in-place maintenance.
@@ -131,20 +106,6 @@ impl CorenessResult {
     }
 }
 
-impl DecompositionResult for CorenessResult {
-    fn num_elements(&self) -> usize {
-        self.coreness.len()
-    }
-
-    fn stats(&self) -> &RunStats {
-        &self.stats
-    }
-
-    fn version(&self) -> u64 {
-        self.version
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,14 +157,5 @@ mod tests {
     fn splice_rejects_shrinking() {
         let mut r = CorenessResult::new(vec![1, 2], RunStats::default());
         r.splice(1, []);
-    }
-
-    #[test]
-    fn trait_surface_matches_inherent_accessors() {
-        let r = CorenessResult::new(vec![1, 2], RunStats::default());
-        let dyn_r: &dyn DecompositionResult = &r;
-        assert_eq!(dyn_r.num_elements(), 2);
-        assert_eq!(dyn_r.version(), 0);
-        assert_eq!(dyn_r.stats().rounds, 0);
     }
 }

@@ -12,15 +12,6 @@ use kcore::{BucketStrategy, Config, DynamicGraph, Techniques};
 use kcore_graph::{CsrGraph, GraphBuilder, VertexId};
 use proptest::prelude::*;
 
-fn all_strategies() -> Vec<BucketStrategy> {
-    vec![
-        BucketStrategy::Single,
-        BucketStrategy::Fixed(16),
-        BucketStrategy::Hierarchical,
-        BucketStrategy::Adaptive,
-    ]
-}
-
 /// Arbitrary messy base graph: duplicates and self-loops allowed (the
 /// builder drops them), plus the empty and edgeless corners.
 fn arb_base() -> impl Strategy<Value = CsrGraph> {
@@ -93,7 +84,7 @@ proptest! {
         base in arb_base(),
         batches in arb_batches(),
     ) {
-        for strategy in all_strategies() {
+        for strategy in BucketStrategy::ALL {
             for techniques in
                 [Techniques::default(), Techniques::all_online(), Techniques::offline()]
             {

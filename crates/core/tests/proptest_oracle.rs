@@ -9,15 +9,6 @@ use kcore::{BucketStrategy, Config, Decomposition, PeelMode, Sampling, Technique
 use kcore_graph::{gen, CsrGraph, GraphBuilder};
 use proptest::prelude::*;
 
-fn all_strategies() -> Vec<BucketStrategy> {
-    vec![
-        BucketStrategy::Single,
-        BucketStrategy::Fixed(16),
-        BucketStrategy::Hierarchical,
-        BucketStrategy::Adaptive,
-    ]
-}
-
 /// The techniques axes: sampling × VGC off/on × online/offline.
 /// Sampling uses a low threshold (test graphs are small) and runs three
 /// ways: the default rate, every edge sampled (the sampled counter then
@@ -46,7 +37,7 @@ fn all_techniques() -> Vec<Techniques> {
 
 fn assert_all_configs_match(g: &CsrGraph) {
     let want = bz_coreness(g);
-    for strategy in all_strategies() {
+    for strategy in BucketStrategy::ALL {
         for techniques in all_techniques() {
             let config = Config { bucket_strategy: strategy, techniques, ..Config::default() };
             let got = Decomposition::kcore(g).config(config).run();

@@ -34,21 +34,12 @@ use kcore::{
 use kcore_graph::{gen, CsrGraph, GraphBuilder};
 use proptest::prelude::*;
 
-fn all_strategies() -> Vec<BucketStrategy> {
-    vec![
-        BucketStrategy::Single,
-        BucketStrategy::Fixed(16),
-        BucketStrategy::Hierarchical,
-        BucketStrategy::Adaptive,
-    ]
-}
-
 /// Strategy × online/offline sweep (sampling and VGC join through the
 /// `KCORE_TECHNIQUES` env legs, which `Decomposition::config` applies
 /// on top).
 fn all_configs() -> Vec<Config> {
     let mut out = Vec::new();
-    for strategy in all_strategies() {
+    for strategy in BucketStrategy::ALL {
         for techniques in [Techniques::default(), Techniques::offline()] {
             out.push(Config { bucket_strategy: strategy, techniques, ..Config::default() });
         }
@@ -109,7 +100,7 @@ const EPSILONS: [f64; 3] = kcore::SWEPT_EPSILONS;
 
 fn assert_khcore_matches_oracle(g: &CsrGraph, h: u32) {
     let want = sequential_kh_coreness(g, h);
-    for strategy in all_strategies() {
+    for strategy in BucketStrategy::ALL {
         let got = Decomposition::khcore(g, h).strategy(strategy).run();
         assert_eq!(
             got.kh_coreness(),
@@ -122,7 +113,7 @@ fn assert_khcore_matches_oracle(g: &CsrGraph, h: u32) {
 fn assert_approx_densest_sandwich(g: &CsrGraph) {
     let oracle = sequential_greedy_density(g);
     for eps in EPSILONS {
-        for strategy in all_strategies() {
+        for strategy in BucketStrategy::ALL {
             let r = Decomposition::approx_densest(g, eps).strategy(strategy).run();
             let got = r.density();
             assert!(
@@ -239,7 +230,7 @@ fn engine_kcore_bit_identical_on_seed_generators() {
     ];
     for (label, g) in &graphs {
         let want = bz_coreness(g);
-        for strategy in all_strategies() {
+        for strategy in BucketStrategy::ALL {
             let got = Decomposition::kcore(g).strategy(strategy).run();
             assert_eq!(got.coreness(), want.as_slice(), "{label} under {strategy}");
         }

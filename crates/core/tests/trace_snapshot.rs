@@ -9,7 +9,7 @@
 //! a dedicated thread and scopes assertions to that thread's trace id;
 //! a shared lock serializes them because the recorder is process-global.
 
-use kcore::{Config, Decomposition, TriangleCtx};
+use kcore::{Config, Decomposition, DynamicGraph, TriangleCtx};
 use kcore_graph::{env_backend, gen, BackendKind};
 use kcore_obs::{set_level, Level, TraceReport};
 
@@ -186,4 +186,45 @@ fn span_tree_of_a_fixed_approx_densest_run_is_pinned() {
         \x20   subround x7\n\
         \x20     frontier.refile x7\n";
     assert_eq!(report.span_tree(tid), expected);
+}
+
+/// The span tree of one default-config k-core peel with `stats`.
+fn kcore_tree(stats: &kcore_parallel::RunStats) -> String {
+    format!(
+        "k-core x1\n\
+         \x20 round x{rounds}\n\
+         \x20   bucket.drain x{rounds}\n\
+         \x20   subround x{subrounds}\n\
+         \x20     frontier.refile x{subrounds}\n",
+        rounds = stats.rounds,
+        subrounds = stats.subrounds,
+    )
+}
+
+#[test]
+fn densest_run_records_exactly_the_kcore_tree() {
+    let _g = serial();
+    let g = gen::barabasi_albert(300, 3, 7);
+    let (result, tid) = traced(|| Decomposition::densest(&g).exact_config(Config::default()).run());
+    let report = TraceReport::capture();
+    set_level(Level::Off);
+    // Densest subgraph is the k-core peel plus an untraced density
+    // post-pass, so it records the k-core tree (after the compressed
+    // leg's re-encode, like k-core itself).
+    let encode = match env_backend() {
+        BackendKind::Compressed => "build.encode x1\n",
+        BackendKind::Plain => "",
+    };
+    assert_eq!(report.span_tree(tid), format!("{encode}{}", kcore_tree(result.stats())));
+}
+
+#[test]
+fn dynamic_graph_construction_peels_a_kcore_root() {
+    let _g = serial();
+    let g = gen::barabasi_albert(300, 3, 7);
+    let (dynamic, tid) = traced(|| DynamicGraph::with_exact_config(g, Config::default()));
+    let report = TraceReport::capture();
+    set_level(Level::Off);
+    // The overlay graph is not plain CSR, so no backend re-encode runs.
+    assert_eq!(report.span_tree(tid), kcore_tree(dynamic.result().stats()));
 }

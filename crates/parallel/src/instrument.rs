@@ -12,11 +12,11 @@
 //! paper's formulas `Õ(ρω)` (plain / offline) and `Õ(ρ′(ω + L))` (VGC)
 //! over the *measured* round structure — exactly what Fig. 9 plots.
 //!
-//! [`UpdateCounter`] is the contention proxy: per-location update counts
-//! whose maximum tracks the paper's contention definition (Sec. 2) well
-//! enough to show sampling's effect (Sec. 4.1.5).
+//! [`RunStats`] collects those counters plus the sampling and VGC
+//! counts; [`TechniqueCounters`] is their atomic in-flight form, merged
+//! into [`RunStats`] between rounds.
 
-use kcore_check::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use kcore_check::sync::atomic::{AtomicU64, Ordering};
 
 /// Burden charged per global synchronization (Cilkview's default ω).
 pub const OMEGA: u64 = 15_000;
@@ -80,9 +80,6 @@ pub struct RunStats {
     /// Run restarts. Always 0: every sampling settle is exact, so no
     /// run repeats. Kept for readers of the published `restarts` key.
     pub restarts: u64,
-    /// Maximum atomic updates applied to any single memory location
-    /// (contention proxy; only filled when tracking is enabled).
-    pub max_updates_per_location: u64,
 }
 
 impl RunStats {
@@ -134,7 +131,6 @@ impl RunStats {
                 ("resamples", self.resamples),
                 ("validate_calls", self.validate_calls),
                 ("restarts", self.restarts),
-                ("max_updates_per_location", self.max_updates_per_location),
             ],
         );
     }
@@ -181,45 +177,6 @@ impl TechniqueCounters {
     pub fn merge_sampling_into(&self, stats: &mut RunStats) {
         stats.resamples += self.resamples.load(Ordering::Relaxed);
         stats.validate_calls += self.validate_calls.load(Ordering::Relaxed);
-    }
-}
-
-/// Per-location update counter: the contention diagnostic.
-///
-/// `bump(i)` counts one atomic update against location `i`; `max()` is
-/// the run's contention proxy. Enabled only in instrumented runs — the
-/// counter array doubles the atomic traffic, so benchmark timings keep
-/// it off.
-#[derive(Debug)]
-pub struct UpdateCounter {
-    counts: Box<[AtomicU32]>,
-}
-
-impl UpdateCounter {
-    /// Creates counters for `n` locations.
-    pub fn new(n: usize) -> Self {
-        Self { counts: (0..n).map(|_| AtomicU32::new(0)).collect() }
-    }
-
-    /// Records one update against location `i`.
-    #[inline]
-    pub fn bump(&self, i: usize) {
-        self.counts[i].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Largest update count across locations.
-    pub fn max(&self) -> u64 {
-        self.counts.iter().map(|c| c.load(Ordering::Relaxed) as u64).max().unwrap_or(0)
-    }
-
-    /// Total updates recorded.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().map(|c| c.load(Ordering::Relaxed) as u64).sum()
-    }
-
-    /// Update count of location `i`.
-    pub fn get(&self, i: usize) -> u64 {
-        self.counts[i].load(Ordering::Relaxed) as u64
     }
 }
 
@@ -296,14 +253,5 @@ mod tests {
         assert_eq!(c.chain.get(), 0);
         // Sampling counters survive subround resets.
         assert_eq!(c.resamples.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn update_counter_counts_per_location() {
-        let c = UpdateCounter::new(8);
-        (0..800usize).into_par_iter().for_each(|i| c.bump(i % 8));
-        assert_eq!(c.total(), 800);
-        assert_eq!(c.max(), 100);
-        assert_eq!(c.get(3), 100);
     }
 }

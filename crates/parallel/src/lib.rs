@@ -35,4 +35,4 @@ pub mod pool;
 pub mod primitives;
 
 pub use hashbag::HashBag;
-pub use instrument::{AtomicMax, RunStats, TechniqueCounters, UpdateCounter, OMEGA};
+pub use instrument::{AtomicMax, RunStats, TechniqueCounters, OMEGA};

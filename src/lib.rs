@@ -79,9 +79,8 @@ pub use kcore_parallel as parallel;
 /// Convenience re-export of the most common entry points.
 pub mod prelude {
     pub use kcore::{
-        ApproxDensestResult, Config, CorenessResult, Decomposition, DecompositionResult,
-        DensestResult, DynamicGraph, KhCoreResult, MaintainStats, PeelEngine, PeelProblem,
-        TrussnessResult, Version,
+        ApproxDensestResult, Config, CorenessResult, Decomposition, DensestResult, DynamicGraph,
+        KhCoreResult, MaintainStats, PeelEngine, PeelProblem, TrussnessResult, Version,
     };
     pub use kcore_graph::{CsrGraph, EdgeIndex, GraphBuilder, VertexId};
 }
