@@ -189,9 +189,6 @@ pub mod summary {
         if path.is_empty() {
             return;
         }
-        // Fold the scheduler tallies in so the trace's counter track
-        // carries the steal/split/park story next to the spans.
-        kcore_parallel::pool::publish_scheduler_metrics();
         let report = kcore_obs::TraceReport::capture();
         if report.is_empty() {
             eprintln!(

@@ -115,32 +115,6 @@ pub struct MaintainStats {
     pub splice_nanos: u64,
 }
 
-impl MaintainStats {
-    /// Publish the batch's headline quantities as `maintain.*` gauges in
-    /// the `kcore-obs` metrics registry (no-op below
-    /// `KCORE_TRACE=counters`). The phase timings land next to the
-    /// `maintain.region`/`repeel`/`splice` spans they mirror.
-    pub fn publish_metrics(&self) {
-        kcore_obs::MetricsRegistry::publish(
-            "maintain",
-            &[
-                ("version", self.version),
-                ("inserted", self.inserted as u64),
-                ("deleted", self.deleted as u64),
-                ("seeds", self.seeds as u64),
-                ("candidates", self.candidates as u64),
-                ("region", self.region as u64),
-                ("boundary_arcs", self.boundary_arcs as u64),
-                ("full_recompute", self.full_recompute as u64),
-                ("compacted", self.compacted as u64),
-                ("region_nanos", self.region_nanos),
-                ("repeel_nanos", self.repeel_nanos),
-                ("splice_nanos", self.splice_nanos),
-            ],
-        );
-    }
-}
-
 /// A graph under edge-batch mutation with its coreness decomposition
 /// maintained incrementally. See the [module docs](self) for the
 /// lifecycle and the algorithm.
@@ -327,7 +301,6 @@ impl DynamicGraph {
             self.graph.compact();
             stats.compacted = true;
         }
-        stats.publish_metrics();
         self.last = stats;
         self.version()
     }

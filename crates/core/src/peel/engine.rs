@@ -418,7 +418,6 @@ impl<'p, P: PeelProblem> PeelEngine<'p, P> {
             );
             peel(&self.config, self.problem, &mut stats)
         };
-        stats.publish_metrics();
         self.problem.assemble(rounds, stats)
     }
 }

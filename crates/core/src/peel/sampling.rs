@@ -71,7 +71,7 @@ use super::engine::{OnlineCtx, PeelProblem, UnitIncidence, UNSET};
 use crate::config::Sampling;
 use kcore_buckets::BucketStructure;
 use kcore_check::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
-use kcore_obs::{counter, span};
+use kcore_obs::span;
 use kcore_parallel::primitives::pack_index;
 use kcore_parallel::TechniqueCounters;
 use rayon::prelude::*;
@@ -217,7 +217,7 @@ impl SamplingState {
             // claimed for this round.
             return;
         }
-        counter!(ctx.counters.resamples, "sampling.resamples", 1);
+        ctx.counters.resamples.fetch_add(1, Ordering::Relaxed);
         let exact = self.count_live(u, ctx.inc, ctx.settled, false);
         if exact <= k {
             // The round-start invariant puts the priority at >= k when
@@ -290,8 +290,8 @@ impl SamplingState {
                 {
                     return None;
                 }
-                counter!(counters.validate_calls, "sampling.validate_calls", 1);
-                counter!(counters.resamples, "sampling.resamples", 1);
+                counters.validate_calls.fetch_add(1, Ordering::Relaxed);
+                counters.resamples.fetch_add(1, Ordering::Relaxed);
                 let exact = this.count_live(v, inc, settled, false);
                 debug_assert_eq!(approx, this.count_live(v, inc, settled, true));
                 this.dirty[v as usize].store(false, Ordering::Relaxed);

@@ -28,7 +28,6 @@
 
 use super::engine::{clamped_update, OnlineCtx, PeelProblem};
 use kcore_check::sync::atomic::Ordering;
-use kcore_obs::{counter, gauge_max};
 
 /// Settles `v` at round `round`, processes its removals, and — with
 /// VGC enabled (`ctx.chain_limit > 0`) — chases the local peel chain
@@ -92,8 +91,8 @@ pub(crate) fn peel_from<P: PeelProblem>(ctx: &OnlineCtx<'_, P>, v: u32, round: u
         }
     }
     if chased > 0 {
-        counter!(ctx.counters.chased, "vgc.chased", chased);
-        counter!(ctx.counters.chased_work, "vgc.chased_work", chased_work);
-        gauge_max!(ctx.counters.chain, "vgc.chain", chased);
+        ctx.counters.chased.fetch_add(chased, Ordering::Relaxed);
+        ctx.counters.chased_work.fetch_add(chased_work, Ordering::Relaxed);
+        ctx.counters.chain.update(chased);
     }
 }

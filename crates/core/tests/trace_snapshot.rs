@@ -93,16 +93,37 @@ fn ba3000_span_counts_match_run_stats_exactly() {
         |name: &str| chrome.matches(&format!("{{\"name\":\"{name}\",\"ph\":\"B\"")).count();
     assert_eq!(begins("round") as u64, stats.rounds);
     assert_eq!(begins("subround") as u64, stats.subrounds);
+}
 
-    // publish_metrics ran inside the engine, so the gauges mirror the
-    // same numbers in the unified metrics document.
-    let gauge = |name: &str| {
-        report.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap_or_else(|| {
-            panic!("gauge {name} missing from {:?}", report.gauges);
-        })
+#[test]
+fn triangle_setup_counters_match_the_reference_count() {
+    let _g = serial();
+    let g = gen::barabasi_albert(300, 3, 7);
+    // Computed before tracing goes on, so its kernel tallies stay out.
+    let expected = kcore_graph::triangles::triangle_count(&g);
+    assert!(expected > 0, "the fixture must have triangles");
+
+    let counter = |report: &TraceReport, name: &str| {
+        report.counters.iter().filter(|(n, _)| n == name).map(|(_, v)| *v).sum::<u64>()
     };
-    assert_eq!(gauge("run.rounds"), stats.rounds);
-    assert_eq!(gauge("run.subrounds"), stats.subrounds);
+    let kernel_calls = |report: &TraceReport| {
+        ["tri.kernel.merge", "tri.kernel.gallop", "tri.kernel.bitset"]
+            .iter()
+            .map(|name| counter(report, name))
+            .sum::<u64>()
+    };
+    set_level(Level::Spans);
+    kcore_obs::reset();
+    let _ctx = TriangleCtx::build(&g);
+    let report = TraceReport::capture();
+    set_level(Level::Off);
+    assert_eq!(counter(&report, "tri.triangles"), expected);
+    assert!(kernel_calls(&report) > 0, "every intersection tallies its kernel");
+
+    kcore_obs::reset();
+    let report = TraceReport::capture();
+    assert_eq!(counter(&report, "tri.triangles"), 0);
+    assert_eq!(kernel_calls(&report), 0);
 }
 
 #[test]

@@ -2,12 +2,12 @@
 //!
 //! The container has no crates.io access, so this crate is a small,
 //! dependency-free substitute for the `tracing` + `tracing-chrome`
-//! stack: callsite macros ([`span!`], [`event!`], [`counter!`],
-//! [`gauge_max!`]) record into lock-free per-thread ring buffers, and
-//! [`TraceReport::capture`] drains everything into one report that
-//! exports a unified metrics JSON ([`TraceReport::metrics_json`]) and
-//! Chrome Trace Event Format ([`TraceReport::chrome_trace`],
-//! loadable in `chrome://tracing` or Perfetto).
+//! stack: callsite macros ([`span!`], [`event!`], [`counter!`]) record
+//! into lock-free per-thread ring buffers and callsite-static counter
+//! cells, and [`TraceReport::capture`] drains everything into one
+//! report that exports Chrome Trace Event Format
+//! ([`TraceReport::chrome_trace`], loadable in `chrome://tracing` or
+//! Perfetto).
 //!
 //! # Runtime gating and the overhead contract
 //!
@@ -20,14 +20,12 @@
 //!   ring buffers are allocated lazily on a thread's *first recorded
 //!   event*, so a process that never enables tracing never allocates
 //!   a buffer at all (asserted by `tests/off_noop.rs`).
-//! * `counters` — [`counter!`] and [`gauge_max!`] are live (one extra
-//!   relaxed `fetch_add` on a callsite-static cell); spans are still
-//!   no-ops, so there are no clock reads on the hot path.
 //! * `spans` — everything is live. A span records two fixed-size ring
 //!   slots (begin/end) with one monotonic clock read each; events
-//!   record one. Instrumentation in the engine is placed at round /
-//!   subround / phase granularity — never per-vertex — so even `spans`
-//!   costs O(rounds) clock reads per decomposition.
+//!   record one; a [`counter!`] is one relaxed `fetch_add` on a
+//!   callsite-static cell. Instrumentation in the engine is placed at
+//!   round / subround / phase granularity — never per-vertex — so even
+//!   `spans` costs O(rounds) clock reads per decomposition.
 //!
 //! Unknown `KCORE_TRACE` values panic with the valid set, mirroring
 //! `KCORE_TECHNIQUES` parsing.
@@ -53,14 +51,14 @@
 //! the hot path never touches the string or any lock after the first
 //! hit at a callsite.
 //!
-//! # Metrics registry
+//! # Run statistics live elsewhere
 //!
-//! [`MetricsRegistry`] is the named counter/gauge store that the
-//! engine's historical stats structs (`RunStats`,
-//! `TechniqueCounters`, `SchedulerStats`, `MaintainStats`) publish
-//! into as `prefix.field` gauges, so one [`TraceReport`] carries the
-//! whole story: live counters from the macros, end-of-run gauges from
-//! the stats structs, and the span timeline.
+//! This crate records *timelines* and a few counters that have no
+//! other home (triangle-kernel choices, build shards). Per-run
+//! quantities — rounds, subrounds, burdened span, sampling and VGC
+//! counts, scheduler steals, maintenance region sizes — are carried
+//! only by the stats structs returned with each run (`RunStats`,
+//! `MaintainStats`, `SchedulerStats`), never copied in here.
 
 pub mod registry;
 pub mod report;
@@ -76,10 +74,8 @@ use kcore_check::sync::atomic::{AtomicU8, Ordering};
 pub enum Level {
     /// Record nothing; macros are branch-only no-ops.
     Off = 0,
-    /// Counters and gauges only; spans/events disabled.
-    Counters = 1,
     /// Full span timeline plus counters.
-    Spans = 2,
+    Spans = 1,
 }
 
 impl Level {
@@ -87,7 +83,6 @@ impl Level {
     pub fn as_str(self) -> &'static str {
         match self {
             Level::Off => "off",
-            Level::Counters => "counters",
             Level::Spans => "spans",
         }
     }
@@ -101,9 +96,8 @@ fn init_level_from_env() -> u8 {
     let parsed = match std::env::var("KCORE_TRACE") {
         Ok(raw) => match raw.trim() {
             "" | "off" | "0" => Level::Off,
-            "counters" => Level::Counters,
             "spans" => Level::Spans,
-            other => panic!("KCORE_TRACE: unknown level {other:?} (valid: off, counters, spans)"),
+            other => panic!("KCORE_TRACE: unknown level {other:?} (valid: off, spans)"),
         },
         Err(_) => Level::Off,
     };
@@ -120,8 +114,7 @@ pub fn level() -> Level {
     let raw = LEVEL.load(Ordering::Relaxed);
     let raw = if raw == LEVEL_UNSET { init_level_from_env() } else { raw };
     match raw {
-        1 => Level::Counters,
-        2 => Level::Spans,
+        1 => Level::Spans,
         _ => Level::Off,
     }
 }
@@ -140,7 +133,7 @@ pub fn set_level(l: Level) {
     LEVEL.store(l as u8, Ordering::Relaxed);
 }
 
-/// Discard all recorded spans, counters and gauges.
+/// Discard all recorded spans and counters.
 ///
 /// Thread buffers stay allocated (they are reused), but their
 /// contents and the dropped-record tallies are cleared. Intended for
@@ -148,7 +141,6 @@ pub fn set_level(l: Level) {
 pub fn reset() {
     ring::reset_all();
     registry::reset_counters();
-    registry::reset_gauges();
 }
 
 /// A RAII span: records a begin slot when armed, an end slot on drop.
@@ -231,59 +223,19 @@ macro_rules! event {
     }};
 }
 
-/// Bump a named metric counter.
-///
-/// Two forms:
-/// * `counter!("name", delta)` — a pure metrics counter backed by a
-///   callsite-static cell, live at `KCORE_TRACE=counters` and above.
-/// * `counter!(slot, "name", delta)` — *also* unconditionally
-///   `fetch_add`s `delta` into `slot` (an `AtomicU64` field, e.g. on
-///   `TechniqueCounters`). This is the routed form every engine
-///   emission site uses, so `grep counter!` finds them all while the
-///   legacy stats structs keep their exact semantics.
+/// Bump a named counter by `delta`: one relaxed `fetch_add` on a
+/// callsite-static cell, live at `KCORE_TRACE=spans`. Only for
+/// quantities with no stats-struct home; read them back from
+/// [`TraceReport::counters`].
 #[macro_export]
 macro_rules! counter {
     ($name:literal, $delta:expr) => {{
-        if $crate::enabled($crate::Level::Counters) {
+        if $crate::enabled($crate::Level::Spans) {
             static __KCORE_OBS_CELL: $crate::registry::CounterCell =
                 $crate::registry::CounterCell::new($name);
             __KCORE_OBS_CELL.add($delta as u64);
         }
     }};
-    ($slot:expr, $name:literal, $delta:expr) => {{
-        let __kcore_obs_delta: u64 = $delta as u64;
-        $slot.fetch_add(__kcore_obs_delta, ::core::sync::atomic::Ordering::Relaxed);
-        $crate::counter!($name, __kcore_obs_delta);
-    }};
-}
-
-/// Fold a value into a named high-watermark gauge (max semantics).
-///
-/// `gauge_max!(slot, "name", value)` also folds into `slot`, which
-/// must expose `update(u64)` (the engine's `AtomicMax`); the
-/// slot-less form updates only the metric.
-#[macro_export]
-macro_rules! gauge_max {
-    ($name:literal, $value:expr) => {{
-        if $crate::enabled($crate::Level::Counters) {
-            $crate::registry::gauge_max($name, $value as u64);
-        }
-    }};
-    ($slot:expr, $name:literal, $value:expr) => {{
-        let __kcore_obs_v: u64 = $value as u64;
-        $slot.update(__kcore_obs_v);
-        $crate::gauge_max!($name, __kcore_obs_v);
-    }};
-}
-
-/// Set a named gauge to an absolute value (last write wins).
-///
-/// This is how the end-of-run stats structs publish their fields into
-/// the [`MetricsRegistry`]; see e.g. `RunStats::publish_metrics`.
-pub fn gauge(name: &str, value: u64) {
-    if enabled(Level::Counters) {
-        registry::gauge_set(name, value);
-    }
 }
 
 /// Run `f`, always returning its elapsed wall-clock nanos, and record
@@ -299,36 +251,6 @@ pub fn timed<T>(name: &'static str, f: impl FnOnce() -> T) -> (T, u64) {
     let nanos = start.elapsed().as_nanos() as u64;
     drop(guard);
     (out, nanos)
-}
-
-/// The unified named counter/gauge store.
-///
-/// Counters accumulate deltas from [`counter!`] sites; gauges hold
-/// absolute values ([`gauge`]) or high watermarks ([`gauge_max!`]).
-/// The four historical stats structs publish here, which is what
-/// "absorbs" them into one report without changing their public APIs.
-pub struct MetricsRegistry;
-
-impl MetricsRegistry {
-    /// Publish a batch of `prefix.field = value` gauges.
-    pub fn publish(prefix: &str, fields: &[(&str, u64)]) {
-        if !enabled(Level::Counters) {
-            return;
-        }
-        for (field, value) in fields {
-            registry::gauge_set(&format!("{prefix}.{field}"), *value);
-        }
-    }
-
-    /// Snapshot of all counters, sorted by name.
-    pub fn counters() -> Vec<(String, u64)> {
-        registry::counter_snapshot()
-    }
-
-    /// Snapshot of all gauges, sorted by name.
-    pub fn gauges() -> Vec<(String, u64)> {
-        registry::gauge_snapshot()
-    }
 }
 
 /// Number of per-thread ring buffers allocated so far (test hook for
@@ -347,28 +269,15 @@ mod tests {
     }
 
     #[test]
-    fn counter_macro_routes_slot_and_metric() {
+    fn counter_macro_accumulates_at_spans() {
         let _g = serial();
-        set_level(Level::Counters);
+        set_level(Level::Spans);
         reset();
-        let slot = kcore_check::sync::atomic::AtomicU64::new(0);
-        counter!(slot, "test.routed", 3);
-        counter!(slot, "test.routed", 4);
-        assert_eq!(slot.load(Ordering::Relaxed), 7);
-        let counters = MetricsRegistry::counters();
-        assert!(counters.iter().any(|(n, v)| n == "test.routed" && *v == 7));
+        counter!("test.counter", 3);
+        counter!("test.counter", 4);
+        let report = TraceReport::capture();
+        assert!(report.counters.iter().any(|(n, v)| n == "test.counter" && *v == 7));
         set_level(Level::Off);
-    }
-
-    #[test]
-    fn slot_still_counts_when_off() {
-        let _g = serial();
-        set_level(Level::Off);
-        reset();
-        let slot = kcore_check::sync::atomic::AtomicU64::new(0);
-        counter!(slot, "test.off_slot", 5);
-        assert_eq!(slot.load(Ordering::Relaxed), 5, "legacy stats must not regress when off");
-        assert!(!MetricsRegistry::counters().iter().any(|(n, _)| n == "test.off_slot"));
     }
 
     #[test]
@@ -391,20 +300,6 @@ mod tests {
         let chrome = report.chrome_trace();
         assert!(chrome.contains("\"ph\":\"B\"") && chrome.contains("\"ph\":\"E\""));
         assert!(chrome.contains("test.mark"));
-        let json = report.metrics_json();
-        assert!(json.contains("kcore-trace-metrics/v1"));
-        set_level(Level::Off);
-    }
-
-    #[test]
-    fn gauge_max_keeps_watermark() {
-        let _g = serial();
-        set_level(Level::Counters);
-        reset();
-        gauge_max!("test.peak", 4);
-        gauge_max!("test.peak", 9);
-        gauge_max!("test.peak", 2);
-        assert!(MetricsRegistry::gauges().iter().any(|(n, v)| n == "test.peak" && *v == 9));
         set_level(Level::Off);
     }
 }

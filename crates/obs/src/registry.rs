@@ -1,4 +1,4 @@
-//! Name interning and the global counter/gauge tables.
+//! Name interning and the global counter table.
 //!
 //! Hot paths touch only callsite-static atomics: a [`NameId`] caches
 //! its interned id after one registration, and a [`CounterCell`] is a
@@ -119,38 +119,4 @@ pub fn reset_counters() {
     for cell in COUNTERS.lock().unwrap().iter() {
         cell.value.store(0, Ordering::Relaxed);
     }
-}
-
-static GAUGES: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
-
-/// Absolute-value gauge (last write wins).
-pub fn gauge_set(name: &str, value: u64) {
-    let mut gauges = GAUGES.lock().unwrap();
-    match gauges.get_mut(name) {
-        Some(slot) => *slot = value,
-        None => {
-            gauges.insert(name.to_owned(), value);
-        }
-    }
-}
-
-/// High-watermark gauge (max wins).
-pub fn gauge_max(name: &str, value: u64) {
-    let mut gauges = GAUGES.lock().unwrap();
-    match gauges.get_mut(name) {
-        Some(current) => *current = (*current).max(value),
-        None => {
-            gauges.insert(name.to_owned(), value);
-        }
-    }
-}
-
-/// Sorted `(name, value)` snapshot of all gauges.
-pub fn gauge_snapshot() -> Vec<(String, u64)> {
-    GAUGES.lock().unwrap().iter().map(|(n, v)| (n.clone(), *v)).collect()
-}
-
-/// Drop all gauges.
-pub fn reset_gauges() {
-    GAUGES.lock().unwrap().clear();
 }

@@ -1,13 +1,12 @@
 //! Draining recorded data into an exportable report.
 //!
 //! [`TraceReport::capture`] snapshots every thread buffer plus the
-//! counter/gauge tables. Exports:
+//! counter table. Views:
 //!
 //! * [`TraceReport::chrome_trace`] — Chrome Trace Event Format JSON
 //!   (open in `chrome://tracing` or <https://ui.perfetto.dev>).
-//! * [`TraceReport::metrics_json`] — the unified metrics document
-//!   (schema `kcore-trace-metrics/v1`): counters, gauges, and
-//!   per-span-name aggregates.
+//! * [`TraceReport::span_aggregates`] — per-span-name counts and total
+//!   nanos.
 //! * [`TraceReport::span_tree`] — a deterministic text rendering of
 //!   the span hierarchy (names, nesting, counts — no timings), which
 //!   is what the snapshot test pins.
@@ -43,14 +42,12 @@ pub struct SpanAgg {
 pub struct TraceReport {
     pub threads: Vec<ThreadTrace>,
     pub counters: Vec<(String, u64)>,
-    pub gauges: Vec<(String, u64)>,
     /// Records lost to ring wrap, summed over threads.
     pub dropped: u64,
-    level: crate::Level,
 }
 
 impl TraceReport {
-    /// Drain all thread buffers and metric tables. Run at quiescence
+    /// Drain all thread buffers and the counter table. Run at quiescence
     /// (no instrumented work in flight) for a coherent timeline.
     pub fn capture() -> TraceReport {
         let mut threads = Vec::new();
@@ -68,20 +65,13 @@ impl TraceReport {
                 .collect();
             threads.push(ThreadTrace { tid, records });
         }
-        TraceReport {
-            threads,
-            counters: registry::counter_snapshot(),
-            gauges: registry::gauge_snapshot(),
-            dropped,
-            level: crate::level(),
-        }
+        TraceReport { threads, counters: registry::counter_snapshot(), dropped }
     }
 
     /// True if nothing at all was recorded.
     pub fn is_empty(&self) -> bool {
         self.threads.iter().all(|t| t.records.is_empty())
             && self.counters.iter().all(|(_, v)| *v == 0)
-            && self.gauges.is_empty()
     }
 
     /// Number of completed-or-open spans named `name` (counts Begin
@@ -167,12 +157,12 @@ impl TraceReport {
                 push(ev, &mut first);
             }
         }
-        // Counters and gauges as a final counter sample each, so the
-        // totals are visible on the timeline view too.
+        // Counters as a final counter sample each, so the totals are
+        // visible on the timeline view too.
         let last_ts =
             self.threads.iter().flat_map(|t| &t.records).map(|r| r.nanos).max().unwrap_or(0) as f64
                 / 1000.0;
-        for (name, value) in self.counters.iter().chain(&self.gauges) {
+        for (name, value) in &self.counters {
             push(
                 format!(
                     "{{\"name\":{},\"ph\":\"C\",\"ts\":{last_ts:.3},\"pid\":1,\
@@ -183,52 +173,6 @@ impl TraceReport {
             );
         }
         out.push_str("],\"displayTimeUnit\":\"ms\"}");
-        out
-    }
-
-    /// The unified metrics document, schema `kcore-trace-metrics/v1`:
-    ///
-    /// ```json
-    /// {
-    ///   "schema": "kcore-trace-metrics/v1",
-    ///   "level": "spans",
-    ///   "counters": {"engine.subrounds": 42, ...},
-    ///   "gauges": {"run.rounds": 7, ...},
-    ///   "spans": {"round": {"count": 7, "total_ns": 123456}, ...},
-    ///   "dropped_records": 0
-    /// }
-    /// ```
-    pub fn metrics_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\"schema\":\"kcore-trace-metrics/v1\",\"level\":");
-        out.push_str(&json_str(self.level.as_str()));
-        out.push_str(",\"counters\":{");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{value}", json_str(name)));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{value}", json_str(name)));
-        }
-        out.push_str("},\"spans\":{");
-        for (i, (name, agg)) in self.span_aggregates().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{}:{{\"count\":{},\"total_ns\":{}}}",
-                json_str(name),
-                agg.count,
-                agg.total_nanos
-            ));
-        }
-        out.push_str(&format!("}},\"dropped_records\":{}}}", self.dropped));
         out
     }
 

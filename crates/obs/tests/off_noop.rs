@@ -4,32 +4,24 @@
 //! ever comes into existence. Flipping to `spans` in the same process
 //! then proves the very same callsites go live.
 
-use kcore_check::sync::atomic::{AtomicU64, Ordering};
-use kcore_obs::{counter, event, gauge_max, set_level, span, Level, MetricsRegistry, TraceReport};
+use kcore_obs::{counter, event, set_level, span, Level, TraceReport};
 
 #[test]
 fn off_records_nothing_and_allocates_nothing() {
     set_level(Level::Off);
-    let slot = AtomicU64::new(0);
     for i in 0..100u64 {
         let _s = span!("noop.span", i);
         event!("noop.event", i);
         counter!("noop.counter", 1);
-        counter!(slot, "noop.routed", 1);
-        gauge_max!("noop.peak", i);
     }
-    kcore_obs::gauge("noop.gauge", 7);
 
-    // The routed form still feeds the legacy stats slot...
-    assert_eq!(slot.load(Ordering::Relaxed), 100);
-    // ...but the obs layer saw none of it: no records, no metrics, and
-    // — the allocation contract — no per-thread ring buffer was ever
-    // created in this process.
+    // The obs layer saw none of it: no records, no counters, and — the
+    // allocation contract — no per-thread ring buffer was ever created
+    // in this process.
     let report = TraceReport::capture();
     assert!(report.is_empty(), "off must record nothing");
     assert!(report.threads.is_empty());
-    assert!(MetricsRegistry::counters().is_empty());
-    assert!(MetricsRegistry::gauges().is_empty());
+    assert!(report.counters.is_empty());
     assert_eq!(kcore_obs::thread_buffer_count(), 0, "off must not allocate ring buffers");
 
     // B side: the same callsites record once the level goes up.

@@ -78,7 +78,7 @@ pub struct RunStats {
     /// End-of-round exact recounts of sample-mode vertices.
     pub validate_calls: u64,
     /// Run restarts. Always 0: every sampling settle is exact, so no
-    /// run repeats. Kept for readers of the published `restarts` key.
+    /// run repeats. Kept because benchmark reports still carry the field.
     pub restarts: u64,
 }
 
@@ -107,32 +107,13 @@ impl RunStats {
         self.work / p + self.burdened_span
     }
 
-    /// Predicted self-relative speedup on `p` cores.
+    /// Predicted self-relative speedup on `p` cores; 1.0 for an empty
+    /// run, whose predicted time is 0 on any core count.
     pub fn predicted_speedup(&self, p: u64) -> f64 {
-        self.predicted_time(1) as f64 / self.predicted_time(p) as f64
-    }
-
-    /// Publish every field as a `run.*` gauge in the `kcore-obs`
-    /// metrics registry (no-op below `KCORE_TRACE=counters`), so a
-    /// [`kcore_obs::TraceReport`] carries the run's structural stats
-    /// next to the span timeline.
-    pub fn publish_metrics(&self) {
-        kcore_obs::MetricsRegistry::publish(
-            "run",
-            &[
-                ("rounds", self.rounds),
-                ("subrounds", self.subrounds),
-                ("global_syncs", self.global_syncs),
-                ("work", self.work),
-                ("burdened_span", self.burdened_span),
-                ("max_frontier", self.max_frontier as u64),
-                ("peak_chain", self.peak_chain),
-                ("sampled_vertices", self.sampled_vertices),
-                ("resamples", self.resamples),
-                ("validate_calls", self.validate_calls),
-                ("restarts", self.restarts),
-            ],
-        );
+        match self.predicted_time(p) {
+            0 => 1.0,
+            tp => self.predicted_time(1) as f64 / tp as f64,
+        }
     }
 }
 
@@ -230,6 +211,8 @@ mod tests {
         assert!(t4 > t_inf);
         assert_eq!(t_inf, s.burdened_span);
         assert!(s.predicted_speedup(4) > 1.0);
+        // An empty run predicts time 0 everywhere: no speedup, not NaN.
+        assert_eq!(RunStats::default().predicted_speedup(2), 1.0);
     }
 
     #[test]

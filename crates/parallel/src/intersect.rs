@@ -22,8 +22,9 @@
 //! policy is overridable process-wide via the `KCORE_TRI_KERNEL`
 //! environment variable ([`TriKernel::from_env`], values
 //! `auto|merge|gallop|bitset`) so each kernel is independently testable
-//! and benchable. Kernel-choice tallies are published as
-//! `tri.kernel.{merge,gallop,bitset}` counters through `kcore-obs`.
+//! and benchable. Kernel-choice tallies are recorded as
+//! `tri.kernel.{merge,gallop,bitset}` counters through `kcore-obs`,
+//! live at `KCORE_TRACE=spans`.
 //!
 //! All kernels enumerate the same set of matches — only the order of
 //! work differs — so every consumer is bit-identical across kernels;

@@ -93,23 +93,6 @@ pub fn scheduler_delta<T>(f: impl FnOnce() -> T) -> (T, SchedulerStats) {
     )
 }
 
-/// Publish the current [`scheduler_stats`] totals and per-worker
-/// breakdown into the `kcore-obs` metrics registry (`scheduler.*`
-/// gauges). No-op below `KCORE_TRACE=counters`.
-pub fn publish_scheduler_metrics() {
-    let s = scheduler_stats();
-    kcore_obs::MetricsRegistry::publish(
-        "scheduler",
-        &[("steals", s.steals), ("splits", s.splits), ("parks", s.parks), ("wakes", s.wakes)],
-    );
-    for (i, w) in per_worker_stats().iter().enumerate() {
-        kcore_obs::MetricsRegistry::publish(
-            &format!("scheduler.worker{i}"),
-            &[("steals", w.steals), ("splits", w.splits), ("parks", w.parks), ("wakes", w.wakes)],
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

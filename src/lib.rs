@@ -30,9 +30,9 @@
 //!   instrumentation ([`kcore_parallel`]).
 //! * [`buckets`] — bucketing structures over opaque elements and
 //!   priorities, including HBS ([`kcore_buckets`]).
-//! * [`obs`] — first-party tracing and metrics: `span!`/`counter!`
-//!   macros over lock-free per-thread rings, `KCORE_TRACE` runtime
-//!   gating, Chrome-trace and metrics-JSON export ([`kcore_obs`]).
+//! * [`obs`] — first-party tracing: `span!`/`counter!` macros over
+//!   lock-free per-thread rings, `KCORE_TRACE` runtime gating,
+//!   Chrome-trace export ([`kcore_obs`]).
 //! * [`core`] — the peel engine and its problems: k-core, k-truss,
 //!   densest subgraph, and the sequential oracles they are tested
 //!   against ([`kcore`]).
