@@ -115,21 +115,23 @@ pub enum PeelMode {
 /// count of *sampled* incident edges — each edge is in the sample with
 /// probability `2^-rate_log2`, decided by a deterministic hash of the
 /// endpoints and [`Sampling::seed`]. Removals of sampled edges decrement
-/// the counter; when it crosses a trigger watermark near the current
-/// round, the vertex is exactly re-counted mid-round
-/// ([`kcore_parallel::RunStats::resamples`]). The watermark only
-/// schedules those early recounts and is not a correctness bound: when
-/// a round's frontier drains, every live sample-mode vertex that lost a
-/// neighbour and could reach the round is recounted exactly
-/// ([`kcore_parallel::RunStats::validate_calls`]). So every round starts
-/// with every live vertex's stored priority exact or an upper bound at
-/// or above the round, and every sample-mode settle is exact.
+/// the counter, a lower bound on the live degree. When a round's
+/// frontier drains, every live sample-mode vertex whose counter has
+/// fallen to the round is recounted exactly
+/// ([`kcore_parallel::RunStats::validate_calls`]). That recount ends
+/// its sample mode: the vertex either settles in the round or keeps the
+/// exact degree and leaves sample mode, so each vertex is recounted at
+/// most once ([`kcore_parallel::RunStats::recount_arcs`] ≤ Σ d(v)). So
+/// every round starts with every live vertex's stored priority exact
+/// or an upper bound at or above the round, and every sample-mode
+/// settle is exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Sampling {
     /// Minimum initial degree for a vertex to enter sample mode.
     pub threshold: u32,
     /// Sampling rate exponent: each edge is sampled with probability
-    /// `2^-rate_log2`.
+    /// `2^-rate_log2`. Valid range `0..=63`; a run panics on larger
+    /// values.
     pub rate_log2: u32,
     /// Seed of the deterministic edge-sampling hash.
     pub seed: u64,

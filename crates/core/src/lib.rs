@@ -41,11 +41,12 @@
 //!
 //! * **Sampling** ([`Sampling`], Sec. 4.1) — high-priority elements
 //!   track an approximate priority over a hashed incidence sample,
-//!   shedding decrement contention on hubs. Exact recounts whenever a
-//!   round's frontier drains keep every live hub's stored priority an
-//!   upper bound at or above the next round, so every hub settle is
-//!   exact and the output oracle-identical. Unit-incidence problems
-//!   only.
+//!   shedding decrement contention on hubs. When a round's frontier
+//!   drains, a hub whose sampled counter reached the round is recounted
+//!   exactly, once: it settles or returns to exact counting. That keeps
+//!   every live hub's stored priority an upper bound at or above the
+//!   next round, so every hub settle is exact and the output
+//!   oracle-identical. Unit-incidence problems only.
 //! * **Vertical granularity control** ([`Vgc`], Sec. 4.2) — workers
 //!   chase local peel chains sequentially instead of bouncing every
 //!   frontier hit through the hash bag, collapsing the tiny subrounds

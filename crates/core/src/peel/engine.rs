@@ -42,8 +42,8 @@
 //!   settles and decrements its incident elements in one task, since
 //!   atomic clamped unit decrements over static lists commute. One
 //!   global sync per subround; VGC chases local chains inside the task,
-//!   and sampling approximates hub priorities, recounted exactly at
-//!   round end so every round-start claim is exact.
+//!   and sampling approximates hub priorities, each recounted exactly
+//!   at most once, at a round end, so every hub settle is exact.
 //! * *two-phase* — [`Incidence::Snapshot`] and [`Incidence::Recompute`]
 //!   online: stamp the whole frontier settled, barrier, then evaluate
 //!   the problem's rule against the frozen [`SettleView`]. A snapshot
@@ -402,7 +402,8 @@ impl<'p, P: PeelProblem> PeelEngine<'p, P> {
     /// `RoundPolicy::MinBucket` + `Unit`/`Snapshot` refinements and are
     /// rejected — never silently mis-run — under
     /// [`RoundPolicy::Threshold`] or [`Incidence::Recompute`] (see
-    /// `validate_combination`).
+    /// `validate_combination`). Also panics when
+    /// [`crate::Sampling::rate_log2`] is outside `0..=63`.
     pub fn run(&self) -> P::Output {
         validate_combination(&self.config, &self.problem.round_policy(), &self.problem.incidence());
         if self.problem.num_elements() == 0 {
@@ -443,7 +444,8 @@ pub(crate) fn admits_sampling_and_offline(
     )
 }
 
-/// Rejects technique × axis combinations the engine cannot honor,
+/// Rejects technique × axis combinations the engine cannot honor, and
+/// a sampling rate exponent the 64-bit edge hash cannot mask,
 /// mirroring the `KCORE_TECHNIQUES` unknown-token panic: fail loudly
 /// with the valid combinations named, never silently produce a wrong
 /// (or silently degraded) result.
@@ -457,6 +459,9 @@ pub(crate) fn validate_combination(
          (sampling applies to Unit only and is otherwise ignored); \
          RoundPolicy::Threshold requires Incidence::Unit and composes with vgc; \
          Incidence::Recompute runs the online MinBucket driver, vgc ignored";
+    if let Some(s) = config.techniques.sampling {
+        assert!(s.rate_log2 < 64, "Sampling::rate_log2 must be in 0..=63, got {}", s.rate_log2);
+    }
     if admits_sampling_and_offline(policy, incidence) {
         return;
     }
@@ -718,7 +723,7 @@ fn refile(bag: &mut HashBag) -> Vec<u32> {
 }
 
 /// Shared references threaded through one fused subround's parallel
-/// peel, and the sampling recounts it triggers.
+/// peel.
 pub(crate) struct OnlineCtx<'a, P: PeelProblem> {
     pub(crate) problem: &'a P,
     pub(crate) inc: &'a dyn UnitIncidence,
@@ -768,10 +773,9 @@ impl<'p> Fused<'p> {
 impl Step for Fused<'_> {
     fn round_start<P: PeelProblem>(&mut self, r: &Round<'_, P>, frontier: &[u32]) {
         // Sample-mode elements surface with an exact priority (the
-        // previous round end recounted every one that could reach it);
-        // claim them so no mid-round recount peels them a second time.
+        // previous round end recounted every one that could reach it).
         if let Some(s) = &self.sampling {
-            s.claim_frontier(frontier, r.clamp, self.inc, r.settled);
+            s.debug_assert_frontier_exact(frontier, r.clamp, self.inc, r.settled);
         }
     }
 

@@ -30,8 +30,8 @@
 //!   offline). The concrete problems — k-core, k-truss, (k,h)-core
 //!   and approximate densest subgraph — live in [`crate::problems`].
 //! * [`sampling`] — Sec. 4.1's sampling scheme: high-priority elements
-//!   track an approximate priority over a hashed incidence sample, and
-//!   are only peeled after an exact recount.
+//!   track an approximate priority over a hashed incidence sample until
+//!   one exact recount settles them or returns them to exact counting.
 //! * [`vgc`] — Sec. 4.2's vertical granularity control: a worker chases
 //!   the local peel chain sequentially instead of bouncing every
 //!   frontier hit through the hash bag.

@@ -51,7 +51,7 @@ pub(crate) fn peel_from<P: PeelProblem>(ctx: &OnlineCtx<'_, P>, v: u32, round: u
         for &u in ctx.inc.incident(cur) {
             if let Some(s) = ctx.sampling {
                 if s.in_sample_mode(u) {
-                    s.on_neighbor_removed(cur, u, floor, ctx);
+                    s.on_neighbor_removed(cur, u);
                     continue;
                 }
             }

@@ -248,8 +248,9 @@ mod tests {
 
     #[test]
     fn sampling_full_validation_is_exact_under_concurrency() {
-        // Hammer the concurrent recount paths: low threshold samples
-        // most of a dense power-law graph.
+        // Hammer concurrent removals that read the sample-mode flag
+        // while the gaps flip it: a low threshold samples most of a
+        // dense power-law graph.
         for seed in 0..5 {
             let g = gen::barabasi_albert(1200, 6, seed);
             let techniques =
@@ -262,24 +263,48 @@ mod tests {
 
     #[test]
     fn full_validation_recounts_only_hubs_that_changed_and_could_settle() {
-        // About 80 rounds, most of which kill no hub neighbour: recounting
-        // every hub every round would take ~8k validations.
-        let g = gen::planted_core(3000, 4, 80, 7);
-        let techniques = Techniques {
-            sampling: Some(Sampling::with_threshold(32)),
-            vgc: Some(Vgc::default()),
-            mode: PeelMode::Online,
-        };
-        let r = Decomposition::kcore(&g).exact_config(Config::with_techniques(techniques)).run();
-        assert_eq!(r.coreness(), bz_coreness(&g).as_slice());
-        let s = r.stats();
-        assert!(s.sampled_vertices > 0, "hubs above the threshold must enter sample mode");
-        assert!(
-            s.validate_calls <= 4 * s.sampled_vertices,
-            "{} end-of-round recounts for {} sampled vertices",
-            s.validate_calls,
-            s.sampled_vertices
-        );
+        // Each sampled hub is recounted at most once, over its whole
+        // adjacency: about 80 rounds on the planted core, and a BA
+        // graph that samples most of its vertices.
+        for (g, threshold) in
+            [(gen::planted_core(3000, 4, 80, 7), 32), (gen::barabasi_albert(1200, 6, 3), 8)]
+        {
+            let sampling = Sampling::with_threshold(threshold);
+            let techniques = Techniques {
+                sampling: Some(sampling),
+                vgc: Some(Vgc::default()),
+                ..Techniques::default()
+            };
+            let r =
+                Decomposition::kcore(&g).exact_config(Config::with_techniques(techniques)).run();
+            assert_eq!(r.coreness(), bz_coreness(&g).as_slice());
+            let s = r.stats();
+            let hubs: Vec<u32> = g.degrees().into_iter().filter(|&d| d >= threshold).collect();
+            let hub_arcs: u64 = hubs.iter().map(|&d| u64::from(d)).sum();
+            assert_eq!(s.sampled_vertices, hubs.len() as u64);
+            assert!(s.sampled_vertices > 0, "hubs above the threshold must enter sample mode");
+            assert_eq!(s.resamples, s.validate_calls, "validation is the only recount");
+            assert!(
+                s.validate_calls <= s.sampled_vertices,
+                "{} recounts for {} sampled vertices",
+                s.validate_calls,
+                s.sampled_vertices
+            );
+            assert!(
+                (1..=hub_arcs).contains(&s.recount_arcs),
+                "{} recounted arcs, outside 1..={hub_arcs} (the hubs' arcs)",
+                s.recount_arcs
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Sampling::rate_log2 must be in 0..=63, got 64")]
+    fn sampling_rate_beyond_the_hash_width_is_rejected() {
+        let g = gen::star(20);
+        let sampling = Sampling { rate_log2: 64, ..Sampling::with_threshold(4) };
+        let techniques = Techniques { sampling: Some(sampling), ..Techniques::default() };
+        Decomposition::kcore(&g).exact_config(Config::with_techniques(techniques)).run();
     }
 
     #[test]

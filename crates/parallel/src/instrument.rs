@@ -73,10 +73,16 @@ pub struct RunStats {
     pub subrounds_per_round: Vec<u32>,
     /// Number of vertices that ever entered sample mode.
     pub sampled_vertices: u64,
-    /// Resample operations performed.
+    /// Exact recounts of sample-mode vertices. Equal to
+    /// [`RunStats::validate_calls`]: end-of-round validation is the only
+    /// recount. Kept because benchmark reports still carry the field.
     pub resamples: u64,
-    /// End-of-round exact recounts of sample-mode vertices.
+    /// End-of-round exact recounts of sample-mode vertices; at most one
+    /// per sampled vertex.
     pub validate_calls: u64,
+    /// Adjacency entries read by exact recounts: at most Σ d(v) over
+    /// the sampled vertices.
+    pub recount_arcs: u64,
     /// Run restarts. Always 0: every sampling settle is exact, so no
     /// run repeats. Kept because benchmark reports still carry the field.
     pub restarts: u64,
@@ -118,17 +124,21 @@ impl RunStats {
 }
 
 /// Atomic counters shared by the worker threads of one peeling run,
-/// merged into [`RunStats`] between rounds. The sampling scheme bumps
-/// [`TechniqueCounters::resamples`] / [`TechniqueCounters::validate_calls`]
-/// from inside parallel subrounds; VGC feeds the per-subround settle
-/// count, chased-work proxy, and longest local chain.
+/// merged into [`RunStats`] between rounds. The sampling scheme's
+/// end-of-round validation bumps the recount counters; VGC
+/// feeds the per-subround settle count, chased-work proxy, and longest
+/// local chain.
 #[derive(Debug, Default)]
 pub struct TechniqueCounters {
-    /// Exact recounts of sample-mode vertices (trigger, frontier, and
-    /// validation recounts alike).
+    /// Exact recounts of sample-mode vertices. Validation is the only
+    /// recount, so this equals [`TechniqueCounters::validate_calls`];
+    /// the field stays because benchmark reports read
+    /// [`RunStats::resamples`].
     pub resamples: AtomicU64,
     /// End-of-round validation recounts.
     pub validate_calls: AtomicU64,
+    /// Adjacency entries read by exact recounts.
+    pub recount_arcs: AtomicU64,
     /// Vertices settled in the current subround beyond the frontier
     /// itself (VGC chases). Reset per subround.
     pub chased: AtomicU64,
@@ -158,6 +168,7 @@ impl TechniqueCounters {
     pub fn merge_sampling_into(&self, stats: &mut RunStats) {
         stats.resamples += self.resamples.load(Ordering::Relaxed);
         stats.validate_calls += self.validate_calls.load(Ordering::Relaxed);
+        stats.recount_arcs += self.recount_arcs.load(Ordering::Relaxed);
     }
 }
 
@@ -222,6 +233,7 @@ mod tests {
             c.resamples.fetch_add(1, Ordering::Relaxed);
             if i % 2 == 0 {
                 c.validate_calls.fetch_add(1, Ordering::Relaxed);
+                c.recount_arcs.fetch_add(3, Ordering::Relaxed);
             }
             c.chased.fetch_add(1, Ordering::Relaxed);
             c.chain.update(i);
@@ -230,6 +242,7 @@ mod tests {
         c.merge_sampling_into(&mut stats);
         assert_eq!(stats.resamples, 100);
         assert_eq!(stats.validate_calls, 50);
+        assert_eq!(stats.recount_arcs, 150);
         assert_eq!(c.chain.get(), 99);
         c.reset_subround();
         assert_eq!(c.chased.load(Ordering::Relaxed), 0);
