@@ -215,8 +215,13 @@ impl<'g> Decomposition<'g, KtrussSpec<'g>> {
     /// across several configurations.
     ///
     /// The context must have been built from the same graph passed to
-    /// [`Decomposition::ktruss`]; a mismatched context produces
-    /// meaningless trussness (or panics on out-of-range edge ids).
+    /// [`Decomposition::ktruss`].
+    ///
+    /// # Panics
+    ///
+    /// `run` panics when the context's vertex or edge count differs
+    /// from the graph's. A context from another graph of the same
+    /// sizes is not detected and yields meaningless trussness.
     pub fn with_ctx(mut self, ctx: &'g TriangleCtx) -> Self {
         self.problem.ctx = Some(ctx);
         self
@@ -232,7 +237,7 @@ impl<'g> Decomposition<'g, KtrussSpec<'g>> {
                 &built
             }
         };
-        self.peel(&KTrussProblem { g: self.g, ctx })
+        self.peel(&KTrussProblem::new(self.g, ctx))
     }
 }
 

@@ -95,11 +95,8 @@ mod tests {
         // per-problem token list.
         let g = gen::complete(4);
         let ctx = TriangleCtx::build(&g);
-        let c = apply(
-            Config::default(),
-            parse("sampling,vgc,offline"),
-            &KTrussProblem { g: &g, ctx: &ctx },
-        );
+        let c =
+            apply(Config::default(), parse("sampling,vgc,offline"), &KTrussProblem::new(&g, &ctx));
         assert_eq!(c.techniques.mode, PeelMode::Offline);
         assert!(c.techniques.sampling.is_some());
         assert!(c.techniques.vgc.is_some());

@@ -10,8 +10,9 @@
 //! * [`PeelProblem`] — the plug-in surface: universe size, initial
 //!   priorities, the update rule (an [`Incidence`]), the round
 //!   structure (a [`RoundPolicy`]), an optional per-settle action,
-//!   optional scheduled decrements, and result assembly. The clients
-//!   live in [`crate::problems`].
+//!   optional scheduled decrements, an optional hook after each
+//!   two-phase or offline subround's rule phase, and result assembly.
+//!   The clients live in [`crate::problems`].
 //! * [`PeelEngine`] — owns everything else: one round/subround loop,
 //!   the hash-bag frontier, the pluggable bucket structure with its
 //!   adaptive upgrade, and the sampling and VGC hooks.
@@ -185,6 +186,12 @@ pub struct SettleView<'a> {
 }
 
 impl<'a> SettleView<'a> {
+    /// The view of subround `current` over per-element stamps (0 =
+    /// never settled, otherwise the settling subround's id).
+    pub(crate) fn new(stamps: &'a [AtomicU32], current: u32) -> Self {
+        Self { stamps, current }
+    }
+
     /// Settle state of element `e` in this subround's snapshot.
     #[inline]
     pub fn state(&self, e: u32) -> ElementState {
@@ -366,6 +373,18 @@ pub trait PeelProblem: Sync {
     #[inline]
     fn on_settle(&self, e: u32, k: u32) {
         let _ = (e, k);
+    }
+
+    /// Sequential point after a two-phase or offline subround's rule
+    /// phase: called once per subround with its settled `frontier`,
+    /// after every rule evaluation of the subround has returned and
+    /// before the next subround settles. No rule runs concurrently, so
+    /// the problem may restructure state its rule reads. An element
+    /// that is not [`SettleView::alive`] in `view` is dead in every
+    /// later subround's view. Default: nothing.
+    #[inline]
+    fn after_rule_phase(&self, frontier: &[u32], view: &SettleView<'_>) {
+        let _ = (frontier, view);
     }
 
     /// Builds the problem's result from per-element settle rounds and
@@ -857,7 +876,7 @@ impl Stamps {
             }
             r.problem.on_settle(e, r.round);
         });
-        SettleView { stamps, current }
+        SettleView::new(stamps, current)
     }
 }
 
@@ -923,6 +942,7 @@ where
         let pass = &self.pass;
         let work = frontier.par_iter().map(|&e| pass(e, r.round, &view, &lower)).sum();
         drop(phase);
+        r.problem.after_rule_phase(frontier, &view);
         Wave { next: refile(&mut self.bag), chased: 0, syncs: 2, chain: 1, work }
     }
 }
@@ -961,6 +981,7 @@ where
             let _gather = span!("offline.gather", frontier.len());
             (self.gather)(frontier, r.round, r.settled, &view)
         };
+        r.problem.after_rule_phase(frontier, &view);
         let hist = {
             let _hist = span!("offline.histogram", gathered.len());
             histogram_auto(gathered, r.prio.len())

@@ -13,13 +13,30 @@
 //! Setup (edge ids + supports) comes from the fused
 //! [`TriangleCtx`] build over the degree-ordered orientation, whose
 //! discovery sweep dispatches the hybrid intersection kernels
-//! (`KCORE_TRI_KERNEL`). Per-death triangle enumeration walks the
-//! context's cached companion lists when materialized and re-derives
-//! them through the kernels otherwise; every kernel enumerates
-//! identically, so the decomposition is kernel-independent bit for
-//! bit. A context built once can be supplied via
+//! (`KCORE_TRI_KERNEL`). A context built once can be supplied via
 //! [`crate::Decomposition::with_ctx`], dropping setup out of the
 //! peel's critical path.
+//!
+//! Per-death triangle enumeration takes one of two paths:
+//!
+//! * *cached* — walk the context's companion-pair list of the edge,
+//!   when the context materialized its triangle cache;
+//! * *live lists* — otherwise, intersect the endpoints' **live
+//!   adjacency lists** (PKT-style; Kabir & Madduri, HPEC'17; Wang &
+//!   Cheng, VLDB'12). The peel keeps its own copy of every vertex's
+//!   `(neighbor, edge id)` list and, at the sequential point after
+//!   each subround's rule phase ([`PeelProblem::after_rule_phase`]),
+//!   compacts a list in place once the edges it lost since its last
+//!   compaction reach half its length: `O(d(v))` work per vertex over
+//!   the peel, and a dying edge stops paying for its endpoints' dead
+//!   edges. The kernel is chosen on the live lengths (see
+//!   [`TriangleCtx::for_each_common_neighbor`]); edges in no triangle
+//!   skip enumeration.
+//!
+//! Compaction drops only dead edges, and the rule below skips every
+//! triangle with a dead edge, so both paths and every kernel emit the
+//! same decrement multiset: the decomposition is bit-identical across
+//! them.
 //!
 //! The decrement rule is *not* a unit incidence: when edge `e` dies,
 //! the two other edges of each triangle through `e` lose one support
@@ -42,16 +59,42 @@
 //! multiset — and therefore the whole decomposition — is deterministic.
 
 use crate::peel::engine::{ElementState, Incidence, PeelProblem, SettleView, SnapshotRule};
+use kcore_check::cell::UnsafeCell;
 use kcore_graph::triangles::for_each_triangle_of_edge;
-use kcore_graph::{CsrGraph, EdgeIndex, TriangleCtx};
+use kcore_graph::{CsrGraph, EdgeIndex, TriangleCtx, VertexId};
+use kcore_obs::span;
 use kcore_parallel::RunStats;
 
 /// The k-truss decomposition problem over one graph and its triangle
-/// setup (built by [`TriangleCtx::build`] from the same graph; a
-/// mismatched context yields meaningless trussness).
+/// setup (built by [`TriangleCtx::build`] from the same graph).
 pub(crate) struct KTrussProblem<'g> {
-    pub(crate) g: &'g CsrGraph,
-    pub(crate) ctx: &'g TriangleCtx,
+    g: &'g CsrGraph,
+    ctx: &'g TriangleCtx,
+    /// The per-death enumeration's live adjacency; `None` when the
+    /// context's triangle cache serves the peel instead.
+    live: Option<LiveLists>,
+}
+
+impl<'g> KTrussProblem<'g> {
+    /// The problem over `g` and its triangle setup `ctx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `ctx` was built from a graph with another vertex or
+    /// edge count than `g`.
+    pub(crate) fn new(g: &'g CsrGraph, ctx: &'g TriangleCtx) -> Self {
+        assert!(
+            ctx.num_vertices() == g.num_vertices() && ctx.num_edges() == g.num_edges(),
+            "k-truss: the TriangleCtx was built from another graph \
+             ({} vertices, {} edges; this graph has {} vertices, {} edges)",
+            ctx.num_vertices(),
+            ctx.num_edges(),
+            g.num_vertices(),
+            g.num_edges()
+        );
+        let live = (!ctx.has_triangle_cache()).then(|| LiveLists::build(g, ctx.edge_index()));
+        Self { g, ctx, live }
+    }
 }
 
 impl PeelProblem for KTrussProblem<'_> {
@@ -71,6 +114,12 @@ impl PeelProblem for KTrussProblem<'_> {
 
     fn incidence(&self) -> Incidence<'_> {
         Incidence::Snapshot(self)
+    }
+
+    fn after_rule_phase(&self, frontier: &[u32], view: &SettleView<'_>) {
+        if let Some(live) = &self.live {
+            live.compact(self.g, self.ctx.edge_index(), frontier, view);
+        }
     }
 
     fn assemble(&self, rounds: Vec<u32>, stats: RunStats) -> TrussnessResult {
@@ -111,15 +160,136 @@ impl SnapshotRule for KTrussProblem<'_> {
                 emit(ge);
             }
         };
-        // The rule is order-insensitive over e's triangle set, so the
-        // cached flat list and the kernel enumeration are equivalent;
-        // the cache keeps re-intersection off the peel's critical path.
-        if let Some(triangles) = self.ctx.edge_triangles(e) {
-            for &[fe, ge] in triangles {
-                consider(fe, ge);
+        // The rule is order-insensitive over e's triangle set and skips
+        // every triangle with a dead edge, so the cached flat list and
+        // the live-list enumeration (which may miss only such
+        // triangles) emit the same multiset.
+        match &self.live {
+            None => {
+                let triangles = self.ctx.edge_triangles(e).expect("no live lists: the cache");
+                for &[fe, ge] in triangles {
+                    consider(fe, ge);
+                }
             }
-        } else {
-            self.ctx.for_each_triangle_of_edge(self.g, e, |fe, ge, _w| consider(fe, ge));
+            // An edge in no triangle has nothing to enumerate.
+            Some(_) if self.ctx.supports()[e as usize] == 0 => {}
+            Some(live) => {
+                let (u, v) = self.ctx.edge_index().endpoints(e);
+                let lists = live.read();
+                self.ctx.for_each_common_neighbor(
+                    self.g,
+                    lists.of(self.g, u),
+                    lists.of(self.g, v),
+                    |fe, ge, _w| consider(fe, ge),
+                );
+            }
+        }
+    }
+}
+
+/// Live adjacency for the uncached per-death enumeration (PKT-style;
+/// Kabir & Madduri, HPEC'17): a copy of every vertex's `(neighbor,
+/// edge id)` list, laid out like the graph's arcs, from which settled
+/// edges are compacted out.
+///
+/// A vertex's list is compacted in place, sorted order kept, once the
+/// edges it lost since its last compaction reach half its length, so
+/// each list costs `O(d(v))` compaction work over the whole peel.
+/// Compaction runs in [`PeelProblem::after_rule_phase`] and visits only
+/// the settled edges' endpoints.
+struct LiveLists {
+    lists: UnsafeCell<Lists>,
+}
+
+struct Lists {
+    /// Neighbor ids, parallel to the graph's arc array: `v`'s live
+    /// list is the first `len[v]` slots of `g.arc_range(v)`.
+    nbrs: Box<[VertexId]>,
+    /// Edge ids, parallel to `nbrs`.
+    eids: Box<[u32]>,
+    len: Box<[u32]>,
+    /// Edges of the list settled since its last compaction.
+    since: Box<[u32]>,
+}
+
+impl Lists {
+    /// The live incidence list of `v`, as
+    /// [`TriangleCtx::for_each_common_neighbor`] takes it.
+    #[inline]
+    fn of(&self, g: &CsrGraph, v: VertexId) -> (VertexId, &[VertexId], &[u32]) {
+        let start = g.arc_range(v).start;
+        let live = start..start + self.len[v as usize] as usize;
+        (v, &self.nbrs[live.clone()], &self.eids[live])
+    }
+}
+
+impl LiveLists {
+    fn build(g: &CsrGraph, idx: &EdgeIndex) -> Self {
+        let n = g.num_vertices();
+        let mut nbrs = Vec::with_capacity(g.num_arcs());
+        let mut eids = Vec::with_capacity(g.num_arcs());
+        for v in g.vertices() {
+            nbrs.extend_from_slice(g.neighbors(v));
+            eids.extend_from_slice(idx.edge_ids(g, v));
+        }
+        let lists = Lists {
+            nbrs: nbrs.into_boxed_slice(),
+            eids: eids.into_boxed_slice(),
+            len: g.vertices().map(|v| g.degree(v) as u32).collect(),
+            since: vec![0; n].into_boxed_slice(),
+        };
+        Self { lists: UnsafeCell::new(lists) }
+    }
+
+    /// Shared access for the rule phase.
+    #[inline]
+    fn read(&self) -> &Lists {
+        // SAFETY: the lists are written only by `compact`, which the
+        // engine calls between subrounds, never while a rule
+        // evaluation (the only holder of this borrow) runs.
+        self.lists.with(|p| unsafe { &*p })
+    }
+
+    /// Counts the settled `frontier` against both endpoints' lists and
+    /// compacts every list whose settled count reached half its length.
+    /// Drops exactly the edges not alive in `view`, which stay dead in
+    /// every later view, so the rule loses only triangles it skips.
+    fn compact(&self, g: &CsrGraph, idx: &EdgeIndex, frontier: &[u32], view: &SettleView<'_>) {
+        // SAFETY: called from `after_rule_phase`, at the engine's
+        // sequential point between subrounds: no `read` borrow is live.
+        let lists = self.lists.with_mut(|p| unsafe { &mut *p });
+        let mut due = Vec::new();
+        for &e in frontier {
+            let (u, v) = idx.endpoints(e);
+            for w in [u, v] {
+                let (since, len) = (&mut lists.since[w as usize], lists.len[w as usize]);
+                *since += 1;
+                // Queue w once, as its count crosses half the length.
+                if 2 * *since >= len && 2 * (*since - 1) < len {
+                    due.push(w);
+                }
+            }
+        }
+        if due.is_empty() {
+            return;
+        }
+        let _compact = span!("truss.compact", due.len());
+        for w in due {
+            let start = g.arc_range(w).start;
+            let live = start..start + lists.len[w as usize] as usize;
+            let mut kept = start;
+            for i in live {
+                let e = lists.eids[i];
+                if view.alive(e) {
+                    lists.nbrs[kept] = lists.nbrs[i];
+                    lists.eids[kept] = e;
+                    kept += 1;
+                }
+            }
+            let kept = (kept - start) as u32;
+            debug_assert_eq!(kept, lists.len[w as usize] - lists.since[w as usize]);
+            lists.len[w as usize] = kept;
+            lists.since[w as usize] = 0;
         }
     }
 }
@@ -214,6 +384,7 @@ mod tests {
     use crate::config::Techniques;
     use crate::{Config, Decomposition};
     use kcore_buckets::BucketStrategy;
+    use kcore_check::sync::atomic::{AtomicU32, Ordering};
     use kcore_graph::{gen, GraphBuilder};
 
     fn all_configs() -> Vec<Config> {
@@ -226,17 +397,24 @@ mod tests {
         out
     }
 
+    /// Every configuration, through the internally built context and
+    /// through one without the triangle cache (the live-list path).
     fn assert_matches_oracle(g: &CsrGraph, label: &str) {
         let want = sequential_trussness(g);
+        let mut uncached = TriangleCtx::build(g);
+        uncached.drop_triangle_cache();
         for config in all_configs() {
             let got = Decomposition::ktruss(g).exact_config(config).run();
-            assert_eq!(
-                got.trussness(),
-                want.as_slice(),
-                "{label}: {} + {:?} disagrees with the recount oracle",
-                config.bucket_strategy,
-                config.techniques.mode
-            );
+            let live = Decomposition::ktruss(g).with_ctx(&uncached).exact_config(config).run();
+            for (path, got) in [("built", got), ("uncached", live)] {
+                assert_eq!(
+                    got.trussness(),
+                    want.as_slice(),
+                    "{label}: {} + {:?} ({path} context) disagrees with the recount oracle",
+                    config.bucket_strategy,
+                    config.techniques.mode
+                );
+            }
         }
     }
 
@@ -338,5 +516,53 @@ mod tests {
         let s = r.stats();
         assert!(s.subrounds > 0);
         assert_eq!(s.global_syncs, 2 * s.subrounds, "settle + rule phases");
+    }
+
+    #[test]
+    fn compaction_keeps_exactly_the_surviving_incidences_sorted() {
+        // A wheel: hub 0 with spokes to the rim 1..n. Kill spokes in two
+        // waves; each wave passes half the hub's live list, so the hub
+        // compacts after both. A rim vertex loses one of its three
+        // edges per wave at most, which stays below its threshold.
+        let n = 41u32;
+        let rim = (1..n).map(|i| (i, if i + 1 < n { i + 1 } else { 1 }));
+        let g = GraphBuilder::new(n as usize).edges(rim.chain((1..n).map(|i| (0, i)))).build();
+        let mut ctx = TriangleCtx::build(&g);
+        ctx.drop_triangle_cache();
+        let idx = ctx.edge_index();
+        let problem = KTrussProblem::new(&g, &ctx);
+        let live = problem.live.as_ref().expect("no cache: live lists");
+        let stamps: Vec<AtomicU32> = (0..idx.num_edges()).map(|_| AtomicU32::new(0)).collect();
+        let spoke = |i: u32| idx.edge_id(&g, 0, i).unwrap();
+        let waves: [Vec<u32>; 2] = [(2..n).step_by(2).collect(), (1..20).step_by(2).collect()];
+        for (wave, rims) in (1u32..).zip(waves) {
+            let frontier: Vec<u32> = rims.iter().map(|&i| spoke(i)).collect();
+            for &e in &frontier {
+                stamps[e as usize].store(wave, Ordering::Relaxed);
+            }
+            let view = SettleView::new(&stamps, wave);
+            problem.after_rule_phase(&frontier, &view);
+            let (_, nbrs, eids) = live.read().of(&g, 0);
+            let want: Vec<(u32, u32)> = g
+                .neighbors(0)
+                .iter()
+                .zip(idx.edge_ids(&g, 0))
+                .filter(|&(_, &e)| view.alive(e))
+                .map(|(&w, &e)| (w, e))
+                .collect();
+            let got: Vec<(u32, u32)> = nbrs.iter().copied().zip(eids.iter().copied()).collect();
+            assert_eq!(got, want, "wave {wave}: the hub's list after compaction");
+            assert!(nbrs.windows(2).all(|p| p[0] < p[1]), "wave {wave}: sorted");
+        }
+        // Rim vertex 2 lost its spoke in wave 1 (1 of 3): not compacted.
+        let (_, nbrs, _) = live.read().of(&g, 2);
+        assert_eq!(nbrs, g.neighbors(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "the TriangleCtx was built from another graph")]
+    fn a_context_from_another_graph_is_rejected() {
+        let ctx = TriangleCtx::build(&gen::complete(5));
+        let _ = Decomposition::ktruss(&gen::complete(6)).with_ctx(&ctx).run();
     }
 }

@@ -171,6 +171,31 @@ fn span_tree_of_a_fixed_ktruss_run_is_pinned() {
 }
 
 #[test]
+fn span_tree_of_an_uncached_ktruss_run_is_pinned() {
+    let _g = serial();
+    let g = gen::barabasi_albert(300, 3, 7);
+    let mut ctx = TriangleCtx::build(&g);
+    ctx.drop_triangle_cache();
+    let (_, tid) =
+        traced(|| Decomposition::ktruss(&g).with_ctx(&ctx).exact_config(Config::default()).run());
+    let report = TraceReport::capture();
+    set_level(Level::Off);
+    // The same rounds and subrounds as the cached run. After each rule
+    // phase, the subround's deaths bring some live list to half its
+    // length (on this graph, in every subround), so it compacts.
+    let expected = "\
+        k-truss x1\n\
+        \x20 round x3\n\
+        \x20   bucket.drain x3\n\
+        \x20   subround x6\n\
+        \x20     settle x6\n\
+        \x20     rule x6\n\
+        \x20     truss.compact x6\n\
+        \x20     frontier.refile x6\n";
+    assert_eq!(report.span_tree(tid), expected);
+}
+
+#[test]
 fn span_tree_of_a_fixed_khcore_run_is_pinned() {
     let _g = serial();
     let g = gen::planted_core(120, 2, 15, 9);

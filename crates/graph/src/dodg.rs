@@ -28,8 +28,10 @@
 //!   count fits under [`TRI_CACHE_MAX_PAIRS`] — the
 //!   **triangle cache**, a CSR of each edge's companion edge-id pairs
 //!   counting-sorted from the same discovery sweep, which turns the
-//!   peel's per-death enumeration into a flat array walk. Lazily built
-//!   per-hub membership maps serve the bitset kernel. This is what
+//!   peel's per-death enumeration into a flat array walk. Without the
+//!   cache the peel intersects live incidence lists through
+//!   [`TriangleCtx::for_each_common_neighbor`]. Lazily built per-hub
+//!   membership maps serve the bitset kernel. This is what
 //!   `kcore`'s k-truss client runs on; it can be built once and reused
 //!   across peels (`Decomposition::ktruss(&g).with_ctx(&ctx)`).
 //!
@@ -236,8 +238,17 @@ pub struct TriangleCtx {
 /// Σ min(|N⁺(u)|, |N⁺(v)|) over the oriented arcs fits under this cap.
 /// The bound can exceed the true triangle count several times over, so
 /// a graph whose exact pair count is well below the cap can still skip
-/// the cache; the k-truss peel then re-enumerates per death through the
-/// intersection kernels instead.
+/// the cache; the k-truss peel then enumerates per death over live
+/// adjacency lists, from which settled edges are compacted out.
+///
+/// The gate stays on the bound, not the exact count, because a cache
+/// that fits is not always worth building. The benchmark's `dynamic`
+/// graph (rmat(14, 16), 2.8M triangles) has 8.5M pairs, under the cap.
+/// Forcing the cache there (2 vCPU) raised the build from 0.09–0.11 s
+/// to 0.42–0.46 s, 0.30 s of it the random per-edge scatter of the
+/// pairs (`tri.cache`). The pairs alone are 68 MB, and a build-and-peel
+/// program's peak RSS went from 42 to 159 MB. The peel fell only from
+/// 0.30–0.33 s on live lists to 0.25–0.27 s cached.
 pub const TRI_CACHE_MAX_PAIRS: usize = 1 << 24;
 
 impl TriangleCtx {
@@ -350,7 +361,7 @@ impl TriangleCtx {
         // and supports *and* the cache CSR are counting-sorted out of
         // the buffer; past the cap (where the cache would be
         // `O(#triangles)` space), a buffer-free sweep accumulates
-        // supports only and the peel re-enumerates per death. Relaxed
+        // supports only and the peel enumerates over live lists. Relaxed
         // adds and reserved slots commute, so both shapes are kernel-
         // and schedule-independent.
         let sup_span = span!("tri.supports", m as u64);
@@ -502,24 +513,37 @@ impl TriangleCtx {
         self.supports.len()
     }
 
+    /// Number of vertices of the graph the context was built from.
+    #[inline]
+    pub fn num_vertices(&self) -> usize {
+        self.hubs.len()
+    }
+
+    /// Whether the triangle cache was materialized (see
+    /// [`Self::edge_triangles`]).
+    #[inline]
+    pub fn has_triangle_cache(&self) -> bool {
+        !self.tri_offsets.is_empty()
+    }
+
     /// The cached triangle list of edge `e`: one `[fe, ge]` companion
     /// edge-id pair per triangle containing `e`. Pair order within the
     /// list (and within a pair) is unspecified — consumers must be
     /// order-insensitive, which the snapshot decrement rule is. `None`
     /// when the cache was not materialized (the triangle bound exceeded
-    /// [`TRI_CACHE_MAX_PAIRS`]); callers then fall back to
-    /// [`Self::for_each_triangle_of_edge`].
+    /// [`TRI_CACHE_MAX_PAIRS`]); callers then enumerate through
+    /// [`Self::for_each_common_neighbor`].
     #[inline]
     pub fn edge_triangles(&self, e: u32) -> Option<&[[u32; 2]]> {
-        if self.tri_offsets.is_empty() {
+        if !self.has_triangle_cache() {
             return None;
         }
         let e = e as usize;
         Some(&self.tri_pairs[self.tri_offsets[e] as usize..self.tri_offsets[e + 1] as usize])
     }
 
-    /// Testing hook: discards the triangle cache so the kernel-driven
-    /// per-death enumeration path (the `TRI_CACHE_MAX_PAIRS` overflow
+    /// Testing hook: discards the triangle cache so the k-truss peel's
+    /// live-list enumeration (the `TRI_CACHE_MAX_PAIRS` overflow
     /// behavior) stays covered on test-sized graphs.
     #[doc(hidden)]
     pub fn drop_triangle_cache(&mut self) {
@@ -551,23 +575,44 @@ impl TriangleCtx {
 
     /// Calls `f(fe, ge, w)` for every triangle `{u, v, w}` containing
     /// edge `e = {u, v}`, where `fe` is the id of `{u, w}` and `ge`
-    /// the id of `{v, w}` — the k-truss per-death enumeration when the
-    /// triangle cache is not materialized (see [`Self::edge_triangles`]).
-    ///
-    /// The kernel is chosen per edge from the endpoint degrees: skewed
-    /// pairs probe the larger endpoint's hub map (or gallop below the
-    /// hub threshold), balanced pairs merge. Companion edge ids come
-    /// from the arc-aligned id slices — a hub-map hit resolves its
-    /// position by popcount rank, never by binary search. Matches
-    /// arrive in increasing `w` for every kernel.
+    /// the id of `{v, w}`: [`Self::for_each_common_neighbor`] over the
+    /// two endpoints' full adjacency lists. Matches arrive in
+    /// increasing `w` for every kernel.
     #[inline]
-    pub fn for_each_triangle_of_edge<F>(&self, g: &CsrGraph, e: u32, mut f: F)
+    pub fn for_each_triangle_of_edge<F>(&self, g: &CsrGraph, e: u32, f: F)
     where
         F: FnMut(u32, u32, VertexId),
     {
         let (u, v) = self.idx.endpoints(e);
         let (nu, nv) = (g.neighbors(u), g.neighbors(v));
         let (eu, ev) = (self.idx.edge_ids(g, u), self.idx.edge_ids(g, v));
+        self.for_each_common_neighbor(g, (u, nu, eu), (v, nv, ev), f);
+    }
+
+    /// Calls `f(fe, ge, w)` for every `w` common to two incidence
+    /// lists of the endpoints `u` and `v`, where `fe` is the id of
+    /// `{u, w}` and `ge` the id of `{v, w}`. Each list `(x, nx, ex)`
+    /// is an id-sorted subsequence of `x`'s adjacency list (`nx`) with
+    /// the matching edge ids (`ex`): the full lists, or the k-truss
+    /// peel's live lists with settled edges compacted out.
+    ///
+    /// The kernel is chosen from the two list lengths. Merge and
+    /// gallop intersect the two lists. The bitset kernel drives the
+    /// shorter list through the other endpoint's *full-neighborhood*
+    /// hub map (fetched once per call) and resolves the companion id
+    /// by popcount rank, never by binary search; on subsequence input
+    /// it can therefore also report a `w` whose edge to the hub is
+    /// missing from the hub's list. Matches arrive in increasing `w`.
+    #[inline]
+    pub fn for_each_common_neighbor<F>(
+        &self,
+        g: &CsrGraph,
+        (u, nu, eu): (VertexId, &[VertexId], &[u32]),
+        (v, nv, ev): (VertexId, &[VertexId], &[u32]),
+        mut f: F,
+    ) where
+        F: FnMut(u32, u32, VertexId),
+    {
         match choose(self.kernel, nu.len(), nv.len()) {
             ChosenKernel::Merge => {
                 intersect_sorted_positions(nu, nv, |i, j| f(eu[i], ev[j], nu[i]))
@@ -578,16 +623,16 @@ impl TriangleCtx {
             ChosenKernel::Bitset => {
                 let mut hits = 0u64;
                 if nu.len() <= nv.len() {
-                    let hub = self.hub_map(g, v);
+                    let (hub, ev_full) = (self.hub_map(g, v), self.idx.edge_ids(g, v));
                     intersect_bitset_positions(nu, &hub.bits, |i| {
                         hits += 1;
-                        f(eu[i], ev[hub.position_of(nu[i])], nu[i]);
+                        f(eu[i], ev_full[hub.position_of(nu[i])], nu[i]);
                     });
                 } else {
-                    let hub = self.hub_map(g, u);
+                    let (hub, eu_full) = (self.hub_map(g, u), self.idx.edge_ids(g, u));
                     intersect_bitset_positions(nv, &hub.bits, |j| {
                         hits += 1;
-                        f(eu[hub.position_of(nv[j])], ev[j], nv[j]);
+                        f(eu_full[hub.position_of(nv[j])], ev[j], nv[j]);
                     });
                 }
                 counter!("tri.bitmap.hit", hits);
