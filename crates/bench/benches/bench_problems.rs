@@ -15,9 +15,9 @@
 //! `Decomposition::with_ctx` makes possible). A per-kernel ablation
 //! (`ktruss-kernel-*`, forced via [`TriangleCtx::build_with_kernel`])
 //! runs on the two power-law-ish graphs where kernel choice actually
-//! varies. `rmat-s12/ktruss-peel-uncached` peels over a context
-//! without the triangle cache, the live-list enumeration a graph past
-//! `TRI_CACHE_MAX_PAIRS` runs; every other k-truss entry peels cached.
+//! varies. `rmat-s12/ktruss-peel` adds a larger power-law peel over a
+//! pre-built context. Every k-truss entry peels on the same live
+//! adjacency lists.
 //! The approx-densest ε sweep is the timing side of the
 //! rounds-vs-ε law (`O(log₁₊ε n)` rounds, asserted in
 //! `tests/proptest_problems.rs`): larger ε → fewer, fatter rounds.
@@ -73,14 +73,12 @@ fn bench_problems(c: &mut Criterion) {
             });
         }
     }
-    // The uncached peel: per-death enumeration over live adjacency.
+    // A larger power-law peel: per-death enumeration over live
+    // adjacency, with the hub lists compacting as they thin out.
     let g = gen::rmat(12, 8, 0.57, 0.19, 0.19, 42);
-    let mut uncached = TriangleCtx::build(&g);
-    uncached.drop_triangle_cache();
-    c.bench_function("problems/rmat-s12/ktruss-peel-uncached", |b| {
-        b.iter(|| {
-            black_box(Decomposition::ktruss(&g).with_ctx(&uncached).exact_config(config).run())
-        })
+    let ctx = TriangleCtx::build(&g);
+    c.bench_function("problems/rmat-s12/ktruss-peel", |b| {
+        b.iter(|| black_box(Decomposition::ktruss(&g).with_ctx(&ctx).exact_config(config).run()))
     });
     // (k,h)-core: ball recomputes are the dominant cost (each is
     // O(|ball|) via the epoch-stamped scratch), so keep to the two

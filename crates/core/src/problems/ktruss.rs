@@ -17,26 +17,22 @@
 //! [`crate::Decomposition::with_ctx`], dropping setup out of the
 //! peel's critical path.
 //!
-//! Per-death triangle enumeration takes one of two paths:
-//!
-//! * *cached* — walk the context's companion-pair list of the edge,
-//!   when the context materialized its triangle cache;
-//! * *live lists* — otherwise, intersect the endpoints' **live
-//!   adjacency lists** (PKT-style; Kabir & Madduri, HPEC'17; Wang &
-//!   Cheng, VLDB'12). The peel keeps its own copy of every vertex's
-//!   `(neighbor, edge id)` list and, at the sequential point after
-//!   each subround's rule phase ([`PeelProblem::after_rule_phase`]),
-//!   compacts a list in place once the edges it lost since its last
-//!   compaction reach half its length: `O(d(v))` work per vertex over
-//!   the peel, and a dying edge stops paying for its endpoints' dead
-//!   edges. The kernel is chosen on the live lengths (see
-//!   [`TriangleCtx::for_each_common_neighbor`]); edges in no triangle
-//!   skip enumeration.
+//! Per-death triangle enumeration intersects the endpoints' **live
+//! adjacency lists** (PKT-style; Kabir & Madduri, HPEC'17; Wang &
+//! Cheng, VLDB'12). The peel keeps its own `O(m)` copy of every
+//! vertex's `(neighbor, edge id)` list and, at the sequential point
+//! after each subround's rule phase ([`PeelProblem::after_rule_phase`]),
+//! compacts a list in place once the edges it lost since its last
+//! compaction reach half its length: `O(d(v))` work per vertex over the
+//! peel, and a dying edge stops paying for its endpoints' dead edges.
+//! The kernel is chosen on the live lengths (see
+//! [`TriangleCtx::for_each_common_neighbor`]); edges in no triangle
+//! skip enumeration.
 //!
 //! Compaction drops only dead edges, and the rule below skips every
-//! triangle with a dead edge, so both paths and every kernel emit the
-//! same decrement multiset: the decomposition is bit-identical across
-//! them.
+//! triangle with a dead edge, so every kernel and every compaction
+//! schedule emit the same decrement multiset: the decomposition is
+//! bit-identical across them.
 //!
 //! The decrement rule is *not* a unit incidence: when edge `e` dies,
 //! the two other edges of each triangle through `e` lose one support
@@ -70,9 +66,8 @@ use kcore_parallel::RunStats;
 pub(crate) struct KTrussProblem<'g> {
     g: &'g CsrGraph,
     ctx: &'g TriangleCtx,
-    /// The per-death enumeration's live adjacency; `None` when the
-    /// context's triangle cache serves the peel instead.
-    live: Option<LiveLists>,
+    /// The per-death enumeration's live adjacency.
+    live: LiveLists,
 }
 
 impl<'g> KTrussProblem<'g> {
@@ -92,8 +87,7 @@ impl<'g> KTrussProblem<'g> {
             g.num_vertices(),
             g.num_edges()
         );
-        let live = (!ctx.has_triangle_cache()).then(|| LiveLists::build(g, ctx.edge_index()));
-        Self { g, ctx, live }
+        Self { g, ctx, live: LiveLists::build(g, ctx.edge_index()) }
     }
 }
 
@@ -117,9 +111,7 @@ impl PeelProblem for KTrussProblem<'_> {
     }
 
     fn after_rule_phase(&self, frontier: &[u32], view: &SettleView<'_>) {
-        if let Some(live) = &self.live {
-            live.compact(self.g, self.ctx.edge_index(), frontier, view);
-        }
+        self.live.compact(self.g, self.ctx.edge_index(), frontier, view);
     }
 
     fn assemble(&self, rounds: Vec<u32>, stats: RunStats) -> TrussnessResult {
@@ -160,37 +152,28 @@ impl SnapshotRule for KTrussProblem<'_> {
                 emit(ge);
             }
         };
-        // The rule is order-insensitive over e's triangle set and skips
-        // every triangle with a dead edge, so the cached flat list and
-        // the live-list enumeration (which may miss only such
-        // triangles) emit the same multiset.
-        match &self.live {
-            None => {
-                let triangles = self.ctx.edge_triangles(e).expect("no live lists: the cache");
-                for &[fe, ge] in triangles {
-                    consider(fe, ge);
-                }
-            }
-            // An edge in no triangle has nothing to enumerate.
-            Some(_) if self.ctx.supports()[e as usize] == 0 => {}
-            Some(live) => {
-                let (u, v) = self.ctx.edge_index().endpoints(e);
-                let lists = live.read();
-                self.ctx.for_each_common_neighbor(
-                    self.g,
-                    lists.of(self.g, u),
-                    lists.of(self.g, v),
-                    |fe, ge, _w| consider(fe, ge),
-                );
-            }
+        // An edge in no triangle has nothing to enumerate.
+        if self.ctx.supports()[e as usize] == 0 {
+            return;
         }
+        // The rule skips every triangle with a dead edge, so the live
+        // lists (which may miss only such triangles) emit the same
+        // multiset as the full adjacency would.
+        let (u, v) = self.ctx.edge_index().endpoints(e);
+        let lists = self.live.read();
+        self.ctx.for_each_common_neighbor(
+            self.g,
+            lists.of(self.g, u),
+            lists.of(self.g, v),
+            |fe, ge, _w| consider(fe, ge),
+        );
     }
 }
 
-/// Live adjacency for the uncached per-death enumeration (PKT-style;
-/// Kabir & Madduri, HPEC'17): a copy of every vertex's `(neighbor,
-/// edge id)` list, laid out like the graph's arcs, from which settled
-/// edges are compacted out.
+/// Live adjacency for the per-death enumeration (PKT-style; Kabir &
+/// Madduri, HPEC'17): a copy of every vertex's `(neighbor, edge id)`
+/// list, laid out like the graph's arcs, from which settled edges are
+/// compacted out.
 ///
 /// A vertex's list is compacted in place, sorted order kept, once the
 /// edges it lost since its last compaction reach half its length, so
@@ -398,15 +381,14 @@ mod tests {
     }
 
     /// Every configuration, through the internally built context and
-    /// through one without the triangle cache (the live-list path).
+    /// through one supplied context reused across the configurations.
     fn assert_matches_oracle(g: &CsrGraph, label: &str) {
         let want = sequential_trussness(g);
-        let mut uncached = TriangleCtx::build(g);
-        uncached.drop_triangle_cache();
+        let ctx = TriangleCtx::build(g);
         for config in all_configs() {
             let got = Decomposition::ktruss(g).exact_config(config).run();
-            let live = Decomposition::ktruss(g).with_ctx(&uncached).exact_config(config).run();
-            for (path, got) in [("built", got), ("uncached", live)] {
+            let supplied = Decomposition::ktruss(g).with_ctx(&ctx).exact_config(config).run();
+            for (path, got) in [("built", got), ("supplied", supplied)] {
                 assert_eq!(
                     got.trussness(),
                     want.as_slice(),
@@ -527,11 +509,10 @@ mod tests {
         let n = 41u32;
         let rim = (1..n).map(|i| (i, if i + 1 < n { i + 1 } else { 1 }));
         let g = GraphBuilder::new(n as usize).edges(rim.chain((1..n).map(|i| (0, i)))).build();
-        let mut ctx = TriangleCtx::build(&g);
-        ctx.drop_triangle_cache();
+        let ctx = TriangleCtx::build(&g);
         let idx = ctx.edge_index();
         let problem = KTrussProblem::new(&g, &ctx);
-        let live = problem.live.as_ref().expect("no cache: live lists");
+        let live = &problem.live;
         let stamps: Vec<AtomicU32> = (0..idx.num_edges()).map(|_| AtomicU32::new(0)).collect();
         let spoke = |i: u32| idx.edge_id(&g, 0, i).unwrap();
         let waves: [Vec<u32>; 2] = [(2..n).step_by(2).collect(), (1..20).step_by(2).collect()];

@@ -159,6 +159,9 @@ fn span_tree_of_a_fixed_ktruss_run_is_pinned() {
     let report = TraceReport::capture();
     set_level(Level::Off);
     // The two-phase snapshot step: settle, then the rule, per subround.
+    // After each rule phase, the subround's deaths bring some live list
+    // to half its length (on this graph, in every subround), so it
+    // compacts.
     let expected = "\
         k-truss x1\n\
         \x20 round x3\n\
@@ -166,6 +169,7 @@ fn span_tree_of_a_fixed_ktruss_run_is_pinned() {
         \x20   subround x6\n\
         \x20     settle x6\n\
         \x20     rule x6\n\
+        \x20     truss.compact x6\n\
         \x20     frontier.refile x6\n";
     assert_eq!(report.span_tree(tid), expected);
 }
@@ -174,16 +178,16 @@ fn span_tree_of_a_fixed_ktruss_run_is_pinned() {
 fn span_tree_of_an_uncached_ktruss_run_is_pinned() {
     let _g = serial();
     let g = gen::barabasi_albert(300, 3, 7);
-    let mut ctx = TriangleCtx::build(&g);
-    ctx.drop_triangle_cache();
-    let (_, tid) =
-        traced(|| Decomposition::ktruss(&g).with_ctx(&ctx).exact_config(Config::default()).run());
+    // No context is supplied, so the run builds its own before the
+    // peel: the setup spans (names only; the kernel shows up in the
+    // `tri.*` counters, not here) then the same peel tree as above.
+    let (_, tid) = traced(|| Decomposition::ktruss(&g).exact_config(Config::default()).run());
     let report = TraceReport::capture();
     set_level(Level::Off);
-    // The same rounds and subrounds as the cached run. After each rule
-    // phase, the subround's deaths bring some live list to half its
-    // length (on this graph, in every subround), so it compacts.
     let expected = "\
+        tri.build x1\n\
+        \x20 tri.orient x1\n\
+        \x20 tri.supports x1\n\
         k-truss x1\n\
         \x20 round x3\n\
         \x20   bucket.drain x3\n\

@@ -25,7 +25,7 @@
 
 use crate::csr::{CsrGraph, VertexId};
 use kcore_obs::{counter, span};
-use kcore_parallel::primitives::exclusive_scan;
+use kcore_parallel::primitives::{exclusive_scan, SendPtr};
 use rayon::prelude::*;
 
 /// Arcs per [`StreamBuilder`] shard (~16 MiB of `(u32, u32)` pairs).
@@ -260,15 +260,6 @@ pub fn from_symmetric_arcs_by_sort(n: usize, mut arcs: Vec<(VertexId, VertexId)>
 // Historical internal name, still used by the `gen` family.
 pub(crate) use from_symmetric_arcs as build_from_arcs;
 
-/// Raw pointer wrapper for disjoint-range parallel writes (same
-/// discipline as `kcore_parallel::primitives`' pack buffers).
-#[derive(Clone, Copy)]
-struct SendPtr<T>(*mut T);
-// SAFETY: only used with the disjoint-write discipline documented at
-// each use site.
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
 /// Two-level parallel counting sort from symmetric arc shards into CSR.
 ///
 /// * **Partition** (streaming): histogram each shard by source bucket
@@ -334,16 +325,15 @@ fn countsort_build(n: usize, shards: Vec<Vec<(VertexId, VertexId)>>) -> CsrGraph
     // Partition 2/2: scatter arcs into the bucket-grouped array, then
     // free the shards — from here on only `bucketed` is needed.
     let mut bucketed: Vec<(VertexId, VertexId)> = Vec::with_capacity(total);
-    let bucketed_ptr = SendPtr(bucketed.as_mut_ptr());
+    let bucketed_ptr = SendPtr::new(bucketed.as_mut_ptr());
     (0..shards.len()).into_par_iter().for_each(|s| {
-        let ptr = bucketed_ptr;
         let mut cur = cursors[s].clone();
         for &(u, v) in &shards[s] {
             let b = bucket_of(u);
             // SAFETY: the (shard, bucket) ranges are disjoint by the
             // cursor construction above and their union is 0..total;
             // each slot is claimed exactly once.
-            unsafe { *ptr.0.add(cur[b]) = (u, v) };
+            unsafe { bucketed_ptr.slot(cur[b]).write((u, v)) };
             cur[b] += 1;
         }
     });
@@ -358,23 +348,22 @@ fn countsort_build(n: usize, shards: Vec<Vec<(VertexId, VertexId)>>) -> CsrGraph
     let mut raw: Vec<VertexId> = vec![0; total];
     let mut raw_offsets = vec![0usize; n]; // start of v's run inside `raw`
     let mut deduped = vec![0usize; n]; // v's neighbor count after dedup
-    let raw_ptr = SendPtr(raw.as_mut_ptr());
-    let roff_ptr = SendPtr(raw_offsets.as_mut_ptr());
-    let dlen_ptr = SendPtr(deduped.as_mut_ptr());
+    let raw_ptr = SendPtr::new(raw.as_mut_ptr());
+    let roff_ptr = SendPtr::new(raw_offsets.as_mut_ptr());
+    let dlen_ptr = SendPtr::new(deduped.as_mut_ptr());
     {
         let _dedup = span!("build.dedup", n);
         let bucketed_ro: &[(VertexId, VertexId)] = &bucketed;
         (0..num_buckets).into_par_iter().for_each(|b| {
-            let (raw_ptr, roff_ptr, dlen_ptr) = (raw_ptr, roff_ptr, dlen_ptr);
             let lo_v = b * BUCKET_VERTS;
             let span_v = BUCKET_VERTS.min(n - lo_v);
             let base = bucket_starts[b];
             let arcs = &bucketed_ro[base..base + bucket_counts[b]];
             // SAFETY: bucket b owns vertices lo_v..lo_v + span_v and the
             // raw run base..base + bucket_counts[b]; both exclusive.
-            let out = unsafe { std::slice::from_raw_parts_mut(raw_ptr.0.add(base), arcs.len()) };
-            let roff = unsafe { std::slice::from_raw_parts_mut(roff_ptr.0.add(lo_v), span_v) };
-            let dlen = unsafe { std::slice::from_raw_parts_mut(dlen_ptr.0.add(lo_v), span_v) };
+            let out = unsafe { std::slice::from_raw_parts_mut(raw_ptr.slot(base), arcs.len()) };
+            let roff = unsafe { std::slice::from_raw_parts_mut(roff_ptr.slot(lo_v), span_v) };
+            let dlen = unsafe { std::slice::from_raw_parts_mut(dlen_ptr.slot(lo_v), span_v) };
             // Bucket-local count + scan: both arrays are BUCKET_VERTS
             // entries at most, L1-resident.
             let mut counts = vec![0u32; span_v];
@@ -418,12 +407,11 @@ fn countsort_build(n: usize, shards: Vec<Vec<(VertexId, VertexId)>>) -> CsrGraph
     // contiguous destination run, so per-bucket writes stay disjoint.
     let (mut offsets, arcs) = exclusive_scan(&deduped);
     let mut edges: Vec<VertexId> = vec![0; arcs];
-    let edges_ptr = SendPtr(edges.as_mut_ptr());
+    let edges_ptr = SendPtr::new(edges.as_mut_ptr());
     let raw_ro: &[VertexId] = &raw;
     let offsets_ro: &[usize] = &offsets;
     let (deduped_ro, raw_offsets_ro): (&[usize], &[usize]) = (&deduped, &raw_offsets);
     (0..num_buckets).into_par_iter().for_each(|b| {
-        let ptr = edges_ptr;
         let lo_v = b * BUCKET_VERTS;
         let hi_v = (lo_v + BUCKET_VERTS).min(n);
         for v in lo_v..hi_v {
@@ -434,7 +422,7 @@ fn countsort_build(n: usize, shards: Vec<Vec<(VertexId, VertexId)>>) -> CsrGraph
                 unsafe {
                     std::ptr::copy_nonoverlapping(
                         raw_ro[raw_offsets_ro[v]..].as_ptr(),
-                        ptr.0.add(offsets_ro[v]),
+                        edges_ptr.slot(offsets_ro[v]),
                         len,
                     );
                 }

@@ -22,14 +22,12 @@
 //! * [`Dodg`] — the bare orientation (out-targets only), enough for
 //!   [`Dodg::triangle_count`]'s allocation-free parallel fold.
 //! * [`TriangleCtx`] — the k-truss setup: a **fused one-pass build** of
-//!   the [`EdgeIndex`], the oriented arcs annotated with edge ids, the
-//!   per-edge supports (computed from the oriented view, replacing the
-//!   full re-intersection), and — when an upper bound on the triangle
-//!   count fits under [`TRI_CACHE_MAX_PAIRS`] — the
-//!   **triangle cache**, a CSR of each edge's companion edge-id pairs
-//!   counting-sorted from the same discovery sweep, which turns the
-//!   peel's per-death enumeration into a flat array walk. Without the
-//!   cache the peel intersects live incidence lists through
+//!   the [`EdgeIndex`], the oriented arcs annotated with edge ids, and
+//!   the per-edge supports (computed from the oriented view by one
+//!   buffer-free discovery sweep, replacing the full re-intersection).
+//!   Everything it stores is `O(n + m)`; no per-triangle state is
+//!   materialized. The peel's per-death enumeration intersects its own
+//!   live incidence lists through
 //!   [`TriangleCtx::for_each_common_neighbor`]. Lazily built per-hub
 //!   membership maps serve the bitset kernel. This is what
 //!   `kcore`'s k-truss client runs on; it can be built once and reused
@@ -49,7 +47,7 @@ use kcore_parallel::intersect::{
     choose, intersect_bitset_positions, intersect_gallop_positions, ChosenKernel, PackedBitset,
     TriKernel,
 };
-use kcore_parallel::primitives::{exclusive_scan, intersect_sorted_positions};
+use kcore_parallel::primitives::{exclusive_scan, intersect_sorted_positions, SendPtr};
 use rayon::prelude::*;
 use std::sync::OnceLock;
 
@@ -87,7 +85,7 @@ impl Dodg {
         let (base, m) = exclusive_scan(&counts);
         debug_assert_eq!(m, g.num_edges());
         let mut targets = vec![0 as VertexId; m].into_boxed_slice();
-        let ptr = SendPtr(targets.as_mut_ptr());
+        let ptr = SendPtr::new(targets.as_mut_ptr());
         (0..n).into_par_iter().for_each(|u| {
             let u = u as VertexId;
             let mut o = base[u as usize];
@@ -212,7 +210,9 @@ impl HubMap {
 
 /// The fused k-truss triangle setup over one graph: edge ids, oriented
 /// arcs annotated with those ids, initial per-edge supports, and the
-/// lazy hub-map cache. See the module docs for the construction.
+/// lazily built hub maps. Its memory is `O(n + m)` on every graph (the
+/// hub maps add `O(n/64 + d(v))` per hub the bitset kernel probes).
+/// See the module docs for the construction.
 pub struct TriangleCtx {
     idx: EdgeIndex,
     /// Out-CSR over the degree ordering; `out_eids` is laid out
@@ -221,35 +221,9 @@ pub struct TriangleCtx {
     out_targets: Box<[VertexId]>,
     out_eids: Box<[u32]>,
     supports: Vec<u32>,
-    /// Triangle cache in CSR form: `tri_offsets[e]..tri_offsets[e + 1]`
-    /// indexes `tri_pairs` with edge `e`'s companion pairs. Empty when
-    /// the cache was not materialized (the triangle bound exceeded
-    /// [`TRI_CACHE_MAX_PAIRS`]).
-    tri_offsets: Box<[u32]>,
-    tri_pairs: Box<[[u32; 2]]>,
     hubs: Box<[OnceLock<HubMap>]>,
     kernel: TriKernel,
 }
-
-/// Cap on triangle-cache entries (`3 · #triangles` companion pairs).
-/// The cache costs `O(#triangles)` space, which can dwarf `O(m)` on
-/// dense graphs. [`TriangleCtx`] decides before it counts: it
-/// materializes the cache only when three times the upper bound
-/// Σ min(|N⁺(u)|, |N⁺(v)|) over the oriented arcs fits under this cap.
-/// The bound can exceed the true triangle count several times over, so
-/// a graph whose exact pair count is well below the cap can still skip
-/// the cache; the k-truss peel then enumerates per death over live
-/// adjacency lists, from which settled edges are compacted out.
-///
-/// The gate stays on the bound, not the exact count, because a cache
-/// that fits is not always worth building. The benchmark's `dynamic`
-/// graph (rmat(14, 16), 2.8M triangles) has 8.5M pairs, under the cap.
-/// Forcing the cache there (2 vCPU) raised the build from 0.09–0.11 s
-/// to 0.42–0.46 s, 0.30 s of it the random per-edge scatter of the
-/// pairs (`tri.cache`). The pairs alone are 68 MB, and a build-and-peel
-/// program's peak RSS went from 42 to 159 MB. The peel fell only from
-/// 0.30–0.33 s on live lists to 0.25–0.27 s cached.
-pub const TRI_CACHE_MAX_PAIRS: usize = 1 << 24;
 
 impl TriangleCtx {
     /// Builds the full triangle setup with the process-wide
@@ -265,7 +239,8 @@ impl TriangleCtx {
     /// arcs; a second parallel pass over the oriented arcs accumulates
     /// the supports with relaxed atomic adds (commutative, so the
     /// result is bit-identical to the reference
-    /// [`crate::triangles::edge_supports`] recount for every kernel).
+    /// [`crate::triangles::edge_supports`] recount for every kernel and
+    /// schedule).
     pub fn build_with_kernel(g: &CsrGraph, kernel: TriKernel) -> Self {
         let _root = span!("tri.build", g.num_edges() as u64);
         let n = g.num_vertices();
@@ -295,10 +270,10 @@ impl TriangleCtx {
         let mut endpoints = vec![[0 as VertexId; 2]; m].into_boxed_slice();
         let mut out_targets = vec![0 as VertexId; m].into_boxed_slice();
         let mut out_eids = vec![0u32; m].into_boxed_slice();
-        let arc_ptr = SendPtr(arc_edge.as_mut_ptr());
-        let end_ptr = SendPtr(endpoints.as_mut_ptr());
-        let tgt_ptr = SendPtr(out_targets.as_mut_ptr());
-        let eid_ptr = SendPtr(out_eids.as_mut_ptr());
+        let arc_ptr = SendPtr::new(arc_edge.as_mut_ptr());
+        let end_ptr = SendPtr::new(endpoints.as_mut_ptr());
+        let tgt_ptr = SendPtr::new(out_targets.as_mut_ptr());
+        let eid_ptr = SendPtr::new(out_eids.as_mut_ptr());
         (0..n).into_par_iter().for_each(|u| {
             let uv = u as VertexId;
             let nbrs = g.neighbors(uv);
@@ -347,99 +322,26 @@ impl TriangleCtx {
             out_targets,
             out_eids,
             supports: Vec::new(),
-            tri_offsets: Box::new([]),
-            tri_pairs: Box::new([]),
             hubs: (0..n).map(|_| OnceLock::new()).collect(),
             kernel,
         };
 
         // Pass 2: discovery. Every triangle is found once (at its
-        // lowest-ranked arc) and charged to all three of its edges. A
-        // cheap upper bound on the triangle count — Σ min(|N⁺(u)|,
-        // |N⁺(v)|) over the oriented arcs — picks the shape: within the
-        // cache cap, one sweep collects every triangle's edge-id triple
-        // and supports *and* the cache CSR are counting-sorted out of
-        // the buffer; past the cap (where the cache would be
-        // `O(#triangles)` space), a buffer-free sweep accumulates
-        // supports only and the peel enumerates over live lists. Relaxed
-        // adds and reserved slots commute, so both shapes are kernel-
-        // and schedule-independent.
+        // lowest-ranked arc) and charged to all three of its edges by
+        // relaxed adds, which commute, so the supports are kernel- and
+        // schedule-independent. Nothing per triangle is stored.
         let sup_span = span!("tri.supports", m as u64);
-        let bound: usize = (0..n)
-            .into_par_iter()
-            .map(|u| {
-                let ou = ctx.out(u as VertexId).0;
-                ou.iter().map(|&v| ou.len().min(ctx.out(v).0.len())).sum::<usize>()
-            })
-            .sum();
-        if 3 * bound <= TRI_CACHE_MAX_PAIRS {
-            // One buffer of discovered triples per source vertex
-            // (vertices without triangles never allocate).
-            let triangles: Vec<Vec<[u32; 3]>> = (0..n)
-                .into_par_iter()
-                .map(|u| {
-                    let mut acc = Vec::new();
-                    ctx.for_each_oriented_triangle_of(g, u as VertexId, &mut |e, fe, ge| {
-                        acc.push([e, fe, ge])
-                    });
-                    acc
-                })
-                .collect();
-            let found: usize = triangles.iter().map(Vec::len).sum();
-            counter!("tri.triangles", found as u64);
-            let supports: Vec<AtomicU32> = (0..m).map(|_| AtomicU32::new(0)).collect();
-            triangles.par_iter().for_each(|list| {
-                for tri in list {
-                    for &e in tri {
-                        supports[e as usize].fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+        let supports: Vec<AtomicU32> = (0..m).map(|_| AtomicU32::new(0)).collect();
+        (0..n).into_par_iter().for_each(|u| {
+            ctx.for_each_oriented_triangle_of(g, u as VertexId, &mut |e, fe, ge| {
+                supports[e as usize].fetch_add(1, Ordering::Relaxed);
+                supports[fe as usize].fetch_add(1, Ordering::Relaxed);
+                supports[ge as usize].fetch_add(1, Ordering::Relaxed);
             });
-            ctx.supports = supports.into_iter().map(AtomicU32::into_inner).collect();
-            drop(sup_span);
-
-            // The cache CSR: supports are exactly the per-edge triangle
-            // degrees, so their scan gives the offsets; per-edge atomic
-            // cursors reserve each companion pair's slot.
-            let pairs_total = 3 * found;
-            let cache_span = span!("tri.cache", pairs_total as u64);
-            let counts: Vec<usize> = ctx.supports.iter().map(|&s| s as usize).collect();
-            let (cbase, total) = exclusive_scan(&counts);
-            debug_assert_eq!(total, pairs_total);
-            let cursors: Vec<AtomicU32> = cbase.iter().map(|&o| AtomicU32::new(o as u32)).collect();
-            let mut pairs = vec![[0u32; 2]; total].into_boxed_slice();
-            let pair_ptr = SendPtr(pairs.as_mut_ptr());
-            triangles.par_iter().for_each(|list| {
-                for &[e, fe, ge] in list {
-                    for (at, companions) in [(e, [fe, ge]), (fe, [e, ge]), (ge, [e, fe])] {
-                        let slot = cursors[at as usize].fetch_add(1, Ordering::Relaxed);
-                        // SAFETY: the fetch_add reserves `slot`
-                        // exclusively, and per-edge slot ranges are
-                        // disjoint by the scan.
-                        unsafe { pair_ptr.slot(slot as usize).write(companions) };
-                    }
-                }
-            });
-            let mut tri_offsets = Vec::with_capacity(m + 1);
-            tri_offsets.extend(cbase.iter().map(|&o| o as u32));
-            tri_offsets.push(total as u32);
-            ctx.tri_offsets = tri_offsets.into_boxed_slice();
-            ctx.tri_pairs = pairs;
-            counter!("tri.cache.pairs", pairs_total as u64);
-            drop(cache_span);
-        } else {
-            let supports: Vec<AtomicU32> = (0..m).map(|_| AtomicU32::new(0)).collect();
-            (0..n).into_par_iter().for_each(|u| {
-                ctx.for_each_oriented_triangle_of(g, u as VertexId, &mut |e, fe, ge| {
-                    supports[e as usize].fetch_add(1, Ordering::Relaxed);
-                    supports[fe as usize].fetch_add(1, Ordering::Relaxed);
-                    supports[ge as usize].fetch_add(1, Ordering::Relaxed);
-                });
-            });
-            ctx.supports = supports.into_iter().map(AtomicU32::into_inner).collect();
-            counter!("tri.triangles", ctx.supports.iter().map(|&s| s as u64).sum::<u64>() / 3);
-            drop(sup_span);
-        }
+        });
+        ctx.supports = supports.into_iter().map(AtomicU32::into_inner).collect();
+        counter!("tri.triangles", ctx.supports.iter().map(|&s| s as u64).sum::<u64>() / 3);
+        drop(sup_span);
         ctx
     }
 
@@ -517,45 +419,6 @@ impl TriangleCtx {
     #[inline]
     pub fn num_vertices(&self) -> usize {
         self.hubs.len()
-    }
-
-    /// Whether the triangle cache was materialized (see
-    /// [`Self::edge_triangles`]).
-    #[inline]
-    pub fn has_triangle_cache(&self) -> bool {
-        !self.tri_offsets.is_empty()
-    }
-
-    /// The cached triangle list of edge `e`: one `[fe, ge]` companion
-    /// edge-id pair per triangle containing `e`. Pair order within the
-    /// list (and within a pair) is unspecified — consumers must be
-    /// order-insensitive, which the snapshot decrement rule is. `None`
-    /// when the cache was not materialized (the triangle bound exceeded
-    /// [`TRI_CACHE_MAX_PAIRS`]); callers then enumerate through
-    /// [`Self::for_each_common_neighbor`].
-    #[inline]
-    pub fn edge_triangles(&self, e: u32) -> Option<&[[u32; 2]]> {
-        if !self.has_triangle_cache() {
-            return None;
-        }
-        let e = e as usize;
-        Some(&self.tri_pairs[self.tri_offsets[e] as usize..self.tri_offsets[e + 1] as usize])
-    }
-
-    /// Testing hook: discards the triangle cache so the k-truss peel's
-    /// live-list enumeration (the `TRI_CACHE_MAX_PAIRS` overflow
-    /// behavior) stays covered on test-sized graphs.
-    #[doc(hidden)]
-    pub fn drop_triangle_cache(&mut self) {
-        self.tri_offsets = Box::new([]);
-        self.tri_pairs = Box::new([]);
-    }
-
-    /// The kernel policy this context was built with (and enumerates
-    /// under).
-    #[inline]
-    pub fn kernel(&self) -> TriKernel {
-        self.kernel
     }
 
     /// The oriented out-arcs of `u`: `(targets, edge ids)`, id-sorted.
@@ -650,25 +513,6 @@ impl std::fmt::Debug for TriangleCtx {
     }
 }
 
-/// Raw pointer wrapper for the disjoint-range parallel writes above.
-#[derive(Clone, Copy)]
-struct SendPtr<T>(*mut T);
-
-impl<T> SendPtr<T> {
-    /// The raw slot at index `i`. Taking `self` by value makes closures
-    /// capture the whole (Send + Sync) wrapper rather than the bare
-    /// field; callers uphold the disjoint-write discipline.
-    #[inline]
-    unsafe fn slot(self, i: usize) -> *mut T {
-        // SAFETY: `i` is in bounds of the allocation per the caller.
-        unsafe { self.0.add(i) }
-    }
-}
-// SAFETY: used only with the per-vertex disjoint-write discipline
-// documented at the use sites.
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -725,32 +569,6 @@ mod tests {
             }
             for e in 0..want.num_edges() as u32 {
                 assert_eq!(got.endpoints(e), want.endpoints(e), "{name}: edge {e}");
-            }
-        }
-    }
-
-    #[test]
-    fn triangle_cache_matches_per_edge_enumeration() {
-        for (name, g) in test_graphs() {
-            for kernel in ALL_KERNELS {
-                let ctx = TriangleCtx::build_with_kernel(&g, kernel);
-                for e in 0..ctx.num_edges() as u32 {
-                    let mut want: Vec<[u32; 2]> = Vec::new();
-                    ctx.for_each_triangle_of_edge(&g, e, |fe, ge, _w| {
-                        want.push(if fe <= ge { [fe, ge] } else { [ge, fe] });
-                    });
-                    want.sort_unstable();
-                    let mut got: Vec<[u32; 2]> = ctx
-                        .edge_triangles(e)
-                        .expect("test graphs are far below the cache cap")
-                        .iter()
-                        .map(|&[a, b]| if a <= b { [a, b] } else { [b, a] })
-                        .collect();
-                    got.sort_unstable();
-                    let k = kernel.as_str();
-                    assert_eq!(got, want, "{name}/{k}: edge {e} cache drifted");
-                    assert_eq!(got.len(), ctx.supports()[e as usize] as usize, "{name}: edge {e}");
-                }
             }
         }
     }

@@ -14,7 +14,7 @@
 //! `(min endpoint, max endpoint)`.
 
 use crate::csr::{CsrGraph, VertexId};
-use kcore_parallel::primitives::exclusive_scan;
+use kcore_parallel::primitives::{exclusive_scan, SendPtr};
 use rayon::prelude::*;
 
 /// Dense undirected-edge ids over a [`CsrGraph`].
@@ -58,19 +58,18 @@ impl EdgeIndex {
         let mut endpoints = vec![[0 as VertexId; 2]; m].into_boxed_slice();
         // Disjoint per-vertex writes: vertex u owns its own arc range and
         // the endpoint slots of its forward ids [base[u], base[u]+fwd[u]).
-        let arc_ptr = SendPtr(arc_edge.as_mut_ptr());
-        let end_ptr = SendPtr(endpoints.as_mut_ptr());
+        let arc_ptr = SendPtr::new(arc_edge.as_mut_ptr());
+        let end_ptr = SendPtr::new(endpoints.as_mut_ptr());
         (0..n).into_par_iter().for_each(|u| {
             let nbrs = g.neighbors(u as VertexId);
             let range = g.arc_range(u as VertexId);
             let first_fwd = nbrs.partition_point(|&w| w < u as VertexId);
-            let (arc_ptr, end_ptr) = (arc_ptr, end_ptr);
             for (i, &v) in nbrs.iter().enumerate() {
                 let id = if i >= first_fwd {
                     // Forward arc: mint the id and record the endpoints.
                     let id = (base[u] + (i - first_fwd)) as u32;
                     // SAFETY: slot `id` is owned by vertex u (see above).
-                    unsafe { end_ptr.0.add(id as usize).write([u as VertexId, v]) };
+                    unsafe { end_ptr.slot(id as usize).write([u as VertexId, v]) };
                     id
                 } else {
                     // Backward arc: the forward direction lives in v's
@@ -83,7 +82,7 @@ impl EdgeIndex {
                     (base[v as usize] + (pos - v_first_fwd)) as u32
                 };
                 // SAFETY: arc position `range.start + i` is owned by u.
-                unsafe { arc_ptr.0.add(range.start + i).write(id) };
+                unsafe { arc_ptr.slot(range.start + i).write(id) };
             }
         });
         Self { arc_edge, endpoints }
@@ -123,14 +122,6 @@ impl EdgeIndex {
         Some(self.arc_edge[g.arc_range(u).start + pos])
     }
 }
-
-/// Raw pointer wrapper for the disjoint-range parallel writes above.
-#[derive(Clone, Copy)]
-struct SendPtr<T>(*mut T);
-// SAFETY: used only with the per-vertex disjoint-write discipline
-// documented at the use sites.
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
 
 #[cfg(test)]
 mod tests {

@@ -42,16 +42,15 @@ where
     unsafe {
         out.set_len(total);
     }
-    let out_ptr = SendPtr(out.as_mut_ptr());
+    let out_ptr = SendPtr::new(out.as_mut_ptr());
     (0..blocks).into_par_iter().for_each(|b| {
         let lo = b * BLOCK;
         let hi = (lo + BLOCK).min(n);
         let mut pos = offsets[b];
-        let ptr = out_ptr; // capture the Send wrapper by copy
         for x in &input[lo..hi] {
             if pred(x) {
                 // SAFETY: disjoint ranges per block, see above.
-                unsafe { ptr.0.add(pos).write(*x) };
+                unsafe { out_ptr.slot(pos).write(*x) };
                 pos += 1;
             }
         }
@@ -86,16 +85,15 @@ where
     unsafe {
         out.set_len(total);
     }
-    let out_ptr = SendPtr(out.as_mut_ptr());
+    let out_ptr = SendPtr::new(out.as_mut_ptr());
     (0..blocks).into_par_iter().for_each(|b| {
         let lo = b * BLOCK;
         let hi = (lo + BLOCK).min(n);
         let mut pos = offsets[b];
-        let ptr = out_ptr;
         for i in lo..hi {
             if pred(i) {
                 // SAFETY: disjoint ranges per block.
-                unsafe { ptr.0.add(pos).write(i as u32) };
+                unsafe { out_ptr.slot(pos).write(i as u32) };
                 pos += 1;
             }
         }
@@ -103,14 +101,49 @@ where
     out
 }
 
-/// Raw pointer wrapper that lets disjoint-range writers share a buffer
-/// across rayon tasks.
+/// Raw pointer wrapper that lets disjoint-range writers share one
+/// buffer across rayon tasks: the parallel fills of this crate and of
+/// `kcore-graph` (CSR build, edge index, orientation).
+///
+/// # Safety contract
+///
+/// Every task touches only slots it owns — typically a per-vertex or
+/// per-block range cut from an exclusive scan, so the ranges tile the
+/// buffer without overlap — and the buffer is read through its owner
+/// again only after the parallel phase has joined. The buffer must
+/// outlive every task holding the wrapper. Each use site states which
+/// slots its task owns.
 #[derive(Clone, Copy)]
-struct SendPtr<T>(*mut T);
-// SAFETY: the wrapper is only used with the disjoint-write discipline
-// documented at each use site.
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
+pub struct SendPtr<T>(*mut T);
+
+impl<T> SendPtr<T> {
+    /// Wraps the base pointer of a buffer about to be filled in
+    /// parallel.
+    #[inline]
+    pub fn new(ptr: *mut T) -> Self {
+        Self(ptr)
+    }
+
+    /// The raw slot at index `i`. Taking `self` by value makes closures
+    /// capture the whole (`Send + Sync`) wrapper rather than the bare
+    /// pointer field.
+    ///
+    /// # Safety
+    ///
+    /// `i` must be in bounds of the wrapped buffer, and the calling task
+    /// must own slot `i` under the disjoint-write contract above.
+    #[inline]
+    pub unsafe fn slot(self, i: usize) -> *mut T {
+        // SAFETY: `i` is in bounds of the allocation per the caller.
+        unsafe { self.0.add(i) }
+    }
+}
+
+// SAFETY: the one field is the buffer's base pointer, through which
+// tasks only touch values of `T` in slots they own (the contract
+// above), so moving or sharing the wrapper needs no more than `T: Send`.
+unsafe impl<T: Send> Send for SendPtr<T> {}
+unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// Exclusive prefix sum; returns `(prefix, total)`.
 ///
