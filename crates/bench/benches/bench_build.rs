@@ -17,7 +17,8 @@
 
 use criterion::{black_box, criterion_group, Criterion};
 use kcore::{Config, Decomposition};
-use kcore_graph::builder::{from_symmetric_arcs_by_sort, StreamBuilder};
+use kcore_bench::baseline::from_symmetric_arcs_by_sort;
+use kcore_graph::builder::StreamBuilder;
 use kcore_graph::{gen, io, CompressedCsr, GraphStats, VertexId};
 
 /// Vertex count of the synthetic stream (power-law-ish degree skew via

@@ -5,13 +5,17 @@
 //! bench file uses so Tab. 2 / Tab. 3 style sweeps stay consistent,
 //! and provides [`summary`] — the machine-readable results emitter that
 //! turns every `cargo bench` run into a `BENCH_results.json` entry so
-//! the perf trajectory is tracked across PRs.
+//! the perf trajectory is tracked across PRs — and [`baseline`], the
+//! historical CSR build that `bench_build` races the current one
+//! against.
 //!
 //! Bench binaries end with [`bench_main!`] instead of
 //! `criterion_main!`; it runs the groups and then flushes the shim's
 //! collected measurements through [`summary::emit`].
 
 use kcore_graph::CsrGraph;
+
+pub mod baseline;
 
 /// A named benchmark instance.
 pub struct BenchGraph {

@@ -1,9 +1,11 @@
 //! Julienne's fixed-window bucketing strategy.
 //!
-//! Every `b` rounds the structure scans the overflow list once and
-//! materializes the next `b` frontiers into single-key buckets; vertices
-//! with keys beyond the window stay in overflow (the paper's description
-//! of Julienne, Sec. 5.1). `DecreaseKey` inserts the vertex into the
+//! Whenever a round walks past its window, the structure scans the
+//! overflow list once and materializes the next `b` frontiers into
+//! single-key buckets, starting at the smallest live overflow key so
+//! that empty keys are skipped rather than windowed; vertices with keys
+//! beyond the window stay in overflow (the paper's description of
+//! Julienne, Sec. 5.1). `DecreaseKey` inserts the vertex into the
 //! in-window bucket for its new key. Per-vertex cost is
 //! `O(d(v)/b + b)`, minimized at `b = Θ(sqrt(d_avg))`; Julienne fixes
 //! `b = 16`.
@@ -17,7 +19,7 @@
 
 use crate::{BucketStructure, PriorityView};
 use crossbeam::queue::SegQueue;
-use kcore_parallel::primitives::pack;
+use kcore_parallel::primitives::{pack, par_min_by};
 
 /// Fixed window of `b` single-key buckets plus an overflow list.
 pub struct FixedBuckets {
@@ -43,10 +45,10 @@ impl FixedBuckets {
         }
     }
 
-    /// Scans overflow and distributes the window `[base, base + b)`.
-    fn rebuild(&mut self, view: &dyn PriorityView) {
-        let base = self.base;
-        let b = self.b;
+    /// Scans overflow and distributes the window `[base, base + b)`,
+    /// anchored at the smallest live overflow key or at `cap` if that
+    /// is lower; returns the new base.
+    fn rebuild(&mut self, cap: u32, view: &dyn PriorityView) -> u32 {
         // Overflow holds every live vertex at or past the new window, so
         // the buckets have nothing to add: after the first build they
         // hold only dead entries, and before it only early
@@ -54,39 +56,60 @@ impl FixedBuckets {
         for q in &self.buckets {
             while q.pop().is_some() {}
         }
+        let overflow = &self.overflow;
+        let live_key = |i: usize| {
+            let v = overflow[i];
+            if view.alive(v) {
+                view.key(v)
+            } else {
+                u32::MAX
+            }
+        };
+        let base = par_min_by(overflow.len(), live_key).map_or(cap, |k| k.min(cap));
+        let end = base.saturating_add(self.b);
         // Keep only live out-of-window vertices in overflow; in-window
         // ones move to their key's bucket.
-        let keep = pack(&self.overflow, |&v| view.alive(v) && view.key(v) >= base + b);
+        let keep = pack(&self.overflow, |&v| view.alive(v) && view.key(v) >= end);
         for &v in &self.overflow {
             if view.alive(v) {
                 let key = view.key(v);
-                if key >= base && key < base + b {
+                if key < end {
                     self.buckets[(key - base) as usize].push(v);
                 }
             }
         }
         self.overflow = keep;
+        self.base = base;
         self.built = true;
+        base
     }
 }
 
 impl BucketStructure for FixedBuckets {
-    fn next_frontier(&mut self, k: u32, view: &dyn PriorityView) -> Vec<u32> {
-        if !self.built || k >= self.base + self.b {
-            self.base = k;
-            self.rebuild(view);
-        }
-        debug_assert!(k >= self.base && k < self.base + self.b);
-        let q = &self.buckets[(k - self.base) as usize];
-        let mut frontier = Vec::with_capacity(q.len());
-        while let Some(v) = q.pop() {
-            // Stale copies (peeled, or moved to a lower key and peeled
-            // there) fail the filter and are dropped.
-            if view.alive(v) && view.key(v) == k {
-                frontier.push(v);
+    fn next_frontier(&mut self, floor: u32, cap: u32, view: &dyn PriorityView) -> (u32, Vec<u32>) {
+        let mut k = floor;
+        while k < cap {
+            if !self.built || k >= self.base.saturating_add(self.b) {
+                // Past the window: rebuild it at the smallest live key
+                // (every key in between is empty).
+                k = self.rebuild(cap, view);
+                continue;
             }
+            let q = &self.buckets[(k - self.base) as usize];
+            let mut frontier = Vec::with_capacity(q.len());
+            while let Some(v) = q.pop() {
+                // Stale copies (peeled, or moved to a lower key and
+                // peeled there) fail the filter and are dropped.
+                if view.alive(v) && view.key(v) == k {
+                    frontier.push(v);
+                }
+            }
+            if !frontier.is_empty() {
+                return (k, frontier);
+            }
+            k += 1;
         }
-        frontier
+        (cap, Vec::new())
     }
 
     fn drain_threshold(&mut self, t: u32, view: &dyn PriorityView) -> Vec<u32> {
@@ -135,7 +158,7 @@ impl BucketStructure for FixedBuckets {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{run_round_start_decreases, run_static_schedule, TestView};
+    use crate::testutil::{at, run_round_start_decreases, run_static_schedule, TestView};
 
     #[test]
     fn round_start_decreases_surface_once() {
@@ -165,24 +188,25 @@ mod tests {
         let keys = vec![10, 2, 30];
         let view = TestView::new(&keys);
         let mut s = FixedBuckets::new(&keys, 16);
-        // Round 0 builds window [0, 16): vertex 1 (key 2) in bucket 2,
-        // vertex 0 (key 10) in bucket 10, vertex 2 in overflow.
-        assert!(s.next_frontier(0, &view).is_empty());
-        assert!(s.next_frontier(1, &view).is_empty());
-        assert_eq!(s.next_frontier(2, &view), vec![1]);
+        // Nothing lives below round 0's cap 1, so the window is built at
+        // the cap, [1, 17): vertex 1 (key 2) in bucket 1, vertex 0 (key
+        // 10) in bucket 9, vertex 2 in overflow.
+        assert!(at(&mut s, 0, &view).is_empty());
+        assert!(at(&mut s, 1, &view).is_empty());
+        assert_eq!(at(&mut s, 2, &view), vec![1]);
         view.kill(1);
         // Vertex 2's key drops from 30 into the window during round 2.
         view.set_key(2, 5);
         s.on_decrease(2, 30, 5, 2);
-        assert!(s.next_frontier(3, &view).is_empty());
-        assert!(s.next_frontier(4, &view).is_empty());
-        assert_eq!(s.next_frontier(5, &view), vec![2]);
+        assert!(at(&mut s, 3, &view).is_empty());
+        assert!(at(&mut s, 4, &view).is_empty());
+        assert_eq!(at(&mut s, 5, &view), vec![2]);
         view.kill(2);
         // Vertex 0 still surfaces at its key.
         for k in 6..10 {
-            assert!(s.next_frontier(k, &view).is_empty());
+            assert!(at(&mut s, k, &view).is_empty());
         }
-        assert_eq!(s.next_frontier(10, &view), vec![0]);
+        assert_eq!(at(&mut s, 10, &view), vec![0]);
     }
 
     #[test]
@@ -190,41 +214,42 @@ mod tests {
         let keys = vec![12];
         let view = TestView::new(&keys);
         let mut s = FixedBuckets::new(&keys, 16);
-        assert!(s.next_frontier(0, &view).is_empty());
+        assert!(at(&mut s, 0, &view).is_empty());
         // Key walks down 12 -> 9 -> 7 -> 4 during round 0's peel.
         for (old, nk) in [(12, 9), (9, 7), (7, 4)] {
             view.set_key(0, nk);
             s.on_decrease(0, old, nk, 0);
         }
         for k in 1..4 {
-            assert!(s.next_frontier(k, &view).is_empty(), "ghost at {k}");
+            assert!(at(&mut s, k, &view).is_empty(), "ghost at {k}");
         }
-        assert_eq!(s.next_frontier(4, &view), vec![0]);
+        assert_eq!(at(&mut s, 4, &view), vec![0]);
         view.kill(0);
         // Stale copies at 7, 9, 12 must be filtered.
         for k in 5..=12 {
-            assert!(s.next_frontier(k, &view).is_empty(), "stale ghost at {k}");
+            assert!(at(&mut s, k, &view).is_empty(), "stale ghost at {k}");
         }
     }
 
     #[test]
     fn window_rebuild_picks_up_overflow_decreases() {
-        // Key decreases while still beyond the window; the rebuild at
-        // k = b must find the new value.
+        // Key decreases while still beyond the window; the rebuild past
+        // it must find the new value.
         let keys = vec![100];
         let view = TestView::new(&keys);
         let mut s = FixedBuckets::new(&keys, 16);
-        assert!(s.next_frontier(0, &view).is_empty());
-        view.set_key(0, 20); // drops but stays out of [0, 16)
+        assert!(at(&mut s, 0, &view).is_empty());
+        view.set_key(0, 20); // drops but stays out of [1, 17)
         s.on_decrease(0, 100, 20, 0);
         for k in 1..16 {
-            assert!(s.next_frontier(k, &view).is_empty());
+            assert!(at(&mut s, k, &view).is_empty());
         }
-        // New window [16, 32) must place it at 20.
+        // The walk past 16 rebuilds at its cap, [18, 34), and must
+        // place it at 20.
         for k in 16..20 {
-            assert!(s.next_frontier(k, &view).is_empty());
+            assert!(at(&mut s, k, &view).is_empty());
         }
-        assert_eq!(s.next_frontier(20, &view), vec![0]);
+        assert_eq!(at(&mut s, 20, &view), vec![0]);
     }
 
     #[test]
@@ -239,8 +264,9 @@ mod tests {
         let keys = vec![10, 30];
         let view = TestView::new(&keys);
         let mut s = FixedBuckets::new(&keys, 16);
-        // Materialize the window [0, 16): vertex 0 moves to bucket 10.
-        assert!(s.next_frontier(0, &view).is_empty());
+        // Materialize the window [1, 17) (built at round 0's cap):
+        // vertex 0 moves to bucket 9.
+        assert!(at(&mut s, 0, &view).is_empty());
         // Vertex 1 drops into the window mid-peel; a copy is filed.
         view.set_key(1, 8);
         s.on_decrease(1, 30, 8, 0);
@@ -254,7 +280,7 @@ mod tests {
         let keys = vec![2, 6, 12, 40];
         let view = TestView::new(&keys);
         let mut s = FixedBuckets::new(&keys, 16);
-        assert_eq!(s.next_frontier(2, &view), vec![0]);
+        assert_eq!(at(&mut s, 2, &view), vec![0]);
         view.kill(0);
         let got = s.drain_threshold(7, &view);
         assert_eq!(got, vec![1]);
@@ -262,9 +288,9 @@ mod tests {
         // The key-12 entry still surfaces through the window; key 40
         // stays in overflow until its own round.
         for k in 8..12 {
-            assert!(s.next_frontier(k, &view).is_empty());
+            assert!(at(&mut s, k, &view).is_empty());
         }
-        assert_eq!(s.next_frontier(12, &view), vec![2]);
+        assert_eq!(at(&mut s, 12, &view), vec![2]);
         view.kill(2);
         let got = s.drain_threshold(50, &view);
         assert_eq!(got, vec![3]);

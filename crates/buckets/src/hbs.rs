@@ -10,13 +10,24 @@
 //! vertex entry migrates toward bucket 0 through at most
 //! logarithmically many redistributions.
 //!
-//! Laziness: nothing moves until the peeling round `k` walks past the
-//! single-key span. At that point [`HierarchicalBuckets::next_frontier`]
-//! re-anchors at `base = k` and redistributes every stored entry by its
-//! *live* key (stale copies from earlier decrements are deduplicated
-//! here; dead entries are dropped). Keys only decrease and never drop
-//! below the current round, so every entry re-files at or after `k` —
-//! the monotone-heap invariant.
+//! Laziness: nothing moves while the round walks the single-key span;
+//! a round opens at the first of those buckets holding a live element,
+//! so empty keys cost one empty pop each. When the walk runs past the
+//! span, [`HierarchicalBuckets::next_frontier`] re-anchors at the
+//! smallest live key (or at the caller's cap, if that is lower) and
+//! redistributes every stored entry by its *live* key (stale copies
+//! from earlier decrements are deduplicated here; dead entries are
+//! dropped). Keys only decrease and never drop below the current
+//! round, so every entry re-files at or after the anchor — the
+//! monotone-heap invariant.
+//!
+//! The redistribution itself is outside that per-vertex bound: it
+//! pops, sorts and re-files all `S` stored entries, `O(S log S)` work,
+//! including entries that do not move. It runs only when a round's walk
+//! leaves the single-key span, and the anchor then jumps to a live key
+//! (or the cap) at least `NUM_SINGLE` past the old one — so at most
+//! once per round opened (or cap reached), and at most `kmax / 8 + 1`
+//! times in a run, however many empty keys lie between the rounds.
 
 use crate::{BucketStructure, PriorityView};
 use crossbeam::queue::SegQueue;
@@ -77,10 +88,11 @@ impl HierarchicalBuckets {
         self.buckets.iter().map(SegQueue::len).sum()
     }
 
-    /// Re-anchors the layout at `k`, re-filing every entry by its live
-    /// key. Duplicate copies of a vertex (one per historical decrement)
-    /// collapse to one; dead entries drop out.
-    fn redistribute(&mut self, k: u32, view: &dyn PriorityView) {
+    /// Re-anchors the layout at the smallest live key, or at `cap` if
+    /// that is lower, re-filing every entry by its live key; returns
+    /// the new anchor. Duplicate copies of a vertex (one per historical
+    /// decrement) collapse to one; dead entries drop out.
+    fn redistribute(&mut self, cap: u32, view: &dyn PriorityView) -> u32 {
         let mut live: Vec<u32> = Vec::new();
         for bucket in &self.buckets {
             while let Some(v) = bucket.pop() {
@@ -91,30 +103,19 @@ impl HierarchicalBuckets {
         }
         live.sort_unstable();
         live.dedup();
-        self.base.store(k, Ordering::Relaxed);
+        let anchor = live.iter().map(|&v| view.key(v)).min().map_or(cap, |k| k.min(cap));
+        self.base.store(anchor, Ordering::Relaxed);
         for v in live {
-            let key = view.key(v);
-            debug_assert!(key >= k, "live key {key} below round {k}");
-            self.buckets[bucket_index(k, key)].push(v);
+            self.buckets[bucket_index(anchor, view.key(v))].push(v);
         }
+        anchor
     }
-}
 
-impl BucketStructure for HierarchicalBuckets {
-    fn next_frontier(&mut self, k: u32, view: &dyn PriorityView) -> Vec<u32> {
-        let base = self.base.load(Ordering::Relaxed);
-        debug_assert!(k >= base, "rounds must be non-decreasing");
-        let base = if k - base >= NUM_SINGLE {
-            self.redistribute(k, view);
-            k
-        } else {
-            base
-        };
-        // After re-anchoring, round k always maps to a single-key
-        // bucket, so everything surviving the staleness filter is the
-        // frontier. Entries for vertices that moved to a lower key have
-        // a fresher copy elsewhere; entries already peeled are dead —
-        // both are dropped, never re-filed.
+    /// Pops single-key bucket `k - base`: the live entries still at
+    /// key `k`. Entries for vertices that moved to a lower key have a
+    /// fresher copy elsewhere; entries already peeled are dead — both
+    /// are dropped, never re-filed.
+    fn pop_single(&self, k: u32, base: u32, view: &dyn PriorityView) -> Vec<u32> {
         let bucket = &self.buckets[(k - base) as usize];
         let mut frontier = Vec::with_capacity(bucket.len());
         while let Some(v) = bucket.pop() {
@@ -129,6 +130,29 @@ impl BucketStructure for HierarchicalBuckets {
         frontier.sort_unstable();
         frontier.dedup();
         frontier
+    }
+}
+
+impl BucketStructure for HierarchicalBuckets {
+    fn next_frontier(&mut self, floor: u32, cap: u32, view: &dyn PriorityView) -> (u32, Vec<u32>) {
+        let mut base = self.base.load(Ordering::Relaxed);
+        debug_assert!(floor >= base, "rounds must be non-decreasing");
+        let mut k = floor;
+        while k < cap {
+            if k - base >= NUM_SINGLE {
+                // Past the single-key span: jump straight to the
+                // smallest live key (every key in between is empty).
+                base = self.redistribute(cap, view);
+                k = base;
+                continue;
+            }
+            let frontier = self.pop_single(k, base, view);
+            if !frontier.is_empty() {
+                return (k, frontier);
+            }
+            k += 1;
+        }
+        (cap, Vec::new())
     }
 
     fn drain_threshold(&mut self, t: u32, view: &dyn PriorityView) -> Vec<u32> {
@@ -210,7 +234,7 @@ impl BucketStructure for HierarchicalBuckets {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{run_round_start_decreases, run_static_schedule, TestView};
+    use crate::testutil::{at, run_round_start_decreases, run_static_schedule, TestView};
 
     #[test]
     fn round_start_decreases_surface_once() {
@@ -251,16 +275,16 @@ mod tests {
         let keys = vec![100, 2];
         let view = TestView::new(&keys);
         let mut s = HierarchicalBuckets::new(&keys);
-        assert!(s.next_frontier(0, &view).is_empty());
-        assert!(s.next_frontier(1, &view).is_empty());
-        assert_eq!(s.next_frontier(2, &view), vec![1]);
+        assert!(at(&mut s, 0, &view).is_empty());
+        assert!(at(&mut s, 1, &view).is_empty());
+        assert_eq!(at(&mut s, 2, &view), vec![1]);
         view.kill(1);
         // Key 100 drops to 5 during round 2 (> k, so via on_decrease).
         view.set_key(0, 5);
         s.on_decrease(0, 100, 5, 2);
-        assert!(s.next_frontier(3, &view).is_empty());
-        assert!(s.next_frontier(4, &view).is_empty());
-        assert_eq!(s.next_frontier(5, &view), vec![0]);
+        assert!(at(&mut s, 3, &view).is_empty());
+        assert!(at(&mut s, 4, &view).is_empty());
+        assert_eq!(at(&mut s, 5, &view), vec![0]);
     }
 
     #[test]
@@ -268,18 +292,18 @@ mod tests {
         let keys = vec![60];
         let view = TestView::new(&keys);
         let mut s = HierarchicalBuckets::new(&keys);
-        assert!(s.next_frontier(0, &view).is_empty());
+        assert!(at(&mut s, 0, &view).is_empty());
         for (old, nk) in [(60, 40), (40, 22), (22, 9)] {
             view.set_key(0, nk);
             s.on_decrease(0, old, nk, 0);
         }
         for k in 1..9 {
-            assert!(s.next_frontier(k, &view).is_empty(), "ghost at {k}");
+            assert!(at(&mut s, k, &view).is_empty(), "ghost at {k}");
         }
-        assert_eq!(s.next_frontier(9, &view), vec![0]);
+        assert_eq!(at(&mut s, 9, &view), vec![0]);
         view.kill(0);
         for k in 10..=60 {
-            assert!(s.next_frontier(k, &view).is_empty(), "stale ghost at {k}");
+            assert!(at(&mut s, k, &view).is_empty(), "stale ghost at {k}");
         }
     }
 
@@ -290,13 +314,13 @@ mod tests {
         let keys = vec![20];
         let view = TestView::new(&keys);
         let mut s = HierarchicalBuckets::new(&keys);
-        assert!(s.next_frontier(0, &view).is_empty());
+        assert!(at(&mut s, 0, &view).is_empty());
         view.set_key(0, 9);
         s.on_decrease(0, 20, 9, 0);
         assert_eq!(s.stored_entries(), 2, "crossing buckets files a fresh copy");
         let mut surfaced = Vec::new();
         for k in 1..=20 {
-            surfaced.extend(s.next_frontier(k, &view));
+            surfaced.extend(at(&mut s, k, &view));
             for &v in &surfaced {
                 view.kill(v);
             }
@@ -312,13 +336,13 @@ mod tests {
         let keys = vec![20];
         let view = TestView::new(&keys);
         let mut s = HierarchicalBuckets::new(&keys);
-        assert!(s.next_frontier(0, &view).is_empty());
+        assert!(at(&mut s, 0, &view).is_empty());
         view.set_key(0, 17);
         s.on_decrease(0, 20, 17, 0);
         assert_eq!(s.stored_entries(), 1, "same-bucket move must be free");
         let mut surfaced = Vec::new();
         for k in 1..=20 {
-            surfaced.extend(s.next_frontier(k, &view));
+            surfaced.extend(at(&mut s, k, &view));
             for &v in &surfaced {
                 view.kill(v);
             }
@@ -330,15 +354,15 @@ mod tests {
     fn with_entries_anchors_midstream() {
         let view = TestView::new(&[0, 18, 16, 25]);
         let mut s = HierarchicalBuckets::with_entries(16, [(1u32, 18u32), (2, 16), (3, 25)]);
-        assert_eq!(s.next_frontier(16, &view), vec![2]);
+        assert_eq!(at(&mut s, 16, &view), vec![2]);
         view.kill(2);
-        assert!(s.next_frontier(17, &view).is_empty());
-        assert_eq!(s.next_frontier(18, &view), vec![1]);
+        assert!(at(&mut s, 17, &view).is_empty());
+        assert_eq!(at(&mut s, 18, &view), vec![1]);
         view.kill(1);
         for k in 19..25 {
-            assert!(s.next_frontier(k, &view).is_empty());
+            assert!(at(&mut s, k, &view).is_empty());
         }
-        assert_eq!(s.next_frontier(25, &view), vec![3]);
+        assert_eq!(at(&mut s, 25, &view), vec![3]);
     }
 
     #[test]
@@ -363,7 +387,7 @@ mod tests {
         }
         // Survivors re-filed at anchor 41: key 41 is now a single-key
         // bucket and must surface as a plain frontier.
-        assert_eq!(s.next_frontier(41, &view), vec![3]);
+        assert_eq!(at(&mut s, 41, &view), vec![3]);
         view.kill(3);
         let got = s.drain_threshold(100, &view);
         assert_eq!(got, vec![4]);
@@ -410,7 +434,7 @@ mod tests {
         let mut s = HierarchicalBuckets::new(&[]);
         let view = TestView::new(&[]);
         for k in 0..20 {
-            assert!(s.next_frontier(k, &view).is_empty());
+            assert!(at(&mut s, k, &view).is_empty());
         }
     }
 }

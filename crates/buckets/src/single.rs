@@ -4,10 +4,12 @@
 //! (`key == k`) out of it and compacts away peeled vertices. The total
 //! cost over all rounds is `Σ|A_i| = O(n + m)` (Thm. 3.1) — work-optimal
 //! but with one full active-set scan per round, which is what HBS
-//! improves on dense graphs.
+//! improves on dense graphs. Only when the round's floor comes back
+//! empty does one more pass find the smallest live key, so rounds that
+//! settle something pay nothing for skipping empty keys.
 
 use crate::{BucketStructure, PriorityView};
-use kcore_parallel::primitives::pack;
+use kcore_parallel::primitives::{pack, par_min_by};
 
 /// Flat active-array frontier source.
 pub struct SingleBucket {
@@ -28,11 +30,21 @@ impl SingleBucket {
 }
 
 impl BucketStructure for SingleBucket {
-    fn next_frontier(&mut self, k: u32, view: &dyn PriorityView) -> Vec<u32> {
+    fn next_frontier(&mut self, floor: u32, cap: u32, view: &dyn PriorityView) -> (u32, Vec<u32>) {
         // Refine A (drop everything peeled in earlier rounds), then pack
         // the frontier. Both are O(|A|), matching Thm. 3.1's assumption.
-        self.active = pack(&self.active, |&v| view.alive(v) && view.key(v) >= k);
-        pack(&self.active, |&v| view.key(v) == k)
+        self.active = pack(&self.active, |&v| view.alive(v) && view.key(v) >= floor);
+        let frontier = pack(&self.active, |&v| view.key(v) == floor);
+        if !frontier.is_empty() {
+            return (floor, frontier);
+        }
+        // The floor is empty: one more pass finds the smallest live key.
+        let active = &self.active;
+        let k = par_min_by(active.len(), |i| view.key(active[i])).map_or(cap, |k| k.min(cap));
+        if k == cap {
+            return (cap, Vec::new());
+        }
+        (k, pack(&self.active, |&v| view.key(v) == k))
     }
 
     fn drain_threshold(&mut self, t: u32, view: &dyn PriorityView) -> Vec<u32> {
@@ -55,7 +67,7 @@ impl BucketStructure for SingleBucket {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{run_round_start_decreases, run_static_schedule, TestView};
+    use crate::testutil::{at, run_round_start_decreases, run_static_schedule, TestView};
 
     #[test]
     fn round_start_decreases_surface_once() {
@@ -75,11 +87,11 @@ mod tests {
         let view = TestView::new(&keys);
         let mut s = SingleBucket::new(&keys);
         for k in 0..=4u32 {
-            let f = s.next_frontier(k, &view);
+            let f = at(&mut s, k, &view);
             assert_eq!(f, vec![k]);
             view.kill(k);
         }
-        let f = s.next_frontier(5, &view);
+        let f = at(&mut s, 5, &view);
         assert!(f.is_empty());
         assert_eq!(s.active_len(), 0);
     }
@@ -89,19 +101,19 @@ mod tests {
         let keys = vec![5, 5, 5];
         let view = TestView::new(&keys);
         let mut s = SingleBucket::new(&keys);
-        assert!(s.next_frontier(0, &view).is_empty());
+        assert!(at(&mut s, 0, &view).is_empty());
         // Vertex 1's key drops to 2 during some round.
         view.set_key(1, 2);
         s.on_decrease(1, 5, 2, 0); // no-op for this strategy
-        assert!(s.next_frontier(1, &view).is_empty());
-        assert_eq!(s.next_frontier(2, &view), vec![1]);
+        assert!(at(&mut s, 1, &view).is_empty());
+        assert_eq!(at(&mut s, 2, &view), vec![1]);
     }
 
     #[test]
     fn empty_structure() {
         let mut s = SingleBucket::new(&[]);
         let view = TestView::new(&[]);
-        assert!(s.next_frontier(0, &view).is_empty());
+        assert!(at(&mut s, 0, &view).is_empty());
     }
 
     #[test]
@@ -123,8 +135,8 @@ mod tests {
             view.kill(v);
         }
         for k in 6..9 {
-            assert!(s.next_frontier(k, &view).is_empty());
+            assert!(at(&mut s, k, &view).is_empty());
         }
-        assert_eq!(s.next_frontier(9, &view), vec![2]);
+        assert_eq!(at(&mut s, 9, &view), vec![2]);
     }
 }

@@ -11,7 +11,9 @@
 //! decrement** of `v` at round `c(u)`, handed to the engine through
 //! [`PeelProblem::round_decrements`]. The engine applies it clamped
 //! before the round's drain, so `v` settles in the same round the
-//! withdrawal would have put it in. Arcs with `c(u) >= deg v` are
+//! withdrawal would have put it in. The engine skips keys that hold no
+//! live vertex, so [`PeelProblem::next_decrement_round`] names the next
+//! withdrawal round and caps the skip there. Arcs with `c(u) >= deg v` are
 //! dropped: by round `deg v` the vertex has settled or is settling, so
 //! such a withdrawal can never lower it.
 //!
@@ -89,6 +91,16 @@ impl PeelProblem for RegionProblem {
                 emit(v, units);
             }
         }
+    }
+
+    fn next_decrement_round(&self, from: u32) -> Option<u32> {
+        // The first withdrawal of a round `>= from`, if any, starts that
+        // round's run; its round is the last one starting at or before it.
+        let first = *self.by_round.get(from as usize)?;
+        if first == self.withdrawals.len() {
+            return None;
+        }
+        Some((self.by_round.partition_point(|&start| start <= first) - 1) as u32)
     }
 
     fn assemble(&self, rounds: Vec<u32>, stats: RunStats) -> Self::Output {
@@ -282,6 +294,46 @@ mod tests {
         assert_eq!(sub.boundary_arcs, 19);
         assert_eq!(sub.coreness, &[19]);
         assert_eq!(sub.stats.sampled_vertices, 0, "priority 19 over no internal incidences");
+    }
+
+    /// A withdrawal scheduled inside a range of empty keys caps the
+    /// skip: the engine must open its round, not jump to the next live
+    /// key. Vertex 15 has degree 6 and coreness 3 (a 5-cycle of
+    /// coreness-3 vertices plus clique vertex 0); vertex 0 sits in a
+    /// 10-clique (coreness 9). In the region {0, 15}, nothing lives
+    /// below key 6 until the cycle withdraws from 15 at round 3.
+    #[test]
+    fn withdrawal_inside_empty_keys_opens_its_round() {
+        let mut b = GraphBuilder::new(16);
+        for u in 0..10 {
+            b = b.edges((u + 1..10).map(|v| (u, v)));
+        }
+        b = b.edges((10..15).map(|u| (u, if u == 14 { 10 } else { u + 1 })));
+        b = b.edges((10..15).chain([0]).map(|u| (u, 15)));
+        let g = b.build();
+        let want = bz_coreness(&g);
+        assert_eq!((want[0], want[15]), (9, 3));
+        let overlay = OverlayGraph::new(g);
+        for strategy in kcore_buckets::BucketStrategy::ALL {
+            for techniques in
+                [Techniques::default(), Techniques::all_online(), Techniques::offline()]
+            {
+                let config = Config { bucket_strategy: strategy, techniques, ..Config::default() };
+                let sub = peel_subset(&overlay, &want, &[0, 15], config);
+                assert_eq!(sub.coreness, [9, 3], "under {strategy}, {techniques:?}");
+                // Rounds 3 and 9 open; keys 0-2 and 4-8 are skipped.
+                assert_eq!((sub.stats.rounds, sub.stats.keys_skipped), (2, 8));
+            }
+        }
+    }
+
+    #[test]
+    fn next_decrement_round_finds_the_next_non_empty_round() {
+        let (by_round, withdrawals) = schedule(&[(2, 0), (1, 0), (2, 1), (4, 3)]);
+        let problem =
+            RegionProblem { offsets: vec![0], edges: vec![], prio: vec![], by_round, withdrawals };
+        let next: Vec<_> = (0..7).map(|k| problem.next_decrement_round(k)).collect();
+        assert_eq!(next, [Some(1), Some(1), Some(2), Some(4), Some(4), None, None]);
     }
 
     #[test]

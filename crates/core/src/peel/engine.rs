@@ -23,11 +23,14 @@
 //! the round's *clamp* (no priority drops below it; elements that reach
 //! it settle this round) and drains the bucket structure.
 //!
-//! * [`RoundPolicy::MinBucket`] — round `k` takes every element of
-//!   priority exactly `k`, and the clamp is `k`. Before the drain, the
-//!   round applies the problem's scheduled decrements for `k`
-//!   ([`PeelProblem::round_decrements`]; weighted and clamped, so the
-//!   elements they bring down to `k` join the round's first frontier).
+//! * [`RoundPolicy::MinBucket`] — a round opens at the smallest live
+//!   priority `k` at or above the floor, takes every element of
+//!   priority exactly `k`, and clamps at `k`. Keys that hold no live
+//!   element open no round ([`kcore_parallel::RunStats::keys_skipped`]).
+//!   Before the drain, the problem's scheduled decrements for the floor
+//!   apply ([`PeelProblem::round_decrements`]; weighted and clamped, so
+//!   the elements they bring down to the floor join its first
+//!   frontier), and the next scheduled round caps the skip.
 //! * [`RoundPolicy::Threshold`] — the policy computes a threshold `t`
 //!   from the live [`RoundAggregates`], the bucket structure drains
 //!   everything at or below `t` in one step
@@ -304,8 +307,8 @@ pub trait ThresholdPolicy: Sync {
 /// How the engine opens rounds — the frontier source of the round
 /// loop, chosen by the problem via [`PeelProblem::round_policy`].
 pub enum RoundPolicy<'p> {
-    /// Round `k` drains the minimum bucket, priority exactly `k`, and
-    /// clamps at `k`.
+    /// Each round drains the minimum non-empty bucket, priority exactly
+    /// `k`, and clamps at `k`; empty keys are skipped.
     MinBucket,
     /// Round `r` drains every priority at or below a threshold computed
     /// from the live aggregates, so rounds batch whole priority ranges,
@@ -318,10 +321,11 @@ pub enum RoundPolicy<'p> {
 ///
 /// The contract mirrors the paper's framework: the engine repeatedly
 /// extracts the minimum-priority frontier (round `k` takes every
-/// element of priority exactly `k`), settles it, and applies the
-/// problem's decrement rule, never letting a priority drop below the
-/// current round (the clamp). `assemble` receives each element's settle
-/// round — the generalized "coreness" — plus the run's instrumentation.
+/// element of priority exactly `k`, the smallest live priority),
+/// settles it, and applies the problem's decrement rule, never letting
+/// a priority drop below the current round (the clamp). `assemble`
+/// receives each element's settle round — the generalized "coreness" —
+/// plus the run's instrumentation.
 pub trait PeelProblem: Sync {
     /// What the peel produces (coreness array, trussness array, best
     /// density prefix, ...).
@@ -342,7 +346,7 @@ pub trait PeelProblem: Sync {
     fn incidence(&self) -> Incidence<'_>;
 
     /// The round structure. Default: [`RoundPolicy::MinBucket`], one
-    /// round per exact priority.
+    /// round per live exact priority.
     #[inline]
     fn round_policy(&self) -> RoundPolicy<'_> {
         RoundPolicy::MinBucket
@@ -352,19 +356,34 @@ pub trait PeelProblem: Sync {
     /// lower element `e` by `units` as the round opens. Default: none.
     ///
     /// Only [`RoundPolicy::MinBucket`] rounds ask; threshold rounds
-    /// never call this. The engine applies each pair after the round's
-    /// clamp is fixed and before the bucket drain, through the same CAS
-    /// clamp as every other decrement: settled elements and elements
-    /// already at `k` are untouched, and an element lowered to `k`
-    /// surfaces in this round's first frontier. This models incidences
-    /// outside the universe whose withdrawal time is known in advance
-    /// (a re-peel's boundary: a neighbor of standing coreness `c`
-    /// withdraws in round `c`). Sampling recounts priorities from the
-    /// incidence lists alone, so an element named here must start above
-    /// its incidence count, which keeps it out of sample mode.
+    /// never call this. The engine applies each pair once the floor
+    /// reaches `k` (the next scheduled round caps every skip over empty
+    /// keys, see [`PeelProblem::next_decrement_round`]) and before the
+    /// bucket drain, through the same CAS clamp as every other
+    /// decrement: settled elements and elements already at `k` are
+    /// untouched, and an element lowered to `k` surfaces in round `k`'s
+    /// first frontier. This models incidences outside the universe
+    /// whose withdrawal time is known in advance (a re-peel's boundary:
+    /// a neighbor of standing coreness `c` withdraws in round `c`).
+    /// Sampling recounts priorities from the incidence lists alone, so
+    /// an element named here must start above its incidence count,
+    /// which keeps it out of sample mode.
     #[inline]
     fn round_decrements(&self, k: u32, emit: &mut dyn FnMut(u32, u32)) {
         let _ = (k, emit);
+    }
+
+    /// The smallest round `>= from` whose [`PeelProblem::round_decrements`]
+    /// emit anything; `None` when no such round remains. Default: none.
+    ///
+    /// Rounds open at the smallest live priority, skipping empty keys;
+    /// this caps the skip so that no scheduled round is jumped over. A
+    /// problem that overrides `round_decrements` must override this
+    /// too.
+    #[inline]
+    fn next_decrement_round(&self, from: u32) -> Option<u32> {
+        let _ = from;
+        None
     }
 
     /// Settle action: invoked as element `e` settles at round `k`,
@@ -576,13 +595,13 @@ const ADAPTIVE_THETA: u32 = 16;
 /// The round loop (Alg. 1), shared by every problem and technique.
 ///
 /// Each round the frontier source fixes the round's clamp and drains
-/// the bucket structure: [`RoundPolicy::MinBucket`] takes exactly the
-/// minimum live priority, [`RoundPolicy::Threshold`] takes everything
-/// at or below the policy's threshold in one bulk step. Between the two,
-/// a `MinBucket` round applies the problem's scheduled decrements. The
-/// `step` then peels frontier after frontier until the round is
-/// exhausted; each subround's frontier is what the previous one dragged
-/// down to the clamp. Settle rounds record the round *index*.
+/// the bucket structure: [`RoundPolicy::MinBucket`] opens at the
+/// smallest live priority, [`RoundPolicy::Threshold`] takes everything
+/// at or below the policy's threshold in one bulk step. The `step` then
+/// peels frontier after frontier until the round is exhausted; each
+/// subround's frontier is what the previous one dragged down to the
+/// clamp. Settle rounds record the round's key under `MinBucket` and
+/// the round's index under `Threshold`.
 ///
 /// Survivors always end a round with priority above the clamp (the
 /// clamp only ever stops a decrement exactly at it, and elements that
@@ -607,10 +626,10 @@ fn rounds<P: PeelProblem, S: Step>(
     drop(init);
     let collect_stats = config.collect_stats;
     let mut remaining = n;
-    let (mut round, mut floor) = (0u32, 0u32);
+    let (mut index, mut floor) = (0u32, 0u32);
     while remaining > 0 {
         assert!(floor <= max_prio, "peeling stalled: {remaining} elements left above {max_prio}");
-        let _round = span!("round", round);
+        let _round = span!("round", floor);
         let view = LiveView { prio: &prio, settled: &settled };
         // Adaptive starts on the flat array and upgrades to HBS at the
         // θ-core; the other strategies are fixed for the whole run.
@@ -620,8 +639,17 @@ fn rounds<P: PeelProblem, S: Step>(
             bucket = Box::new(HierarchicalBuckets::with_entries(floor, entries));
             adaptive_pending = false;
         }
-        let clamp = match &source {
-            RoundPolicy::MinBucket => floor,
+        let (round, clamp, mut frontier) = match &source {
+            RoundPolicy::MinBucket => {
+                let _drain = span!("bucket.drain", floor);
+                let (k, frontier, work) =
+                    open_min_round(problem, &step, &mut *bucket, &view, floor, max_prio);
+                if collect_stats {
+                    stats.keys_skipped += u64::from(k - floor);
+                    stats.work += work;
+                }
+                (k, k, frontier)
+            }
             RoundPolicy::Threshold(policy) => {
                 // A threshold run has O(log n) rounds, so re-scanning
                 // the priority array at each boundary is noise next to
@@ -631,30 +659,10 @@ fn rounds<P: PeelProblem, S: Step>(
                     let live_key = |v: u32| if view.alive(v) { u64::from(view.key(v)) } else { 0 };
                     (0..n as u32).into_par_iter().map(live_key).sum()
                 };
-                let agg = RoundAggregates { round, remaining, priority_sum, floor };
-                policy.threshold(&agg).max(floor)
-            }
-        };
-        if let RoundPolicy::MinBucket = source {
-            let mut scheduled = 0u64;
-            problem.round_decrements(clamp, &mut |e, units| {
-                scheduled += 1;
-                let slot = &prio[e as usize];
-                if let Some((prev, stored)) =
-                    clamped_update(slot, clamp, |d| d.saturating_sub(units))
-                {
-                    bucket.on_decrease(e, prev, stored, clamp);
-                }
-            });
-            if collect_stats {
-                stats.work += scheduled;
-            }
-        }
-        let mut frontier = {
-            let _drain = span!("bucket.drain", clamp);
-            match source {
-                RoundPolicy::MinBucket => bucket.next_frontier(clamp, &view),
-                RoundPolicy::Threshold(_) => bucket.drain_threshold(clamp, &view),
+                let agg = RoundAggregates { round: index, remaining, priority_sum, floor };
+                let t = policy.threshold(&agg).max(floor);
+                let _drain = span!("bucket.drain", t);
+                (index, t, bucket.drain_threshold(t, &view))
             }
         };
         let r = Round { problem, prio: &prio, settled: &settled, bucket: &*bucket, round, clamp };
@@ -682,11 +690,61 @@ fn rounds<P: PeelProblem, S: Step>(
         if collect_stats {
             stats.record_round(subrounds);
         }
-        round += 1;
+        index += 1;
         floor = clamp.saturating_add(1);
     }
     step.finish(stats);
     settled.into_iter().map(AtomicU32::into_inner).collect()
+}
+
+/// Opens the next [`RoundPolicy::MinBucket`] round at or above `floor`:
+/// returns its key `k`, its first frontier, and the scheduled
+/// decrements applied on the way (work).
+///
+/// The round opens at the smallest live priority, so empty keys cost no
+/// round. Two things cap the jump, because a round must open there
+/// even if the bucket structure holds nothing below it:
+/// * the problem's next scheduled-decrement round
+///   ([`PeelProblem::next_decrement_round`]). Each floor the walk
+///   reaches applies its own decrements before the drain; reaching the
+///   cap with nothing below it moves the floor there and drains again;
+/// * the step's [`Step::horizon`], a lower bound on the priority of
+///   every element the bucket structure does not track exactly. When it
+///   equals the floor, the round opens at the floor even with an empty
+///   frontier, so the step's round-end check runs there.
+fn open_min_round<P: PeelProblem, S: Step>(
+    problem: &P,
+    step: &S,
+    bucket: &mut dyn BucketStructure,
+    view: &LiveView<'_>,
+    mut floor: u32,
+    max_prio: u32,
+) -> (u32, Vec<u32>, u64) {
+    let mut scheduled = 0u64;
+    loop {
+        assert!(floor <= max_prio, "peeling stalled: no live priority at or above {floor}");
+        problem.round_decrements(floor, &mut |e, units| {
+            scheduled += 1;
+            let slot = &view.prio[e as usize];
+            if let Some((prev, stored)) = clamped_update(slot, floor, |d| d.saturating_sub(units)) {
+                bucket.on_decrease(e, prev, stored, floor);
+            }
+        });
+        let horizon = step.horizon();
+        debug_assert!(horizon >= floor, "the step's horizon {horizon} lies below floor {floor}");
+        let next = floor + 1;
+        if horizon <= floor {
+            let (_, frontier) = bucket.next_frontier(floor, next, view);
+            return (floor, frontier, scheduled);
+        }
+        let cap = problem.next_decrement_round(next).unwrap_or(u32::MAX);
+        let cap = cap.min(horizon).min(max_prio + 1);
+        let (k, frontier) = bucket.next_frontier(floor, cap, view);
+        if k < cap {
+            return (k, frontier, scheduled);
+        }
+        floor = cap;
+    }
 }
 
 /// What a subround step sees of the round in progress.
@@ -695,7 +753,9 @@ struct Round<'a, P> {
     prio: &'a [AtomicU32],
     settled: &'a [AtomicU32],
     bucket: &'a dyn BucketStructure,
-    /// Round index: the settle round its elements record.
+    /// The settle round its elements record: the key under
+    /// [`RoundPolicy::MinBucket`], the round index under
+    /// [`RoundPolicy::Threshold`].
     round: u32,
     /// The round's clamp: no priority drops below it, and elements
     /// that reach it settle this round.
@@ -726,6 +786,14 @@ trait Step {
     /// returns the elements that reopen the round.
     fn round_end<P: PeelProblem>(&mut self, _r: &Round<'_, P>) -> Vec<u32> {
         Vec::new()
+    }
+
+    /// Lower bound on the true priority of every live element whose
+    /// bucket key is not exact; the next round opens no later than
+    /// this, so [`Step::round_end`] runs at every key where such an
+    /// element could settle. Read between rounds.
+    fn horizon(&self) -> u32 {
+        u32::MAX
     }
 
     /// Peels one frontier.
@@ -808,6 +876,10 @@ impl Step for Fused<'_> {
             }
             None => Vec::new(),
         }
+    }
+
+    fn horizon(&self) -> u32 {
+        self.sampling.as_ref().map_or(u32::MAX, SamplingState::horizon)
     }
 
     fn subround<P: PeelProblem>(&mut self, r: &Round<'_, P>, frontier: &[u32]) -> Wave {

@@ -55,6 +55,20 @@
 //! while shedding contention. The paper also keeps sampled counters in
 //! per-thread shards before they hit the shared counter; we take the
 //! hit on the shared atomic directly.
+//!
+//! ## The horizon caps skipped keys
+//!
+//! Rounds open at the smallest live bucket key, skipping empty keys,
+//! but a sample-mode element's key is stale. Validation must still run
+//! at every key where a sampled element could settle. The **horizon**
+//! ([`SamplingState::horizon`]) is the smallest sampled counter of a
+//! live sample-mode element: a lower bound on every such element's
+//! true priority, so no round may be skipped past it. When the horizon
+//! equals the floor, the round opens there even with an empty frontier
+//! and validates. That establishes the round-start invariant for a
+//! round opened at `k` after skipped keys too: a sample-mode element's
+//! true priority is at least its counter, hence at least the horizon,
+//! hence at least `k`.
 
 use super::engine::{UnitIncidence, UNSET};
 use crate::config::Sampling;
@@ -83,6 +97,9 @@ pub(crate) struct SamplingState {
     /// Elements in sample mode, pruned of dead and recounted ones as
     /// each end-of-round validation starts.
     sampled: Vec<u32>,
+    /// Smallest sampled counter among the live sample-mode elements as
+    /// the last round ended (`u32::MAX` when none is left).
+    horizon: u32,
 }
 
 impl SamplingState {
@@ -124,7 +141,24 @@ impl SamplingState {
                 AtomicU32::new(count)
             })
             .collect();
-        Some(Self { cfg, mask, sample_mode, approx, sampled })
+        let mut state = Self { cfg, mask, sample_mode, approx, sampled, horizon: 0 };
+        state.horizon = state.min_live_approx();
+        Some(state)
+    }
+
+    /// The earliest round whose end-of-round validation could catch a
+    /// sample-mode element (see the module docs): its sampled counter
+    /// is a lower bound on its true priority, so no live sample-mode
+    /// element settles below it. Exact between rounds, because only
+    /// removals lower the counters.
+    pub(crate) fn horizon(&self) -> u32 {
+        self.horizon
+    }
+
+    /// Smallest sampled counter over the elements still in sample mode.
+    fn min_live_approx(&self) -> u32 {
+        let sampled = self.sampled.iter().filter(|&&v| self.in_sample_mode(v));
+        sampled.map(|&v| self.approx[v as usize].load(Ordering::Relaxed)).min().unwrap_or(u32::MAX)
     }
 
     /// Number of elements that entered sample mode.
@@ -192,7 +226,8 @@ impl SamplingState {
         });
         let _validate = span!("sampling.validate_round_end", self.sampled.len());
         let this = &*self;
-        this.sampled
+        let reopened: Vec<u32> = this
+            .sampled
             .par_iter()
             .filter_map(|&v| {
                 let approx = this.approx[v as usize].load(Ordering::Relaxed);
@@ -213,7 +248,14 @@ impl SamplingState {
                 this.sample_mode[v as usize].store(false, Ordering::Relaxed);
                 None
             })
-            .collect()
+            .collect();
+        if reopened.is_empty() {
+            // The round ends here: every live sample-mode element's
+            // counter now sits above `k`, and no removal runs before
+            // the next round opens.
+            self.horizon = self.min_live_approx();
+        }
+        reopened
     }
 
     /// Live incidences of `v` — all of them, or only the sampled ones.

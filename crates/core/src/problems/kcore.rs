@@ -193,7 +193,9 @@ mod tests {
         let g = gen::grid2d(30, 30);
         let r = Decomposition::kcore(&g).run();
         let s = r.stats();
-        assert!(s.rounds >= 3, "grid peels over rounds 0..=2, got {}", s.rounds);
+        // Every vertex has coreness 2: keys 0 and 1 are skipped.
+        let keys = s.rounds + s.keys_skipped;
+        assert!(keys >= 3, "grid peels over keys 0..=2, got {keys}");
         assert!(s.subrounds >= s.rounds);
         assert!(s.work as usize >= g.num_vertices() + g.num_arcs());
         assert!(s.max_frontier > 0);
@@ -258,6 +260,45 @@ mod tests {
             let r =
                 Decomposition::kcore(&g).exact_config(Config::with_techniques(techniques)).run();
             assert_eq!(r.coreness(), bz_coreness(&g).as_slice(), "seed {seed}");
+        }
+    }
+
+    /// The sampling horizon caps the skip over empty keys. Hub 8 (degree
+    /// 13: ten leaves and three members of the 8-clique on 0..8) drops
+    /// to true priority 3 once the leaves settle in round 1, but its
+    /// stale bucket key stays 13 and no other vertex has key 3. Only the
+    /// horizon (its sampled counter, 3 when every edge is sampled) opens
+    /// round 3, where validation settles it at its coreness; a skip to
+    /// the clique's key 7 would settle it there.
+    #[test]
+    fn sampling_horizon_opens_the_round_where_a_hub_settles() {
+        let mut b = GraphBuilder::new(19);
+        for u in 0..8 {
+            b = b.edges((u + 1..8).map(|v| (u, v)));
+        }
+        b = b.edges((0..3).chain(9..19).map(|u| (u, 8)));
+        let g = b.build();
+        let want = bz_coreness(&g);
+        assert_eq!(want[8], 3);
+        let base = Sampling::with_threshold(4);
+        for strategy in BucketStrategy::ALL {
+            for rate_log2 in [0, base.rate_log2] {
+                for vgc in [None, Some(Vgc::default())] {
+                    let sampling = Some(Sampling { rate_log2, ..base });
+                    let techniques = Techniques { sampling, vgc, ..Techniques::default() };
+                    let config =
+                        Config { bucket_strategy: strategy, techniques, ..Config::default() };
+                    let r = Decomposition::kcore(&g).exact_config(config).run();
+                    let label = format!("{strategy}, rate 2^-{rate_log2}, {vgc:?}");
+                    assert_eq!(r.coreness(), want.as_slice(), "{label}");
+                    if rate_log2 == 0 {
+                        // Counters are exact: rounds 1, 3 and 7 open and
+                        // keys 0, 2 and 4-6 are skipped.
+                        let s = r.stats();
+                        assert_eq!((s.rounds, s.keys_skipped), (3, 5), "{label}");
+                    }
+                }
+            }
         }
     }
 

@@ -87,6 +87,21 @@ proptest! {
     }
 
     #[test]
+    fn planted_core_matches_oracle(
+        n in 20usize..160,
+        attach in 1usize..4,
+        core in 5usize..40,
+        seed in any::<u64>(),
+    ) {
+        // A clique far above the background's coreness leaves a wide
+        // range of empty keys. Its members enter sample mode at the
+        // test threshold, so skipping past that range must stop at the
+        // sampling horizon.
+        let n = n.max(core).max(attach + 2);
+        assert_all_configs_match(&gen::planted_core(n, attach, core, seed));
+    }
+
+    #[test]
     fn grid_families_match_oracle(rows in 2usize..14, cols in 2usize..14, seed in any::<u64>()) {
         assert_all_configs_match(&gen::grid2d(rows, cols));
         assert_all_configs_match(&gen::road(rows, cols, 0.2, 0.1, seed));

@@ -240,6 +240,9 @@ fn engine_kcore_bit_identical_on_seed_generators() {
 /// PR 4 run-stats snapshot for the seed generators under the default
 /// (technique-free) config: per problem,
 /// `[rounds, subrounds, global_syncs, work, max_frontier, burdened_span]`.
+/// The engine then opened a round at every integer key; it now skips
+/// keys with no live element, so slot 0 is compared against
+/// `rounds + keys_skipped`, which counts the same keys.
 /// Captured from the pre-`RoundPolicy` engine (commit 25f2ef3), where
 /// these quantities were verified deterministic across
 /// `RAYON_NUM_THREADS` ∈ {1, 4}; the Single and Adaptive strategies
@@ -358,7 +361,7 @@ fn minbucket_stats_match_the_pr4_snapshot() {
                 ("k-truss", kt.stats(), &want[2]),
             ] {
                 let got = [
-                    stats.rounds,
+                    stats.rounds + stats.keys_skipped,
                     stats.subrounds,
                     stats.global_syncs,
                     stats.work,
@@ -380,7 +383,8 @@ fn minbucket_stats_match_the_pr4_snapshot() {
 /// `[rounds, subrounds, global_syncs, work, max_frontier, burdened_span]`
 /// for (k,h)-core with `h = 2` (recompute step), approx densest with
 /// `ε = 0.5` (threshold frontier source), and offline k-core and
-/// k-truss (offline step, default histogram).
+/// k-truss (offline step, default histogram). As in [`PR4_STATS`], slot
+/// 0 holds `rounds + keys_skipped` (threshold rounds skip no keys).
 const DRIVER_STATS: &[(&str, [[u64; 6]; 4])] = &[
     (
         "path",
@@ -539,7 +543,7 @@ fn khcore_approx_densest_and_offline_stats_are_pinned() {
             ("offline k-truss", kt.stats(), &want[3]),
         ] {
             let got = [
-                stats.rounds,
+                stats.rounds + stats.keys_skipped,
                 stats.subrounds,
                 stats.global_syncs,
                 stats.work,
@@ -548,6 +552,34 @@ fn khcore_approx_densest_and_offline_stats_are_pinned() {
             ];
             assert_eq!(&got, snap, "{label}/{name}: stats drifted from the snapshot");
         }
+    }
+}
+
+/// Min-bucket rounds open only at keys that hold a live element: under
+/// the default config, k-core opens one round per distinct coreness
+/// value and k-truss one per distinct trussness value, and the skipped
+/// keys make up the rest of `0..=` the last round's key. The planted
+/// clique leaves a wide gap of empty keys below its own.
+#[test]
+fn min_bucket_rounds_match_the_distinct_settle_keys() {
+    let g = gen::planted_core(400, 2, 60, 5);
+    let kc = Decomposition::kcore(&g).exact_config(Config::default()).run();
+    let kt = Decomposition::ktruss(&g).exact_config(Config::default()).run();
+    // Trussness is the settle key plus 2.
+    for (name, values, offset, stats) in
+        [("k-core", kc.coreness(), 0, kc.stats()), ("k-truss", kt.trussness(), 2, kt.stats())]
+    {
+        let mut keys: Vec<u32> = values.iter().map(|&v| v - offset).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let last = u64::from(*keys.last().unwrap());
+        assert_eq!(stats.rounds, keys.len() as u64, "{name}: one round per distinct key {keys:?}");
+        assert_eq!(
+            stats.rounds + stats.keys_skipped,
+            last + 1,
+            "{name}: every key opened or skipped"
+        );
+        assert!(stats.keys_skipped > 50, "{name}: the clique's gap must be skipped, {stats:?}");
     }
 }
 

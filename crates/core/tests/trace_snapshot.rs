@@ -44,7 +44,7 @@ fn span_tree_of_a_fixed_minbucket_kcore_run_is_pinned() {
 
     let stats = result.stats();
     // The default MinBucket unit driver emits one `round` (and one
-    // bucket drain) per k value, one `subround` (and one refile) per
+    // bucket drain) per live k value, one `subround` (and one refile) per
     // frontier wave — exactly the quantities RunStats counts. The
     // `KCORE_BACKEND=compressed` CI leg re-encodes the graph inside the
     // facade, which is visible as one extra `build.encode` root — proof
@@ -207,10 +207,11 @@ fn span_tree_of_a_fixed_khcore_run_is_pinned() {
     let report = TraceReport::capture();
     set_level(Level::Off);
     // The two-phase recompute step: settle, then the recompute pass.
+    // Rounds open only at the 18 keys that hold a live vertex.
     let expected = "\
         kh-core x1\n\
-        \x20 round x40\n\
-        \x20   bucket.drain x40\n\
+        \x20 round x18\n\
+        \x20   bucket.drain x18\n\
         \x20   subround x34\n\
         \x20     settle x34\n\
         \x20     recompute x34\n\

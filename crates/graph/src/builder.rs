@@ -19,7 +19,7 @@
 //! then each bucket is counting-sorted with bucket-local count/offset
 //! arrays that fit in L1/L2, per-vertex sorted, and deduplicated. It
 //! replaces the previous global `par_sort_unstable` over all arcs
-//! (kept as [`from_symmetric_arcs_by_sort`] for A/B benchmarking):
+//! (kept in the bench crate as the A/B baseline of `bench_build`):
 //! O(m) moves instead of O(m log m) comparisons, with every phase
 //! either streaming or bucket-local.
 
@@ -235,26 +235,6 @@ impl StreamBuilder {
 pub fn from_symmetric_arcs(n: usize, arcs: Vec<(VertexId, VertexId)>) -> CsrGraph {
     debug_assert!(arcs.iter().all(|&(u, v)| u != v), "self-loop in symmetric arc list");
     countsort_build(n, vec![arcs])
-}
-
-/// The pre-streaming construction path: global parallel sort over all
-/// arcs, then dedup and a sequential CSR fill. Kept as the A/B baseline
-/// for `bench_build` and as an oracle in tests — both paths produce
-/// bit-identical graphs (sorted, deduplicated per-vertex adjacency).
-pub fn from_symmetric_arcs_by_sort(n: usize, mut arcs: Vec<(VertexId, VertexId)>) -> CsrGraph {
-    debug_assert!(arcs.iter().all(|&(u, v)| u != v), "self-loop in symmetric arc list");
-    arcs.par_sort_unstable();
-    arcs.dedup();
-
-    let mut offsets = vec![0usize; n + 1];
-    for &(u, _) in &arcs {
-        offsets[u as usize + 1] += 1;
-    }
-    for i in 0..n {
-        offsets[i + 1] += offsets[i];
-    }
-    let edges: Vec<VertexId> = arcs.into_iter().map(|(_, v)| v).collect();
-    CsrGraph::from_parts_unchecked(offsets, edges)
 }
 
 // Historical internal name, still used by the `gen` family.
@@ -494,28 +474,6 @@ mod tests {
         let g = b.build();
         g.validate();
         assert!(g.num_edges() > 0);
-    }
-
-    #[test]
-    fn countsort_matches_sort_path_bit_for_bit() {
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) as u32
-        };
-        let n = 500u32;
-        let mut arcs = Vec::new();
-        for _ in 0..20_000 {
-            let (u, v) = (next() % n, next() % n);
-            if u != v {
-                arcs.push((u, v));
-                arcs.push((v, u));
-            }
-        }
-        let a = from_symmetric_arcs(n as usize, arcs.clone());
-        let b = from_symmetric_arcs_by_sort(n as usize, arcs);
-        assert_eq!(a, b);
-        a.validate();
     }
 
     #[test]

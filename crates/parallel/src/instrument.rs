@@ -53,8 +53,14 @@ impl AtomicMax {
 /// into the paper's Figs. 7, 9, 10 and the contention discussion.
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
-    /// Peeling rounds (distinct k values processed).
+    /// Peeling rounds opened. A min-bucket round opens only at a key
+    /// that holds a live element (or that a technique must check), so
+    /// this is the number of distinct settle keys, not the largest one.
     pub rounds: u64,
+    /// Integer keys a min-bucket peel passed without opening a round:
+    /// no live element held them. `rounds + keys_skipped` is one past
+    /// the last round's key, the count of a peel that visits every key.
+    pub keys_skipped: u64,
     /// Total subrounds ρ (Tab. 2's peeling complexity when VGC is off).
     pub subrounds: u64,
     /// Global synchronization points (≥ subrounds; offline peeling has

@@ -212,6 +212,19 @@ where
     (0..n).into_par_iter().map(&f).max()
 }
 
+/// Parallel minimum of `f(i)` over `0..n`; `None` when `n == 0`. Short
+/// ranges run sequentially, like [`pack`].
+pub fn par_min_by<F, T>(n: usize, f: F) -> Option<T>
+where
+    F: Fn(usize) -> T + Sync,
+    T: Ord + Send,
+{
+    if n <= BLOCK {
+        return (0..n).map(f).min();
+    }
+    (0..n).into_par_iter().map(&f).min()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,5 +296,13 @@ mod tests {
         assert_eq!(par_count(100, |i| i % 10 == 0), 10);
         assert_eq!(par_max_by(100, |i| i * 2), Some(198));
         assert_eq!(par_max_by(0, |i| i), None);
+    }
+
+    #[test]
+    fn par_min_matches_sequential_on_both_paths() {
+        for n in [0usize, 1, BLOCK, 3 * BLOCK + 17] {
+            let key = |i: usize| (i * 7919 + 13) % 10_007;
+            assert_eq!(par_min_by(n, key), (0..n).map(key).min(), "n = {n}");
+        }
     }
 }
