@@ -12,18 +12,15 @@
 //! fused setup + peel), `ktruss-setup` (the fused one-pass
 //! orientation + edge index + supports build alone), and `ktruss-peel`
 //! (peel over a pre-built [`TriangleCtx`], what
-//! `Decomposition::with_ctx` makes possible). A per-kernel ablation
-//! (`ktruss-kernel-*`, forced via [`TriangleCtx::build_with_kernel`])
-//! runs on the two power-law-ish graphs where kernel choice actually
-//! varies. `rmat-s12/ktruss-peel` adds a larger power-law peel over a
-//! pre-built context. Every k-truss entry peels on the same live
+//! `Decomposition::with_ctx` makes possible). `rmat-s12/ktruss-peel`
+//! adds a larger power-law peel over a pre-built context. Every k-truss entry peels on the same live
 //! adjacency lists.
 //! The approx-densest ε sweep is the timing side of the
 //! rounds-vs-ε law (`O(log₁₊ε n)` rounds, asserted in
 //! `tests/proptest_problems.rs`): larger ε → fewer, fatter rounds.
 
 use criterion::{black_box, criterion_group, Criterion};
-use kcore::{Config, Decomposition, Techniques, TriKernel, TriangleCtx};
+use kcore::{Config, Decomposition, Techniques, TriangleCtx};
 use kcore_graph::gen;
 
 fn bench_problems(c: &mut Criterion) {
@@ -54,21 +51,6 @@ fn bench_problems(c: &mut Criterion) {
             c.bench_function(&format!("problems/{name}/approx-densest-eps{eps}"), |b| {
                 b.iter(|| {
                     black_box(Decomposition::approx_densest(g, eps).exact_config(config).run())
-                })
-            });
-        }
-    }
-    // Kernel ablation: end-to-end k-truss (forced-kernel fused setup +
-    // peel) on the graphs where pair skew makes the choice matter —
-    // the BA power-law graph and the adversarial HCNS construction
-    // (one kmax-clique of hubs plus a low-degree chain).
-    let ablation = [("ba-3000", &graphs[0].1), ("hcns-150", &gen::hcns(150))];
-    for (name, g) in ablation {
-        for kernel in [TriKernel::Auto, TriKernel::Merge, TriKernel::Gallop, TriKernel::Bitset] {
-            c.bench_function(&format!("problems/{name}/ktruss-kernel-{}", kernel.as_str()), |b| {
-                b.iter(|| {
-                    let ctx = TriangleCtx::build_with_kernel(g, kernel);
-                    black_box(Decomposition::ktruss(g).with_ctx(&ctx).exact_config(config).run())
                 })
             });
         }

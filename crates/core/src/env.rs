@@ -12,13 +12,11 @@
 //! [`admits_sampling_and_offline`] shares with the engine's combination
 //! guard), so a blanket CI leg still runs every problem.
 //!
-//! `KCORE_BACKEND` and `KCORE_TRI_KERNEL` keep their own parsers in
-//! `kcore-graph` and `kcore-parallel`. `TriangleCtx::build` runs
-//! outside [`crate::Decomposition`] too (benches, integration tests)
-//! and must honor the kernel override there. The backend override
-//! re-encodes the graph before the peel is instantiated for a concrete
-//! backend type; resolving it here would put `&dyn GraphBackend` in the
-//! peel's inner loop.
+//! `KCORE_BACKEND` keeps its own parser in `kcore-graph`: the backend
+//! override re-encodes the graph before the peel is instantiated for a
+//! concrete backend type, and resolving it here would put
+//! `&dyn GraphBackend` in the peel's inner loop. The triangle kernels
+//! take no override; each pair's kernel follows from its list lengths.
 
 use crate::config::{PeelMode, Sampling, Vgc};
 use crate::peel::engine::{admits_sampling_and_offline, PeelProblem};

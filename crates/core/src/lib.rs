@@ -101,7 +101,6 @@ pub use decomposition::{
 };
 pub use kcore_buckets::BucketStrategy;
 pub use kcore_graph::TriangleCtx;
-pub use kcore_parallel::intersect::TriKernel;
 pub use maintain::{DynamicGraph, MaintainStats, Version};
 pub use peel::{
     ElementState, Incidence, PeelEngine, PeelProblem, RecomputeRule, RoundAggregates, RoundPolicy,

@@ -12,8 +12,8 @@
 //!
 //! Setup (edge ids + supports) comes from the fused
 //! [`TriangleCtx`] build over the degree-ordered orientation, whose
-//! discovery sweep dispatches the hybrid intersection kernels
-//! (`KCORE_TRI_KERNEL`). A context built once can be supplied via
+//! discovery sweep picks an intersection kernel per pair from the two
+//! list lengths. A context built once can be supplied via
 //! [`crate::Decomposition::with_ctx`], dropping setup out of the
 //! peel's critical path.
 //!

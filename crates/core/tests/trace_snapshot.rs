@@ -9,8 +9,9 @@
 //! a dedicated thread and scopes assertions to that thread's trace id;
 //! a shared lock serializes them because the recorder is process-global.
 
-use kcore::{Config, Decomposition, DynamicGraph, TriangleCtx};
-use kcore_graph::{env_backend, gen, BackendKind};
+use kcore::{sequential_trussness, Config, Decomposition, DynamicGraph, TriangleCtx};
+use kcore_graph::triangles::edge_supports;
+use kcore_graph::{env_backend, gen, BackendKind, EdgeIndex};
 use kcore_obs::{set_level, Level, TraceReport};
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -99,26 +100,36 @@ fn ba3000_span_counts_match_run_stats_exactly() {
 fn triangle_setup_counters_match_the_reference_count() {
     let _g = serial();
     let g = gen::barabasi_albert(300, 3, 7);
-    // Computed before tracing goes on, so its kernel tallies stay out.
-    let expected = kcore_graph::triangles::triangle_count(&g);
+    // The reference recount, not `triangle_count`, which reads the
+    // context under test.
+    let idx = EdgeIndex::build(&g);
+    let expected = edge_supports(&g, &idx).iter().map(|&s| s as u64).sum::<u64>() / 3;
     assert!(expected > 0, "the fixture must have triangles");
 
     let counter = |report: &TraceReport, name: &str| {
         report.counters.iter().filter(|(n, _)| n == name).map(|(_, v)| *v).sum::<u64>()
     };
     let kernel_calls = |report: &TraceReport| {
-        ["tri.kernel.merge", "tri.kernel.gallop", "tri.kernel.bitset"]
+        ["tri.kernel.merge", "tri.kernel.bitset"]
             .iter()
             .map(|name| counter(report, name))
             .sum::<u64>()
     };
     set_level(Level::Spans);
     kcore_obs::reset();
-    let _ctx = TriangleCtx::build(&g);
+    let ctx = TriangleCtx::build(&g);
     let report = TraceReport::capture();
-    set_level(Level::Off);
     assert_eq!(counter(&report, "tri.triangles"), expected);
     assert!(kernel_calls(&report) > 0, "every intersection tallies its kernel");
+
+    // The peel over that context: the default dispatch sends the
+    // fixture's hub pairs through the hub probe.
+    kcore_obs::reset();
+    let r = Decomposition::ktruss(&g).with_ctx(&ctx).exact_config(Config::default()).run();
+    let report = TraceReport::capture();
+    set_level(Level::Off);
+    assert!(counter(&report, "tri.bitmap.hit") > 0, "the peel takes hub-probe hits");
+    assert_eq!(r.trussness(), sequential_trussness(&g).as_slice());
 
     kcore_obs::reset();
     let report = TraceReport::capture();

@@ -1,59 +1,48 @@
-//! Kernel-equivalence matrix for the triangle subsystem.
+//! Reference checks for the triangle subsystem.
 //!
-//! The triangle-kernel overhaul (degree-ordered orientation, hybrid
-//! merge/gallop/bitset intersections, fused index+supports build)
-//! promises *bit-identical* outputs under every `KCORE_TRI_KERNEL`
-//! selection — the kernels differ only in how the work is ordered, not
-//! in what is enumerated. This file is the referee:
+//! The triangle setup (degree-ordered orientation, fused index+supports
+//! build) and the k-truss peel pick an intersection kernel per pair
+//! from the two list lengths: the linear merge, or the probe of a hub's
+//! bitmap. The choice only orders the work; it never changes what is
+//! enumerated. This file is the end-to-end referee of that promise:
 //!
 //! * fused supports equal the reference full-list recount
-//!   ([`kcore_graph::triangles::edge_supports`]) for every kernel;
+//!   ([`kcore_graph::triangles::edge_supports`]);
 //! * trussness equals the sequential recount oracle
-//!   ([`sequential_trussness`]) for every kernel, through both the
-//!   internal-setup path and the supplied-[`TriangleCtx`] path
-//!   ([`Decomposition::with_ctx`]);
-//! * the forced `bitset` leg pushes *every* pair through the hub-map
-//!   path (no degree threshold), covering both probe orientations and
-//!   the rank filter;
-//! * unknown `KCORE_TRI_KERNEL` tokens panic listing the valid ones,
-//!   mirroring the `KCORE_TECHNIQUES` contract.
+//!   ([`sequential_trussness`]), through both the internal-setup path
+//!   and the supplied-[`TriangleCtx`] path ([`Decomposition::with_ctx`]);
+//! * a wheel sends every rim–hub pair through the hub probe inside the
+//!   peel.
+//!
+//! Each kernel forced on every pair, both probe orientations and the
+//! rank filter are covered by the unit tests of `kcore_graph::dodg`.
 //!
 //! The proptest generators mirror `proptest_problems.rs`: messy
 //! arbitrary edge lists plus the power-law family where kernel choice
 //! actually varies (hubs force skewed pairs).
 
-use kcore::{sequential_trussness, Decomposition, TriKernel, TriangleCtx};
+use kcore::{sequential_trussness, Decomposition, TriangleCtx};
 use kcore_graph::triangles::edge_supports;
 use kcore_graph::{gen, CsrGraph, EdgeIndex, GraphBuilder};
 use proptest::prelude::*;
 
-const ALL_KERNELS: [TriKernel; 4] =
-    [TriKernel::Auto, TriKernel::Merge, TriKernel::Gallop, TriKernel::Bitset];
-
-/// The full matrix on one graph: per kernel, fused supports against the
-/// reference recount and trussness against the sequential oracle (via
-/// the supplied-context path, so the peel provably ran on this kernel's
-/// enumeration).
+/// Fused supports against the reference recount and trussness against
+/// the sequential oracle (via the supplied-context path, so the peel
+/// provably ran on this context's enumeration).
 fn assert_kernel_matrix(g: &CsrGraph) {
     let idx = EdgeIndex::build(g);
-    let ref_supports = edge_supports(g, &idx);
-    let want = sequential_trussness(g);
-    for kernel in ALL_KERNELS {
-        let ctx = TriangleCtx::build_with_kernel(g, kernel);
-        assert_eq!(
-            ctx.supports(),
-            ref_supports.as_slice(),
-            "{} supports drifted from the reference recount",
-            kernel.as_str()
-        );
-        let r = Decomposition::ktruss(g).with_ctx(&ctx).run();
-        assert_eq!(
-            r.trussness(),
-            want.as_slice(),
-            "{} trussness drifted from the recount oracle",
-            kernel.as_str()
-        );
-    }
+    let ctx = TriangleCtx::build(g);
+    assert_eq!(
+        ctx.supports(),
+        edge_supports(g, &idx).as_slice(),
+        "supports drifted from the reference recount"
+    );
+    let r = Decomposition::ktruss(g).with_ctx(&ctx).run();
+    assert_eq!(
+        r.trussness(),
+        sequential_trussness(g).as_slice(),
+        "trussness drifted from the recount oracle"
+    );
 }
 
 /// Arbitrary messy edge list (duplicates and self-loops allowed), kept
@@ -94,15 +83,22 @@ fn kernels_agree_on_generator_families() {
 
 #[test]
 fn forced_bitset_covers_hub_probes_in_both_orientations() {
-    // A wheel plus a pendant path: the hub dominates every rim pair
-    // (probe the hub's map with the small side) while rim–rim edges
-    // exercise the similar-size orientation; trussness on the rim is
-    // driven entirely through hub-map enumeration during the peel.
+    // The input forces the hub probe. First a wheel plus a pendant
+    // path: hub 0 dominates every rim pair, so the hub's map is probed
+    // with the rim side (the hub is the edge's first endpoint) while
+    // rim–rim edges take the merge; trussness on the rim is driven
+    // through hub-map enumeration during the peel.
     let n = 120u32;
     let rim = (1..n).map(|i| (i, if i + 1 < n { i + 1 } else { 1 }));
     let spokes = (1..n).map(|i| (0, i));
     let g = GraphBuilder::new(n as usize + 3)
-        .edges(rim.chain(spokes).chain([(n, n + 1), (n + 1, n + 2)]))
+        .edges(rim.clone().chain(spokes.clone()).chain([(n, n + 1), (n + 1, n + 2)]))
+        .build();
+    assert_kernel_matrix(&g);
+    // Then a second hub `n` on the same rim: it is the second endpoint
+    // of its spokes, so its map is probed from the other orientation.
+    let g = GraphBuilder::new(n as usize + 1)
+        .edges(rim.chain(spokes).chain((1..n).map(|i| (i, n))))
         .build();
     assert_kernel_matrix(&g);
 }
@@ -120,17 +116,4 @@ fn default_run_matches_supplied_context() {
     for e in 0..internal.num_edges() as u32 {
         assert_eq!(internal.edge_index().endpoints(e), supplied.edge_index().endpoints(e));
     }
-}
-
-#[test]
-fn kernel_tokens_round_trip() {
-    for token in TriKernel::TOKENS {
-        assert_eq!(TriKernel::parse(token).as_str(), token);
-    }
-}
-
-#[test]
-#[should_panic(expected = "valid: auto, merge, gallop, bitset")]
-fn unknown_kernel_token_panics_listing_valid_ones() {
-    let _ = TriKernel::parse("quadratic");
 }

@@ -19,7 +19,7 @@
 //!
 //! The `KCORE_BACKEND` environment override (parsed by
 //! [`env_backend`], same unknown-token-panics convention as
-//! `KCORE_TRI_KERNEL`) lets CI force the compressed backend through
+//! `KCORE_TECHNIQUES`) lets CI force the compressed backend through
 //! every plain-CSR entry point.
 
 use crate::csr::{CsrGraph, VertexId};
@@ -123,7 +123,7 @@ impl BackendKind {
 ///
 /// Accepted values: `plain` (or empty/unset) and `compressed`. Unknown
 /// tokens panic listing the valid set — same convention as
-/// `KCORE_TRI_KERNEL` and `KCORE_TECHNIQUES`, so a typo in CI fails
+/// `KCORE_TECHNIQUES`, so a typo in CI fails
 /// loudly instead of silently testing the default.
 pub fn env_backend() -> BackendKind {
     static KIND: std::sync::OnceLock<BackendKind> = std::sync::OnceLock::new();

@@ -17,36 +17,32 @@
 //! * the per-pair intersections run over out-lists instead of full
 //!   adjacency lists.
 //!
-//! Two types implement the view:
+//! [`TriangleCtx`] is the k-truss setup: a **fused one-pass build** of
+//! the [`EdgeIndex`], the oriented arcs annotated with edge ids, and
+//! the per-edge supports (computed from the oriented view by one
+//! buffer-free discovery sweep, replacing the full re-intersection).
+//! Everything it stores is `O(n + m)`; no per-triangle state is
+//! materialized. The peel's per-death enumeration intersects its own
+//! live incidence lists through
+//! [`TriangleCtx::for_each_common_neighbor`]. Lazily built per-hub
+//! membership maps serve the bitset kernel. This is what `kcore`'s
+//! k-truss client runs on; it can be built once and reused across
+//! peels (`Decomposition::ktruss(&g).with_ctx(&ctx)`), and
+//! [`crate::triangles::triangle_count`] reads its supports.
 //!
-//! * [`Dodg`] — the bare orientation (out-targets only), enough for
-//!   [`Dodg::triangle_count`]'s allocation-free parallel fold.
-//! * [`TriangleCtx`] — the k-truss setup: a **fused one-pass build** of
-//!   the [`EdgeIndex`], the oriented arcs annotated with edge ids, and
-//!   the per-edge supports (computed from the oriented view by one
-//!   buffer-free discovery sweep, replacing the full re-intersection).
-//!   Everything it stores is `O(n + m)`; no per-triangle state is
-//!   materialized. The peel's per-death enumeration intersects its own
-//!   live incidence lists through
-//!   [`TriangleCtx::for_each_common_neighbor`]. Lazily built per-hub
-//!   membership maps serve the bitset kernel. This is what
-//!   `kcore`'s k-truss client runs on; it can be built once and reused
-//!   across peels (`Decomposition::ktruss(&g).with_ctx(&ctx)`).
-//!
-//! Intersections pick a kernel per pair — linear merge, galloping, or
-//! packed-bitset probe — through [`kcore_parallel::intersect::choose`];
-//! the policy is overridable via `KCORE_TRI_KERNEL`. All kernels
-//! enumerate the same matches in the same (increasing-vertex) order,
-//! so supports and trussness are bit-identical across kernels.
+//! Every intersection, in the discovery sweep and in the per-edge
+//! enumeration, goes through one dispatch over the kernel that
+//! [`kcore_parallel::intersect::choose`] resolves from the two list
+//! lengths: the linear merge, or the packed-bitset probe of the longer
+//! side's hub map. Both enumerate the same matches of two full lists
+//! in the same (increasing-vertex) order, so supports and trussness do
+//! not depend on which kernel ran.
 
 use crate::csr::{CsrGraph, VertexId};
 use crate::edges::EdgeIndex;
 use kcore_check::sync::atomic::{AtomicU32, Ordering};
 use kcore_obs::{counter, span};
-use kcore_parallel::intersect::{
-    choose, intersect_bitset_positions, intersect_gallop_positions, ChosenKernel, PackedBitset,
-    TriKernel,
-};
+use kcore_parallel::intersect::{choose, intersect_bitset_positions, ChosenKernel, PackedBitset};
 use kcore_parallel::primitives::{exclusive_scan, intersect_sorted_positions, SendPtr};
 use rayon::prelude::*;
 use std::sync::OnceLock;
@@ -57,108 +53,6 @@ use std::sync::OnceLock;
 #[inline]
 fn rank_lt(g: &CsrGraph, a: VertexId, b: VertexId) -> bool {
     (g.degree(a), a) < (g.degree(b), b)
-}
-
-/// The bare degree-ordered orientation: for every vertex, its
-/// higher-ranked neighbors (sorted by id, as a subsequence of the CSR
-/// adjacency list). Each undirected edge appears exactly once.
-#[derive(Debug, Clone)]
-pub struct Dodg {
-    /// `offsets[u]..offsets[u + 1]` indexes `targets` with `N⁺(u)`.
-    offsets: Box<[usize]>,
-    /// Concatenated out-neighbor lists, per-vertex sorted by id.
-    targets: Box<[VertexId]>,
-}
-
-impl Dodg {
-    /// Orients `g` by degree order, in parallel.
-    pub fn build(g: &CsrGraph) -> Self {
-        let _s = span!("tri.orient", g.num_edges() as u64);
-        let n = g.num_vertices();
-        let counts: Vec<usize> = (0..n)
-            .into_par_iter()
-            .map(|u| {
-                let u = u as VertexId;
-                g.neighbors(u).iter().filter(|&&w| rank_lt(g, u, w)).count()
-            })
-            .collect();
-        let (base, m) = exclusive_scan(&counts);
-        debug_assert_eq!(m, g.num_edges());
-        let mut targets = vec![0 as VertexId; m].into_boxed_slice();
-        let ptr = SendPtr::new(targets.as_mut_ptr());
-        (0..n).into_par_iter().for_each(|u| {
-            let u = u as VertexId;
-            let mut o = base[u as usize];
-            for &w in g.neighbors(u) {
-                if rank_lt(g, u, w) {
-                    // SAFETY: vertex u owns slots base[u]..base[u]+counts[u].
-                    unsafe { ptr.slot(o).write(w) };
-                    o += 1;
-                }
-            }
-        });
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.extend_from_slice(&base);
-        offsets.push(m);
-        Self { offsets: offsets.into_boxed_slice(), targets }
-    }
-
-    /// The out-neighbors (higher-ranked, id-sorted) of `u`.
-    #[inline]
-    pub fn out(&self, u: VertexId) -> &[VertexId] {
-        let u = u as usize;
-        &self.targets[self.offsets[u]..self.offsets[u + 1]]
-    }
-
-    /// Number of oriented arcs (== number of undirected edges).
-    #[inline]
-    pub fn num_arcs(&self) -> usize {
-        self.targets.len()
-    }
-
-    /// Total triangle count of `g`: a parallel fold of
-    /// `|N⁺(u) ∩ N⁺(v)|` over the oriented arcs — each triangle is
-    /// counted exactly once at its lowest-ranked edge, and no per-edge
-    /// array is materialized.
-    ///
-    /// Kernel selection follows `kernel`; the forced `Bitset` policy
-    /// probes lazily built packed bitmaps of the larger out-list.
-    pub fn triangle_count(&self, g: &CsrGraph, kernel: TriKernel) -> u64 {
-        let bitmaps: Box<[OnceLock<PackedBitset>]> =
-            (0..g.num_vertices()).map(|_| OnceLock::new()).collect();
-        let out_bitmap = |v: VertexId| -> &PackedBitset {
-            bitmaps[v as usize].get_or_init(|| {
-                counter!("tri.bitmap.build", 1);
-                PackedBitset::from_members(self.out(v), g.num_vertices())
-            })
-        };
-        (0..g.num_vertices())
-            .into_par_iter()
-            .map(|u| {
-                let u = u as VertexId;
-                let ou = self.out(u);
-                let mut local = 0u64;
-                for &v in ou {
-                    let ov = self.out(v);
-                    let mut cnt = 0u64;
-                    match choose(kernel, ou.len(), ov.len()) {
-                        ChosenKernel::Merge => intersect_sorted_positions(ou, ov, |_, _| cnt += 1),
-                        ChosenKernel::Gallop => intersect_gallop_positions(ou, ov, |_, _| cnt += 1),
-                        ChosenKernel::Bitset => {
-                            // Probe the larger out-list's bitmap with
-                            // the smaller list.
-                            let (drive, probe) =
-                                if ou.len() <= ov.len() { (ou, v) } else { (ov, u) };
-                            intersect_bitset_positions(drive, out_bitmap(probe), |_| cnt += 1);
-                            counter!("tri.bitmap.hit", cnt);
-                        }
-                    }
-                    local += cnt;
-                }
-                local
-            })
-            .sum()
-    }
 }
 
 /// A hub vertex's membership structure: a packed bitmap over its full
@@ -222,18 +116,10 @@ pub struct TriangleCtx {
     out_eids: Box<[u32]>,
     supports: Vec<u32>,
     hubs: Box<[OnceLock<HubMap>]>,
-    kernel: TriKernel,
 }
 
 impl TriangleCtx {
-    /// Builds the full triangle setup with the process-wide
-    /// (`KCORE_TRI_KERNEL`) kernel policy.
-    pub fn build(g: &CsrGraph) -> Self {
-        Self::build_with_kernel(g, TriKernel::from_env())
-    }
-
-    /// Builds the full triangle setup with an explicit kernel policy
-    /// (the testing/bench entry point for the kernel ablation).
+    /// Builds the full triangle setup.
     ///
     /// One parallel pass assigns edge ids *and* writes the oriented
     /// arcs; a second parallel pass over the oriented arcs accumulates
@@ -241,7 +127,7 @@ impl TriangleCtx {
     /// result is bit-identical to the reference
     /// [`crate::triangles::edge_supports`] recount for every kernel and
     /// schedule).
-    pub fn build_with_kernel(g: &CsrGraph, kernel: TriKernel) -> Self {
+    pub fn build(g: &CsrGraph) -> Self {
         let _root = span!("tri.build", g.num_edges() as u64);
         let n = g.num_vertices();
 
@@ -323,21 +209,18 @@ impl TriangleCtx {
             out_eids,
             supports: Vec::new(),
             hubs: (0..n).map(|_| OnceLock::new()).collect(),
-            kernel,
         };
 
-        // Pass 2: discovery. Every triangle is found once (at its
-        // lowest-ranked arc) and charged to all three of its edges by
-        // relaxed adds, which commute, so the supports are kernel- and
-        // schedule-independent. Nothing per triangle is stored.
+        // Pass 2: discovery. Each triangle is charged to all three of
+        // its edges by relaxed adds, which commute, so the supports are
+        // kernel- and schedule-independent. Nothing per triangle is
+        // stored.
         let sup_span = span!("tri.supports", m as u64);
         let supports: Vec<AtomicU32> = (0..m).map(|_| AtomicU32::new(0)).collect();
-        (0..n).into_par_iter().for_each(|u| {
-            ctx.for_each_oriented_triangle_of(g, u as VertexId, &mut |e, fe, ge| {
-                supports[e as usize].fetch_add(1, Ordering::Relaxed);
-                supports[fe as usize].fetch_add(1, Ordering::Relaxed);
-                supports[ge as usize].fetch_add(1, Ordering::Relaxed);
-            });
+        ctx.for_each_oriented_triangle(g, choose, |e, fe, ge| {
+            supports[e as usize].fetch_add(1, Ordering::Relaxed);
+            supports[fe as usize].fetch_add(1, Ordering::Relaxed);
+            supports[ge as usize].fetch_add(1, Ordering::Relaxed);
         });
         ctx.supports = supports.into_iter().map(AtomicU32::into_inner).collect();
         counter!("tri.triangles", ctx.supports.iter().map(|&s| s as u64).sum::<u64>() / 3);
@@ -345,55 +228,31 @@ impl TriangleCtx {
         ctx
     }
 
-    /// Discovery sweep from one source vertex of the oriented view:
-    /// calls `f(e, fe, ge)` exactly once per triangle whose
-    /// lowest-ranked arc `u → v` starts at `u`, where `e` is the edge
-    /// id of `{u, v}`, `fe` of `{u, w}`, and `ge` of `{v, w}`.
-    fn for_each_oriented_triangle_of<F>(&self, g: &CsrGraph, u: VertexId, f: &mut F)
+    /// Discovery sweep over the oriented view, parallel over source
+    /// vertices: calls `f(e, fe, ge)` exactly once per triangle, at its
+    /// lowest-ranked arc `u → v`, where `e` is the edge id of `{u, v}`,
+    /// `fe` of `{u, w}`, and `ge` of `{v, w}`. `pick` resolves each
+    /// pair's kernel from the two out-list lengths
+    /// ([`build`](Self::build) passes [`choose`]).
+    fn for_each_oriented_triangle<P, F>(&self, g: &CsrGraph, pick: P, f: F)
     where
-        F: FnMut(u32, u32, u32),
+        P: Fn(usize, usize) -> ChosenKernel + Sync,
+        F: Fn(u32, u32, u32) + Sync,
     {
-        let (ou, eu) = self.out(u);
-        for (p, &v) in ou.iter().enumerate() {
-            let (ov, ev) = self.out(v);
-            let euv = eu[p];
-            match choose(self.kernel, ou.len(), ov.len()) {
-                ChosenKernel::Merge => {
-                    intersect_sorted_positions(ou, ov, |i, j| f(euv, eu[i], ev[j]))
-                }
-                ChosenKernel::Gallop => {
-                    intersect_gallop_positions(ou, ov, |i, j| f(euv, eu[i], ev[j]))
-                }
-                ChosenKernel::Bitset => {
-                    let mut hits = 0u64;
-                    if ou.len() <= ov.len() {
-                        // Probe v's full-neighborhood map with u's
-                        // out-list; a hit `w` is in N⁺(v) iff it also
-                        // outranks v.
-                        let hub = self.hub_map(g, v);
-                        let ev_full = self.idx.edge_ids(g, v);
-                        intersect_bitset_positions(ou, &hub.bits, |i| {
-                            let w = ou[i];
-                            if rank_lt(g, v, w) {
-                                hits += 1;
-                                f(euv, eu[i], ev_full[hub.position_of(w)]);
-                            }
-                        });
-                    } else {
-                        // Probe u's map with v's out-list; every
-                        // w ∈ N⁺(v) already outranks v (and hence u),
-                        // so a membership hit is in N⁺(u).
-                        let hub = self.hub_map(g, u);
-                        let eu_full = self.idx.edge_ids(g, u);
-                        intersect_bitset_positions(ov, &hub.bits, |j| {
-                            hits += 1;
-                            f(euv, eu_full[hub.position_of(ov[j])], ev[j]);
-                        });
-                    }
-                    counter!("tri.bitmap.hit", hits);
-                }
+        // A hub-map hit `w` is in the hub's out-list iff it outranks
+        // the hub.
+        let in_out_list = |hub, w| rank_lt(g, hub, w);
+        (0..g.num_vertices()).into_par_iter().for_each(|u| {
+            let (ou, eu) = self.out(u as VertexId);
+            for (p, &v) in ou.iter().enumerate() {
+                let (ov, ev) = self.out(v);
+                let euv = eu[p];
+                let (a, b) = ((u as VertexId, ou, eu), (v, ov, ev));
+                self.intersect(g, pick(ou.len(), ov.len()), a, b, in_out_list, |fe, ge, _| {
+                    f(euv, fe, ge)
+                });
             }
-        }
+        });
     }
 
     /// The edge-id space built alongside the orientation.
@@ -440,7 +299,7 @@ impl TriangleCtx {
     /// edge `e = {u, v}`, where `fe` is the id of `{u, w}` and `ge`
     /// the id of `{v, w}`: [`Self::for_each_common_neighbor`] over the
     /// two endpoints' full adjacency lists. Matches arrive in
-    /// increasing `w` for every kernel.
+    /// increasing `w` whichever kernel runs.
     #[inline]
     pub fn for_each_triangle_of_edge<F>(&self, g: &CsrGraph, e: u32, f: F)
     where
@@ -459,43 +318,70 @@ impl TriangleCtx {
     /// the matching edge ids (`ex`): the full lists, or the k-truss
     /// peel's live lists with settled edges compacted out.
     ///
-    /// The kernel is chosen from the two list lengths. Merge and
-    /// gallop intersect the two lists. The bitset kernel drives the
-    /// shorter list through the other endpoint's *full-neighborhood*
-    /// hub map (fetched once per call) and resolves the companion id
-    /// by popcount rank, never by binary search; on subsequence input
-    /// it can therefore also report a `w` whose edge to the hub is
-    /// missing from the hub's list. Matches arrive in increasing `w`.
+    /// [`choose`] picks the kernel from the two list lengths. The merge
+    /// intersects the two lists. The bitset kernel drives the shorter
+    /// list through the other endpoint's (the hub's)
+    /// *full-neighborhood* map and resolves the companion id by
+    /// popcount rank, never by binary search; on subsequence input it
+    /// therefore also reports every `w` of the shorter list whose edge
+    /// to the hub is missing from the hub's list. Matches arrive in
+    /// increasing `w`.
     #[inline]
     pub fn for_each_common_neighbor<F>(
         &self,
         g: &CsrGraph,
-        (u, nu, eu): (VertexId, &[VertexId], &[u32]),
-        (v, nv, ev): (VertexId, &[VertexId], &[u32]),
-        mut f: F,
+        a: (VertexId, &[VertexId], &[u32]),
+        b: (VertexId, &[VertexId], &[u32]),
+        f: F,
     ) where
         F: FnMut(u32, u32, VertexId),
     {
-        match choose(self.kernel, nu.len(), nv.len()) {
+        self.intersect(g, choose(a.1.len(), b.1.len()), a, b, |_, _| true, f);
+    }
+
+    /// The one kernel dispatch behind the discovery sweep and the
+    /// per-edge enumeration: runs `kernel` over the incidence lists
+    /// `(u, nu, eu)` and `(v, nv, ev)` (as in
+    /// [`Self::for_each_common_neighbor`]) and calls `f(fe, ge, w)` per
+    /// match. A bitset hit `w` on the hub `x` is reported only when
+    /// `in_hub_list(x, w)`, the caller's test that `x`'s list holds the
+    /// edge `{x, w}`.
+    #[inline]
+    fn intersect<L, F>(
+        &self,
+        g: &CsrGraph,
+        kernel: ChosenKernel,
+        (u, nu, eu): (VertexId, &[VertexId], &[u32]),
+        (v, nv, ev): (VertexId, &[VertexId], &[u32]),
+        in_hub_list: L,
+        mut f: F,
+    ) where
+        L: Fn(VertexId, VertexId) -> bool,
+        F: FnMut(u32, u32, VertexId),
+    {
+        match kernel {
             ChosenKernel::Merge => {
                 intersect_sorted_positions(nu, nv, |i, j| f(eu[i], ev[j], nu[i]))
-            }
-            ChosenKernel::Gallop => {
-                intersect_gallop_positions(nu, nv, |i, j| f(eu[i], ev[j], nu[i]))
             }
             ChosenKernel::Bitset => {
                 let mut hits = 0u64;
                 if nu.len() <= nv.len() {
                     let (hub, ev_full) = (self.hub_map(g, v), self.idx.edge_ids(g, v));
                     intersect_bitset_positions(nu, &hub.bits, |i| {
-                        hits += 1;
-                        f(eu[i], ev_full[hub.position_of(nu[i])], nu[i]);
+                        let w = nu[i];
+                        if in_hub_list(v, w) {
+                            hits += 1;
+                            f(eu[i], ev_full[hub.position_of(w)], w);
+                        }
                     });
                 } else {
                     let (hub, eu_full) = (self.hub_map(g, u), self.idx.edge_ids(g, u));
                     intersect_bitset_positions(nv, &hub.bits, |j| {
-                        hits += 1;
-                        f(eu_full[hub.position_of(nv[j])], ev[j], nv[j]);
+                        let w = nv[j];
+                        if in_hub_list(u, w) {
+                            hits += 1;
+                            f(eu_full[hub.position_of(w)], ev[j], w);
+                        }
                     });
                 }
                 counter!("tri.bitmap.hit", hits);
@@ -506,10 +392,7 @@ impl TriangleCtx {
 
 impl std::fmt::Debug for TriangleCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TriangleCtx")
-            .field("edges", &self.num_edges())
-            .field("kernel", &self.kernel)
-            .finish()
+        f.debug_struct("TriangleCtx").field("edges", &self.num_edges()).finish()
     }
 }
 
@@ -518,9 +401,35 @@ mod tests {
     use super::*;
     use crate::triangles::{edge_supports, for_each_triangle_of_edge};
     use crate::{gen, GraphBuilder};
+    use std::sync::Mutex;
 
-    const ALL_KERNELS: [TriKernel; 4] =
-        [TriKernel::Auto, TriKernel::Merge, TriKernel::Gallop, TriKernel::Bitset];
+    type Pick = fn(usize, usize) -> ChosenKernel;
+
+    /// The production choice, then each kernel forced on every pair.
+    const PICKS: [(&str, Pick); 3] = [
+        ("choose", choose),
+        ("merge", |_, _| ChosenKernel::Merge),
+        ("bitset", |_, _| ChosenKernel::Bitset),
+    ];
+
+    /// A wheel: hub 0 of degree `n - 1` over the rim cycle `1..n`.
+    fn wheel(n: u32) -> CsrGraph {
+        let rim = (1..n).map(|i| (i, if i + 1 < n { i + 1 } else { 1 }));
+        GraphBuilder::new(n as usize).edges(rim.chain((1..n).map(|i| (0, i)))).build()
+    }
+
+    /// `K60` plus 30 pendants, pendant `60 + p` joined to clique
+    /// vertices `2p` and `2p + 1`. Every clique vertex has degree 60,
+    /// so the clique ranks by id and its out-lists run 59 long: arcs
+    /// inside the clique probe the source's hub map, and the arc from a
+    /// pendant to `2p + 1` probes the target's map, where the rank
+    /// filter must reject `2p` (the triangle was found at `pendant →
+    /// 2p`).
+    fn clique_with_pendants() -> CsrGraph {
+        let clique = (0..60u32).flat_map(|a| (a + 1..60).map(move |b| (a, b)));
+        let pendants = (0..30u32).flat_map(|p| [(60 + p, 2 * p), (60 + p, 2 * p + 1)]);
+        GraphBuilder::new(90).edges(clique.chain(pendants)).build()
+    }
 
     fn test_graphs() -> Vec<(&'static str, CsrGraph)> {
         vec![
@@ -529,6 +438,8 @@ mod tests {
             ("triangle", GraphBuilder::new(3).edges([(0, 1), (1, 2), (0, 2)]).build()),
             ("k7", gen::complete(7)),
             ("star", gen::star(40)),
+            ("wheel", wheel(80)),
+            ("clique+pendants", clique_with_pendants()),
             ("ba", gen::barabasi_albert(250, 4, 9)),
             ("rmat", gen::rmat(8, 6, 0.57, 0.19, 0.19, 3)),
             ("planted", gen::planted_core(150, 2, 30, 4)),
@@ -537,17 +448,38 @@ mod tests {
         ]
     }
 
+    /// `v`'s full incidence list, as the dispatch takes it.
+    fn full<'a>(
+        g: &'a CsrGraph,
+        idx: &'a EdgeIndex,
+        v: VertexId,
+    ) -> (VertexId, &'a [VertexId], &'a [u32]) {
+        (v, g.neighbors(v), idx.edge_ids(g, v))
+    }
+
+    /// Every triangle the discovery sweep reports under `pick`, as
+    /// `[e, fe, ge]`, sorted.
+    fn discovered(ctx: &TriangleCtx, g: &CsrGraph, pick: Pick) -> Vec<[u32; 3]> {
+        let found = Mutex::new(Vec::new());
+        ctx.for_each_oriented_triangle(g, pick, |e, fe, ge| {
+            found.lock().unwrap().push([e, fe, ge]);
+        });
+        let mut found = found.into_inner().unwrap();
+        found.sort_unstable();
+        found
+    }
+
     #[test]
     fn orientation_is_acyclic_and_covers_every_edge() {
         for (name, g) in test_graphs() {
-            let d = Dodg::build(&g);
-            assert_eq!(d.num_arcs(), g.num_edges(), "{name}");
+            let ctx = TriangleCtx::build(&g);
             let mut arcs = 0usize;
             for u in g.vertices() {
+                let (targets, eids) = ctx.out(u);
                 let mut prev = None;
-                for &w in d.out(u) {
+                for (&w, &e) in targets.iter().zip(eids) {
                     assert!(rank_lt(&g, u, w), "{name}: arc {u}->{w} violates the order");
-                    assert!(g.has_edge(u, w), "{name}: phantom arc {u}->{w}");
+                    assert_eq!(ctx.edge_index().edge_id(&g, u, w), Some(e), "{name}: {u}->{w}");
                     assert!(prev.is_none_or(|p| p < w), "{name}: out({u}) not id-sorted");
                     prev = Some(w);
                     arcs += 1;
@@ -561,7 +493,7 @@ mod tests {
     fn fused_edge_index_matches_the_reference_build() {
         for (name, g) in test_graphs() {
             let want = EdgeIndex::build(&g);
-            let ctx = TriangleCtx::build_with_kernel(&g, TriKernel::Auto);
+            let ctx = TriangleCtx::build(&g);
             let got = ctx.edge_index();
             assert_eq!(got.num_edges(), want.num_edges(), "{name}");
             for u in g.vertices() {
@@ -576,16 +508,15 @@ mod tests {
     #[test]
     fn fused_supports_match_the_reference_for_every_kernel() {
         for (name, g) in test_graphs() {
-            let idx = EdgeIndex::build(&g);
-            let want = edge_supports(&g, &idx);
-            for kernel in ALL_KERNELS {
-                let ctx = TriangleCtx::build_with_kernel(&g, kernel);
-                assert_eq!(
-                    ctx.supports(),
-                    want.as_slice(),
-                    "{name}: {} supports drifted",
-                    kernel.as_str()
-                );
+            let want = edge_supports(&g, &EdgeIndex::build(&g));
+            let ctx = TriangleCtx::build(&g);
+            assert_eq!(ctx.supports(), want.as_slice(), "{name}: built supports drifted");
+            for (kernel, pick) in PICKS {
+                let mut got = vec![0u32; want.len()];
+                for id in discovered(&ctx, &g, pick).into_iter().flatten() {
+                    got[id as usize] += 1;
+                }
+                assert_eq!(got, want, "{name}: {kernel} supports drifted");
             }
         }
     }
@@ -593,15 +524,21 @@ mod tests {
     #[test]
     fn oriented_enumeration_matches_the_reference_for_every_kernel() {
         for (name, g) in test_graphs() {
-            let idx = EdgeIndex::build(&g);
-            for kernel in ALL_KERNELS {
-                let ctx = TriangleCtx::build_with_kernel(&g, kernel);
-                for e in 0..idx.num_edges() as u32 {
-                    let mut want = Vec::new();
-                    for_each_triangle_of_edge(&g, &idx, e, |fe, ge, w| want.push((fe, ge, w)));
+            let ctx = TriangleCtx::build(&g);
+            let idx = ctx.edge_index();
+            for e in 0..idx.num_edges() as u32 {
+                let mut want = Vec::new();
+                for_each_triangle_of_edge(&g, idx, e, |fe, ge, w| want.push((fe, ge, w)));
+                let mut got = Vec::new();
+                ctx.for_each_triangle_of_edge(&g, e, |fe, ge, w| got.push((fe, ge, w)));
+                assert_eq!(got, want, "{name}: edge {e} through the public entry");
+                let (u, v) = idx.endpoints(e);
+                let (a, b) = (full(&g, idx, u), full(&g, idx, v));
+                for (kernel, pick) in PICKS {
                     let mut got = Vec::new();
-                    ctx.for_each_triangle_of_edge(&g, e, |fe, ge, w| got.push((fe, ge, w)));
-                    assert_eq!(got, want, "{name}: edge {e} under {}", kernel.as_str());
+                    let k = pick(a.1.len(), b.1.len());
+                    ctx.intersect(&g, k, a, b, |_, _| true, |fe, ge, w| got.push((fe, ge, w)));
+                    assert_eq!(got, want, "{name}: edge {e} under {kernel}");
                 }
             }
         }
@@ -609,13 +546,21 @@ mod tests {
 
     #[test]
     fn triangle_count_fold_matches_supports_sum_for_every_kernel() {
+        // The sweep reports each triangle exactly once under every
+        // kernel, so `triangles::triangle_count` (supports / 3) holds.
         for (name, g) in test_graphs() {
-            let idx = EdgeIndex::build(&g);
-            let per_edge: u64 = edge_supports(&g, &idx).iter().map(|&s| s as u64).sum();
-            let want = per_edge / 3;
-            let d = Dodg::build(&g);
-            for kernel in ALL_KERNELS {
-                assert_eq!(d.triangle_count(&g, kernel), want, "{name}: {}", kernel.as_str());
+            let per_edge: u64 =
+                edge_supports(&g, &EdgeIndex::build(&g)).iter().map(|&s| s as u64).sum();
+            let ctx = TriangleCtx::build(&g);
+            for (kernel, pick) in PICKS {
+                let mut found = discovered(&ctx, &g, pick);
+                assert_eq!(found.len() as u64, per_edge / 3, "{name}: {kernel} count");
+                for t in &mut found {
+                    t.sort_unstable();
+                }
+                found.sort_unstable();
+                found.dedup();
+                assert_eq!(found.len() as u64, per_edge / 3, "{name}: {kernel} reported twice");
             }
         }
     }
@@ -623,20 +568,100 @@ mod tests {
     #[test]
     fn hub_maps_resolve_companion_ids() {
         // A wheel: the hub has degree n-1, every rim edge's triangles
-        // go through the hub's map under the forced bitset policy.
-        let n = 200u32;
-        let rim: Vec<(u32, u32)> = (1..n).map(|i| (i, if i + 1 < n { i + 1 } else { 1 })).collect();
-        let spokes: Vec<(u32, u32)> = (1..n).map(|i| (0, i)).collect();
-        let g = GraphBuilder::new(n as usize).edges(rim.into_iter().chain(spokes)).build();
-        let idx = EdgeIndex::build(&g);
-        let ctx = TriangleCtx::build_with_kernel(&g, TriKernel::Bitset);
-        assert_eq!(ctx.supports(), edge_supports(&g, &idx).as_slice());
+        // go through the hub's map under the bitset kernel.
+        let g = wheel(200);
+        let ctx = TriangleCtx::build(&g);
+        let idx = ctx.edge_index();
+        assert_eq!(ctx.supports(), edge_supports(&g, idx).as_slice());
         for e in 0..idx.num_edges() as u32 {
-            ctx.for_each_triangle_of_edge(&g, e, |fe, ge, w| {
+            let (u, v) = idx.endpoints(e);
+            let (a, b) = (full(&g, idx, u), full(&g, idx, v));
+            let mut seen = 0u32;
+            ctx.intersect(
+                &g,
+                ChosenKernel::Bitset,
+                a,
+                b,
+                |_, _| true,
+                |fe, ge, w| {
+                    assert_eq!(idx.edge_id(&g, u, w), Some(fe));
+                    assert_eq!(idx.edge_id(&g, v, w), Some(ge));
+                    seen += 1;
+                },
+            );
+            assert_eq!(seen, ctx.supports()[e as usize], "edge {e}");
+        }
+    }
+
+    #[test]
+    fn common_neighbors_on_subsequence_lists_follow_the_hub_contract() {
+        // Live lists as the k-truss peel keeps them: each vertex's list
+        // drops some of its edges, and the two endpoints of an edge need
+        // not agree on whether it is listed.
+        let listed = |x: VertexId, e: u32| !(x as u64 * 7 + e as u64 * 13).is_multiple_of(5);
+        for (name, g) in test_graphs() {
+            let ctx = TriangleCtx::build(&g);
+            let idx = ctx.edge_index();
+            let live: Vec<(Vec<VertexId>, Vec<u32>)> = g
+                .vertices()
+                .map(|x| {
+                    let keep = |&(_, e): &(&VertexId, &u32)| listed(x, *e);
+                    g.neighbors(x).iter().zip(idx.edge_ids(&g, x)).filter(keep).unzip()
+                })
+                .collect();
+            let list = |x: VertexId| {
+                let (nx, ex) = &live[x as usize];
+                (x, nx.as_slice(), ex.as_slice())
+            };
+            let mut probed = false;
+            for e in 0..idx.num_edges() as u32 {
                 let (u, v) = idx.endpoints(e);
-                assert_eq!(idx.edge_id(&g, u, w), Some(fe));
-                assert_eq!(idx.edge_id(&g, v, w), Some(ge));
-            });
+                let (a, b) = (list(u), list(v));
+                let run = |kernel| {
+                    let mut out = Vec::new();
+                    ctx.intersect(&g, kernel, a, b, |_, _| true, |fe, ge, w| out.push((fe, ge, w)));
+                    out
+                };
+                let merged = run(ChosenKernel::Merge);
+                let probed_hits = run(ChosenKernel::Bitset);
+                // The merge reports exactly the `w` both lists hold.
+                let in_list = |x: VertexId, w| list(x).1.binary_search(&w).is_ok();
+                let both: Vec<VertexId> = a.1.iter().copied().filter(|&w| in_list(v, w)).collect();
+                assert_eq!(merged.iter().map(|t| t.2).collect::<Vec<_>>(), both, "{name}: {e}");
+                // Where both edges are listed, the probe reports the
+                // same matches, with the same ids.
+                for t in &merged {
+                    assert!(probed_hits.contains(t), "{name}: edge {e}, {t:?}");
+                }
+                // Its extra matches are exactly the shorter list's `w`
+                // adjacent to the hub whose edge the hub's list misses,
+                // with the true companion ids.
+                let (drive, hub) = if a.1.len() <= b.1.len() { (a, v) } else { (b, u) };
+                let missing: Vec<VertexId> = drive
+                    .1
+                    .iter()
+                    .copied()
+                    .filter(|&w| g.has_edge(hub, w) && !in_list(hub, w))
+                    .collect();
+                let extra: Vec<VertexId> =
+                    probed_hits.iter().filter(|t| !merged.contains(t)).map(|t| t.2).collect();
+                assert_eq!(extra, missing, "{name}: edge {e}");
+                probed |= !extra.is_empty();
+                for &(fe, ge, w) in &probed_hits {
+                    assert_eq!(idx.edge_id(&g, u, w), Some(fe), "{name}: edge {e}");
+                    assert_eq!(idx.edge_id(&g, v, w), Some(ge), "{name}: edge {e}");
+                }
+                // The public entry runs whichever kernel `choose` picks.
+                let mut got = Vec::new();
+                ctx.for_each_common_neighbor(&g, a, b, |fe, ge, w| got.push((fe, ge, w)));
+                match choose(a.1.len(), b.1.len()) {
+                    ChosenKernel::Merge => assert_eq!(got, merged, "{name}: edge {e}"),
+                    ChosenKernel::Bitset => assert_eq!(got, probed_hits, "{name}: edge {e}"),
+                }
+            }
+            if name == "clique+pendants" {
+                assert!(probed, "{name}: the probe must report a missing hub edge");
+            }
         }
     }
 }

@@ -15,7 +15,7 @@
 //!   plain CSR, the [`OverlayGraph`] delta view, or the Ligra+-style
 //!   delta+varint [`CompressedCsr`] (selected in CI via the
 //!   `KCORE_BACKEND` env override, see [`env_backend`]). The
-//!   triangle-side types ([`Dodg`], [`TriangleCtx`], [`EdgeIndex`])
+//!   triangle-side types ([`TriangleCtx`], [`EdgeIndex`])
 //!   intentionally keep requiring the plain backend — their kernels
 //!   lean on random access into raw arc arrays.
 //! * [`OverlayGraph`] — a mutable edge-delta overlay over an immutable
@@ -32,11 +32,11 @@
 //!   parallel triangle primitives that back *edge* peeling (k-truss):
 //!   dense undirected-edge ids over the CSR arcs, per-edge triangle
 //!   supports, and per-edge triangle enumeration.
-//! * [`dodg`] — the degree-ordered directed view ([`Dodg`]) and the
-//!   fused triangle setup ([`TriangleCtx`]): one parallel pass builds
-//!   the edge ids, the orientation, and the initial supports, and the
-//!   per-edge enumeration dispatches hybrid intersection kernels with
-//!   lazily built hub bitmaps.
+//! * [`dodg`] — the fused triangle setup ([`TriangleCtx`]) over the
+//!   degree-ordered directed view: one parallel pass builds the edge
+//!   ids, the orientation, and the initial supports, and every
+//!   intersection dispatches the kernel its list lengths call for
+//!   (merge, or a probe of a lazily built hub bitmap).
 //!
 //! The paper's graphs reach terabyte scale; this crate targets
 //! laptop-scale analogs of the same families (the generators in
@@ -59,7 +59,7 @@ pub use backend::{env_backend, BackendKind, GraphBackend};
 pub use builder::{GraphBuilder, StreamBuilder};
 pub use compressed::CompressedCsr;
 pub use csr::{CsrGraph, VertexId};
-pub use dodg::{Dodg, TriangleCtx};
+pub use dodg::TriangleCtx;
 pub use edges::EdgeIndex;
 pub use mmap::MmapRegion;
 pub use overlay::OverlayGraph;

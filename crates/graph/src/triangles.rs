@@ -12,16 +12,14 @@
 //! [`edge_supports`] and [`for_each_triangle_of_edge`] here are the
 //! straightforward full-list merge implementations — kept as the
 //! *reference* the optimized path is checked against. Production
-//! triangle work (the k-truss setup and peel) runs through
-//! [`crate::dodg::TriangleCtx`]: the degree-ordered orientation, the
-//! fused one-pass index+supports build, and the hybrid
-//! merge/gallop/bitset kernels, all bit-identical to the functions in
-//! this module. [`triangle_count`] is already routed through the
-//! orientation.
+//! triangle work (the k-truss setup and peel, and [`triangle_count`])
+//! runs through [`crate::dodg::TriangleCtx`]: the degree-ordered
+//! orientation, the fused one-pass index+supports build, and the
+//! merge/bitset kernels, all bit-identical to the functions in this
+//! module.
 
 use crate::csr::{CsrGraph, VertexId};
 use crate::edges::EdgeIndex;
-use kcore_parallel::intersect::TriKernel;
 use kcore_parallel::primitives::intersect_sorted_positions;
 use rayon::prelude::*;
 
@@ -55,13 +53,12 @@ where
     });
 }
 
-/// Total number of triangles in `g`, each counted once: a parallel
-/// fold of out-list intersections over the degree-ordered orientation
-/// ([`crate::dodg::Dodg`]), so no per-edge array is materialized and
-/// no [`EdgeIndex`] is needed. Kernel selection follows
-/// `KCORE_TRI_KERNEL`.
+/// Total number of triangles in `g`: the supports of the fused
+/// [`crate::dodg::TriangleCtx`] build summed (each triangle holds
+/// three edges) and divided by 3.
 pub fn triangle_count(g: &CsrGraph) -> u64 {
-    crate::dodg::Dodg::build(g).triangle_count(g, TriKernel::from_env())
+    let ctx = crate::dodg::TriangleCtx::build(g);
+    ctx.supports().iter().map(|&s| s as u64).sum::<u64>() / 3
 }
 
 #[cfg(test)]

@@ -7,9 +7,9 @@
 //! * [`primitives`] — `pack`, prefix scans, and counting, the building
 //!   blocks the paper assumes in Sec. 2 (“Parallel Primitives”).
 //! * [`intersect`] — hybrid sorted-adjacency intersection kernels
-//!   (merge / galloping / packed-bitset probe) with a per-pair
-//!   dispatcher, the sequential core of triangle counting and k-truss
-//!   peeling; selection overridable via `KCORE_TRI_KERNEL`.
+//!   (merge / packed-bitset probe) with a per-pair choice from the list
+//!   lengths, the sequential core of triangle counting and k-truss
+//!   peeling.
 //! * [`histogram`] — the `Histogram` primitive used by offline (Julienne
 //!   style) peeling, substituting a sort-based implementation for the
 //!   paper's parallel semisort.
