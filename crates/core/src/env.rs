@@ -3,11 +3,14 @@
 //! The variable holds a comma-separated subset of `sampling`, `vgc`,
 //! `offline`, or the shorthand `all` (= `sampling,vgc`). CI sets it to
 //! force the Sec. 4 techniques on for the whole test suite, so the
-//! default-off configuration cannot silently rot. It is parsed once per
-//! process, and [`resolve`] adds it to a config at
+//! opt-in sampling and the offline driver cannot silently rot. It is
+//! parsed once per process, and [`resolve`] adds it to a config at
 //! [`crate::Decomposition`]'s `run` and in [`crate::DynamicGraph::new`].
 //! A token only ever *enables* a technique with default parameters; a
-//! technique the config already sets keeps its parameters. Sampling and
+//! technique the config already sets keeps its parameters. Since
+//! [`Config::default`] already runs VGC, the `vgc` token only fills a
+//! gap in configs built from [`crate::Techniques::default()`], the
+//! plain framework; no token can turn a technique off. Sampling and
 //! offline are dropped for problems whose axes refuse them (the rule
 //! [`admits_sampling_and_offline`] shares with the engine's combination
 //! guard), so a blanket CI leg still runs every problem.

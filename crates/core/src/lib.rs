@@ -37,7 +37,9 @@
 //!   rounds total.
 //!
 //! The paper's Sec. 4 practical techniques plug into the engine through
-//! the [`Techniques`] block of [`Config`]:
+//! the [`Techniques`] block of [`Config`]. [`Config::default`] runs VGC;
+//! sampling and the offline driver are opt-in, and
+//! [`Techniques::default()`] is the plain framework of Alg. 1:
 //!
 //! * **Sampling** ([`Sampling`], Sec. 4.1) — high-priority elements
 //!   track an approximate priority over a hashed incidence sample,

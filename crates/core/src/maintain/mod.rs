@@ -327,6 +327,26 @@ mod tests {
     }
 
     #[test]
+    fn default_config_stays_exact_across_delete_and_restore() {
+        // The default config re-peels with VGC: one batch deleting every
+        // 17th edge of a road graph, one batch restoring them.
+        let g = gen::road(30, 30, 0.1, 0.1, 4);
+        let mut dynamic = DynamicGraph::with_exact_config(g.clone(), Config::default());
+        assert_eq!(dynamic.config().techniques.vgc, Some(crate::Vgc::default()));
+        assert_current(&dynamic);
+        let batch: Vec<(VertexId, VertexId)> = g.edges().step_by(17).collect();
+        dynamic.apply_batch(&[], &batch);
+        assert_eq!(dynamic.last_stats().deleted, batch.len());
+        assert!(dynamic.last_stats().region > 0, "the deletes must lower some coreness");
+        assert!(dynamic.last_stats().repeel.peak_chain > 1, "the re-peel must chase a chain");
+        assert_current(&dynamic);
+        dynamic.apply_batch(&batch, &[]);
+        assert_eq!(dynamic.last_stats().inserted, batch.len());
+        assert_current(&dynamic);
+        assert_eq!(dynamic.coreness(), bz_coreness(&g).as_slice());
+    }
+
+    #[test]
     fn inserts_deletes_and_growth_stay_exact() {
         let g = gen::grid2d(12, 12);
         let mut dynamic = DynamicGraph::new(g, Config::default());

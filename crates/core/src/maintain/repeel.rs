@@ -24,8 +24,11 @@
 //! region: an ordinary unit-incidence [`PeelProblem`] over the internal
 //! edges, so every bucket strategy and every Sec. 4 technique
 //! (sampling, VGC, offline histogram peeling) applies to the
-//! maintenance path unchanged. A vertex with boundary arcs starts above
-//! its internal incidence count, so sampling keeps it exact.
+//! maintenance path unchanged. Under the default config a re-peel
+//! chases peel chains (VGC) like a full decomposition does; a
+//! scheduled decrement lands at round start, before any chain of that
+//! round runs. A vertex with boundary arcs starts above its internal
+//! incidence count, so sampling keeps it exact.
 
 use super::region::old_coreness;
 use crate::peel::engine::{Incidence, PeelEngine, PeelProblem, UnitIncidence};

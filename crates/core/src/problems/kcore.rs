@@ -355,7 +355,8 @@ mod tests {
         // chain. Run single-threaded for a deterministic chain shape.
         let g = gen::path(400);
         let (plain, chased) = with_threads(1, || {
-            let plain = Decomposition::kcore(&g).exact_config(Config::default()).run();
+            let plain = Config::with_techniques(Techniques::default());
+            let plain = Decomposition::kcore(&g).exact_config(plain).run();
             let vgc = Techniques { vgc: Some(Vgc { chain_limit: 1000 }), ..Techniques::default() };
             let chased = Decomposition::kcore(&g).exact_config(Config::with_techniques(vgc)).run();
             (plain, chased)
@@ -370,6 +371,27 @@ mod tests {
         );
         assert!(cs.peak_chain > 8, "long chains must be recorded, got {}", cs.peak_chain);
         assert!(cs.burdened_span < ps.burdened_span, "fewer syncs must shrink the burdened span");
+    }
+
+    #[test]
+    fn default_config_chases_chains_on_road_and_path_graphs() {
+        // The default is VGC on: it must stay BZ-exact and collapse the
+        // tiny subrounds of the plain framework, within the chain bound.
+        let plain = Config::with_techniques(Techniques::default());
+        for (g, label) in [(gen::road(40, 40, 0.1, 0.1, 3), "road"), (gen::path(400), "path")] {
+            let chased = Decomposition::kcore(&g).exact_config(Config::default()).run();
+            let baseline = Decomposition::kcore(&g).exact_config(plain).run();
+            assert_eq!(chased.coreness(), bz_coreness(&g).as_slice(), "{label}");
+            let (cs, ps) = (chased.stats(), baseline.stats());
+            assert!(
+                cs.subrounds < ps.subrounds,
+                "{label}: the default must run fewer subrounds than plain: {} vs {}",
+                cs.subrounds,
+                ps.subrounds
+            );
+            let limit = u64::from(Vgc::default().chain_limit);
+            assert!(0 < cs.peak_chain && cs.peak_chain <= limit, "{label}: {}", cs.peak_chain);
+        }
     }
 
     #[test]

@@ -237,8 +237,8 @@ fn engine_kcore_bit_identical_on_seed_generators() {
     }
 }
 
-/// PR 4 run-stats snapshot for the seed generators under the default
-/// (technique-free) config: per problem,
+/// Run-stats snapshot for the seed generators under the
+/// technique-free config (`Techniques::default()`): per problem,
 /// `[rounds, subrounds, global_syncs, work, max_frontier, burdened_span]`.
 /// The engine then opened a round at every integer key; it now skips
 /// keys with no live element, so slot 0 is compared against
@@ -344,14 +344,19 @@ fn seed_graph(label: &str) -> CsrGraph {
 /// engine must reproduce the PR 4 round structure *exactly* — rounds,
 /// subrounds, syncs, work, frontier peaks, and burdened span — for
 /// k-core, densest-subgraph, and k-truss on the seed generators.
-/// `exact_config` bypasses the env override on purpose: the snapshot
-/// describes the technique-free baseline.
+/// The snapshot describes the technique-free baseline, so the config
+/// asks for it with `Techniques::default()`, and `exact_config`
+/// bypasses the env override on purpose.
 #[test]
 fn minbucket_stats_match_the_pr4_snapshot() {
     for strategy in [BucketStrategy::Single, BucketStrategy::Adaptive] {
         for (label, want) in PR4_STATS {
             let g = seed_graph(label);
-            let config = Config { bucket_strategy: strategy, ..Config::default() };
+            let config = Config {
+                bucket_strategy: strategy,
+                techniques: Techniques::default(),
+                ..Config::default()
+            };
             let kc = Decomposition::kcore(&g).exact_config(config).run();
             let de = Decomposition::densest(&g).exact_config(config).run();
             let kt = Decomposition::ktruss(&g).exact_config(config).run();
@@ -525,15 +530,17 @@ const DRIVER_STATS: &[(&str, [[u64; 6]; 4])] = &[
 
 /// The stats half of the single-loop guard for the recompute, threshold
 /// and offline paths: every one must keep its round structure exactly.
-/// `exact_config` bypasses the env override so the `KCORE_TECHNIQUES`
-/// legs cannot change what runs.
+/// The recompute and threshold runs pin the plain framework
+/// (`Techniques::default()`), and `exact_config` bypasses the env
+/// override so the `KCORE_TECHNIQUES` legs cannot change what runs.
 #[test]
 fn khcore_approx_densest_and_offline_stats_are_pinned() {
+    let plain = Config::with_techniques(Techniques::default());
     let offline = Config::with_techniques(Techniques::offline());
     for (label, want) in DRIVER_STATS {
         let g = seed_graph(label);
-        let kh = Decomposition::khcore(&g, 2).exact_config(Config::default()).run();
-        let ad = Decomposition::approx_densest(&g, 0.5).exact_config(Config::default()).run();
+        let kh = Decomposition::khcore(&g, 2).exact_config(plain).run();
+        let ad = Decomposition::approx_densest(&g, 0.5).exact_config(plain).run();
         let kc = Decomposition::kcore(&g).exact_config(offline).run();
         let kt = Decomposition::ktruss(&g).exact_config(offline).run();
         for (name, stats, snap) in [

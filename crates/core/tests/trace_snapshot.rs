@@ -234,12 +234,12 @@ fn span_tree_of_a_fixed_khcore_run_is_pinned() {
 fn span_tree_of_a_fixed_approx_densest_run_is_pinned() {
     let _g = serial();
     let g = gen::rmat(9, 8, 0.57, 0.19, 0.19, 5);
-    let (_, tid) =
-        traced(|| Decomposition::approx_densest(&g, 0.5).exact_config(Config::default()).run());
+    let plain = Config::with_techniques(kcore::Techniques::default());
+    let (_, tid) = traced(|| Decomposition::approx_densest(&g, 0.5).exact_config(plain).run());
     let report = TraceReport::capture();
     set_level(Level::Off);
-    // The threshold frontier source: every round scans the live
-    // aggregates before its bulk drain.
+    // The threshold frontier source, under the plain framework: every
+    // round scans the live aggregates before its bulk drain.
     let expected = "\
         approx-densest x1\n\
         \x20 round x2\n\
