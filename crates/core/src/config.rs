@@ -247,19 +247,30 @@ mod tests {
         env::apply(config, env::parse(spec), &KCoreProblem { g: &CsrGraph::empty() })
     }
 
+    /// The plain framework (Alg. 1): every technique off, so a spec
+    /// token has to turn on whatever the tests below see.
+    fn plain() -> Config {
+        Config::with_techniques(Techniques::default())
+    }
+
     #[test]
     fn techniques_spec_enables_features() {
-        let c = kcore_apply(Config::default(), "sampling,vgc");
+        let c = kcore_apply(plain(), "sampling,vgc");
         assert!(c.techniques.sampling.is_some());
-        assert!(c.techniques.vgc.is_some());
+        assert_eq!(c.techniques.vgc, Some(Vgc::default()));
         assert_eq!(c.techniques.mode, PeelMode::Online);
 
-        let c = kcore_apply(Config::default(), "all,offline");
+        let c = kcore_apply(plain(), "vgc");
+        assert!(c.techniques.sampling.is_none());
+        assert_eq!(c.techniques.vgc, Some(Vgc::default()));
+
+        let c = kcore_apply(plain(), "all,offline");
         assert!(c.techniques.sampling.is_some());
-        assert!(c.techniques.vgc.is_some());
+        assert_eq!(c.techniques.vgc, Some(Vgc::default()));
         assert_eq!(c.techniques.mode, PeelMode::Offline);
 
         // Empty spec and stray separators are no-ops.
+        assert_eq!(kcore_apply(plain(), " , "), plain());
         assert_eq!(kcore_apply(Config::default(), " , "), Config::default());
     }
 
@@ -292,13 +303,13 @@ mod tests {
         // and offline: only VGC survives, including out of `all`.
         let g = CsrGraph::empty();
         let khcore = KhCoreProblem { g: &g, h: 2 };
-        let c = env::apply(Config::default(), env::parse("sampling,vgc,offline"), &khcore);
+        let c = env::apply(plain(), env::parse("sampling,vgc,offline"), &khcore);
         assert!(c.techniques.sampling.is_none(), "sampling filtered out");
-        assert!(c.techniques.vgc.is_some(), "vgc passes the filter");
+        assert_eq!(c.techniques.vgc, Some(Vgc::default()), "vgc passes the filter");
         assert_eq!(c.techniques.mode, PeelMode::Online, "offline filtered out");
-        let c = env::apply(Config::default(), env::parse("all"), &khcore);
+        let c = env::apply(plain(), env::parse("all"), &khcore);
         assert!(c.techniques.sampling.is_none());
-        assert!(c.techniques.vgc.is_some());
+        assert_eq!(c.techniques.vgc, Some(Vgc::default()));
     }
 
     #[test]

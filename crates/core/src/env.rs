@@ -86,6 +86,7 @@ pub(crate) fn apply(mut config: Config, spec: Spec, problem: &impl PeelProblem) 
 mod tests {
     use super::*;
     use crate::problems::ktruss::KTrussProblem;
+    use crate::Techniques;
     use kcore_graph::{gen, TriangleCtx};
 
     #[test]
@@ -96,10 +97,12 @@ mod tests {
         // per-problem token list.
         let g = gen::complete(4);
         let ctx = TriangleCtx::build(&g);
-        let c =
-            apply(Config::default(), parse("sampling,vgc,offline"), &KTrussProblem::new(&g, &ctx));
+        // Start from the plain framework, so every technique below was
+        // turned on by a token.
+        let plain = Config::with_techniques(Techniques::default());
+        let c = apply(plain, parse("sampling,vgc,offline"), &KTrussProblem::new(&g, &ctx));
         assert_eq!(c.techniques.mode, PeelMode::Offline);
         assert!(c.techniques.sampling.is_some());
-        assert!(c.techniques.vgc.is_some());
+        assert_eq!(c.techniques.vgc, Some(Vgc::default()));
     }
 }

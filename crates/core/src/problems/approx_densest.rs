@@ -293,7 +293,9 @@ mod tests {
     #[test]
     fn vgc_composes_with_threshold_rounds() {
         let g = gen::barabasi_albert(400, 3, 9);
-        let plain = Decomposition::approx_densest(&g, 0.5).exact_config(Config::default()).run();
+        let plain = Decomposition::approx_densest(&g, 0.5)
+            .exact_config(Config::with_techniques(Techniques::default()))
+            .run();
         let vgc = Config::with_techniques(Techniques {
             vgc: Some(Vgc::default()),
             ..Techniques::default()
@@ -350,9 +352,10 @@ mod tests {
         let g = gen::barabasi_albert(120, 3, 5);
         // What the KCORE_TECHNIQUES CI legs exercise, without reading
         // the environment: threshold rounds keep only VGC, and the run
-        // is unchanged.
+        // is unchanged from the plain framework's.
         let problem = ApproxDensestProblem::new(&g, 0.5);
-        let config = env::apply(Config::default(), env::parse("sampling,vgc,offline"), &problem);
+        let plain = Config::with_techniques(Techniques::default());
+        let config = env::apply(plain, env::parse("sampling,vgc,offline"), &problem);
         assert_eq!(
             config,
             Config::with_techniques(Techniques {
@@ -361,7 +364,7 @@ mod tests {
             })
         );
         let got = Decomposition::approx_densest(&g, 0.5).exact_config(config).run();
-        let want = Decomposition::approx_densest(&g, 0.5).exact_config(Config::default()).run();
+        let want = Decomposition::approx_densest(&g, 0.5).exact_config(plain).run();
         assert_eq!(got.rounds(), want.rounds());
     }
 }

@@ -254,7 +254,9 @@ mod tests {
     #[test]
     fn techniques_do_not_change_the_answer() {
         let g = gen::barabasi_albert(300, 4, 5);
-        let want = Decomposition::densest(&g).exact_config(Config::default()).run();
+        let want = Decomposition::densest(&g)
+            .exact_config(Config::with_techniques(Techniques::default()))
+            .run();
         for (name, techniques) in [
             (
                 "sampling",

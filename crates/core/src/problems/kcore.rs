@@ -374,24 +374,24 @@ mod tests {
     }
 
     #[test]
-    fn default_config_chases_chains_on_road_and_path_graphs() {
+    fn default_config_chases_chains_on_a_road_graph() {
         // The default is VGC on: it must stay BZ-exact and collapse the
         // tiny subrounds of the plain framework, within the chain bound.
+        // (The path case is `vgc_collapses_subrounds_on_a_path`.)
+        let g = gen::road(40, 40, 0.1, 0.1, 3);
+        let chased = Decomposition::kcore(&g).exact_config(Config::default()).run();
         let plain = Config::with_techniques(Techniques::default());
-        for (g, label) in [(gen::road(40, 40, 0.1, 0.1, 3), "road"), (gen::path(400), "path")] {
-            let chased = Decomposition::kcore(&g).exact_config(Config::default()).run();
-            let baseline = Decomposition::kcore(&g).exact_config(plain).run();
-            assert_eq!(chased.coreness(), bz_coreness(&g).as_slice(), "{label}");
-            let (cs, ps) = (chased.stats(), baseline.stats());
-            assert!(
-                cs.subrounds < ps.subrounds,
-                "{label}: the default must run fewer subrounds than plain: {} vs {}",
-                cs.subrounds,
-                ps.subrounds
-            );
-            let limit = u64::from(Vgc::default().chain_limit);
-            assert!(0 < cs.peak_chain && cs.peak_chain <= limit, "{label}: {}", cs.peak_chain);
-        }
+        let baseline = Decomposition::kcore(&g).exact_config(plain).run();
+        assert_eq!(chased.coreness(), bz_coreness(&g).as_slice());
+        let (cs, ps) = (chased.stats(), baseline.stats());
+        assert!(
+            cs.subrounds < ps.subrounds,
+            "the default must run fewer subrounds than plain: {} vs {}",
+            cs.subrounds,
+            ps.subrounds
+        );
+        let limit = u64::from(Vgc::default().chain_limit);
+        assert!(0 < cs.peak_chain && cs.peak_chain <= limit, "chain {}", cs.peak_chain);
     }
 
     #[test]
@@ -408,7 +408,8 @@ mod tests {
     #[test]
     fn offline_charges_more_syncs_per_subround() {
         let g = gen::mesh(20, 20);
-        let online = Decomposition::kcore(&g).exact_config(Config::default()).run();
+        let online = Config::with_techniques(Techniques::default());
+        let online = Decomposition::kcore(&g).exact_config(online).run();
         let offline = Decomposition::kcore(&g)
             .exact_config(Config::with_techniques(Techniques::offline()))
             .run();

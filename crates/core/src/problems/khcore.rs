@@ -405,7 +405,8 @@ mod tests {
         // run stays oracle-correct.
         let g = gen::barabasi_albert(40, 2, 5);
         let problem = KhCoreProblem { g: &g, h: 2 };
-        let config = env::apply(Config::default(), env::parse("sampling,vgc,offline"), &problem);
+        let plain = Config::with_techniques(Techniques::default());
+        let config = env::apply(plain, env::parse("sampling,vgc,offline"), &problem);
         let vgc = Techniques { vgc: Some(Vgc::default()), ..Techniques::default() };
         assert_eq!(config, Config::with_techniques(vgc));
         let got = Decomposition::khcore(&g, 2).exact_config(config).run();
