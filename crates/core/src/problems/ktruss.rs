@@ -5,10 +5,9 @@
 //! edge participates in at least `k - 2` triangles (within the
 //! subgraph); an edge's **trussness** is the largest `k` for which it
 //! belongs to the k-truss. Peeling computes it exactly like coreness:
-//! elements are undirected edges ([`kcore_graph::EdgeIndex`] provides
-//! the dense id space), the initial priority is the edge's triangle
-//! support, and round `r` peels every edge whose surviving support is
-//! `r` — its trussness is `r + 2`.
+//! elements are undirected edges, the initial priority is the edge's
+//! triangle support, and round `r` peels every edge whose surviving
+//! support is `r` — its trussness is `r + 2`.
 //!
 //! Setup (edge ids + supports) comes from the fused
 //! [`TriangleCtx`] build over the degree-ordered orientation, whose
@@ -17,17 +16,28 @@
 //! [`crate::Decomposition::with_ctx`], dropping setup out of the
 //! peel's critical path.
 //!
+//! Only the edges that lie in a triangle are peeled. An edge of
+//! support 0 has trussness 2 by definition (Wang & Cheng, VLDB'12),
+//! and it can neither emit nor receive a decrement: a triangle's three
+//! edges all start with support at least 1. The elements are therefore
+//! the edges of positive support, numbered in increasing
+//! [`kcore_graph::EdgeIndex`] id order, so comparing element ids
+//! compares edge ids and the rule's tie-break is unchanged; `assemble`
+//! writes trussness 2 for every other edge. Run statistics count only
+//! these elements.
+//!
 //! Per-death triangle enumeration intersects the endpoints' **live
 //! adjacency lists** (PKT-style; Kabir & Madduri, HPEC'17; Wang &
-//! Cheng, VLDB'12). The peel keeps its own `O(m)` copy of every
-//! vertex's `(neighbor, edge id)` list and, at the sequential point
+//! Cheng, VLDB'12). The peel keeps a compact CSR of every vertex's
+//! triangle incidences, `(neighbor, element id)` pairs in neighbor
+//! order, plus the element id of every arc (which the bitset kernel
+//! reads on the hub side, see
+//! [`TriangleCtx::for_each_common_neighbor`]). At the sequential point
 //! after each subround's rule phase ([`PeelProblem::after_rule_phase`]),
-//! compacts a list in place once the edges it lost since its last
+//! it compacts a list in place once the edges it lost since its last
 //! compaction reach half its length: `O(d(v))` work per vertex over the
 //! peel, and a dying edge stops paying for its endpoints' dead edges.
-//! The kernel is chosen on the live lengths (see
-//! [`TriangleCtx::for_each_common_neighbor`]); edges in no triangle
-//! skip enumeration.
+//! The kernel is chosen on the live lengths.
 //!
 //! Compaction drops only dead edges, and the rule below skips every
 //! triangle with a dead edge, so every kernel and every compaction
@@ -59,13 +69,24 @@ use kcore_check::cell::UnsafeCell;
 use kcore_graph::triangles::for_each_triangle_of_edge;
 use kcore_graph::{CsrGraph, EdgeIndex, TriangleCtx, VertexId};
 use kcore_obs::span;
+use kcore_parallel::primitives::{pack_index, SendPtr};
 use kcore_parallel::RunStats;
+use rayon::prelude::*;
+
+/// The element id of an arc whose edge lies in no triangle.
+const NO_ELEMENT: u32 = u32::MAX;
 
 /// The k-truss decomposition problem over one graph and its triangle
 /// setup (built by [`TriangleCtx::build`] from the same graph).
 pub(crate) struct KTrussProblem<'g> {
     g: &'g CsrGraph,
     ctx: &'g TriangleCtx,
+    /// The elements: the edge ids of positive support, increasing, so
+    /// element `x` is edge `edges[x]`.
+    edges: Vec<u32>,
+    /// The element id of every arc's edge, laid out parallel to the
+    /// graph's arc array ([`NO_ELEMENT`] for an edge in no triangle).
+    arc_elems: Box<[u32]>,
     /// The per-death enumeration's live adjacency.
     live: LiveLists,
 }
@@ -87,7 +108,20 @@ impl<'g> KTrussProblem<'g> {
             g.num_vertices(),
             g.num_edges()
         );
-        Self { g, ctx, live: LiveLists::build(g, ctx.edge_index()) }
+        let supports = ctx.supports();
+        let edges = pack_index(supports.len(), |e| supports[e] > 0);
+        let mut elem_of_edge = vec![NO_ELEMENT; supports.len()];
+        for (x, &e) in edges.iter().enumerate() {
+            elem_of_edge[e as usize] = x as u32;
+        }
+        let (arc_elems, live) = LiveLists::build(g, ctx.edge_index(), &elem_of_edge);
+        Self { g, ctx, edges, arc_elems, live }
+    }
+
+    /// The endpoints of element `x`'s edge.
+    #[inline]
+    fn endpoints(&self, x: u32) -> (VertexId, VertexId) {
+        self.ctx.edge_index().endpoints(self.edges[x as usize])
     }
 }
 
@@ -99,11 +133,12 @@ impl PeelProblem for KTrussProblem<'_> {
     }
 
     fn num_elements(&self) -> usize {
-        self.ctx.num_edges()
+        self.edges.len()
     }
 
     fn init_priorities(&self) -> Vec<u32> {
-        self.ctx.supports().to_vec()
+        let supports = self.ctx.supports();
+        self.edges.iter().map(|&e| supports[e as usize]).collect()
     }
 
     fn incidence(&self) -> Incidence<'_> {
@@ -111,11 +146,14 @@ impl PeelProblem for KTrussProblem<'_> {
     }
 
     fn after_rule_phase(&self, frontier: &[u32], view: &SettleView<'_>) {
-        self.live.compact(self.g, self.ctx.edge_index(), frontier, view);
+        self.live.compact(frontier, view, |x| self.endpoints(x));
     }
 
     fn assemble(&self, rounds: Vec<u32>, stats: RunStats) -> TrussnessResult {
-        let trussness = rounds.into_iter().map(|r| r + 2).collect();
+        let mut trussness = vec![2; self.ctx.num_edges()];
+        for (&e, r) in self.edges.iter().zip(rounds) {
+            trussness[e as usize] = r + 2;
+        }
         TrussnessResult { index: self.ctx.edge_index().clone(), trussness, stats }
     }
 }
@@ -152,28 +190,31 @@ impl SnapshotRule for KTrussProblem<'_> {
                 emit(ge);
             }
         };
-        // An edge in no triangle has nothing to enumerate.
-        if self.ctx.supports()[e as usize] == 0 {
-            return;
-        }
         // The rule skips every triangle with a dead edge, so the live
         // lists (which may miss only such triangles) emit the same
         // multiset as the full adjacency would.
-        let (u, v) = self.ctx.edge_index().endpoints(e);
+        let (u, v) = self.endpoints(e);
         let lists = self.live.read();
         self.ctx.for_each_common_neighbor(
             self.g,
-            lists.of(self.g, u),
-            lists.of(self.g, v),
-            |fe, ge, _w| consider(fe, ge),
+            &self.arc_elems,
+            lists.of(u),
+            lists.of(v),
+            |fe, ge, _w| {
+                debug_assert!(
+                    fe != NO_ELEMENT && ge != NO_ELEMENT,
+                    "a triangle's edges all have positive support"
+                );
+                consider(fe, ge)
+            },
         );
     }
 }
 
 /// Live adjacency for the per-death enumeration (PKT-style; Kabir &
-/// Madduri, HPEC'17): a copy of every vertex's `(neighbor, edge id)`
-/// list, laid out like the graph's arcs, from which settled edges are
-/// compacted out.
+/// Madduri, HPEC'17): every vertex's triangle incidences, `(neighbor,
+/// element id)` pairs in neighbor order, in a compact CSR from which
+/// settled edges are compacted out.
 ///
 /// A vertex's list is compacted in place, sorted order kept, once the
 /// edges it lost since its last compaction reach half its length, so
@@ -185,11 +226,12 @@ struct LiveLists {
 }
 
 struct Lists {
-    /// Neighbor ids, parallel to the graph's arc array: `v`'s live
-    /// list is the first `len[v]` slots of `g.arc_range(v)`.
+    /// `v`'s live list is the `len[v]` slots of `nbrs` and `elems`
+    /// from `start[v]`.
+    start: Box<[usize]>,
     nbrs: Box<[VertexId]>,
-    /// Edge ids, parallel to `nbrs`.
-    eids: Box<[u32]>,
+    /// Element ids, parallel to `nbrs`.
+    elems: Box<[u32]>,
     len: Box<[u32]>,
     /// Edges of the list settled since its last compaction.
     since: Box<[u32]>,
@@ -199,29 +241,73 @@ impl Lists {
     /// The live incidence list of `v`, as
     /// [`TriangleCtx::for_each_common_neighbor`] takes it.
     #[inline]
-    fn of(&self, g: &CsrGraph, v: VertexId) -> (VertexId, &[VertexId], &[u32]) {
-        let start = g.arc_range(v).start;
+    fn of(&self, v: VertexId) -> (VertexId, &[VertexId], &[u32]) {
+        let start = self.start[v as usize];
         let live = start..start + self.len[v as usize] as usize;
-        (v, &self.nbrs[live.clone()], &self.eids[live])
+        (v, &self.nbrs[live.clone()], &self.elems[live])
     }
 }
 
 impl LiveLists {
-    fn build(g: &CsrGraph, idx: &EdgeIndex) -> Self {
+    /// The triangle incidences of every vertex, from the element id of
+    /// every edge (`elem_of_edge`, [`NO_ELEMENT`] for an edge in no
+    /// triangle). Also returns the element id of every arc, laid out
+    /// parallel to the graph's arc array.
+    fn build(g: &CsrGraph, idx: &EdgeIndex, elem_of_edge: &[u32]) -> (Box<[u32]>, Self) {
         let n = g.num_vertices();
-        let mut nbrs = Vec::with_capacity(g.num_arcs());
-        let mut eids = Vec::with_capacity(g.num_arcs());
-        for v in g.vertices() {
-            nbrs.extend_from_slice(g.neighbors(v));
-            eids.extend_from_slice(idx.edge_ids(g, v));
+        let arc_edges = idx.arc_edge_ids();
+        // One pass over the arcs: each arc's element id, and each
+        // vertex's count of triangle incidences.
+        let mut arc_elems = vec![0u32; g.num_arcs()].into_boxed_slice();
+        let mut len = vec![0u32; n].into_boxed_slice();
+        let (arc_ptr, len_ptr) =
+            (SendPtr::new(arc_elems.as_mut_ptr()), SendPtr::new(len.as_mut_ptr()));
+        (0..n).into_par_iter().for_each(|v| {
+            let mut count = 0;
+            for p in g.arc_range(v as VertexId) {
+                let x = elem_of_edge[arc_edges[p] as usize];
+                // SAFETY: vertex v owns its arc range.
+                unsafe { arc_ptr.slot(p).write(x) };
+                count += u32::from(x != NO_ELEMENT);
+            }
+            // SAFETY: vertex v owns its count slot.
+            unsafe { len_ptr.slot(v).write(count) };
+        });
+        let mut start = Vec::with_capacity(n);
+        let mut total = 0;
+        for &c in len.iter() {
+            start.push(total);
+            total += c as usize;
         }
+        let mut nbrs = vec![0 as VertexId; total].into_boxed_slice();
+        let mut elems = vec![0u32; total].into_boxed_slice();
+        let (nbr_ptr, elem_ptr) =
+            (SendPtr::new(nbrs.as_mut_ptr()), SendPtr::new(elems.as_mut_ptr()));
+        (0..n).into_par_iter().filter(|&v| len[v] > 0).for_each(|v| {
+            let mut o = start[v];
+            let arcs =
+                g.neighbors(v as VertexId).iter().zip(&arc_elems[g.arc_range(v as VertexId)]);
+            for (&w, &x) in arcs {
+                if x != NO_ELEMENT {
+                    // SAFETY: vertex v writes one slot per arc it
+                    // counted above, so only its own slots
+                    // start[v]..start[v] + len[v].
+                    unsafe {
+                        nbr_ptr.slot(o).write(w);
+                        elem_ptr.slot(o).write(x);
+                    }
+                    o += 1;
+                }
+            }
+        });
         let lists = Lists {
-            nbrs: nbrs.into_boxed_slice(),
-            eids: eids.into_boxed_slice(),
-            len: g.vertices().map(|v| g.degree(v) as u32).collect(),
+            start: start.into_boxed_slice(),
+            nbrs,
+            elems,
+            len,
             since: vec![0; n].into_boxed_slice(),
         };
-        Self { lists: UnsafeCell::new(lists) }
+        (arc_elems, Self { lists: UnsafeCell::new(lists) })
     }
 
     /// Shared access for the rule phase.
@@ -233,17 +319,21 @@ impl LiveLists {
         self.lists.with(|p| unsafe { &*p })
     }
 
-    /// Counts the settled `frontier` against both endpoints' lists and
+    /// Counts the settled `frontier` against both endpoints' lists
+    /// (`endpoints` maps an element to its edge's endpoints) and
     /// compacts every list whose settled count reached half its length.
-    /// Drops exactly the edges not alive in `view`, which stay dead in
-    /// every later view, so the rule loses only triangles it skips.
-    fn compact(&self, g: &CsrGraph, idx: &EdgeIndex, frontier: &[u32], view: &SettleView<'_>) {
+    /// Drops exactly the elements not alive in `view`, which stay dead
+    /// in every later view, so the rule loses only triangles it skips.
+    fn compact<E>(&self, frontier: &[u32], view: &SettleView<'_>, endpoints: E)
+    where
+        E: Fn(u32) -> (VertexId, VertexId),
+    {
         // SAFETY: called from `after_rule_phase`, at the engine's
         // sequential point between subrounds: no `read` borrow is live.
         let lists = self.lists.with_mut(|p| unsafe { &mut *p });
         let mut due = Vec::new();
-        for &e in frontier {
-            let (u, v) = idx.endpoints(e);
+        for &x in frontier {
+            let (u, v) = endpoints(x);
             for w in [u, v] {
                 let (since, len) = (&mut lists.since[w as usize], lists.len[w as usize]);
                 *since += 1;
@@ -258,14 +348,14 @@ impl LiveLists {
         }
         let _compact = span!("truss.compact", due.len());
         for w in due {
-            let start = g.arc_range(w).start;
+            let start = lists.start[w as usize];
             let live = start..start + lists.len[w as usize] as usize;
             let mut kept = start;
             for i in live {
-                let e = lists.eids[i];
-                if view.alive(e) {
+                let x = lists.elems[i];
+                if view.alive(x) {
                     lists.nbrs[kept] = lists.nbrs[i];
-                    lists.eids[kept] = e;
+                    lists.elems[kept] = x;
                     kept += 1;
                 }
             }
@@ -313,7 +403,9 @@ impl TrussnessResult {
         self.trussness.iter().enumerate().map(|(e, &t)| (self.index.endpoints(e as u32), t))
     }
 
-    /// Run counters (rounds, subrounds, work, burdened span, ...).
+    /// Run counters (rounds, subrounds, work, burdened span, ...) of
+    /// the peel, which runs over the edges that lie in a triangle only:
+    /// a graph without triangles opens no round.
     pub fn stats(&self) -> &RunStats {
         &self.stats
     }
@@ -413,7 +505,10 @@ mod tests {
     fn triangle_free_graphs_are_all_twos() {
         for g in [gen::path(30), gen::star(20), gen::complete_bipartite(4, 6)] {
             let r = Decomposition::ktruss(&g).run();
+            assert_eq!(r.num_edges(), g.num_edges());
             assert!(r.trussness().iter().all(|&t| t == 2), "no triangles => trussness 2");
+            // No edge lies in a triangle, so nothing is peeled.
+            assert_eq!((r.stats().rounds, r.stats().subrounds), (0, 0), "{:?}", r.stats());
         }
     }
 
@@ -448,6 +543,7 @@ mod tests {
         assert_matches_oracle(&gen::grid2d(6, 7), "grid2d");
         assert_matches_oracle(&gen::mesh(7, 7), "mesh");
         assert_matches_oracle(&gen::hcns(8), "hcns");
+        assert_matches_oracle(&gen::road(12, 12, 0.15, 0.05, 1), "road");
     }
 
     #[test]
@@ -502,41 +598,56 @@ mod tests {
 
     #[test]
     fn compaction_keeps_exactly_the_surviving_incidences_sorted() {
-        // A wheel: hub 0 with spokes to the rim 1..n. Kill spokes in two
-        // waves; each wave passes half the hub's live list, so the hub
-        // compacts after both. A rim vertex loses one of its three
+        // A wheel: hub 0 with spokes to the rim 1..n, plus pendant
+        // spokes to n..n+8, which lie in no triangle. Kill rim spokes in
+        // two waves; each wave passes half the hub's live list, so the
+        // hub compacts after both. A rim vertex loses one of its three
         // edges per wave at most, which stays below its threshold.
-        let n = 41u32;
+        let (n, pendants) = (41u32, 8u32);
         let rim = (1..n).map(|i| (i, if i + 1 < n { i + 1 } else { 1 }));
-        let g = GraphBuilder::new(n as usize).edges(rim.chain((1..n).map(|i| (0, i)))).build();
+        let spokes = (1..n + pendants).map(|i| (0, i));
+        let g = GraphBuilder::new((n + pendants) as usize).edges(rim.chain(spokes)).build();
         let ctx = TriangleCtx::build(&g);
         let idx = ctx.edge_index();
         let problem = KTrussProblem::new(&g, &ctx);
         let live = &problem.live;
-        let stamps: Vec<AtomicU32> = (0..idx.num_edges()).map(|_| AtomicU32::new(0)).collect();
-        let spoke = |i: u32| idx.edge_id(&g, 0, i).unwrap();
+        let elem = |e: u32| problem.edges.binary_search(&e).unwrap() as u32;
+        // The hub's triangle incidences, in element ids, that `alive`
+        // keeps.
+        let hub_list = |alive: &dyn Fn(u32) -> bool| -> Vec<(u32, u32)> {
+            g.neighbors(0)
+                .iter()
+                .zip(idx.edge_ids(&g, 0))
+                .filter(|&(_, &e)| ctx.supports()[e as usize] > 0)
+                .map(|(&w, &e)| (w, elem(e)))
+                .filter(|&(_, x)| alive(x))
+                .collect()
+        };
+        let list = |v| {
+            let (_, nbrs, elems) = live.read().of(v);
+            nbrs.iter().copied().zip(elems.iter().copied()).collect::<Vec<_>>()
+        };
+        // The hub's list starts without its pendant spokes.
+        let start = list(0);
+        assert_eq!(start, hub_list(&|_| true));
+        assert_eq!(start.iter().map(|&(w, _)| w).collect::<Vec<_>>(), (1..n).collect::<Vec<_>>());
+        let stamps: Vec<AtomicU32> =
+            (0..problem.num_elements()).map(|_| AtomicU32::new(0)).collect();
+        let spoke = |i: u32| elem(idx.edge_id(&g, 0, i).unwrap());
         let waves: [Vec<u32>; 2] = [(2..n).step_by(2).collect(), (1..20).step_by(2).collect()];
         for (wave, rims) in (1u32..).zip(waves) {
             let frontier: Vec<u32> = rims.iter().map(|&i| spoke(i)).collect();
-            for &e in &frontier {
-                stamps[e as usize].store(wave, Ordering::Relaxed);
+            for &x in &frontier {
+                stamps[x as usize].store(wave, Ordering::Relaxed);
             }
             let view = SettleView::new(&stamps, wave);
             problem.after_rule_phase(&frontier, &view);
-            let (_, nbrs, eids) = live.read().of(&g, 0);
-            let want: Vec<(u32, u32)> = g
-                .neighbors(0)
-                .iter()
-                .zip(idx.edge_ids(&g, 0))
-                .filter(|&(_, &e)| view.alive(e))
-                .map(|(&w, &e)| (w, e))
-                .collect();
-            let got: Vec<(u32, u32)> = nbrs.iter().copied().zip(eids.iter().copied()).collect();
-            assert_eq!(got, want, "wave {wave}: the hub's list after compaction");
-            assert!(nbrs.windows(2).all(|p| p[0] < p[1]), "wave {wave}: sorted");
+            let got = list(0);
+            assert_eq!(got, hub_list(&|x| view.alive(x)), "wave {wave}: the hub's list");
+            assert!(got.windows(2).all(|p| p[0].0 < p[1].0), "wave {wave}: sorted");
         }
         // Rim vertex 2 lost its spoke in wave 1 (1 of 3): not compacted.
-        let (_, nbrs, _) = live.read().of(&g, 2);
+        let (_, nbrs, _) = live.read().of(2);
         assert_eq!(nbrs, g.neighbors(2));
     }
 

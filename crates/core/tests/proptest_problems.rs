@@ -246,24 +246,20 @@ fn engine_kcore_bit_identical_on_seed_generators() {
 /// Captured from the pre-`RoundPolicy` engine (commit 25f2ef3), where
 /// these quantities were verified deterministic across
 /// `RAYON_NUM_THREADS` ∈ {1, 4}; the Single and Adaptive strategies
-/// produce identical stats on every one of these inputs.
+/// produce identical stats on every one of these inputs. The k-truss
+/// peel counts only the edges that lie in a triangle, so a
+/// triangle-free graph's k-truss row is all zeros.
 const PR4_STATS: &[(&str, [[u64; 6]; 3])] = &[
-    ("path", [[2, 20, 20, 118, 2, 300020], [2, 20, 20, 118, 2, 300020], [1, 1, 2, 39, 39, 30001]]),
-    ("cycle", [[3, 1, 1, 99, 33, 15001], [3, 1, 1, 99, 33, 15001], [1, 1, 2, 33, 33, 30001]]),
-    ("star", [[2, 2, 2, 193, 64, 30002], [2, 2, 2, 193, 64, 30002], [1, 1, 2, 64, 64, 30001]]),
+    ("path", [[2, 20, 20, 118, 2, 300020], [2, 20, 20, 118, 2, 300020], [0, 0, 0, 0, 0, 0]]),
+    ("cycle", [[3, 1, 1, 99, 33, 15001], [3, 1, 1, 99, 33, 15001], [0, 0, 0, 0, 0, 0]]),
+    ("star", [[2, 2, 2, 193, 64, 30002], [2, 2, 2, 193, 64, 30002], [0, 0, 0, 0, 0, 0]]),
     (
         "complete",
         [[20, 1, 1, 400, 20, 15001], [20, 1, 1, 400, 20, 15001], [19, 1, 2, 190, 190, 30001]],
     ),
-    ("bipartite", [[5, 2, 2, 85, 9, 30002], [5, 2, 2, 85, 9, 30002], [1, 1, 2, 36, 36, 30001]]),
-    (
-        "grid2d",
-        [[3, 20, 20, 1958, 34, 300020], [3, 20, 20, 1958, 34, 300020], [1, 1, 2, 775, 775, 30001]],
-    ),
-    (
-        "grid3d",
-        [[4, 9, 9, 2060, 72, 135009], [4, 9, 9, 2060, 72, 135009], [1, 1, 2, 862, 862, 30001]],
-    ),
+    ("bipartite", [[5, 2, 2, 85, 9, 30002], [5, 2, 2, 85, 9, 30002], [0, 0, 0, 0, 0, 0]]),
+    ("grid2d", [[3, 20, 20, 1958, 34, 300020], [3, 20, 20, 1958, 34, 300020], [0, 0, 0, 0, 0, 0]]),
+    ("grid3d", [[4, 9, 9, 2060, 72, 135009], [4, 9, 9, 2060, 72, 135009], [0, 0, 0, 0, 0, 0]]),
     (
         "mesh",
         [
@@ -274,18 +270,18 @@ const PR4_STATS: &[(&str, [[u64; 6]; 3])] = &[
     ),
     (
         "road",
-        [[3, 15, 15, 1740, 65, 225015], [3, 15, 15, 1740, 65, 225015], [2, 3, 6, 710, 546, 90003]],
+        [[3, 15, 15, 1740, 65, 225015], [3, 15, 15, 1740, 65, 225015], [2, 2, 4, 164, 104, 60002]],
     ),
     (
         "erdos_renyi",
-        [[5, 15, 15, 2080, 49, 225015], [5, 15, 15, 2080, 49, 225015], [2, 3, 6, 898, 780, 90003]],
+        [[5, 15, 15, 2080, 49, 225015], [5, 15, 15, 2080, 49, 225015], [2, 2, 4, 118, 106, 60002]],
     ),
     (
         "barabasi_albert",
         [
             [4, 15, 15, 2788, 150, 225015],
             [4, 15, 15, 2788, 150, 225015],
-            [3, 7, 14, 1446, 820, 210007],
+            [3, 6, 12, 626, 254, 180006],
         ],
     ),
     (
@@ -293,19 +289,19 @@ const PR4_STATS: &[(&str, [[u64; 6]; 3])] = &[
         [
             [21, 47, 47, 6140, 87, 705047],
             [21, 47, 47, 6140, 87, 705047],
-            [13, 74, 148, 17803, 268, 2220074],
+            [13, 73, 146, 17579, 268, 2190073],
         ],
     ),
     (
         "knn",
-        [[5, 4, 4, 1478, 107, 60004], [5, 4, 4, 1478, 107, 60004], [4, 9, 18, 996, 171, 270009]],
+        [[5, 4, 4, 1478, 107, 60004], [5, 4, 4, 1478, 107, 60004], [4, 8, 16, 958, 171, 240008]],
     ),
     (
         "planted_core",
         [
             [40, 16, 16, 2534, 83, 240016],
             [40, 16, 16, 2534, 83, 240016],
-            [39, 9, 18, 1353, 780, 270009],
+            [39, 8, 16, 1120, 780, 240008],
         ],
     ),
     (
@@ -313,7 +309,7 @@ const PR4_STATS: &[(&str, [[u64; 6]; 3])] = &[
         [
             [41, 40, 40, 3280, 41, 600040],
             [41, 40, 40, 3280, 41, 600040],
-            [40, 40, 80, 11480, 820, 1200040],
+            [40, 39, 78, 11479, 820, 1170039],
         ],
     ),
 ];
@@ -389,7 +385,8 @@ fn minbucket_stats_match_the_pr4_snapshot() {
 /// for (k,h)-core with `h = 2` (recompute step), approx densest with
 /// `ε = 0.5` (threshold frontier source), and offline k-core and
 /// k-truss (offline step, default histogram). As in [`PR4_STATS`], slot
-/// 0 holds `rounds + keys_skipped` (threshold rounds skip no keys).
+/// 0 holds `rounds + keys_skipped` (threshold rounds skip no keys), and
+/// the k-truss rows count only the edges that lie in a triangle.
 const DRIVER_STATS: &[(&str, [[u64; 6]; 4])] = &[
     (
         "path",
@@ -397,7 +394,7 @@ const DRIVER_STATS: &[(&str, [[u64; 6]; 4])] = &[
             [3, 20, 40, 114, 2, 600020],
             [1, 1, 1, 118, 40, 15001],
             [2, 20, 60, 156, 2, 900020],
-            [1, 1, 3, 39, 39, 45001],
+            [0, 0, 0, 0, 0, 0],
         ],
     ),
     (
@@ -406,7 +403,7 @@ const DRIVER_STATS: &[(&str, [[u64; 6]; 4])] = &[
             [5, 1, 2, 33, 33, 30001],
             [1, 1, 1, 99, 33, 15001],
             [3, 1, 3, 99, 33, 45001],
-            [1, 1, 3, 33, 33, 45001],
+            [0, 0, 0, 0, 0, 0],
         ],
     ),
     (
@@ -415,7 +412,7 @@ const DRIVER_STATS: &[(&str, [[u64; 6]; 4])] = &[
             [65, 1, 2, 65, 65, 30001],
             [1, 2, 2, 193, 64, 30002],
             [2, 2, 6, 194, 64, 90002],
-            [1, 1, 3, 64, 64, 45001],
+            [0, 0, 0, 0, 0, 0],
         ],
     ),
     (
@@ -433,7 +430,7 @@ const DRIVER_STATS: &[(&str, [[u64; 6]; 4])] = &[
             [13, 1, 2, 13, 13, 30001],
             [1, 2, 2, 85, 9, 30002],
             [5, 2, 6, 89, 9, 90002],
-            [1, 1, 3, 36, 36, 45001],
+            [0, 0, 0, 0, 0, 0],
         ],
     ),
     (
@@ -442,7 +439,7 @@ const DRIVER_STATS: &[(&str, [[u64; 6]; 4])] = &[
             [7, 25, 50, 1744, 26, 750025],
             [1, 1, 1, 1958, 408, 15001],
             [3, 20, 60, 2362, 34, 900020],
-            [1, 1, 3, 775, 775, 45001],
+            [0, 0, 0, 0, 0, 0],
         ],
     ),
     (
@@ -451,7 +448,7 @@ const DRIVER_STATS: &[(&str, [[u64; 6]; 4])] = &[
             [12, 14, 28, 1488, 52, 420014],
             [1, 1, 1, 2060, 336, 15001],
             [4, 9, 27, 2388, 72, 405009],
-            [1, 1, 3, 862, 862, 45001],
+            [0, 0, 0, 0, 0, 0],
         ],
     ),
     (
@@ -469,7 +466,7 @@ const DRIVER_STATS: &[(&str, [[u64; 6]; 4])] = &[
             [7, 35, 70, 1578, 32, 1050035],
             [1, 2, 2, 1740, 371, 30002],
             [3, 15, 45, 2231, 65, 675015],
-            [2, 3, 9, 730, 546, 135003],
+            [2, 2, 6, 184, 104, 90002],
         ],
     ),
     (
@@ -478,7 +475,7 @@ const DRIVER_STATS: &[(&str, [[u64; 6]; 4])] = &[
             [25, 49, 98, 2924, 63, 1470049],
             [1, 3, 3, 2080, 224, 45003],
             [5, 15, 45, 2594, 49, 675015],
-            [2, 3, 9, 902, 780, 135003],
+            [2, 2, 6, 122, 106, 90002],
         ],
     ),
     (
@@ -487,7 +484,7 @@ const DRIVER_STATS: &[(&str, [[u64; 6]; 4])] = &[
             [68, 93, 186, 6303, 68, 2790093],
             [1, 3, 3, 2788, 336, 45003],
             [4, 15, 45, 3402, 150, 675015],
-            [3, 7, 21, 1574, 820, 315007],
+            [3, 6, 18, 754, 254, 270006],
         ],
     ),
     (
@@ -496,7 +493,7 @@ const DRIVER_STATS: &[(&str, [[u64; 6]; 4])] = &[
             [208, 141, 282, 16645, 208, 4230141],
             [2, 7, 7, 6140, 393, 105007],
             [21, 47, 141, 7630, 87, 2115047],
-            [13, 74, 222, 27842, 268, 3330074],
+            [13, 73, 219, 27618, 268, 3285073],
         ],
     ),
     (
@@ -505,7 +502,7 @@ const DRIVER_STATS: &[(&str, [[u64; 6]; 4])] = &[
             [10, 40, 80, 888, 18, 1200040],
             [1, 2, 2, 1478, 229, 30002],
             [5, 4, 12, 1655, 107, 180004],
-            [4, 9, 27, 1233, 171, 405009],
+            [4, 8, 24, 1195, 171, 360008],
         ],
     ),
     (
@@ -514,7 +511,7 @@ const DRIVER_STATS: &[(&str, [[u64; 6]; 4])] = &[
             [57, 59, 118, 2367, 57, 1770059],
             [2, 3, 3, 2534, 155, 45003],
             [40, 16, 48, 2781, 83, 720016],
-            [39, 9, 27, 1516, 780, 405009],
+            [39, 8, 24, 1283, 780, 360008],
         ],
     ),
     (
@@ -523,7 +520,7 @@ const DRIVER_STATS: &[(&str, [[u64; 6]; 4])] = &[
             [80, 1, 2, 80, 80, 30001],
             [1, 2, 2, 3280, 51, 30002],
             [41, 40, 120, 4060, 41, 1800040],
-            [40, 40, 120, 21360, 820, 1800040],
+            [40, 39, 117, 21359, 820, 1755039],
         ],
     ),
 ];
@@ -564,19 +561,22 @@ fn khcore_approx_densest_and_offline_stats_are_pinned() {
 
 /// Min-bucket rounds open only at keys that hold a live element: under
 /// the default config, k-core opens one round per distinct coreness
-/// value and k-truss one per distinct trussness value, and the skipped
-/// keys make up the rest of `0..=` the last round's key. The planted
-/// clique leaves a wide gap of empty keys below its own.
+/// value and k-truss one per distinct trussness value among the edges
+/// it peels (those in a triangle, trussness >= 3, so its key 0 is
+/// skipped), and the skipped keys make up the rest of `0..=` the last
+/// round's key. The planted clique leaves a wide gap of empty keys
+/// below its own.
 #[test]
 fn min_bucket_rounds_match_the_distinct_settle_keys() {
     let g = gen::planted_core(400, 2, 60, 5);
     let kc = Decomposition::kcore(&g).exact_config(Config::default()).run();
     let kt = Decomposition::ktruss(&g).exact_config(Config::default()).run();
-    // Trussness is the settle key plus 2.
-    for (name, values, offset, stats) in
-        [("k-core", kc.coreness(), 0, kc.stats()), ("k-truss", kt.trussness(), 2, kt.stats())]
+    // Trussness is the settle key plus 2; k-truss peels keys from 1.
+    for (name, values, offset, first_key, stats) in
+        [("k-core", kc.coreness(), 0, 0, kc.stats()), ("k-truss", kt.trussness(), 2, 1, kt.stats())]
     {
-        let mut keys: Vec<u32> = values.iter().map(|&v| v - offset).collect();
+        let mut keys: Vec<u32> =
+            values.iter().map(|&v| v - offset).filter(|&k| k >= first_key).collect();
         keys.sort_unstable();
         keys.dedup();
         let last = u64::from(*keys.last().unwrap());

@@ -12,7 +12,9 @@
 //!   ([`sequential_trussness`]), through both the internal-setup path
 //!   and the supplied-[`TriangleCtx`] path ([`Decomposition::with_ctx`]);
 //! * a wheel sends every rim–hub pair through the hub probe inside the
-//!   peel.
+//!   peel, also when the hub's pendant spokes (edges in no triangle,
+//!   which the peel leaves out) make its element ids differ from its
+//!   edge ids.
 //!
 //! Each kernel forced on every pair, both probe orientations and the
 //! rank filter are covered by the unit tests of `kcore_graph::dodg`.
@@ -101,6 +103,34 @@ fn forced_bitset_covers_hub_probes_in_both_orientations() {
         .edges(rim.chain(spokes).chain((1..n).map(|i| (i, n))))
         .build();
     assert_kernel_matrix(&g);
+}
+
+#[test]
+fn hub_probe_resolves_companions_in_element_ids() {
+    // The k-truss peel numbers only the edges that lie in a triangle.
+    // Hub 0 joins the pendants 1..=p, whose spokes lie in no triangle
+    // and take the hub's lowest edge ids, and the rim p+1..=p+r. So at
+    // the hub element ids and edge ids differ, and every companion the
+    // hub probe finds inside the peel must be resolved in element ids.
+    let (p, r) = (40u32, 100u32);
+    let rim_vertex = |i: u32| p + 1 + i % r;
+    let rim = (0..r).map(|i| (rim_vertex(i), rim_vertex(i + 1)));
+    let spokes = (1..=p + r).map(|v| (0, v));
+    let g =
+        GraphBuilder::new((p + r + 1) as usize).edges(rim.clone().chain(spokes.clone())).build();
+    assert_kernel_matrix(&g);
+    let built = Decomposition::ktruss(&g).run();
+    assert_eq!(built.trussness(), sequential_trussness(&g).as_slice(), "built context");
+    // A second hub after the rim, with pendants of its own: it is the
+    // second endpoint of its spokes, so its map is probed from the
+    // other orientation.
+    let hub = p + r + 1;
+    let second = (p + 1..=p + r).chain(hub + 1..hub + 1 + p).map(|v| (hub, v));
+    let g =
+        GraphBuilder::new((hub + 1 + p) as usize).edges(rim.chain(spokes).chain(second)).build();
+    assert_kernel_matrix(&g);
+    let built = Decomposition::ktruss(&g).run();
+    assert_eq!(built.trussness(), sequential_trussness(&g).as_slice(), "built context");
 }
 
 #[test]

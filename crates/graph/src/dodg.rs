@@ -242,15 +242,15 @@ impl TriangleCtx {
         // A hub-map hit `w` is in the hub's out-list iff it outranks
         // the hub.
         let in_out_list = |hub, w| rank_lt(g, hub, w);
+        let ids = self.idx.arc_edge_ids();
         (0..g.num_vertices()).into_par_iter().for_each(|u| {
             let (ou, eu) = self.out(u as VertexId);
             for (p, &v) in ou.iter().enumerate() {
                 let (ov, ev) = self.out(v);
                 let euv = eu[p];
                 let (a, b) = ((u as VertexId, ou, eu), (v, ov, ev));
-                self.intersect(g, pick(ou.len(), ov.len()), a, b, in_out_list, |fe, ge, _| {
-                    f(euv, fe, ge)
-                });
+                let kernel = pick(ou.len(), ov.len());
+                self.intersect(g, kernel, ids, a, b, in_out_list, |fe, ge, _| f(euv, fe, ge));
             }
         });
     }
@@ -298,8 +298,8 @@ impl TriangleCtx {
     /// Calls `f(fe, ge, w)` for every triangle `{u, v, w}` containing
     /// edge `e = {u, v}`, where `fe` is the id of `{u, w}` and `ge`
     /// the id of `{v, w}`: [`Self::for_each_common_neighbor`] over the
-    /// two endpoints' full adjacency lists. Matches arrive in
-    /// increasing `w` whichever kernel runs.
+    /// two endpoints' full adjacency lists, in edge ids. Matches arrive
+    /// in increasing `w` whichever kernel runs.
     #[inline]
     pub fn for_each_triangle_of_edge<F>(&self, g: &CsrGraph, e: u32, f: F)
     where
@@ -308,15 +308,26 @@ impl TriangleCtx {
         let (u, v) = self.idx.endpoints(e);
         let (nu, nv) = (g.neighbors(u), g.neighbors(v));
         let (eu, ev) = (self.idx.edge_ids(g, u), self.idx.edge_ids(g, v));
-        self.for_each_common_neighbor(g, (u, nu, eu), (v, nv, ev), f);
+        let ids = self.idx.arc_edge_ids();
+        self.for_each_common_neighbor(g, ids, (u, nu, eu), (v, nv, ev), f);
     }
 
     /// Calls `f(fe, ge, w)` for every `w` common to two incidence
     /// lists of the endpoints `u` and `v`, where `fe` is the id of
     /// `{u, w}` and `ge` the id of `{v, w}`. Each list `(x, nx, ex)`
     /// is an id-sorted subsequence of `x`'s adjacency list (`nx`) with
-    /// the matching edge ids (`ex`): the full lists, or the k-truss
-    /// peel's live lists with settled edges compacted out.
+    /// the matching ids (`ex`): the full lists with their edge ids, or
+    /// the k-truss peel's live lists with settled edges compacted out
+    /// and the peel's own element ids.
+    ///
+    /// `ids` holds the same id space per arc, laid out parallel to the
+    /// graph's arc array ([`EdgeIndex::arc_edge_ids`] for edge ids).
+    /// Only the bitset kernel reads it: a companion found through a
+    /// hub's map is known by its position in the hub's full adjacency
+    /// list, so its id comes from the hub's [`CsrGraph::arc_range`]
+    /// slice of `ids`. Such a companion `{hub, w}` closes the triangle
+    /// `{u, v, w}` in the graph, so `ids` need only be meaningful on
+    /// arcs of edges that lie in a triangle.
     ///
     /// [`choose`] picks the kernel from the two list lengths. The merge
     /// intersects the two lists. The bitset kernel drives the shorter
@@ -330,27 +341,30 @@ impl TriangleCtx {
     pub fn for_each_common_neighbor<F>(
         &self,
         g: &CsrGraph,
+        ids: &[u32],
         a: (VertexId, &[VertexId], &[u32]),
         b: (VertexId, &[VertexId], &[u32]),
         f: F,
     ) where
         F: FnMut(u32, u32, VertexId),
     {
-        self.intersect(g, choose(a.1.len(), b.1.len()), a, b, |_, _| true, f);
+        self.intersect(g, choose(a.1.len(), b.1.len()), ids, a, b, |_, _| true, f);
     }
 
     /// The one kernel dispatch behind the discovery sweep and the
     /// per-edge enumeration: runs `kernel` over the incidence lists
-    /// `(u, nu, eu)` and `(v, nv, ev)` (as in
-    /// [`Self::for_each_common_neighbor`]) and calls `f(fe, ge, w)` per
-    /// match. A bitset hit `w` on the hub `x` is reported only when
+    /// `(u, nu, eu)` and `(v, nv, ev)` with the arc-aligned `ids` (as
+    /// in [`Self::for_each_common_neighbor`]) and calls `f(fe, ge, w)`
+    /// per match. A bitset hit `w` on the hub `x` is reported only when
     /// `in_hub_list(x, w)`, the caller's test that `x`'s list holds the
     /// edge `{x, w}`.
     #[inline]
+    #[allow(clippy::too_many_arguments)]
     fn intersect<L, F>(
         &self,
         g: &CsrGraph,
         kernel: ChosenKernel,
+        ids: &[u32],
         (u, nu, eu): (VertexId, &[VertexId], &[u32]),
         (v, nv, ev): (VertexId, &[VertexId], &[u32]),
         in_hub_list: L,
@@ -366,7 +380,7 @@ impl TriangleCtx {
             ChosenKernel::Bitset => {
                 let mut hits = 0u64;
                 if nu.len() <= nv.len() {
-                    let (hub, ev_full) = (self.hub_map(g, v), self.idx.edge_ids(g, v));
+                    let (hub, ev_full) = (self.hub_map(g, v), &ids[g.arc_range(v)]);
                     intersect_bitset_positions(nu, &hub.bits, |i| {
                         let w = nu[i];
                         if in_hub_list(v, w) {
@@ -375,7 +389,7 @@ impl TriangleCtx {
                         }
                     });
                 } else {
-                    let (hub, eu_full) = (self.hub_map(g, u), self.idx.edge_ids(g, u));
+                    let (hub, eu_full) = (self.hub_map(g, u), &ids[g.arc_range(u)]);
                     intersect_bitset_positions(nv, &hub.bits, |j| {
                         let w = nv[j];
                         if in_hub_list(u, w) {
@@ -526,6 +540,7 @@ mod tests {
         for (name, g) in test_graphs() {
             let ctx = TriangleCtx::build(&g);
             let idx = ctx.edge_index();
+            let ids = idx.arc_edge_ids();
             for e in 0..idx.num_edges() as u32 {
                 let mut want = Vec::new();
                 for_each_triangle_of_edge(&g, idx, e, |fe, ge, w| want.push((fe, ge, w)));
@@ -537,7 +552,7 @@ mod tests {
                 for (kernel, pick) in PICKS {
                     let mut got = Vec::new();
                     let k = pick(a.1.len(), b.1.len());
-                    ctx.intersect(&g, k, a, b, |_, _| true, |fe, ge, w| got.push((fe, ge, w)));
+                    ctx.intersect(&g, k, ids, a, b, |_, _| true, |fe, ge, w| got.push((fe, ge, w)));
                     assert_eq!(got, want, "{name}: edge {e} under {kernel}");
                 }
             }
@@ -568,24 +583,28 @@ mod tests {
     #[test]
     fn hub_maps_resolve_companion_ids() {
         // A wheel: the hub has degree n-1, every rim edge's triangles
-        // go through the hub's map under the bitset kernel.
+        // go through the hub's map under the bitset kernel. The lists
+        // and the arc-aligned ids carry a relabelled id space (`!e`),
+        // so a companion id must come from the `ids` argument.
         let g = wheel(200);
         let ctx = TriangleCtx::build(&g);
         let idx = ctx.edge_index();
         assert_eq!(ctx.supports(), edge_supports(&g, idx).as_slice());
+        let ids: Vec<u32> = idx.arc_edge_ids().iter().map(|&e| !e).collect();
         for e in 0..idx.num_edges() as u32 {
             let (u, v) = idx.endpoints(e);
-            let (a, b) = (full(&g, idx, u), full(&g, idx, v));
+            let list = |x| (x, g.neighbors(x), &ids[g.arc_range(x)]);
             let mut seen = 0u32;
             ctx.intersect(
                 &g,
                 ChosenKernel::Bitset,
-                a,
-                b,
+                &ids,
+                list(u),
+                list(v),
                 |_, _| true,
                 |fe, ge, w| {
-                    assert_eq!(idx.edge_id(&g, u, w), Some(fe));
-                    assert_eq!(idx.edge_id(&g, v, w), Some(ge));
+                    assert_eq!(idx.edge_id(&g, u, w), Some(!fe));
+                    assert_eq!(idx.edge_id(&g, v, w), Some(!ge));
                     seen += 1;
                 },
             );
@@ -602,6 +621,7 @@ mod tests {
         for (name, g) in test_graphs() {
             let ctx = TriangleCtx::build(&g);
             let idx = ctx.edge_index();
+            let ids = idx.arc_edge_ids();
             let live: Vec<(Vec<VertexId>, Vec<u32>)> = g
                 .vertices()
                 .map(|x| {
@@ -619,7 +639,15 @@ mod tests {
                 let (a, b) = (list(u), list(v));
                 let run = |kernel| {
                     let mut out = Vec::new();
-                    ctx.intersect(&g, kernel, a, b, |_, _| true, |fe, ge, w| out.push((fe, ge, w)));
+                    ctx.intersect(
+                        &g,
+                        kernel,
+                        ids,
+                        a,
+                        b,
+                        |_, _| true,
+                        |fe, ge, w| out.push((fe, ge, w)),
+                    );
                     out
                 };
                 let merged = run(ChosenKernel::Merge);
@@ -653,7 +681,7 @@ mod tests {
                 }
                 // The public entry runs whichever kernel `choose` picks.
                 let mut got = Vec::new();
-                ctx.for_each_common_neighbor(&g, a, b, |fe, ge, w| got.push((fe, ge, w)));
+                ctx.for_each_common_neighbor(&g, ids, a, b, |fe, ge, w| got.push((fe, ge, w)));
                 match choose(a.1.len(), b.1.len()) {
                     ChosenKernel::Merge => assert_eq!(got, merged, "{name}: edge {e}"),
                     ChosenKernel::Bitset => assert_eq!(got, probed_hits, "{name}: edge {e}"),

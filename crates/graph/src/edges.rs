@@ -109,6 +109,14 @@ impl EdgeIndex {
         &self.arc_edge[g.arc_range(v)]
     }
 
+    /// Edge ids of every arc, laid out parallel to the graph's arc
+    /// array: [`EdgeIndex::edge_ids`] of `v` is the
+    /// [`CsrGraph::arc_range`] slice of it.
+    #[inline]
+    pub fn arc_edge_ids(&self) -> &[u32] {
+        &self.arc_edge
+    }
+
     /// The edge's endpoints `(u, v)` with `u < v`.
     #[inline]
     pub fn endpoints(&self, e: u32) -> (VertexId, VertexId) {
