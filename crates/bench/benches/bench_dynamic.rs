@@ -3,7 +3,7 @@
 //! The maintenance path exists to beat a full re-peel on small batches:
 //! `DynamicGraph::apply_batch` confines the re-peel to the affected
 //! region, so its cost should track the region size, not the graph
-//! size. This bench measures the steady state on two graphs. Each
+//! size. This bench measures the steady state on three graphs. Each
 //! iteration applies ONE batch of B real edges — alternating between
 //! deleting a batch and re-inserting the same batch, so the graph
 //! oscillates around its starting state and iterations don't drift —
@@ -21,6 +21,12 @@
 //! * rmat-s12, B = 32: power-law hubs, whose support mostly crosses the
 //!   region boundary, so this row tracks what the boundary costs the
 //!   re-peel.
+//! * road-300, B = 32: nearly every vertex has coreness 2, so the
+//!   confinement range covers the graph while the region is a handful
+//!   of vertices. An eager sweep of the range would cost a restore
+//!   batch about a full decomposition; the lazy gain search counts only
+//!   what the surviving endpoints reach, so this row shows the gap
+//!   between a flooded search and a tiny region.
 
 use criterion::{black_box, criterion_group, Criterion};
 use kcore::{Config, Decomposition, DynamicGraph};
@@ -68,6 +74,7 @@ fn bench_graph(c: &mut Criterion, name: &str, g: &CsrGraph, batches: &[usize]) {
 fn bench_dynamic(c: &mut Criterion) {
     bench_graph(c, "ba-3000", &gen::barabasi_albert(3000, 4, 42), &[1, 16, 256]);
     bench_graph(c, "rmat-s12", &gen::rmat(12, 8, 0.57, 0.19, 0.19, 42), &[32]);
+    bench_graph(c, "road-300", &gen::road(300, 300, 0.15, 0.05, 42), &[32]);
 }
 
 criterion_group!(benches, bench_dynamic);

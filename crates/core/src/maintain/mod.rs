@@ -10,13 +10,14 @@
 //!    (no CSR rebuild per batch), compacted through the parallel
 //!    builder once the overlay outgrows its threshold.
 //! 2. [`DynamicGraph::apply_batch`] applies the changes, computes the
-//!    **affected region** — the changed-edge endpoints expanded by BFS
-//!    through vertices whose standing coreness lies in the batch's
-//!    confinement range (see the `region` module docs for the theorem)
-//!    — and re-peels just that induced subgraph on the work-stealing
-//!    pool, with each boundary neighbor's support withdrawn at the
-//!    round of its standing coreness as a scheduled decrement (see the
-//!    `repeel` module).
+//!    **affected region** — the vertices a lazy search from the
+//!    changed-edge endpoints cannot rule out, searching only through
+//!    vertices whose standing coreness lies in the batch's confinement
+//!    range and that survive elimination (see the `region` module docs
+//!    for the theorem and the search) — and re-peels just that induced
+//!    subgraph on the work-stealing pool, with each boundary neighbor's
+//!    support withdrawn at the round of its standing coreness as a
+//!    scheduled decrement (see the `repeel` module).
 //! 3. The re-peeled values are spliced into a standing versioned
 //!    [`CorenessResult`] (copy-on-write, so readers holding
 //!    [`CorenessResult::shared`] snapshots are never torn), and
@@ -25,6 +26,11 @@
 //! Oversized regions (more than half the graph) fall back to a full
 //! re-peel of the logical graph — never slower than a fresh
 //! decomposition by more than the region computation itself.
+//!
+//! Between batches a [`DynamicGraph`] keeps 13 bytes of scratch per
+//! vertex — the region search's flags, counts and links (9) and the
+//! re-peel's vertex index map (4) — allocated by its first batch, so a
+//! batch costs what it touches rather than the size of the graph.
 //!
 //! ```
 //! use kcore::maintain::DynamicGraph;
@@ -84,11 +90,15 @@ pub struct MaintainStats {
     pub inserted: usize,
     /// Deletes actually applied (absent edges don't count).
     pub deleted: usize,
-    /// Distinct endpoints of applied changes (BFS seeds).
+    /// Distinct endpoints of applied changes (the region search's
+    /// seeds).
     pub seeds: usize,
     /// Vertices examined before elimination pruned them down to the
-    /// region: range-BFS candidates on the gain side, lazily-touched
-    /// support counts on the loss side — whichever pool was larger.
+    /// region: those whose qualified neighbors the gain search counted
+    /// (it counts a vertex only when a surviving, seed-connected vertex
+    /// reaches it, unless it finishes as the eager sweep), or those
+    /// whose support the loss cascade counted — whichever pool was
+    /// larger.
     pub candidates: usize,
     /// Affected-region size (vertices re-peeled). Bounded by the vertex
     /// count; typically a vanishing fraction of it for small batches.
@@ -125,6 +135,10 @@ pub struct DynamicGraph {
     result: CorenessResult,
     last: MaintainStats,
     compaction_fraction: f64,
+    /// Scratch of the region search and the re-peel, kept across
+    /// batches (see the module docs).
+    scratch: region::Scratch,
+    remap: Vec<u32>,
 }
 
 impl DynamicGraph {
@@ -157,6 +171,8 @@ impl DynamicGraph {
             result,
             last: MaintainStats::default(),
             compaction_fraction: Self::DEFAULT_COMPACTION_FRACTION,
+            scratch: region::Scratch::default(),
+            remap: Vec::new(),
         }
     }
 
@@ -254,6 +270,7 @@ impl DynamicGraph {
                 self.result.coreness(),
                 &changed,
                 stats.inserted > 0,
+                &mut self.scratch,
             )
         });
         stats.region_nanos = region_nanos;
@@ -277,6 +294,7 @@ impl DynamicGraph {
                         self.result.coreness(),
                         &region.vertices,
                         self.config,
+                        &mut self.remap,
                     );
                     stats.boundary_arcs = sub.boundary_arcs;
                     stats.repeel = sub.stats;

@@ -119,17 +119,23 @@ impl PeelProblem for RegionProblem {
 /// Exact whenever the boundary coreness is exact — which the affected
 /// region computation guarantees for maintenance, since every vertex
 /// whose coreness changed is inside the region.
+///
+/// `remap` is scratch the caller keeps across calls (4 bytes per
+/// vertex): all `u32::MAX` between calls, grown here to the universe.
 pub(crate) fn peel_subset(
     g: &OverlayGraph,
     coreness: &[u32],
     region: &[VertexId],
     config: Config,
+    remap: &mut Vec<u32>,
 ) -> SubsetPeel {
     let r = region.len();
     if r == 0 {
         return SubsetPeel { coreness: Vec::new(), boundary_arcs: 0, stats: RunStats::default() };
     }
-    let mut remap = vec![u32::MAX; g.num_vertices()];
+    if remap.len() < g.num_vertices() {
+        remap.resize(g.num_vertices(), u32::MAX);
+    }
     for (i, &v) in region.iter().enumerate() {
         debug_assert!(i == 0 || region[i - 1] < v, "region must be sorted and duplicate-free");
         remap[v as usize] = i as u32;
@@ -159,6 +165,9 @@ pub(crate) fn peel_subset(
         }
         offsets.push(edges.len());
         prio.push(deg);
+    }
+    for &v in region {
+        remap[v as usize] = u32::MAX;
     }
 
     let boundary_arcs = prio.iter().map(|&d| d as usize).sum::<usize>() - edges.len();
@@ -214,7 +223,7 @@ mod tests {
         let want = bz_coreness(&g);
         let region: Vec<u32> = (0..g.num_vertices() as u32).collect();
         let overlay = OverlayGraph::new(g);
-        let sub = peel_subset(&overlay, &[], &region, Config::default());
+        let sub = peel_subset(&overlay, &[], &region, Config::default(), &mut Vec::new());
         assert_eq!(sub.boundary_arcs, 0);
         assert_eq!(sub.coreness, want);
     }
@@ -227,11 +236,11 @@ mod tests {
         let coreness = bz_coreness(&g);
         let overlay = OverlayGraph::new(g);
         // Region {0, 1, 2}: vertex 2 has one boundary arc, to 3.
-        let sub = peel_subset(&overlay, &coreness, &[0, 1, 2], Config::default());
+        let sub = peel_subset(&overlay, &coreness, &[0, 1, 2], Config::default(), &mut Vec::new());
         assert_eq!(sub.boundary_arcs, 1);
         assert_eq!(sub.coreness, &[2, 2, 2]);
         // Region {3}: two boundary arcs (2 and 4), both at coreness >= 1.
-        let sub = peel_subset(&overlay, &coreness, &[3], Config::default());
+        let sub = peel_subset(&overlay, &coreness, &[3], Config::default(), &mut Vec::new());
         assert_eq!(sub.boundary_arcs, 2);
         assert_eq!(sub.coreness, &[1]);
     }
@@ -244,6 +253,8 @@ mod tests {
         let g = gen::erdos_renyi(60, 150, 5);
         let want = bz_coreness(&g);
         let overlay = OverlayGraph::new(g);
+        // One remap serves every call, as in maintenance.
+        let mut remap = Vec::new();
         for start in [0usize, 13, 37] {
             for len in [1usize, 7, 25, 60] {
                 let region: Vec<u32> = (start..(start + len).min(60)).map(|v| v as u32).collect();
@@ -253,7 +264,7 @@ mod tests {
                     {
                         let config =
                             Config { bucket_strategy: strategy, techniques, ..Config::default() };
-                        let sub = peel_subset(&overlay, &want, &region, config);
+                        let sub = peel_subset(&overlay, &want, &region, config, &mut remap);
                         let expect: Vec<u32> = region.iter().map(|&v| want[v as usize]).collect();
                         assert_eq!(
                             sub.coreness, expect,
@@ -276,7 +287,13 @@ mod tests {
         let want = bz_coreness(&induced.build());
         let overlay = OverlayGraph::new(g);
         for strategy in kcore_buckets::BucketStrategy::ALL {
-            let sub = peel_subset(&overlay, &[], &region, Config::with_strategy(strategy));
+            let sub = peel_subset(
+                &overlay,
+                &[],
+                &region,
+                Config::with_strategy(strategy),
+                &mut Vec::new(),
+            );
             assert!(sub.boundary_arcs > 0);
             assert_eq!(sub.coreness, want, "under {strategy}");
         }
@@ -293,7 +310,13 @@ mod tests {
         let overlay = OverlayGraph::new(g);
         let techniques =
             Techniques { sampling: Some(Sampling::with_threshold(4)), ..Default::default() };
-        let sub = peel_subset(&overlay, &want, &[0], Config::with_techniques(techniques));
+        let sub = peel_subset(
+            &overlay,
+            &want,
+            &[0],
+            Config::with_techniques(techniques),
+            &mut Vec::new(),
+        );
         assert_eq!(sub.boundary_arcs, 19);
         assert_eq!(sub.coreness, &[19]);
         assert_eq!(sub.stats.sampled_vertices, 0, "priority 19 over no internal incidences");
@@ -322,7 +345,7 @@ mod tests {
                 [Techniques::default(), Techniques::all_online(), Techniques::offline()]
             {
                 let config = Config { bucket_strategy: strategy, techniques, ..Config::default() };
-                let sub = peel_subset(&overlay, &want, &[0, 15], config);
+                let sub = peel_subset(&overlay, &want, &[0, 15], config, &mut Vec::new());
                 assert_eq!(sub.coreness, [9, 3], "under {strategy}, {techniques:?}");
                 // Rounds 3 and 9 open; keys 0-2 and 4-8 are skipped.
                 assert_eq!((sub.stats.rounds, sub.stats.keys_skipped), (2, 8));
@@ -356,7 +379,7 @@ mod tests {
         let g = gen::star(44);
         let want = bz_coreness(&g);
         let overlay = OverlayGraph::new(g);
-        let sub = peel_subset(&overlay, &want, &[0, 1, 2, 3], Config::default());
+        let sub = peel_subset(&overlay, &want, &[0, 1, 2, 3], Config::default(), &mut Vec::new());
         assert_eq!(sub.boundary_arcs, 40);
         assert_eq!(sub.coreness, &[1, 1, 1, 1]);
         assert_eq!(sub.stats.work, 4 + 6 + 1, "4 settles, 6 internal arcs, 1 scheduled pair");

@@ -6,10 +6,16 @@
 //! graph, at every version, for every bucket strategy under the plain,
 //! full online (sampling + VGC) and offline peel designs. The affected
 //! region must stay within the vertex universe throughout.
+//!
+//! The `mid_size_` family runs the same check on road and rmat graphs of
+//! 256-1600 vertices under the batch shape of the benchmark's stream: a
+//! spread-out batch of 16-64 edges deleted and then restored, plus
+//! random mixed batches. Only at that size does the gain search of a
+//! restore batch run past its first phase.
 
 use kcore::bz::bz_coreness;
 use kcore::{BucketStrategy, Config, DynamicGraph, Techniques};
-use kcore_graph::{CsrGraph, GraphBuilder, VertexId};
+use kcore_graph::{gen, CsrGraph, GraphBuilder, VertexId};
 use proptest::prelude::*;
 
 /// Arbitrary messy base graph: duplicates and self-loops allowed (the
@@ -134,6 +140,92 @@ proptest! {
             dg.apply_batch(inserts, &deletes);
             prop_assert_eq!(dg.graph().overlay_arcs(), 0, "compaction must have run");
             prop_assert_eq!(dg.coreness(), bz_coreness(&dg.snapshot()).as_slice());
+        }
+    }
+}
+
+/// A road grid of 20-40 vertices per side or an rmat graph of scale
+/// 8-10, alone in its universe or padded with isolated vertices to 8
+/// times its size. The padding keeps the gain search below the share of
+/// the universe past which it finishes as the eager sweep, so the lazy
+/// search runs to the end.
+fn arb_mid_size() -> impl Strategy<Value = CsrGraph> {
+    ((any::<bool>(), any::<bool>()), 20usize..41, 8u32..11, any::<u64>()).prop_map(
+        |((road, pad), side, scale, seed)| {
+            let g = if road {
+                gen::road(side, side, 0.15, 0.05, seed)
+            } else {
+                gen::rmat(scale, 8, 0.57, 0.19, 0.19, seed)
+            };
+            let n = if pad { 8 * g.num_vertices() } else { g.num_vertices() };
+            GraphBuilder::new(n).edges(g.edges()).build()
+        },
+    )
+}
+
+type Edge = (VertexId, VertexId);
+
+/// Two delete-then-restore steps of a spread-out batch of `size` edges
+/// (every `len / size`-th edge from `start`), then a mixed batch: each
+/// pick inserts a random vertex pair, and half of them also delete an
+/// existing edge.
+fn mid_size_stream(
+    base: &CsrGraph,
+    size: usize,
+    start: usize,
+    picks: &[(u64, u64)],
+) -> Vec<(Vec<Edge>, Vec<Edge>)> {
+    let edges: Vec<(u32, u32)> = base.edges().collect();
+    // Mixed inserts land among the graph's own vertices, not the padding.
+    let n = edges.iter().map(|&(u, v)| u.max(v)).max().map_or(1, |m| m as u64 + 1);
+    let stride = (edges.len() / size).max(1);
+    let mut stream = Vec::new();
+    for step in 0..2 {
+        let batch: Vec<_> =
+            (0..size).map(|i| edges[(start + step + i * stride) % edges.len()]).collect();
+        stream.push((Vec::new(), batch.clone()));
+        stream.push((batch, Vec::new()));
+    }
+    let inserts = picks.iter().map(|&(a, b)| ((a % n) as u32, (b % n) as u32)).collect();
+    let deletes =
+        picks.iter().step_by(2).map(|&(a, _)| edges[(a % edges.len() as u64) as usize]).collect();
+    stream.push((inserts, deletes));
+    stream
+}
+
+proptest! {
+    #[test]
+    fn mid_size_delete_restore_streams_stay_exact(
+        base in arb_mid_size(),
+        size in 16usize..65,
+        start in 0usize..1 << 20,
+        picks in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..24),
+    ) {
+        let stream = mid_size_stream(&base, size, start, &picks);
+        for techniques in [Techniques::default(), Techniques::all_online(), Techniques::offline()] {
+            let config = Config { techniques, ..Config::default() };
+            let mut dg = DynamicGraph::with_exact_config(base.clone(), config);
+            for (inserts, deletes) in &stream {
+                let old = dg.coreness().to_vec();
+                let version = dg.apply_batch(inserts, deletes);
+                let want = bz_coreness(&dg.snapshot());
+                prop_assert_eq!(
+                    dg.coreness(),
+                    want.as_slice(),
+                    "version {:?} under {:?} diverged from the BZ oracle",
+                    version,
+                    techniques
+                );
+                let moved = (0..want.len())
+                    .filter(|&v| old.get(v).copied().unwrap_or(0) != want[v])
+                    .count();
+                prop_assert!(
+                    dg.last_stats().region >= moved,
+                    "{} vertices moved, region {}",
+                    moved,
+                    dg.last_stats().region
+                );
+            }
         }
     }
 }
