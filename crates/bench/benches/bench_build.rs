@@ -1,25 +1,19 @@
-//! Build-path and memory-layout benchmarks for the billion-edge
-//! ingest story.
+//! Build-path benchmarks: how a graph gets into memory.
 //!
-//! Three questions, each answered as an interleaved A/B pair so the
+//! Two questions, each answered as an interleaved A/B pair so the
 //! comparison shares cache and frequency state:
 //!
 //! * **ingest**: `StreamBuilder` (sharded counting-sort build) vs the
 //!   historical collect-then-`par_sort` path, on the same ≥1.2M-edge
 //!   synthetic stream. The two paths are asserted bit-identical once
 //!   before timing.
-//! * **peel**: k-core over plain CSR vs the same graph re-encoded as
-//!   [`CompressedCsr`] (decode-on-the-fly peeling) — the acceptance
-//!   pair on ba-3000. The memory footprints and the neighbor-bytes
-//!   compression ratio are printed alongside.
 //! * **load**: `load_binary` (copying reader) vs `map_binary`
 //!   (zero-copy mmap) on the serialized stream graph.
 
 use criterion::{black_box, criterion_group, Criterion};
-use kcore::{Config, Decomposition};
 use kcore_bench::baseline::from_symmetric_arcs_by_sort;
 use kcore_graph::builder::StreamBuilder;
-use kcore_graph::{gen, io, CompressedCsr, GraphStats, VertexId};
+use kcore_graph::{io, VertexId};
 
 /// Vertex count of the synthetic stream (power-law-ish degree skew via
 /// quadratic collision of a multiplicative hash).
@@ -80,53 +74,6 @@ fn bench_ingest(c: &mut Criterion) {
     c.bench_function("build/ingest/collect-parsort", |bch| bch.iter(|| black_box(build_by_sort())));
 }
 
-fn bench_peel_backends(c: &mut Criterion) {
-    let g = gen::barabasi_albert(3000, 4, 42);
-    let compressed = CompressedCsr::from_graph(&g);
-    let plain_fp = GraphStats::memory(&g);
-    let comp_fp = GraphStats::memory(&compressed);
-    println!("build/peel: plain      {plain_fp}");
-    println!("build/peel: compressed {comp_fp}");
-    println!(
-        "build/peel: neighbor-bytes ratio {:.3} (compressed / plain)",
-        comp_fp.neighbor_bytes as f64 / plain_fp.neighbor_bytes as f64
-    );
-
-    let config = Config { collect_stats: false, ..Config::default() };
-    c.bench_function("build/peel/ba-3000/plain", |b| {
-        b.iter(|| black_box(Decomposition::kcore(&g).exact_config(config).run()))
-    });
-    c.bench_function("build/peel/ba-3000/compressed", |b| {
-        b.iter(|| black_box(Decomposition::kcore(&compressed).exact_config(config).run()))
-    });
-
-    // Raw neighbor-scan sweeps isolate the decode tax from the peel
-    // logic: the same full-graph traversal, slice-read vs
-    // decode-on-the-fly.
-    c.bench_function("build/peel/ba-3000/sweep-plain", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for v in 0..g.num_vertices() as VertexId {
-                for &w in g.neighbors(v) {
-                    acc = acc.wrapping_add(u64::from(w));
-                }
-            }
-            black_box(acc)
-        })
-    });
-    c.bench_function("build/peel/ba-3000/sweep-compressed", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for v in 0..compressed.num_vertices() as VertexId {
-                for &w in compressed.neighbors(v) {
-                    acc = acc.wrapping_add(u64::from(w));
-                }
-            }
-            black_box(acc)
-        })
-    });
-}
-
 fn bench_load(c: &mut Criterion) {
     let g = build_by_stream();
     let dir = std::env::temp_dir().join(format!("kcore-bench-{}", std::process::id()));
@@ -144,8 +91,5 @@ fn bench_load(c: &mut Criterion) {
     let _ = std::fs::remove_file(&path);
 }
 
-// Peel first: the ba-3000 A/B pair is sensitive to allocator state
-// left behind by the half-gigabyte ingest benches (plain-CSR layout
-// shifts by tens of percent), so it measures on a fresh heap.
-criterion_group!(benches, bench_peel_backends, bench_ingest, bench_load);
+criterion_group!(benches, bench_ingest, bench_load);
 kcore_bench::bench_main!(benches);

@@ -255,19 +255,22 @@ mod tests {
 
     #[test]
     fn techniques_spec_enables_features() {
-        let c = kcore_apply(plain(), "sampling,vgc");
-        assert!(c.techniques.sampling.is_some());
-        assert_eq!(c.techniques.vgc, Some(Vgc::default()));
-        assert_eq!(c.techniques.mode, PeelMode::Online);
+        let c = kcore_apply(plain(), "sampling");
+        assert_eq!(
+            c.techniques,
+            Techniques { sampling: Some(Sampling::default()), ..plain().techniques }
+        );
 
-        let c = kcore_apply(plain(), "vgc");
-        assert!(c.techniques.sampling.is_none());
-        assert_eq!(c.techniques.vgc, Some(Vgc::default()));
+        let c = kcore_apply(plain(), "offline");
+        assert_eq!(c.techniques, Techniques::offline());
 
-        let c = kcore_apply(plain(), "all,offline");
+        let c = kcore_apply(plain(), "sampling,offline");
         assert!(c.techniques.sampling.is_some());
-        assert_eq!(c.techniques.vgc, Some(Vgc::default()));
         assert_eq!(c.techniques.mode, PeelMode::Offline);
+
+        // The default config keeps its VGC and gains the token's technique.
+        let c = kcore_apply(Config::default(), "sampling");
+        assert_eq!(c.techniques, Techniques::all_online());
 
         // Empty spec and stray separators are no-ops.
         assert_eq!(kcore_apply(plain(), " , "), plain());
@@ -279,15 +282,13 @@ mod tests {
         // A config that already sets a technique keeps its parameters;
         // the spec only fills gaps.
         let sampling = Sampling { threshold: 7, rate_log2: 3, seed: 11 };
-        let vgc = Vgc { chain_limit: 5 };
         let base = Config::with_techniques(Techniques {
             sampling: Some(sampling),
-            vgc: Some(vgc),
-            mode: PeelMode::Online,
+            ..Techniques::default()
         });
-        let c = kcore_apply(base, "sampling,vgc,offline");
+        let c = kcore_apply(base, "sampling,offline");
         assert_eq!(c.techniques.sampling, Some(sampling));
-        assert_eq!(c.techniques.vgc, Some(vgc));
+        assert_eq!(c.techniques.vgc, None, "no token turns VGC on");
         assert_eq!(c.techniques.mode, PeelMode::Offline);
     }
 
@@ -300,16 +301,15 @@ mod tests {
     #[test]
     fn filtered_spec_drops_unsupported_tokens() {
         // The (k,h)-core recomputes priorities, which refuses sampling
-        // and offline: only VGC survives, including out of `all`.
+        // and offline: each token is dropped on its own, and the
+        // config's own VGC setting passes through untouched.
         let g = CsrGraph::empty();
         let khcore = KhCoreProblem { g: &g, h: 2 };
-        let c = env::apply(plain(), env::parse("sampling,vgc,offline"), &khcore);
-        assert!(c.techniques.sampling.is_none(), "sampling filtered out");
-        assert_eq!(c.techniques.vgc, Some(Vgc::default()), "vgc passes the filter");
-        assert_eq!(c.techniques.mode, PeelMode::Online, "offline filtered out");
-        let c = env::apply(plain(), env::parse("all"), &khcore);
-        assert!(c.techniques.sampling.is_none());
-        assert_eq!(c.techniques.vgc, Some(Vgc::default()));
+        for spec in ["sampling", "offline", "sampling,offline"] {
+            assert_eq!(env::apply(plain(), env::parse(spec), &khcore), plain(), "{spec}");
+            let c = env::apply(Config::default(), env::parse(spec), &khcore);
+            assert_eq!(c, Config::default(), "{spec}");
+        }
     }
 
     #[test]

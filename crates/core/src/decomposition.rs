@@ -36,15 +36,16 @@
 use crate::config::Techniques;
 use crate::env;
 use crate::peel::engine::{PeelEngine, PeelProblem};
+use crate::peel::offline;
 use crate::problems::approx_densest::ApproxDensestProblem;
-use crate::problems::kcore::{self, KCoreProblem};
+use crate::problems::kcore::KCoreProblem;
 use crate::problems::khcore::KhCoreProblem;
 use crate::problems::ktruss::KTrussProblem;
 use crate::{
     ApproxDensestResult, Config, CorenessResult, DensestResult, KhCoreResult, TrussnessResult,
 };
 use kcore_buckets::BucketStrategy;
-use kcore_graph::{CsrGraph, GraphBackend, TriangleCtx};
+use kcore_graph::{CsrGraph, TriangleCtx};
 use std::fmt;
 
 /// Problem selector for k-core (see [`Decomposition::kcore`]).
@@ -83,25 +84,21 @@ pub struct ApproxDensestSpec {
 /// [`Decomposition::densest`], [`Decomposition::khcore`],
 /// [`Decomposition::approx_densest`]), then `run`.
 ///
-/// For a *maintained* k-core decomposition under edge batches, see
+/// Every problem runs over a [`CsrGraph`], owned or mmapped
+/// ([`kcore_graph::io::map_binary`]). For a *maintained* k-core
+/// decomposition under edge batches, see
 /// [`crate::maintain::DynamicGraph`] instead.
-///
-/// The k-core and densest-subgraph selectors accept any
-/// [`GraphBackend`] (plain/mmapped CSR, [`kcore_graph::CompressedCsr`])
-/// — the backend defaults to [`CsrGraph`] and is inferred from the
-/// graph argument. Triangle-based problems (k-truss) and the BFS-ball
-/// problems (kh-core, approx-densest) require plain CSR.
+#[derive(Clone)]
 #[must_use = "a Decomposition does nothing until `run`"]
-pub struct Decomposition<'g, P, G = CsrGraph> {
-    g: &'g G,
+pub struct Decomposition<'g, P> {
+    g: &'g CsrGraph,
     problem: P,
     config: Config,
     exact: bool,
 }
 
-// Manual impls: deriving would bound `G: Debug`/`G: Clone`, but only a
-// reference to `G` is held (and graphs are intentionally not `Clone`).
-impl<P: fmt::Debug, G> fmt::Debug for Decomposition<'_, P, G> {
+// Manual impl: the graph is left out of the output.
+impl<P: fmt::Debug> fmt::Debug for Decomposition<'_, P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Decomposition")
             .field("problem", &self.problem)
@@ -111,14 +108,8 @@ impl<P: fmt::Debug, G> fmt::Debug for Decomposition<'_, P, G> {
     }
 }
 
-impl<P: Clone, G> Clone for Decomposition<'_, P, G> {
-    fn clone(&self) -> Self {
-        Self { g: self.g, problem: self.problem.clone(), config: self.config, exact: self.exact }
-    }
-}
-
-impl<'g, P, G> Decomposition<'g, P, G> {
-    fn with(g: &'g G, problem: P) -> Self {
+impl<'g, P> Decomposition<'g, P> {
+    fn with(g: &'g CsrGraph, problem: P) -> Self {
         Self { g, problem, config: Config::default(), exact: false }
     }
 
@@ -179,27 +170,24 @@ impl<'g, P, G> Decomposition<'g, P, G> {
     }
 }
 
-impl<'g, G: GraphBackend> Decomposition<'g, KcoreSpec, G> {
-    /// k-core decomposition of `g`: per-vertex coreness. Accepts any
-    /// [`GraphBackend`]; the `KCORE_BACKEND` environment variable
-    /// re-encodes plain CSR inputs through the forced backend at `run`.
-    pub fn kcore(g: &'g G) -> Self {
+impl<'g> Decomposition<'g, KcoreSpec> {
+    /// k-core decomposition of `g`: per-vertex coreness.
+    pub fn kcore(g: &'g CsrGraph) -> Self {
         Self::with(g, KcoreSpec(()))
     }
 
     /// Runs the decomposition.
     pub fn run(self) -> CorenessResult {
-        // The axes, and so the resolved config, do not depend on the
-        // backend `run_kcore` ends up peeling.
-        kcore::run_kcore(self.g, self.resolve(&KCoreProblem { g: self.g }))
+        self.peel(&KCoreProblem { g: self.g })
     }
 
     /// Membership of the `k`-core (`true` = coreness `>= k`), computed
-    /// directly by offline range peeling — much cheaper than a full
-    /// decomposition when only one core is needed. The staged config
-    /// is not read.
+    /// directly by offline range peeling: every vertex of degree below
+    /// `k` leaves in one bulk step and histogram decrements drive the
+    /// cascade — much cheaper than a full decomposition when only one
+    /// core is needed. The staged config is not read.
     pub fn members(self, k: u32) -> Vec<bool> {
-        kcore::members(self.g, k)
+        offline::range_membership(self.g, &self.g.degrees(), k)
     }
 }
 
@@ -241,18 +229,17 @@ impl<'g> Decomposition<'g, KtrussSpec<'g>> {
     }
 }
 
-impl<'g, G: GraphBackend> Decomposition<'g, DensestSpec, G> {
+impl<'g> Decomposition<'g, DensestSpec> {
     /// Charikar's greedy densest subgraph on `g` (a 2-approximation).
-    /// Accepts any [`GraphBackend`], like [`Decomposition::kcore`].
-    pub fn densest(g: &'g G) -> Self {
+    pub fn densest(g: &'g CsrGraph) -> Self {
         Self::with(g, DensestSpec(()))
     }
 
     /// Runs the decomposition: the k-core peel (same axes, so the same
-    /// config resolution and `KCORE_BACKEND` override), then the
-    /// density post-pass over its coreness.
+    /// config resolution), then the density post-pass over its
+    /// coreness.
     pub fn run(self) -> DensestResult {
-        let core = kcore::run_kcore(self.g, self.resolve(&KCoreProblem { g: self.g }));
+        let core = self.peel(&KCoreProblem { g: self.g });
         DensestResult::from_coreness(self.g, core)
     }
 }

@@ -1,27 +1,23 @@
 //! The `KCORE_TECHNIQUES` environment override, resolved in one place.
 //!
-//! The variable holds a comma-separated subset of `sampling`, `vgc`,
-//! `offline`, or the shorthand `all` (= `sampling,vgc`). CI sets it to
-//! force the Sec. 4 techniques on for the whole test suite, so the
-//! opt-in sampling and the offline driver cannot silently rot. It is
-//! parsed once per process, and [`resolve`] adds it to a config at
-//! [`crate::Decomposition`]'s `run` and in [`crate::DynamicGraph::new`].
-//! A token only ever *enables* a technique with default parameters; a
-//! technique the config already sets keeps its parameters. Since
-//! [`Config::default`] already runs VGC, the `vgc` token only fills a
-//! gap in configs built from [`crate::Techniques::default()`], the
-//! plain framework; no token can turn a technique off. Sampling and
-//! offline are dropped for problems whose axes refuse them (the rule
+//! The variable holds a comma-separated subset of `sampling` and
+//! `offline`. CI sets it to force the opt-in Sec. 4 techniques on for
+//! the whole test suite, so sampling and the offline driver cannot
+//! silently rot. It is parsed once per process, and [`resolve`] adds it
+//! to a config at [`crate::Decomposition`]'s `run` and in
+//! [`crate::DynamicGraph::new`]. A token only ever *enables* a
+//! technique with default parameters; a technique the config already
+//! sets keeps its parameters, and no token can turn a technique off.
+//! VGC takes no token: [`Config::default`] already runs it. Both tokens
+//! are dropped for problems whose axes refuse them (the rule
 //! [`admits_sampling_and_offline`] shares with the engine's combination
 //! guard), so a blanket CI leg still runs every problem.
 //!
-//! `KCORE_BACKEND` keeps its own parser in `kcore-graph`: the backend
-//! override re-encodes the graph before the peel is instantiated for a
-//! concrete backend type, and resolving it here would put
-//! `&dyn GraphBackend` in the peel's inner loop. The triangle kernels
-//! take no override; each pair's kernel follows from its list lengths.
+//! This is the only environment knob the decompositions read; tracing
+//! (`KCORE_TRACE`) is read by `kcore-obs`. The triangle kernels take no
+//! override; each pair's kernel follows from its list lengths.
 
-use crate::config::{PeelMode, Sampling, Vgc};
+use crate::config::{PeelMode, Sampling};
 use crate::peel::engine::{admits_sampling_and_offline, PeelProblem};
 use crate::Config;
 use std::sync::OnceLock;
@@ -30,7 +26,6 @@ use std::sync::OnceLock;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Spec {
     sampling: bool,
-    vgc: bool,
     offline: bool,
 }
 
@@ -45,12 +40,8 @@ pub(crate) fn parse(spec: &str) -> Spec {
     for token in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
         match token {
             "sampling" => parsed.sampling = true,
-            "vgc" => parsed.vgc = true,
             "offline" => parsed.offline = true,
-            "all" => (parsed.sampling, parsed.vgc) = (true, true),
-            other => panic!(
-                "KCORE_TECHNIQUES: unknown token {other:?} (valid: sampling, vgc, offline, all)"
-            ),
+            other => panic!("KCORE_TECHNIQUES: unknown token {other:?} (valid: sampling, offline)"),
         }
     }
     parsed
@@ -73,9 +64,6 @@ pub(crate) fn apply(mut config: Config, spec: Spec, problem: &impl PeelProblem) 
     if spec.sampling && refinable {
         techniques.sampling.get_or_insert_with(Sampling::default);
     }
-    if spec.vgc {
-        techniques.vgc.get_or_insert_with(Vgc::default);
-    }
     if spec.offline && refinable && techniques.mode == PeelMode::Online {
         techniques.mode = PeelMode::Offline;
     }
@@ -97,12 +85,21 @@ mod tests {
         // per-problem token list.
         let g = gen::complete(4);
         let ctx = TriangleCtx::build(&g);
+        let problem = KTrussProblem::new(&g, &ctx);
         // Start from the plain framework, so every technique below was
-        // turned on by a token.
+        // turned on by a token, one token at a time.
         let plain = Config::with_techniques(Techniques::default());
-        let c = apply(plain, parse("sampling,vgc,offline"), &KTrussProblem::new(&g, &ctx));
-        assert_eq!(c.techniques.mode, PeelMode::Offline);
+        let c = apply(plain, parse("offline"), &problem);
+        assert_eq!(c.techniques, Techniques::offline());
+        let c = apply(plain, parse("sampling"), &problem);
         assert!(c.techniques.sampling.is_some());
-        assert_eq!(c.techniques.vgc, Some(Vgc::default()));
+        assert_eq!(c.techniques.mode, PeelMode::Online);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown token")]
+    fn vgc_token_is_gone() {
+        // VGC is on in the default config and takes no token.
+        let _ = parse("vgc");
     }
 }

@@ -55,7 +55,8 @@ mod region;
 mod repeel;
 
 use crate::env;
-use crate::problems::kcore::{run_kcore_on, KCoreProblem};
+use crate::peel::engine::PeelEngine;
+use crate::problems::kcore::KCoreProblem;
 use crate::{Config, CorenessResult};
 use kcore_graph::{CsrGraph, OverlayGraph, VertexId};
 use kcore_obs::span;
@@ -163,8 +164,9 @@ impl DynamicGraph {
         // The overlay serves merged adjacency slices, so the logical
         // graph peels as an ordinary k-core problem.
         let graph = OverlayGraph::new(base);
-        let config = if exact { config } else { env::resolve(config, &KCoreProblem { g: &graph }) };
-        let result = run_kcore_on(&graph, config);
+        let problem = KCoreProblem { g: &graph };
+        let config = if exact { config } else { env::resolve(config, &problem) };
+        let result = PeelEngine::new(&problem, config).run();
         Self {
             graph,
             config,
@@ -285,7 +287,7 @@ impl DynamicGraph {
         let ((region_vertices, coreness), repeel_nanos) =
             kcore_obs::timed("maintain.repeel", || {
                 if stats.full_recompute {
-                    let full = run_kcore_on(&self.graph, self.config);
+                    let full = PeelEngine::new(&KCoreProblem { g: &self.graph }, self.config).run();
                     stats.repeel = full.stats().clone();
                     (None, full.into_coreness())
                 } else {

@@ -109,42 +109,21 @@ impl PriorityView for LiveView<'_> {
 /// [`GraphBackend`] implements the trait via the blanket impl below),
 /// and a problem's priorities must start at `num_incident(e)` minus any
 /// units already absent.
-///
-/// # Slice discipline
-///
-/// Decode-on-the-fly backends ([`kcore_graph::CompressedCsr`]) serve
-/// [`UnitIncidence::incident`] from per-thread scratch, so a caller may
-/// hold at most one `incident` slice per thread at a time. The engine's
-/// outer loops already do; nested scans (recounts inside a neighbor
-/// walk) and pure size queries must use
-/// [`UnitIncidence::for_each_incident`] /
-/// [`UnitIncidence::num_incident`], which never touch scratch.
 pub trait UnitIncidence: Sync {
-    /// Elements incident to `e`, in strictly increasing order. Hold at
-    /// most one returned slice per thread (see the trait docs).
+    /// Elements incident to `e`, in strictly increasing order.
     fn incident(&self, e: u32) -> &[u32];
 
-    /// Number of incident elements — O(1), no list materialization.
+    /// Number of incident elements.
     #[inline]
     fn num_incident(&self, e: u32) -> usize {
         self.incident(e).len()
     }
-
-    /// Streams the incident elements in increasing order without
-    /// materializing a slice; safe to nest inside an `incident` walk.
-    #[inline]
-    fn for_each_incident(&self, e: u32, f: &mut dyn FnMut(u32)) {
-        for &x in self.incident(e) {
-            f(x);
-        }
-    }
 }
 
 // Every graph backend is a unit incidence: the adjacency itself.
-// This one impl covers `CsrGraph` (owned and mmapped), the delta
+// This one impl covers `CsrGraph` (owned and mmapped) and the delta
 // overlay (the engine peels the logical base ± deltas graph directly,
-// so batch-dynamic maintenance never rebuilds a CSR just to re-peel),
-// and the byte-compressed backend.
+// so batch-dynamic maintenance never rebuilds a CSR just to re-peel).
 impl<G: GraphBackend> UnitIncidence for G {
     #[inline]
     fn incident(&self, v: u32) -> &[u32] {
@@ -154,11 +133,6 @@ impl<G: GraphBackend> UnitIncidence for G {
     #[inline]
     fn num_incident(&self, v: u32) -> usize {
         self.degree(v)
-    }
-
-    #[inline]
-    fn for_each_incident(&self, v: u32, f: &mut dyn FnMut(u32)) {
-        self.for_each_neighbor(v, f);
     }
 }
 

@@ -80,13 +80,11 @@ pub(crate) fn gather_live(
     let per_elem: Vec<Vec<u32>> = frontier
         .par_iter()
         .map(|&v| {
-            let mut live = Vec::new();
-            inc.for_each_incident(v, &mut |u| {
-                if settled[u as usize].load(Ordering::Relaxed) == UNSET {
-                    live.push(u);
-                }
-            });
-            live
+            inc.incident(v)
+                .iter()
+                .copied()
+                .filter(|&u| settled[u as usize].load(Ordering::Relaxed) == UNSET)
+                .collect()
         })
         .collect();
     flatten(per_elem)

@@ -128,17 +128,12 @@ impl SamplingState {
         let approx: Vec<AtomicU32> = (0..n as u32)
             .into_par_iter()
             .map(|v| {
-                let mut count = 0u32;
-                if eligible(v as usize) {
-                    // Streaming walk: no incident slice is held, so this
-                    // is safe on decode-on-the-fly backends.
-                    inc.for_each_incident(v, &mut |u| {
-                        if edge_sampled(v, u, cfg.seed, mask) {
-                            count += 1;
-                        }
-                    });
-                }
-                AtomicU32::new(count)
+                let count = if eligible(v as usize) {
+                    inc.incident(v).iter().filter(|&&u| edge_sampled(v, u, cfg.seed, mask)).count()
+                } else {
+                    0
+                };
+                AtomicU32::new(count as u32)
             })
             .collect();
         let mut state = Self { cfg, mask, sample_mode, approx, sampled, horizon: 0 };
@@ -267,15 +262,13 @@ impl SamplingState {
         settled: &[AtomicU32],
         sampled_only: bool,
     ) -> u32 {
-        let mut live = 0u32;
-        inc.for_each_incident(v, &mut |w| {
-            if settled[w as usize].load(Ordering::Relaxed) == UNSET
-                && (!sampled_only || edge_sampled(v, w, self.cfg.seed, self.mask))
-            {
-                live += 1;
-            }
-        });
-        live
+        inc.incident(v)
+            .iter()
+            .filter(|&&w| {
+                settled[w as usize].load(Ordering::Relaxed) == UNSET
+                    && (!sampled_only || edge_sampled(v, w, self.cfg.seed, self.mask))
+            })
+            .count() as u32
     }
 }
 

@@ -351,20 +351,17 @@ mod tests {
     fn forced_env_tokens_are_filtered_not_fatal() {
         let g = gen::barabasi_albert(120, 3, 5);
         // What the KCORE_TECHNIQUES CI legs exercise, without reading
-        // the environment: threshold rounds keep only VGC, and the run
-        // is unchanged from the plain framework's.
+        // the environment: threshold rounds drop both tokens, so the
+        // default config (VGC on) runs as given, with the plain
+        // framework's rounds.
         let problem = ApproxDensestProblem::new(&g, 0.5);
         let plain = Config::with_techniques(Techniques::default());
-        let config = env::apply(plain, env::parse("sampling,vgc,offline"), &problem);
-        assert_eq!(
-            config,
-            Config::with_techniques(Techniques {
-                vgc: Some(Vgc::default()),
-                ..Techniques::default()
-            })
-        );
-        let got = Decomposition::approx_densest(&g, 0.5).exact_config(config).run();
         let want = Decomposition::approx_densest(&g, 0.5).exact_config(plain).run();
-        assert_eq!(got.rounds(), want.rounds());
+        for spec in ["sampling", "offline"] {
+            let config = env::apply(Config::default(), env::parse(spec), &problem);
+            assert_eq!(config, Config::default(), "{spec}");
+            let got = Decomposition::approx_densest(&g, 0.5).exact_config(config).run();
+            assert_eq!(got.rounds(), want.rounds(), "{spec}");
+        }
     }
 }

@@ -30,7 +30,7 @@
 //! running density the greedy tracks, at round granularity.
 
 use crate::CorenessResult;
-use kcore_graph::{CsrGraph, GraphBackend};
+use kcore_graph::CsrGraph;
 use kcore_parallel::RunStats;
 
 /// The result of a greedy densest-subgraph run.
@@ -48,7 +48,7 @@ pub struct DensestResult {
 impl DensestResult {
     /// The density post-pass over a finished k-core peel of `g`: the
     /// per-round density curve and the best core.
-    pub(crate) fn from_coreness(g: &impl GraphBackend, core: CorenessResult) -> Self {
+    pub(crate) fn from_coreness(g: &CsrGraph, core: CorenessResult) -> Self {
         let stats = core.stats().clone();
         let coreness = core.into_coreness();
         // Count, per round k, the standing vertices (coreness >= k) and
@@ -60,10 +60,10 @@ impl DensestResult {
             n_hist[c as usize] += 1;
         }
         let mut m_hist = vec![0u64; kmax + 2];
-        g.for_each_edge(&mut |u, v| {
+        for (u, v) in g.edges() {
             let lvl = coreness[u as usize].min(coreness[v as usize]) as usize;
             m_hist[lvl] += 1;
-        });
+        }
         // Suffix sums: n_at[k] / m_at[k] = standing counts at round k.
         let (mut n_at, mut m_at) = (0u64, 0u64);
         let mut densities = vec![0f64; kmax + 1];

@@ -14,14 +14,14 @@
 //! ([`crate::DensestResult`]), and [`crate::DynamicGraph`] peels it over
 //! its overlay graph at construction and on full recomputes.
 
-use crate::peel::engine::{Incidence, PeelEngine, PeelProblem};
-use crate::peel::offline;
-use crate::{Config, CorenessResult};
-use kcore_graph::{env_backend, BackendKind, CompressedCsr, CsrGraph, GraphBackend};
+use crate::peel::engine::{Incidence, PeelProblem};
+use crate::CorenessResult;
+use kcore_graph::{CsrGraph, GraphBackend};
 use kcore_parallel::RunStats;
 
 /// The k-core decomposition problem over one graph, generic over the
-/// adjacency backend (plain/mmapped CSR, overlay, compressed).
+/// adjacency backend: plain or mmapped CSR, or the overlay graph that
+/// [`crate::DynamicGraph`] peels.
 pub(crate) struct KCoreProblem<'g, G = CsrGraph> {
     pub(crate) g: &'g G,
 }
@@ -50,54 +50,13 @@ impl<G: GraphBackend> PeelProblem for KCoreProblem<'_, G> {
     }
 }
 
-/// Runs the k-core decomposition over exactly the backend given —
-/// no environment override. Densest subgraph and maintenance (over the
-/// overlay graph) peel through here too.
-pub(crate) fn run_kcore_on<G: GraphBackend>(g: &G, config: Config) -> CorenessResult {
-    PeelEngine::new(&KCoreProblem { g }, config).run()
-}
-
-/// The `KCORE_BACKEND` override, applied in one place: a compressed
-/// re-encoding of `g` when the override forces the compressed backend
-/// and `g` is plain CSR (CI's compressed leg); `None` runs `g` as-is.
-fn forced_encoding<G: GraphBackend>(g: &G) -> Option<CompressedCsr> {
-    if env_backend() != BackendKind::Compressed {
-        return None;
-    }
-    g.as_plain().map(CompressedCsr::from_graph)
-}
-
-/// Runs the k-core decomposition with `config` exactly as given — the
-/// shared core behind [`crate::Decomposition::kcore`] and
-/// [`crate::Decomposition::densest`] (env resolution happens in the
-/// builder), under the `KCORE_BACKEND` override.
-pub(crate) fn run_kcore<G: GraphBackend>(g: &G, config: Config) -> CorenessResult {
-    match forced_encoding(g) {
-        Some(c) => run_kcore_on(&c, config),
-        None => run_kcore_on(g, config),
-    }
-}
-
-/// Membership of the `k`-core (`true` = vertex has coreness `>= k`),
-/// computed directly by offline range peeling: every vertex of degree
-/// below `k` is extracted in one bulk range step and the cascade is
-/// driven by histogram decrements. Much cheaper than a full
-/// decomposition when only one core is needed (the serving path for
-/// "give me the k-core" queries). Applies the `KCORE_BACKEND` override
-/// like [`run_kcore`].
-pub(crate) fn members<G: GraphBackend>(g: &G, k: u32) -> Vec<bool> {
-    match forced_encoding(g) {
-        Some(c) => offline::range_membership(&c, &c.degrees(), k),
-        None => offline::range_membership(g, &g.degrees(), k),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bz::bz_coreness;
     use crate::config::{PeelMode, Sampling, Techniques, Vgc};
-    use crate::Decomposition;
+    use crate::peel::engine::PeelEngine;
+    use crate::{Config, Decomposition};
     use kcore_buckets::BucketStrategy;
     use kcore_graph::{gen, GraphBuilder};
     use kcore_parallel::pool::with_threads;

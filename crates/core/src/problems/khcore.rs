@@ -278,7 +278,7 @@ pub fn sequential_kh_coreness(g: &CsrGraph, h: u32) -> Vec<u32> {
 mod tests {
     use super::*;
     use crate::bz::bz_coreness;
-    use crate::config::{Sampling, Techniques, Vgc};
+    use crate::config::{Sampling, Techniques};
     use crate::{env, Config, Decomposition};
     use kcore_buckets::BucketStrategy;
     use kcore_graph::{gen, GraphBuilder};
@@ -401,15 +401,16 @@ mod tests {
     #[test]
     fn forced_env_tokens_are_filtered_not_fatal() {
         // What the KCORE_TECHNIQUES CI legs exercise, without reading
-        // the environment: recomputed priorities keep only VGC, and the
-        // run stays oracle-correct.
+        // the environment: recomputed priorities drop both tokens, so
+        // the default config (VGC on) runs as given and stays
+        // oracle-correct.
         let g = gen::barabasi_albert(40, 2, 5);
         let problem = KhCoreProblem { g: &g, h: 2 };
-        let plain = Config::with_techniques(Techniques::default());
-        let config = env::apply(plain, env::parse("sampling,vgc,offline"), &problem);
-        let vgc = Techniques { vgc: Some(Vgc::default()), ..Techniques::default() };
-        assert_eq!(config, Config::with_techniques(vgc));
-        let got = Decomposition::khcore(&g, 2).exact_config(config).run();
-        assert_eq!(got.kh_coreness(), sequential_kh_coreness(&g, 2).as_slice());
+        for spec in ["sampling", "offline"] {
+            let config = env::apply(Config::default(), env::parse(spec), &problem);
+            assert_eq!(config, Config::default(), "{spec}");
+            let got = Decomposition::khcore(&g, 2).exact_config(config).run();
+            assert_eq!(got.kh_coreness(), sequential_kh_coreness(&g, 2).as_slice(), "{spec}");
+        }
     }
 }

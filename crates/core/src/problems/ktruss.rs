@@ -577,7 +577,7 @@ mod tests {
     fn sampling_and_vgc_requests_are_ignored_for_edge_peeling() {
         // Unit-incidence techniques cannot apply to the snapshot rule;
         // forcing them on must not change the output (this is what the
-        // KCORE_TECHNIQUES=sampling,vgc CI leg exercises).
+        // KCORE_TECHNIQUES=sampling CI leg exercises).
         let g = gen::planted_core(60, 2, 12, 3);
         let want = Decomposition::ktruss(&g).exact_config(Config::default()).run();
         let forced = Config::with_techniques(Techniques::all_online());

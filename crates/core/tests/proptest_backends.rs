@@ -1,28 +1,23 @@
-//! Backend-equivalence matrix: every adjacency backend must be
-//! observationally identical.
+//! Storage-equivalence matrix: a graph mmapped zero-copy from a
+//! `KCOREGR1` file must be observationally identical to the owned CSR
+//! it was saved from.
 //!
-//! The [`kcore_graph::GraphBackend`] seam promises that peeling never
-//! sees which representation it runs over — plain owned CSR, the same
-//! CSR mmapped zero-copy from disk, or the delta+varint compressed
-//! blocks. These tests enforce the strongest version of that promise:
+//! * **coreness**, **densest** and **trussness** results must be
+//!   *bit-identical* between the owned and the mmapped graph, on the
+//!   seed generator families and on proptest-generated messy edge
+//!   lists;
+//! * the binary **on-disk format** round-trips through real files, and
+//!   corrupt or truncated files are rejected with errors by both the
+//!   copying reader and the mapper rather than turned into garbage
+//!   graphs.
 //!
-//! * **coreness** and **densest** results must be *bit-identical*
-//!   across plain/compressed/mmapped backends, on the seed generator
-//!   families and on proptest-generated messy edge lists;
-//! * **trussness** (a plain-only problem — the triangle kernels need
-//!   slice adjacency) is covered transitively: the compressed encode
-//!   must round-trip the exact graph, and the mmapped plain graph must
-//!   produce identical trussness;
-//! * the binary and compressed **on-disk formats** round-trip through
-//!   real files, and corrupt/truncated files are rejected with errors
-//!   rather than garbage graphs.
-//!
-//! Runs use `exact_config` so the matrix is deterministic under the
-//! `KCORE_BACKEND` / `KCORE_TECHNIQUES` CI legs (the env-gate path
-//! itself is pinned by the trace-snapshot suite).
+//! The overlay graph, the other storage the k-core peel runs over, is
+//! checked against a full recompute by `proptest_maintain`. Runs use
+//! `exact_config` so the matrix is deterministic under the
+//! `KCORE_TECHNIQUES` CI legs.
 
 use kcore::{Config, Decomposition};
-use kcore_graph::{gen, io, CompressedCsr, CsrGraph, GraphBuilder};
+use kcore_graph::{gen, io, CsrGraph, GraphBuilder};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -43,14 +38,12 @@ impl Drop for TempPath {
     }
 }
 
-/// The three flavors of one graph: owned, compressed, and mmapped
-/// (round-tripped through a real file so the zero-copy path runs).
-fn flavors(g: &CsrGraph, tag: &str) -> (CompressedCsr, CsrGraph) {
-    let compressed = CompressedCsr::from_graph(g);
+/// The mmapped twin of `g`, round-tripped through a real file so the
+/// zero-copy path runs.
+fn mapped(g: &CsrGraph, tag: &str) -> CsrGraph {
     let path = TempPath::new(&format!("{tag}.kcg"));
     io::save_binary(g, &path.0).expect("save binary");
-    let mapped = io::map_binary(&path.0).expect("map binary");
-    (compressed, mapped)
+    io::map_binary(&path.0).expect("map binary")
 }
 
 fn seed_family() -> Vec<(&'static str, CsrGraph)> {
@@ -69,12 +62,10 @@ fn seed_family() -> Vec<(&'static str, CsrGraph)> {
 #[test]
 fn coreness_is_bit_identical_across_backends() {
     for (tag, g) in seed_family() {
-        let (compressed, mapped) = flavors(&g, &format!("core-{tag}"));
+        let mapped = mapped(&g, &format!("core-{tag}"));
         let config = Config::default();
         let plain = Decomposition::kcore(&g).exact_config(config).run();
-        let comp = Decomposition::kcore(&compressed).exact_config(config).run();
         let mmap = Decomposition::kcore(&mapped).exact_config(config).run();
-        assert_eq!(plain.coreness(), comp.coreness(), "{tag}: compressed drifts");
         assert_eq!(plain.coreness(), mmap.coreness(), "{tag}: mmapped drifts");
     }
 }
@@ -82,16 +73,14 @@ fn coreness_is_bit_identical_across_backends() {
 #[test]
 fn densest_is_bit_identical_across_backends() {
     for (tag, g) in seed_family() {
-        let (compressed, mapped) = flavors(&g, &format!("densest-{tag}"));
+        let mapped = mapped(&g, &format!("densest-{tag}"));
         let config = Config::default();
         let plain = Decomposition::densest(&g).exact_config(config).run();
-        let comp = Decomposition::densest(&compressed).exact_config(config).run();
         let mmap = Decomposition::densest(&mapped).exact_config(config).run();
         // f64 equality on purpose: the histogram post-pass is
         // deterministic, so the whole density curve must match bitwise.
-        assert_eq!(plain.densities(), comp.densities(), "{tag}: compressed curve drifts");
-        assert_eq!(plain.best_k(), comp.best_k(), "{tag}: compressed best_k drifts");
         assert_eq!(plain.densities(), mmap.densities(), "{tag}: mmapped curve drifts");
+        assert_eq!(plain.best_k(), mmap.best_k(), "{tag}: mmapped best_k drifts");
         assert_eq!(plain.members(), mmap.members(), "{tag}: mmapped membership drifts");
     }
 }
@@ -99,15 +88,7 @@ fn densest_is_bit_identical_across_backends() {
 #[test]
 fn trussness_covered_via_decode_roundtrip_and_mmap() {
     for (tag, g) in seed_family() {
-        // Compressed leg, transitively: decode must reproduce the graph
-        // bit-for-bit, so any ktruss answer over the decode is the
-        // plain answer.
-        let compressed = CompressedCsr::from_graph(&g);
-        assert_eq!(compressed.decompress(), g, "{tag}: compressed round-trip");
-        // Mmap leg, directly: trussness over the mapped flavor.
-        let path = TempPath::new(&format!("truss-{tag}.kcg"));
-        io::save_binary(&g, &path.0).expect("save binary");
-        let mapped = io::map_binary(&path.0).expect("map binary");
+        let mapped = mapped(&g, &format!("truss-{tag}"));
         let config = Config::default();
         let plain = Decomposition::ktruss(&g).exact_config(config).run();
         let mmap = Decomposition::ktruss(&mapped).exact_config(config).run();
@@ -116,51 +97,23 @@ fn trussness_covered_via_decode_roundtrip_and_mmap() {
 }
 
 #[test]
-fn compressed_format_round_trips_through_files() {
-    for (tag, g) in seed_family() {
-        let compressed = CompressedCsr::from_graph(&g);
-        let path = TempPath::new(&format!("fmt-{tag}.kcc"));
-        io::save_compressed(&compressed, &path.0).expect("save compressed");
-        let loaded = io::load_compressed(&path.0).expect("load compressed");
-        assert_eq!(loaded.decompress(), g, "{tag}: loaded compressed graph drifts");
-        let mapped = io::map_compressed(&path.0).expect("map compressed");
-        let config = Config::default();
-        let plain = Decomposition::kcore(&g).exact_config(config).run();
-        let got = Decomposition::kcore(&mapped).exact_config(config).run();
-        assert_eq!(plain.coreness(), got.coreness(), "{tag}: mapped compressed drifts");
-    }
-}
-
-#[test]
 fn corrupt_and_truncated_files_are_rejected() {
     let g = gen::barabasi_albert(60, 3, 2);
     let bin = TempPath::new("corrupt.kcg");
     io::save_binary(&g, &bin.0).expect("save binary");
-    let comp = TempPath::new("corrupt.kcc");
-    io::save_compressed(&CompressedCsr::from_graph(&g), &comp.0).expect("save compressed");
-
-    let good_bin = std::fs::read(&bin.0).expect("read back binary");
-    let good_comp = std::fs::read(&comp.0).expect("read back compressed");
+    let good = std::fs::read(&bin.0).expect("read back binary");
 
     // Truncation: drop the tail of the payload.
-    std::fs::write(&bin.0, &good_bin[..good_bin.len() - 5]).expect("truncate binary");
+    std::fs::write(&bin.0, &good[..good.len() - 5]).expect("truncate binary");
     assert!(io::load_binary(&bin.0).is_err(), "truncated binary accepted");
     assert!(io::map_binary(&bin.0).is_err(), "truncated binary mapped");
-    std::fs::write(&comp.0, &good_comp[..good_comp.len() - 5]).expect("truncate compressed");
-    assert!(io::load_compressed(&comp.0).is_err(), "truncated compressed accepted");
-    assert!(io::map_compressed(&comp.0).is_err(), "truncated compressed mapped");
 
-    // Corrupt magic: every reader of either format must refuse, so a
-    // file of one format can never be misread as the other.
-    for (path, good) in [(&bin.0, &good_bin), (&comp.0, &good_comp)] {
-        let mut bad = good.clone();
-        bad[0] ^= 0xff;
-        std::fs::write(path, &bad).expect("corrupt");
-        assert!(io::load_binary(path).is_err(), "bad-magic file accepted by load_binary");
-        assert!(io::map_binary(path).is_err(), "bad-magic file accepted by map_binary");
-        assert!(io::load_compressed(path).is_err(), "bad-magic file accepted by load_compressed");
-        assert!(io::map_compressed(path).is_err(), "bad-magic file accepted by map_compressed");
-    }
+    // Corrupt magic: both readers must refuse.
+    let mut bad = good.clone();
+    bad[0] ^= 0xff;
+    std::fs::write(&bin.0, &bad).expect("corrupt");
+    assert!(io::load_binary(&bin.0).is_err(), "bad-magic file accepted by load_binary");
+    assert!(io::map_binary(&bin.0).is_err(), "bad-magic file accepted by map_binary");
 }
 
 /// Arbitrary messy edge list: duplicates and self-loops allowed — the
@@ -176,19 +129,12 @@ fn arb_graph() -> impl Strategy<Value = CsrGraph> {
 proptest! {
     #[test]
     fn arbitrary_graphs_agree_across_backends(g in arb_graph(), case in 0u32..u32::MAX) {
-        let compressed = CompressedCsr::from_graph(&g);
-        prop_assert_eq!(compressed.decompress(), g.clone());
-        prop_assert_eq!(compressed.num_arcs(), g.num_arcs());
-
-        let path = TempPath::new(&format!("prop-{case}.kcg"));
-        io::save_binary(&g, &path.0).expect("save binary");
-        let mapped = io::map_binary(&path.0).expect("map binary");
+        let mapped = mapped(&g, &format!("prop-{case}"));
+        prop_assert_eq!(&mapped, &g);
 
         let config = Config::default();
         let plain = Decomposition::kcore(&g).exact_config(config).run();
-        let comp = Decomposition::kcore(&compressed).exact_config(config).run();
         let mmap = Decomposition::kcore(&mapped).exact_config(config).run();
-        prop_assert_eq!(plain.coreness(), comp.coreness());
         prop_assert_eq!(plain.coreness(), mmap.coreness());
     }
 }

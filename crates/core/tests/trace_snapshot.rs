@@ -11,7 +11,7 @@
 
 use kcore::{sequential_trussness, Config, Decomposition, DynamicGraph, TriangleCtx};
 use kcore_graph::triangles::edge_supports;
-use kcore_graph::{env_backend, gen, BackendKind, EdgeIndex};
+use kcore_graph::{gen, EdgeIndex};
 use kcore_obs::{set_level, Level, TraceReport};
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -46,17 +46,9 @@ fn span_tree_of_a_fixed_minbucket_kcore_run_is_pinned() {
     let stats = result.stats();
     // The default MinBucket unit driver emits one `round` (and one
     // bucket drain) per live k value, one `subround` (and one refile) per
-    // frontier wave — exactly the quantities RunStats counts. The
-    // `KCORE_BACKEND=compressed` CI leg re-encodes the graph inside the
-    // facade, which is visible as one extra `build.encode` root — proof
-    // the override actually reaches `Decomposition::run`.
-    let encode = match env_backend() {
-        BackendKind::Compressed => "build.encode x1\n",
-        BackendKind::Plain => "",
-    };
+    // frontier wave — exactly the quantities RunStats counts.
     let expected = format!(
-        "{encode}\
-         k-core x1\n\
+        "k-core x1\n\
          \x20 round x{rounds}\n\
          \x20   bucket.drain x{rounds}\n\
          \x20   subround x{subrounds}\n\
@@ -272,13 +264,8 @@ fn densest_run_records_exactly_the_kcore_tree() {
     let report = TraceReport::capture();
     set_level(Level::Off);
     // Densest subgraph is the k-core peel plus an untraced density
-    // post-pass, so it records the k-core tree (after the compressed
-    // leg's re-encode, like k-core itself).
-    let encode = match env_backend() {
-        BackendKind::Compressed => "build.encode x1\n",
-        BackendKind::Plain => "",
-    };
-    assert_eq!(report.span_tree(tid), format!("{encode}{}", kcore_tree(result.stats())));
+    // post-pass, so it records the k-core tree.
+    assert_eq!(report.span_tree(tid), kcore_tree(result.stats()));
 }
 
 #[test]
@@ -288,6 +275,5 @@ fn dynamic_graph_construction_peels_a_kcore_root() {
     let (dynamic, tid) = traced(|| DynamicGraph::with_exact_config(g, Config::default()));
     let report = TraceReport::capture();
     set_level(Level::Off);
-    // The overlay graph is not plain CSR, so no backend re-encode runs.
     assert_eq!(report.span_tree(tid), kcore_tree(dynamic.result().stats()));
 }

@@ -322,11 +322,6 @@ impl crate::backend::GraphBackend for CsrGraph {
     }
 
     #[inline]
-    fn num_arcs(&self) -> usize {
-        self.num_arcs()
-    }
-
-    #[inline]
     fn degree(&self, v: VertexId) -> usize {
         self.degree(v)
     }
@@ -344,10 +339,6 @@ impl crate::backend::GraphBackend for CsrGraph {
             aux_bytes: 0,
             arcs: self.num_arcs(),
         }
-    }
-
-    fn as_plain(&self) -> Option<&CsrGraph> {
-        Some(self)
     }
 }
 

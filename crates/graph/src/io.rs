@@ -1,5 +1,5 @@
-//! Graph serialization: edge-list text, adjacency-graph text, and two
-//! binary formats (plain and compressed) with zero-copy mmap loading.
+//! Graph serialization: edge-list text, adjacency-graph text, and a
+//! binary format with zero-copy mmap loading.
 //!
 //! * **Edge list** — one `u v` pair per line, `#`-prefixed comments;
 //!   the interchange format of SNAP and most graph repositories. The
@@ -14,12 +14,8 @@
 //!   `u64` offsets and `u32` edges on their natural alignment, so
 //!   [`map_binary`] serves the file bytes directly as a [`CsrGraph`]
 //!   with no decode or copy.
-//! * **`KCOREGC1` binary** — the same idea for [`CompressedCsr`]: a
-//!   32-byte header, `u64` byte-offsets, `u32` degrees, then the varint
-//!   blocks. [`map_compressed`] maps it zero-copy.
 
 use crate::builder::StreamBuilder;
-use crate::compressed::CompressedCsr;
 use crate::csr::{CsrGraph, VertexId};
 use crate::mmap::{MmapRegion, RawSlice};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -27,7 +23,6 @@ use std::path::Path;
 use std::sync::Arc;
 
 const BINARY_MAGIC: &[u8; 8] = b"KCOREGR1";
-const COMPRESSED_MAGIC: &[u8; 8] = b"KCOREGC1";
 
 /// Writes `g` as an edge list (`u v` per line, each undirected edge once).
 pub fn write_edge_list<W: Write>(g: &CsrGraph, w: W) -> io::Result<()> {
@@ -263,134 +258,6 @@ fn map_binary_impl(path: &Path) -> io::Result<CsrGraph> {
     load_binary(path)
 }
 
-/// Writes `c` in the compressed binary format: `KCOREGC1` magic, u64 n,
-/// u64 arcs, u64 block-section length (a 32-byte header), then (n+1)
-/// u64 byte-offsets, n u32 degrees, the varint blocks, and 8 zero pad
-/// bytes (the decoder's over-read margin — see
-/// `compressed::BLOCK_PAD`); little-endian. Every section lands on its
-/// natural alignment for [`map_compressed`].
-pub fn write_compressed<W: Write>(c: &CompressedCsr, w: W) -> io::Result<()> {
-    let mut w = BufWriter::new(w);
-    w.write_all(COMPRESSED_MAGIC)?;
-    w.write_all(&(c.num_vertices() as u64).to_le_bytes())?;
-    w.write_all(&(c.num_arcs() as u64).to_le_bytes())?;
-    w.write_all(&(c.blocks().len() as u64).to_le_bytes())?;
-    for &off in c.offsets() {
-        w.write_all(&(off as u64).to_le_bytes())?;
-    }
-    for &d in c.degree_table() {
-        w.write_all(&d.to_le_bytes())?;
-    }
-    w.write_all(c.blocks())?;
-    w.write_all(&[0u8; crate::compressed::BLOCK_PAD])?;
-    w.flush()
-}
-
-/// Reads the compressed binary format written by [`write_compressed`].
-pub fn read_compressed<R: Read>(r: R) -> io::Result<CompressedCsr> {
-    let mut r = BufReader::new(r);
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != COMPRESSED_MAGIC {
-        return Err(bad("bad magic"));
-    }
-    let mut b8 = [0u8; 8];
-    r.read_exact(&mut b8)?;
-    let n = u64::from_le_bytes(b8) as usize;
-    r.read_exact(&mut b8)?;
-    let arcs = u64::from_le_bytes(b8) as usize;
-    r.read_exact(&mut b8)?;
-    let blocks_len = u64::from_le_bytes(b8) as usize;
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        r.read_exact(&mut b8)?;
-        offsets.push(u64::from_le_bytes(b8) as usize);
-    }
-    if offsets.last() != Some(&blocks_len) {
-        return Err(bad("offset/block length mismatch"));
-    }
-    let mut degrees = Vec::with_capacity(n);
-    let mut b4 = [0u8; 4];
-    for _ in 0..n {
-        r.read_exact(&mut b4)?;
-        degrees.push(u32::from_le_bytes(b4));
-    }
-    if degrees.iter().map(|&d| d as usize).sum::<usize>() != arcs {
-        return Err(bad("degree/arc count mismatch"));
-    }
-    let mut blocks = vec![0u8; blocks_len];
-    r.read_exact(&mut blocks)?;
-    let mut pad = [0u8; crate::compressed::BLOCK_PAD];
-    r.read_exact(&mut pad).map_err(|_| bad("missing block pad section"))?;
-    // Full block validation up front: the peel-loop decoder reads the
-    // blocks unchecked, so untrusted bytes must be proven well-formed
-    // before they are trusted.
-    crate::compressed::validate_blocks(&offsets, &degrees, &blocks)
-        .map_err(|e| bad(&format!("malformed block section: {e}")))?;
-    Ok(CompressedCsr::from_parts_unchecked(arcs, offsets, degrees, blocks))
-}
-
-/// Convenience: writes the compressed format to a file path.
-pub fn save_compressed<P: AsRef<Path>>(c: &CompressedCsr, path: P) -> io::Result<()> {
-    write_compressed(c, std::fs::File::create(path)?)
-}
-
-/// Convenience: reads the compressed format from a file path.
-pub fn load_compressed<P: AsRef<Path>>(path: P) -> io::Result<CompressedCsr> {
-    read_compressed(std::fs::File::open(path)?)
-}
-
-/// Memory-maps a `KCOREGC1` file as a zero-copy [`CompressedCsr`] —
-/// offsets, degrees, and varint blocks all point into the mapping.
-/// Falls back to the copying [`load_compressed`] on targets without
-/// zero-copy support (see [`map_binary`]).
-pub fn map_compressed<P: AsRef<Path>>(path: P) -> io::Result<CompressedCsr> {
-    map_compressed_impl(path.as_ref())
-}
-
-#[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
-fn map_compressed_impl(path: &Path) -> io::Result<CompressedCsr> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    let region = Arc::new(MmapRegion::map_file(&std::fs::File::open(path)?)?);
-    let bytes = region.bytes();
-    if bytes.len() < 32 || &bytes[..8] != COMPRESSED_MAGIC {
-        return Err(bad("bad magic"));
-    }
-    let n = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-    let arcs = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-    let blocks_len = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
-    let offsets = RawSlice::<usize>::from_bytes(bytes, 32, n + 1)
-        .ok_or_else(|| bad("truncated offset section"))?;
-    let degrees_at = 32 + 8 * (n + 1);
-    let degrees = RawSlice::<u32>::from_bytes(bytes, degrees_at, n)
-        .ok_or_else(|| bad("truncated degree section"))?;
-    let blocks_at = degrees_at + 4 * n;
-    let blocks = RawSlice::<u8>::from_bytes(bytes, blocks_at, blocks_len)
-        .ok_or_else(|| bad("truncated block section"))?;
-    // The decoder may read one byte past the blocks; the format's pad
-    // bytes must be inside the mapping to keep that load backed.
-    if bytes.len() < blocks_at + blocks_len + crate::compressed::BLOCK_PAD {
-        return Err(bad("missing block pad section"));
-    }
-    if offsets.as_slice().last() != Some(&blocks_len) {
-        return Err(bad("offset/block length mismatch"));
-    }
-    if degrees.as_slice().iter().map(|&d| d as usize).sum::<usize>() != arcs {
-        return Err(bad("degree/arc count mismatch"));
-    }
-    // Same up-front validation as the copying reader: the unchecked
-    // hot-path decoder must never see a malformed mapped block.
-    crate::compressed::validate_blocks(offsets.as_slice(), degrees.as_slice(), blocks.as_slice())
-        .map_err(|e| bad(&format!("malformed block section: {e}")))?;
-    Ok(CompressedCsr::from_mapped(region, arcs, offsets, degrees, blocks))
-}
-
-#[cfg(not(all(unix, target_pointer_width = "64", target_endian = "little")))]
-fn map_compressed_impl(path: &Path) -> io::Result<CompressedCsr> {
-    load_compressed(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -577,51 +444,5 @@ mod tests {
         for p in [full, truncated, header_only, bad_magic] {
             let _ = std::fs::remove_file(p);
         }
-    }
-
-    #[test]
-    fn compressed_round_trip() {
-        let g = gen::barabasi_albert(300, 4, 2);
-        let c = CompressedCsr::from_graph(&g);
-        let mut buf = Vec::new();
-        write_compressed(&c, &mut buf).unwrap();
-        let d = read_compressed(&buf[..]).unwrap();
-        assert_eq!(d.decompress(), g);
-    }
-
-    #[test]
-    fn compressed_rejects_bad_magic_and_truncation() {
-        let c = CompressedCsr::from_graph(&sample());
-        let mut buf = Vec::new();
-        write_compressed(&c, &mut buf).unwrap();
-        let mut corrupt = buf.clone();
-        corrupt[3] = b'?';
-        assert!(read_compressed(&corrupt[..]).is_err());
-        assert!(read_compressed(&buf[..buf.len() - 1]).is_err());
-    }
-
-    #[test]
-    fn mapped_compressed_equals_original() {
-        let g = gen::rmat(8, 10, 0.55, 0.2, 0.2, 4);
-        let c = CompressedCsr::from_graph(&g);
-        let path = temp_path("mapped.cgr");
-        save_compressed(&c, &path).unwrap();
-        let mapped = map_compressed(&path).unwrap();
-        assert_eq!(mapped.num_arcs(), g.num_arcs());
-        assert_eq!(mapped.decompress(), g);
-        #[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
-        assert!(mapped.is_mapped());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn mapped_compressed_rejects_truncation() {
-        let c = CompressedCsr::from_graph(&sample());
-        let mut buf = Vec::new();
-        write_compressed(&c, &mut buf).unwrap();
-        let cut = temp_path("cut.cgr");
-        std::fs::write(&cut, &buf[..buf.len() - 2]).unwrap();
-        assert!(map_compressed(&cut).is_err());
-        let _ = std::fs::remove_file(&cut);
     }
 }

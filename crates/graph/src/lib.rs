@@ -11,13 +11,11 @@
 //! * [`StreamBuilder`] — the large-input ingestion path: bounded edge
 //!   shards finished by a parallel counting sort, so building never
 //!   holds one giant arc vector.
-//! * [`GraphBackend`] — the storage seam the peel algorithms run over:
-//!   plain CSR, the [`OverlayGraph`] delta view, or the Ligra+-style
-//!   delta+varint [`CompressedCsr`] (selected in CI via the
-//!   `KCORE_BACKEND` env override, see [`env_backend`]). The
-//!   triangle-side types ([`TriangleCtx`], [`EdgeIndex`])
-//!   intentionally keep requiring the plain backend — their kernels
-//!   lean on random access into raw arc arrays.
+//! * [`GraphBackend`] — the storage seam the k-core peel runs over:
+//!   plain CSR (owned or mmapped) or the [`OverlayGraph`] delta view.
+//!   The triangle-side types ([`TriangleCtx`], [`EdgeIndex`]) take
+//!   [`CsrGraph`] itself — their kernels lean on random access into
+//!   raw arc arrays.
 //! * [`OverlayGraph`] — a mutable edge-delta overlay over an immutable
 //!   CSR base, with threshold compaction through the parallel builder;
 //!   the logical-graph type behind batch-dynamic maintenance.
@@ -25,8 +23,8 @@
 //!   the paper's evaluation (grids, cubes, meshes, road-like networks,
 //!   RMAT / Barabási–Albert power-law graphs, planted-core web-like
 //!   graphs, k-NN graphs, and the adversarial HCNS construction).
-//! * [`io`] — edge-list text, adjacency-graph text, and compact binary
-//!   serialization.
+//! * [`io`] — edge-list text, adjacency-graph text, and the compact
+//!   `KCOREGR1` binary format, which [`io::map_binary`] maps zero-copy.
 //! * [`stats`] — degree statistics used by the benchmark tables.
 //! * [`edges`] / [`triangles`] — the edge-id view ([`EdgeIndex`]) and
 //!   parallel triangle primitives that back *edge* peeling (k-truss):
@@ -44,7 +42,6 @@
 
 pub mod backend;
 pub mod builder;
-pub mod compressed;
 pub mod csr;
 pub mod dodg;
 pub mod edges;
@@ -55,9 +52,8 @@ pub mod overlay;
 pub mod stats;
 pub mod triangles;
 
-pub use backend::{env_backend, BackendKind, GraphBackend};
+pub use backend::GraphBackend;
 pub use builder::{GraphBuilder, StreamBuilder};
-pub use compressed::CompressedCsr;
 pub use csr::{CsrGraph, VertexId};
 pub use dodg::TriangleCtx;
 pub use edges::EdgeIndex;

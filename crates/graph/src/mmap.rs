@@ -1,19 +1,17 @@
 //! Read-only memory mapping for zero-copy graph loading.
 //!
 //! [`MmapRegion`] wraps a private, read-only `mmap` of a whole file.
-//! The binary graph formats in [`crate::io`] were laid out so that
-//! their array sections land on their natural alignment (the header is
+//! The `KCOREGR1` binary format in [`crate::io`] was laid out so that
+//! its array sections land on their natural alignment (the header is
 //! 8-byte aligned and every section size is a multiple of its element
-//! size), which lets [`crate::CsrGraph`] and [`crate::CompressedCsr`]
-//! point their storage *into* the mapping instead of copying it to the
-//! heap — datasets larger than RAM load lazily, one page fault at a
-//! time, exactly the semi-external regime Julienne's bucketing was
-//! designed for.
+//! size), which lets [`crate::CsrGraph`] point its storage *into* the
+//! mapping instead of copying it to the heap — datasets larger than
+//! RAM load lazily, one page fault at a time.
 //!
 //! The container has no `libc` crate, so the syscalls are declared
 //! directly; on non-Unix platforms (or non-64-bit / big-endian
 //! targets, where the on-disk `u64` arrays cannot alias `usize`) the
-//! callers in `io` fall back to the copying readers.
+//! caller in `io` falls back to the copying reader.
 
 use std::fs::File;
 use std::io;
@@ -21,7 +19,7 @@ use std::io;
 /// A read-only, privately mapped view of an entire file.
 ///
 /// Dropping the region unmaps it; cloning is done by wrapping it in an
-/// `Arc` (see the `Mapped` storage variants in `csr`/`compressed`).
+/// `Arc` (see the `Mapped` storage variant in `csr`).
 pub struct MmapRegion {
     ptr: *const u8,
     len: usize,
@@ -55,8 +53,8 @@ mod sys {
 impl MmapRegion {
     /// Maps the whole of `file` read-only.
     ///
-    /// Fails with `Unsupported` on non-Unix targets (callers fall back
-    /// to the copying readers) and with the OS error if `mmap` refuses.
+    /// Fails with `Unsupported` on non-Unix targets (the caller falls
+    /// back to the copying reader) and with the OS error if `mmap` refuses.
     /// An empty file maps to an empty region without a syscall.
     pub fn map_file(file: &File) -> io::Result<Self> {
         let len = file.metadata()?.len();
@@ -130,7 +128,7 @@ impl Drop for MmapRegion {
 }
 
 /// A raw `(ptr, len)` view into an [`MmapRegion`], used by the `Mapped`
-/// storage variants to hold typed slices without a self-referential
+/// storage variant of `CsrGraph` to hold typed slices without a self-referential
 /// lifetime. The owner must keep the region alive (they hold it in an
 /// `Arc` next to the slice) and must have checked alignment and bounds
 /// when constructing it.

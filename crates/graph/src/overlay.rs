@@ -215,11 +215,6 @@ impl crate::backend::GraphBackend for OverlayGraph {
     }
 
     #[inline]
-    fn num_arcs(&self) -> usize {
-        self.num_arcs()
-    }
-
-    #[inline]
     fn degree(&self, v: VertexId) -> usize {
         self.degree(v)
     }

@@ -4,7 +4,8 @@
 //! complexity ρ per graph. `k_max` and ρ come from running the
 //! decomposition itself; everything degree-shaped lives here, plus the
 //! [`MemoryFootprint`] report every [`crate::GraphBackend`] produces so
-//! bytes-per-edge is a tracked number rather than a guess.
+//! bytes-per-edge is a tracked number rather than a guess (the
+//! repository benchmark reports a graph's total as `graph.bytes`).
 
 use crate::backend::GraphBackend;
 use crate::csr::{CsrGraph, VertexId};
@@ -12,21 +13,17 @@ use rayon::prelude::*;
 
 /// Byte-level memory accounting of one graph backend.
 ///
-/// Produced by [`GraphBackend::memory`]; `bench_build` prints it and the
-/// compression acceptance criterion (≥30% fewer neighbor bytes on
-/// power-law graphs) is checked against `neighbor_bytes`.
+/// Produced by [`GraphBackend::memory`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryFootprint {
-    /// Short backend name (`"csr"`, `"csr-mmap"`, `"compressed"`, ...).
+    /// Short backend name (`"csr"`, `"csr-mmap"` or `"overlay"`).
     pub backend: &'static str,
     /// Bytes in the per-vertex offset array.
     pub offsets_bytes: usize,
-    /// Bytes holding the adjacency itself — plain `u32` targets for the
-    /// CSR backends, varint blocks for the compressed one. This is the
-    /// number compression shrinks.
+    /// Bytes holding the adjacency itself: the `u32` neighbor targets.
     pub neighbor_bytes: usize,
-    /// Everything else the backend keeps per graph (degree tables,
-    /// overlay delta maps, ...).
+    /// Everything else the backend keeps per graph (the overlay's
+    /// delta lists).
     pub aux_bytes: usize,
     /// Directed arc count, for the per-edge ratios.
     pub arcs: usize,
@@ -46,30 +43,19 @@ impl MemoryFootprint {
             self.total_bytes() as f64 / (self.arcs as f64 / 2.0)
         }
     }
-
-    /// Neighbor-section bytes per arc — the Ligra+-style compression
-    /// headline number (plain CSR is exactly 4.0).
-    pub fn neighbor_bytes_per_arc(&self) -> f64 {
-        if self.arcs == 0 {
-            0.0
-        } else {
-            self.neighbor_bytes as f64 / self.arcs as f64
-        }
-    }
 }
 
 impl std::fmt::Display for MemoryFootprint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}: {} B total ({} offsets + {} neighbors + {} aux), {:.2} B/edge, {:.2} nbr-B/arc",
+            "{}: {} B total ({} offsets + {} neighbors + {} aux), {:.2} B/edge",
             self.backend,
             self.total_bytes(),
             self.offsets_bytes,
             self.neighbor_bytes,
             self.aux_bytes,
             self.bytes_per_edge(),
-            self.neighbor_bytes_per_arc(),
         )
     }
 }
