@@ -15,7 +15,7 @@ fn bench_strategies(c: &mut Criterion) {
     ];
     for (name, g) in &graphs {
         for strategy in BucketStrategy::ALL {
-            let config = Config { collect_stats: false, ..Config::with_strategy(strategy) };
+            let config = Config::with_strategy(strategy);
             c.bench_function(&format!("buckets/{name}/{strategy}"), |b| {
                 b.iter(|| black_box(Decomposition::kcore(g).config(config).run()))
             });

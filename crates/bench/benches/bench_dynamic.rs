@@ -40,7 +40,7 @@ fn pick_batch(edges: &[(u32, u32)], start: usize, size: usize) -> Vec<(u32, u32)
 
 fn bench_graph(c: &mut Criterion, name: &str, g: &CsrGraph, batches: &[usize]) {
     let edges: Vec<(u32, u32)> = g.edges().collect();
-    let config = Config { collect_stats: false, ..Config::default() };
+    let config = Config::default();
 
     // Baseline: what a batch costs if every change triggers a fresh
     // one-shot decomposition of the full graph.

@@ -29,7 +29,7 @@ fn bench_problems(c: &mut Criterion) {
         ("planted-core-1500", gen::planted_core(1500, 3, 70, 42)),
         ("grid2d-60x60", gen::grid2d(60, 60)),
     ];
-    let config = Config { collect_stats: false, ..Config::default() };
+    let config = Config::default();
     for (name, g) in &graphs {
         c.bench_function(&format!("problems/{name}/kcore"), |b| {
             b.iter(|| black_box(Decomposition::kcore(g).exact_config(config).run()))
@@ -73,13 +73,9 @@ fn bench_problems(c: &mut Criterion) {
     }
     // Offline driver comparison on one representative.
     let (name, g) = &graphs[1];
-    let offline =
-        Config { collect_stats: false, techniques: Techniques::offline(), ..Config::default() };
+    let offline = Config::with_techniques(Techniques::offline());
     c.bench_function(&format!("problems/{name}/kcore-offline"), |b| {
         b.iter(|| black_box(Decomposition::kcore(g).exact_config(offline).run()))
-    });
-    c.bench_function(&format!("problems/{name}/ktruss-offline"), |b| {
-        b.iter(|| black_box(Decomposition::ktruss(g).exact_config(offline).run()))
     });
 }
 

@@ -60,7 +60,7 @@ fn bench_scalability(c: &mut Criterion) {
                 .collect();
             println!("scalability/{gname}/{vname} predicted speedup {}", predicted.join(" "));
 
-            let config = Config { collect_stats: false, techniques, ..Config::default() };
+            let config = Config::with_techniques(techniques);
             for threads in THREAD_SWEEP {
                 c.bench_function(&format!("scalability/{gname}/{vname}/t{threads}"), |b| {
                     // The pool lives outside the timing loop: iterations

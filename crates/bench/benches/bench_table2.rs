@@ -21,9 +21,8 @@ fn bench_families(c: &mut Criterion) {
             result.kmax(),
             result.stats().subrounds,
         );
-        let config = Config { collect_stats: false, ..Config::default() };
         c.bench_function(&format!("table2/{}", bg.name), |b| {
-            b.iter(|| black_box(Decomposition::kcore(&bg.graph).config(config).run()))
+            b.iter(|| black_box(Decomposition::kcore(&bg.graph).run()))
         });
     }
 }

@@ -30,7 +30,7 @@ fn bench_technique_ablation(c: &mut Criterion) {
         for (vname, techniques) in variants() {
             // Exact config: a stray KCORE_TECHNIQUES in the environment
             // must not silently rewrite the ablation rows.
-            let config = Config { collect_stats: false, techniques, ..Config::default() };
+            let config = Config::with_techniques(techniques);
             c.bench_function(&format!("techniques/{name}/{vname}"), |b| {
                 b.iter(|| black_box(Decomposition::kcore(g).exact_config(config).run()))
             });

@@ -8,10 +8,10 @@ use kcore_buckets::BucketStrategy;
 /// The defaults are the paper's design as far as it has been measured
 /// to pay on this codebase: the adaptive bucketing strategy (plain
 /// scanning until the θ-core, HBS beyond it), the online driver with
-/// vertical granularity control ([`Vgc::default`], Sec. 4.2), and
-/// statistics collection on. VGC collapses the tiny subrounds of
-/// road-like graphs and was not slower than the plain framework on any
-/// workload of the repository benchmark.
+/// vertical granularity control ([`Vgc::default`], Sec. 4.2). Run
+/// statistics are always collected. VGC collapses the tiny subrounds
+/// of road-like graphs and was not slower than the plain framework on
+/// any workload of the repository benchmark.
 ///
 /// Sampling (Sec. 4.1) stays off by default. On a 2-core machine, at 1
 /// and 2 workers, VGC plus sampling at the default threshold cost
@@ -21,11 +21,14 @@ use kcore_buckets::BucketStrategy;
 /// hubs by pool width needs measurements above 2 cores, so no such
 /// rule is guessed here.
 ///
-/// Techniques that do not apply to a problem are ignored (sampling and
-/// VGC assume unit incidences and are skipped for k-truss and the
-/// (k,h)-core). [`Techniques::default()`] is the plain framework of
-/// Alg. 1, the ablation baseline; set it through
-/// [`Config::techniques`] to opt out of VGC, or pick another block:
+/// Each problem honours the techniques its peel admits. k-truss ignores
+/// sampling, VGC and the offline driver: it runs its two-phase step
+/// under every techniques block. The (k,h)-core ignores VGC, and it
+/// rejects explicit sampling or offline requests with a panic, as the
+/// approximate densest subgraph does (which composes with VGC).
+/// [`Techniques::default()`] is the plain framework of Alg. 1, the
+/// ablation baseline; set it through [`Config::techniques`] to opt out
+/// of VGC, or pick another block:
 ///
 /// ```
 /// use kcore::{Config, Decomposition, Techniques};
@@ -45,10 +48,6 @@ pub struct Config {
     /// How per-round initial frontiers are produced (the third axis of
     /// the paper's Tab. 3 ablation).
     pub bucket_strategy: BucketStrategy,
-    /// Whether to fill [`kcore_parallel::RunStats`] (rounds, subrounds,
-    /// work, burdened span). Cheap relative to the peeling itself, so
-    /// on by default; benchmarks can turn it off.
-    pub collect_stats: bool,
     /// The paper's Sec. 4 practical techniques (sampling, vertical
     /// granularity control) and the online/offline driver choice.
     pub techniques: Techniques,
@@ -58,7 +57,6 @@ impl Default for Config {
     fn default() -> Self {
         Self {
             bucket_strategy: BucketStrategy::Adaptive,
-            collect_stats: true,
             techniques: Techniques { vgc: Some(Vgc::default()), ..Techniques::default() },
         }
     }
@@ -106,7 +104,7 @@ impl Techniques {
     }
 
     /// Offline histogram peeling (sampling and VGC are online-only and
-    /// stay off).
+    /// stay off). k-truss ignores it and peels online.
     pub fn offline() -> Self {
         Self { sampling: None, vgc: None, mode: PeelMode::Offline }
     }
@@ -123,7 +121,9 @@ pub enum PeelMode {
     /// — no per-edge atomics, more global synchronizations. The
     /// histogram picks atomic counting or sort + run-length encode from
     /// the gathered list's density
-    /// ([`kcore_parallel::histogram::histogram_auto`]).
+    /// ([`kcore_parallel::histogram::histogram_auto`]). Applies to
+    /// unit-incidence problems (k-core, densest subgraph, maintenance);
+    /// k-truss runs its two-phase step under either mode.
     Offline,
 }
 
@@ -200,7 +200,6 @@ mod tests {
     fn defaults_match_the_papers_final_design() {
         let c = Config::default();
         assert_eq!(c.bucket_strategy, BucketStrategy::Adaptive);
-        assert!(c.collect_stats);
         // VGC on, sampling opt-in, online driver; the techniques block
         // alone still defaults to the plain framework (the ablation
         // baseline).
@@ -214,7 +213,7 @@ mod tests {
     fn with_strategy_overrides_only_the_strategy() {
         let c = Config::with_strategy(BucketStrategy::Fixed);
         assert_eq!(c.bucket_strategy, BucketStrategy::Fixed);
-        assert_eq!(c.collect_stats, Config::default().collect_stats);
+        assert_eq!(c.techniques, Config::default().techniques);
     }
 
     #[test]

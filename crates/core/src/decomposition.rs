@@ -113,8 +113,8 @@ impl<'g, P> Decomposition<'g, P> {
         Self { g, problem, config: Config::default(), exact: false }
     }
 
-    /// Replaces the whole configuration (bucket strategy, techniques,
-    /// stats collection). The `KCORE_TECHNIQUES` environment override
+    /// Replaces the whole configuration (bucket strategy and
+    /// techniques). The `KCORE_TECHNIQUES` environment override
     /// still applies at `run`; use [`Decomposition::exact_config`] to
     /// bypass it.
     pub fn config(mut self, config: Config) -> Self {
@@ -140,12 +140,6 @@ impl<'g, P> Decomposition<'g, P> {
     /// Sets just the techniques block.
     pub fn techniques(mut self, techniques: Techniques) -> Self {
         self.config.techniques = techniques;
-        self
-    }
-
-    /// Disables run-statistics collection (benchmark timings).
-    pub fn without_stats(mut self) -> Self {
-        self.config.collect_stats = false;
         self
     }
 
@@ -290,20 +284,17 @@ mod tests {
     #[test]
     fn builder_shortcuts_stage_config_fields() {
         let g = gen::cycle(12);
-        let d = Decomposition::kcore(&g)
-            .strategy(BucketStrategy::Hierarchical)
-            .techniques(Techniques {
-                sampling: Some(Sampling::with_threshold(8)),
-                vgc: Some(Vgc::default()),
-                ..Techniques::default()
-            })
-            .without_stats();
+        let techniques = Techniques {
+            sampling: Some(Sampling::with_threshold(8)),
+            vgc: Some(Vgc::default()),
+            ..Techniques::default()
+        };
+        let d =
+            Decomposition::kcore(&g).strategy(BucketStrategy::Hierarchical).techniques(techniques);
         assert_eq!(d.staged_config().bucket_strategy, BucketStrategy::Hierarchical);
         assert!(d.staged_config().techniques.sampling.is_some());
-        assert!(!d.staged_config().collect_stats);
         let r = d.run();
         assert_eq!(r.coreness(), bz_coreness(&g).as_slice());
-        assert_eq!(r.stats().rounds, 0, "stats disabled");
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! VGC takes no token: [`Config::default`] already runs it. Both tokens
 //! are dropped for problems whose axes refuse them (the rule
 //! [`admits_sampling_and_offline`] shares with the engine's combination
-//! guard), so a blanket CI leg still runs every problem.
+//! guard), so a blanket CI leg still runs every problem. k-truss keeps
+//! both and ignores them.
 //!
 //! This is the only environment knob the decompositions read; tracing
 //! (`KCORE_TRACE`) is read by `kcore-obs`. The triangle kernels take no
@@ -80,8 +81,8 @@ mod tests {
     #[test]
     fn snapshot_axes_keep_offline() {
         // k-truss runs min-bucket rounds over a snapshot incidence, which
-        // the axis rule admits: the filter keeps offline (and sampling,
-        // which the two-phase step ignores) instead of following a
+        // the axis rule admits: the filter keeps offline and sampling
+        // (the two-phase step ignores both) instead of following a
         // per-problem token list.
         let g = gen::complete(4);
         let ctx = TriangleCtx::build(&g);

@@ -57,8 +57,8 @@
 //! * **Offline peeling** ([`PeelMode::Offline`]) — the Julienne-style
 //!   histogram driver: gather the frontier's decrements, histogram
 //!   them, apply in bulk; no per-target atomics, three global syncs per
-//!   subround. Applies to min-bucket problems with unit or snapshot
-//!   incidences;
+//!   subround. Applies to min-bucket problems with unit incidences;
+//!   k-truss accepts it and runs its two-phase step anyway.
 //!   [`Decomposition::members`] reuses it to answer single-core queries
 //!   by bulk range peeling.
 //!

@@ -262,8 +262,7 @@ mod tests {
                     for techniques in
                         [Techniques::default(), Techniques::all_online(), Techniques::offline()]
                     {
-                        let config =
-                            Config { bucket_strategy: strategy, techniques, ..Config::default() };
+                        let config = Config { bucket_strategy: strategy, techniques };
                         let sub = peel_subset(&overlay, &want, &region, config, &mut remap);
                         let expect: Vec<u32> = region.iter().map(|&v| want[v as usize]).collect();
                         assert_eq!(
@@ -344,7 +343,7 @@ mod tests {
             for techniques in
                 [Techniques::default(), Techniques::all_online(), Techniques::offline()]
             {
-                let config = Config { bucket_strategy: strategy, techniques, ..Config::default() };
+                let config = Config { bucket_strategy: strategy, techniques };
                 let sub = peel_subset(&overlay, &want, &[0, 15], config, &mut Vec::new());
                 assert_eq!(sub.coreness, [9, 3], "under {strategy}, {techniques:?}");
                 // Rounds 3 and 9 open; keys 0-2 and 4-8 are skipped.

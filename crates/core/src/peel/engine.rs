@@ -11,7 +11,7 @@
 //!   priorities, the update rule (an [`Incidence`]), the round
 //!   structure (a [`RoundPolicy`]), an optional per-settle action,
 //!   optional scheduled decrements, an optional hook after each
-//!   two-phase or offline subround's rule phase, and result assembly.
+//!   two-phase subround's rule phase, and result assembly.
 //!   The clients live in [`crate::problems`].
 //! * [`PeelEngine`] — owns everything else: one round/subround loop,
 //!   the hash-bag frontier, the pluggable bucket structure with its
@@ -48,26 +48,27 @@
 //!   global sync per subround; VGC chases local chains inside the task,
 //!   and sampling approximates hub priorities, each recounted exactly
 //!   at most once, at a round end, so every hub settle is exact.
-//! * *two-phase* — [`Incidence::Snapshot`] and [`Incidence::Recompute`]
-//!   online: stamp the whole frontier settled, barrier, then evaluate
-//!   the problem's rule against the frozen [`SettleView`]. A snapshot
-//!   rule emits unit decrements that may depend on other elements'
-//!   settle state (k-truss: a dying edge decrements the other two edges
-//!   of a triangle only while the triangle is still alive); a recompute
-//!   rule recomputes each affected priority from the survivors
-//!   ((k,h)-core: the live h-hop ball size, which can drop by many
-//!   units per death). Both go through the CAS clamp
+//! * *two-phase* — [`Incidence::Snapshot`] under either mode and
+//!   [`Incidence::Recompute`]: stamp the whole frontier settled,
+//!   barrier, then evaluate the problem's rule against the frozen
+//!   [`SettleView`]. A snapshot rule emits unit decrements that may
+//!   depend on other elements' settle state (k-truss: a dying edge
+//!   decrements the other two edges of a triangle only while the
+//!   triangle is still alive); a recompute rule recomputes each
+//!   affected priority from the survivors ((k,h)-core: the live h-hop
+//!   ball size, which can drop by many units per death). Both go through the CAS clamp
 //!   [`clamped_update`]. Two global syncs per subround.
-//! * *offline* — [`crate::PeelMode::Offline`] with unit or snapshot
-//!   incidences: settle, gather the frontier's decrements, histogram
-//!   them, and apply them in bulk without per-target atomics. Three
-//!   global syncs per subround.
+//! * *offline* — [`crate::PeelMode::Offline`] with unit incidences:
+//!   settle, gather the frontier's live incident elements, histogram
+//!   them, and apply the counts in bulk without per-target atomics.
+//!   Three global syncs per subround.
 //!
 //! Not every pairing is defined: sampling and the offline step need
-//! [`RoundPolicy::MinBucket`] and unit (or, for offline, snapshot)
-//! decrements, and are rejected with a panic otherwise (see
-//! [`PeelEngine::run`]); VGC composes with threshold rounds and is
-//! ignored by the two-phase step.
+//! [`RoundPolicy::MinBucket`] with unit or snapshot incidences, and are
+//! rejected with a panic otherwise (see [`PeelEngine::run`]). A
+//! snapshot problem accepts both and ignores them, as it ignores VGC:
+//! it runs the two-phase step under either mode. VGC composes with
+//! threshold rounds.
 
 use super::sampling::SamplingState;
 use super::{offline, vgc};
@@ -235,11 +236,12 @@ pub trait RecomputeRule: Sync {
 pub enum Incidence<'p> {
     /// One unit per settled incident element over static lists; peeled
     /// by the fused step (one sync per subround, sampling and VGC
-    /// available) or the offline step.
+    /// available) or, under [`crate::PeelMode::Offline`], the offline
+    /// step.
     Unit(&'p dyn UnitIncidence),
     /// Arbitrary rule against a consistent settle snapshot; peeled by
-    /// the two-phase step (settle barrier before rule evaluation) or
-    /// the offline step.
+    /// the two-phase step (settle barrier before rule evaluation) under
+    /// either mode, with sampling and VGC ignored.
     Snapshot(&'p dyn SnapshotRule),
     /// Priorities recomputed from scratch over the survivors; peeled by
     /// the two-phase step, with the CAS clamp (`clamped_update`)
@@ -368,11 +370,11 @@ pub trait PeelProblem: Sync {
         let _ = (e, k);
     }
 
-    /// Sequential point after a two-phase or offline subround's rule
-    /// phase: called once per subround with its settled `frontier`,
-    /// after every rule evaluation of the subround has returned and
-    /// before the next subround settles. No rule runs concurrently, so
-    /// the problem may restructure state its rule reads. An element
+    /// Sequential point after a two-phase subround's rule phase: called
+    /// once per subround with its settled `frontier`, after every rule
+    /// evaluation of the subround has returned and before the next
+    /// subround settles. No rule runs concurrently, so the problem may
+    /// restructure state its rule reads. An element
     /// that is not [`SettleView::alive`] in `view` is dead in every
     /// later subround's view. Default: nothing.
     #[inline]
@@ -410,10 +412,11 @@ impl<'p, P: PeelProblem> PeelEngine<'p, P> {
     /// # Panics
     ///
     /// Panics when the configured techniques cannot honor the
-    /// problem's axes: sampling and the offline step are
-    /// `RoundPolicy::MinBucket` + `Unit`/`Snapshot` refinements and are
-    /// rejected — never silently mis-run — under
-    /// [`RoundPolicy::Threshold`] or [`Incidence::Recompute`] (see
+    /// problem's axes: sampling and the offline step are requests for
+    /// `RoundPolicy::MinBucket` + `Unit`/`Snapshot` problems (a
+    /// snapshot problem ignores both) and are rejected — never silently
+    /// mis-run — under [`RoundPolicy::Threshold`] or
+    /// [`Incidence::Recompute`] (see
     /// `validate_combination`). Also panics when
     /// [`crate::Sampling::rate_log2`] is outside `0..=63`.
     pub fn run(&self) -> P::Output {
@@ -435,9 +438,10 @@ impl<'p, P: PeelProblem> PeelEngine<'p, P> {
     }
 }
 
-/// Whether sampling and the offline step can run on these axes: both
-/// are `RoundPolicy::MinBucket` refinements of unit or snapshot
-/// incidences.
+/// Whether sampling and the offline step may be requested on these
+/// axes: both are `RoundPolicy::MinBucket` refinements of unit
+/// incidences, and a snapshot incidence accepts and ignores them (it
+/// runs the two-phase step under either mode).
 ///
 /// Sampling approximates priorities that decrease by units, and the
 /// offline step histograms unit decrements — neither is defined for
@@ -468,7 +472,7 @@ pub(crate) fn validate_combination(
 ) {
     const VALID: &str = "valid combinations: sampling and offline require \
          RoundPolicy::MinBucket with Incidence::Unit or Incidence::Snapshot \
-         (sampling applies to Unit only and is otherwise ignored); \
+         (both apply to Unit only; Snapshot ignores them); \
          RoundPolicy::Threshold requires Incidence::Unit and composes with vgc; \
          Incidence::Recompute runs the online MinBucket driver, vgc ignored";
     if let Some(s) = config.techniques.sampling {
@@ -495,7 +499,8 @@ pub(crate) fn validate_combination(
 /// Picks the subround step for the configured mode and the problem's
 /// incidence and runs the round loop with it; the frontier source is
 /// the problem's [`RoundPolicy`]. [`validate_combination`] has already
-/// rejected the pairings no step can honor.
+/// rejected the pairings no step can honor. A snapshot incidence runs
+/// the two-phase step under either mode.
 fn peel<P: PeelProblem>(config: &Config, problem: &P, stats: &mut RunStats) -> Vec<u32> {
     let n = problem.num_elements();
     let init = problem.init_priorities();
@@ -504,7 +509,7 @@ fn peel<P: PeelProblem>(config: &Config, problem: &P, stats: &mut RunStats) -> V
             let step = Fused::new(config, inc, &init, stats);
             rounds(config, problem, init, step, stats)
         }
-        (PeelMode::Online, Incidence::Snapshot(rule)) => {
+        (_, Incidence::Snapshot(rule)) => {
             let step = TwoPhase::new(n, false, move |e, k, view, lower| {
                 let mut emitted = 0;
                 rule.for_each_decrement(e, k, view, &mut |t| {
@@ -538,23 +543,7 @@ fn peel<P: PeelProblem>(config: &Config, problem: &P, stats: &mut RunStats) -> V
             rounds(config, problem, init, step, stats)
         }
         (PeelMode::Offline, Incidence::Unit(inc)) => {
-            // Unit incidences read liveness from `settled`, so they need
-            // no stamps; they charge the frontier's full incident lists
-            // (the gather scans them all, live or not).
-            let step = OfflineStep::new(Stamps::none(), move |frontier, _, settled, _| {
-                let arcs = frontier.iter().map(|&v| inc.num_incident(v) as u64).sum();
-                (offline::gather_live(inc, frontier, settled), arcs)
-            });
-            rounds(config, problem, init, step, stats)
-        }
-        (PeelMode::Offline, Incidence::Snapshot(rule)) => {
-            // Snapshot rules charge the decrement list they emit.
-            let step = OfflineStep::new(Stamps::new(n), move |frontier, k, _, view| {
-                let gathered = offline::gather_rule(rule, frontier, k, view);
-                let work = gathered.len() as u64;
-                (gathered, work)
-            });
-            rounds(config, problem, init, step, stats)
+            rounds(config, problem, init, OfflineStep { inc }, stats)
         }
         (PeelMode::Offline, Incidence::Recompute(_)) => {
             unreachable!("rejected by validate_combination")
@@ -598,7 +587,6 @@ fn rounds<P: PeelProblem, S: Step>(
     let mut adaptive_pending = matches!(config.bucket_strategy, BucketStrategy::Adaptive);
     let max_prio = init.iter().copied().max().unwrap_or(0);
     drop(init);
-    let collect_stats = config.collect_stats;
     let mut remaining = n;
     let (mut index, mut floor) = (0u32, 0u32);
     while remaining > 0 {
@@ -618,10 +606,8 @@ fn rounds<P: PeelProblem, S: Step>(
                 let _drain = span!("bucket.drain", floor);
                 let (k, frontier, work) =
                     open_min_round(problem, &step, &mut *bucket, &view, floor, max_prio);
-                if collect_stats {
-                    stats.keys_skipped += u64::from(k - floor);
-                    stats.work += work;
-                }
+                stats.keys_skipped += u64::from(k - floor);
+                stats.work += work;
                 (k, k, frontier)
             }
             RoundPolicy::Threshold(policy) => {
@@ -654,16 +640,12 @@ fn rounds<P: PeelProblem, S: Step>(
             remaining -= frontier.len();
             let wave = step.subround(&r, &frontier);
             remaining -= wave.chased;
-            if collect_stats {
-                stats.max_frontier = stats.max_frontier.max(frontier.len());
-                stats.work += frontier.len() as u64 + wave.work;
-                stats.record_subround(wave.syncs, wave.chain);
-            }
+            stats.max_frontier = stats.max_frontier.max(frontier.len());
+            stats.work += frontier.len() as u64 + wave.work;
+            stats.record_subround(wave.syncs, wave.chain);
             frontier = wave.next;
         }
-        if collect_stats {
-            stats.record_round(subrounds);
-        }
+        stats.record_round(subrounds);
         index += 1;
         floor = clamp.saturating_add(1);
     }
@@ -806,7 +788,6 @@ struct Fused<'p> {
     sampling: Option<SamplingState>,
     counters: TechniqueCounters,
     chain_limit: u32,
-    collect_stats: bool,
     bag: HashBag,
 }
 
@@ -825,7 +806,6 @@ impl<'p> Fused<'p> {
             sampling,
             counters: TechniqueCounters::new(),
             chain_limit: config.techniques.vgc.map_or(0, |v| v.chain_limit),
-            collect_stats: config.collect_stats,
             bag: HashBag::new(init.len()),
         }
     }
@@ -858,11 +838,7 @@ impl Step for Fused<'_> {
 
     fn subround<P: PeelProblem>(&mut self, r: &Round<'_, P>, frontier: &[u32]) -> Wave {
         self.counters.reset_subround();
-        let arcs: usize = if self.collect_stats {
-            frontier.iter().map(|&v| self.inc.num_incident(v)).sum()
-        } else {
-            0
-        };
+        let arcs: usize = frontier.iter().map(|&v| self.inc.num_incident(v)).sum();
         let ctx = OnlineCtx {
             problem: r.problem,
             inc: self.inc,
@@ -890,40 +866,17 @@ impl Step for Fused<'_> {
     }
 }
 
-/// Subround stamps of the two-phase and offline steps: 0 = never
-/// settled; ids start at 1 and never reset, so [`SettleView::state`]
-/// tells same-subround peers from the dead.
-struct Stamps {
-    stamps: Vec<AtomicU32>,
-    current: u32,
-}
-
-impl Stamps {
-    fn new(n: usize) -> Self {
-        Self { stamps: (0..n).map(|_| AtomicU32::new(0)).collect(), current: 0 }
-    }
-
-    /// No stamps, for steps that read liveness from `settled` alone.
-    fn none() -> Self {
-        Self { stamps: Vec::new(), current: 0 }
-    }
-
-    /// The shared first phase: settles and stamps the whole frontier.
-    /// It completes before the caller's next phase reads the returned
-    /// view, so every worker sees the same snapshot.
-    fn settle<P: PeelProblem>(&mut self, r: &Round<'_, P>, frontier: &[u32]) -> SettleView<'_> {
-        self.current += 1;
-        let (stamps, current) = (&self.stamps, self.current);
-        let _settle = span!("settle", frontier.len());
-        frontier.par_iter().for_each(|&e| {
-            r.settled[e as usize].store(r.round, Ordering::Relaxed);
-            if let Some(stamp) = stamps.get(e as usize) {
-                stamp.store(current, Ordering::Relaxed);
-            }
-            r.problem.on_settle(e, r.round);
-        });
-        SettleView::new(stamps, current)
-    }
+/// The first phase of the two-phase and offline steps: settles the
+/// whole frontier, calling `stamp` on each element. It completes before
+/// the caller's next phase reads the settle state, so every worker sees
+/// the same snapshot.
+fn settle<P: PeelProblem>(r: &Round<'_, P>, frontier: &[u32], stamp: impl Fn(u32) + Sync) {
+    let _settle = span!("settle", frontier.len());
+    frontier.par_iter().for_each(|&e| {
+        r.settled[e as usize].store(r.round, Ordering::Relaxed);
+        stamp(e);
+        r.problem.on_settle(e, r.round);
+    });
 }
 
 /// Lowers priorities in a two-phase subround and files every element
@@ -957,7 +910,11 @@ impl Lowering<'_> {
 /// it sees a fixed snapshot, the stored values, and so the whole
 /// decomposition, are deterministic. Two global syncs per subround.
 struct TwoPhase<F> {
-    stamps: Stamps,
+    /// Subround stamps: 0 = never settled; ids start at 1 and never
+    /// reset, so [`SettleView::state`] tells same-subround peers from
+    /// the dead.
+    stamps: Vec<AtomicU32>,
+    current: u32,
     bag: HashBag,
     /// Names the second phase `recompute` instead of `rule`.
     recompute: bool,
@@ -969,7 +926,8 @@ where
     F: Fn(u32, u32, &SettleView<'_>, &Lowering<'_>) -> u64 + Sync,
 {
     fn new(n: usize, recompute: bool, pass: F) -> Self {
-        Self { stamps: Stamps::new(n), bag: HashBag::new(n), recompute, pass }
+        let stamps = (0..n).map(|_| AtomicU32::new(0)).collect();
+        Self { stamps, current: 0, bag: HashBag::new(n), recompute, pass }
     }
 }
 
@@ -978,7 +936,10 @@ where
     F: Fn(u32, u32, &SettleView<'_>, &Lowering<'_>) -> u64 + Sync,
 {
     fn subround<P: PeelProblem>(&mut self, r: &Round<'_, P>, frontier: &[u32]) -> Wave {
-        let view = self.stamps.settle(r, frontier);
+        self.current += 1;
+        let (stamps, current) = (&self.stamps, self.current);
+        settle(r, frontier, |e| stamps[e as usize].store(current, Ordering::Relaxed));
+        let view = SettleView::new(stamps, current);
         let lower = Lowering { prio: r.prio, bag: &self.bag, bucket: r.bucket, clamp: r.clamp };
         let phase = if self.recompute {
             span!("recompute", frontier.len())
@@ -993,41 +954,28 @@ where
     }
 }
 
-/// The offline (Julienne-style) step: settle the frontier, **gather**
-/// every decrement it causes into one list (with duplicates),
-/// **histogram** the list into `(element, multiplicity)` pairs, and
-/// **apply** each multiplicity as one bulk decrement clamped at the
-/// round; elements landing on the clamp form the next frontier. No
-/// per-target atomics, at the price of three global syncs per subround
-/// (Fig. 9's online/offline gap). Sampling and VGC exist to temper the
-/// online step's atomics and syncs and are ignored here.
-///
-/// `gather` returns the list and the work it charges.
-struct OfflineStep<G> {
-    stamps: Stamps,
-    gather: G,
+/// The offline (Julienne-style) step for unit incidences: settle the
+/// frontier, **gather** its still-live incident elements into one list
+/// (with duplicates, [`offline::gather_live`]), **histogram** the list
+/// into `(element, multiplicity)` pairs, and **apply** each
+/// multiplicity as one bulk decrement clamped at the round; elements
+/// landing on the clamp form the next frontier. No per-target atomics,
+/// at the price of three global syncs per subround (Fig. 9's
+/// online/offline gap). Sampling and VGC exist to temper the online
+/// step's atomics and syncs and are ignored here. The gather charges
+/// the frontier's full incident lists: it scans them all, live or not.
+struct OfflineStep<'p> {
+    inc: &'p dyn UnitIncidence,
 }
 
-impl<G> OfflineStep<G>
-where
-    G: Fn(&[u32], u32, &[AtomicU32], &SettleView<'_>) -> (Vec<u32>, u64),
-{
-    fn new(stamps: Stamps, gather: G) -> Self {
-        Self { stamps, gather }
-    }
-}
-
-impl<G> Step for OfflineStep<G>
-where
-    G: Fn(&[u32], u32, &[AtomicU32], &SettleView<'_>) -> (Vec<u32>, u64),
-{
+impl Step for OfflineStep<'_> {
     fn subround<P: PeelProblem>(&mut self, r: &Round<'_, P>, frontier: &[u32]) -> Wave {
-        let view = self.stamps.settle(r, frontier);
+        settle(r, frontier, |_| {});
         let (gathered, gather_work) = {
             let _gather = span!("offline.gather", frontier.len());
-            (self.gather)(frontier, r.round, r.settled, &view)
+            let arcs: u64 = frontier.iter().map(|&v| self.inc.num_incident(v) as u64).sum();
+            (offline::gather_live(self.inc, frontier, r.settled), arcs)
         };
-        r.problem.after_rule_phase(frontier, &view);
         let hist = {
             let _hist = span!("offline.histogram", gathered.len());
             histogram_auto(gathered, r.prio.len())

@@ -2,12 +2,11 @@
 //!
 //! The fused and two-phase steps discover `DecreaseKey`s with
 //! per-target atomic decrements. The engine's offline step (Julienne's
-//! `Peel`, the paper's online/offline ablation axis) avoids them: per
-//! subround it settles the frontier, **gathers** every decrement the
-//! frontier causes into one list `L` with duplicates ([`gather_live`]
-//! for [`crate::Incidence::Unit`] problems, [`gather_rule`] for
-//! [`crate::Incidence::Snapshot`] ones), **histograms** `L` into
-//! `(element, multiplicity)` pairs
+//! `Peel`, the paper's online/offline ablation axis for
+//! [`crate::Incidence::Unit`] problems) avoids them: per subround it
+//! settles the frontier, **gathers** every decrement the frontier
+//! causes into one list `L` with duplicates ([`gather_live`]),
+//! **histograms** `L` into `(element, multiplicity)` pairs
 //! ([`kcore_parallel::histogram::histogram_auto`]; the paper uses a
 //! parallel semisort here), and **applies** each multiplicity as one
 //! bulk decrement clamped at the round. The price is three global syncs
@@ -19,7 +18,7 @@
 //! serving path for individual core queries
 //! ([`crate::Decomposition::members`]).
 
-use super::engine::{SettleView, SnapshotRule, UnitIncidence, UNSET};
+use super::engine::{UnitIncidence, UNSET};
 use kcore_check::sync::atomic::{AtomicU32, Ordering};
 use kcore_parallel::histogram::histogram_auto;
 use kcore_parallel::primitives::pack_index;
@@ -85,28 +84,6 @@ pub(crate) fn gather_live(
                 .copied()
                 .filter(|&u| settled[u as usize].load(Ordering::Relaxed) == UNSET)
                 .collect()
-        })
-        .collect();
-    flatten(per_elem)
-}
-
-/// The decrement targets a snapshot rule emits for the settled
-/// frontier, with duplicates. The settle phase (including stamps)
-/// completed first, so the rule sees the same consistent snapshot as in
-/// the online two-phase step and the gathered multiset is
-/// deterministic.
-pub(crate) fn gather_rule(
-    rule: &dyn SnapshotRule,
-    frontier: &[u32],
-    k: u32,
-    view: &SettleView<'_>,
-) -> Vec<u32> {
-    let per_elem: Vec<Vec<u32>> = frontier
-        .par_iter()
-        .map(|&e| {
-            let mut out = Vec::new();
-            rule.for_each_decrement(e, k, view, &mut |t| out.push(t));
-            out
         })
         .collect();
     flatten(per_elem)

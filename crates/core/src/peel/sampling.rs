@@ -230,7 +230,6 @@ impl SamplingState {
                     return None;
                 }
                 counters.validate_calls.fetch_add(1, Ordering::Relaxed);
-                counters.resamples.fetch_add(1, Ordering::Relaxed);
                 counters.recount_arcs.fetch_add(inc.num_incident(v) as u64, Ordering::Relaxed);
                 let exact = this.count_live(v, inc, settled, false);
                 debug_assert_eq!(approx, this.count_live(v, inc, settled, true));

@@ -172,7 +172,7 @@ mod tests {
         let oracle = sequential_greedy_density(g);
         for strategy in BucketStrategy::ALL {
             for techniques in [Techniques::default(), Techniques::offline()] {
-                let config = Config { bucket_strategy: strategy, techniques, ..Config::default() };
+                let config = Config { bucket_strategy: strategy, techniques };
                 let r = Decomposition::densest(g).exact_config(config).run();
                 let got = r.density();
                 assert!(

@@ -83,7 +83,7 @@ mod tests {
         let want = bz_coreness(g);
         for strategy in BucketStrategy::ALL {
             for (techniques, tname) in technique_variants() {
-                let config = Config { bucket_strategy: strategy, techniques, ..Config::default() };
+                let config = Config { bucket_strategy: strategy, techniques };
                 let got = Decomposition::kcore(g).config(config).run();
                 assert_eq!(
                     got.coreness(),
@@ -162,17 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_can_be_disabled() {
-        let g = gen::grid2d(10, 10);
-        let config = Config { collect_stats: false, ..Config::default() };
-        let r = Decomposition::kcore(&g).config(config).run();
-        assert_eq!(r.stats().rounds, 0);
-        assert_eq!(r.stats().work, 0);
-        // Coreness is still correct.
-        assert_eq!(r.coreness(), bz_coreness(&g).as_slice());
-    }
-
-    #[test]
     fn adaptive_switchover_crosses_theta() {
         // planted_core has kmax >= 39 > θ = 16, so Adaptive upgrades to
         // HBS mid-run; the result must be unaffected.
@@ -245,8 +234,7 @@ mod tests {
                 for vgc in [None, Some(Vgc::default())] {
                     let sampling = Some(Sampling { rate_log2, ..base });
                     let techniques = Techniques { sampling, vgc, ..Techniques::default() };
-                    let config =
-                        Config { bucket_strategy: strategy, techniques, ..Config::default() };
+                    let config = Config { bucket_strategy: strategy, techniques };
                     let r = Decomposition::kcore(&g).exact_config(config).run();
                     let label = format!("{strategy}, rate 2^-{rate_log2}, {vgc:?}");
                     assert_eq!(r.coreness(), want.as_slice(), "{label}");

@@ -462,31 +462,21 @@ mod tests {
     use kcore_check::sync::atomic::{AtomicU32, Ordering};
     use kcore_graph::{gen, GraphBuilder};
 
-    fn all_configs() -> Vec<Config> {
-        let mut out = Vec::new();
-        for strategy in BucketStrategy::ALL {
-            for techniques in [Techniques::default(), Techniques::offline()] {
-                out.push(Config { bucket_strategy: strategy, techniques, ..Config::default() });
-            }
-        }
-        out
-    }
-
-    /// Every configuration, through the internally built context and
-    /// through one supplied context reused across the configurations.
+    /// Every bucket strategy, through the internally built context and
+    /// through one supplied context reused across the strategies. The
+    /// techniques block does not matter: edge peeling ignores it.
     fn assert_matches_oracle(g: &CsrGraph, label: &str) {
         let want = sequential_trussness(g);
         let ctx = TriangleCtx::build(g);
-        for config in all_configs() {
+        for strategy in BucketStrategy::ALL {
+            let config = Config::with_strategy(strategy);
             let got = Decomposition::ktruss(g).exact_config(config).run();
             let supplied = Decomposition::ktruss(g).with_ctx(&ctx).exact_config(config).run();
             for (path, got) in [("built", got), ("supplied", supplied)] {
                 assert_eq!(
                     got.trussness(),
                     want.as_slice(),
-                    "{label}: {} + {:?} ({path} context) disagrees with the recount oracle",
-                    config.bucket_strategy,
-                    config.techniques.mode
+                    "{label}: {strategy} ({path} context) disagrees with the recount oracle"
                 );
             }
         }
@@ -577,14 +567,19 @@ mod tests {
     fn sampling_and_vgc_requests_are_ignored_for_edge_peeling() {
         // Unit-incidence techniques cannot apply to the snapshot rule;
         // forcing them on must not change the output (this is what the
-        // KCORE_TECHNIQUES=sampling CI leg exercises).
+        // KCORE_TECHNIQUES=sampling and =offline CI legs exercise). The
+        // offline request still peels with the two-phase step.
         let g = gen::planted_core(60, 2, 12, 3);
         let want = Decomposition::ktruss(&g).exact_config(Config::default()).run();
-        let forced = Config::with_techniques(Techniques::all_online());
-        let got = Decomposition::ktruss(&g).exact_config(forced).run();
-        assert_eq!(got.trussness(), want.trussness());
-        assert_eq!(got.stats().sampled_vertices, 0);
-        assert_eq!(got.stats().resamples, 0);
+        for techniques in [Techniques::all_online(), Techniques::offline()] {
+            let forced = Config::with_techniques(techniques);
+            let got = Decomposition::ktruss(&g).exact_config(forced).run();
+            let s = got.stats();
+            assert_eq!(got.trussness(), want.trussness(), "{techniques:?}");
+            assert_eq!(s.sampled_vertices, 0);
+            assert_eq!(s.resamples, 0);
+            assert_eq!(s.global_syncs, 2 * s.subrounds, "{techniques:?}: settle + rule phases");
+        }
     }
 
     #[test]

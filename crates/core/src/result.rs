@@ -100,7 +100,6 @@ impl CorenessResult {
     }
 
     /// Run counters (rounds, subrounds, work, burdened span, ...).
-    /// All-zero when the run was configured with `collect_stats: false`.
     pub fn stats(&self) -> &RunStats {
         &self.stats
     }

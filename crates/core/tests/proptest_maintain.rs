@@ -60,7 +60,7 @@ fn replay_and_check(
     strategy: BucketStrategy,
     techniques: Techniques,
 ) {
-    let config = Config { bucket_strategy: strategy, techniques, ..Config::default() };
+    let config = Config { bucket_strategy: strategy, techniques };
     let mut dg = DynamicGraph::new(base.clone(), config);
     assert_eq!(dg.coreness(), bz_coreness(base).as_slice(), "construction under {strategy}");
     for (inserts, delete_picks) in batches {

@@ -39,7 +39,7 @@ fn assert_all_configs_match(g: &CsrGraph) {
     let want = bz_coreness(g);
     for strategy in BucketStrategy::ALL {
         for techniques in all_techniques() {
-            let config = Config { bucket_strategy: strategy, techniques, ..Config::default() };
+            let config = Config { bucket_strategy: strategy, techniques };
             let got = Decomposition::kcore(g).config(config).run();
             prop_assert_eq!(
                 got.coreness(),

@@ -201,11 +201,6 @@ impl CsrGraph {
         0..self.num_vertices() as VertexId
     }
 
-    /// Parallel iterator over all vertex ids.
-    pub fn par_vertices(&self) -> impl IndexedParallelIterator<Item = VertexId> + '_ {
-        (0..self.num_vertices() as VertexId).into_par_iter()
-    }
-
     /// Iterator over undirected edges as `(u, v)` with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
         self.vertices().flat_map(move |u| {

@@ -295,23 +295,6 @@ impl TriangleCtx {
         self.hubs[v as usize].get_or_init(|| HubMap::build(g, v))
     }
 
-    /// Calls `f(fe, ge, w)` for every triangle `{u, v, w}` containing
-    /// edge `e = {u, v}`, where `fe` is the id of `{u, w}` and `ge`
-    /// the id of `{v, w}`: [`Self::for_each_common_neighbor`] over the
-    /// two endpoints' full adjacency lists, in edge ids. Matches arrive
-    /// in increasing `w` whichever kernel runs.
-    #[inline]
-    pub fn for_each_triangle_of_edge<F>(&self, g: &CsrGraph, e: u32, f: F)
-    where
-        F: FnMut(u32, u32, VertexId),
-    {
-        let (u, v) = self.idx.endpoints(e);
-        let (nu, nv) = (g.neighbors(u), g.neighbors(v));
-        let (eu, ev) = (self.idx.edge_ids(g, u), self.idx.edge_ids(g, v));
-        let ids = self.idx.arc_edge_ids();
-        self.for_each_common_neighbor(g, ids, (u, nu, eu), (v, nv, ev), f);
-    }
-
     /// Calls `f(fe, ge, w)` for every `w` common to two incidence
     /// lists of the endpoints `u` and `v`, where `fe` is the id of
     /// `{u, w}` and `ge` the id of `{v, w}`. Each list `(x, nx, ex)`
@@ -544,11 +527,11 @@ mod tests {
             for e in 0..idx.num_edges() as u32 {
                 let mut want = Vec::new();
                 for_each_triangle_of_edge(&g, idx, e, |fe, ge, w| want.push((fe, ge, w)));
-                let mut got = Vec::new();
-                ctx.for_each_triangle_of_edge(&g, e, |fe, ge, w| got.push((fe, ge, w)));
-                assert_eq!(got, want, "{name}: edge {e} through the public entry");
                 let (u, v) = idx.endpoints(e);
                 let (a, b) = (full(&g, idx, u), full(&g, idx, v));
+                let mut got = Vec::new();
+                ctx.for_each_common_neighbor(&g, ids, a, b, |fe, ge, w| got.push((fe, ge, w)));
+                assert_eq!(got, want, "{name}: edge {e} through the public entry");
                 for (kernel, pick) in PICKS {
                     let mut got = Vec::new();
                     let k = pick(a.1.len(), b.1.len());

@@ -118,24 +118,6 @@ impl GraphStats {
     }
 }
 
-/// Histogram of degrees in power-of-two buckets: `hist[i]` counts
-/// vertices whose degree `d` satisfies `2^i <= d + 1 < 2^(i + 1)`
-/// (so bucket 0 is degree 0, bucket 1 is degrees 1..=2, ...).
-pub fn degree_histogram(g: &CsrGraph) -> Vec<usize> {
-    let n = g.num_vertices();
-    if n == 0 {
-        return Vec::new();
-    }
-    let max_bucket = ((g.max_degree() + 1) as f64).log2().floor() as usize;
-    let mut hist = vec![0usize; max_bucket + 1];
-    for v in 0..n {
-        let d = g.degree(v as VertexId);
-        let b = ((d + 1) as f64).log2().floor() as usize;
-        hist[b] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,21 +147,5 @@ mod tests {
         let g = crate::GraphBuilder::new(5).edge(0, 1).build();
         let s = GraphStats::compute(&g);
         assert_eq!(s.isolated, 3);
-    }
-
-    #[test]
-    fn histogram_buckets_sum_to_n() {
-        let g = gen::barabasi_albert(500, 3, 2);
-        let h = degree_histogram(&g);
-        assert_eq!(h.iter().sum::<usize>(), 500);
-    }
-
-    #[test]
-    fn histogram_of_star_has_hub_in_top_bucket() {
-        let g = gen::star(65);
-        let h = degree_histogram(&g);
-        // 64 leaves with degree 1 (bucket 1), hub with degree 64 (bucket 6).
-        assert_eq!(h[1], 64);
-        assert_eq!(*h.last().unwrap(), 1);
     }
 }

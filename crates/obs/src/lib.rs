@@ -2,7 +2,7 @@
 //!
 //! The container has no crates.io access, so this crate is a small,
 //! dependency-free substitute for the `tracing` + `tracing-chrome`
-//! stack: callsite macros ([`span!`], [`event!`], [`counter!`]) record
+//! stack: callsite macros ([`span!`], [`counter!`]) record
 //! into lock-free per-thread ring buffers and callsite-static counter
 //! cells, and [`TraceReport::capture`] drains everything into one
 //! report that exports Chrome Trace Event Format
@@ -18,14 +18,14 @@
 //!   load and a predictable branch, then do **nothing**: no
 //!   thread-local access, no clock read, no allocation. The per-thread
 //!   ring buffers are allocated lazily on a thread's *first recorded
-//!   event*, so a process that never enables tracing never allocates
+//!   span*, so a process that never enables tracing never allocates
 //!   a buffer at all (asserted by `tests/off_noop.rs`).
 //! * `spans` — everything is live. A span records two fixed-size ring
-//!   slots (begin/end) with one monotonic clock read each; events
-//!   record one; a [`counter!`] is one relaxed `fetch_add` on a
-//!   callsite-static cell. Instrumentation in the engine is placed at
-//!   round / subround / phase granularity — never per-vertex — so even
-//!   `spans` costs O(rounds) clock reads per decomposition.
+//!   slots (begin/end) with one monotonic clock read each; a
+//!   [`counter!`] is one relaxed `fetch_add` on a callsite-static cell.
+//!   Instrumentation in the engine is placed at round / subround /
+//!   phase granularity — never per-vertex — so even `spans` costs
+//!   O(rounds) clock reads per decomposition.
 //!
 //! Unknown `KCORE_TRACE` values panic with the valid set, mirroring
 //! `KCORE_TECHNIQUES` parsing.
@@ -205,24 +205,6 @@ macro_rules! span {
     }};
 }
 
-/// Record an instantaneous named event with a `u64` payload.
-#[macro_export]
-macro_rules! event {
-    ($name:literal) => {
-        $crate::event!($name, 0u64)
-    };
-    ($name:literal, $arg:expr) => {{
-        if $crate::enabled($crate::Level::Spans) {
-            static __KCORE_OBS_ID: $crate::registry::NameId = $crate::registry::NameId::new();
-            $crate::ring::record(
-                $crate::RecordKind::Instant,
-                __KCORE_OBS_ID.get($name),
-                $arg as u64,
-            );
-        }
-    }};
-}
-
 /// Bump a named counter by `delta`: one relaxed `fetch_add` on a
 /// callsite-static cell, live at `KCORE_TRACE=spans`. Only for
 /// quantities with no stats-struct home; read them back from
@@ -290,7 +272,6 @@ mod tests {
             for i in 0..3 {
                 let _inner = span!("test.inner", i);
             }
-            event!("test.mark", 9);
         })
         .join()
         .unwrap();
@@ -299,7 +280,6 @@ mod tests {
         assert_eq!(report.span_count("test.inner"), 3);
         let chrome = report.chrome_trace();
         assert!(chrome.contains("\"ph\":\"B\"") && chrome.contains("\"ph\":\"E\""));
-        assert!(chrome.contains("test.mark"));
         set_level(Level::Off);
     }
 }

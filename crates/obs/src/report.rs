@@ -102,9 +102,6 @@ impl TraceReport {
                                 r.nanos.saturating_sub(begin);
                         }
                     }
-                    RecordKind::Instant => {
-                        aggs.entry(r.name).or_default().count += 1;
-                    }
                 }
             }
         }
@@ -146,13 +143,6 @@ impl TraceReport {
                     RecordKind::End => {
                         format!("{{\"ph\":\"E\",\"ts\":{ts:.3},\"pid\":1,\"tid\":{}}}", t.tid)
                     }
-                    RecordKind::Instant => format!(
-                        "{{\"name\":{},\"ph\":\"i\",\"ts\":{ts:.3},\"pid\":1,\"tid\":{},\
-                         \"s\":\"t\",\"args\":{{\"arg\":{}}}}}",
-                        json_str(r.name),
-                        t.tid,
-                        r.arg
-                    ),
                 };
                 push(ev, &mut first);
             }
@@ -196,11 +186,6 @@ impl TraceReport {
                         root.touch(&path);
                     }
                     RecordKind::End => {
-                        path.pop();
-                    }
-                    RecordKind::Instant => {
-                        path.push(r.name);
-                        root.touch(&path);
                         path.pop();
                     }
                 }

@@ -47,8 +47,6 @@ pub enum RecordKind {
     Begin = 0,
     /// Span close (Chrome `ph:"E"`).
     End = 1,
-    /// Instantaneous event (Chrome `ph:"i"`).
-    Instant = 2,
 }
 
 struct Slot {
@@ -109,8 +107,7 @@ impl ThreadBuffer {
             let packed = slot.packed.load(Ordering::Relaxed);
             let kind = match packed & 0xff {
                 0 => RecordKind::Begin,
-                1 => RecordKind::End,
-                _ => RecordKind::Instant,
+                _ => RecordKind::End,
             };
             out.push(RawRecord {
                 nanos: slot.nanos.load(Ordering::Relaxed),
@@ -200,7 +197,7 @@ mod model_tests {
     /// drained record whose words disagree was read across the torn
     /// reserve-to-publish window.
     fn push_kth(buf: &ThreadBuffer, k: u64) {
-        buf.push(k, k as u32, RecordKind::Instant, k * 100);
+        buf.push(k, k as u32, RecordKind::Begin, k * 100);
     }
 
     fn assert_consistent(records: &[RawRecord]) {

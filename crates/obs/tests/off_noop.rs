@@ -4,14 +4,13 @@
 //! ever comes into existence. Flipping to `spans` in the same process
 //! then proves the very same callsites go live.
 
-use kcore_obs::{counter, event, set_level, span, Level, TraceReport};
+use kcore_obs::{counter, set_level, span, Level, TraceReport};
 
 #[test]
 fn off_records_nothing_and_allocates_nothing() {
     set_level(Level::Off);
     for i in 0..100u64 {
         let _s = span!("noop.span", i);
-        event!("noop.event", i);
         counter!("noop.counter", 1);
     }
 

@@ -78,11 +78,6 @@ impl HashBag {
         }
     }
 
-    /// Total allocated slots (diagnostic).
-    pub fn capacity_slots(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Inserts `v` (duplicates allowed — this is a bag).
     ///
     /// Lock-free: reserves a slot in the current chunk via a per-chunk

@@ -136,12 +136,8 @@ impl RunStats {
 /// local chain.
 #[derive(Debug, Default)]
 pub struct TechniqueCounters {
-    /// Exact recounts of sample-mode vertices. Validation is the only
-    /// recount, so this equals [`TechniqueCounters::validate_calls`];
-    /// the field stays because benchmark reports read
-    /// [`RunStats::resamples`].
-    pub resamples: AtomicU64,
-    /// End-of-round validation recounts.
+    /// End-of-round validation recounts: the only recounts of
+    /// sample-mode vertices, so they also fill [`RunStats::resamples`].
     pub validate_calls: AtomicU64,
     /// Adjacency entries read by exact recounts.
     pub recount_arcs: AtomicU64,
@@ -172,8 +168,9 @@ impl TechniqueCounters {
 
     /// Folds the run-long sampling counters into `stats`.
     pub fn merge_sampling_into(&self, stats: &mut RunStats) {
-        stats.resamples += self.resamples.load(Ordering::Relaxed);
-        stats.validate_calls += self.validate_calls.load(Ordering::Relaxed);
+        let validate_calls = self.validate_calls.load(Ordering::Relaxed);
+        stats.resamples += validate_calls;
+        stats.validate_calls += validate_calls;
         stats.recount_arcs += self.recount_arcs.load(Ordering::Relaxed);
     }
 }
@@ -236,7 +233,6 @@ mod tests {
     fn technique_counters_merge_and_reset() {
         let c = TechniqueCounters::new();
         (0..100u64).into_par_iter().for_each(|i| {
-            c.resamples.fetch_add(1, Ordering::Relaxed);
             if i % 2 == 0 {
                 c.validate_calls.fetch_add(1, Ordering::Relaxed);
                 c.recount_arcs.fetch_add(3, Ordering::Relaxed);
@@ -246,7 +242,7 @@ mod tests {
         });
         let mut stats = RunStats::default();
         c.merge_sampling_into(&mut stats);
-        assert_eq!(stats.resamples, 100);
+        assert_eq!(stats.resamples, 50, "validation is the only recount");
         assert_eq!(stats.validate_calls, 50);
         assert_eq!(stats.recount_arcs, 150);
         assert_eq!(c.chain.get(), 99);
@@ -254,6 +250,6 @@ mod tests {
         assert_eq!(c.chased.load(Ordering::Relaxed), 0);
         assert_eq!(c.chain.get(), 0);
         // Sampling counters survive subround resets.
-        assert_eq!(c.resamples.load(Ordering::Relaxed), 100);
+        assert_eq!(c.validate_calls.load(Ordering::Relaxed), 50);
     }
 }

@@ -187,31 +187,6 @@ where
     }
 }
 
-/// Size of the intersection of two strictly increasing slices.
-#[inline]
-pub fn intersection_size(a: &[u32], b: &[u32]) -> usize {
-    let mut count = 0usize;
-    intersect_sorted_positions(a, b, |_, _| count += 1);
-    count
-}
-
-/// Counts the indices in `0..n` satisfying `pred`, in parallel.
-pub fn par_count<F>(n: usize, pred: F) -> usize
-where
-    F: Fn(usize) -> bool + Sync,
-{
-    (0..n).into_par_iter().filter(|&i| pred(i)).count()
-}
-
-/// Parallel maximum of `f(i)` over `0..n`; `None` when `n == 0`.
-pub fn par_max_by<F, T>(n: usize, f: F) -> Option<T>
-where
-    F: Fn(usize) -> T + Sync,
-    T: Ord + Send,
-{
-    (0..n).into_par_iter().map(&f).max()
-}
-
 /// Parallel minimum of `f(i)` over `0..n`; `None` when `n == 0`. Short
 /// ranges run sequentially, like [`pack`].
 pub fn par_min_by<F, T>(n: usize, f: F) -> Option<T>
@@ -286,16 +261,8 @@ mod tests {
         });
         let want: Vec<u32> = (0..200).filter(|x| x % 15 == 0).collect();
         assert_eq!(hits, want);
-        assert_eq!(intersection_size(&a, &b), want.len());
-        assert_eq!(intersection_size(&a, &[]), 0);
-        assert_eq!(intersection_size(&[], &b), 0);
-    }
-
-    #[test]
-    fn par_count_and_max() {
-        assert_eq!(par_count(100, |i| i % 10 == 0), 10);
-        assert_eq!(par_max_by(100, |i| i * 2), Some(198));
-        assert_eq!(par_max_by(0, |i| i), None);
+        intersect_sorted_positions(&a, &[], |_, _| panic!("nothing to intersect"));
+        intersect_sorted_positions(&[], &b, |_, _| panic!("nothing to intersect"));
     }
 
     #[test]
