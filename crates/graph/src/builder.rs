@@ -14,12 +14,13 @@
 //! parallel counting sort by source. A one-level scatter (one cursor
 //! per vertex) touches a random cache line per arc, which loses to a
 //! cache-oblivious comparison sort on big vertex sets; so the arcs are
-//! first partitioned by *source bucket* (ranges of `BUCKET_VERTS`
-//! consecutive vertices — writes stream into a few dozen cursors),
-//! then each bucket is counting-sorted with bucket-local count/offset
-//! arrays that fit in L1/L2, per-vertex sorted, and deduplicated. It
-//! replaces the previous global `par_sort_unstable` over all arcs
-//! (kept in the bench crate as the A/B baseline of `bench_build`):
+//! first partitioned, block by block, by *source bucket* (ranges of
+//! 2^8..2^13 consecutive vertices, sized to the pool — writes stream
+//! into a few dozen cursors), then each bucket is counting-sorted with
+//! bucket-local count/offset arrays that fit in L1/L2, per-vertex
+//! sorted, and deduplicated. It replaces the previous global
+//! `par_sort_unstable` over all arcs (kept in the bench crate as the
+//! A/B baseline of `bench_build`):
 //! O(m) moves instead of O(m log m) comparisons, with every phase
 //! either streaming or bucket-local.
 
@@ -33,10 +34,23 @@ use rayon::prelude::*;
 /// shards large enough that per-shard parallel loops stay efficient.
 pub const SHARD_ARCS: usize = 1 << 21;
 
-/// Vertices per counting-sort source bucket (`2^13`). Sized so a
-/// bucket's count + cursor arrays (`8 B` per vertex) stay L1-resident
+/// Widest counting-sort source bucket (`2^13` vertices). Sized so a
+/// bucket's count + cursor arrays (`12 B` per vertex) stay L1/L2-resident
 /// while the bucket's arc run is typically L2-resident.
-const BUCKET_VERTS: usize = 1 << 13;
+const MAX_BUCKET_VERTS: usize = 1 << 13;
+
+/// Narrowest source bucket (`2^8` vertices): below this the per-bucket
+/// scheduling and histogram columns cost more than balance gains.
+const MIN_BUCKET_VERTS: usize = 1 << 8;
+
+/// Source buckets wanted per pool worker (see [`bucket_shift`]).
+const BUCKETS_PER_WORKER: usize = 8;
+
+/// Partition blocks per pool worker (see [`block_arcs`]).
+const BLOCKS_PER_WORKER: usize = 4;
+
+/// Smallest partition block, in arcs.
+const MIN_BLOCK_ARCS: usize = 1 << 16;
 
 /// Builder turning edge lists into a [`CsrGraph`].
 ///
@@ -217,7 +231,7 @@ impl StreamBuilder {
     /// Finalizes the graph via the parallel counting sort.
     pub fn build(mut self) -> CsrGraph {
         self.seal();
-        countsort_build(self.n, self.shards)
+        countsort_build(self.n, self.shards).0
     }
 }
 
@@ -234,7 +248,7 @@ impl StreamBuilder {
 /// wrong answers) — use [`GraphBuilder`] for untrusted edge lists.
 pub fn from_symmetric_arcs(n: usize, arcs: Vec<(VertexId, VertexId)>) -> CsrGraph {
     debug_assert!(arcs.iter().all(|&(u, v)| u != v), "self-loop in symmetric arc list");
-    countsort_build(n, vec![arcs])
+    countsort_build(n, vec![arcs]).0
 }
 
 // Historical internal name, still used by the `gen` family.
@@ -242,40 +256,69 @@ pub(crate) use from_symmetric_arcs as build_from_arcs;
 
 /// Two-level parallel counting sort from symmetric arc shards into CSR.
 ///
-/// * **Partition** (streaming): histogram each shard by source bucket
-///   ([`BUCKET_VERTS`] consecutive vertices per bucket), scan the
-///   histograms into per-shard cursors, and scatter the arcs into a
-///   bucket-grouped array. Each shard writes through one cursor per
-///   bucket, so the writes stream instead of hitting a random cache
+/// * **Partition** (streaming, span `build.partition`): cut the
+///   concatenated shards into arc blocks ([`block_arcs`], which ignores
+///   shard ends), histogram each block by source bucket
+///   ([`bucket_shift`] consecutive vertices per bucket), scan the
+///   histograms into per-(block, bucket) cursors, and scatter the arcs
+///   into a bucket-grouped array. Each block writes through one cursor
+///   per bucket, so the writes stream instead of hitting a random cache
 ///   line per arc — the failure mode of a one-level counting sort.
-/// * **Per-bucket finish** (bucket-local): count per vertex, scan, and
-///   scatter inside the bucket's contiguous run (count/cursor arrays
-///   are `8 B x BUCKET_VERTS`, L1-resident), then per-vertex
-///   `sort_unstable` + in-place dedup, then recompact into the final
-///   arrays.
+/// * **Per-bucket finish** (bucket-local, span `build.dedup`): count per
+///   vertex, scan, and scatter inside the bucket's contiguous run
+///   (count/cursor arrays are at most `12 B x MAX_BUCKET_VERTS`,
+///   cache-resident), then per-vertex `sort_unstable` + in-place dedup.
+/// * **Recompact** (span `build.recompact`, only when the dedup dropped
+///   an arc): copy the deduped prefixes into the final arrays. With no
+///   duplicates the finish output already is the final CSR.
 ///
-/// Shards are consumed and freed right after the partition pass, so
-/// peak memory is `~12 B`/arc beyond the input, not input + output.
-/// The result is bit-identical to the global-sort path: per-vertex
-/// sorted, deduplicated adjacency.
-fn countsort_build(n: usize, shards: Vec<Vec<(VertexId, VertexId)>>) -> CsrGraph {
+/// Blocks and buckets are a few dozen items each, so every loop over
+/// them sets `with_max_len(1)` to fork across the pool (see the rayon
+/// shim's `MIN_PAR_LEN`). Shards are consumed and freed right after the
+/// partition pass, so peak memory is `~12 B`/arc beyond the input, not
+/// input + output. The result is bit-identical to the global-sort path
+/// (per-vertex sorted, deduplicated adjacency) for every pool width.
+///
+/// Returns the graph and whether the recompact ran.
+fn countsort_build(n: usize, shards: Vec<Vec<(VertexId, VertexId)>>) -> (CsrGraph, bool) {
     let total: usize = shards.iter().map(Vec::len).sum();
     if total == 0 {
-        return CsrGraph::from_parts_unchecked(vec![0; n + 1], Vec::new());
+        return (CsrGraph::from_parts_unchecked(vec![0; n + 1], Vec::new()), false);
     }
     let _span = span!("build.countsort", total);
-    let num_buckets = n.div_ceil(BUCKET_VERTS);
-    let bucket_of = |u: VertexId| (u as usize) >> BUCKET_VERTS.trailing_zeros();
+    let workers = rayon::current_num_threads();
+    let shift = bucket_shift(n, workers);
+    let bucket_verts = 1usize << shift;
+    let num_buckets = n.div_ceil(bucket_verts);
+    let bucket_of = |u: VertexId| (u as usize) >> shift;
 
-    // Partition 1/2: per-shard bucket histograms, scanned into one
-    // write cursor per (shard, bucket) — shard s's slice of bucket b is
-    // [cursors[s][b], cursors[s][b] + hists[s][b]).
-    let hists: Vec<Vec<u32>> = shards
-        .par_iter()
-        .map(|shard| {
+    let partition = span!("build.partition", total);
+    // Block k covers arcs [k * block, (k + 1) * block) of the shards'
+    // concatenation; `block_runs(k)` yields its per-shard slices.
+    let block = block_arcs(total, workers);
+    let num_blocks = total.div_ceil(block);
+    let (shard_starts, _) = exclusive_scan(&shards.iter().map(Vec::len).collect::<Vec<_>>());
+    let block_runs = |k: usize| {
+        let (lo, hi) = (k * block, ((k + 1) * block).min(total));
+        shards.iter().zip(&shard_starts).filter_map(move |(shard, &start)| {
+            let (a, b) = (lo.max(start), hi.min(start + shard.len()));
+            (a < b).then(|| &shard[a - start..b - start])
+        })
+    };
+
+    // Partition 1/2: per-block bucket histograms (`block < 2^32`, so the
+    // u32 counts cannot wrap), scanned into one write cursor per
+    // (block, bucket) — block k's slice of bucket b is
+    // [cursors[k][b], cursors[k][b] + hists[k][b]).
+    let hists: Vec<Vec<u32>> = (0..num_blocks)
+        .into_par_iter()
+        .with_max_len(1)
+        .map(|k| {
             let mut h = vec![0u32; num_buckets];
-            for &(u, _) in shard {
-                h[bucket_of(u)] += 1;
+            for run in block_runs(k) {
+                for &(u, _) in run {
+                    h[bucket_of(u)] += 1;
+                }
             }
             h
         })
@@ -306,94 +349,115 @@ fn countsort_build(n: usize, shards: Vec<Vec<(VertexId, VertexId)>>) -> CsrGraph
     // free the shards — from here on only `bucketed` is needed.
     let mut bucketed: Vec<(VertexId, VertexId)> = Vec::with_capacity(total);
     let bucketed_ptr = SendPtr::new(bucketed.as_mut_ptr());
-    (0..shards.len()).into_par_iter().for_each(|s| {
-        let mut cur = cursors[s].clone();
-        for &(u, v) in &shards[s] {
-            let b = bucket_of(u);
-            // SAFETY: the (shard, bucket) ranges are disjoint by the
-            // cursor construction above and their union is 0..total;
-            // each slot is claimed exactly once.
-            unsafe { bucketed_ptr.slot(cur[b]).write((u, v)) };
-            cur[b] += 1;
+    (0..num_blocks).into_par_iter().with_max_len(1).for_each(|k| {
+        let mut cur = cursors[k].clone();
+        for run in block_runs(k) {
+            for &(u, v) in run {
+                let b = bucket_of(u);
+                // SAFETY: the (block, bucket) ranges are disjoint by the
+                // cursor construction above and their union is 0..total;
+                // each slot is claimed exactly once.
+                unsafe { bucketed_ptr.slot(cur[b]).write((u, v)) };
+                cur[b] += 1;
+            }
         }
     });
     // SAFETY: every slot in 0..total was written exactly once above.
     unsafe { bucketed.set_len(total) };
     drop(shards);
+    drop(partition);
 
     // Per-bucket finish: bucket b exclusively owns the vertex range
-    // [b * BUCKET_VERTS, (b + 1) * BUCKET_VERTS) and the arc run
+    // [b * bucket_verts, (b + 1) * bucket_verts) and the arc run
     // bucketed[bucket_starts[b]..][..bucket_counts[b]], so all the
     // parallel writes below land in disjoint per-bucket ranges.
     let mut raw: Vec<VertexId> = vec![0; total];
-    let mut raw_offsets = vec![0usize; n]; // start of v's run inside `raw`
+    // Start of v's run inside `raw`; one spare slot so that, when the
+    // recompact is skipped, the final offsets reuse this buffer.
+    let mut raw_offsets = Vec::with_capacity(n + 1);
+    raw_offsets.resize(n, 0usize);
     let mut deduped = vec![0usize; n]; // v's neighbor count after dedup
     let raw_ptr = SendPtr::new(raw.as_mut_ptr());
     let roff_ptr = SendPtr::new(raw_offsets.as_mut_ptr());
     let dlen_ptr = SendPtr::new(deduped.as_mut_ptr());
-    {
+    let kept: usize = {
         let _dedup = span!("build.dedup", n);
         let bucketed_ro: &[(VertexId, VertexId)] = &bucketed;
-        (0..num_buckets).into_par_iter().for_each(|b| {
-            let lo_v = b * BUCKET_VERTS;
-            let span_v = BUCKET_VERTS.min(n - lo_v);
-            let base = bucket_starts[b];
-            let arcs = &bucketed_ro[base..base + bucket_counts[b]];
-            // SAFETY: bucket b owns vertices lo_v..lo_v + span_v and the
-            // raw run base..base + bucket_counts[b]; both exclusive.
-            let out = unsafe { std::slice::from_raw_parts_mut(raw_ptr.slot(base), arcs.len()) };
-            let roff = unsafe { std::slice::from_raw_parts_mut(roff_ptr.slot(lo_v), span_v) };
-            let dlen = unsafe { std::slice::from_raw_parts_mut(dlen_ptr.slot(lo_v), span_v) };
-            // Bucket-local count + scan: both arrays are BUCKET_VERTS
-            // entries at most, L1-resident.
-            let mut counts = vec![0u32; span_v];
-            for &(u, _) in arcs {
-                counts[u as usize - lo_v] += 1;
-            }
-            let mut cur = vec![0usize; span_v];
-            let mut off = 0usize;
-            for i in 0..span_v {
-                roff[i] = base + off;
-                cur[i] = off;
-                off += counts[i] as usize;
-            }
-            for &(u, v) in arcs {
-                let i = u as usize - lo_v;
-                out[cur[i]] = v;
-                cur[i] += 1;
-            }
-            for i in 0..span_v {
-                let len = counts[i] as usize;
-                if len == 0 {
-                    continue;
+        (0..num_buckets)
+            .into_par_iter()
+            .with_max_len(1)
+            .map(|b| {
+                let lo_v = b * bucket_verts;
+                let span_v = bucket_verts.min(n - lo_v);
+                let base = bucket_starts[b];
+                let arcs = &bucketed_ro[base..base + bucket_counts[b]];
+                // SAFETY: bucket b owns vertices lo_v..lo_v + span_v and
+                // the raw run base..base + bucket_counts[b]; both exclusive.
+                let out = unsafe { std::slice::from_raw_parts_mut(raw_ptr.slot(base), arcs.len()) };
+                let roff = unsafe { std::slice::from_raw_parts_mut(roff_ptr.slot(lo_v), span_v) };
+                let dlen = unsafe { std::slice::from_raw_parts_mut(dlen_ptr.slot(lo_v), span_v) };
+                // Bucket-local count + scan: both arrays are
+                // MAX_BUCKET_VERTS entries at most, cache-resident.
+                let mut counts = vec![0u32; span_v];
+                for &(u, _) in arcs {
+                    counts[u as usize - lo_v] += 1;
                 }
-                let s = &mut out[cur[i] - len..cur[i]];
-                s.sort_unstable();
-                let mut w = 0usize;
-                for r in 0..len {
-                    if w == 0 || s[r] != s[w - 1] {
-                        s[w] = s[r];
-                        w += 1;
+                let mut cur = vec![0usize; span_v];
+                let mut off = 0usize;
+                for i in 0..span_v {
+                    roff[i] = base + off;
+                    cur[i] = off;
+                    off += counts[i] as usize;
+                }
+                for &(u, v) in arcs {
+                    let i = u as usize - lo_v;
+                    out[cur[i]] = v;
+                    cur[i] += 1;
+                }
+                let mut kept = 0usize;
+                for i in 0..span_v {
+                    let len = counts[i] as usize;
+                    if len == 0 {
+                        continue;
                     }
+                    let s = &mut out[cur[i] - len..cur[i]];
+                    s.sort_unstable();
+                    let mut w = 0usize;
+                    for r in 0..len {
+                        if w == 0 || s[r] != s[w - 1] {
+                            s[w] = s[r];
+                            w += 1;
+                        }
+                    }
+                    dlen[i] = w;
+                    kept += w;
                 }
-                dlen[i] = w;
-            }
-        });
-    }
+                kept
+            })
+            .sum()
+    };
     drop(bucketed);
+
+    if kept == total {
+        // Nothing was dropped: every vertex's run in `raw` is its final
+        // adjacency, back to back, so `raw` and `raw_offsets` are the CSR.
+        raw_offsets.push(total);
+        return (CsrGraph::from_parts_unchecked(raw_offsets, raw), false);
+    }
 
     // Recompact the deduped prefixes into the final arrays. Vertex v's
     // destination offsets[v]..+deduped[v] lies inside its bucket's
     // contiguous destination run, so per-bucket writes stay disjoint.
+    let _recompact = span!("build.recompact", kept);
     let (mut offsets, arcs) = exclusive_scan(&deduped);
     let mut edges: Vec<VertexId> = vec![0; arcs];
     let edges_ptr = SendPtr::new(edges.as_mut_ptr());
     let raw_ro: &[VertexId] = &raw;
     let offsets_ro: &[usize] = &offsets;
     let (deduped_ro, raw_offsets_ro): (&[usize], &[usize]) = (&deduped, &raw_offsets);
-    (0..num_buckets).into_par_iter().for_each(|b| {
-        let lo_v = b * BUCKET_VERTS;
-        let hi_v = (lo_v + BUCKET_VERTS).min(n);
+    (0..num_buckets).into_par_iter().with_max_len(1).for_each(|b| {
+        let lo_v = b * bucket_verts;
+        let hi_v = (lo_v + bucket_verts).min(n);
         for v in lo_v..hi_v {
             let len = deduped_ro[v];
             if len > 0 {
@@ -410,12 +474,35 @@ fn countsort_build(n: usize, shards: Vec<Vec<(VertexId, VertexId)>>) -> CsrGraph
         }
     });
     offsets.push(arcs);
-    CsrGraph::from_parts_unchecked(offsets, edges)
+    (CsrGraph::from_parts_unchecked(offsets, edges), true)
+}
+
+/// Log2 of the vertices per counting-sort source bucket: the largest
+/// power-of-two width from [`MIN_BUCKET_VERTS`] to [`MAX_BUCKET_VERTS`]
+/// that gives every worker [`BUCKETS_PER_WORKER`] buckets to balance
+/// over, so one hub-heavy bucket cannot become the critical path on
+/// small graphs. Narrow buckets only when `n` is too small for that.
+fn bucket_shift(n: usize, workers: usize) -> u32 {
+    let want = BUCKETS_PER_WORKER * workers;
+    let mut shift = MAX_BUCKET_VERTS.trailing_zeros();
+    while shift > MIN_BUCKET_VERTS.trailing_zeros() && n.div_ceil(1 << shift) < want {
+        shift -= 1;
+    }
+    shift
+}
+
+/// Arcs per partition block: [`BLOCKS_PER_WORKER`] blocks per worker,
+/// at least [`MIN_BLOCK_ARCS`] so the per-block histograms stay cheap
+/// next to the arcs they count, and below `2^32` so a block's u32
+/// bucket counts cannot wrap.
+fn block_arcs(total: usize, workers: usize) -> usize {
+    total.div_ceil(BLOCKS_PER_WORKER * workers).clamp(MIN_BLOCK_ARCS, u32::MAX as usize)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kcore_parallel::pool::with_threads;
 
     #[test]
     fn deduplicates_and_symmetrizes() {
@@ -460,31 +547,15 @@ mod tests {
 
     #[test]
     fn large_random_build_is_valid() {
-        // Cheap pseudo-random edges (LCG) without pulling in rand here.
-        let mut state = 0x243F_6A88_85A3_08D3u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) as u32
-        };
-        let n = 1000u32;
-        let mut b = GraphBuilder::new(n as usize);
-        for _ in 0..5000 {
-            b.push_edge(next() % n, next() % n);
-        }
-        let g = b.build();
+        let g = GraphBuilder::new(1000).edges(lcg_edges(0x243F_6A88_85A3_08D3, 1000, 5000)).build();
         g.validate();
         assert!(g.num_edges() > 0);
     }
 
     #[test]
     fn stream_builder_matches_graph_builder() {
-        let mut state = 0x1234_5678_9ABC_DEF0u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) as u32
-        };
         let n = 300u32;
-        let edges: Vec<(u32, u32)> = (0..10_000).map(|_| (next() % n, next() % n)).collect();
+        let edges = lcg_edges(0x1234_5678_9ABC_DEF0, n, 10_000);
         let reference = GraphBuilder::new(n as usize).edges(edges.iter().copied()).build();
         let mut sb = StreamBuilder::new(n as usize);
         for chunk in edges.chunks(777) {
@@ -511,17 +582,12 @@ mod tests {
     fn stream_builder_seals_multiple_shards() {
         // Force > SHARD_ARCS arcs through a growable builder by pushing
         // a dense-ish random multigraph, then compare with the oracle.
-        let mut state = 7u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) as u32
-        };
         let n = 2_000u32;
-        let raw_edges = SHARD_ARCS; // 2x arcs after symmetrization => >= 2 shards
+        // 2x arcs after symmetrization => >= 2 shards.
+        let edges = lcg_edges(7, n, SHARD_ARCS);
         let mut sb = StreamBuilder::new(n as usize);
         let mut reference = GraphBuilder::new(n as usize);
-        for _ in 0..raw_edges {
-            let (u, v) = (next() % n, next() % n);
+        for &(u, v) in &edges {
             sb.push_edge(u, v);
             reference.push_edge(u, v);
         }
@@ -533,5 +599,109 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn stream_builder_fixed_n_rejects_out_of_range() {
         StreamBuilder::new(2).push_edge(0, 2);
+    }
+
+    /// `m` pseudo-random edges over `0..n` (LCG, so no `rand` here),
+    /// loops and repeats included.
+    fn lcg_edges(seed: u64, n: u32, m: usize) -> Vec<(u32, u32)> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as u32
+        };
+        (0..m).map(|_| (next() % n, next() % n)).collect()
+    }
+
+    /// `edges` with loops and repeated undirected edges removed.
+    fn distinct(edges: &[(u32, u32)]) -> Vec<(u32, u32)> {
+        let mut seen = std::collections::BTreeSet::new();
+        edges
+            .iter()
+            .copied()
+            .filter(|&(u, v)| u != v && seen.insert((u.min(v), u.max(v))))
+            .collect()
+    }
+
+    /// The symmetric arcs of `edges`, loops dropped, in push order.
+    fn arcs_of(edges: &[(u32, u32)]) -> Vec<(u32, u32)> {
+        edges.iter().filter(|&&(u, v)| u != v).flat_map(|&(u, v)| [(u, v), (v, u)]).collect()
+    }
+
+    /// Counting-sorts `shards` under 1, 2 and 4 workers and checks each
+    /// CSR against the `GraphBuilder` reference of `edges`, and whether
+    /// the recompact ran.
+    fn check_countsort(
+        n: usize,
+        edges: &[(u32, u32)],
+        shards: Vec<Vec<(u32, u32)>>,
+        recompact: bool,
+    ) {
+        let reference = GraphBuilder::new(n).edges(edges.iter().copied()).build();
+        reference.validate();
+        for threads in [1, 2, 4] {
+            let (g, ran) = with_threads(threads, || countsort_build(n, shards.clone()));
+            assert_eq!(g, reference, "CSR differs from the reference under {threads} workers");
+            assert_eq!(ran, recompact, "recompact ran = {ran} under {threads} workers");
+        }
+    }
+
+    #[test]
+    fn duplicate_free_input_skips_the_recompact() {
+        let edges = distinct(&lcg_edges(11, 5_000, 20_000));
+        check_countsort(5_000, &edges, vec![arcs_of(&edges)], false);
+    }
+
+    #[test]
+    fn duplicates_in_one_bucket_run_the_recompact() {
+        // n = 3000 gives 256-vertex buckets under 1, 2 and 4 workers.
+        // One edge inside bucket 0 repeats, reversed: the dedup drops
+        // exactly its two arcs, both in bucket 0.
+        let mut edges = distinct(&lcg_edges(12, 3_000, 12_000));
+        let (u, v) = *edges.iter().find(|&&(u, v)| u < 256 && v < 256).unwrap();
+        edges.push((v, u));
+        check_countsort(3_000, &edges, vec![arcs_of(&edges)], true);
+        // Several repeats, still all inside bucket 0.
+        edges.extend([(1, 2), (2, 1), (3, 200), (3, 200)]);
+        check_countsort(3_000, &edges, vec![arcs_of(&edges)], true);
+    }
+
+    #[test]
+    fn blocks_straddle_shard_ends() {
+        // ~300k arcs make several 2^16-arc blocks; the uneven shards,
+        // one of them empty, put shard ends inside blocks.
+        let edges = lcg_edges(13, 20_000, 150_000);
+        let arcs = arcs_of(&edges);
+        assert!(arcs.len() > 4 * MIN_BLOCK_ARCS);
+        let cuts = [0, 1, 70_001, 70_001, 131_073, 200_003, arcs.len()];
+        let shards: Vec<Vec<(u32, u32)>> =
+            cuts.windows(2).map(|w| arcs[w[0]..w[1]].to_vec()).collect();
+        check_countsort(20_000, &edges, shards.clone(), true);
+        let edges = distinct(&edges);
+        let arcs = arcs_of(&edges);
+        let shards: Vec<Vec<(u32, u32)>> = arcs.chunks(65_535).map(<[_]>::to_vec).collect();
+        check_countsort(20_000, &edges, shards, false);
+    }
+
+    #[test]
+    fn vertex_counts_off_the_bucket_grid() {
+        // Below one minimum bucket, and not a multiple of it.
+        for (n, seed) in [(1usize, 14), (2, 15), (100, 16), (257, 17), (1_000, 18)] {
+            let edges = lcg_edges(seed, n as u32, 4 * n);
+            let repeats = arcs_of(&edges).len() > 2 * distinct(&edges).len();
+            check_countsort(n, &edges, vec![arcs_of(&edges)], repeats);
+            let edges = distinct(&edges);
+            check_countsort(n, &edges, vec![arcs_of(&edges)], false);
+        }
+    }
+
+    #[test]
+    fn bucket_width_and_block_size_follow_the_pool() {
+        assert_eq!(bucket_shift(490_000, 2), 13);
+        assert_eq!(bucket_shift(16_384, 2), 10);
+        assert_eq!(bucket_shift(16_384, 1), 11);
+        assert_eq!(bucket_shift(100, 4), 8);
+        assert_eq!(block_arcs(1_712_598, 2), 214_075);
+        assert_eq!(block_arcs(1_000, 2), MIN_BLOCK_ARCS);
+        assert_eq!(block_arcs(usize::MAX, 1), u32::MAX as usize);
     }
 }

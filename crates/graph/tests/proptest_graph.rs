@@ -2,8 +2,9 @@
 //! must always produce structurally valid CSR graphs, and every
 //! serialization format must round-trip.
 
-use kcore_graph::{gen, io, GraphBuilder};
+use kcore_graph::{gen, io, GraphBuilder, StreamBuilder};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Strategy producing an arbitrary (n, edge list) pair with duplicates
 /// and self-loops allowed — exactly what GraphBuilder must clean up.
@@ -14,7 +15,49 @@ fn arb_edges() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
     })
 }
 
+/// Like [`arb_edges`] but with `n` up to 1200, so the build spans
+/// several 256-vertex buckets and a last bucket cut short.
+fn arb_wide_edges() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
+    (1usize..1200).prop_flat_map(|n| {
+        let edge = (0..n as u32, 0..n as u32);
+        (Just(n), proptest::collection::vec(edge, 0..2000))
+    })
+}
+
 proptest! {
+    #[test]
+    fn stream_builder_matches_adjacency_oracle(
+        (n, edges) in arb_wide_edges(),
+        chunks in proptest::collection::vec(1usize..300, 1..8),
+    ) {
+        // The oracle builds per-vertex neighbour sets directly, with no
+        // counting sort in between.
+        let mut oracle = vec![BTreeSet::new(); n];
+        for &(u, v) in &edges {
+            if u != v {
+                oracle[u as usize].insert(v);
+                oracle[v as usize].insert(u);
+            }
+        }
+        // Push in chunks of the drawn sizes, cycling through them.
+        let mut b = StreamBuilder::new(n);
+        let mut rest = &edges[..];
+        for &len in chunks.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (chunk, tail) = rest.split_at(len.min(rest.len()));
+            b.push_chunk(chunk.iter().copied());
+            rest = tail;
+        }
+        let g = b.build();
+        g.validate();
+        prop_assert_eq!(g.num_vertices(), n);
+        for (v, want) in oracle.iter().enumerate() {
+            prop_assert!(g.neighbors(v as u32).iter().eq(want.iter()), "vertex {}", v);
+        }
+    }
+
     #[test]
     fn builder_output_is_always_valid((n, edges) in arb_edges()) {
         let g = GraphBuilder::new(n).edges(edges).build();

@@ -139,6 +139,17 @@ mod tests {
     }
 
     #[test]
+    fn with_max_len_forks_short_coarse_loops() {
+        // 60 items sit under the shim's inline cutoff; `with_max_len`
+        // must still split them across the pool.
+        let (sum, delta) = scheduler_delta(|| {
+            with_threads(2, || (0..60u64).into_par_iter().with_max_len(1).sum::<u64>())
+        });
+        assert_eq!(sum, 59 * 60 / 2);
+        assert!(delta.splits > 0, "with_max_len(1) over 60 items must split");
+    }
+
+    #[test]
     fn per_worker_tallies_cover_the_effective_pool() {
         let per = with_threads(3, || {
             let _: u64 = (0..200_000u64).into_par_iter().map(|x| x | 1).sum();

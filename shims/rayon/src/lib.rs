@@ -28,7 +28,8 @@
 //!
 //! Supported surface:
 //! * `into_par_iter()` on integer ranges, `par_iter()` on slices/`Vec`
-//! * adapters: `map`, `filter`, `filter_map`, `enumerate`
+//! * adapters: `map`, `filter`, `filter_map`, `enumerate`,
+//!   `with_max_len`
 //! * consumers: `collect` (into `Vec`), `for_each`, `count`, `sum`,
 //!   `max`, `min`, `any`, `all`
 //! * `par_sort_unstable` on slices (join-based parallel mergesort)
@@ -101,6 +102,12 @@ pub mod stats {
 
 /// Sources shorter than this run on the calling thread: scheduling costs
 /// more than it saves.
+///
+/// The cutoff counts *items*, not work: it assumes an item is cheap. A
+/// loop over a few heavy items — one per shard, arc block or vertex
+/// bucket, each worth milliseconds — falls under it and runs on one
+/// core however many workers the pool has. Such coarse loops must set
+/// [`IndexedParallelIterator::with_max_len`], which skips this cutoff.
 const MIN_PAR_LEN: usize = 2048;
 
 /// Target number of grain-sized leaf tasks per worker. More leaves mean
@@ -190,15 +197,30 @@ unsafe fn run_block<R: Send>(job: *const (), lo: usize, hi: usize) {
 /// returns the per-leaf results ordered by range start (a partition of
 /// the source). Falls back to a single inline call when parallelism
 /// cannot pay off.
-fn run_blocks<R: Send>(n: usize, f: &(dyn Fn(Range<usize>) -> R + Sync)) -> Vec<R> {
+///
+/// `max_len` is the source's [`ParallelIterator::max_len`]: when set,
+/// leaves hold at most that many indices and the [`MIN_PAR_LEN`]
+/// cutoff does not apply.
+fn run_blocks<R: Send>(
+    n: usize,
+    max_len: Option<usize>,
+    f: &(dyn Fn(Range<usize>) -> R + Sync),
+) -> Vec<R> {
     if n == 0 {
         return Vec::new();
     }
     let threads = current_num_threads();
-    if threads <= 1 || n < MIN_PAR_LEN {
+    if threads <= 1 || (max_len.is_none() && n < MIN_PAR_LEN) {
         return vec![f(0..n)];
     }
-    let grain = (n / (threads * TASKS_PER_THREAD)).max(MIN_GRAIN);
+    let grain = (n / (threads * TASKS_PER_THREAD))
+        .max(MIN_GRAIN)
+        .min(max_len.map_or(usize::MAX, |max| max.max(1)));
+    if n <= grain {
+        // A single leaf: skip the pool round trip. Unreachable without
+        // `max_len`, since `n >= MIN_PAR_LEN` exceeds the default grain.
+        return vec![f(0..n)];
+    }
     let job = BlockJob {
         f,
         results: Mutex::new(Vec::new()),
@@ -452,6 +474,13 @@ pub trait ParallelIterator: Sized + Send + Sync {
     /// `sink` in source order.
     fn drive(&self, range: Range<usize>, sink: &mut dyn FnMut(Self::Item));
 
+    /// Largest source range one leaf task may cover, as set by
+    /// [`IndexedParallelIterator::with_max_len`]; `None` keeps the
+    /// default schedule. Adapters report their base's value.
+    fn max_len(&self) -> Option<usize> {
+        None
+    }
+
     fn map<F, R>(self, f: F) -> Map<Self, F>
     where
         F: Fn(Self::Item) -> R + Send + Sync,
@@ -479,11 +508,13 @@ pub trait ParallelIterator: Sized + Send + Sync {
     where
         F: Fn(Self::Item) + Send + Sync,
     {
-        run_blocks(self.source_len(), &|range| self.drive(range, &mut |item| f(item)));
+        run_blocks(self.source_len(), self.max_len(), &|range| {
+            self.drive(range, &mut |item| f(item))
+        });
     }
 
     fn count(self) -> usize {
-        run_blocks(self.source_len(), &|range| {
+        run_blocks(self.source_len(), self.max_len(), &|range| {
             let mut c = 0usize;
             self.drive(range, &mut |_| c += 1);
             c
@@ -496,7 +527,7 @@ pub trait ParallelIterator: Sized + Send + Sync {
     where
         S: Send + std::iter::Sum<Self::Item> + std::iter::Sum<S>,
     {
-        run_blocks(self.source_len(), &|range| {
+        run_blocks(self.source_len(), self.max_len(), &|range| {
             // Fold incrementally through the two Sum impls — no
             // per-block buffer of the items.
             let mut acc: Option<S> = None;
@@ -518,7 +549,7 @@ pub trait ParallelIterator: Sized + Send + Sync {
     where
         Self::Item: Ord,
     {
-        run_blocks(self.source_len(), &|range| {
+        run_blocks(self.source_len(), self.max_len(), &|range| {
             let mut best: Option<Self::Item> = None;
             self.drive(range, &mut |item| {
                 if best.as_ref().is_none_or(|b| *b < item) {
@@ -536,7 +567,7 @@ pub trait ParallelIterator: Sized + Send + Sync {
     where
         Self::Item: Ord,
     {
-        run_blocks(self.source_len(), &|range| {
+        run_blocks(self.source_len(), self.max_len(), &|range| {
             let mut best: Option<Self::Item> = None;
             self.drive(range, &mut |item| {
                 if best.as_ref().is_none_or(|b| *b > item) {
@@ -554,7 +585,7 @@ pub trait ParallelIterator: Sized + Send + Sync {
     where
         P: Fn(Self::Item) -> bool + Send + Sync,
     {
-        run_blocks(self.source_len(), &|range| {
+        run_blocks(self.source_len(), self.max_len(), &|range| {
             let mut hit = false;
             self.drive(range, &mut |item| hit = hit || pred(item));
             hit
@@ -567,7 +598,7 @@ pub trait ParallelIterator: Sized + Send + Sync {
     where
         P: Fn(Self::Item) -> bool + Send + Sync,
     {
-        run_blocks(self.source_len(), &|range| {
+        run_blocks(self.source_len(), self.max_len(), &|range| {
             let mut ok = true;
             self.drive(range, &mut |item| ok = ok && pred(item));
             ok
@@ -598,6 +629,15 @@ pub trait IndexedParallelIterator: ParallelIterator {
     fn enumerate(self) -> Enumerate<Self> {
         Enumerate { base: self }
     }
+
+    /// Splits the source down to leaves of at most `max` items, as
+    /// rayon's method of the same name does. It also lifts the shim's
+    /// inline cutoff for sources under 2048 items, so a loop over
+    /// a few dozen heavy items forks across the pool. `max == 0` counts
+    /// as 1.
+    fn with_max_len(self, max: usize) -> MaxLen<Self> {
+        MaxLen { base: self, max }
+    }
 }
 
 pub trait IntoParallelIterator {
@@ -618,7 +658,7 @@ pub trait FromParallelIterator<T: Send> {
 
 impl<T: Send> FromParallelIterator<T> for Vec<T> {
     fn from_par_iter<I: ParallelIterator<Item = T>>(iter: I) -> Self {
-        let blocks = run_blocks(iter.source_len(), &|range| {
+        let blocks = run_blocks(iter.source_len(), iter.max_len(), &|range| {
             let mut items = Vec::new();
             iter.drive(range, &mut |item| items.push(item));
             items
@@ -720,6 +760,9 @@ where
     fn source_len(&self) -> usize {
         self.base.source_len()
     }
+    fn max_len(&self) -> Option<usize> {
+        self.base.max_len()
+    }
     fn drive(&self, range: Range<usize>, sink: &mut dyn FnMut(R)) {
         self.base.drive(range, &mut |item| sink((self.f)(item)));
     }
@@ -747,6 +790,9 @@ where
     fn source_len(&self) -> usize {
         self.base.source_len()
     }
+    fn max_len(&self) -> Option<usize> {
+        self.base.max_len()
+    }
     fn drive(&self, range: Range<usize>, sink: &mut dyn FnMut(I::Item)) {
         self.base.drive(range, &mut |item| {
             if (self.pred)(&item) {
@@ -771,6 +817,9 @@ where
     fn source_len(&self) -> usize {
         self.base.source_len()
     }
+    fn max_len(&self) -> Option<usize> {
+        self.base.max_len()
+    }
     fn drive(&self, range: Range<usize>, sink: &mut dyn FnMut(R)) {
         self.base.drive(range, &mut |item| {
             if let Some(mapped) = (self.f)(item) {
@@ -779,6 +828,26 @@ where
         });
     }
 }
+
+pub struct MaxLen<I> {
+    base: I,
+    max: usize,
+}
+
+impl<I: IndexedParallelIterator> ParallelIterator for MaxLen<I> {
+    type Item = I::Item;
+    fn source_len(&self) -> usize {
+        self.base.source_len()
+    }
+    fn max_len(&self) -> Option<usize> {
+        Some(self.max)
+    }
+    fn drive(&self, range: Range<usize>, sink: &mut dyn FnMut(I::Item)) {
+        self.base.drive(range, sink);
+    }
+}
+
+impl<I: IndexedParallelIterator> IndexedParallelIterator for MaxLen<I> {}
 
 pub struct Enumerate<I> {
     base: I,
@@ -791,6 +860,9 @@ where
     type Item = (usize, I::Item);
     fn source_len(&self) -> usize {
         self.base.source_len()
+    }
+    fn max_len(&self) -> Option<usize> {
+        self.base.max_len()
     }
     fn drive(&self, range: Range<usize>, sink: &mut dyn FnMut((usize, I::Item))) {
         // Indexed upstream: items map 1:1 to source indices, so the
@@ -1049,6 +1121,62 @@ mod tests {
                 .sum()
         });
         assert_eq!(total, 4 * MIN_PAR_LEN as u64);
+    }
+
+    fn pool_splits() -> u64 {
+        stats::per_worker().iter().map(|w| w.splits).sum()
+    }
+
+    #[test]
+    fn short_sources_without_max_len_run_inline() {
+        // Counted on the pool's own workers, so concurrent tests on
+        // other pools cannot disturb the tally.
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        pool.install(|| {
+            let caller = std::thread::current().id();
+            let before = pool_splits();
+            let ids: Vec<_> =
+                (0..60usize).into_par_iter().map(|_| std::thread::current().id()).collect();
+            assert_eq!(pool_splits(), before, "a short loop split");
+            assert!(ids.iter().all(|&id| id == caller), "a short loop left the caller");
+        });
+    }
+
+    #[test]
+    fn with_max_len_splits_short_sources() {
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let (splits, leaves) = pool.install(|| {
+            let before = pool_splits();
+            let leaves = run_blocks(60, Some(1), &|range| range.len());
+            (pool_splits() - before, leaves)
+        });
+        assert!(splits > 0, "with_max_len(1) over 60 items never split");
+        assert_eq!(leaves, vec![1; 60], "a leaf exceeded max_len");
+    }
+
+    #[test]
+    fn with_max_len_preserves_collect_order() {
+        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        pool.install(|| {
+            for max in [0, 1, 3, 64, 10_000] {
+                let got: Vec<(usize, u32)> = (0u32..60)
+                    .into_par_iter()
+                    .with_max_len(max)
+                    .map(|x| x * 3)
+                    .filter(|&x| x % 2 == 0)
+                    .collect::<Vec<_>>()
+                    .par_iter()
+                    .with_max_len(max)
+                    .enumerate()
+                    .map(|(i, &x)| (i, x))
+                    .collect();
+                let want: Vec<(usize, u32)> =
+                    (0u32..60).map(|x| x * 3).filter(|&x| x % 2 == 0).enumerate().collect();
+                assert_eq!(got, want, "max_len {max}");
+                let sum: u64 = (0u64..60).into_par_iter().with_max_len(max).sum();
+                assert_eq!(sum, 59 * 60 / 2);
+            }
+        });
     }
 
     #[test]
