@@ -45,11 +45,11 @@ fn bench_graph(c: &mut Criterion, name: &str, g: &CsrGraph, batches: &[usize]) {
     // Baseline: what a batch costs if every change triggers a fresh
     // one-shot decomposition of the full graph.
     c.bench_function(&format!("dynamic/{name}/full-recompute"), |b| {
-        b.iter(|| black_box(Decomposition::kcore(g).exact_config(config).run()))
+        b.iter(|| black_box(Decomposition::kcore(g).config(config).run()))
     });
 
     for &batch in batches {
-        let mut dg = DynamicGraph::with_exact_config(g.clone(), config);
+        let mut dg = DynamicGraph::new(g.clone(), config);
         let mut start = 0usize;
         let mut deleted: Option<Vec<(u32, u32)>> = None;
         c.bench_function(&format!("dynamic/{name}/apply-batch-{batch}"), |b| {

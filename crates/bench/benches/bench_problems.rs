@@ -32,26 +32,24 @@ fn bench_problems(c: &mut Criterion) {
     let config = Config::default();
     for (name, g) in &graphs {
         c.bench_function(&format!("problems/{name}/kcore"), |b| {
-            b.iter(|| black_box(Decomposition::kcore(g).exact_config(config).run()))
+            b.iter(|| black_box(Decomposition::kcore(g).config(config).run()))
         });
         c.bench_function(&format!("problems/{name}/densest"), |b| {
-            b.iter(|| black_box(Decomposition::densest(g).exact_config(config).run()))
+            b.iter(|| black_box(Decomposition::densest(g).config(config).run()))
         });
         c.bench_function(&format!("problems/{name}/ktruss"), |b| {
-            b.iter(|| black_box(Decomposition::ktruss(g).exact_config(config).run()))
+            b.iter(|| black_box(Decomposition::ktruss(g).config(config).run()))
         });
         c.bench_function(&format!("problems/{name}/ktruss-setup"), |b| {
             b.iter(|| black_box(TriangleCtx::build(g)))
         });
         let ctx = TriangleCtx::build(g);
         c.bench_function(&format!("problems/{name}/ktruss-peel"), |b| {
-            b.iter(|| black_box(Decomposition::ktruss(g).with_ctx(&ctx).exact_config(config).run()))
+            b.iter(|| black_box(Decomposition::ktruss(g).with_ctx(&ctx).config(config).run()))
         });
         for eps in kcore::SWEPT_EPSILONS {
             c.bench_function(&format!("problems/{name}/approx-densest-eps{eps}"), |b| {
-                b.iter(|| {
-                    black_box(Decomposition::approx_densest(g, eps).exact_config(config).run())
-                })
+                b.iter(|| black_box(Decomposition::approx_densest(g, eps).config(config).run()))
             });
         }
     }
@@ -60,7 +58,7 @@ fn bench_problems(c: &mut Criterion) {
     let g = gen::rmat(12, 8, 0.57, 0.19, 0.19, 42);
     let ctx = TriangleCtx::build(&g);
     c.bench_function("problems/rmat-s12/ktruss-peel", |b| {
-        b.iter(|| black_box(Decomposition::ktruss(&g).with_ctx(&ctx).exact_config(config).run()))
+        b.iter(|| black_box(Decomposition::ktruss(&g).with_ctx(&ctx).config(config).run()))
     });
     // (k,h)-core: ball recomputes are the dominant cost (each is
     // O(|ball|) via the epoch-stamped scratch), so keep to the two
@@ -68,14 +66,14 @@ fn bench_problems(c: &mut Criterion) {
     // balls span the graph and would measure the BFS, not the engine.
     for (name, g) in [&graphs[1], &graphs[2]] {
         c.bench_function(&format!("problems/{name}/khcore-h2"), |b| {
-            b.iter(|| black_box(Decomposition::khcore(g, 2).exact_config(config).run()))
+            b.iter(|| black_box(Decomposition::khcore(g, 2).config(config).run()))
         });
     }
     // Offline driver comparison on one representative.
     let (name, g) = &graphs[1];
     let offline = Config::with_techniques(Techniques::offline());
     c.bench_function(&format!("problems/{name}/kcore-offline"), |b| {
-        b.iter(|| black_box(Decomposition::kcore(g).exact_config(offline).run()))
+        b.iter(|| black_box(Decomposition::kcore(g).config(offline).run()))
     });
 }
 

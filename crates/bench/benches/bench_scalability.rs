@@ -52,7 +52,7 @@ fn bench_scalability(c: &mut Criterion) {
             // Model-predicted speedup from one instrumented run: the
             // Fig. 10 curve the measured sweep is compared against.
             let instrumented =
-                Decomposition::kcore(g).exact_config(Config::with_techniques(techniques)).run();
+                Decomposition::kcore(g).config(Config::with_techniques(techniques)).run();
             let stats = instrumented.stats();
             let predicted: Vec<String> = MODEL_CORES
                 .iter()
@@ -66,7 +66,7 @@ fn bench_scalability(c: &mut Criterion) {
                     // The pool lives outside the timing loop: iterations
                     // measure the decomposition, not thread spawn/join.
                     with_threads(threads, || {
-                        b.iter(|| black_box(Decomposition::kcore(g).exact_config(config).run()))
+                        b.iter(|| black_box(Decomposition::kcore(g).config(config).run()))
                     })
                 });
             }

@@ -12,7 +12,7 @@ fn bench_families(c: &mut Criterion) {
     for bg in standard_suite() {
         // Print the table row once (n, m, k_max, rho) so bench output
         // doubles as the Tab. 2 data source.
-        let result = Decomposition::kcore(&bg.graph).exact_config(plain).run();
+        let result = Decomposition::kcore(&bg.graph).config(plain).run();
         println!(
             "table2: {:<20} n={:<8} m={:<9} kmax={:<5} rho={}",
             bg.name,

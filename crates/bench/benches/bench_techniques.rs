@@ -28,11 +28,9 @@ fn bench_technique_ablation(c: &mut Criterion) {
     ];
     for (name, g) in &graphs {
         for (vname, techniques) in variants() {
-            // Exact config: a stray KCORE_TECHNIQUES in the environment
-            // must not silently rewrite the ablation rows.
             let config = Config::with_techniques(techniques);
             c.bench_function(&format!("techniques/{name}/{vname}"), |b| {
-                b.iter(|| black_box(Decomposition::kcore(g).exact_config(config).run()))
+                b.iter(|| black_box(Decomposition::kcore(g).config(config).run()))
             });
         }
         c.bench_function(&format!("techniques/{name}/bz-sequential"), |b| {

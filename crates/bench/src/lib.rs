@@ -91,22 +91,18 @@ pub mod summary {
         /// Worker threads the measurement ran with: `RAYON_NUM_THREADS`
         /// when set, else the actual default pool width — never empty.
         pub rayon_threads: String,
-        /// `KCORE_TECHNIQUES` at measurement time; `default` when the
-        /// override is unset (the baseline configuration).
-        pub techniques: String,
     }
 
     impl Entry {
         fn to_json_line(&self) -> String {
             format!(
                 "    {{\"bin\":{},\"bench\":{},\"ns_per_iter\":{},\"iters\":{},\
-                 \"rayon_threads\":{},\"techniques\":{}}}",
+                 \"rayon_threads\":{}}}",
                 json_str(&self.bin),
                 json_str(&self.bench),
                 self.ns_per_iter,
                 self.iters,
                 json_str(&self.rayon_threads),
-                json_str(&self.techniques),
             )
         }
     }
@@ -122,12 +118,11 @@ pub mod summary {
         let bin = current_bin_stem();
         // Resolve the environment to what *effectively* ran, so entries
         // never carry empty fields: an unset thread override means the
-        // default pool width, an unset techniques override means the
-        // baseline configuration.
-        let set = |k: &str| std::env::var(k).ok().filter(|v| !v.is_empty());
-        let rayon_threads =
-            set("RAYON_NUM_THREADS").unwrap_or_else(|| rayon::current_num_threads().to_string());
-        let techniques = set("KCORE_TECHNIQUES").unwrap_or_else(|| "default".to_string());
+        // default pool width.
+        let rayon_threads = std::env::var("RAYON_NUM_THREADS")
+            .ok()
+            .filter(|v| !v.is_empty())
+            .unwrap_or_else(|| rayon::current_num_threads().to_string());
         let entries: Vec<Entry> = reports
             .into_iter()
             .map(|r| Entry {
@@ -136,7 +131,6 @@ pub mod summary {
                 ns_per_iter: r.ns_per_iter,
                 iters: r.iters,
                 rayon_threads: rayon_threads.clone(),
-                techniques: techniques.clone(),
             })
             .collect();
         let path = output_path();
@@ -275,7 +269,6 @@ pub mod summary {
                 ns_per_iter: ns,
                 iters: 10,
                 rayon_threads: String::new(),
-                techniques: String::new(),
             }
         }
 

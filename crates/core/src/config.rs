@@ -36,11 +36,11 @@ use kcore_buckets::BucketStrategy;
 ///
 /// let g = gen::barabasi_albert(2000, 4, 7);
 /// let config = Config { techniques: Techniques::all_online(), ..Config::default() };
-/// let result = Decomposition::kcore(&g).exact_config(config).run();
+/// let result = Decomposition::kcore(&g).config(config).run();
 /// assert!(result.stats().sampled_vertices > 0);
 ///
 /// let plain = Config { techniques: Techniques::default(), ..Config::default() };
-/// let baseline = Decomposition::kcore(&g).exact_config(plain).run();
+/// let baseline = Decomposition::kcore(&g).config(plain).run();
 /// assert_eq!(baseline.coreness(), result.coreness());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,10 +191,6 @@ impl Default for Vgc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env;
-    use crate::problems::kcore::KCoreProblem;
-    use crate::problems::khcore::KhCoreProblem;
-    use kcore_graph::CsrGraph;
 
     #[test]
     fn defaults_match_the_papers_final_design() {
@@ -236,87 +232,5 @@ mod tests {
         let c = Config::with_techniques(Techniques::offline());
         assert_eq!(c.techniques.mode, PeelMode::Offline);
         assert_eq!(c.bucket_strategy, Config::default().bucket_strategy);
-    }
-
-    // The `KCORE_TECHNIQUES` spec tests: how a parsed spec fills a
-    // config, through `env::apply` so the process environment stays out.
-
-    /// k-core: unit incidence under min-bucket rounds admits everything.
-    fn kcore_apply(config: Config, spec: &str) -> Config {
-        env::apply(config, env::parse(spec), &KCoreProblem { g: &CsrGraph::empty() })
-    }
-
-    /// The plain framework (Alg. 1): every technique off, so a spec
-    /// token has to turn on whatever the tests below see.
-    fn plain() -> Config {
-        Config::with_techniques(Techniques::default())
-    }
-
-    #[test]
-    fn techniques_spec_enables_features() {
-        let c = kcore_apply(plain(), "sampling");
-        assert_eq!(
-            c.techniques,
-            Techniques { sampling: Some(Sampling::default()), ..plain().techniques }
-        );
-
-        let c = kcore_apply(plain(), "offline");
-        assert_eq!(c.techniques, Techniques::offline());
-
-        let c = kcore_apply(plain(), "sampling,offline");
-        assert!(c.techniques.sampling.is_some());
-        assert_eq!(c.techniques.mode, PeelMode::Offline);
-
-        // The default config keeps its VGC and gains the token's technique.
-        let c = kcore_apply(Config::default(), "sampling");
-        assert_eq!(c.techniques, Techniques::all_online());
-
-        // Empty spec and stray separators are no-ops.
-        assert_eq!(kcore_apply(plain(), " , "), plain());
-        assert_eq!(kcore_apply(Config::default(), " , "), Config::default());
-    }
-
-    #[test]
-    fn techniques_spec_does_not_downgrade_explicit_settings() {
-        // A config that already sets a technique keeps its parameters;
-        // the spec only fills gaps.
-        let sampling = Sampling { threshold: 7, rate_log2: 3, seed: 11 };
-        let base = Config::with_techniques(Techniques {
-            sampling: Some(sampling),
-            ..Techniques::default()
-        });
-        let c = kcore_apply(base, "sampling,offline");
-        assert_eq!(c.techniques.sampling, Some(sampling));
-        assert_eq!(c.techniques.vgc, None, "no token turns VGC on");
-        assert_eq!(c.techniques.mode, PeelMode::Offline);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown token")]
-    fn techniques_spec_rejects_typos() {
-        let _ = env::parse("samplign");
-    }
-
-    #[test]
-    fn filtered_spec_drops_unsupported_tokens() {
-        // The (k,h)-core recomputes priorities, which refuses sampling
-        // and offline: each token is dropped on its own, and the
-        // config's own VGC setting passes through untouched.
-        let g = CsrGraph::empty();
-        let khcore = KhCoreProblem { g: &g, h: 2 };
-        for spec in ["sampling", "offline", "sampling,offline"] {
-            assert_eq!(env::apply(plain(), env::parse(spec), &khcore), plain(), "{spec}");
-            let c = env::apply(Config::default(), env::parse(spec), &khcore);
-            assert_eq!(c, Config::default(), "{spec}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown token")]
-    fn filtered_spec_still_rejects_typos() {
-        // Parsing precedes filtering: a typo panics for every problem.
-        let g = CsrGraph::empty();
-        let _ =
-            env::apply(Config::default(), env::parse("offlien"), &KhCoreProblem { g: &g, h: 2 });
     }
 }

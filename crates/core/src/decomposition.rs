@@ -22,19 +22,14 @@
 //! assert!(Decomposition::khcore(&g, 2).run().kmax() >= 2);
 //! ```
 //!
-//! # Configuration resolution
+//! # Configuration
 //!
-//! [`Decomposition::config`] (or the field shortcuts
-//! [`Decomposition::strategy`] / [`Decomposition::techniques`]) applies
-//! the `KCORE_TECHNIQUES` environment override at [`Decomposition::run`]
-//! — filtered to the techniques the chosen problem's axes admit, so
-//! CI's forced-techniques matrix reaches every code path without
-//! panicking on inapplicable tokens. [`Decomposition::exact_config`]
-//! opts out of the override for callers (and tests) that assert
-//! technique-specific behavior.
+//! A run uses exactly the configuration its caller staged:
+//! [`Decomposition::config`] replaces it whole, and the field
+//! shortcuts [`Decomposition::strategy`] / [`Decomposition::techniques`]
+//! set one field of it. Nothing is read from the environment.
 
 use crate::config::Techniques;
-use crate::env;
 use crate::peel::engine::{PeelEngine, PeelProblem};
 use crate::peel::offline;
 use crate::problems::approx_densest::ApproxDensestProblem;
@@ -94,7 +89,6 @@ pub struct Decomposition<'g, P> {
     g: &'g CsrGraph,
     problem: P,
     config: Config,
-    exact: bool,
 }
 
 // Manual impl: the graph is left out of the output.
@@ -103,32 +97,27 @@ impl<P: fmt::Debug> fmt::Debug for Decomposition<'_, P> {
         f.debug_struct("Decomposition")
             .field("problem", &self.problem)
             .field("config", &self.config)
-            .field("exact", &self.exact)
             .finish_non_exhaustive()
     }
 }
 
 impl<'g, P> Decomposition<'g, P> {
     fn with(g: &'g CsrGraph, problem: P) -> Self {
-        Self { g, problem, config: Config::default(), exact: false }
+        Self { g, problem, config: Config::default() }
     }
 
     /// Replaces the whole configuration (bucket strategy and
-    /// techniques). The `KCORE_TECHNIQUES` environment override
-    /// still applies at `run`; use [`Decomposition::exact_config`] to
-    /// bypass it.
+    /// techniques).
     pub fn config(mut self, config: Config) -> Self {
         self.config = config;
         self
     }
 
-    /// Replaces the whole configuration and bypasses the
-    /// `KCORE_TECHNIQUES` environment override — for callers (and
-    /// tests) that assert technique-specific behavior.
-    pub fn exact_config(mut self, config: Config) -> Self {
-        self.config = config;
-        self.exact = true;
-        self
+    // Old name of `config`, kept only for the repository benchmark
+    // (`perfbench/`), its one caller; no workspace crate calls it.
+    #[doc(hidden)]
+    pub fn exact_config(self, config: Config) -> Self {
+        self.config(config)
     }
 
     /// Sets just the bucket strategy.
@@ -143,24 +132,9 @@ impl<'g, P> Decomposition<'g, P> {
         self
     }
 
-    /// The configuration as currently staged (before env resolution).
-    pub fn staged_config(&self) -> &Config {
-        &self.config
-    }
-
-    /// The effective config for `problem`: the staged one, plus the
-    /// `KCORE_TECHNIQUES` techniques its axes admit unless exact.
-    fn resolve(&self, problem: &impl PeelProblem) -> Config {
-        if self.exact {
-            self.config
-        } else {
-            env::resolve(self.config, problem)
-        }
-    }
-
-    /// Peels `problem` on the engine with the effective config.
+    /// Peels `problem` on the engine with the staged config.
     fn peel<Q: PeelProblem>(&self, problem: &Q) -> Q::Output {
-        PeelEngine::new(problem, self.resolve(problem)).run()
+        PeelEngine::new(problem, self.config).run()
     }
 }
 
@@ -229,9 +203,8 @@ impl<'g> Decomposition<'g, DensestSpec> {
         Self::with(g, DensestSpec(()))
     }
 
-    /// Runs the decomposition: the k-core peel (same axes, so the same
-    /// config resolution), then the density post-pass over its
-    /// coreness.
+    /// Runs the decomposition: the k-core peel under the staged config,
+    /// then the density post-pass over its coreness.
     pub fn run(self) -> DensestResult {
         let core = self.peel(&KCoreProblem { g: self.g });
         DensestResult::from_coreness(self.g, core)
@@ -283,18 +256,25 @@ mod tests {
 
     #[test]
     fn builder_shortcuts_stage_config_fields() {
-        let g = gen::cycle(12);
+        // A planted 40-clique: its members' degrees pass the sampling
+        // threshold, so the run's stats show the techniques block
+        // arrived; the shortcuts' run must match the whole-config run
+        // counter for counter.
+        let g = gen::planted_core(200, 2, 40, 9);
         let techniques = Techniques {
             sampling: Some(Sampling::with_threshold(8)),
             vgc: Some(Vgc::default()),
             ..Techniques::default()
         };
-        let d =
-            Decomposition::kcore(&g).strategy(BucketStrategy::Hierarchical).techniques(techniques);
-        assert_eq!(d.staged_config().bucket_strategy, BucketStrategy::Hierarchical);
-        assert!(d.staged_config().techniques.sampling.is_some());
-        let r = d.run();
+        let r = Decomposition::kcore(&g)
+            .strategy(BucketStrategy::Hierarchical)
+            .techniques(techniques)
+            .run();
         assert_eq!(r.coreness(), bz_coreness(&g).as_slice());
+        assert!(r.stats().sampled_vertices > 0, "the shortcut's sampling must run");
+        let config = Config { bucket_strategy: BucketStrategy::Hierarchical, techniques };
+        let whole = Decomposition::kcore(&g).config(config).run();
+        assert_eq!(format!("{:?}", r.stats()), format!("{:?}", whole.stats()));
     }
 
     #[test]

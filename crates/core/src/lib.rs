@@ -91,7 +91,6 @@
 pub mod bz;
 mod config;
 mod decomposition;
-mod env;
 pub mod maintain;
 mod peel;
 mod problems;

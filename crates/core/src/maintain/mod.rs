@@ -54,7 +54,6 @@
 mod region;
 mod repeel;
 
-use crate::env;
 use crate::peel::engine::PeelEngine;
 use crate::problems::kcore::KCoreProblem;
 use crate::{Config, CorenessResult};
@@ -148,25 +147,12 @@ impl DynamicGraph {
     pub const DEFAULT_COMPACTION_FRACTION: f64 = 0.5;
 
     /// Wraps `base` and computes its initial decomposition (version 0)
-    /// with the given configuration plus the `KCORE_TECHNIQUES`
-    /// environment override, as [`crate::Decomposition::config`] does.
+    /// with `config`, which every later re-peel runs with too.
     pub fn new(base: CsrGraph, config: Config) -> Self {
-        Self::build(base, config, false)
-    }
-
-    /// Like [`DynamicGraph::new`] but takes `config` exactly as given,
-    /// bypassing the environment override.
-    pub fn with_exact_config(base: CsrGraph, config: Config) -> Self {
-        Self::build(base, config, true)
-    }
-
-    fn build(base: CsrGraph, config: Config, exact: bool) -> Self {
         // The overlay serves merged adjacency slices, so the logical
         // graph peels as an ordinary k-core problem.
         let graph = OverlayGraph::new(base);
-        let problem = KCoreProblem { g: &graph };
-        let config = if exact { config } else { env::resolve(config, &problem) };
-        let result = PeelEngine::new(&problem, config).run();
+        let result = PeelEngine::new(&KCoreProblem { g: &graph }, config).run();
         Self {
             graph,
             config,
@@ -176,6 +162,13 @@ impl DynamicGraph {
             scratch: region::Scratch::default(),
             remap: Vec::new(),
         }
+    }
+
+    // Old name of `new`, kept only for the repository benchmark
+    // (`perfbench/`), its one caller; no workspace crate calls it.
+    #[doc(hidden)]
+    pub fn with_exact_config(base: CsrGraph, config: Config) -> Self {
+        Self::new(base, config)
     }
 
     /// The logical graph being maintained.
@@ -351,7 +344,7 @@ mod tests {
         // The default config re-peels with VGC: one batch deleting every
         // 17th edge of a road graph, one batch restoring them.
         let g = gen::road(30, 30, 0.1, 0.1, 4);
-        let mut dynamic = DynamicGraph::with_exact_config(g.clone(), Config::default());
+        let mut dynamic = DynamicGraph::new(g.clone(), Config::default());
         assert_eq!(dynamic.config().techniques.vgc, Some(crate::Vgc::default()));
         assert_current(&dynamic);
         let batch: Vec<(VertexId, VertexId)> = g.edges().step_by(17).collect();

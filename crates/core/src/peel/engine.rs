@@ -390,10 +390,8 @@ pub trait PeelProblem: Sync {
 /// The generic peeling engine: Alg. 1's round/subround loop with the
 /// Sec. 4 techniques, parameterized by a [`PeelProblem`].
 ///
-/// The engine runs `config` exactly as given. [`crate::Decomposition`]
-/// adds the `KCORE_TECHNIQUES` override to the config in its `run`,
-/// before it builds an engine; an engine driven directly never reads
-/// the environment.
+/// The engine runs `config` exactly as given, whether a
+/// [`crate::Decomposition`] builds it or a caller drives it directly.
 pub struct PeelEngine<'p, P: PeelProblem> {
     problem: &'p P,
     config: Config,
@@ -438,33 +436,19 @@ impl<'p, P: PeelProblem> PeelEngine<'p, P> {
     }
 }
 
-/// Whether sampling and the offline step may be requested on these
-/// axes: both are `RoundPolicy::MinBucket` refinements of unit
-/// incidences, and a snapshot incidence accepts and ignores them (it
-/// runs the two-phase step under either mode).
+/// Rejects technique × axis combinations the engine cannot honor, and
+/// a sampling rate exponent the 64-bit edge hash cannot mask: fail
+/// loudly with the valid combinations named, never silently produce a
+/// wrong (or silently degraded) result.
 ///
+/// Sampling and the offline step are `RoundPolicy::MinBucket`
+/// refinements of unit incidences, and a snapshot incidence accepts and
+/// ignores them (it runs the two-phase step under either mode).
 /// Sampling approximates priorities that decrease by units, and the
 /// offline step histograms unit decrements — neither is defined for
 /// threshold-batched rounds or recomputed priorities. VGC composes
 /// with threshold rounds (the chase clamps to the round threshold) and
 /// is ignored by the two-phase step, so it is admitted everywhere.
-/// [`validate_combination`] panics on an explicit request this refuses;
-/// the `KCORE_TECHNIQUES` override drops it instead.
-pub(crate) fn admits_sampling_and_offline(
-    policy: &RoundPolicy<'_>,
-    incidence: &Incidence<'_>,
-) -> bool {
-    matches!(
-        (policy, incidence),
-        (RoundPolicy::MinBucket, Incidence::Unit(_) | Incidence::Snapshot(_))
-    )
-}
-
-/// Rejects technique × axis combinations the engine cannot honor, and
-/// a sampling rate exponent the 64-bit edge hash cannot mask,
-/// mirroring the `KCORE_TECHNIQUES` unknown-token panic: fail loudly
-/// with the valid combinations named, never silently produce a wrong
-/// (or silently degraded) result.
 pub(crate) fn validate_combination(
     config: &Config,
     policy: &RoundPolicy<'_>,
@@ -478,10 +462,8 @@ pub(crate) fn validate_combination(
     if let Some(s) = config.techniques.sampling {
         assert!(s.rate_log2 < 64, "Sampling::rate_log2 must be in 0..=63, got {}", s.rate_log2);
     }
-    if admits_sampling_and_offline(policy, incidence) {
-        return;
-    }
     let axis = match (policy, incidence) {
+        (RoundPolicy::MinBucket, Incidence::Unit(_) | Incidence::Snapshot(_)) => return,
         (RoundPolicy::Threshold(_), Incidence::Unit(_)) => "RoundPolicy::Threshold",
         (RoundPolicy::Threshold(_), _) => {
             panic!("RoundPolicy::Threshold requires Incidence::Unit ({VALID})")

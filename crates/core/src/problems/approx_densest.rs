@@ -192,7 +192,7 @@ mod tests {
     use super::*;
     use crate::config::{Sampling, Techniques, Vgc};
     use crate::problems::densest::sequential_greedy_density;
-    use crate::{env, Config, Decomposition};
+    use crate::{Config, Decomposition};
     use kcore_buckets::BucketStrategy;
     use kcore_graph::{gen, CsrGraph, GraphBuilder};
 
@@ -203,7 +203,7 @@ mod tests {
         for eps in EPSILONS {
             for strategy in BucketStrategy::ALL {
                 let config = Config::with_strategy(strategy);
-                let r = Decomposition::approx_densest(g, eps).exact_config(config).run();
+                let r = Decomposition::approx_densest(g, eps).config(config).run();
                 let got = r.density();
                 assert!(
                     got <= oracle + 1e-9,
@@ -237,7 +237,7 @@ mod tests {
                 .iter()
                 .map(|&eps| {
                     Decomposition::approx_densest(&g, eps)
-                        .exact_config(Config::default())
+                        .config(Config::default())
                         .run()
                         .num_rounds()
                 })
@@ -261,8 +261,8 @@ mod tests {
     #[test]
     fn far_fewer_rounds_than_the_exact_greedy() {
         let g = gen::hcns(40); // degeneracy ~40: many min-bucket rounds
-        let exact = Decomposition::densest(&g).exact_config(Config::default()).run();
-        let batched = Decomposition::approx_densest(&g, 0.5).exact_config(Config::default()).run();
+        let exact = Decomposition::densest(&g).config(Config::default()).run();
+        let batched = Decomposition::approx_densest(&g, 0.5).config(Config::default()).run();
         assert!(
             batched.num_rounds() * 3 < exact.stats().rounds,
             "batching must collapse rounds: {} vs {}",
@@ -274,7 +274,7 @@ mod tests {
     #[test]
     fn returned_subgraph_really_has_the_reported_density() {
         let g = gen::planted_core(300, 2, 50, 21);
-        let r = Decomposition::approx_densest(&g, 0.5).exact_config(Config::default()).run();
+        let r = Decomposition::approx_densest(&g, 0.5).config(Config::default()).run();
         let members = r.members();
         let mk = g.edges().filter(|&(u, v)| members[u as usize] && members[v as usize]).count();
         assert_eq!(r.density(), mk as f64 / r.num_members() as f64);
@@ -285,7 +285,7 @@ mod tests {
     fn epsilon_zero_still_terminates_with_factor_two() {
         let g = gen::barabasi_albert(150, 3, 3);
         let oracle = sequential_greedy_density(&g);
-        let r = Decomposition::approx_densest(&g, 0.0).exact_config(Config::default()).run();
+        let r = Decomposition::approx_densest(&g, 0.0).config(Config::default()).run();
         assert!(r.density() <= oracle + 1e-9);
         assert!(r.density() * 2.0 + 1e-9 >= oracle);
     }
@@ -294,13 +294,13 @@ mod tests {
     fn vgc_composes_with_threshold_rounds() {
         let g = gen::barabasi_albert(400, 3, 9);
         let plain = Decomposition::approx_densest(&g, 0.5)
-            .exact_config(Config::with_techniques(Techniques::default()))
+            .config(Config::with_techniques(Techniques::default()))
             .run();
         let vgc = Config::with_techniques(Techniques {
             vgc: Some(Vgc::default()),
             ..Techniques::default()
         });
-        let chased = Decomposition::approx_densest(&g, 0.5).exact_config(vgc).run();
+        let chased = Decomposition::approx_densest(&g, 0.5).config(vgc).run();
         assert_eq!(plain.rounds(), chased.rounds(), "VGC only reorders work within a round");
         assert_eq!(plain.densities(), chased.densities());
     }
@@ -308,8 +308,8 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_input() {
         let g = gen::rmat(8, 6, 0.57, 0.19, 0.19, 4);
-        let a = Decomposition::approx_densest(&g, 0.5).exact_config(Config::default()).run();
-        let b = Decomposition::approx_densest(&g, 0.5).exact_config(Config::default()).run();
+        let a = Decomposition::approx_densest(&g, 0.5).config(Config::default()).run();
+        let b = Decomposition::approx_densest(&g, 0.5).config(Config::default()).run();
         assert_eq!(a.rounds(), b.rounds());
         assert_eq!(a.best_round(), b.best_round());
         assert_eq!(a.densities(), b.densities());
@@ -317,13 +317,12 @@ mod tests {
 
     #[test]
     fn empty_and_trivial() {
-        let r = Decomposition::approx_densest(&CsrGraph::empty(), 0.5)
-            .exact_config(Config::default())
-            .run();
+        let r =
+            Decomposition::approx_densest(&CsrGraph::empty(), 0.5).config(Config::default()).run();
         assert_eq!(r.density(), 0.0);
         assert_eq!(r.num_members(), 0);
         let r = Decomposition::approx_densest(&GraphBuilder::new(4).build(), 0.5)
-            .exact_config(Config::default())
+            .config(Config::default())
             .run();
         assert_eq!(r.density(), 0.0);
         assert_eq!(r.num_rounds(), 1, "isolated vertices all drain in round 0");
@@ -335,7 +334,7 @@ mod tests {
         let techniques =
             Techniques { sampling: Some(Sampling::with_threshold(4)), ..Techniques::default() };
         let _ = Decomposition::approx_densest(&gen::path(10), 0.5)
-            .exact_config(Config::with_techniques(techniques))
+            .config(Config::with_techniques(techniques))
             .run();
     }
 
@@ -343,25 +342,7 @@ mod tests {
     #[should_panic(expected = "RoundPolicy::Threshold does not support the offline driver")]
     fn explicit_offline_is_rejected() {
         let _ = Decomposition::approx_densest(&gen::path(10), 0.5)
-            .exact_config(Config::with_techniques(Techniques::offline()))
+            .config(Config::with_techniques(Techniques::offline()))
             .run();
-    }
-
-    #[test]
-    fn forced_env_tokens_are_filtered_not_fatal() {
-        let g = gen::barabasi_albert(120, 3, 5);
-        // What the KCORE_TECHNIQUES CI legs exercise, without reading
-        // the environment: threshold rounds drop both tokens, so the
-        // default config (VGC on) runs as given, with the plain
-        // framework's rounds.
-        let problem = ApproxDensestProblem::new(&g, 0.5);
-        let plain = Config::with_techniques(Techniques::default());
-        let want = Decomposition::approx_densest(&g, 0.5).exact_config(plain).run();
-        for spec in ["sampling", "offline"] {
-            let config = env::apply(Config::default(), env::parse(spec), &problem);
-            assert_eq!(config, Config::default(), "{spec}");
-            let got = Decomposition::approx_densest(&g, 0.5).exact_config(config).run();
-            assert_eq!(got.rounds(), want.rounds(), "{spec}");
-        }
     }
 }

@@ -173,7 +173,7 @@ mod tests {
         for strategy in BucketStrategy::ALL {
             for techniques in [Techniques::default(), Techniques::offline()] {
                 let config = Config { bucket_strategy: strategy, techniques };
-                let r = Decomposition::densest(g).exact_config(config).run();
+                let r = Decomposition::densest(g).config(config).run();
                 let got = r.density();
                 assert!(
                     got <= oracle + 1e-9,
@@ -254,9 +254,8 @@ mod tests {
     #[test]
     fn techniques_do_not_change_the_answer() {
         let g = gen::barabasi_albert(300, 4, 5);
-        let want = Decomposition::densest(&g)
-            .exact_config(Config::with_techniques(Techniques::default()))
-            .run();
+        let want =
+            Decomposition::densest(&g).config(Config::with_techniques(Techniques::default())).run();
         for (name, techniques) in [
             (
                 "sampling",
@@ -266,8 +265,7 @@ mod tests {
             ("all", Techniques::all_online()),
             ("offline", Techniques::offline()),
         ] {
-            let got =
-                Decomposition::densest(&g).exact_config(Config::with_techniques(techniques)).run();
+            let got = Decomposition::densest(&g).config(Config::with_techniques(techniques)).run();
             assert_eq!(got.best_k(), want.best_k(), "{name}");
             assert_eq!(got.densities(), want.densities(), "{name}");
         }

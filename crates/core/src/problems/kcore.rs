@@ -187,7 +187,7 @@ mod tests {
             vgc: Some(Vgc::default()),
             mode: PeelMode::Online,
         };
-        let r = Decomposition::kcore(&g).exact_config(Config::with_techniques(techniques)).run();
+        let r = Decomposition::kcore(&g).config(Config::with_techniques(techniques)).run();
         assert_eq!(r.coreness(), bz_coreness(&g).as_slice());
         let s = r.stats();
         assert!(s.sampled_vertices > 0, "hubs above the threshold must enter sample mode");
@@ -205,8 +205,7 @@ mod tests {
             let g = gen::barabasi_albert(1200, 6, seed);
             let techniques =
                 Techniques { sampling: Some(Sampling::with_threshold(8)), ..Techniques::default() };
-            let r =
-                Decomposition::kcore(&g).exact_config(Config::with_techniques(techniques)).run();
+            let r = Decomposition::kcore(&g).config(Config::with_techniques(techniques)).run();
             assert_eq!(r.coreness(), bz_coreness(&g).as_slice(), "seed {seed}");
         }
     }
@@ -235,7 +234,7 @@ mod tests {
                     let sampling = Some(Sampling { rate_log2, ..base });
                     let techniques = Techniques { sampling, vgc, ..Techniques::default() };
                     let config = Config { bucket_strategy: strategy, techniques };
-                    let r = Decomposition::kcore(&g).exact_config(config).run();
+                    let r = Decomposition::kcore(&g).config(config).run();
                     let label = format!("{strategy}, rate 2^-{rate_log2}, {vgc:?}");
                     assert_eq!(r.coreness(), want.as_slice(), "{label}");
                     if rate_log2 == 0 {
@@ -263,8 +262,7 @@ mod tests {
                 vgc: Some(Vgc::default()),
                 ..Techniques::default()
             };
-            let r =
-                Decomposition::kcore(&g).exact_config(Config::with_techniques(techniques)).run();
+            let r = Decomposition::kcore(&g).config(Config::with_techniques(techniques)).run();
             assert_eq!(r.coreness(), bz_coreness(&g).as_slice());
             let s = r.stats();
             let hubs: Vec<u32> = g.degrees().into_iter().filter(|&d| d >= threshold).collect();
@@ -292,7 +290,7 @@ mod tests {
         let g = gen::star(20);
         let sampling = Sampling { rate_log2: 64, ..Sampling::with_threshold(4) };
         let techniques = Techniques { sampling: Some(sampling), ..Techniques::default() };
-        Decomposition::kcore(&g).exact_config(Config::with_techniques(techniques)).run();
+        Decomposition::kcore(&g).config(Config::with_techniques(techniques)).run();
     }
 
     #[test]
@@ -303,9 +301,9 @@ mod tests {
         let g = gen::path(400);
         let (plain, chased) = with_threads(1, || {
             let plain = Config::with_techniques(Techniques::default());
-            let plain = Decomposition::kcore(&g).exact_config(plain).run();
+            let plain = Decomposition::kcore(&g).config(plain).run();
             let vgc = Techniques { vgc: Some(Vgc { chain_limit: 1000 }), ..Techniques::default() };
-            let chased = Decomposition::kcore(&g).exact_config(Config::with_techniques(vgc)).run();
+            let chased = Decomposition::kcore(&g).config(Config::with_techniques(vgc)).run();
             (plain, chased)
         });
         assert_eq!(plain.coreness(), chased.coreness());
@@ -326,9 +324,9 @@ mod tests {
         // tiny subrounds of the plain framework, within the chain bound.
         // (The path case is `vgc_collapses_subrounds_on_a_path`.)
         let g = gen::road(40, 40, 0.1, 0.1, 3);
-        let chased = Decomposition::kcore(&g).exact_config(Config::default()).run();
+        let chased = Decomposition::kcore(&g).config(Config::default()).run();
         let plain = Config::with_techniques(Techniques::default());
-        let baseline = Decomposition::kcore(&g).exact_config(plain).run();
+        let baseline = Decomposition::kcore(&g).config(plain).run();
         assert_eq!(chased.coreness(), bz_coreness(&g).as_slice());
         let (cs, ps) = (chased.stats(), baseline.stats());
         assert!(
@@ -345,9 +343,8 @@ mod tests {
     fn vgc_chain_limit_bounds_the_chain() {
         let g = gen::path(400);
         let vgc = Techniques { vgc: Some(Vgc { chain_limit: 10 }), ..Techniques::default() };
-        let r = with_threads(1, || {
-            Decomposition::kcore(&g).exact_config(Config::with_techniques(vgc)).run()
-        });
+        let r =
+            with_threads(1, || Decomposition::kcore(&g).config(Config::with_techniques(vgc)).run());
         assert_eq!(r.coreness(), bz_coreness(&g).as_slice());
         assert!(r.stats().peak_chain <= 10, "chain {} exceeds limit", r.stats().peak_chain);
     }
@@ -356,10 +353,9 @@ mod tests {
     fn offline_charges_more_syncs_per_subround() {
         let g = gen::mesh(20, 20);
         let online = Config::with_techniques(Techniques::default());
-        let online = Decomposition::kcore(&g).exact_config(online).run();
-        let offline = Decomposition::kcore(&g)
-            .exact_config(Config::with_techniques(Techniques::offline()))
-            .run();
+        let online = Decomposition::kcore(&g).config(online).run();
+        let offline =
+            Decomposition::kcore(&g).config(Config::with_techniques(Techniques::offline())).run();
         assert_eq!(online.coreness(), offline.coreness());
         let (on, off) = (online.stats(), offline.stats());
         assert_eq!(on.global_syncs, on.subrounds);
@@ -388,7 +384,7 @@ mod tests {
         // Drive the engine directly (as a new problem's author would)
         // and check it matches the facade.
         let g = gen::barabasi_albert(400, 3, 5);
-        let via_facade = Decomposition::kcore(&g).exact_config(Config::default()).run();
+        let via_facade = Decomposition::kcore(&g).config(Config::default()).run();
         let problem = KCoreProblem { g: &g };
         let via_engine = PeelEngine::new(&problem, Config::default()).run();
         assert_eq!(via_facade.coreness(), via_engine.coreness());

@@ -279,7 +279,7 @@ mod tests {
     use super::*;
     use crate::bz::bz_coreness;
     use crate::config::{Sampling, Techniques};
-    use crate::{env, Config, Decomposition};
+    use crate::{Config, Decomposition};
     use kcore_buckets::BucketStrategy;
     use kcore_graph::{gen, GraphBuilder};
 
@@ -293,9 +293,8 @@ mod tests {
         ] {
             let want = bz_coreness(&g);
             for strategy in BucketStrategy::ALL {
-                let got = Decomposition::khcore(&g, 1)
-                    .exact_config(Config::with_strategy(strategy))
-                    .run();
+                let got =
+                    Decomposition::khcore(&g, 1).config(Config::with_strategy(strategy)).run();
                 assert_eq!(got.kh_coreness(), want.as_slice(), "{label} under {strategy}");
             }
         }
@@ -312,9 +311,8 @@ mod tests {
         ] {
             let want = sequential_kh_coreness(&g, 2);
             for strategy in BucketStrategy::ALL {
-                let got = Decomposition::khcore(&g, 2)
-                    .exact_config(Config::with_strategy(strategy))
-                    .run();
+                let got =
+                    Decomposition::khcore(&g, 2).config(Config::with_strategy(strategy)).run();
                 assert_eq!(got.kh_coreness(), want.as_slice(), "{label} under {strategy}");
             }
         }
@@ -325,9 +323,9 @@ mod tests {
         // Balls are nested in h, so priorities — and the cores — only
         // grow with the hop bound.
         let g = gen::barabasi_albert(60, 2, 11);
-        let h1 = Decomposition::khcore(&g, 1).exact_config(Config::default()).run();
-        let h2 = Decomposition::khcore(&g, 2).exact_config(Config::default()).run();
-        let h3 = Decomposition::khcore(&g, 3).exact_config(Config::default()).run();
+        let h1 = Decomposition::khcore(&g, 1).config(Config::default()).run();
+        let h2 = Decomposition::khcore(&g, 2).config(Config::default()).run();
+        let h3 = Decomposition::khcore(&g, 3).config(Config::default()).run();
         for v in 0..g.num_vertices() {
             assert!(h1.kh_coreness()[v] <= h2.kh_coreness()[v], "vertex {v}: h=1 vs h=2");
             assert!(h2.kh_coreness()[v] <= h3.kh_coreness()[v], "vertex {v}: h=2 vs h=3");
@@ -340,14 +338,13 @@ mod tests {
         // K_n: everyone is within one hop of everyone — kh-coreness is
         // n-1 for every h.
         for h in [1u32, 2, 3] {
-            let r =
-                Decomposition::khcore(&gen::complete(9), h).exact_config(Config::default()).run();
+            let r = Decomposition::khcore(&gen::complete(9), h).config(Config::default()).run();
             assert!(r.kh_coreness().iter().all(|&c| c == 8), "K9 at h = {h}");
         }
         // A star at h = 2: every leaf sees the hub plus the other
         // leaves, the hub sees the leaves — the whole star is one
         // (n-1, 2)-core.
-        let r = Decomposition::khcore(&gen::star(12), 2).exact_config(Config::default()).run();
+        let r = Decomposition::khcore(&gen::star(12), 2).config(Config::default()).run();
         assert_eq!(r.kh_coreness(), sequential_kh_coreness(&gen::star(12), 2).as_slice());
         assert!(r.kh_coreness().iter().all(|&c| c == 11), "the star collapses in one round");
     }
@@ -355,26 +352,25 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_input() {
         let g = gen::rmat(7, 5, 0.57, 0.19, 0.19, 2);
-        let a = Decomposition::khcore(&g, 2).exact_config(Config::default()).run();
-        let b = Decomposition::khcore(&g, 2).exact_config(Config::default()).run();
+        let a = Decomposition::khcore(&g, 2).config(Config::default()).run();
+        let b = Decomposition::khcore(&g, 2).config(Config::default()).run();
         assert_eq!(a.kh_coreness(), b.kh_coreness());
         assert_eq!(a.stats().subrounds, b.stats().subrounds);
     }
 
     #[test]
     fn empty_and_isolated() {
-        let r = Decomposition::khcore(&CsrGraph::empty(), 2).exact_config(Config::default()).run();
+        let r = Decomposition::khcore(&CsrGraph::empty(), 2).config(Config::default()).run();
         assert_eq!(r.num_vertices(), 0);
-        let r = Decomposition::khcore(&GraphBuilder::new(4).build(), 2)
-            .exact_config(Config::default())
-            .run();
+        let r =
+            Decomposition::khcore(&GraphBuilder::new(4).build(), 2).config(Config::default()).run();
         assert_eq!(r.kh_coreness(), &[0; 4]);
     }
 
     #[test]
     fn two_phase_subrounds_charge_two_syncs() {
         let g = gen::planted_core(60, 2, 12, 3);
-        let r = Decomposition::khcore(&g, 2).exact_config(Config::default()).run();
+        let r = Decomposition::khcore(&g, 2).config(Config::default()).run();
         let s = r.stats();
         assert!(s.subrounds > 0);
         assert_eq!(s.global_syncs, 2 * s.subrounds, "settle + recompute phases");
@@ -386,7 +382,7 @@ mod tests {
         let techniques =
             Techniques { sampling: Some(Sampling::with_threshold(4)), ..Techniques::default() };
         let _ = Decomposition::khcore(&gen::path(10), 2)
-            .exact_config(Config::with_techniques(techniques))
+            .config(Config::with_techniques(techniques))
             .run();
     }
 
@@ -394,23 +390,7 @@ mod tests {
     #[should_panic(expected = "Incidence::Recompute does not support the offline driver")]
     fn explicit_offline_is_rejected() {
         let _ = Decomposition::khcore(&gen::path(10), 2)
-            .exact_config(Config::with_techniques(Techniques::offline()))
+            .config(Config::with_techniques(Techniques::offline()))
             .run();
-    }
-
-    #[test]
-    fn forced_env_tokens_are_filtered_not_fatal() {
-        // What the KCORE_TECHNIQUES CI legs exercise, without reading
-        // the environment: recomputed priorities drop both tokens, so
-        // the default config (VGC on) runs as given and stays
-        // oracle-correct.
-        let g = gen::barabasi_albert(40, 2, 5);
-        let problem = KhCoreProblem { g: &g, h: 2 };
-        for spec in ["sampling", "offline"] {
-            let config = env::apply(Config::default(), env::parse(spec), &problem);
-            assert_eq!(config, Config::default(), "{spec}");
-            let got = Decomposition::khcore(&g, 2).exact_config(config).run();
-            assert_eq!(got.kh_coreness(), sequential_kh_coreness(&g, 2).as_slice(), "{spec}");
-        }
     }
 }

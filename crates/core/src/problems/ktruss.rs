@@ -470,8 +470,8 @@ mod tests {
         let ctx = TriangleCtx::build(g);
         for strategy in BucketStrategy::ALL {
             let config = Config::with_strategy(strategy);
-            let got = Decomposition::ktruss(g).exact_config(config).run();
-            let supplied = Decomposition::ktruss(g).with_ctx(&ctx).exact_config(config).run();
+            let got = Decomposition::ktruss(g).config(config).run();
+            let supplied = Decomposition::ktruss(g).with_ctx(&ctx).config(config).run();
             for (path, got) in [("built", got), ("supplied", supplied)] {
                 assert_eq!(
                     got.trussness(),
@@ -566,14 +566,13 @@ mod tests {
     #[test]
     fn sampling_and_vgc_requests_are_ignored_for_edge_peeling() {
         // Unit-incidence techniques cannot apply to the snapshot rule;
-        // forcing them on must not change the output (this is what the
-        // KCORE_TECHNIQUES=sampling and =offline CI legs exercise). The
-        // offline request still peels with the two-phase step.
+        // requesting them must not change the output. The offline
+        // request still peels with the two-phase step.
         let g = gen::planted_core(60, 2, 12, 3);
-        let want = Decomposition::ktruss(&g).exact_config(Config::default()).run();
+        let want = Decomposition::ktruss(&g).config(Config::default()).run();
         for techniques in [Techniques::all_online(), Techniques::offline()] {
             let forced = Config::with_techniques(techniques);
-            let got = Decomposition::ktruss(&g).exact_config(forced).run();
+            let got = Decomposition::ktruss(&g).config(forced).run();
             let s = got.stats();
             assert_eq!(got.trussness(), want.trussness(), "{techniques:?}");
             assert_eq!(s.sampled_vertices, 0);
@@ -585,7 +584,7 @@ mod tests {
     #[test]
     fn two_phase_subrounds_charge_two_syncs() {
         let g = gen::planted_core(60, 2, 12, 3);
-        let r = Decomposition::ktruss(&g).exact_config(Config::default()).run();
+        let r = Decomposition::ktruss(&g).config(Config::default()).run();
         let s = r.stats();
         assert!(s.subrounds > 0);
         assert_eq!(s.global_syncs, 2 * s.subrounds, "settle + rule phases");

@@ -46,10 +46,10 @@
 //!    peel is an existing problem's, reuse that problem and post-process
 //!    its result instead (as [`densest`] does with k-core).
 //! 5. Add a [`crate::Decomposition`] selector whose `run` builds the
-//!    problem and peels it; the `KCORE_TECHNIQUES` override follows
-//!    your axes on its own (sampling and offline are dropped where the
-//!    engine refuses them). Test against a sequential oracle across all
-//!    bucket strategies (see `tests/proptest_problems.rs`).
+//!    problem and peels it under the staged config; the engine panics
+//!    on sampling or offline requests your axes refuse. Test against a
+//!    sequential oracle across all bucket strategies (see
+//!    `tests/proptest_problems.rs`).
 
 pub mod approx_densest;
 pub mod densest;

@@ -12,9 +12,7 @@
 //!   graphs.
 //!
 //! The overlay graph, the other storage the k-core peel runs over, is
-//! checked against a full recompute by `proptest_maintain`. Runs use
-//! `exact_config` so the matrix is deterministic under the
-//! `KCORE_TECHNIQUES` CI legs.
+//! checked against a full recompute by `proptest_maintain`.
 
 use kcore::{Config, Decomposition};
 use kcore_graph::{gen, io, CsrGraph, GraphBuilder};
@@ -64,8 +62,8 @@ fn coreness_is_bit_identical_across_backends() {
     for (tag, g) in seed_family() {
         let mapped = mapped(&g, &format!("core-{tag}"));
         let config = Config::default();
-        let plain = Decomposition::kcore(&g).exact_config(config).run();
-        let mmap = Decomposition::kcore(&mapped).exact_config(config).run();
+        let plain = Decomposition::kcore(&g).config(config).run();
+        let mmap = Decomposition::kcore(&mapped).config(config).run();
         assert_eq!(plain.coreness(), mmap.coreness(), "{tag}: mmapped drifts");
     }
 }
@@ -75,8 +73,8 @@ fn densest_is_bit_identical_across_backends() {
     for (tag, g) in seed_family() {
         let mapped = mapped(&g, &format!("densest-{tag}"));
         let config = Config::default();
-        let plain = Decomposition::densest(&g).exact_config(config).run();
-        let mmap = Decomposition::densest(&mapped).exact_config(config).run();
+        let plain = Decomposition::densest(&g).config(config).run();
+        let mmap = Decomposition::densest(&mapped).config(config).run();
         // f64 equality on purpose: the histogram post-pass is
         // deterministic, so the whole density curve must match bitwise.
         assert_eq!(plain.densities(), mmap.densities(), "{tag}: mmapped curve drifts");
@@ -90,8 +88,8 @@ fn trussness_covered_via_decode_roundtrip_and_mmap() {
     for (tag, g) in seed_family() {
         let mapped = mapped(&g, &format!("truss-{tag}"));
         let config = Config::default();
-        let plain = Decomposition::ktruss(&g).exact_config(config).run();
-        let mmap = Decomposition::ktruss(&mapped).exact_config(config).run();
+        let plain = Decomposition::ktruss(&g).config(config).run();
+        let mmap = Decomposition::ktruss(&mapped).config(config).run();
         assert_eq!(plain.trussness(), mmap.trussness(), "{tag}: mmapped trussness drifts");
     }
 }
@@ -133,8 +131,8 @@ proptest! {
         prop_assert_eq!(&mapped, &g);
 
         let config = Config::default();
-        let plain = Decomposition::kcore(&g).exact_config(config).run();
-        let mmap = Decomposition::kcore(&mapped).exact_config(config).run();
+        let plain = Decomposition::kcore(&g).config(config).run();
+        let mmap = Decomposition::kcore(&mapped).config(config).run();
         prop_assert_eq!(plain.coreness(), mmap.coreness());
     }
 }

@@ -4,8 +4,12 @@
 //! the maintained coreness must be bit-identical to a full
 //! Batagelj–Zaveršnik recompute on a fresh CSR snapshot of the logical
 //! graph, at every version, for every bucket strategy under the plain,
-//! full online (sampling + VGC) and offline peel designs. The affected
-//! region must stay within the vertex universe throughout.
+//! full online (sampling + VGC) and offline peel designs, and under the
+//! full online design with a sampling threshold low enough for these
+//! small graphs. The affected region must stay within the vertex
+//! universe throughout. Two fixed-graph tests check that this
+//! low-threshold leg really samples, in the initial peel and in a
+//! batch's re-peel.
 //!
 //! The `mid_size_` family runs the same check on road and rmat graphs of
 //! 256-1600 vertices under the batch shape of the benchmark's stream: a
@@ -14,7 +18,7 @@
 //! restore batch run past its first phase.
 
 use kcore::bz::bz_coreness;
-use kcore::{BucketStrategy, Config, DynamicGraph, Techniques};
+use kcore::{BucketStrategy, Config, DynamicGraph, Sampling, Techniques};
 use kcore_graph::{gen, CsrGraph, GraphBuilder, VertexId};
 use proptest::prelude::*;
 
@@ -26,6 +30,13 @@ fn arb_base() -> impl Strategy<Value = CsrGraph> {
         (Just(n), proptest::collection::vec(edge, 0..96))
             .prop_map(|(n, edges)| GraphBuilder::new(n).edges(edges).build())
     })
+}
+
+/// The full online design (sampling + VGC) with a degree threshold of
+/// 4: the default threshold (128) is beyond every degree of the small
+/// graphs here (fewer than 28 vertices), so it would sample nothing.
+fn low_threshold_sampling() -> Techniques {
+    Techniques { sampling: Some(Sampling::with_threshold(4)), ..Techniques::all_online() }
 }
 
 type Batch = (Vec<(VertexId, VertexId)>, Vec<u64>);
@@ -91,9 +102,12 @@ proptest! {
         batches in arb_batches(),
     ) {
         for strategy in BucketStrategy::ALL {
-            for techniques in
-                [Techniques::default(), Techniques::all_online(), Techniques::offline()]
-            {
+            for techniques in [
+                Techniques::default(),
+                Techniques::all_online(),
+                Techniques::offline(),
+                low_threshold_sampling(),
+            ] {
                 replay_and_check(&base, &batches, strategy, techniques);
             }
         }
@@ -204,7 +218,7 @@ proptest! {
         let stream = mid_size_stream(&base, size, start, &picks);
         for techniques in [Techniques::default(), Techniques::all_online(), Techniques::offline()] {
             let config = Config { techniques, ..Config::default() };
-            let mut dg = DynamicGraph::with_exact_config(base.clone(), config);
+            let mut dg = DynamicGraph::new(base.clone(), config);
             for (inserts, deletes) in &stream {
                 let old = dg.coreness().to_vec();
                 let version = dg.apply_batch(inserts, deletes);
@@ -228,6 +242,43 @@ proptest! {
             }
         }
     }
+}
+
+/// The low-threshold leg samples in the initial peel: a 27-vertex
+/// power-law graph, the size of the small-graph sweep, puts vertices in
+/// sample mode.
+#[test]
+fn low_threshold_sampling_samples_in_the_initial_peel() {
+    let g = gen::barabasi_albert(27, 3, 7);
+    let dg = DynamicGraph::new(g.clone(), Config::with_techniques(low_threshold_sampling()));
+    assert_eq!(dg.coreness(), bz_coreness(&g).as_slice());
+    let stats = dg.result().stats();
+    assert!(stats.sampled_vertices > 0, "no vertex sampled: {stats:?}");
+}
+
+/// The low-threshold leg samples in a batch's region re-peel: deleting
+/// one edge of an 8-clique that shares its universe with a 20-vertex
+/// path re-peels the clique alone (no boundary arcs, internal degrees
+/// 6 and 7, above the threshold), not the whole graph.
+#[test]
+fn low_threshold_sampling_samples_in_the_region_repeel() {
+    let mut b = GraphBuilder::new(28);
+    for u in 0..8u32 {
+        for v in u + 1..8 {
+            b.push_edge(u, v);
+        }
+    }
+    for v in 8..27u32 {
+        b.push_edge(v, v + 1);
+    }
+    let config = Config::with_techniques(low_threshold_sampling());
+    let mut dg = DynamicGraph::new(b.build(), config);
+    dg.apply_batch(&[], &[(0, 1)]);
+    assert_eq!(dg.coreness(), bz_coreness(&dg.snapshot()).as_slice());
+    let stats = dg.last_stats();
+    assert!(!stats.full_recompute, "the clique is under half the graph: {stats:?}");
+    assert_eq!(stats.region, 8, "the region is the clique: {stats:?}");
+    assert!(stats.repeel.sampled_vertices > 0, "no vertex sampled: {:?}", stats.repeel);
 }
 
 /// The confinement guarantee in its most visible form: a single edge

@@ -20,27 +20,31 @@
 //! * **approx densest** must satisfy the (2+ε) sandwich
 //!   `oracle/(2+ε) <= parallel <= oracle` for every swept ε.
 //!
-//! Runs go through `Decomposition::...config(...)` (not
-//! `exact_config`), so the `KCORE_TECHNIQUES` CI matrix legs push the
-//! forced techniques through every one of these assertions (the
-//! threshold/recompute problems filter the inapplicable tokens at the
-//! door — that path is exercised here too).
+//! Every run uses exactly the config it passes. The densest sweep
+//! includes a sampling leg with a threshold low enough for these small
+//! graphs, and a fixed-graph test per sampling problem (k-core,
+//! densest) checks that this leg really puts vertices in sample mode.
 
 use kcore::bz::bz_coreness;
 use kcore::{
     sequential_greedy_density, sequential_kh_coreness, sequential_trussness, BucketStrategy,
-    Config, Decomposition, Techniques,
+    Config, Decomposition, Sampling, Techniques,
 };
 use kcore_graph::{gen, CsrGraph, GraphBuilder};
 use proptest::prelude::*;
 
-/// Strategy × online/offline sweep (sampling and VGC join through the
-/// `KCORE_TECHNIQUES` env legs, which `Decomposition::config` applies
-/// on top).
+/// The paper's full online design (sampling + VGC) with a degree
+/// threshold of 4: the default threshold (128) is beyond every degree
+/// of these graphs (fewer than 32 vertices), so it would sample nothing.
+fn low_threshold_sampling() -> Techniques {
+    Techniques { sampling: Some(Sampling::with_threshold(4)), ..Techniques::all_online() }
+}
+
+/// Strategy × {plain, offline, low-threshold sampling + VGC} sweep.
 fn all_configs() -> Vec<Config> {
     let mut out = Vec::new();
     for strategy in BucketStrategy::ALL {
-        for techniques in [Techniques::default(), Techniques::offline()] {
+        for techniques in [Techniques::default(), Techniques::offline(), low_threshold_sampling()] {
             out.push(Config { bucket_strategy: strategy, techniques });
         }
     }
@@ -205,6 +209,29 @@ proptest! {
     }
 }
 
+/// The sampling leg of [`all_configs`] must sample on graphs of the
+/// sweep's size: a 30-vertex power-law graph puts vertices in sample
+/// mode and still peels to the oracle's coreness.
+#[test]
+fn kcore_low_threshold_sampling_samples() {
+    let g = gen::barabasi_albert(30, 3, 7);
+    let r =
+        Decomposition::kcore(&g).config(Config::with_techniques(low_threshold_sampling())).run();
+    assert_eq!(r.coreness(), bz_coreness(&g).as_slice());
+    assert!(r.stats().sampled_vertices > 0, "no vertex sampled: {:?}", r.stats());
+}
+
+/// As [`kcore_low_threshold_sampling_samples`], for the densest
+/// subgraph's peel.
+#[test]
+fn densest_low_threshold_sampling_samples() {
+    let g = gen::barabasi_albert(30, 3, 7);
+    let config = Config::with_techniques(low_threshold_sampling());
+    let r = Decomposition::densest(&g).config(config).run();
+    assert_eq!(r.coreness(), bz_coreness(&g).as_slice());
+    assert!(r.stats().sampled_vertices > 0, "no vertex sampled: {:?}", r.stats());
+}
+
 /// The engine-refactor regression guard: `PeelEngine`-based k-core must
 /// be bit-identical to the pre-refactor coreness on the seed
 /// generators, for every strategy. BZ is the witness (the pre-refactor
@@ -341,17 +368,16 @@ fn seed_graph(label: &str) -> CsrGraph {
 /// subrounds, syncs, work, frontier peaks, and burdened span — for
 /// k-core, densest-subgraph, and k-truss on the seed generators.
 /// The snapshot describes the technique-free baseline, so the config
-/// asks for it with `Techniques::default()`, and `exact_config`
-/// bypasses the env override on purpose.
+/// asks for it with `Techniques::default()`.
 #[test]
 fn minbucket_stats_match_the_pr4_snapshot() {
     for strategy in [BucketStrategy::Single, BucketStrategy::Adaptive] {
         for (label, want) in PR4_STATS {
             let g = seed_graph(label);
             let config = Config { bucket_strategy: strategy, techniques: Techniques::default() };
-            let kc = Decomposition::kcore(&g).exact_config(config).run();
-            let de = Decomposition::densest(&g).exact_config(config).run();
-            let kt = Decomposition::ktruss(&g).exact_config(config).run();
+            let kc = Decomposition::kcore(&g).config(config).run();
+            let de = Decomposition::densest(&g).config(config).run();
+            let kt = Decomposition::ktruss(&g).config(config).run();
             for (name, stats, snap) in [
                 ("k-core", kc.stats(), &want[0]),
                 ("densest", de.stats(), &want[1]),
@@ -466,17 +492,16 @@ const DRIVER_STATS: &[(&str, [[u64; 6]; 3])] = &[
 /// The stats half of the single-loop guard for the recompute, threshold
 /// and offline paths: every one must keep its round structure exactly.
 /// The recompute and threshold runs pin the plain framework
-/// (`Techniques::default()`), and `exact_config` bypasses the env
-/// override so the `KCORE_TECHNIQUES` legs cannot change what runs.
+/// (`Techniques::default()`).
 #[test]
 fn khcore_approx_densest_and_offline_stats_are_pinned() {
     let plain = Config::with_techniques(Techniques::default());
     let offline = Config::with_techniques(Techniques::offline());
     for (label, want) in DRIVER_STATS {
         let g = seed_graph(label);
-        let kh = Decomposition::khcore(&g, 2).exact_config(plain).run();
-        let ad = Decomposition::approx_densest(&g, 0.5).exact_config(plain).run();
-        let kc = Decomposition::kcore(&g).exact_config(offline).run();
+        let kh = Decomposition::khcore(&g, 2).config(plain).run();
+        let ad = Decomposition::approx_densest(&g, 0.5).config(plain).run();
+        let kc = Decomposition::kcore(&g).config(offline).run();
         for (name, stats, snap) in [
             ("khcore-h2", kh.stats(), &want[0]),
             ("approx-densest-0.5", ad.stats(), &want[1]),
@@ -505,8 +530,8 @@ fn khcore_approx_densest_and_offline_stats_are_pinned() {
 #[test]
 fn min_bucket_rounds_match_the_distinct_settle_keys() {
     let g = gen::planted_core(400, 2, 60, 5);
-    let kc = Decomposition::kcore(&g).exact_config(Config::default()).run();
-    let kt = Decomposition::ktruss(&g).exact_config(Config::default()).run();
+    let kc = Decomposition::kcore(&g).config(Config::default()).run();
+    let kt = Decomposition::ktruss(&g).config(Config::default()).run();
     // Trussness is the settle key plus 2; k-truss peels keys from 1.
     for (name, values, offset, first_key, stats) in
         [("k-core", kc.coreness(), 0, 0, kc.stats()), ("k-truss", kt.trussness(), 2, 1, kt.stats())]

@@ -3,11 +3,11 @@
 //! timings), and the trace's round/subround span counts are required to
 //! agree exactly with the engine's own `RunStats` accounting.
 //!
-//! Tests here force the trace level programmatically and use
-//! `exact_config`, so the `KCORE_TRACE` / `KCORE_TECHNIQUES` CI matrix
-//! legs cannot change what gets recorded. Each test runs its engine in
-//! a dedicated thread and scopes assertions to that thread's trace id;
-//! a shared lock serializes them because the recorder is process-global.
+//! Tests here force the trace level programmatically, so the
+//! `KCORE_TRACE` CI leg cannot change what gets recorded. Each test
+//! runs its engine in a dedicated thread and scopes assertions to that
+//! thread's trace id; a shared lock serializes them because the
+//! recorder is process-global.
 
 use kcore::{sequential_trussness, Config, Decomposition, DynamicGraph, TriangleCtx};
 use kcore_graph::triangles::edge_supports;
@@ -39,7 +39,7 @@ fn traced<T: Send>(f: impl FnOnce() -> T + Send) -> (T, u32) {
 fn span_tree_of_a_fixed_minbucket_kcore_run_is_pinned() {
     let _g = serial();
     let g = gen::barabasi_albert(300, 3, 7);
-    let (result, tid) = traced(|| Decomposition::kcore(&g).exact_config(Config::default()).run());
+    let (result, tid) = traced(|| Decomposition::kcore(&g).config(Config::default()).run());
     let report = TraceReport::capture();
     set_level(Level::Off);
 
@@ -66,7 +66,7 @@ fn ba3000_span_counts_match_run_stats_exactly() {
     // KCORE_TRACE=spans must produce a Chrome trace whose round and
     // subround span counts equal RunStats.rounds / .subrounds.
     let g = gen::barabasi_albert(3000, 4, 42);
-    let (result, _tid) = traced(|| Decomposition::kcore(&g).exact_config(Config::default()).run());
+    let (result, _tid) = traced(|| Decomposition::kcore(&g).config(Config::default()).run());
     let report = TraceReport::capture();
     set_level(Level::Off);
 
@@ -117,7 +117,7 @@ fn triangle_setup_counters_match_the_reference_count() {
     // The peel over that context: the default dispatch sends the
     // fixture's hub pairs through the hub probe.
     kcore_obs::reset();
-    let r = Decomposition::ktruss(&g).with_ctx(&ctx).exact_config(Config::default()).run();
+    let r = Decomposition::ktruss(&g).with_ctx(&ctx).config(Config::default()).run();
     let report = TraceReport::capture();
     set_level(Level::Off);
     assert!(counter(&report, "tri.bitmap.hit") > 0, "the peel takes hub-probe hits");
@@ -134,7 +134,7 @@ fn offline_driver_shows_gather_histogram_apply_children() {
     let _g = serial();
     let g = gen::barabasi_albert(400, 3, 11);
     let config = Config::with_techniques(kcore::Techniques::offline());
-    let (result, tid) = traced(|| Decomposition::kcore(&g).exact_config(config).run());
+    let (result, tid) = traced(|| Decomposition::kcore(&g).config(config).run());
     let report = TraceReport::capture();
     set_level(Level::Off);
 
@@ -158,7 +158,7 @@ fn span_tree_of_a_fixed_ktruss_run_is_pinned() {
     // intersection kernel).
     let ctx = TriangleCtx::build(&g);
     let (_, tid) =
-        traced(|| Decomposition::ktruss(&g).with_ctx(&ctx).exact_config(Config::default()).run());
+        traced(|| Decomposition::ktruss(&g).with_ctx(&ctx).config(Config::default()).run());
     let report = TraceReport::capture();
     set_level(Level::Off);
     // The two-phase snapshot step: settle, then the rule, per subround.
@@ -185,7 +185,7 @@ fn span_tree_of_an_uncached_ktruss_run_is_pinned() {
     // No context is supplied, so the run builds its own before the
     // peel: the setup spans (names only; the kernel shows up in the
     // `tri.*` counters, not here) then the same peel tree as above.
-    let (_, tid) = traced(|| Decomposition::ktruss(&g).exact_config(Config::default()).run());
+    let (_, tid) = traced(|| Decomposition::ktruss(&g).config(Config::default()).run());
     let report = TraceReport::capture();
     set_level(Level::Off);
     let expected = "\
@@ -207,7 +207,7 @@ fn span_tree_of_an_uncached_ktruss_run_is_pinned() {
 fn span_tree_of_a_fixed_khcore_run_is_pinned() {
     let _g = serial();
     let g = gen::planted_core(120, 2, 15, 9);
-    let (_, tid) = traced(|| Decomposition::khcore(&g, 2).exact_config(Config::default()).run());
+    let (_, tid) = traced(|| Decomposition::khcore(&g, 2).config(Config::default()).run());
     let report = TraceReport::capture();
     set_level(Level::Off);
     // The two-phase recompute step: settle, then the recompute pass.
@@ -228,7 +228,7 @@ fn span_tree_of_a_fixed_approx_densest_run_is_pinned() {
     let _g = serial();
     let g = gen::rmat(9, 8, 0.57, 0.19, 0.19, 5);
     let plain = Config::with_techniques(kcore::Techniques::default());
-    let (_, tid) = traced(|| Decomposition::approx_densest(&g, 0.5).exact_config(plain).run());
+    let (_, tid) = traced(|| Decomposition::approx_densest(&g, 0.5).config(plain).run());
     let report = TraceReport::capture();
     set_level(Level::Off);
     // The threshold frontier source, under the plain framework: every
@@ -260,7 +260,7 @@ fn kcore_tree(stats: &kcore_parallel::RunStats) -> String {
 fn densest_run_records_exactly_the_kcore_tree() {
     let _g = serial();
     let g = gen::barabasi_albert(300, 3, 7);
-    let (result, tid) = traced(|| Decomposition::densest(&g).exact_config(Config::default()).run());
+    let (result, tid) = traced(|| Decomposition::densest(&g).config(Config::default()).run());
     let report = TraceReport::capture();
     set_level(Level::Off);
     // Densest subgraph is the k-core peel plus an untraced density
@@ -272,7 +272,7 @@ fn densest_run_records_exactly_the_kcore_tree() {
 fn dynamic_graph_construction_peels_a_kcore_root() {
     let _g = serial();
     let g = gen::barabasi_albert(300, 3, 7);
-    let (dynamic, tid) = traced(|| DynamicGraph::with_exact_config(g, Config::default()));
+    let (dynamic, tid) = traced(|| DynamicGraph::new(g, Config::default()));
     let report = TraceReport::capture();
     set_level(Level::Off);
     assert_eq!(report.span_tree(tid), kcore_tree(dynamic.result().stats()));

@@ -4,7 +4,7 @@
 //! dependency-free substitute for the `tracing` + `tracing-chrome`
 //! stack: callsite macros ([`span!`], [`counter!`]) record
 //! into lock-free per-thread ring buffers and callsite-static counter
-//! cells, and [`TraceReport::capture`] drains everything into one
+//! cells, and [`TraceReport::capture`] snapshots everything into one
 //! report that exports Chrome Trace Event Format
 //! ([`TraceReport::chrome_trace`], loadable in `chrome://tracing` or
 //! Perfetto).
@@ -27,8 +27,7 @@
 //!   phase granularity — never per-vertex — so even `spans` costs
 //!   O(rounds) clock reads per decomposition.
 //!
-//! Unknown `KCORE_TRACE` values panic with the valid set, mirroring
-//! `KCORE_TECHNIQUES` parsing.
+//! Unknown `KCORE_TRACE` values panic with the valid set.
 //!
 //! # Ring-buffer design
 //!
@@ -37,14 +36,18 @@
 //! (timestamp-nanos, packed `name_id | kind`, argument). The owning
 //! thread is the only writer: it fills the slot with relaxed stores,
 //! then *publishes* by bumping the write cursor with `Release`. A
-//! drain ([`TraceReport::capture`]) acquires the cursor and reads
+//! capture ([`TraceReport::capture`]) acquires the cursor and reads
 //! slots with relaxed loads — every slot at an index below the
 //! acquired cursor is fully written, and torn reads are impossible by
 //! construction because every word is individually atomic. On
 //! overflow the ring keeps the newest records and counts the
 //! overwritten ones (`dropped` in the report); capture is intended to
 //! run at quiescence (after a decomposition returns), which the
-//! drain-side contract documents rather than enforces.
+//! read-side contract documents rather than enforces.
+//!
+//! A capture does not consume what it reads: the rings and counters
+//! keep their contents, so a second capture reports every earlier
+//! record again. [`reset`] clears them and starts a new window.
 //!
 //! Span/counter names are `&'static str`s interned once per callsite
 //! into a global table ([`registry`]); records carry the `u32` id, so
@@ -133,11 +136,13 @@ pub fn set_level(l: Level) {
     LEVEL.store(l as u8, Ordering::Relaxed);
 }
 
-/// Discard all recorded spans and counters.
+/// Discard all recorded spans and counters, starting a new capture
+/// window.
 ///
 /// Thread buffers stay allocated (they are reused), but their
-/// contents and the dropped-record tallies are cleared. Intended for
-/// tests and for benchmarks that export one trace per phase.
+/// contents and the dropped-record tallies are cleared. A
+/// [`TraceReport::capture`] leaves them as they are, so call this
+/// between captures that should not repeat each other's records.
 pub fn reset() {
     ring::reset_all();
     registry::reset_counters();
@@ -280,6 +285,27 @@ mod tests {
         assert_eq!(report.span_count("test.inner"), 3);
         let chrome = report.chrome_trace();
         assert!(chrome.contains("\"ph\":\"B\"") && chrome.contains("\"ph\":\"E\""));
+        set_level(Level::Off);
+    }
+
+    #[test]
+    fn capture_is_a_snapshot_and_reset_starts_a_new_window() {
+        let _g = serial();
+        set_level(Level::Spans);
+        reset();
+        kcore_check::thread::spawn(|| {
+            for i in 0..4 {
+                let _s = span!("test.window", i);
+            }
+        })
+        .join()
+        .unwrap();
+        let first = TraceReport::capture();
+        let second = TraceReport::capture();
+        assert_eq!(first.span_count("test.window"), 4);
+        assert_eq!(second.span_count("test.window"), 4, "a capture must not consume the rings");
+        reset();
+        assert_eq!(TraceReport::capture().span_count("test.window"), 0);
         set_level(Level::Off);
     }
 }

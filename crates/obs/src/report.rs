@@ -1,7 +1,8 @@
-//! Draining recorded data into an exportable report.
+//! Snapshotting recorded data into an exportable report.
 //!
 //! [`TraceReport::capture`] snapshots every thread buffer plus the
-//! counter table. Views:
+//! counter table without consuming them; [`crate::reset`] clears both
+//! and starts a new window. Views:
 //!
 //! * [`TraceReport::chrome_trace`] — Chrome Trace Event Format JSON
 //!   (open in `chrome://tracing` or <https://ui.perfetto.dev>).
@@ -38,7 +39,8 @@ pub struct SpanAgg {
     pub total_nanos: u64,
 }
 
-/// A drained snapshot of everything the obs layer recorded.
+/// A snapshot of everything the obs layer recorded since the last
+/// [`crate::reset`].
 pub struct TraceReport {
     pub threads: Vec<ThreadTrace>,
     pub counters: Vec<(String, u64)>,
@@ -47,8 +49,11 @@ pub struct TraceReport {
 }
 
 impl TraceReport {
-    /// Drain all thread buffers and the counter table. Run at quiescence
-    /// (no instrumented work in flight) for a coherent timeline.
+    /// Snapshots all thread buffers and the counter table, leaving
+    /// them as they are: a second capture reports every record of the
+    /// first again, until [`crate::reset`] starts a new window. Run at
+    /// quiescence (no instrumented work in flight) for a coherent
+    /// timeline.
     pub fn capture() -> TraceReport {
         let mut threads = Vec::new();
         let mut dropped = 0;

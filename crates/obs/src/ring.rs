@@ -95,7 +95,8 @@ impl ThreadBuffer {
         self.pos.store(pos + 1, mutate::ordering("ring.push.pos.release", Ordering::Release));
     }
 
-    /// Drain: `(tid, records oldest-first, dropped count)`.
+    /// Reads the ring without consuming it: `(tid, records
+    /// oldest-first, dropped count)`. Only [`reset_all`] clears it.
     fn drain(&self) -> (u32, Vec<RawRecord>, u64) {
         let cap = self.slots.len();
         let pos = self.pos.load(mutate::ordering("ring.drain.pos.acquire", Ordering::Acquire));
@@ -160,8 +161,8 @@ pub fn record(kind: RecordKind, name_id: u32, arg: u64) {
     buf.push(epoch().elapsed().as_nanos() as u64, name_id, kind, arg);
 }
 
-/// Drain every registered buffer: `(tid, records, dropped)` per
-/// thread. Intended to run at quiescence.
+/// Reads every registered buffer, leaving its contents in place:
+/// `(tid, records, dropped)` per thread. Intended to run at quiescence.
 pub fn drain_all() -> Vec<(u32, Vec<RawRecord>, u64)> {
     BUFFERS.lock().unwrap().iter().map(|b| b.drain()).collect()
 }

@@ -240,11 +240,11 @@ fn run_blocks<R: Send>(
         Some((worker, index)) if Arc::ptr_eq(&worker, &pool) => {
             // Nested call on a pool worker: seed our own deque and keep
             // executing (our job's tasks, or anyone else's) until done.
-            if worker.push_local(index, task).is_ok() {
-                registry::work_until(&worker, index, || job.latch.probe());
-            } else {
-                unsafe { run_block::<R>(task.job, 0, n) };
+            // With the deque full, split what fits and run the rest here.
+            if let Err(task) = worker.push_local(index, task) {
+                registry::execute(&worker, index, task);
             }
+            registry::work_until(&worker, index, || job.latch.probe());
         }
         _ => {
             pool.inject(task);

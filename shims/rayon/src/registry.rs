@@ -294,21 +294,23 @@ pub(crate) fn current_worker() -> Option<(Arc<RegistryShared>, usize)> {
 
 /// Splits `task` down to its grain, publishing the upper halves on the
 /// deque `deques[index]` (which must be owned by the calling thread),
-/// then runs the remaining piece.
+/// then runs the remaining piece. No piece it runs exceeds the grain.
 pub(crate) fn execute(shared: &RegistryShared, index: usize, mut task: Task) {
-    if task.grain > 0 {
-        while task.hi - task.lo > task.grain {
-            let mid = task.lo + (task.hi - task.lo) / 2;
-            let upper = Task { lo: mid, ..task };
-            match shared.deques[index].push(upper) {
-                Ok(()) => {
-                    SPLITS.fetch_add(1, Ordering::Relaxed);
-                    shared.workers[index].splits.fetch_add(1, Ordering::Relaxed);
-                    task.hi = mid;
-                    shared.signal_stealable();
-                }
-                // Deque full (pathological nesting): run oversized.
-                Err(_) => break,
+    while task.grain > 0 && task.hi - task.lo > task.grain {
+        let mid = task.lo + (task.hi - task.lo) / 2;
+        let upper = Task { lo: mid, ..task };
+        match shared.deques[index].push(upper) {
+            Ok(()) => {
+                SPLITS.fetch_add(1, Ordering::Relaxed);
+                shared.workers[index].splits.fetch_add(1, Ordering::Relaxed);
+                task.hi = mid;
+                shared.signal_stealable();
+            }
+            // Deque full (pathological nesting): run one grain-sized
+            // leaf here, then retry; the rest keeps the job incomplete.
+            Err(_) => {
+                unsafe { (task.runner)(task.job, task.lo, task.lo + task.grain) };
+                task.lo += task.grain;
             }
         }
     }
