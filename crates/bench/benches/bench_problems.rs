@@ -4,7 +4,7 @@
 //! peeling + density curve), (k,h)-core (recompute incidence over
 //! h-hop balls), and the batched (2+ε)-approximate densest subgraph
 //! (threshold-policy rounds, swept over ε) — under the default
-//! adaptive strategy and, for the cheapest graph, the offline driver.
+//! adaptive strategy.
 //!
 //! This is the engine-generality benchmark: one loop, five element
 //! universes / round structures. k-truss is reported in three cuts so
@@ -20,7 +20,7 @@
 //! `tests/proptest_problems.rs`): larger ε → fewer, fatter rounds.
 
 use criterion::{black_box, criterion_group, Criterion};
-use kcore::{Config, Decomposition, Techniques, TriangleCtx};
+use kcore::{Config, Decomposition, TriangleCtx};
 use kcore_graph::gen;
 
 fn bench_problems(c: &mut Criterion) {
@@ -69,12 +69,6 @@ fn bench_problems(c: &mut Criterion) {
             b.iter(|| black_box(Decomposition::khcore(g, 2).config(config).run()))
         });
     }
-    // Offline driver comparison on one representative.
-    let (name, g) = &graphs[1];
-    let offline = Config::with_techniques(Techniques::offline());
-    c.bench_function(&format!("problems/{name}/kcore-offline"), |b| {
-        b.iter(|| black_box(Decomposition::kcore(g).config(offline).run()))
-    });
 }
 
 criterion_group!(benches, bench_problems);

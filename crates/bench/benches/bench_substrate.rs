@@ -1,8 +1,7 @@
-//! Substrate microbenchmarks: pack, scan, histogram, and the parallel
+//! Substrate microbenchmarks: pack, scan, and the parallel
 //! hash bag — the primitives whose constants dominate the peeling loop.
 
 use criterion::{black_box, criterion_group, Criterion};
-use kcore_parallel::histogram::{histogram_atomic, histogram_sort};
 use kcore_parallel::primitives::{exclusive_scan, pack, pack_index};
 use kcore_parallel::HashBag;
 
@@ -25,16 +24,6 @@ fn bench_scan(c: &mut Criterion) {
     });
 }
 
-fn bench_histogram(c: &mut Criterion) {
-    let keys: Vec<u32> = (0..N as u32).map(|i| i.wrapping_mul(2654435761) % 1024).collect();
-    c.bench_function("substrate/histogram_sort", |b| {
-        b.iter(|| histogram_sort(black_box(keys.clone())))
-    });
-    c.bench_function("substrate/histogram_atomic", |b| {
-        b.iter(|| histogram_atomic(black_box(&keys), 1024))
-    });
-}
-
 fn bench_hashbag(c: &mut Criterion) {
     c.bench_function("substrate/hashbag/insert_extract_64k", |b| {
         b.iter(|| {
@@ -47,5 +36,5 @@ fn bench_hashbag(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_pack, bench_scan, bench_histogram, bench_hashbag);
+criterion_group!(benches, bench_pack, bench_scan, bench_hashbag);
 kcore_bench::bench_main!(benches);

@@ -1,7 +1,6 @@
 //! Technique ablation (the paper's Tab. 3 axes): the plain framework
-//! against each Sec. 4 technique alone, the combined online design, and
-//! the offline histogram driver — plus the sequential BZ baseline that
-//! every speedup is judged by.
+//! against each Sec. 4 technique alone and the combined online design —
+//! plus the sequential BZ baseline that every speedup is judged by.
 
 use criterion::{black_box, criterion_group, Criterion};
 use kcore::bz::bz_coreness;
@@ -15,8 +14,7 @@ fn variants() -> Vec<(&'static str, Techniques)> {
         ("baseline", Techniques::default()),
         ("sampling", Techniques { sampling, ..Techniques::default() }),
         ("vgc", Techniques { vgc, ..Techniques::default() }),
-        ("sampling+vgc", Techniques { sampling, vgc, ..Techniques::default() }),
-        ("offline", Techniques::offline()),
+        ("sampling+vgc", Techniques { sampling, vgc }),
     ]
 }
 

@@ -22,10 +22,10 @@ use kcore_buckets::BucketStrategy;
 /// rule is guessed here.
 ///
 /// Each problem honours the techniques its peel admits. k-truss ignores
-/// sampling, VGC and the offline driver: it runs its two-phase step
-/// under every techniques block. The (k,h)-core ignores VGC, and it
-/// rejects explicit sampling or offline requests with a panic, as the
-/// approximate densest subgraph does (which composes with VGC).
+/// sampling and VGC: it runs its two-phase step under every techniques
+/// block. The (k,h)-core ignores VGC, and it rejects explicit sampling
+/// with a panic, as the approximate densest subgraph does (which
+/// composes with VGC).
 /// [`Techniques::default()`] is the plain framework of Alg. 1, the
 /// ablation baseline; set it through [`Config::techniques`] to opt out
 /// of VGC, or pick another block:
@@ -49,7 +49,7 @@ pub struct Config {
     /// the paper's Tab. 3 ablation).
     pub bucket_strategy: BucketStrategy,
     /// The paper's Sec. 4 practical techniques (sampling, vertical
-    /// granularity control) and the online/offline driver choice.
+    /// granularity control).
     pub techniques: Techniques,
 }
 
@@ -57,7 +57,7 @@ impl Default for Config {
     fn default() -> Self {
         Self {
             bucket_strategy: BucketStrategy::Adaptive,
-            techniques: Techniques { vgc: Some(Vgc::default()), ..Techniques::default() },
+            techniques: Techniques { sampling: None, vgc: Some(Vgc::default()) },
         }
     }
 }
@@ -87,44 +87,14 @@ pub struct Techniques {
     /// Sec. 4.2: vertical granularity control — collapse hash-bag
     /// subrounds by chasing local peel chains sequentially.
     pub vgc: Option<Vgc>,
-    /// Online (hash-bag subrounds) or offline (Julienne-style histogram)
-    /// peeling driver.
-    pub mode: PeelMode,
 }
 
 impl Techniques {
-    /// Sampling + VGC with default parameters, online driver — the
-    /// paper's full practical design.
+    /// Sampling + VGC with default parameters — the paper's full
+    /// practical design.
     pub fn all_online() -> Self {
-        Self {
-            sampling: Some(Sampling::default()),
-            vgc: Some(Vgc::default()),
-            mode: PeelMode::Online,
-        }
+        Self { sampling: Some(Sampling::default()), vgc: Some(Vgc::default()) }
     }
-
-    /// Offline histogram peeling (sampling and VGC are online-only and
-    /// stay off). k-truss ignores it and peels online.
-    pub fn offline() -> Self {
-        Self { sampling: None, vgc: None, mode: PeelMode::Offline }
-    }
-}
-
-/// Which peeling driver executes the rounds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum PeelMode {
-    /// Alg. 1: atomic clamped decrements + hash-bag subrounds.
-    #[default]
-    Online,
-    /// Julienne-style offline peeling: per subround, gather the
-    /// frontier's neighborhood, histogram it, and apply bulk decrements
-    /// — no per-edge atomics, more global synchronizations. The
-    /// histogram picks atomic counting or sort + run-length encode from
-    /// the gathered list's density
-    /// ([`kcore_parallel::histogram::histogram_auto`]). Applies to
-    /// unit-incidence problems (k-core, densest subgraph, maintenance);
-    /// k-truss runs its two-phase step under either mode.
-    Offline,
 }
 
 /// Parameters of the sampling scheme (Sec. 4.1).
@@ -134,7 +104,7 @@ pub enum PeelMode {
 /// by per-edge atomic decrements (the contention hotspot), it tracks the
 /// count of *sampled* incident edges — each edge is in the sample with
 /// probability `2^-rate_log2`, decided by a deterministic hash of the
-/// endpoints and [`Sampling::seed`]. Removals of sampled edges decrement
+/// endpoints and a fixed seed. Removals of sampled edges decrement
 /// the counter, a lower bound on the live degree. When a round's
 /// frontier drains, every live sample-mode vertex whose counter has
 /// fallen to the round is recounted exactly
@@ -153,13 +123,11 @@ pub struct Sampling {
     /// `2^-rate_log2`. Valid range `0..=63`; a run panics on larger
     /// values.
     pub rate_log2: u32,
-    /// Seed of the deterministic edge-sampling hash.
-    pub seed: u64,
 }
 
 impl Default for Sampling {
     fn default() -> Self {
-        Self { threshold: 128, rate_log2: 2, seed: 0x9E37_79B9_7F4A_7C15 }
+        Self { threshold: 128, rate_log2: 2 }
     }
 }
 
@@ -196,12 +164,10 @@ mod tests {
     fn defaults_match_the_papers_final_design() {
         let c = Config::default();
         assert_eq!(c.bucket_strategy, BucketStrategy::Adaptive);
-        // VGC on, sampling opt-in, online driver; the techniques block
-        // alone still defaults to the plain framework (the ablation
-        // baseline).
+        // VGC on, sampling opt-in; the techniques block alone still
+        // defaults to the plain framework (the ablation baseline).
         assert!(c.techniques.sampling.is_none());
         assert_eq!(c.techniques.vgc, Some(Vgc::default()));
-        assert_eq!(c.techniques.mode, PeelMode::Online);
         assert_eq!(Techniques::default(), Techniques { vgc: None, ..c.techniques });
     }
 
@@ -217,20 +183,12 @@ mod tests {
         let t = Techniques::all_online();
         assert!(t.sampling.is_some());
         assert!(t.vgc.is_some());
-        assert_eq!(t.mode, PeelMode::Online);
-    }
-
-    #[test]
-    fn offline_preset_selects_the_offline_driver() {
-        let t = Techniques::offline();
-        assert_eq!(t.mode, PeelMode::Offline);
-        assert!(t.sampling.is_none());
     }
 
     #[test]
     fn with_techniques_overrides_only_techniques() {
-        let c = Config::with_techniques(Techniques::offline());
-        assert_eq!(c.techniques.mode, PeelMode::Offline);
+        let c = Config::with_techniques(Techniques::default());
+        assert_eq!(c.techniques, Techniques::default());
         assert_eq!(c.bucket_strategy, Config::default().bucket_strategy);
     }
 }

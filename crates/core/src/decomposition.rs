@@ -31,9 +31,8 @@
 
 use crate::config::Techniques;
 use crate::peel::engine::{PeelEngine, PeelProblem};
-use crate::peel::offline;
 use crate::problems::approx_densest::ApproxDensestProblem;
-use crate::problems::kcore::KCoreProblem;
+use crate::problems::kcore::{range_membership, KCoreProblem};
 use crate::problems::khcore::KhCoreProblem;
 use crate::problems::ktruss::KTrussProblem;
 use crate::{
@@ -150,12 +149,12 @@ impl<'g> Decomposition<'g, KcoreSpec> {
     }
 
     /// Membership of the `k`-core (`true` = coreness `>= k`), computed
-    /// directly by offline range peeling: every vertex of degree below
-    /// `k` leaves in one bulk step and histogram decrements drive the
-    /// cascade — much cheaper than a full decomposition when only one
-    /// core is needed. The staged config is not read.
+    /// directly by range peeling: every vertex of degree below `k`
+    /// leaves in one bulk step and atomic decrements drive the cascade
+    /// — much cheaper than a full decomposition when only one core is
+    /// needed. The staged config is not read.
     pub fn members(self, k: u32) -> Vec<bool> {
-        offline::range_membership(self.g, &self.g.degrees(), k)
+        range_membership(self.g, k)
     }
 }
 
@@ -261,11 +260,8 @@ mod tests {
         // arrived; the shortcuts' run must match the whole-config run
         // counter for counter.
         let g = gen::planted_core(200, 2, 40, 9);
-        let techniques = Techniques {
-            sampling: Some(Sampling::with_threshold(8)),
-            vgc: Some(Vgc::default()),
-            ..Techniques::default()
-        };
+        let techniques =
+            Techniques { sampling: Some(Sampling::with_threshold(8)), vgc: Some(Vgc::default()) };
         let r = Decomposition::kcore(&g)
             .strategy(BucketStrategy::Hierarchical)
             .techniques(techniques)

@@ -38,8 +38,8 @@
 //!
 //! The paper's Sec. 4 practical techniques plug into the engine through
 //! the [`Techniques`] block of [`Config`]. [`Config::default`] runs VGC;
-//! sampling and the offline driver are opt-in, and
-//! [`Techniques::default()`] is the plain framework of Alg. 1:
+//! sampling is opt-in, and [`Techniques::default()`] is the plain
+//! framework of Alg. 1:
 //!
 //! * **Sampling** ([`Sampling`], Sec. 4.1) — high-priority elements
 //!   track an approximate priority over a hashed incidence sample,
@@ -54,13 +54,9 @@
 //!   frontier hit through the hash bag, collapsing the tiny subrounds
 //!   that dominate sparse inputs' burdened span. Unit-incidence
 //!   problems only.
-//! * **Offline peeling** ([`PeelMode::Offline`]) — the Julienne-style
-//!   histogram driver: gather the frontier's decrements, histogram
-//!   them, apply in bulk; no per-target atomics, three global syncs per
-//!   subround. Applies to min-bucket problems with unit incidences;
-//!   k-truss accepts it and runs its two-phase step anyway.
-//!   [`Decomposition::members`] reuses it to answer single-core queries
-//!   by bulk range peeling.
+//!
+//! [`Decomposition::members`] answers a single-core query by bulk range
+//! peeling, without the round order of a full decomposition.
 //!
 //! Every problem is launched through the unified [`Decomposition`]
 //! builder; for standing results maintained under edge insertions and
@@ -75,8 +71,8 @@
 //! let result = Decomposition::kcore(&g).run();
 //! assert_eq!(result.kmax(), 2);
 //!
-//! // Same answer with the full online techniques or the offline driver.
-//! for techniques in [Techniques::all_online(), Techniques::offline()] {
+//! // Same answer with the full online techniques or the plain framework.
+//! for techniques in [Techniques::all_online(), Techniques::default()] {
 //!     let r = Decomposition::kcore(&g).techniques(techniques).run();
 //!     assert_eq!(r.coreness(), result.coreness());
 //! }
@@ -96,7 +92,7 @@ mod peel;
 mod problems;
 mod result;
 
-pub use config::{Config, PeelMode, Sampling, Techniques, Vgc};
+pub use config::{Config, Sampling, Techniques, Vgc};
 pub use decomposition::{
     ApproxDensestSpec, Decomposition, DensestSpec, KcoreSpec, KhCoreSpec, KtrussSpec,
 };

@@ -23,8 +23,7 @@
 //! decrement per leaf. The peel universe is exactly the
 //! region: an ordinary unit-incidence [`PeelProblem`] over the internal
 //! edges, so every bucket strategy and every Sec. 4 technique
-//! (sampling, VGC, offline histogram peeling) applies to the
-//! maintenance path unchanged. Under the default config a re-peel
+//! (sampling, VGC) applies to the maintenance path unchanged. Under the default config a re-peel
 //! chases peel chains (VGC) like a full decomposition does; a
 //! scheduled decrement lands at round start, before any chain of that
 //! round runs. A vertex with boundary arcs starts above its internal
@@ -259,9 +258,7 @@ mod tests {
             for len in [1usize, 7, 25, 60] {
                 let region: Vec<u32> = (start..(start + len).min(60)).map(|v| v as u32).collect();
                 for strategy in kcore_buckets::BucketStrategy::ALL {
-                    for techniques in
-                        [Techniques::default(), Techniques::all_online(), Techniques::offline()]
-                    {
+                    for techniques in [Techniques::default(), Techniques::all_online()] {
                         let config = Config { bucket_strategy: strategy, techniques };
                         let sub = peel_subset(&overlay, &want, &region, config, &mut remap);
                         let expect: Vec<u32> = region.iter().map(|&v| want[v as usize]).collect();
@@ -340,9 +337,7 @@ mod tests {
         assert_eq!((want[0], want[15]), (9, 3));
         let overlay = OverlayGraph::new(g);
         for strategy in kcore_buckets::BucketStrategy::ALL {
-            for techniques in
-                [Techniques::default(), Techniques::all_online(), Techniques::offline()]
-            {
+            for techniques in [Techniques::default(), Techniques::all_online()] {
                 let config = Config { bucket_strategy: strategy, techniques };
                 let sub = peel_subset(&overlay, &want, &[0, 15], config, &mut Vec::new());
                 assert_eq!(sub.coreness, [9, 3], "under {strategy}, {techniques:?}");

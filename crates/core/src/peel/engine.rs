@@ -42,13 +42,13 @@
 //! (the elements its updates dragged down to the clamp), with its own
 //! sync and work accounting:
 //!
-//! * *fused* — [`Incidence::Unit`] online: each frontier element
+//! * *fused* — [`Incidence::Unit`]: each frontier element
 //!   settles and decrements its incident elements in one task, since
 //!   atomic clamped unit decrements over static lists commute. One
 //!   global sync per subround; VGC chases local chains inside the task,
 //!   and sampling approximates hub priorities, each recounted exactly
 //!   at most once, at a round end, so every hub settle is exact.
-//! * *two-phase* — [`Incidence::Snapshot`] under either mode and
+//! * *two-phase* — [`Incidence::Snapshot`] and
 //!   [`Incidence::Recompute`]: stamp the whole frontier settled,
 //!   barrier, then evaluate the problem's rule against the frozen
 //!   [`SettleView`]. A snapshot rule emits unit decrements that may
@@ -56,29 +56,23 @@
 //!   decrements the other two edges of a triangle only while the
 //!   triangle is still alive); a recompute rule recomputes each
 //!   affected priority from the survivors ((k,h)-core: the live h-hop
-//!   ball size, which can drop by many units per death). Both go through the CAS clamp
-//!   [`clamped_update`]. Two global syncs per subround.
-//! * *offline* — [`crate::PeelMode::Offline`] with unit incidences:
-//!   settle, gather the frontier's live incident elements, histogram
-//!   them, and apply the counts in bulk without per-target atomics.
-//!   Three global syncs per subround.
+//!   ball size, which can drop by many units per death). Both go
+//!   through the CAS clamp [`clamped_update`]. Two global syncs per
+//!   subround.
 //!
-//! Not every pairing is defined: sampling and the offline step need
-//! [`RoundPolicy::MinBucket`] with unit or snapshot incidences, and are
+//! Not every pairing is defined: sampling needs
+//! [`RoundPolicy::MinBucket`] with unit or snapshot incidences, and is
 //! rejected with a panic otherwise (see [`PeelEngine::run`]). A
-//! snapshot problem accepts both and ignores them, as it ignores VGC:
-//! it runs the two-phase step under either mode. VGC composes with
-//! threshold rounds.
+//! snapshot problem accepts it and ignores it, as it ignores VGC. VGC
+//! composes with threshold rounds.
 
 use super::sampling::SamplingState;
-use super::{offline, vgc};
-use crate::config::PeelMode;
+use super::vgc;
 use crate::Config;
 use kcore_buckets::{BucketStrategy, BucketStructure, HierarchicalBuckets, PriorityView};
 use kcore_check::sync::atomic::{AtomicU32, Ordering};
 use kcore_graph::GraphBackend;
 use kcore_obs::span;
-use kcore_parallel::histogram::histogram_auto;
 use kcore_parallel::primitives::pack_index;
 use kcore_parallel::{HashBag, RunStats, TechniqueCounters};
 use rayon::prelude::*;
@@ -236,12 +230,11 @@ pub trait RecomputeRule: Sync {
 pub enum Incidence<'p> {
     /// One unit per settled incident element over static lists; peeled
     /// by the fused step (one sync per subround, sampling and VGC
-    /// available) or, under [`crate::PeelMode::Offline`], the offline
-    /// step.
+    /// available).
     Unit(&'p dyn UnitIncidence),
     /// Arbitrary rule against a consistent settle snapshot; peeled by
-    /// the two-phase step (settle barrier before rule evaluation) under
-    /// either mode, with sampling and VGC ignored.
+    /// the two-phase step (settle barrier before rule evaluation), with
+    /// sampling and VGC ignored.
     Snapshot(&'p dyn SnapshotRule),
     /// Priorities recomputed from scratch over the survivors; peeled by
     /// the two-phase step, with the CAS clamp (`clamped_update`)
@@ -410,12 +403,12 @@ impl<'p, P: PeelProblem> PeelEngine<'p, P> {
     /// # Panics
     ///
     /// Panics when the configured techniques cannot honor the
-    /// problem's axes: sampling and the offline step are requests for
+    /// problem's axes: sampling is a request for
     /// `RoundPolicy::MinBucket` + `Unit`/`Snapshot` problems (a
-    /// snapshot problem ignores both) and are rejected — never silently
+    /// snapshot problem ignores it) and is rejected — never silently
     /// mis-run — under [`RoundPolicy::Threshold`] or
-    /// [`Incidence::Recompute`] (see
-    /// `validate_combination`). Also panics when
+    /// [`Incidence::Recompute`] (see `validate_combination`). Also
+    /// panics when
     /// [`crate::Sampling::rate_log2`] is outside `0..=63`.
     pub fn run(&self) -> P::Output {
         validate_combination(&self.config, &self.problem.round_policy(), &self.problem.incidence());
@@ -441,24 +434,21 @@ impl<'p, P: PeelProblem> PeelEngine<'p, P> {
 /// loudly with the valid combinations named, never silently produce a
 /// wrong (or silently degraded) result.
 ///
-/// Sampling and the offline step are `RoundPolicy::MinBucket`
-/// refinements of unit incidences, and a snapshot incidence accepts and
-/// ignores them (it runs the two-phase step under either mode).
-/// Sampling approximates priorities that decrease by units, and the
-/// offline step histograms unit decrements — neither is defined for
-/// threshold-batched rounds or recomputed priorities. VGC composes
-/// with threshold rounds (the chase clamps to the round threshold) and
-/// is ignored by the two-phase step, so it is admitted everywhere.
+/// Sampling is a `RoundPolicy::MinBucket` refinement of unit
+/// incidences, and a snapshot incidence accepts and ignores it.
+/// Sampling approximates priorities that decrease by units, so it is
+/// not defined for threshold-batched rounds or recomputed priorities.
+/// VGC composes with threshold rounds (the chase clamps to the round
+/// threshold) and is ignored by the two-phase step, so it is admitted
+/// everywhere.
 pub(crate) fn validate_combination(
     config: &Config,
     policy: &RoundPolicy<'_>,
     incidence: &Incidence<'_>,
 ) {
-    const VALID: &str = "valid combinations: sampling and offline require \
+    const VALID: &str = "valid combinations: sampling requires \
          RoundPolicy::MinBucket with Incidence::Unit or Incidence::Snapshot \
-         (both apply to Unit only; Snapshot ignores them); \
-         RoundPolicy::Threshold requires Incidence::Unit and composes with vgc; \
-         Incidence::Recompute runs the online MinBucket driver, vgc ignored";
+         (it applies to Unit only; Snapshot ignores it)";
     if let Some(s) = config.techniques.sampling {
         assert!(s.rate_log2 < 64, "Sampling::rate_log2 must be in 0..=63, got {}", s.rate_log2);
     }
@@ -473,25 +463,21 @@ pub(crate) fn validate_combination(
     if config.techniques.sampling.is_some() {
         panic!("{axis} does not support the sampling technique ({VALID})");
     }
-    if config.techniques.mode == PeelMode::Offline {
-        panic!("{axis} does not support the offline driver ({VALID})");
-    }
 }
 
-/// Picks the subround step for the configured mode and the problem's
-/// incidence and runs the round loop with it; the frontier source is
-/// the problem's [`RoundPolicy`]. [`validate_combination`] has already
-/// rejected the pairings no step can honor. A snapshot incidence runs
-/// the two-phase step under either mode.
+/// Picks the subround step for the problem's incidence and runs the
+/// round loop with it; the frontier source is the problem's
+/// [`RoundPolicy`]. [`validate_combination`] has already rejected the
+/// pairings no step can honor.
 fn peel<P: PeelProblem>(config: &Config, problem: &P, stats: &mut RunStats) -> Vec<u32> {
     let n = problem.num_elements();
     let init = problem.init_priorities();
-    match (config.techniques.mode, problem.incidence()) {
-        (PeelMode::Online, Incidence::Unit(inc)) => {
+    match problem.incidence() {
+        Incidence::Unit(inc) => {
             let step = Fused::new(config, inc, &init, stats);
             rounds(config, problem, init, step, stats)
         }
-        (_, Incidence::Snapshot(rule)) => {
+        Incidence::Snapshot(rule) => {
             let step = TwoPhase::new(n, false, move |e, k, view, lower| {
                 let mut emitted = 0;
                 rule.for_each_decrement(e, k, view, &mut |t| {
@@ -502,7 +488,7 @@ fn peel<P: PeelProblem>(config: &Config, problem: &P, stats: &mut RunStats) -> V
             });
             rounds(config, problem, init, step, stats)
         }
-        (PeelMode::Online, Incidence::Recompute(rule)) => {
+        Incidence::Recompute(rule) => {
             // Holds the last subround that recomputed each element, so
             // a target named by several deaths is recomputed once.
             let claimed: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
@@ -523,12 +509,6 @@ fn peel<P: PeelProblem>(config: &Config, problem: &P, stats: &mut RunStats) -> V
                 recomputed
             });
             rounds(config, problem, init, step, stats)
-        }
-        (PeelMode::Offline, Incidence::Unit(inc)) => {
-            rounds(config, problem, init, OfflineStep { inc }, stats)
-        }
-        (PeelMode::Offline, Incidence::Recompute(_)) => {
-            unreachable!("rejected by validate_combination")
         }
     }
 }
@@ -848,19 +828,6 @@ impl Step for Fused<'_> {
     }
 }
 
-/// The first phase of the two-phase and offline steps: settles the
-/// whole frontier, calling `stamp` on each element. It completes before
-/// the caller's next phase reads the settle state, so every worker sees
-/// the same snapshot.
-fn settle<P: PeelProblem>(r: &Round<'_, P>, frontier: &[u32], stamp: impl Fn(u32) + Sync) {
-    let _settle = span!("settle", frontier.len());
-    frontier.par_iter().for_each(|&e| {
-        r.settled[e as usize].store(r.round, Ordering::Relaxed);
-        stamp(e);
-        r.problem.on_settle(e, r.round);
-    });
-}
-
 /// Lowers priorities in a two-phase subround and files every element
 /// it moved: into the hash bag when it reached the clamp (it is peeled
 /// exactly once, in the next subround), into the bucket structure
@@ -920,7 +887,16 @@ where
     fn subround<P: PeelProblem>(&mut self, r: &Round<'_, P>, frontier: &[u32]) -> Wave {
         self.current += 1;
         let (stamps, current) = (&self.stamps, self.current);
-        settle(r, frontier, |e| stamps[e as usize].store(current, Ordering::Relaxed));
+        // Settle the whole frontier first; the rule phase starts only
+        // after this completes, so every worker sees the same snapshot.
+        {
+            let _settle = span!("settle", frontier.len());
+            frontier.par_iter().for_each(|&e| {
+                r.settled[e as usize].store(r.round, Ordering::Relaxed);
+                stamps[e as usize].store(current, Ordering::Relaxed);
+                r.problem.on_settle(e, r.round);
+            });
+        }
         let view = SettleView::new(stamps, current);
         let lower = Lowering { prio: r.prio, bag: &self.bag, bucket: r.bucket, clamp: r.clamp };
         let phase = if self.recompute {
@@ -933,57 +909,6 @@ where
         drop(phase);
         r.problem.after_rule_phase(frontier, &view);
         Wave { next: refile(&mut self.bag), chased: 0, syncs: 2, chain: 1, work }
-    }
-}
-
-/// The offline (Julienne-style) step for unit incidences: settle the
-/// frontier, **gather** its still-live incident elements into one list
-/// (with duplicates, [`offline::gather_live`]), **histogram** the list
-/// into `(element, multiplicity)` pairs, and **apply** each
-/// multiplicity as one bulk decrement clamped at the round; elements
-/// landing on the clamp form the next frontier. No per-target atomics,
-/// at the price of three global syncs per subround (Fig. 9's
-/// online/offline gap). Sampling and VGC exist to temper the online
-/// step's atomics and syncs and are ignored here. The gather charges
-/// the frontier's full incident lists: it scans them all, live or not.
-struct OfflineStep<'p> {
-    inc: &'p dyn UnitIncidence,
-}
-
-impl Step for OfflineStep<'_> {
-    fn subround<P: PeelProblem>(&mut self, r: &Round<'_, P>, frontier: &[u32]) -> Wave {
-        settle(r, frontier, |_| {});
-        let (gathered, gather_work) = {
-            let _gather = span!("offline.gather", frontier.len());
-            let arcs: u64 = frontier.iter().map(|&v| self.inc.num_incident(v) as u64).sum();
-            (offline::gather_live(self.inc, frontier, r.settled), arcs)
-        };
-        let hist = {
-            let _hist = span!("offline.histogram", gathered.len());
-            histogram_auto(gathered, r.prio.len())
-        };
-        let _apply = span!("offline.apply", hist.len());
-        let k = r.clamp;
-        let next = hist
-            .par_iter()
-            .filter_map(|&(u, c)| {
-                if r.settled[u as usize].load(Ordering::Relaxed) != UNSET {
-                    return None;
-                }
-                let slot = &r.prio[u as usize];
-                let d = slot.load(Ordering::Relaxed);
-                debug_assert!(d > k, "live non-frontier elements sit above the round");
-                let nd = d.saturating_sub(c).max(k);
-                slot.store(nd, Ordering::Relaxed);
-                if nd == k {
-                    Some(u)
-                } else {
-                    r.bucket.on_decrease(u, d, nd, k);
-                    None
-                }
-            })
-            .collect();
-        Wave { next, chased: 0, syncs: 3, chain: 1, work: gather_work + hist.len() as u64 }
     }
 }
 

@@ -26,22 +26,18 @@
 //!
 //! * [`engine`] — [`engine::PeelProblem`] and [`engine::PeelEngine`]:
 //!   the one round/subround loop, parameterized by a frontier source
-//!   ([`engine::RoundPolicy`]) and a subround step (fused, two-phase or
-//!   offline). The concrete problems — k-core, k-truss, (k,h)-core
-//!   and approximate densest subgraph — live in [`crate::problems`].
+//!   ([`engine::RoundPolicy`]) and a subround step (fused, or two-phase
+//!   in its snapshot and recompute forms). The concrete problems —
+//!   k-core, k-truss, (k,h)-core and approximate densest subgraph —
+//!   live in [`crate::problems`].
 //! * [`sampling`] — Sec. 4.1's sampling scheme: high-priority elements
 //!   track an approximate priority over a hashed incidence sample until
 //!   one exact recount settles them or returns them to exact counting.
 //! * [`vgc`] — Sec. 4.2's vertical granularity control: a worker chases
 //!   the local peel chain sequentially instead of bouncing every
 //!   frontier hit through the hash bag.
-//! * [`offline`] — the gather and histogram helpers of the
-//!   Julienne-style offline step (gather the frontier's decrements,
-//!   histogram them, apply bulk updates without per-target atomics),
-//!   and offline range peeling for single-core queries.
 
 pub mod engine;
-pub mod offline;
 pub mod sampling;
 pub mod vgc;
 

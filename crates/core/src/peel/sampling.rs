@@ -81,7 +81,6 @@ use rayon::prelude::*;
 
 /// Per-run state of the sampling scheme.
 pub(crate) struct SamplingState {
-    cfg: Sampling,
     /// `2^rate_log2 - 1`: an incidence is sampled iff its hash ANDs to
     /// zero.
     mask: u64,
@@ -129,14 +128,14 @@ impl SamplingState {
             .into_par_iter()
             .map(|v| {
                 let count = if eligible(v as usize) {
-                    inc.incident(v).iter().filter(|&&u| edge_sampled(v, u, cfg.seed, mask)).count()
+                    inc.incident(v).iter().filter(|&&u| edge_sampled(v, u, mask)).count()
                 } else {
                     0
                 };
                 AtomicU32::new(count as u32)
             })
             .collect();
-        let mut state = Self { cfg, mask, sample_mode, approx, sampled, horizon: 0 };
+        let mut state = Self { mask, sample_mode, approx, sampled, horizon: 0 };
         state.horizon = state.min_live_approx();
         Some(state)
     }
@@ -175,7 +174,7 @@ impl SamplingState {
     /// underflow.
     #[inline]
     pub(crate) fn on_neighbor_removed(&self, src: u32, u: u32) {
-        if edge_sampled(src, u, self.cfg.seed, self.mask) {
+        if edge_sampled(src, u, self.mask) {
             self.approx[u as usize].fetch_sub(1, Ordering::Relaxed);
         }
     }
@@ -265,7 +264,7 @@ impl SamplingState {
             .iter()
             .filter(|&&w| {
                 settled[w as usize].load(Ordering::Relaxed) == UNSET
-                    && (!sampled_only || edge_sampled(v, w, self.cfg.seed, self.mask))
+                    && (!sampled_only || edge_sampled(v, w, self.mask))
             })
             .count() as u32
     }
@@ -279,14 +278,18 @@ fn store_decreased(slot: &AtomicU32, exact: u32) -> Option<u32> {
     slot.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| (exact < d).then_some(exact)).ok()
 }
 
+/// Seed of the edge-sampling hash. Fixed, so every run of a graph
+/// samples the same edges and its stats are reproducible.
+const SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// Whether incidence `{a, b}` is in the sample: a SplitMix64-style mix
-/// of the sorted id pair and the seed, accepted when the low
+/// of the sorted id pair and [`SEED`], accepted when the low
 /// `rate_log2` bits clear. Deterministic, so the init count and every
 /// removal agree on the sample without storing it.
 #[inline]
-fn edge_sampled(a: u32, b: u32, seed: u64, mask: u64) -> bool {
+fn edge_sampled(a: u32, b: u32, mask: u64) -> bool {
     let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-    let mut h = ((lo as u64) << 32 | hi as u64) ^ seed;
+    let mut h = ((lo as u64) << 32 | hi as u64) ^ SEED;
     h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     h ^= h >> 31;
@@ -302,8 +305,8 @@ mod tests {
     fn edge_sampling_is_symmetric_and_deterministic() {
         let mask = (1u64 << 2) - 1;
         for (a, b) in [(0u32, 1u32), (5, 900), (123_456, 7)] {
-            assert_eq!(edge_sampled(a, b, 42, mask), edge_sampled(b, a, 42, mask));
-            assert_eq!(edge_sampled(a, b, 42, mask), edge_sampled(a, b, 42, mask));
+            assert_eq!(edge_sampled(a, b, mask), edge_sampled(b, a, mask));
+            assert_eq!(edge_sampled(a, b, mask), edge_sampled(a, b, mask));
         }
     }
 
@@ -311,7 +314,7 @@ mod tests {
     fn edge_sampling_rate_is_roughly_two_to_minus_r() {
         for r in [1u32, 2, 3] {
             let mask = (1u64 << r) - 1;
-            let hits = (0..40_000u32).filter(|&i| edge_sampled(i, i + 1, 7, mask)).count();
+            let hits = (0..40_000u32).filter(|&i| edge_sampled(i, i + 1, mask)).count();
             let expect = 40_000 >> r;
             assert!(
                 hits > expect / 2 && hits < expect * 2,
@@ -331,8 +334,7 @@ mod tests {
         // The hub's sampled count reflects the hash sample of its edges.
         let approx = s.approx[0].load(Ordering::Relaxed);
         assert!(approx <= 49);
-        let manual =
-            (1..50u32).filter(|&leaf| edge_sampled(0, leaf, s.cfg.seed, s.mask)).count() as u32;
+        let manual = (1..50u32).filter(|&leaf| edge_sampled(0, leaf, s.mask)).count() as u32;
         assert_eq!(approx, manual);
     }
 

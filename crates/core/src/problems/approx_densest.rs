@@ -43,8 +43,8 @@ pub const SWEPT_EPSILONS: [f64; 3] = [0.1, 0.5, 1.0];
 /// The batched densest-subgraph problem over one graph.
 ///
 /// All four bucket strategies drain its threshold rounds natively, and
-/// VGC composes with the in-round cascade; sampling and the offline
-/// driver do not apply to threshold rounds.
+/// VGC composes with the in-round cascade; sampling does not apply to
+/// threshold rounds.
 pub(crate) struct ApproxDensestProblem<'g> {
     g: &'g CsrGraph,
     /// Removal rate `1 + ε/2`.
@@ -335,14 +335,6 @@ mod tests {
             Techniques { sampling: Some(Sampling::with_threshold(4)), ..Techniques::default() };
         let _ = Decomposition::approx_densest(&gen::path(10), 0.5)
             .config(Config::with_techniques(techniques))
-            .run();
-    }
-
-    #[test]
-    #[should_panic(expected = "RoundPolicy::Threshold does not support the offline driver")]
-    fn explicit_offline_is_rejected() {
-        let _ = Decomposition::approx_densest(&gen::path(10), 0.5)
-            .config(Config::with_techniques(Techniques::offline()))
             .run();
     }
 }

@@ -171,19 +171,16 @@ mod tests {
     fn assert_sandwich(g: &CsrGraph, label: &str) {
         let oracle = sequential_greedy_density(g);
         for strategy in BucketStrategy::ALL {
-            for techniques in [Techniques::default(), Techniques::offline()] {
-                let config = Config { bucket_strategy: strategy, techniques };
-                let r = Decomposition::densest(g).config(config).run();
-                let got = r.density();
-                assert!(
-                    got <= oracle + 1e-9,
-                    "{label}/{strategy}: parallel {got} exceeds the finer greedy {oracle}"
-                );
-                assert!(
-                    got * 2.0 + 1e-9 >= oracle,
-                    "{label}/{strategy}: parallel {got} below oracle/2 ({oracle})"
-                );
-            }
+            let config = Config { bucket_strategy: strategy, techniques: Techniques::default() };
+            let got = Decomposition::densest(g).config(config).run().density();
+            assert!(
+                got <= oracle + 1e-9,
+                "{label}/{strategy}: parallel {got} exceeds the finer greedy {oracle}"
+            );
+            assert!(
+                got * 2.0 + 1e-9 >= oracle,
+                "{label}/{strategy}: parallel {got} below oracle/2 ({oracle})"
+            );
         }
     }
 
@@ -263,7 +260,6 @@ mod tests {
             ),
             ("vgc", Techniques { vgc: Some(Vgc::default()), ..Techniques::default() }),
             ("all", Techniques::all_online()),
-            ("offline", Techniques::offline()),
         ] {
             let got = Decomposition::densest(&g).config(Config::with_techniques(techniques)).run();
             assert_eq!(got.best_k(), want.best_k(), "{name}");

@@ -7,7 +7,10 @@
 //! which is precisely the paper's Alg. 1. The settle round of a vertex
 //! *is* its coreness, so `assemble` is the identity wrap into
 //! [`CorenessResult`]. Every Sec. 4 technique applies: sampling (vertex
-//! degrees over edges), VGC chains, and the offline histogram driver.
+//! degrees over edges) and VGC chains.
+//!
+//! [`range_membership`] answers a single-core query without the round
+//! order: the serving path of [`crate::Decomposition::members`].
 //!
 //! This is the only degree-by-adjacency problem: greedy densest
 //! subgraph is this peel plus a density post-pass
@@ -16,8 +19,11 @@
 
 use crate::peel::engine::{Incidence, PeelProblem};
 use crate::CorenessResult;
+use kcore_check::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use kcore_graph::{CsrGraph, GraphBackend};
-use kcore_parallel::RunStats;
+use kcore_parallel::primitives::pack_index;
+use kcore_parallel::{HashBag, RunStats};
+use rayon::prelude::*;
 
 /// The k-core decomposition problem over one graph, generic over the
 /// adjacency backend: plain or mmapped CSR, or the overlay graph that
@@ -50,11 +56,44 @@ impl<G: GraphBackend> PeelProblem for KCoreProblem<'_, G> {
     }
 }
 
+/// Membership of the `k`-core of `g` (`true` = coreness `>= k`) by
+/// **range** peeling: every vertex of degree below `k` leaves in one
+/// bulk step, then each wave of removals decrements its live
+/// neighbours, and the single thread whose decrement takes a vertex
+/// from `k` to `k - 1` puts it in the next wave. Removal order does not
+/// affect the fixpoint, so the whole sub-`k` range peels as one cascade
+/// with no round ordering — far cheaper than a full decomposition for
+/// one query. `O(n + m)` work: every vertex leaves at most once, so a
+/// counter takes at most `d(v)` decrements and never underflows.
+pub(crate) fn range_membership(g: &CsrGraph, k: u32) -> Vec<bool> {
+    let n = g.num_vertices();
+    let degree: Vec<AtomicU32> = g.degrees().into_iter().map(AtomicU32::new).collect();
+    let peeled: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+    let mut bag = HashBag::new(n);
+    let mut frontier = pack_index(n, |v| g.degree(v as u32) < k as usize);
+    while !frontier.is_empty() {
+        // Mark the whole wave first, so its members never decrement
+        // each other.
+        frontier.par_iter().for_each(|&v| peeled[v as usize].store(true, Ordering::Relaxed));
+        frontier.par_iter().for_each(|&v| {
+            for &u in g.neighbors(v) {
+                if !peeled[u as usize].load(Ordering::Relaxed)
+                    && degree[u as usize].fetch_sub(1, Ordering::Relaxed) == k
+                {
+                    bag.insert(u);
+                }
+            }
+        });
+        frontier = bag.extract_all();
+    }
+    peeled.iter().map(|p| !p.load(Ordering::Relaxed)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bz::bz_coreness;
-    use crate::config::{PeelMode, Sampling, Techniques, Vgc};
+    use crate::config::{Sampling, Techniques, Vgc};
     use crate::peel::engine::PeelEngine;
     use crate::{Config, Decomposition};
     use kcore_buckets::BucketStrategy;
@@ -69,11 +108,7 @@ mod tests {
             (Techniques::default(), "baseline"),
             (Techniques { sampling, ..Techniques::default() }, "sampling"),
             (Techniques { vgc: Some(Vgc::default()), ..Techniques::default() }, "vgc"),
-            (
-                Techniques { sampling, vgc: Some(Vgc { chain_limit: 8 }), ..Techniques::default() },
-                "sampling+vgc",
-            ),
-            (Techniques::offline(), "offline"),
+            (Techniques { sampling, vgc: Some(Vgc { chain_limit: 8 }) }, "sampling+vgc"),
         ]
     }
 
@@ -182,11 +217,8 @@ mod tests {
     #[test]
     fn sampling_counters_populate_on_power_law() {
         let g = gen::barabasi_albert(3000, 4, 11);
-        let techniques = Techniques {
-            sampling: Some(Sampling::with_threshold(16)),
-            vgc: Some(Vgc::default()),
-            mode: PeelMode::Online,
-        };
+        let techniques =
+            Techniques { sampling: Some(Sampling::with_threshold(16)), vgc: Some(Vgc::default()) };
         let r = Decomposition::kcore(&g).config(Config::with_techniques(techniques)).run();
         assert_eq!(r.coreness(), bz_coreness(&g).as_slice());
         let s = r.stats();
@@ -232,7 +264,7 @@ mod tests {
             for rate_log2 in [0, base.rate_log2] {
                 for vgc in [None, Some(Vgc::default())] {
                     let sampling = Some(Sampling { rate_log2, ..base });
-                    let techniques = Techniques { sampling, vgc, ..Techniques::default() };
+                    let techniques = Techniques { sampling, vgc };
                     let config = Config { bucket_strategy: strategy, techniques };
                     let r = Decomposition::kcore(&g).config(config).run();
                     let label = format!("{strategy}, rate 2^-{rate_log2}, {vgc:?}");
@@ -257,11 +289,7 @@ mod tests {
             [(gen::planted_core(3000, 4, 80, 7), 32), (gen::barabasi_albert(1200, 6, 3), 8)]
         {
             let sampling = Sampling::with_threshold(threshold);
-            let techniques = Techniques {
-                sampling: Some(sampling),
-                vgc: Some(Vgc::default()),
-                ..Techniques::default()
-            };
+            let techniques = Techniques { sampling: Some(sampling), vgc: Some(Vgc::default()) };
             let r = Decomposition::kcore(&g).config(Config::with_techniques(techniques)).run();
             assert_eq!(r.coreness(), bz_coreness(&g).as_slice());
             let s = r.stats();
@@ -350,20 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn offline_charges_more_syncs_per_subround() {
-        let g = gen::mesh(20, 20);
-        let online = Config::with_techniques(Techniques::default());
-        let online = Decomposition::kcore(&g).config(online).run();
-        let offline =
-            Decomposition::kcore(&g).config(Config::with_techniques(Techniques::offline())).run();
-        assert_eq!(online.coreness(), offline.coreness());
-        let (on, off) = (online.stats(), offline.stats());
-        assert_eq!(on.global_syncs, on.subrounds);
-        assert_eq!(off.global_syncs, 3 * off.subrounds, "gather + histogram + apply");
-        assert!(off.burdened_span > on.burdened_span);
-    }
-
-    #[test]
     fn kcore_members_agree_with_coreness() {
         for (label, g) in [
             ("ba", gen::barabasi_albert(500, 3, 7)),
@@ -377,6 +391,54 @@ mod tests {
                 assert_eq!(members, want, "{label}: {k}-core membership");
             }
         }
+    }
+
+    #[test]
+    fn members_fork_on_a_large_frontier() {
+        // Most queries start with a wave of thousands of vertices, far
+        // past the pool's inline cutoff, so the cascade forks and its
+        // decrements race.
+        let g = gen::rmat(14, 8, 0.57, 0.19, 0.19, 7);
+        let coreness = Decomposition::kcore(&g).run();
+        let kmax = coreness.kmax();
+        let wave = g.degrees().iter().filter(|&&d| d < kmax).count();
+        assert!(wave > 2048, "the {kmax}-core query starts with {wave} vertices");
+        for threads in [1, 4] {
+            with_threads(threads, || {
+                for k in 0..=kmax + 1 {
+                    let want: Vec<bool> = coreness.coreness().iter().map(|&c| c >= k).collect();
+                    let members = Decomposition::kcore(&g).members(k);
+                    assert_eq!(members, want, "{threads} threads: {k}-core membership");
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn membership_of_trivial_cores() {
+        let g = gen::path(10);
+        assert!(range_membership(&g, 0).iter().all(|&m| m), "the 0-core is everything");
+        assert!(range_membership(&g, 2).iter().all(|&m| !m), "a path has no 2-core");
+    }
+
+    #[test]
+    fn membership_cascade_crosses_the_whole_graph() {
+        // A path with a triangle at the end: the 2-core is exactly the
+        // triangle, and finding it requires the removal cascade to run
+        // down the entire path.
+        let mut edges: Vec<(u32, u32)> = (0..20u32).map(|i| (i, i + 1)).collect();
+        edges.push((20, 21));
+        edges.push((21, 22));
+        edges.push((22, 20));
+        let g = GraphBuilder::new(23).edges(edges).build();
+        for (v, &member) in range_membership(&g, 2).iter().enumerate() {
+            assert_eq!(member, v >= 20, "vertex {v}: only the triangle is in the 2-core");
+        }
+    }
+
+    #[test]
+    fn empty_graph_membership() {
+        assert!(range_membership(&CsrGraph::empty(), 3).is_empty());
     }
 
     #[test]

@@ -121,9 +121,8 @@ fn ball_size<F: Fn(u32) -> bool>(g: &CsrGraph, v: u32, h: u32, alive: &F) -> u32
 
 /// The (k,h)-core decomposition problem over one graph.
 ///
-/// All four bucket strategies apply; sampling and the offline driver do
-/// not apply to recomputed priorities, and VGC is ignored by the
-/// two-phase step.
+/// All four bucket strategies apply; sampling does not apply to
+/// recomputed priorities, and VGC is ignored by the two-phase step.
 pub(crate) struct KhCoreProblem<'g> {
     pub(crate) g: &'g CsrGraph,
     pub(crate) h: u32,
@@ -383,14 +382,6 @@ mod tests {
             Techniques { sampling: Some(Sampling::with_threshold(4)), ..Techniques::default() };
         let _ = Decomposition::khcore(&gen::path(10), 2)
             .config(Config::with_techniques(techniques))
-            .run();
-    }
-
-    #[test]
-    #[should_panic(expected = "Incidence::Recompute does not support the offline driver")]
-    fn explicit_offline_is_rejected() {
-        let _ = Decomposition::khcore(&gen::path(10), 2)
-            .config(Config::with_techniques(Techniques::offline()))
             .run();
     }
 }

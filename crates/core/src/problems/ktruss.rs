@@ -566,19 +566,16 @@ mod tests {
     #[test]
     fn sampling_and_vgc_requests_are_ignored_for_edge_peeling() {
         // Unit-incidence techniques cannot apply to the snapshot rule;
-        // requesting them must not change the output. The offline
-        // request still peels with the two-phase step.
+        // requesting them must not change the output.
         let g = gen::planted_core(60, 2, 12, 3);
         let want = Decomposition::ktruss(&g).config(Config::default()).run();
-        for techniques in [Techniques::all_online(), Techniques::offline()] {
-            let forced = Config::with_techniques(techniques);
-            let got = Decomposition::ktruss(&g).config(forced).run();
-            let s = got.stats();
-            assert_eq!(got.trussness(), want.trussness(), "{techniques:?}");
-            assert_eq!(s.sampled_vertices, 0);
-            assert_eq!(s.resamples, 0);
-            assert_eq!(s.global_syncs, 2 * s.subrounds, "{techniques:?}: settle + rule phases");
-        }
+        let forced = Config::with_techniques(Techniques::all_online());
+        let got = Decomposition::ktruss(&g).config(forced).run();
+        let s = got.stats();
+        assert_eq!(got.trussness(), want.trussness());
+        assert_eq!(s.sampled_vertices, 0);
+        assert_eq!(s.resamples, 0);
+        assert_eq!(s.global_syncs, 2 * s.subrounds, "settle + rule phases");
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //!    its result instead (as [`densest`] does with k-core).
 //! 5. Add a [`crate::Decomposition`] selector whose `run` builds the
 //!    problem and peels it under the staged config; the engine panics
-//!    on sampling or offline requests your axes refuse. Test against a
+//!    on sampling requests your axes refuse. Test against a
 //!    sequential oracle across all bucket strategies (see
 //!    `tests/proptest_problems.rs`).
 

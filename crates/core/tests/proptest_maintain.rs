@@ -3,9 +3,9 @@
 //! growth), random deletes of real edges, and no-op changes mixed in —
 //! the maintained coreness must be bit-identical to a full
 //! Batagelj–Zaveršnik recompute on a fresh CSR snapshot of the logical
-//! graph, at every version, for every bucket strategy under the plain,
-//! full online (sampling + VGC) and offline peel designs, and under the
-//! full online design with a sampling threshold low enough for these
+//! graph, at every version, for every bucket strategy under the plain
+//! and full online (sampling + VGC) peel designs, and under the full
+//! online design with a sampling threshold low enough for these
 //! small graphs. The affected region must stay within the vertex
 //! universe throughout. Two fixed-graph tests check that this
 //! low-threshold leg really samples, in the initial peel and in a
@@ -105,7 +105,6 @@ proptest! {
             for techniques in [
                 Techniques::default(),
                 Techniques::all_online(),
-                Techniques::offline(),
                 low_threshold_sampling(),
             ] {
                 replay_and_check(&base, &batches, strategy, techniques);
@@ -216,7 +215,7 @@ proptest! {
         picks in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..24),
     ) {
         let stream = mid_size_stream(&base, size, start, &picks);
-        for techniques in [Techniques::default(), Techniques::all_online(), Techniques::offline()] {
+        for techniques in [Techniques::default(), Techniques::all_online()] {
             let config = Config { techniques, ..Config::default() };
             let mut dg = DynamicGraph::new(base.clone(), config);
             for (inserts, deletes) in &stream {

@@ -1,15 +1,15 @@
 //! Property-based correctness: on arbitrary graphs, every parallel
-//! peeling configuration — the full (bucket strategy × sampling × VGC ×
-//! online/offline) matrix — must agree vertex-for-vertex with the
+//! peeling configuration — the full (bucket strategy × sampling × VGC)
+//! matrix — must agree vertex-for-vertex with the
 //! sequential Batagelj–Zaveršnik oracle, and the coreness array must
 //! satisfy the defining k-core property.
 
 use kcore::bz::bz_coreness;
-use kcore::{BucketStrategy, Config, Decomposition, PeelMode, Sampling, Techniques, Vgc};
+use kcore::{BucketStrategy, Config, Decomposition, Sampling, Techniques, Vgc};
 use kcore_graph::{gen, CsrGraph, GraphBuilder};
 use proptest::prelude::*;
 
-/// The techniques axes: sampling × VGC off/on × online/offline.
+/// The techniques axes: sampling × VGC off/on.
 /// Sampling uses a low threshold (test graphs are small) and runs three
 /// ways: the default rate, every edge sampled (the sampled counter then
 /// equals the live priority, so the lower-bound skip is tight), and a
@@ -27,9 +27,7 @@ fn all_techniques() -> Vec<Techniques> {
     let mut out = Vec::new();
     for sampling in samplings {
         for vgc in [None, Some(Vgc { chain_limit: 6 })] {
-            for mode in [PeelMode::Online, Techniques::offline().mode] {
-                out.push(Techniques { sampling, vgc, mode });
-            }
+            out.push(Techniques { sampling, vgc });
         }
     }
     out

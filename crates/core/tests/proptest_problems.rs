@@ -40,11 +40,11 @@ fn low_threshold_sampling() -> Techniques {
     Techniques { sampling: Some(Sampling::with_threshold(4)), ..Techniques::all_online() }
 }
 
-/// Strategy × {plain, offline, low-threshold sampling + VGC} sweep.
+/// Strategy × {plain, low-threshold sampling + VGC} sweep.
 fn all_configs() -> Vec<Config> {
     let mut out = Vec::new();
     for strategy in BucketStrategy::ALL {
-        for techniques in [Techniques::default(), Techniques::offline(), low_threshold_sampling()] {
+        for techniques in [Techniques::default(), low_threshold_sampling()] {
             out.push(Config { bucket_strategy: strategy, techniques });
         }
     }
@@ -62,7 +62,7 @@ fn arb_graph() -> impl Strategy<Value = CsrGraph> {
 }
 
 /// Every strategy; edge peeling ignores the techniques block, so the
-/// offline leg of [`all_configs`] would repeat the online one.
+/// sampling leg of [`all_configs`] would repeat the plain one.
 fn assert_truss_matches_oracle(g: &CsrGraph) {
     let want = sequential_trussness(g);
     for strategy in BucketStrategy::ALL {
@@ -404,109 +404,40 @@ fn minbucket_stats_match_the_pr4_snapshot() {
 /// unpinned, on the same seed generators and under the same
 /// technique-free baseline: per generator,
 /// `[rounds, subrounds, global_syncs, work, max_frontier, burdened_span]`
-/// for (k,h)-core with `h = 2` (recompute step), approx densest with
-/// `ε = 0.5` (threshold frontier source), and offline k-core (offline
-/// step, default histogram). As in [`PR4_STATS`], slot 0 holds
-/// `rounds + keys_skipped` (threshold rounds skip no keys). k-truss
-/// under the offline techniques runs the two-phase step that
-/// [`PR4_STATS`]' k-truss column pins.
-const DRIVER_STATS: &[(&str, [[u64; 6]; 3])] = &[
-    ("path", [[3, 20, 40, 114, 2, 600020], [1, 1, 1, 118, 40, 15001], [2, 20, 60, 156, 2, 900020]]),
-    ("cycle", [[5, 1, 2, 33, 33, 30001], [1, 1, 1, 99, 33, 15001], [3, 1, 3, 99, 33, 45001]]),
-    ("star", [[65, 1, 2, 65, 65, 30001], [1, 2, 2, 193, 64, 30002], [2, 2, 6, 194, 64, 90002]]),
-    (
-        "complete",
-        [[20, 1, 2, 20, 20, 30001], [1, 1, 1, 400, 20, 15001], [20, 1, 3, 400, 20, 45001]],
-    ),
-    ("bipartite", [[13, 1, 2, 13, 13, 30001], [1, 2, 2, 85, 9, 30002], [5, 2, 6, 89, 9, 90002]]),
-    (
-        "grid2d",
-        [[7, 25, 50, 1744, 26, 750025], [1, 1, 1, 1958, 408, 15001], [3, 20, 60, 2362, 34, 900020]],
-    ),
-    (
-        "grid3d",
-        [[12, 14, 28, 1488, 52, 420014], [1, 1, 1, 2060, 336, 15001], [4, 9, 27, 2388, 72, 405009]],
-    ),
-    (
-        "mesh",
-        [
-            [12, 19, 38, 1199, 20, 570019],
-            [1, 2, 2, 1457, 140, 30002],
-            [4, 14, 42, 1794, 32, 630014],
-        ],
-    ),
-    (
-        "road",
-        [
-            [7, 35, 70, 1578, 32, 1050035],
-            [1, 2, 2, 1740, 371, 30002],
-            [3, 15, 45, 2231, 65, 675015],
-        ],
-    ),
-    (
-        "erdos_renyi",
-        [
-            [25, 49, 98, 2924, 63, 1470049],
-            [1, 3, 3, 2080, 224, 45003],
-            [5, 15, 45, 2594, 49, 675015],
-        ],
-    ),
-    (
-        "barabasi_albert",
-        [
-            [68, 93, 186, 6303, 68, 2790093],
-            [1, 3, 3, 2788, 336, 45003],
-            [4, 15, 45, 3402, 150, 675015],
-        ],
-    ),
-    (
-        "rmat",
-        [
-            [208, 141, 282, 16645, 208, 4230141],
-            [2, 7, 7, 6140, 393, 105007],
-            [21, 47, 141, 7630, 87, 2115047],
-        ],
-    ),
-    (
-        "knn",
-        [
-            [10, 40, 80, 888, 18, 1200040],
-            [1, 2, 2, 1478, 229, 30002],
-            [5, 4, 12, 1655, 107, 180004],
-        ],
-    ),
-    (
-        "planted_core",
-        [
-            [57, 59, 118, 2367, 57, 1770059],
-            [2, 3, 3, 2534, 155, 45003],
-            [40, 16, 48, 2781, 83, 720016],
-        ],
-    ),
-    (
-        "hcns",
-        [[80, 1, 2, 80, 80, 30001], [1, 2, 2, 3280, 51, 30002], [41, 40, 120, 4060, 41, 1800040]],
-    ),
+/// for (k,h)-core with `h = 2` (recompute step) and approx densest with
+/// `ε = 0.5` (threshold frontier source). As in [`PR4_STATS`], slot 0
+/// holds `rounds + keys_skipped` (threshold rounds skip no keys).
+const DRIVER_STATS: &[(&str, [[u64; 6]; 2])] = &[
+    ("path", [[3, 20, 40, 114, 2, 600020], [1, 1, 1, 118, 40, 15001]]),
+    ("cycle", [[5, 1, 2, 33, 33, 30001], [1, 1, 1, 99, 33, 15001]]),
+    ("star", [[65, 1, 2, 65, 65, 30001], [1, 2, 2, 193, 64, 30002]]),
+    ("complete", [[20, 1, 2, 20, 20, 30001], [1, 1, 1, 400, 20, 15001]]),
+    ("bipartite", [[13, 1, 2, 13, 13, 30001], [1, 2, 2, 85, 9, 30002]]),
+    ("grid2d", [[7, 25, 50, 1744, 26, 750025], [1, 1, 1, 1958, 408, 15001]]),
+    ("grid3d", [[12, 14, 28, 1488, 52, 420014], [1, 1, 1, 2060, 336, 15001]]),
+    ("mesh", [[12, 19, 38, 1199, 20, 570019], [1, 2, 2, 1457, 140, 30002]]),
+    ("road", [[7, 35, 70, 1578, 32, 1050035], [1, 2, 2, 1740, 371, 30002]]),
+    ("erdos_renyi", [[25, 49, 98, 2924, 63, 1470049], [1, 3, 3, 2080, 224, 45003]]),
+    ("barabasi_albert", [[68, 93, 186, 6303, 68, 2790093], [1, 3, 3, 2788, 336, 45003]]),
+    ("rmat", [[208, 141, 282, 16645, 208, 4230141], [2, 7, 7, 6140, 393, 105007]]),
+    ("knn", [[10, 40, 80, 888, 18, 1200040], [1, 2, 2, 1478, 229, 30002]]),
+    ("planted_core", [[57, 59, 118, 2367, 57, 1770059], [2, 3, 3, 2534, 155, 45003]]),
+    ("hcns", [[80, 1, 2, 80, 80, 30001], [1, 2, 2, 3280, 51, 30002]]),
 ];
 
-/// The stats half of the single-loop guard for the recompute, threshold
-/// and offline paths: every one must keep its round structure exactly.
-/// The recompute and threshold runs pin the plain framework
-/// (`Techniques::default()`).
+/// The stats half of the single-loop guard for the recompute and
+/// threshold paths: both must keep their round structure exactly. They
+/// pin the plain framework (`Techniques::default()`).
 #[test]
-fn khcore_approx_densest_and_offline_stats_are_pinned() {
+fn khcore_and_approx_densest_stats_are_pinned() {
     let plain = Config::with_techniques(Techniques::default());
-    let offline = Config::with_techniques(Techniques::offline());
     for (label, want) in DRIVER_STATS {
         let g = seed_graph(label);
         let kh = Decomposition::khcore(&g, 2).config(plain).run();
         let ad = Decomposition::approx_densest(&g, 0.5).config(plain).run();
-        let kc = Decomposition::kcore(&g).config(offline).run();
-        for (name, stats, snap) in [
-            ("khcore-h2", kh.stats(), &want[0]),
-            ("approx-densest-0.5", ad.stats(), &want[1]),
-            ("offline k-core", kc.stats(), &want[2]),
-        ] {
+        for (name, stats, snap) in
+            [("khcore-h2", kh.stats(), &want[0]), ("approx-densest-0.5", ad.stats(), &want[1])]
+        {
             let got = [
                 stats.rounds + stats.keys_skipped,
                 stats.subrounds,

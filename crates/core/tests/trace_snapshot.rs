@@ -130,26 +130,6 @@ fn triangle_setup_counters_match_the_reference_count() {
 }
 
 #[test]
-fn offline_driver_shows_gather_histogram_apply_children() {
-    let _g = serial();
-    let g = gen::barabasi_albert(400, 3, 11);
-    let config = Config::with_techniques(kcore::Techniques::offline());
-    let (result, tid) = traced(|| Decomposition::kcore(&g).config(config).run());
-    let report = TraceReport::capture();
-    set_level(Level::Off);
-
-    let stats = result.stats();
-    let tree = report.span_tree(tid);
-    // Every offline subround runs the three bulk phases once, as
-    // visible children of `subround`.
-    for phase in ["offline.gather", "offline.histogram", "offline.apply"] {
-        let line = format!("{phase} x{}", stats.subrounds);
-        assert!(tree.contains(&line), "expected {line:?} in tree:\n{tree}");
-    }
-    assert_eq!(report.span_count("subround"), stats.subrounds);
-}
-
-#[test]
 fn span_tree_of_a_fixed_ktruss_run_is_pinned() {
     let _g = serial();
     let g = gen::barabasi_albert(300, 3, 7);

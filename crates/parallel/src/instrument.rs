@@ -9,7 +9,7 @@
 //! quantity: each subround contributes `syncs · ω + chain` where `chain`
 //! is the longest sequential dependency executed inside the subround
 //! (the VGC local-search length; 1 without VGC). This reproduces the
-//! paper's formulas `Õ(ρω)` (plain / offline) and `Õ(ρ′(ω + L))` (VGC)
+//! paper's formulas `Õ(ρω)` (plain) and `Õ(ρ′(ω + L))` (VGC)
 //! over the *measured* round structure — exactly what Fig. 9 plots.
 //!
 //! [`RunStats`] collects those counters plus the sampling and VGC
@@ -63,8 +63,8 @@ pub struct RunStats {
     pub keys_skipped: u64,
     /// Total subrounds ρ (Tab. 2's peeling complexity when VGC is off).
     pub subrounds: u64,
-    /// Global synchronization points (≥ subrounds; offline peeling has
-    /// several per subround).
+    /// Global synchronization points (≥ subrounds; a two-phase subround
+    /// has 2: settle, then rule).
     pub global_syncs: u64,
     /// Operation-count proxy for work W: vertices touched + arcs
     /// traversed + active-set scans.
@@ -203,15 +203,16 @@ mod tests {
     }
 
     #[test]
-    fn offline_subrounds_charge_more_syncs() {
-        let mut online = RunStats::default();
-        let mut offline = RunStats::default();
+    fn two_phase_subrounds_charge_more_syncs() {
+        let mut fused = RunStats::default();
+        let mut two_phase = RunStats::default();
         for _ in 0..10 {
-            online.record_subround(1, 1);
-            offline.record_subround(3, 1);
+            fused.record_subround(1, 1);
+            two_phase.record_subround(2, 1);
         }
-        assert!(offline.burdened_span > online.burdened_span);
-        assert_eq!(offline.burdened_span / online.burdened_span, 2); // ≈3x, integer div of (3ω+1)/(ω+1)
+        assert_eq!(two_phase.global_syncs, 2 * fused.global_syncs);
+        assert!(two_phase.burdened_span > fused.burdened_span);
+        assert_eq!(two_phase.burdened_span, 10 * (2 * OMEGA + 1));
     }
 
     #[test]

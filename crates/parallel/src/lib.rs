@@ -10,9 +10,6 @@
 //!   (merge / packed-bitset probe) with a per-pair choice from the list
 //!   lengths, the sequential core of triangle counting and k-truss
 //!   peeling.
-//! * [`histogram`] — the `Histogram` primitive used by offline (Julienne
-//!   style) peeling, substituting a sort-based implementation for the
-//!   paper's parallel semisort.
 //! * [`hashbag`] — the **parallel hash bag** (Sec. 2): concurrent inserts
 //!   into geometrically growing chunks with `O(λ + t)` extraction; used
 //!   for frontiers and, inside HBS, for bucket contents.
@@ -28,7 +25,6 @@
 //! paper's binary fork–join model (Sec. 2).
 
 pub mod hashbag;
-pub mod histogram;
 pub mod instrument;
 pub mod intersect;
 pub mod pool;

@@ -25,7 +25,7 @@
 //! * [`graph`] — CSR graphs, builders, synthetic generators, I/O, and
 //!   the edge-id / triangle primitives behind edge peeling
 //!   ([`kcore_graph`]).
-//! * [`parallel`] — parallel primitives: pack, scan, histogram, sorted
+//! * [`parallel`] — parallel primitives: pack, scan, sorted
 //!   intersection, the parallel hash bag, and scheduling
 //!   instrumentation ([`kcore_parallel`]).
 //! * [`buckets`] — bucketing structures over opaque elements and
