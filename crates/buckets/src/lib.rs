@@ -11,9 +11,9 @@
 //! [`BucketStructure`] trait:
 //!
 //! * [`SingleBucket`] — the plain framework (Alg. 1): keep the active set
-//!   as a flat array, `pack` the frontier out of it every round. `O(|A|)`
-//!   work per round, optimal in total (Thm. 3.1) but with a large
-//!   constant on dense graphs.
+//!   as a flat array and split each round's frontier and survivors out
+//!   of it in one fused two-pass drain. `O(|A|)` work per round, optimal
+//!   in total (Thm. 3.1) but with a large constant on dense graphs.
 //! * [`FixedBuckets`] — Julienne's strategy: materialize the next `b`
 //!   frontiers every `b` rounds and keep the rest in an overflow list.
 //!   `O(d(v)/b + b)` per vertex; [`BucketStrategy::Fixed`] uses
@@ -168,7 +168,8 @@ impl BucketStrategy {
             BucketStrategy::Hierarchical => Box::new(HierarchicalBuckets::new(priorities)),
             // Adaptive switching is orchestrated by the framework (it
             // owns the live priority state needed to rebuild); it starts
-            // with a single bucket.
+            // with a single bucket, whose survivors seed HBS
+            // (`SingleBucket::into_hierarchical`).
             BucketStrategy::Adaptive => Box::new(SingleBucket::new(priorities)),
         }
     }

@@ -69,11 +69,10 @@
 use super::sampling::SamplingState;
 use super::vgc;
 use crate::Config;
-use kcore_buckets::{BucketStrategy, BucketStructure, HierarchicalBuckets, PriorityView};
+use kcore_buckets::{BucketStrategy, BucketStructure, PriorityView, SingleBucket};
 use kcore_check::sync::atomic::{AtomicU32, Ordering};
 use kcore_graph::GraphBackend;
 use kcore_obs::span;
-use kcore_parallel::primitives::pack_index;
 use kcore_parallel::{HashBag, RunStats, TechniqueCounters};
 use rayon::prelude::*;
 
@@ -517,6 +516,30 @@ fn peel<P: PeelProblem>(config: &Config, problem: &P, stats: &mut RunStats) -> V
 /// active array to HBS: the paper's θ (Sec. 5.3).
 const ADAPTIVE_THETA: u32 = 16;
 
+/// A run's bucket structure. [`BucketStrategy::Adaptive`] keeps its
+/// flat array typed until the θ upgrade, which seeds HBS from the
+/// array's survivors; every other strategy is fixed for the run.
+enum Buckets {
+    AdaptiveFlat(SingleBucket),
+    Fixed(Box<dyn BucketStructure>),
+}
+
+impl Buckets {
+    fn get(&self) -> &dyn BucketStructure {
+        match self {
+            Buckets::AdaptiveFlat(flat) => flat,
+            Buckets::Fixed(bucket) => &**bucket,
+        }
+    }
+
+    fn get_mut(&mut self) -> &mut dyn BucketStructure {
+        match self {
+            Buckets::AdaptiveFlat(flat) => flat,
+            Buckets::Fixed(bucket) => &mut **bucket,
+        }
+    }
+}
+
 /// The round loop (Alg. 1), shared by every problem and technique.
 ///
 /// Each round the frontier source fixes the round's clamp and drains
@@ -545,8 +568,10 @@ fn rounds<P: PeelProblem, S: Step>(
     let source = problem.round_policy();
     let prio: Vec<AtomicU32> = init.iter().map(|&d| AtomicU32::new(d)).collect();
     let settled: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNSET)).collect();
-    let mut bucket: Box<dyn BucketStructure> = config.bucket_strategy.build(&init);
-    let mut adaptive_pending = matches!(config.bucket_strategy, BucketStrategy::Adaptive);
+    let mut bucket = match config.bucket_strategy {
+        BucketStrategy::Adaptive => Buckets::AdaptiveFlat(SingleBucket::new(&init)),
+        strategy => Buckets::Fixed(strategy.build(&init)),
+    };
     let max_prio = init.iter().copied().max().unwrap_or(0);
     drop(init);
     let mut remaining = n;
@@ -557,17 +582,17 @@ fn rounds<P: PeelProblem, S: Step>(
         let view = LiveView { prio: &prio, settled: &settled };
         // Adaptive starts on the flat array and upgrades to HBS at the
         // θ-core; the other strategies are fixed for the whole run.
-        if adaptive_pending && floor >= ADAPTIVE_THETA {
-            let live = pack_index(n, |v| view.alive(v as u32));
-            let entries = live.iter().map(|&v| (v, view.key(v)));
-            bucket = Box::new(HierarchicalBuckets::with_entries(floor, entries));
-            adaptive_pending = false;
-        }
+        bucket = match bucket {
+            Buckets::AdaptiveFlat(flat) if floor >= ADAPTIVE_THETA => {
+                Buckets::Fixed(Box::new(flat.into_hierarchical(floor, &view)))
+            }
+            bucket => bucket,
+        };
         let (round, clamp, mut frontier) = match &source {
             RoundPolicy::MinBucket => {
                 let _drain = span!("bucket.drain", floor);
                 let (k, frontier, work) =
-                    open_min_round(problem, &step, &mut *bucket, &view, floor, max_prio);
+                    open_min_round(problem, &step, bucket.get_mut(), &view, floor, max_prio);
                 stats.keys_skipped += u64::from(k - floor);
                 stats.work += work;
                 (k, k, frontier)
@@ -584,10 +609,11 @@ fn rounds<P: PeelProblem, S: Step>(
                 let agg = RoundAggregates { round: index, remaining, priority_sum, floor };
                 let t = policy.threshold(&agg).max(floor);
                 let _drain = span!("bucket.drain", t);
-                (index, t, bucket.drain_threshold(t, &view))
+                (index, t, bucket.get_mut().drain_threshold(t, &view))
             }
         };
-        let r = Round { problem, prio: &prio, settled: &settled, bucket: &*bucket, round, clamp };
+        let r =
+            Round { problem, prio: &prio, settled: &settled, bucket: bucket.get(), round, clamp };
         step.round_start(&r, &frontier);
         let mut subrounds = 0u32;
         loop {

@@ -96,6 +96,7 @@ pub fn scheduler_delta<T>(f: impl FnOnce() -> T) -> (T, SchedulerStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::primitives::{pack, pack_index, split_at_min, split_at_min_reference};
     use rayon::prelude::*;
 
     #[test]
@@ -147,6 +148,46 @@ mod tests {
         });
         assert_eq!(sum, 59 * 60 / 2);
         assert!(delta.splits > 0, "with_max_len(1) over 60 items must split");
+    }
+
+    /// Input of three blocks and a bit: one item per block sits far
+    /// under the shim's inline cutoff, so only `with_max_len` forks it.
+    const THREE_BLOCKS: usize = 3 * crate::primitives::BLOCK + 17;
+
+    /// Runs `f` on a fresh 2-worker pool and returns the splits that
+    /// pool made. Unlike [`scheduler_delta`]'s process-wide count, no
+    /// test running alongside can leak a split into it.
+    fn splits_on_two_workers<T: Send>(f: impl FnOnce() -> T + Send) -> (T, u64) {
+        with_threads(2, || {
+            let out = f();
+            (out, per_worker_stats().iter().map(|w| w.splits).sum())
+        })
+    }
+
+    #[test]
+    fn pack_and_pack_index_fork_across_their_blocks() {
+        let input: Vec<u32> =
+            (0..THREE_BLOCKS as u32).map(|i| i.wrapping_mul(2654435761)).collect();
+        let keep = |x: &u32| x.is_multiple_of(3);
+        let (packed, splits) = splits_on_two_workers(|| pack(&input, keep));
+        assert_eq!(packed, input.iter().copied().filter(keep).collect::<Vec<_>>());
+        assert!(splits > 0, "pack over {THREE_BLOCKS} items must split");
+        let (indices, splits) =
+            splits_on_two_workers(|| pack_index(input.len(), |i| keep(&input[i])));
+        let want: Vec<u32> =
+            (0..THREE_BLOCKS as u32).filter(|&i| keep(&input[i as usize])).collect();
+        assert_eq!(indices, want);
+        assert!(splits > 0, "pack_index over {THREE_BLOCKS} items must split");
+    }
+
+    #[test]
+    fn split_at_min_forks_across_its_blocks() {
+        let input: Vec<u32> = (0..THREE_BLOCKS as u32).collect();
+        let key = |&v: &u32| (v % 7 != 0).then_some(5 + v.wrapping_mul(2654435761) % 13);
+        let (split, splits) = splits_on_two_workers(|| split_at_min(&input, 100, key));
+        assert_eq!(split, split_at_min_reference(&input, 100, key));
+        assert_eq!(split.key, 5);
+        assert!(splits > 0, "split_at_min over {THREE_BLOCKS} items must split");
     }
 
     #[test]

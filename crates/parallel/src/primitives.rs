@@ -7,14 +7,94 @@
 //! over block counts, per-block write — `O(n)` work, `O(log n)` span,
 //! and stable (output preserves input order), which keeps every
 //! algorithm in this workspace deterministic run-to-run.
+//! [`split_at_min`] fuses a flat-array round drain (refine, find the
+//! smallest live key, take its frontier) into the same two block
+//! passes.
+//!
+//! The block loops have one item per 4096 input items, so an input
+//! under 2048 blocks (~8.4M items) gives them fewer items than the
+//! rayon shim's inline cutoff. They set `with_max_len(1)`, as
+//! ParlayLib's blocked filter forks per block, so an input of two or
+//! more blocks forks across the pool.
 
 use rayon::prelude::*;
 
 /// Block size for the blocked pack/scan phases. Large enough that the
 /// per-block bookkeeping vanishes, small enough to load-balance.
-const BLOCK: usize = 4096;
+/// Inputs of at most one block run sequentially.
+pub(crate) const BLOCK: usize = 4096;
+
+/// The index range of block `b` of an `n`-item input.
+fn block(b: usize, n: usize) -> std::ops::Range<usize> {
+    let lo = b * BLOCK;
+    lo..(lo + BLOCK).min(n)
+}
+
+/// The output of a blocked write phase. Block `b` owns the slots
+/// `offsets[b]..offsets[b] + counts[b]`, cut from an exclusive scan of
+/// the per-block counts, so the blocks' ranges tile the buffer.
+struct BlockedOutput<T> {
+    buf: Vec<T>,
+    ptr: SendPtr<T>,
+    offsets: Vec<usize>,
+    counts: Vec<usize>,
+    total: usize,
+}
+
+impl<T: Copy> BlockedOutput<T> {
+    fn new(counts: Vec<usize>) -> Self {
+        let (offsets, total) = exclusive_scan(&counts);
+        let mut buf = Vec::with_capacity(total);
+        let ptr = SendPtr::new(buf.as_mut_ptr());
+        Self { buf, ptr, offsets, counts, total }
+    }
+
+    /// The writer of block `b`'s slots.
+    fn block(&self, b: usize) -> BlockWriter<T> {
+        let pos = self.offsets[b];
+        BlockWriter { ptr: self.ptr, pos, end: pos + self.counts[b] }
+    }
+
+    /// The filled buffer.
+    ///
+    /// # Safety
+    ///
+    /// Every block's writer must have been finished
+    /// ([`BlockWriter::finish`]), so that every slot is written.
+    unsafe fn into_vec(mut self) -> Vec<T> {
+        // SAFETY: the capacity is `total`, and the finished writers
+        // wrote their whole ranges, which tile `0..total`.
+        unsafe { self.buf.set_len(self.total) };
+        self.buf
+    }
+}
+
+/// Writes one block's slots of a [`BlockedOutput`] in order. The count
+/// pass sized the range, so a predicate or key that answers differently
+/// on the write pass panics instead of writing past the range or
+/// leaving a slot unwritten.
+struct BlockWriter<T> {
+    ptr: SendPtr<T>,
+    pos: usize,
+    end: usize,
+}
+
+impl<T: Copy> BlockWriter<T> {
+    fn push(&mut self, x: T) {
+        assert!(self.pos < self.end, "a block wrote more items than its count pass found");
+        // SAFETY: `pos` is inside this block's range, which lies in the
+        // buffer's capacity and which no other block writes.
+        unsafe { self.ptr.slot(self.pos).write(x) };
+        self.pos += 1;
+    }
+
+    fn finish(self) {
+        assert_eq!(self.pos, self.end, "a block wrote fewer items than its count pass found");
+    }
+}
 
 /// Returns all elements of `input` satisfying `pred`, preserving order.
+/// Inputs of more than one block fork across their blocks.
 pub fn pack<T, F>(input: &[T], pred: F) -> Vec<T>
 where
     T: Copy + Send + Sync,
@@ -27,41 +107,25 @@ where
     let blocks = n.div_ceil(BLOCK);
     let counts: Vec<usize> = (0..blocks)
         .into_par_iter()
-        .map(|b| {
-            let lo = b * BLOCK;
-            let hi = (lo + BLOCK).min(n);
-            input[lo..hi].iter().filter(|x| pred(x)).count()
-        })
+        .with_max_len(1)
+        .map(|b| input[block(b, n)].iter().filter(|x| pred(x)).count())
         .collect();
-    let (offsets, total) = exclusive_scan(&counts);
-    let mut out: Vec<T> = Vec::with_capacity(total);
-    #[allow(clippy::uninit_vec)]
-    // SAFETY: every slot in 0..total is written exactly once below —
-    // block b writes the contiguous range offsets[b]..offsets[b]+counts[b],
-    // and the scan guarantees those ranges tile 0..total.
-    unsafe {
-        out.set_len(total);
-    }
-    let out_ptr = SendPtr::new(out.as_mut_ptr());
-    (0..blocks).into_par_iter().for_each(|b| {
-        let lo = b * BLOCK;
-        let hi = (lo + BLOCK).min(n);
-        let mut pos = offsets[b];
-        for x in &input[lo..hi] {
-            if pred(x) {
-                // SAFETY: disjoint ranges per block, see above.
-                unsafe { out_ptr.slot(pos).write(*x) };
-                pos += 1;
-            }
-        }
+    let out = BlockedOutput::new(counts);
+    (0..blocks).into_par_iter().with_max_len(1).for_each(|b| {
+        let mut slots = out.block(b);
+        input[block(b, n)].iter().filter(|x| pred(x)).for_each(|&x| slots.push(x));
+        slots.finish();
     });
-    out
+    // SAFETY: every block's writer finished above.
+    unsafe { out.into_vec() }
 }
 
 /// Returns the indices `i` in `0..n` for which `pred(i)` holds, in order.
 ///
 /// This is the form used to extract frontiers ("all active vertices with
 /// induced degree k") without materializing the candidate array first.
+/// Ranges of more than one block fork across their blocks, like
+/// [`pack`].
 pub fn pack_index<F>(n: usize, pred: F) -> Vec<u32>
 where
     F: Fn(usize) -> bool + Sync,
@@ -72,33 +136,93 @@ where
     let blocks = n.div_ceil(BLOCK);
     let counts: Vec<usize> = (0..blocks)
         .into_par_iter()
+        .with_max_len(1)
+        .map(|b| block(b, n).filter(|&i| pred(i)).count())
+        .collect();
+    let out = BlockedOutput::new(counts);
+    (0..blocks).into_par_iter().with_max_len(1).for_each(|b| {
+        let mut slots = out.block(b);
+        block(b, n).filter(|&i| pred(i)).for_each(|i| slots.push(i as u32));
+        slots.finish();
+    });
+    // SAFETY: every block's writer finished above.
+    unsafe { out.into_vec() }
+}
+
+/// The live items of an input split at their smallest key, as
+/// [`split_at_min`] returns them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MinSplit<T> {
+    /// The smallest live key, or the cap when that is lower or nothing
+    /// is live.
+    pub key: u32,
+    /// The live items of key `key`, in input order; empty when `key`
+    /// is the cap.
+    pub frontier: Vec<T>,
+    /// Every other live item, in input order.
+    pub rest: Vec<T>,
+}
+
+/// Splits the live items of `input` at their smallest key below `cap`:
+/// the round drain of a flat active array (refine it, find the smallest
+/// live key, take that key's frontier) fused into two passes.
+///
+/// `key(x)` is `Some(k)` for a live item of key `k` and `None` for one
+/// to drop; it must give the same answer on both passes. Pass 1 counts,
+/// per block, the live items, their smallest key and the items at that
+/// key; pass 2 writes the frontier and the rest through offsets scanned
+/// from those counts. `O(n)` work, and inputs of more than one block
+/// fork across their blocks in both passes, like [`pack`].
+pub fn split_at_min<T, F>(input: &[T], cap: u32, key: F) -> MinSplit<T>
+where
+    T: Copy + Send + Sync,
+    F: Fn(&T) -> Option<u32> + Sync,
+{
+    let n = input.len();
+    let blocks = n.div_ceil(BLOCK);
+    // Per block: (live items, smallest live key, live items at it).
+    let summaries: Vec<(usize, u32, usize)> = (0..blocks)
+        .into_par_iter()
+        .with_max_len(1)
         .map(|b| {
-            let lo = b * BLOCK;
-            let hi = (lo + BLOCK).min(n);
-            (lo..hi).filter(|&i| pred(i)).count()
+            let (mut live, mut min, mut at_min) = (0, u32::MAX, 0);
+            for k in input[block(b, n)].iter().filter_map(&key) {
+                live += 1;
+                if k < min {
+                    (min, at_min) = (k, 1);
+                } else if k == min {
+                    at_min += 1;
+                }
+            }
+            (live, min, at_min)
         })
         .collect();
-    let (offsets, total) = exclusive_scan(&counts);
-    let mut out: Vec<u32> = Vec::with_capacity(total);
-    #[allow(clippy::uninit_vec)]
-    // SAFETY: as in `pack`: block ranges tile 0..total exactly.
-    unsafe {
-        out.set_len(total);
-    }
-    let out_ptr = SendPtr::new(out.as_mut_ptr());
-    (0..blocks).into_par_iter().for_each(|b| {
-        let lo = b * BLOCK;
-        let hi = (lo + BLOCK).min(n);
-        let mut pos = offsets[b];
-        for i in lo..hi {
-            if pred(i) {
-                // SAFETY: disjoint ranges per block.
-                unsafe { out_ptr.slot(pos).write(i as u32) };
-                pos += 1;
+    let min = summaries.iter().map(|&(_, min, _)| min).min().unwrap_or(u32::MAX);
+    let k = min.min(cap);
+    let takes = |key: u32| key == k && k < cap;
+    let (fronts, rests): (Vec<usize>, Vec<usize>) = summaries
+        .iter()
+        .map(|&(live, min, at_min)| {
+            let front = if takes(min) { at_min } else { 0 };
+            (front, live - front)
+        })
+        .unzip();
+    let (frontier, rest) = (BlockedOutput::new(fronts), BlockedOutput::new(rests));
+    (0..blocks).into_par_iter().with_max_len(1).for_each(|b| {
+        let (mut f, mut r) = (frontier.block(b), rest.block(b));
+        for &x in &input[block(b, n)] {
+            match key(&x) {
+                Some(kx) if takes(kx) => f.push(x),
+                Some(_) => r.push(x),
+                None => {}
             }
         }
+        f.finish();
+        r.finish();
     });
-    out
+    // SAFETY: every block's writers finished above.
+    let (frontier, rest) = unsafe { (frontier.into_vec(), rest.into_vec()) };
+    MinSplit { key: k, frontier, rest }
 }
 
 /// Raw pointer wrapper that lets disjoint-range writers share one
@@ -187,8 +311,10 @@ where
     }
 }
 
-/// Parallel minimum of `f(i)` over `0..n`; `None` when `n == 0`. Short
-/// ranges run sequentially, like [`pack`].
+/// Parallel minimum of `f(i)` over `0..n`; `None` when `n == 0`.
+/// Ranges of at most one block run sequentially, like [`pack`]'s;
+/// longer ones are past the rayon shim's inline cutoff and fork over
+/// items at the pool's default grain.
 pub fn par_min_by<F, T>(n: usize, f: F) -> Option<T>
 where
     F: Fn(usize) -> T + Sync,
@@ -198,6 +324,20 @@ where
         return (0..n).map(f).min();
     }
     (0..n).into_par_iter().map(&f).min()
+}
+
+/// [`split_at_min`] computed sequentially, item by item: the reference
+/// its tests compare against.
+#[cfg(test)]
+pub(crate) fn split_at_min_reference<T: Copy>(
+    input: &[T],
+    cap: u32,
+    key: impl Fn(&T) -> Option<u32>,
+) -> MinSplit<T> {
+    let k = input.iter().filter_map(&key).min().map_or(cap, |min| min.min(cap));
+    let live = input.iter().copied().filter(|x| key(x).is_some());
+    let (frontier, rest) = live.partition(|x| k < cap && key(x) == Some(k));
+    MinSplit { key: k, frontier, rest }
 }
 
 #[cfg(test)]
@@ -271,5 +411,69 @@ mod tests {
             let key = |i: usize| (i * 7919 + 13) % 10_007;
             assert_eq!(par_min_by(n, key), (0..n).map(key).min(), "n = {n}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "than its count pass found")]
+    fn a_predicate_that_changes_between_passes_panics() {
+        use kcore_check::sync::atomic::{AtomicUsize, Ordering};
+        let input: Vec<u32> = (0..2 * BLOCK as u32).collect();
+        // Keeps nothing on the count pass and everything on the write
+        // pass, which must stop at its block's range.
+        let calls = AtomicUsize::new(0);
+        pack(&input, |_| calls.fetch_add(1, Ordering::Relaxed) >= input.len());
+    }
+
+    /// Keys for the split tests: `None` marks a dead item.
+    fn split_both_ways(keys: &[Option<u32>], cap: u32) -> MinSplit<u32> {
+        let input: Vec<u32> = (0..keys.len() as u32).collect();
+        let key = |&i: &u32| keys[i as usize];
+        let want = split_at_min_reference(&input, cap, key);
+        for threads in [1, 2] {
+            let got = crate::pool::with_threads(threads, || split_at_min(&input, cap, key));
+            assert_eq!(got, want, "{threads} threads, cap {cap}");
+        }
+        want
+    }
+
+    #[test]
+    fn split_at_min_of_nothing_live_answers_the_cap() {
+        let empty = split_both_ways(&[], 5);
+        assert_eq!((empty.key, empty.frontier.len(), empty.rest.len()), (5, 0, 0));
+        let dead = split_both_ways(&vec![None; 2 * BLOCK + 3], 5);
+        assert_eq!((dead.key, dead.frontier.len(), dead.rest.len()), (5, 0, 0));
+    }
+
+    #[test]
+    fn split_at_min_stops_at_a_cap_at_or_below_the_minimum() {
+        let keys: Vec<Option<u32>> =
+            (0..3 * BLOCK as u32 + 5).map(|i| (i % 5 != 0).then_some(10 + i % 7)).collect();
+        let live = keys.iter().flatten().count();
+        for cap in [7, 10] {
+            let split = split_both_ways(&keys, cap);
+            assert_eq!(split.key, cap);
+            assert!(split.frontier.is_empty(), "cap {cap} drained");
+            assert_eq!(split.rest.len(), live, "cap {cap} dropped a live item");
+        }
+        let split = split_both_ways(&keys, 11);
+        assert_eq!(split.key, 10);
+        assert_eq!(split.frontier.len() + split.rest.len(), live);
+    }
+
+    #[test]
+    fn split_at_min_keeps_ties_across_block_boundaries_in_order() {
+        let n = 3 * BLOCK + 17;
+        let mut keys: Vec<Option<u32>> = (0..n).map(|i| Some(3 + (i % 11) as u32)).collect();
+        let ties = [0, BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK, 3 * BLOCK, n - 1];
+        for &i in &ties {
+            keys[i] = Some(1);
+        }
+        // Dead items below the minimum must not count.
+        keys[5] = None;
+        keys[BLOCK + 1] = None;
+        let split = split_both_ways(&keys, u32::MAX);
+        assert_eq!(split.key, 1);
+        assert_eq!(split.frontier, ties.map(|i| i as u32));
+        assert_eq!(split.rest.len(), n - ties.len() - 2);
     }
 }

@@ -107,7 +107,10 @@ pub mod stats {
 /// loop over a few heavy items — one per shard, arc block or vertex
 /// bucket, each worth milliseconds — falls under it and runs on one
 /// core however many workers the pool has. Such coarse loops must set
-/// [`IndexedParallelIterator::with_max_len`], which skips this cutoff.
+/// [`IndexedParallelIterator::with_max_len`], which skips this cutoff:
+/// the CSR builder's arc-block and bucket loops, and the per-block
+/// loops of `kcore_parallel::primitives` (`pack`, `pack_index`,
+/// `split_at_min`: one item per 4096 input items).
 const MIN_PAR_LEN: usize = 2048;
 
 /// Target number of grain-sized leaf tasks per worker. More leaves mean
