@@ -112,34 +112,6 @@ impl BucketStructure for FixedBuckets {
         (cap, Vec::new())
     }
 
-    fn drain_threshold(&mut self, t: u32, view: &dyn PriorityView) -> Vec<u32> {
-        // Bulk extraction: one overflow pack plus the in-window
-        // buckets whose key is at or below the threshold. Buckets are
-        // popped regardless of `built` — `on_decrease` may have filed
-        // entries even before the first window materialized. Window
-        // state is left untouched: entries above the threshold stay
-        // where they are and later calls (frontier or drain) consume
-        // them through the same base.
-        let mut out = pack(&self.overflow, |&v| view.alive(v) && view.key(v) <= t);
-        self.overflow = pack(&self.overflow, |&v| view.alive(v) && view.key(v) > t);
-        if t >= self.base {
-            let hi = (t - self.base).saturating_add(1).min(self.b);
-            for i in 0..hi {
-                let q = &self.buckets[i as usize];
-                while let Some(v) = q.pop() {
-                    if view.alive(v) && view.key(v) <= t {
-                        out.push(v);
-                    }
-                }
-            }
-        }
-        // A vertex can hold several copies (overflow + in-window files,
-        // or one file per in-window decrement); collapse them.
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     fn on_decrease(&self, v: u32, _old_key: u32, new_key: u32, _k: u32) {
         // Only in-window keys are tracked eagerly; out-of-window keys
         // are rediscovered from overflow at the next rebuild. Every
@@ -250,50 +222,6 @@ mod tests {
             assert!(at(&mut s, k, &view).is_empty());
         }
         assert_eq!(at(&mut s, 20, &view), vec![0]);
-    }
-
-    #[test]
-    fn threshold_drains_cover_window_and_overflow() {
-        let keys: Vec<u32> = (0..180).map(|i| (i * 17) % 97).collect();
-        let mut s = FixedBuckets::new(&keys, 16);
-        crate::testutil::run_threshold_schedule(&mut s, &keys, &[3, 15, 16, 40, 96]);
-    }
-
-    #[test]
-    fn threshold_drain_picks_up_in_window_decreases() {
-        let keys = vec![10, 30];
-        let view = TestView::new(&keys);
-        let mut s = FixedBuckets::new(&keys, 16);
-        // Materialize the window [1, 17) (built at round 0's cap):
-        // vertex 0 moves to bucket 9.
-        assert!(at(&mut s, 0, &view).is_empty());
-        // Vertex 1 drops into the window mid-peel; a copy is filed.
-        view.set_key(1, 8);
-        s.on_decrease(1, 30, 8, 0);
-        let mut got = s.drain_threshold(12, &view);
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1], "both window entries drain, deduplicated");
-    }
-
-    #[test]
-    fn threshold_drain_mid_window_leaves_higher_buckets_intact() {
-        let keys = vec![2, 6, 12, 40];
-        let view = TestView::new(&keys);
-        let mut s = FixedBuckets::new(&keys, 16);
-        assert_eq!(at(&mut s, 2, &view), vec![0]);
-        view.kill(0);
-        let got = s.drain_threshold(7, &view);
-        assert_eq!(got, vec![1]);
-        view.kill(1);
-        // The key-12 entry still surfaces through the window; key 40
-        // stays in overflow until its own round.
-        for k in 8..12 {
-            assert!(at(&mut s, k, &view).is_empty());
-        }
-        assert_eq!(at(&mut s, 12, &view), vec![2]);
-        view.kill(2);
-        let got = s.drain_threshold(50, &view);
-        assert_eq!(got, vec![3]);
     }
 
     #[test]

@@ -155,64 +155,6 @@ impl BucketStructure for HierarchicalBuckets {
         (cap, Vec::new())
     }
 
-    fn drain_threshold(&mut self, t: u32, view: &dyn PriorityView) -> Vec<u32> {
-        let base = self.base.load(Ordering::Relaxed);
-        if t < base {
-            // Live keys never sit below the anchor (monotone heap), so
-            // there is nothing at or below the threshold.
-            return Vec::new();
-        }
-        if (t as u64) < base as u64 + NUM_SINGLE as u64 {
-            // The threshold lies inside the single-key span: drain those
-            // whole buckets and nothing else. Every live entry filed in
-            // bucket `i <= t - base` has current key `<= base + i <= t`
-            // (keys only decrease), and every live element with key
-            // `<= t` has a fresh copy in one of these buckets (crossing
-            // into a single-key bucket always files one), so the span
-            // drain is exact and the layout stays anchored.
-            let mut frontier = Vec::new();
-            for i in 0..=(t - base) {
-                let bucket = &self.buckets[i as usize];
-                while let Some(v) = bucket.pop() {
-                    if view.alive(v) {
-                        debug_assert!(view.key(v) <= t, "single-span entry above threshold");
-                        frontier.push(v);
-                    }
-                }
-            }
-            frontier.sort_unstable();
-            frontier.dedup();
-            frontier
-        } else {
-            // The threshold reaches the ranged buckets, whose key spans
-            // straddle it: re-anchor at t + 1 as in a redistribution,
-            // splitting entries into the drained frontier (key <= t)
-            // and survivors re-filed under the new anchor.
-            let mut live: Vec<u32> = Vec::new();
-            for bucket in &self.buckets {
-                while let Some(v) = bucket.pop() {
-                    if view.alive(v) {
-                        live.push(v);
-                    }
-                }
-            }
-            live.sort_unstable();
-            live.dedup();
-            let anchor = t.saturating_add(1);
-            self.base.store(anchor, Ordering::Relaxed);
-            let mut frontier = Vec::new();
-            for v in live {
-                let key = view.key(v);
-                if key <= t {
-                    frontier.push(v);
-                } else {
-                    self.buckets[bucket_index(anchor, key)].push(v);
-                }
-            }
-            frontier
-        }
-    }
-
     fn on_decrease(&self, v: u32, old_key: u32, new_key: u32, _k: u32) {
         let base = self.base.load(Ordering::Relaxed);
         let target = bucket_index(base, new_key);
@@ -363,70 +305,6 @@ mod tests {
             assert!(at(&mut s, k, &view).is_empty());
         }
         assert_eq!(at(&mut s, 25, &view), vec![3]);
-    }
-
-    #[test]
-    fn threshold_drains_across_single_and_ranged_spans() {
-        let keys: Vec<u32> = (0..300).map(|i| (i * 29) % 257).collect();
-        let mut s = HierarchicalBuckets::new(&keys);
-        // 3 and 7 drain inside the single span; 60 and 256 cross into
-        // (and re-anchor out of) the ranged buckets.
-        crate::testutil::run_threshold_schedule(&mut s, &keys, &[3, 7, 60, 61, 256]);
-    }
-
-    #[test]
-    fn threshold_drain_reanchors_the_layout() {
-        let keys = vec![2, 9, 40, 41, 100];
-        let view = TestView::new(&keys);
-        let mut s = HierarchicalBuckets::new(&keys);
-        let mut got = s.drain_threshold(40, &view);
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2]);
-        for &v in &got {
-            view.kill(v);
-        }
-        // Survivors re-filed at anchor 41: key 41 is now a single-key
-        // bucket and must surface as a plain frontier.
-        assert_eq!(at(&mut s, 41, &view), vec![3]);
-        view.kill(3);
-        let got = s.drain_threshold(100, &view);
-        assert_eq!(got, vec![4]);
-    }
-
-    #[test]
-    fn threshold_drain_collapses_duplicate_copies() {
-        // A bucket-crossing decrease files a second copy; a threshold
-        // drain spanning both buckets must surface the vertex once.
-        let keys = vec![20, 33];
-        let view = TestView::new(&keys);
-        let mut s = HierarchicalBuckets::new(&keys);
-        view.set_key(0, 9);
-        s.on_decrease(0, 20, 9, 0);
-        assert_eq!(s.stored_entries(), 3);
-        let got = s.drain_threshold(25, &view);
-        assert_eq!(got, vec![0], "deduplicated drain");
-        view.kill(0);
-        assert_eq!(s.drain_threshold(40, &view), vec![1]);
-    }
-
-    #[test]
-    fn single_span_drain_keeps_decrease_copies_findable() {
-        // Drain within the single span (no re-anchor), then let a
-        // decrease cross into the remaining single-key buckets.
-        let keys = vec![1, 3, 6, 30];
-        let view = TestView::new(&keys);
-        let mut s = HierarchicalBuckets::new(&keys);
-        let mut got = s.drain_threshold(3, &view);
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1]);
-        for &v in &got {
-            view.kill(v);
-        }
-        view.set_key(3, 5);
-        s.on_decrease(3, 30, 5, 3);
-        let mut got = s.drain_threshold(6, &view);
-        got.sort_unstable();
-        assert_eq!(got, vec![2, 3]);
     }
 
     #[test]

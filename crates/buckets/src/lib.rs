@@ -26,10 +26,9 @@
 //! The structures are deliberately decomposition-agnostic — they form a
 //! parallel priority structure over integer keys (the paper notes HBS
 //! "is also of independent interest") — and are reused by the `kcore`
-//! crate for every peeling variant. Each offers two extractions: the
+//! crate for every peeling variant. Each offers one extraction: the
 //! per-round frontier at the smallest live key
-//! ([`BucketStructure::next_frontier`]) and the batched threshold drain
-//! ([`BucketStructure::drain_threshold`]).
+//! ([`BucketStructure::next_frontier`]).
 //! [`BucketStrategy`] names the four ablation choices (the three
 //! structures plus the adaptive single-to-HBS switch).
 
@@ -73,9 +72,7 @@ pub trait PriorityView: Sync {
 ///   with `floor = cap` once whatever the cap stood for (scheduled
 ///   decrements, an approximate key that must be checked) is done.
 /// * After a call returns key `k`, the next `next_frontier` floor is
-///   `> k`, or `>= cap` after a `(cap, [])` answer. Threshold-policy
-///   rounds call [`BucketStructure::drain_threshold`] instead, under
-///   the same monotone key sequence.
+///   `> k`, or `>= cap` after a `(cap, [])` answer.
 /// * `on_decrease(v, old_key, new_key, k)` may be called concurrently
 ///   during a peel of round `k`, with `old_key > new_key > k` (keys
 ///   that drop *to* `k` go directly to the in-round frontier, never
@@ -99,28 +96,6 @@ pub trait BucketStructure: Send + Sync {
     /// smallest key for HBS and the fixed window — so an empty key
     /// costs no round.
     fn next_frontier(&mut self, floor: u32, cap: u32, view: &dyn PriorityView) -> (u32, Vec<u32>);
-
-    /// Threshold extraction: returns every active element with priority
-    /// `<= t` in one step — the batched round form used by
-    /// `RoundPolicy::Threshold` peeling (e.g. the (2+ε)-approximate
-    /// densest-subgraph rounds, which peel everything at or below
-    /// `(1+ε/2)·`avg-degree at once).
-    ///
-    /// Contract: thresholds across calls are strictly increasing, and a
-    /// threshold extraction at `t` participates in the monotone key
-    /// sequence as if the structure had advanced past round `t` — any
-    /// later `next_frontier(floor, ..)` / `drain_threshold(t')` call
-    /// must use `floor > t` / `t' > t`. Each element is surfaced at most once per
-    /// call (duplicate stale copies are collapsed), and elements left
-    /// behind all have priority `> t`.
-    ///
-    /// Required (no default): a generic fallback cannot know how far
-    /// the structure's key sequence has advanced, so it could only
-    /// replay per-key frontiers from key 0 — violating the monotone
-    /// contract on the second drain of a run. Every strategy implements
-    /// the drain natively in one bulk pass over its buckets, so a
-    /// threshold round is never simulated by repeated min-bucket pops.
-    fn drain_threshold(&mut self, t: u32, view: &dyn PriorityView) -> Vec<u32>;
 
     /// Notifies the structure that `v`'s priority dropped from
     /// `old_key` to `new_key` while the algorithm is peeling round `k`.
@@ -220,41 +195,6 @@ pub(crate) mod testutil {
         }
         fn alive(&self, v: u32) -> bool {
             !self.dead[v as usize].load(Ordering::Relaxed)
-        }
-    }
-
-    /// Drives a bucket structure through an increasing sequence of
-    /// threshold drains and checks the threshold-extraction contract:
-    /// each drain surfaces exactly the live vertices with key `<= t`,
-    /// exactly once across the whole schedule. Keys are static.
-    pub fn run_threshold_schedule(
-        structure: &mut dyn super::BucketStructure,
-        keys: &[u32],
-        thresholds: &[u32],
-    ) {
-        let view = TestView::new(keys);
-        let mut seen = vec![false; keys.len()];
-        let mut prev: Option<u32> = None;
-        for &t in thresholds {
-            assert!(prev.is_none_or(|p| t > p), "thresholds must increase");
-            let mut got = structure.drain_threshold(t, &view);
-            got.sort_unstable();
-            let floor = prev.map_or(0, |p| p + 1);
-            let mut want: Vec<u32> = (0..keys.len() as u32)
-                .filter(|&v| keys[v as usize] >= floor && keys[v as usize] <= t)
-                .collect();
-            want.sort_unstable();
-            assert_eq!(got, want, "drain at threshold {t} (floor {floor})");
-            for &v in &got {
-                assert!(!seen[v as usize], "vertex {v} surfaced twice");
-                seen[v as usize] = true;
-                view.kill(v);
-            }
-            prev = Some(t);
-        }
-        let maxk = keys.iter().copied().max().unwrap_or(0);
-        if prev.is_some_and(|p| p >= maxk) {
-            assert!(seen.iter().all(|&s| s), "some vertex never surfaced: {seen:?}");
         }
     }
 

@@ -12,7 +12,7 @@
 //! smallest live key whether or not it is the floor.
 
 use crate::{BucketStructure, HierarchicalBuckets, PriorityView};
-use kcore_parallel::primitives::{pack, split_at_min};
+use kcore_parallel::primitives::split_at_min;
 
 /// Flat active-array frontier source.
 pub struct SingleBucket {
@@ -56,14 +56,6 @@ impl BucketStructure for SingleBucket {
         (split.key, split.frontier)
     }
 
-    fn drain_threshold(&mut self, t: u32, view: &dyn PriorityView) -> Vec<u32> {
-        // Threshold extraction is the native operation of a flat array:
-        // one pass splits the active set at the threshold.
-        let frontier = pack(&self.active, |&v| view.alive(v) && view.key(v) <= t);
-        self.active = pack(&self.active, |&v| view.alive(v) && view.key(v) > t);
-        frontier
-    }
-
     fn on_decrease(&self, _v: u32, _old_key: u32, _new_key: u32, _k: u32) {
         // Nothing to maintain: frontiers are recomputed by scanning.
     }
@@ -101,10 +93,6 @@ mod tests {
             let (k, frontier) = self.inner.next_frontier(floor, cap, view);
             assert_eq!(self.inner.active_len(), live - frontier.len(), "survivors of round {k}");
             (k, frontier)
-        }
-
-        fn drain_threshold(&mut self, t: u32, view: &dyn PriorityView) -> Vec<u32> {
-            self.inner.drain_threshold(t, view)
         }
 
         fn on_decrease(&self, v: u32, old_key: u32, new_key: u32, k: u32) {
@@ -191,29 +179,5 @@ mod tests {
         let mut s = SingleBucket::new(&[]);
         let view = TestView::new(&[]);
         assert!(at(&mut s, 0, &view).is_empty());
-    }
-
-    #[test]
-    fn threshold_drains_split_the_active_set() {
-        let keys: Vec<u32> = (0..200).map(|i| (i * 13) % 61).collect();
-        let mut s = SingleBucket::new(&keys);
-        crate::testutil::run_threshold_schedule(&mut s, &keys, &[0, 7, 8, 30, 60]);
-    }
-
-    #[test]
-    fn threshold_drain_then_frontier_keeps_working() {
-        let keys = vec![1, 4, 9, 12];
-        let view = TestView::new(&keys);
-        let mut s = SingleBucket::new(&keys);
-        let mut got = s.drain_threshold(5, &view);
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1]);
-        for &v in &got {
-            view.kill(v);
-        }
-        for k in 6..9 {
-            assert!(at(&mut s, k, &view).is_empty());
-        }
-        assert_eq!(at(&mut s, 9, &view), vec![2]);
     }
 }

@@ -21,11 +21,10 @@ use kcore_buckets::BucketStrategy;
 /// hubs by pool width needs measurements above 2 cores, so no such
 /// rule is guessed here.
 ///
-/// Each problem honours the techniques its peel admits. k-truss ignores
+/// Each problem honours the techniques its peel admits. k-core, densest
+/// subgraph and [`crate::DynamicGraph`] run both. k-truss ignores
 /// sampling and VGC: it runs its two-phase step under every techniques
-/// block. The (k,h)-core ignores VGC, and it rejects explicit sampling
-/// with a panic, as the approximate densest subgraph does (which
-/// composes with VGC).
+/// block.
 /// [`Techniques::default()`] is the plain framework of Alg. 1, the
 /// ablation baseline; set it through [`Config::techniques`] to opt out
 /// of VGC, or pick another block:

@@ -18,8 +18,6 @@
 //! let truss = Decomposition::ktruss(&g).strategy(BucketStrategy::Hierarchical).run();
 //! assert_eq!(truss.max_trussness(), 2, "grids are triangle-free");
 //! assert!(Decomposition::densest(&g).run().density() > 1.9);
-//! assert!(Decomposition::approx_densest(&g, 0.5).run().density() * 2.5 >= 1.9);
-//! assert!(Decomposition::khcore(&g, 2).run().kmax() >= 2);
 //! ```
 //!
 //! # Configuration
@@ -31,13 +29,9 @@
 
 use crate::config::Techniques;
 use crate::peel::engine::{PeelEngine, PeelProblem};
-use crate::problems::approx_densest::ApproxDensestProblem;
 use crate::problems::kcore::{range_membership, KCoreProblem};
-use crate::problems::khcore::KhCoreProblem;
 use crate::problems::ktruss::KTrussProblem;
-use crate::{
-    ApproxDensestResult, Config, CorenessResult, DensestResult, KhCoreResult, TrussnessResult,
-};
+use crate::{Config, CorenessResult, DensestResult, TrussnessResult};
 use kcore_buckets::BucketStrategy;
 use kcore_graph::{CsrGraph, TriangleCtx};
 use std::fmt;
@@ -59,24 +53,10 @@ pub struct KtrussSpec<'g> {
 #[derive(Debug, Clone, Copy)]
 pub struct DensestSpec(());
 
-/// Problem selector for the (k,h)-core (see [`Decomposition::khcore`]).
-#[derive(Debug, Clone, Copy)]
-pub struct KhCoreSpec {
-    h: u32,
-}
-
-/// Problem selector for the batched (2+ε)-approximate densest subgraph
-/// (see [`Decomposition::approx_densest`]).
-#[derive(Debug, Clone, Copy)]
-pub struct ApproxDensestSpec {
-    epsilon: f64,
-}
-
 /// A decomposition about to run: one graph, one problem, one
 /// configuration. Construct through the problem selectors
 /// ([`Decomposition::kcore`], [`Decomposition::ktruss`],
-/// [`Decomposition::densest`], [`Decomposition::khcore`],
-/// [`Decomposition::approx_densest`]), then `run`.
+/// [`Decomposition::densest`]), then `run`.
 ///
 /// Every problem runs over a [`CsrGraph`], owned or mmapped
 /// ([`kcore_graph::io::map_binary`]). For a *maintained* k-core
@@ -210,42 +190,6 @@ impl<'g> Decomposition<'g, DensestSpec> {
     }
 }
 
-impl<'g> Decomposition<'g, KhCoreSpec> {
-    /// (k,h)-core decomposition of `g` with hop bound `h`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h == 0` (a 0-hop ball is always empty).
-    pub fn khcore(g: &'g CsrGraph, h: u32) -> Self {
-        assert!(h > 0, "the (k,h)-core needs a positive hop bound h");
-        Self::with(g, KhCoreSpec { h })
-    }
-
-    /// Runs the decomposition.
-    pub fn run(self) -> KhCoreResult {
-        self.peel(&KhCoreProblem { g: self.g, h: self.problem.h })
-    }
-}
-
-impl<'g> Decomposition<'g, ApproxDensestSpec> {
-    /// Batched (2+ε)-approximate densest subgraph on `g`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `epsilon` is finite and non-negative (`0.0` is
-    /// allowed: it degenerates to per-average rounds with the plain
-    /// factor 2).
-    pub fn approx_densest(g: &'g CsrGraph, epsilon: f64) -> Self {
-        assert!(epsilon.is_finite() && epsilon >= 0.0, "epsilon must be finite and >= 0");
-        Self::with(g, ApproxDensestSpec { epsilon })
-    }
-
-    /// Runs the decomposition.
-    pub fn run(self) -> ApproxDensestResult {
-        self.peel(&ApproxDensestProblem::new(self.g, self.problem.epsilon))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,19 +224,5 @@ mod tests {
         let members = Decomposition::kcore(&g).members(3);
         let want: Vec<bool> = coreness.coreness().iter().map(|&c| c >= 3).collect();
         assert_eq!(members, want);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive hop bound")]
-    fn khcore_rejects_zero_hops() {
-        let g = gen::cycle(4);
-        let _ = Decomposition::khcore(&g, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and >= 0")]
-    fn approx_densest_rejects_negative_epsilon() {
-        let g = gen::cycle(4);
-        let _ = Decomposition::approx_densest(&g, -1.0);
     }
 }

@@ -25,16 +25,6 @@
 //!   greedy as the k-core peel plus a per-round density post-pass over
 //!   the coreness; a 2-approximation. [`sequential_greedy_density`] is
 //!   its oracle.
-//! * **(k,h)-core** ([`Decomposition::khcore`]) — the
-//!   distance-generalized core (vertices by live h-hop ball size), the
-//!   [`Incidence::Recompute`] client: priorities are recomputed over
-//!   survivors through the generalized CAS clamp.
-//!   [`sequential_kh_coreness`] is its recount oracle.
-//! * **approximate densest subgraph**
-//!   ([`Decomposition::approx_densest`]) — the batched (2+ε) variant,
-//!   the [`RoundPolicy::Threshold`] client: each round peels
-//!   everything at or below `(1+ε/2)·`avg-degree, for `O(log₁₊ε n)`
-//!   rounds total.
 //!
 //! The paper's Sec. 4 practical techniques plug into the engine through
 //! the [`Techniques`] block of [`Config`]. [`Config::default`] runs VGC;
@@ -93,18 +83,14 @@ mod problems;
 mod result;
 
 pub use config::{Config, Sampling, Techniques, Vgc};
-pub use decomposition::{
-    ApproxDensestSpec, Decomposition, DensestSpec, KcoreSpec, KhCoreSpec, KtrussSpec,
-};
+pub use decomposition::{Decomposition, DensestSpec, KcoreSpec, KtrussSpec};
 pub use kcore_buckets::BucketStrategy;
 pub use kcore_graph::TriangleCtx;
 pub use maintain::{DynamicGraph, MaintainStats, Version};
 pub use peel::{
-    ElementState, Incidence, PeelEngine, PeelProblem, RecomputeRule, RoundAggregates, RoundPolicy,
-    SettleView, SnapshotRule, ThresholdPolicy, UnitIncidence,
+    ElementState, Incidence, PeelEngine, PeelProblem, SettleView, SnapshotRule, UnitIncidence,
 };
 pub use problems::{
-    sequential_greedy_density, sequential_kh_coreness, sequential_trussness, ApproxDensestResult,
-    DensestResult, KhCoreResult, TrussnessResult, SWEPT_EPSILONS,
+    sequential_greedy_density, sequential_trussness, DensestResult, TrussnessResult,
 };
 pub use result::CorenessResult;

@@ -8,39 +8,27 @@
 //! factors that skeleton out:
 //!
 //! * [`PeelProblem`] — the plug-in surface: universe size, initial
-//!   priorities, the update rule (an [`Incidence`]), the round
-//!   structure (a [`RoundPolicy`]), an optional per-settle action,
-//!   optional scheduled decrements, an optional hook after each
-//!   two-phase subround's rule phase, and result assembly.
+//!   priorities, the update rule (an [`Incidence`]), optional scheduled
+//!   decrements, an optional hook after each two-phase subround's rule
+//!   phase, and result assembly.
 //!   The clients live in [`crate::problems`].
 //! * [`PeelEngine`] — owns everything else: one round/subround loop,
 //!   the hash-bag frontier, the pluggable bucket structure with its
 //!   adaptive upgrade, and the sampling and VGC hooks.
 //!
-//! The loop is parameterized by two things.
+//! Every round is Alg. 1's: it opens at the smallest live priority `k`
+//! at or above the floor, takes every element of priority exactly `k`,
+//! and clamps at `k` (no priority drops below it; elements that reach
+//! it settle this round, with settle round `k`). Keys that hold no live
+//! element open no round ([`kcore_parallel::RunStats::keys_skipped`]).
+//! Before the drain, the problem's scheduled decrements for the floor
+//! apply ([`PeelProblem::round_decrements`]; weighted and clamped, so
+//! the elements they bring down to the floor join its first frontier),
+//! and the next scheduled round caps the skip.
 //!
-//! **The frontier source** ([`RoundPolicy`]) opens each round: it fixes
-//! the round's *clamp* (no priority drops below it; elements that reach
-//! it settle this round) and drains the bucket structure.
-//!
-//! * [`RoundPolicy::MinBucket`] — a round opens at the smallest live
-//!   priority `k` at or above the floor, takes every element of
-//!   priority exactly `k`, and clamps at `k`. Keys that hold no live
-//!   element open no round ([`kcore_parallel::RunStats::keys_skipped`]).
-//!   Before the drain, the problem's scheduled decrements for the floor
-//!   apply ([`PeelProblem::round_decrements`]; weighted and clamped, so
-//!   the elements they bring down to the floor join its first
-//!   frontier), and the next scheduled round caps the skip.
-//! * [`RoundPolicy::Threshold`] — the policy computes a threshold `t`
-//!   from the live [`RoundAggregates`], the bucket structure drains
-//!   everything at or below `t` in one step
-//!   ([`kcore_buckets::BucketStructure::drain_threshold`]), and the
-//!   clamp is `t`: the `O(log n)`-round regime of the (2+ε)-approximate
-//!   densest subgraph.
-//!
-//! **The subround step** peels one frontier and returns the next one
-//! (the elements its updates dragged down to the clamp), with its own
-//! sync and work accounting:
+//! The loop is parameterized by **the subround step**, which peels one
+//! frontier and returns the next one (the elements its decrements
+//! dragged down to `k`), with its own sync and work accounting:
 //!
 //! * *fused* — [`Incidence::Unit`]: each frontier element
 //!   settles and decrements its incident elements in one task, since
@@ -48,23 +36,16 @@
 //!   global sync per subround; VGC chases local chains inside the task,
 //!   and sampling approximates hub priorities, each recounted exactly
 //!   at most once, at a round end, so every hub settle is exact.
-//! * *two-phase* — [`Incidence::Snapshot`] and
-//!   [`Incidence::Recompute`]: stamp the whole frontier settled,
-//!   barrier, then evaluate the problem's rule against the frozen
-//!   [`SettleView`]. A snapshot rule emits unit decrements that may
+//! * *two-phase* — [`Incidence::Snapshot`]: stamp the whole frontier
+//!   settled, barrier, then evaluate the problem's rule against the
+//!   frozen [`SettleView`]. The rule emits unit decrements that may
 //!   depend on other elements' settle state (k-truss: a dying edge
 //!   decrements the other two edges of a triangle only while the
-//!   triangle is still alive); a recompute rule recomputes each
-//!   affected priority from the survivors ((k,h)-core: the live h-hop
-//!   ball size, which can drop by many units per death). Both go
-//!   through the CAS clamp [`clamped_update`]. Two global syncs per
-//!   subround.
+//!   triangle is still alive), applied through the CAS clamp
+//!   [`clamped_update`]. Two global syncs per subround.
 //!
-//! Not every pairing is defined: sampling needs
-//! [`RoundPolicy::MinBucket`] with unit or snapshot incidences, and is
-//! rejected with a panic otherwise (see [`PeelEngine::run`]). A
-//! snapshot problem accepts it and ignores it, as it ignores VGC. VGC
-//! composes with threshold rounds.
+//! Sampling and VGC refine the fused step only: a snapshot problem
+//! accepts both and ignores them.
 
 use super::sampling::SamplingState;
 use super::vgc;
@@ -177,9 +158,8 @@ impl<'a> SettleView<'a> {
     }
 
     /// Whether `e` survives this subround (not settled in it or any
-    /// earlier one). [`RecomputeRule`]s recompute priorities over
-    /// exactly the elements for which this holds — peers are already
-    /// dying and must not be counted.
+    /// earlier one): neither [`ElementState::Peer`] nor
+    /// [`ElementState::Dead`].
     #[inline]
     pub fn alive(&self, e: u32) -> bool {
         self.stamps[e as usize].load(Ordering::Relaxed) == 0
@@ -199,31 +179,6 @@ pub trait SnapshotRule: Sync {
     fn for_each_decrement(&self, e: u32, k: u32, view: &SettleView<'_>, emit: &mut dyn FnMut(u32));
 }
 
-/// A priority that is *recomputed* from the surviving elements rather
-/// than maintained by decrements — the h-index-style flavor, where one
-/// death can lower an incident priority by many units.
-///
-/// Invoked in the second phase of a two-phase subround, strictly after
-/// every same-subround settle has been stamped, so
-/// [`SettleView::alive`] answers identically for every worker and
-/// `recompute` is a pure function of the snapshot. The engine
-/// deduplicates: each affected element is recomputed at most once per
-/// subround no matter how many dying elements name it as a target.
-pub trait RecomputeRule: Sync {
-    /// Calls `emit(t)` for every element whose priority may have
-    /// dropped because `e` settled. A superset is fine (extra targets
-    /// cost a recompute that finds nothing to lower); a miss is not —
-    /// every element whose priority actually changed must be emitted
-    /// by at least one same-subround death.
-    fn for_each_target(&self, e: u32, emit: &mut dyn FnMut(u32));
-
-    /// Recomputes `t`'s priority over the elements alive in `view`
-    /// (see [`SettleView::alive`]; peers count as dead). The result
-    /// must be monotone: recomputing after more deaths never yields a
-    /// larger value.
-    fn recompute(&self, t: u32, view: &SettleView<'_>) -> u32;
-}
-
 /// How settling an element lowers other elements' priorities — the
 /// problem's clamped-decrement rule over its incidence relation.
 pub enum Incidence<'p> {
@@ -235,53 +190,6 @@ pub enum Incidence<'p> {
     /// the two-phase step (settle barrier before rule evaluation), with
     /// sampling and VGC ignored.
     Snapshot(&'p dyn SnapshotRule),
-    /// Priorities recomputed from scratch over the survivors; peeled by
-    /// the two-phase step, with the CAS clamp (`clamped_update`)
-    /// enforcing monotone decrease.
-    Recompute(&'p dyn RecomputeRule),
-}
-
-/// Live aggregates of the peel, maintained by the engine and handed to
-/// [`ThresholdPolicy`] implementations at every round boundary.
-#[derive(Debug, Clone, Copy)]
-pub struct RoundAggregates {
-    /// Index of the round about to start (also the settle round its
-    /// frontier will receive).
-    pub round: u32,
-    /// Elements not yet settled.
-    pub remaining: usize,
-    /// Sum of the live elements' current priorities. For degree-like
-    /// priorities this is twice the count of surviving incidences, so
-    /// `priority_sum / remaining` is the live average degree.
-    pub priority_sum: u64,
-    /// Lower bound on every live priority: one past the previous
-    /// round's peel threshold (0 at round 0).
-    pub floor: u32,
-}
-
-/// Computes a round's peel threshold from the live aggregates — the
-/// [`RoundPolicy::Threshold`] plug-in.
-pub trait ThresholdPolicy: Sync {
-    /// Peel threshold for the round described by `agg`: every live
-    /// element with priority `<= threshold` settles this round
-    /// (including elements dragged down to it by the cascade). Values
-    /// below `agg.floor` are clamped up to it, so a round always has a
-    /// chance to progress; returning at least the live minimum
-    /// priority (any value `>= priority_sum / remaining` does) keeps
-    /// every round non-empty.
-    fn threshold(&self, agg: &RoundAggregates) -> u32;
-}
-
-/// How the engine opens rounds — the frontier source of the round
-/// loop, chosen by the problem via [`PeelProblem::round_policy`].
-pub enum RoundPolicy<'p> {
-    /// Each round drains the minimum non-empty bucket, priority exactly
-    /// `k`, and clamps at `k`; empty keys are skipped.
-    MinBucket,
-    /// Round `r` drains every priority at or below a threshold computed
-    /// from the live aggregates, so rounds batch whole priority ranges,
-    /// and clamps at the threshold. Requires [`Incidence::Unit`].
-    Threshold(&'p dyn ThresholdPolicy),
 }
 
 /// A peeling-with-monotone-priorities problem, pluggable into
@@ -313,24 +221,16 @@ pub trait PeelProblem: Sync {
     /// The decrement rule.
     fn incidence(&self) -> Incidence<'_>;
 
-    /// The round structure. Default: [`RoundPolicy::MinBucket`], one
-    /// round per live exact priority.
-    #[inline]
-    fn round_policy(&self) -> RoundPolicy<'_> {
-        RoundPolicy::MinBucket
-    }
-
     /// Scheduled decrements for round `k`: calls `emit(e, units)` to
     /// lower element `e` by `units` as the round opens. Default: none.
     ///
-    /// Only [`RoundPolicy::MinBucket`] rounds ask; threshold rounds
-    /// never call this. The engine applies each pair once the floor
-    /// reaches `k` (the next scheduled round caps every skip over empty
-    /// keys, see [`PeelProblem::next_decrement_round`]) and before the
-    /// bucket drain, through the same CAS clamp as every other
-    /// decrement: settled elements and elements already at `k` are
-    /// untouched, and an element lowered to `k` surfaces in round `k`'s
-    /// first frontier. This models incidences outside the universe
+    /// The engine applies each pair once the floor reaches `k` (the
+    /// next scheduled round caps every skip over empty keys, see
+    /// [`PeelProblem::next_decrement_round`]) and before the bucket
+    /// drain, through the same CAS clamp as every other decrement:
+    /// settled elements and elements already at `k` are untouched, and
+    /// an element lowered to `k` surfaces in round `k`'s first
+    /// frontier. This models incidences outside the universe
     /// whose withdrawal time is known in advance (a re-peel's boundary:
     /// a neighbor of standing coreness `c` withdraws in round `c`).
     /// Sampling recounts priorities from the incidence lists alone, so
@@ -352,14 +252,6 @@ pub trait PeelProblem: Sync {
     fn next_decrement_round(&self, from: u32) -> Option<u32> {
         let _ = from;
         None
-    }
-
-    /// Settle action: invoked as element `e` settles at round `k`,
-    /// possibly from parallel workers (keep it cheap and thread-safe).
-    /// Default: no extra action beyond the engine's bookkeeping.
-    #[inline]
-    fn on_settle(&self, e: u32, k: u32) {
-        let _ = (e, k);
     }
 
     /// Sequential point after a two-phase subround's rule phase: called
@@ -401,16 +293,13 @@ impl<'p, P: PeelProblem> PeelEngine<'p, P> {
     ///
     /// # Panics
     ///
-    /// Panics when the configured techniques cannot honor the
-    /// problem's axes: sampling is a request for
-    /// `RoundPolicy::MinBucket` + `Unit`/`Snapshot` problems (a
-    /// snapshot problem ignores it) and is rejected — never silently
-    /// mis-run — under [`RoundPolicy::Threshold`] or
-    /// [`Incidence::Recompute`] (see `validate_combination`). Also
-    /// panics when
-    /// [`crate::Sampling::rate_log2`] is outside `0..=63`.
+    /// Panics when [`crate::Sampling::rate_log2`] is outside `0..=63`
+    /// (the 64-bit edge hash cannot mask more bits), whether or not
+    /// the problem's incidence uses sampling.
     pub fn run(&self) -> P::Output {
-        validate_combination(&self.config, &self.problem.round_policy(), &self.problem.incidence());
+        if let Some(s) = self.config.techniques.sampling {
+            assert!(s.rate_log2 < 64, "Sampling::rate_log2 must be in 0..=63, got {}", s.rate_log2);
+        }
         if self.problem.num_elements() == 0 {
             return self.problem.assemble(Vec::new(), RunStats::default());
         }
@@ -428,48 +317,9 @@ impl<'p, P: PeelProblem> PeelEngine<'p, P> {
     }
 }
 
-/// Rejects technique × axis combinations the engine cannot honor, and
-/// a sampling rate exponent the 64-bit edge hash cannot mask: fail
-/// loudly with the valid combinations named, never silently produce a
-/// wrong (or silently degraded) result.
-///
-/// Sampling is a `RoundPolicy::MinBucket` refinement of unit
-/// incidences, and a snapshot incidence accepts and ignores it.
-/// Sampling approximates priorities that decrease by units, so it is
-/// not defined for threshold-batched rounds or recomputed priorities.
-/// VGC composes with threshold rounds (the chase clamps to the round
-/// threshold) and is ignored by the two-phase step, so it is admitted
-/// everywhere.
-pub(crate) fn validate_combination(
-    config: &Config,
-    policy: &RoundPolicy<'_>,
-    incidence: &Incidence<'_>,
-) {
-    const VALID: &str = "valid combinations: sampling requires \
-         RoundPolicy::MinBucket with Incidence::Unit or Incidence::Snapshot \
-         (it applies to Unit only; Snapshot ignores it)";
-    if let Some(s) = config.techniques.sampling {
-        assert!(s.rate_log2 < 64, "Sampling::rate_log2 must be in 0..=63, got {}", s.rate_log2);
-    }
-    let axis = match (policy, incidence) {
-        (RoundPolicy::MinBucket, Incidence::Unit(_) | Incidence::Snapshot(_)) => return,
-        (RoundPolicy::Threshold(_), Incidence::Unit(_)) => "RoundPolicy::Threshold",
-        (RoundPolicy::Threshold(_), _) => {
-            panic!("RoundPolicy::Threshold requires Incidence::Unit ({VALID})")
-        }
-        (RoundPolicy::MinBucket, _) => "Incidence::Recompute",
-    };
-    if config.techniques.sampling.is_some() {
-        panic!("{axis} does not support the sampling technique ({VALID})");
-    }
-}
-
 /// Picks the subround step for the problem's incidence and runs the
-/// round loop with it; the frontier source is the problem's
-/// [`RoundPolicy`]. [`validate_combination`] has already rejected the
-/// pairings no step can honor.
+/// round loop with it.
 fn peel<P: PeelProblem>(config: &Config, problem: &P, stats: &mut RunStats) -> Vec<u32> {
-    let n = problem.num_elements();
     let init = problem.init_priorities();
     match problem.incidence() {
         Incidence::Unit(inc) => {
@@ -477,36 +327,7 @@ fn peel<P: PeelProblem>(config: &Config, problem: &P, stats: &mut RunStats) -> V
             rounds(config, problem, init, step, stats)
         }
         Incidence::Snapshot(rule) => {
-            let step = TwoPhase::new(n, false, move |e, k, view, lower| {
-                let mut emitted = 0;
-                rule.for_each_decrement(e, k, view, &mut |t| {
-                    emitted += 1;
-                    lower.lower(t, |d| d - 1);
-                });
-                emitted
-            });
-            rounds(config, problem, init, step, stats)
-        }
-        Incidence::Recompute(rule) => {
-            // Holds the last subround that recomputed each element, so
-            // a target named by several deaths is recomputed once.
-            let claimed: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-            let step = TwoPhase::new(n, true, move |e, _, view, lower| {
-                let mut recomputed = 0;
-                rule.for_each_target(e, &mut |t| {
-                    // Skip targets dead or dying alongside e, and those
-                    // another death already recomputed.
-                    if !view.alive(t)
-                        || claimed[t as usize].swap(view.current, Ordering::Relaxed) == view.current
-                    {
-                        return;
-                    }
-                    recomputed += 1;
-                    let fresh = rule.recompute(t, view);
-                    lower.lower(t, |_| fresh);
-                });
-                recomputed
-            });
+            let step = TwoPhase::new(init.len(), rule);
             rounds(config, problem, init, step, stats)
         }
     }
@@ -542,21 +363,16 @@ impl Buckets {
 
 /// The round loop (Alg. 1), shared by every problem and technique.
 ///
-/// Each round the frontier source fixes the round's clamp and drains
-/// the bucket structure: [`RoundPolicy::MinBucket`] opens at the
-/// smallest live priority, [`RoundPolicy::Threshold`] takes everything
-/// at or below the policy's threshold in one bulk step. The `step` then
-/// peels frontier after frontier until the round is exhausted; each
-/// subround's frontier is what the previous one dragged down to the
-/// clamp. Settle rounds record the round's key under `MinBucket` and
-/// the round's index under `Threshold`.
+/// Each round opens at the smallest live priority `k` and drains its
+/// frontier from the bucket structure ([`open_round`]). The `step`
+/// then peels frontier after frontier until the round is exhausted;
+/// each subround's frontier is what the previous one dragged down to
+/// `k`. Every element settled in the round records `k`.
 ///
-/// Survivors always end a round with priority above the clamp (the
-/// clamp only ever stops a decrement exactly at it, and elements that
-/// reach it are peeled), so live priorities stay exact across rounds
-/// and `floor = clamp + 1` bounds them from below. The clamp never
-/// drops below the floor, so every round settles elements or raises
-/// the floor: even a pathological threshold policy terminates.
+/// Survivors always end a round with priority above `k` (the clamp
+/// only ever stops a decrement exactly at it, and elements that reach
+/// it are peeled), so live priorities stay exact across rounds and
+/// `floor = k + 1` bounds them from below.
 fn rounds<P: PeelProblem, S: Step>(
     config: &Config,
     problem: &P,
@@ -565,7 +381,6 @@ fn rounds<P: PeelProblem, S: Step>(
     stats: &mut RunStats,
 ) -> Vec<u32> {
     let n = init.len();
-    let source = problem.round_policy();
     let prio: Vec<AtomicU32> = init.iter().map(|&d| AtomicU32::new(d)).collect();
     let settled: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNSET)).collect();
     let mut bucket = match config.bucket_strategy {
@@ -575,7 +390,7 @@ fn rounds<P: PeelProblem, S: Step>(
     let max_prio = init.iter().copied().max().unwrap_or(0);
     drop(init);
     let mut remaining = n;
-    let (mut index, mut floor) = (0u32, 0u32);
+    let mut floor = 0u32;
     while remaining > 0 {
         assert!(floor <= max_prio, "peeling stalled: {remaining} elements left above {max_prio}");
         let _round = span!("round", floor);
@@ -588,32 +403,15 @@ fn rounds<P: PeelProblem, S: Step>(
             }
             bucket => bucket,
         };
-        let (round, clamp, mut frontier) = match &source {
-            RoundPolicy::MinBucket => {
-                let _drain = span!("bucket.drain", floor);
-                let (k, frontier, work) =
-                    open_min_round(problem, &step, bucket.get_mut(), &view, floor, max_prio);
-                stats.keys_skipped += u64::from(k - floor);
-                stats.work += work;
-                (k, k, frontier)
-            }
-            RoundPolicy::Threshold(policy) => {
-                // A threshold run has O(log n) rounds, so re-scanning
-                // the priority array at each boundary is noise next to
-                // the peel, and live priorities are exact (see above).
-                let priority_sum = {
-                    let _agg = span!("aggregates");
-                    let live_key = |v: u32| if view.alive(v) { u64::from(view.key(v)) } else { 0 };
-                    (0..n as u32).into_par_iter().map(live_key).sum()
-                };
-                let agg = RoundAggregates { round: index, remaining, priority_sum, floor };
-                let t = policy.threshold(&agg).max(floor);
-                let _drain = span!("bucket.drain", t);
-                (index, t, bucket.get_mut().drain_threshold(t, &view))
-            }
+        let (k, mut frontier) = {
+            let _drain = span!("bucket.drain", floor);
+            let (k, frontier, work) =
+                open_round(problem, &step, bucket.get_mut(), &view, floor, max_prio);
+            stats.keys_skipped += u64::from(k - floor);
+            stats.work += work;
+            (k, frontier)
         };
-        let r =
-            Round { problem, prio: &prio, settled: &settled, bucket: bucket.get(), round, clamp };
+        let r = Round { problem, prio: &prio, settled: &settled, bucket: bucket.get(), k };
         step.round_start(&r, &frontier);
         let mut subrounds = 0u32;
         loop {
@@ -634,16 +432,15 @@ fn rounds<P: PeelProblem, S: Step>(
             frontier = wave.next;
         }
         stats.record_round(subrounds);
-        index += 1;
-        floor = clamp.saturating_add(1);
+        floor = k.saturating_add(1);
     }
     step.finish(stats);
     settled.into_iter().map(AtomicU32::into_inner).collect()
 }
 
-/// Opens the next [`RoundPolicy::MinBucket`] round at or above `floor`:
-/// returns its key `k`, its first frontier, and the scheduled
-/// decrements applied on the way (work).
+/// Opens the next round at or above `floor`: returns its key `k`, its
+/// first frontier, and the scheduled decrements applied on the way
+/// (work).
 ///
 /// The round opens at the smallest live priority, so empty keys cost no
 /// round. Two things cap the jump, because a round must open there
@@ -656,7 +453,7 @@ fn rounds<P: PeelProblem, S: Step>(
 ///   every element the bucket structure does not track exactly. When it
 ///   equals the floor, the round opens at the floor even with an empty
 ///   frontier, so the step's round-end check runs there.
-fn open_min_round<P: PeelProblem, S: Step>(
+fn open_round<P: PeelProblem, S: Step>(
     problem: &P,
     step: &S,
     bucket: &mut dyn BucketStructure,
@@ -697,13 +494,9 @@ struct Round<'a, P> {
     prio: &'a [AtomicU32],
     settled: &'a [AtomicU32],
     bucket: &'a dyn BucketStructure,
-    /// The settle round its elements record: the key under
-    /// [`RoundPolicy::MinBucket`], the round index under
-    /// [`RoundPolicy::Threshold`].
-    round: u32,
-    /// The round's clamp: no priority drops below it, and elements
-    /// that reach it settle this round.
-    clamp: u32,
+    /// The round's key: its elements settle with it, no priority drops
+    /// below it, and elements that reach it settle this round.
+    k: u32,
 }
 
 /// One subround's outcome, as a step reports it to the round loop.
@@ -755,8 +548,7 @@ fn refile(bag: &mut HashBag) -> Vec<u32> {
 
 /// Shared references threaded through one fused subround's parallel
 /// peel.
-pub(crate) struct OnlineCtx<'a, P: PeelProblem> {
-    pub(crate) problem: &'a P,
+pub(crate) struct OnlineCtx<'a> {
     pub(crate) inc: &'a dyn UnitIncidence,
     pub(crate) prio: &'a [AtomicU32],
     pub(crate) settled: &'a [AtomicU32],
@@ -804,17 +596,17 @@ impl Step for Fused<'_> {
         // Sample-mode elements surface with an exact priority (the
         // previous round end recounted every one that could reach it).
         if let Some(s) = &self.sampling {
-            s.debug_assert_frontier_exact(frontier, r.clamp, self.inc, r.settled);
+            s.debug_assert_frontier_exact(frontier, r.k, self.inc, r.settled);
         }
     }
 
     fn round_end<P: PeelProblem>(&mut self, r: &Round<'_, P>) -> Vec<u32> {
         // Exact recounts of every sample-mode element that could settle
-        // at the clamp. Anything caught at it belongs to this round and
-        // re-opens it.
+        // at the round's key. Anything caught at it belongs to this round
+        // and re-opens it.
         match self.sampling.as_mut() {
             Some(s) => {
-                s.validate_round_end(r.clamp, self.inc, r.prio, r.settled, r.bucket, &self.counters)
+                s.validate_round_end(r.k, self.inc, r.prio, r.settled, r.bucket, &self.counters)
             }
             None => Vec::new(),
         }
@@ -828,7 +620,6 @@ impl Step for Fused<'_> {
         self.counters.reset_subround();
         let arcs: usize = frontier.iter().map(|&v| self.inc.num_incident(v)).sum();
         let ctx = OnlineCtx {
-            problem: r.problem,
             inc: self.inc,
             prio: r.prio,
             settled: r.settled,
@@ -838,7 +629,7 @@ impl Step for Fused<'_> {
             counters: &self.counters,
             chain_limit: self.chain_limit,
         };
-        frontier.par_iter().for_each(|&v| vgc::peel_from(&ctx, v, r.round, r.clamp));
+        frontier.par_iter().for_each(|&v| vgc::peel_from(&ctx, v, r.k));
         let c = &self.counters;
         Wave {
             chased: c.chased.load(Ordering::Relaxed) as usize,
@@ -854,62 +645,54 @@ impl Step for Fused<'_> {
     }
 }
 
-/// Lowers priorities in a two-phase subround and files every element
-/// it moved: into the hash bag when it reached the clamp (it is peeled
-/// exactly once, in the next subround), into the bucket structure
-/// otherwise.
+/// Lowers priorities in a two-phase subround by one unit each and files
+/// every element it moved: into the hash bag when it reached the
+/// round's key `k` (it is peeled exactly once, in the next subround),
+/// into the bucket structure otherwise.
 struct Lowering<'a> {
     prio: &'a [AtomicU32],
     bag: &'a HashBag,
     bucket: &'a dyn BucketStructure,
-    clamp: u32,
+    k: u32,
 }
 
 impl Lowering<'_> {
     #[inline]
-    fn lower(&self, t: u32, proposed: impl Fn(u32) -> u32) {
-        if let Some((prev, stored)) = clamped_update(&self.prio[t as usize], self.clamp, proposed) {
-            if stored == self.clamp {
+    fn lower(&self, t: u32) {
+        if let Some((prev, stored)) = clamped_update(&self.prio[t as usize], self.k, |d| d - 1) {
+            if stored == self.k {
                 self.bag.insert(t);
             } else {
-                self.bucket.on_decrease(t, prev, stored, self.clamp);
+                self.bucket.on_decrease(t, prev, stored, self.k);
             }
         }
     }
 }
 
-/// The two-phase step for snapshot and recompute incidences: stamp the
-/// whole frontier settled, then, after that barrier, run `pass` for
-/// each settled element against the frozen snapshot. `pass` lowers the
-/// priorities the death affects and returns the work it did. Because
-/// it sees a fixed snapshot, the stored values, and so the whole
-/// decomposition, are deterministic. Two global syncs per subround.
-struct TwoPhase<F> {
+/// The two-phase step for snapshot incidences: stamp the whole frontier
+/// settled, then, after that barrier, run the rule for each settled
+/// element against the frozen snapshot, lowering every element it
+/// emits. Because the rule sees a fixed snapshot, the stored values,
+/// and so the whole decomposition, are deterministic. Two global syncs
+/// per subround.
+struct TwoPhase<'p> {
     /// Subround stamps: 0 = never settled; ids start at 1 and never
     /// reset, so [`SettleView::state`] tells same-subround peers from
     /// the dead.
     stamps: Vec<AtomicU32>,
     current: u32,
     bag: HashBag,
-    /// Names the second phase `recompute` instead of `rule`.
-    recompute: bool,
-    pass: F,
+    rule: &'p dyn SnapshotRule,
 }
 
-impl<F> TwoPhase<F>
-where
-    F: Fn(u32, u32, &SettleView<'_>, &Lowering<'_>) -> u64 + Sync,
-{
-    fn new(n: usize, recompute: bool, pass: F) -> Self {
+impl<'p> TwoPhase<'p> {
+    fn new(n: usize, rule: &'p dyn SnapshotRule) -> Self {
         let stamps = (0..n).map(|_| AtomicU32::new(0)).collect();
-        Self { stamps, current: 0, bag: HashBag::new(n), recompute, pass }
+        Self { stamps, current: 0, bag: HashBag::new(n), rule }
     }
 }
 
-impl<F> Step for TwoPhase<F>
-where
-    F: Fn(u32, u32, &SettleView<'_>, &Lowering<'_>) -> u64 + Sync,
-{
+impl Step for TwoPhase<'_> {
     fn subround<P: PeelProblem>(&mut self, r: &Round<'_, P>, frontier: &[u32]) -> Wave {
         self.current += 1;
         let (stamps, current) = (&self.stamps, self.current);
@@ -918,21 +701,27 @@ where
         {
             let _settle = span!("settle", frontier.len());
             frontier.par_iter().for_each(|&e| {
-                r.settled[e as usize].store(r.round, Ordering::Relaxed);
+                r.settled[e as usize].store(r.k, Ordering::Relaxed);
                 stamps[e as usize].store(current, Ordering::Relaxed);
-                r.problem.on_settle(e, r.round);
             });
         }
         let view = SettleView::new(stamps, current);
-        let lower = Lowering { prio: r.prio, bag: &self.bag, bucket: r.bucket, clamp: r.clamp };
-        let phase = if self.recompute {
-            span!("recompute", frontier.len())
-        } else {
-            span!("rule", frontier.len())
+        let lower = Lowering { prio: r.prio, bag: &self.bag, bucket: r.bucket, k: r.k };
+        let work = {
+            let _rule = span!("rule", frontier.len());
+            let rule = self.rule;
+            frontier
+                .par_iter()
+                .map(|&e| {
+                    let mut emitted = 0u64;
+                    rule.for_each_decrement(e, r.k, &view, &mut |t| {
+                        emitted += 1;
+                        lower.lower(t);
+                    });
+                    emitted
+                })
+                .sum()
         };
-        let pass = &self.pass;
-        let work = frontier.par_iter().map(|&e| pass(e, r.round, &view, &lower)).sum();
-        drop(phase);
         r.problem.after_rule_phase(frontier, &view);
         Wave { next: refile(&mut self.bag), chased: 0, syncs: 2, chain: 1, work }
     }
@@ -944,13 +733,10 @@ where
 /// Returns `(previous, stored)` for the single thread whose update
 /// transitioned the slot, `None` otherwise — dead elements and
 /// same-round frontier members are filtered by the clamp, never by an
-/// explicit liveness check. `floor` is the round's clamp: the current
-/// round `k` under [`RoundPolicy::MinBucket`], the round threshold
-/// under [`RoundPolicy::Threshold`].
+/// explicit liveness check. `floor` is the current round's key `k`.
 ///
-/// Unit and snapshot decrements propose `|d| d - 1`; recompute
-/// incidences pass the freshly recomputed priority as a constant
-/// proposal.
+/// Unit and snapshot decrements propose `|d| d - 1`; a round's
+/// scheduled decrements propose `d - units`.
 #[inline]
 pub(crate) fn clamped_update(
     slot: &AtomicU32,

@@ -1,19 +1,17 @@
 //! The work-efficient parallel peeling layer: the problem-agnostic
 //! [`engine`] plus the paper's Sec. 4 techniques.
 //!
-//! Each round takes a frontier from the bucket structure (the minimum
-//! priority `k`, or everything up to a threshold) and fixes the round's
-//! clamp. Within a round, each *subround* peels the current frontier
-//! in parallel:
+//! Each round takes a frontier from the bucket structure: every element
+//! of the minimum live priority `k`. Within a round, each *subround*
+//! peels the current frontier in parallel:
 //!
-//! 1. every frontier element settles (its settle round is the round
-//!    index),
+//! 1. every frontier element settles (its settle round is `k`),
 //! 2. the problem's update rule lowers other elements' priorities
-//!    through atomic **clamped updates** — a priority decreases only
-//!    while it exceeds the clamp, so it never drops below the round and
+//!    through atomic **clamped decrements** — a priority decreases only
+//!    while it exceeds `k`, so it never drops below the round and
 //!    every intermediate value is observed by exactly one updating
 //!    thread,
-//! 3. the unique thread that moves an element *to* the clamp inserts it
+//! 3. the unique thread that moves an element *to* `k` inserts it
 //!    into the parallel hash bag, which becomes the next subround's
 //!    frontier; updates that stay above it are reported to the bucket
 //!    structure instead.
@@ -25,10 +23,8 @@
 //! The modules:
 //!
 //! * [`engine`] — [`engine::PeelProblem`] and [`engine::PeelEngine`]:
-//!   the one round/subround loop, parameterized by a frontier source
-//!   ([`engine::RoundPolicy`]) and a subround step (fused, or two-phase
-//!   in its snapshot and recompute forms). The concrete problems —
-//!   k-core, k-truss, (k,h)-core and approximate densest subgraph —
+//!   the one round/subround loop, parameterized by a subround step
+//!   (fused, or two-phase). The concrete problems, k-core and k-truss,
 //!   live in [`crate::problems`].
 //! * [`sampling`] — Sec. 4.1's sampling scheme: high-priority elements
 //!   track an approximate priority over a hashed incidence sample until
@@ -42,6 +38,5 @@ pub mod sampling;
 pub mod vgc;
 
 pub use engine::{
-    ElementState, Incidence, PeelEngine, PeelProblem, RecomputeRule, RoundAggregates, RoundPolicy,
-    SettleView, SnapshotRule, ThresholdPolicy, UnitIncidence,
+    ElementState, Incidence, PeelEngine, PeelProblem, SettleView, SnapshotRule, UnitIncidence,
 };

@@ -18,6 +18,16 @@
 //! burdened span (`Õ(ρ′(ω + L))`, Tab. 2) and feeds
 //! [`kcore_parallel::RunStats::peak_chain`].
 //!
+//! The spill makes the subround count depend on the schedule. Each
+//! element dragged down to `k` is chased by whichever task moved it
+//! there, and with several workers the interleaving decides which task
+//! that is and how long its chain has grown when it does. So a chase
+//! can reach the limit on one run and not on the next, and its spill
+//! adds a subround or not: [`kcore_parallel::RunStats::subrounds`] (and
+//! the counts derived from it) can differ between runs of one binary on
+//! one input. Pin them only on one worker or with VGC off
+//! ([`crate::Techniques::default()`]). Settle rounds do not change.
+//!
 //! Correctness is unchanged from Alg. 1: the clamped decrement already
 //! guarantees a unique thread moves each element to `k`, and that
 //! thread peeling it immediately (instead of a later subround) only
@@ -26,28 +36,21 @@
 //! to [`crate::Incidence::Unit`] problems: unit decrements over static
 //! lists commute, so no settle barrier is needed.
 
-use super::engine::{clamped_update, OnlineCtx, PeelProblem};
+use super::engine::{clamped_update, OnlineCtx};
 use kcore_check::sync::atomic::Ordering;
 
-/// Settles `v` at round `round`, processes its removals, and — with
+/// Settles `v` at round `k`, processes its removals, and — with
 /// VGC enabled (`ctx.chain_limit > 0`) — chases the local peel chain
 /// up to the chain bound. The plain framework is the `chain_limit == 0`
 /// case: every discovered element goes straight to the hash bag.
-///
-/// `floor` is the round's clamp value: equal to `round` under
-/// [`crate::RoundPolicy::MinBucket`], the round's peel threshold under
-/// [`crate::RoundPolicy::Threshold`] — there an element dragged down to
-/// the *threshold* settles in the current round even though its
-/// recorded settle round is the round index.
-pub(crate) fn peel_from<P: PeelProblem>(ctx: &OnlineCtx<'_, P>, v: u32, round: u32, floor: u32) {
+pub(crate) fn peel_from(ctx: &OnlineCtx<'_>, v: u32, k: u32) {
     let mut pending: Vec<u32> = Vec::new();
     let mut chased = 0u64;
     let mut chased_work = 0u64;
     let limit = ctx.chain_limit as u64;
     let mut cur = v;
     loop {
-        ctx.settled[cur as usize].store(round, Ordering::Relaxed);
-        ctx.problem.on_settle(cur, round);
+        ctx.settled[cur as usize].store(k, Ordering::Relaxed);
         for &u in ctx.inc.incident(cur) {
             if let Some(s) = ctx.sampling {
                 if s.in_sample_mode(u) {
@@ -55,12 +58,12 @@ pub(crate) fn peel_from<P: PeelProblem>(ctx: &OnlineCtx<'_, P>, v: u32, round: u
                     continue;
                 }
             }
-            // Clamped decrement: only while above the floor. Dead
-            // elements already sit at or below it, so the guard also
-            // excludes them.
-            if let Some((prev, stored)) = clamped_update(&ctx.prio[u as usize], floor, |d| d - 1) {
-                if stored == floor {
-                    // This thread moved u to the floor: u is peeled
+            // Clamped decrement: only while above k. Dead elements
+            // already sit at or below it, so the guard also excludes
+            // them.
+            if let Some((prev, stored)) = clamped_update(&ctx.prio[u as usize], k, |d| d - 1) {
+                if stored == k {
+                    // This thread moved u to k: u is peeled
                     // exactly once — chased locally under VGC, else via
                     // the bag.
                     if chased < limit {
@@ -69,7 +72,7 @@ pub(crate) fn peel_from<P: PeelProblem>(ctx: &OnlineCtx<'_, P>, v: u32, round: u
                         ctx.bag.insert(u);
                     }
                 } else {
-                    ctx.bucket.on_decrease(u, prev, stored, floor);
+                    ctx.bucket.on_decrease(u, prev, stored, k);
                 }
             }
         }

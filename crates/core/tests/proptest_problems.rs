@@ -11,14 +11,10 @@
 //! * **k-core on the engine** must stay bit-identical to the
 //!   Batagelj–Zaveršnik oracle (the pre-refactor implementation was
 //!   verified against BZ on exactly these families, so BZ equality is
-//!   the bit-compatibility witness), and the `RoundPolicy::MinBucket`
-//!   runs of k-core/k-truss/densest must reproduce the PR 4 run-stats
-//!   snapshot exactly (the policy refactor may not perturb the
+//!   the bit-compatibility witness), and the runs of
+//!   k-core/k-truss/densest must reproduce the `PR4_STATS` run-stats
+//!   snapshot exactly (an engine refactor may not perturb the
 //!   historical round structure).
-//! * **(k,h)-core** must agree vertex-for-vertex with its sequential
-//!   ball-recount oracle across every bucket strategy.
-//! * **approx densest** must satisfy the (2+ε) sandwich
-//!   `oracle/(2+ε) <= parallel <= oracle` for every swept ε.
 //!
 //! Every run uses exactly the config it passes. The densest sweep
 //! includes a sampling leg with a threshold low enough for these small
@@ -27,8 +23,8 @@
 
 use kcore::bz::bz_coreness;
 use kcore::{
-    sequential_greedy_density, sequential_kh_coreness, sequential_trussness, BucketStrategy,
-    Config, Decomposition, Sampling, Techniques,
+    sequential_greedy_density, sequential_trussness, BucketStrategy, Config, Decomposition,
+    Sampling, Techniques,
 };
 use kcore_graph::{gen, CsrGraph, GraphBuilder};
 use proptest::prelude::*;
@@ -98,40 +94,6 @@ fn assert_densest_sandwich(g: &CsrGraph) {
     }
 }
 
-/// The ε values the approx-densest sweep runs everywhere (tests and
-/// benches alike) — one shared list, see its definition.
-const EPSILONS: [f64; 3] = kcore::SWEPT_EPSILONS;
-
-fn assert_khcore_matches_oracle(g: &CsrGraph, h: u32) {
-    let want = sequential_kh_coreness(g, h);
-    for strategy in BucketStrategy::ALL {
-        let got = Decomposition::khcore(g, h).strategy(strategy).run();
-        assert_eq!(
-            got.kh_coreness(),
-            want.as_slice(),
-            "(k,{h})-core under {strategy} disagrees with the ball-recount oracle"
-        );
-    }
-}
-
-fn assert_approx_densest_sandwich(g: &CsrGraph) {
-    let oracle = sequential_greedy_density(g);
-    for eps in EPSILONS {
-        for strategy in BucketStrategy::ALL {
-            let r = Decomposition::approx_densest(g, eps).strategy(strategy).run();
-            let got = r.density();
-            assert!(
-                got <= oracle + 1e-9,
-                "{strategy}/eps {eps}: parallel {got} exceeds the finer greedy {oracle}"
-            );
-            assert!(
-                got * (2.0 + eps) + 1e-9 >= oracle,
-                "{strategy}/eps {eps}: parallel {got} below oracle/(2+eps) ({oracle})"
-            );
-        }
-    }
-}
-
 proptest! {
     #[test]
     fn ktruss_matches_recount_oracle(g in arb_graph()) {
@@ -151,46 +113,6 @@ proptest! {
     #[test]
     fn densest_sandwich_on_powerlaw(n in 10usize..80, seed in any::<u64>()) {
         assert_densest_sandwich(&gen::barabasi_albert(n, 2.min(n - 1), seed));
-    }
-
-    #[test]
-    fn khcore_matches_ball_recount_oracle(g in arb_graph(), h in 1u32..4) {
-        assert_khcore_matches_oracle(&g, h);
-    }
-
-    #[test]
-    fn khcore_on_powerlaw_matches_oracle(n in 10usize..40, seed in any::<u64>()) {
-        assert_khcore_matches_oracle(&gen::barabasi_albert(n, 2.min(n - 1), seed), 2);
-    }
-
-    #[test]
-    fn approx_densest_sandwich_on_arbitrary_graphs(g in arb_graph()) {
-        assert_approx_densest_sandwich(&g);
-    }
-
-    #[test]
-    fn approx_densest_sandwich_on_powerlaw(n in 10usize..80, seed in any::<u64>()) {
-        assert_approx_densest_sandwich(&gen::barabasi_albert(n, 2.min(n - 1), seed));
-    }
-
-    #[test]
-    fn approx_densest_rounds_shrink_with_epsilon(n in 50usize..200, seed in any::<u64>()) {
-        let g = gen::barabasi_albert(n, 3.min(n - 1), seed);
-        let rounds: Vec<u64> = EPSILONS
-            .iter()
-            .map(|&eps| Decomposition::approx_densest(&g, eps).run().num_rounds())
-            .collect();
-        prop_assert!(
-            rounds.windows(2).all(|w| w[1] <= w[0]),
-            "rounds must shrink as eps grows: {:?}", rounds
-        );
-        for (&eps, &r) in EPSILONS.iter().zip(&rounds) {
-            let bound = (n as f64).ln() / (1.0 + eps / 2.0).ln() + 2.0;
-            prop_assert!(
-                (r as f64) <= bound,
-                "eps {}: {} rounds exceeds the O(log n / log(1+eps/2)) bound {:.1}", eps, r, bound
-            );
-        }
     }
 
     #[test]
@@ -270,7 +192,7 @@ fn engine_kcore_bit_identical_on_seed_generators() {
 /// The engine then opened a round at every integer key; it now skips
 /// keys with no live element, so slot 0 is compared against
 /// `rounds + keys_skipped`, which counts the same keys.
-/// Captured from the pre-`RoundPolicy` engine (commit 25f2ef3), where
+/// Captured from the engine at commit 25f2ef3, where
 /// these quantities were verified deterministic across
 /// `RAYON_NUM_THREADS` ∈ {1, 4}; the Single and Adaptive strategies
 /// produce identical stats on every one of these inputs. The k-truss
@@ -362,9 +284,8 @@ fn seed_graph(label: &str) -> CsrGraph {
     }
 }
 
-/// The stats half of the bit-identity guard: under
-/// `RoundPolicy::MinBucket` (every problem's default), the refactored
-/// engine must reproduce the PR 4 round structure *exactly* — rounds,
+/// The stats half of the bit-identity guard: the refactored engine
+/// must reproduce the `PR4_STATS` round structure *exactly* — rounds,
 /// subrounds, syncs, work, frontier peaks, and burdened span — for
 /// k-core, densest-subgraph, and k-truss on the seed generators.
 /// The snapshot describes the technique-free baseline, so the config
@@ -396,57 +317,6 @@ fn minbucket_stats_match_the_pr4_snapshot() {
                     "{label}/{name} under {strategy}: stats drifted from the PR 4 snapshot"
                 );
             }
-        }
-    }
-}
-
-/// Run-stats snapshot for the peel drivers [`PR4_STATS`] leaves
-/// unpinned, on the same seed generators and under the same
-/// technique-free baseline: per generator,
-/// `[rounds, subrounds, global_syncs, work, max_frontier, burdened_span]`
-/// for (k,h)-core with `h = 2` (recompute step) and approx densest with
-/// `ε = 0.5` (threshold frontier source). As in [`PR4_STATS`], slot 0
-/// holds `rounds + keys_skipped` (threshold rounds skip no keys).
-const DRIVER_STATS: &[(&str, [[u64; 6]; 2])] = &[
-    ("path", [[3, 20, 40, 114, 2, 600020], [1, 1, 1, 118, 40, 15001]]),
-    ("cycle", [[5, 1, 2, 33, 33, 30001], [1, 1, 1, 99, 33, 15001]]),
-    ("star", [[65, 1, 2, 65, 65, 30001], [1, 2, 2, 193, 64, 30002]]),
-    ("complete", [[20, 1, 2, 20, 20, 30001], [1, 1, 1, 400, 20, 15001]]),
-    ("bipartite", [[13, 1, 2, 13, 13, 30001], [1, 2, 2, 85, 9, 30002]]),
-    ("grid2d", [[7, 25, 50, 1744, 26, 750025], [1, 1, 1, 1958, 408, 15001]]),
-    ("grid3d", [[12, 14, 28, 1488, 52, 420014], [1, 1, 1, 2060, 336, 15001]]),
-    ("mesh", [[12, 19, 38, 1199, 20, 570019], [1, 2, 2, 1457, 140, 30002]]),
-    ("road", [[7, 35, 70, 1578, 32, 1050035], [1, 2, 2, 1740, 371, 30002]]),
-    ("erdos_renyi", [[25, 49, 98, 2924, 63, 1470049], [1, 3, 3, 2080, 224, 45003]]),
-    ("barabasi_albert", [[68, 93, 186, 6303, 68, 2790093], [1, 3, 3, 2788, 336, 45003]]),
-    ("rmat", [[208, 141, 282, 16645, 208, 4230141], [2, 7, 7, 6140, 393, 105007]]),
-    ("knn", [[10, 40, 80, 888, 18, 1200040], [1, 2, 2, 1478, 229, 30002]]),
-    ("planted_core", [[57, 59, 118, 2367, 57, 1770059], [2, 3, 3, 2534, 155, 45003]]),
-    ("hcns", [[80, 1, 2, 80, 80, 30001], [1, 2, 2, 3280, 51, 30002]]),
-];
-
-/// The stats half of the single-loop guard for the recompute and
-/// threshold paths: both must keep their round structure exactly. They
-/// pin the plain framework (`Techniques::default()`).
-#[test]
-fn khcore_and_approx_densest_stats_are_pinned() {
-    let plain = Config::with_techniques(Techniques::default());
-    for (label, want) in DRIVER_STATS {
-        let g = seed_graph(label);
-        let kh = Decomposition::khcore(&g, 2).config(plain).run();
-        let ad = Decomposition::approx_densest(&g, 0.5).config(plain).run();
-        for (name, stats, snap) in
-            [("khcore-h2", kh.stats(), &want[0]), ("approx-densest-0.5", ad.stats(), &want[1])]
-        {
-            let got = [
-                stats.rounds + stats.keys_skipped,
-                stats.subrounds,
-                stats.global_syncs,
-                stats.work,
-                stats.max_frontier as u64,
-                stats.burdened_span,
-            ];
-            assert_eq!(&got, snap, "{label}/{name}: stats drifted from the snapshot");
         }
     }
 }

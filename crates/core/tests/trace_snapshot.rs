@@ -183,46 +183,6 @@ fn span_tree_of_an_uncached_ktruss_run_is_pinned() {
     assert_eq!(report.span_tree(tid), expected);
 }
 
-#[test]
-fn span_tree_of_a_fixed_khcore_run_is_pinned() {
-    let _g = serial();
-    let g = gen::planted_core(120, 2, 15, 9);
-    let (_, tid) = traced(|| Decomposition::khcore(&g, 2).config(Config::default()).run());
-    let report = TraceReport::capture();
-    set_level(Level::Off);
-    // The two-phase recompute step: settle, then the recompute pass.
-    // Rounds open only at the 18 keys that hold a live vertex.
-    let expected = "\
-        kh-core x1\n\
-        \x20 round x18\n\
-        \x20   bucket.drain x18\n\
-        \x20   subround x34\n\
-        \x20     settle x34\n\
-        \x20     recompute x34\n\
-        \x20     frontier.refile x34\n";
-    assert_eq!(report.span_tree(tid), expected);
-}
-
-#[test]
-fn span_tree_of_a_fixed_approx_densest_run_is_pinned() {
-    let _g = serial();
-    let g = gen::rmat(9, 8, 0.57, 0.19, 0.19, 5);
-    let plain = Config::with_techniques(kcore::Techniques::default());
-    let (_, tid) = traced(|| Decomposition::approx_densest(&g, 0.5).config(plain).run());
-    let report = TraceReport::capture();
-    set_level(Level::Off);
-    // The threshold frontier source, under the plain framework: every
-    // round scans the live aggregates before its bulk drain.
-    let expected = "\
-        approx-densest x1\n\
-        \x20 round x2\n\
-        \x20   aggregates x2\n\
-        \x20   bucket.drain x2\n\
-        \x20   subround x7\n\
-        \x20     frontier.refile x7\n";
-    assert_eq!(report.span_tree(tid), expected);
-}
-
 /// The span tree of one default-config k-core peel with `stats`.
 fn kcore_tree(stats: &kcore_parallel::RunStats) -> String {
     format!(

@@ -53,15 +53,26 @@ impl AtomicMax {
 /// into the paper's Figs. 7, 9, 10 and the contention discussion.
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
-    /// Peeling rounds opened. A min-bucket round opens only at a key
-    /// that holds a live element (or that a technique must check), so
-    /// this is the number of distinct settle keys, not the largest one.
+    /// Peeling rounds opened. A round opens only at a key that holds a
+    /// live element (or that a technique must check), so this is the
+    /// number of distinct settle keys, not the largest one.
     pub rounds: u64,
-    /// Integer keys a min-bucket peel passed without opening a round:
-    /// no live element held them. `rounds + keys_skipped` is one past
-    /// the last round's key, the count of a peel that visits every key.
+    /// Integer keys a peel passed without opening a round: no live
+    /// element held them. `rounds + keys_skipped` is one past the last
+    /// round's key, the count of a peel that visits every key.
     pub keys_skipped: u64,
     /// Total subrounds ρ (Tab. 2's peeling complexity when VGC is off).
+    ///
+    /// With VGC on and more than one worker, this count depends on the
+    /// schedule. A chase that reaches its `chain_limit` spills the rest
+    /// of its chain to the hash bag for the next subround, and which
+    /// task reaches an element first, so how far each chain runs, is
+    /// decided by the thread interleaving. One binary on one input can
+    /// then read different counts from run to run (the benchmark's
+    /// traced `highcore` k-core reads 5 or 6). A pinned count holds
+    /// only on one worker or without VGC (`Techniques::default()`, as
+    /// the `PR4_STATS` snapshot runs). The settle keys, so the output,
+    /// do not depend on it.
     pub subrounds: u64,
     /// Global synchronization points (≥ subrounds; a two-phase subround
     /// has 2: settle, then rule).

@@ -12,13 +12,10 @@
 //! The framework is not k-core-specific: the workspace factors it into
 //! a problem-agnostic **peel engine** (`kcore::PeelEngine` +
 //! `kcore::PeelProblem`) with k-core as its first client, plus
-//! **k-truss** decomposition (edge peeling by triangle support),
+//! **k-truss** decomposition (edge peeling by triangle support) and
 //! **greedy densest subgraph** (min-degree peeling with running density
-//! tracking, a 2-approximation), the **(k,h)-core**
-//! (distance-generalized cores with recomputed h-hop priorities), and
-//! the batched **(2+ε)-approximate densest subgraph**
-//! (threshold-batched rounds, `O(log₁₊ε n)` of them) on the same
-//! engine, techniques, and bucket structures.
+//! tracking, a 2-approximation) on the same engine, techniques, and
+//! bucket structures.
 //!
 //! This facade crate re-exports the workspace's public API:
 //!
@@ -57,13 +54,6 @@
 //! assert_eq!(Decomposition::ktruss(&g).run().max_trussness(), 2);
 //! assert!(Decomposition::densest(&g).run().density() > 1.9);
 //!
-//! // ...and runs other round structures: threshold-batched rounds
-//! // ((2+ε)-approx densest, O(log n) rounds) and recomputed h-hop
-//! // priorities (the (k,h)-core).
-//! let approx = Decomposition::approx_densest(&g, 0.5).run();
-//! assert!(approx.density() * 2.5 >= 1.9);
-//! assert!(Decomposition::khcore(&g, 2).run().kmax() >= 2);
-//!
 //! // Maintenance: delete an edge, splice only the affected region.
 //! use parallel_kcore::core::DynamicGraph;
 //! let mut dyn_g = DynamicGraph::new(gen::grid2d(30, 30), Default::default());
@@ -79,8 +69,8 @@ pub use kcore_parallel as parallel;
 /// Convenience re-export of the most common entry points.
 pub mod prelude {
     pub use kcore::{
-        ApproxDensestResult, Config, CorenessResult, Decomposition, DensestResult, DynamicGraph,
-        KhCoreResult, MaintainStats, PeelEngine, PeelProblem, TrussnessResult, Version,
+        Config, CorenessResult, Decomposition, DensestResult, DynamicGraph, MaintainStats,
+        PeelEngine, PeelProblem, TrussnessResult, Version,
     };
     pub use kcore_graph::{CsrGraph, EdgeIndex, GraphBuilder, VertexId};
 }
