@@ -1,14 +1,12 @@
 //! Build-path benchmarks: how a graph gets into memory.
 //!
-//! Two questions, each answered as an interleaved A/B pair so the
-//! comparison shares cache and frequency state:
-//!
 //! * **ingest**: `StreamBuilder` (sharded counting-sort build) vs the
 //!   historical collect-then-`par_sort` path, on the same ≥1.2M-edge
-//!   synthetic stream. The two paths are asserted bit-identical once
-//!   before timing.
-//! * **load**: `load_binary` (copying reader) vs `map_binary`
-//!   (zero-copy mmap) on the serialized stream graph.
+//!   synthetic stream, as an interleaved A/B pair so the comparison
+//!   shares cache and frequency state. The two paths are asserted
+//!   bit-identical once before timing.
+//! * **load**: `load_binary` reading the serialized stream graph back,
+//!   validation included.
 
 use criterion::{black_box, criterion_group, Criterion};
 use kcore_bench::baseline::from_symmetric_arcs_by_sort;
@@ -83,9 +81,6 @@ fn bench_load(c: &mut Criterion) {
 
     c.bench_function("build/load/read-copy", |b| {
         b.iter(|| black_box(io::load_binary(&path).expect("load")))
-    });
-    c.bench_function("build/load/mmap", |b| {
-        b.iter(|| black_box(io::map_binary(&path).expect("map")))
     });
 
     let _ = std::fs::remove_file(&path);

@@ -11,21 +11,13 @@
 //! itself: repeated peel-style passes over a power-law (Barabási–
 //! Albert) graph, whose hub vertices cluster at the low end of the
 //! index space — the worst case for contiguous static partitioning,
-//! where one block holds most of the arc work. Two schedules of the
-//! identical computation are compared at each thread count:
-//!
-//! * `static-spawn` — the rayon shim's *previous* design, reproduced
-//!   verbatim: spawn one scoped OS thread per contiguous equal block,
-//!   every pass (no work stealing, no pool reuse);
-//! * `stealing` — the shim's persistent Chase–Lev pool (blocks split
-//!   lazily; idle workers steal), pool built outside the timing loop
-//!   exactly as a real decomposition holds it across subrounds.
-//!
-//! On a single hardware core the win is the eliminated per-pass
-//! spawn/join cost; with real cores the steal counters printed next to
-//! the timings turn into wall-clock rebalancing of the hub block as
-//! well. Steal/split deltas come from
-//! `kcore_parallel::pool::scheduler_delta`.
+//! where one block holds most of the arc work. The passes run on the
+//! rayon shim's persistent Chase–Lev pool (blocks split lazily; idle
+//! workers steal), built outside the timing loop exactly as a real
+//! decomposition holds it across subrounds, and the steal/split
+//! counters from `kcore_parallel::pool::scheduler_delta` are printed
+//! next to the timings: with real cores they show the hub block being
+//! rebalanced.
 
 use criterion::{black_box, criterion_group, Criterion};
 use kcore::{Config, Decomposition, Techniques};
@@ -86,51 +78,9 @@ fn scan_vertex(g: &CsrGraph, v: u32) -> u64 {
     acc & 0xFFFF_FFFF
 }
 
-/// One static block, executed through the shim's own sequential drive
-/// path: sub-2048 chunks are below the shim's inline threshold, so they
-/// always run on the calling thread through the identical dyn-sink
-/// iterator machinery. Both schedules therefore pay the same per-item
-/// cost, and the comparison isolates *scheduling* — spawn-per-pass
-/// static blocks vs the persistent stealing pool.
-fn static_block_sum(g: &CsrGraph, lo: usize, hi: usize) -> u64 {
-    let mut acc = 0u64;
-    let mut a = lo;
-    while a < hi {
-        let b = (a + 2047).min(hi);
-        let part: u64 = (a as u32..b as u32).into_par_iter().map(|v| scan_vertex(g, v)).sum();
-        acc = acc.wrapping_add(part);
-        a = b;
-    }
-    acc
-}
-
-/// The old shim's schedule, reproduced: per pass, spawn one scoped OS
-/// thread per contiguous equal block. Hubs share a block, so the skew
-/// serializes there; the spawn/join cost recurs every pass.
-fn skewed_static(g: &CsrGraph, threads: usize) -> u64 {
-    let n = g.num_vertices();
-    let mut total = 0u64;
-    for _ in 0..SKEW_PASSES {
-        let chunk = n.div_ceil(threads);
-        let blocks = n.div_ceil(chunk);
-        let mut partials = vec![0u64; blocks];
-        std::thread::scope(|s| {
-            for (b, slot) in partials.iter_mut().enumerate() {
-                let lo = b * chunk;
-                let hi = ((b + 1) * chunk).min(n);
-                s.spawn(move || *slot = static_block_sum(g, lo, hi));
-            }
-        });
-        for p in &partials {
-            total = total.wrapping_add(*p);
-        }
-    }
-    total
-}
-
-/// The same computation on the work-stealing pool (installed by the
-/// caller): one splittable task per pass, workers rebalance the hub
-/// block by stealing.
+/// The passes on the work-stealing pool (installed by the caller): one
+/// splittable task per pass, workers rebalance the hub block by
+/// stealing.
 fn skewed_stealing(g: &CsrGraph) -> u64 {
     let n = g.num_vertices() as u32;
     let mut total = 0u64;
@@ -143,19 +93,17 @@ fn skewed_stealing(g: &CsrGraph) -> u64 {
 
 fn bench_skewed_frontier(c: &mut Criterion) {
     let g = gen::barabasi_albert(60_000, 8, 7);
-    let expected = skewed_static(&g, 1);
+    let pass: u64 = g.vertices().map(|v| scan_vertex(&g, v)).sum();
+    let expected = SKEW_PASSES as u64 * pass;
     for threads in [2usize, 4] {
-        c.bench_function(&format!("skewed-frontier/ba-60000/static-spawn/t{threads}"), |b| {
-            b.iter(|| black_box(skewed_static(&g, threads)))
-        });
         with_threads(threads, || {
             c.bench_function(&format!("skewed-frontier/ba-60000/stealing/t{threads}"), |b| {
                 b.iter(|| black_box(skewed_stealing(&g)))
             });
         });
-        // Same answer either way, and the balancing activity on record.
+        // The sequential fold's answer, and the balancing activity on record.
         let (check, delta) = scheduler_delta(|| with_threads(threads, || skewed_stealing(&g)));
-        assert_eq!(check, expected, "schedules must agree on the result");
+        assert_eq!(check, expected, "the pool must agree with a sequential fold");
         println!(
             "skewed-frontier/ba-60000/t{threads} steals={} splits={}",
             delta.steals, delta.splits

@@ -58,8 +58,7 @@ pub struct DensestSpec(());
 /// ([`Decomposition::kcore`], [`Decomposition::ktruss`],
 /// [`Decomposition::densest`]), then `run`.
 ///
-/// Every problem runs over a [`CsrGraph`], owned or mmapped
-/// ([`kcore_graph::io::map_binary`]). For a *maintained* k-core
+/// Every problem runs over a [`CsrGraph`]. For a *maintained* k-core
 /// decomposition under edge batches, see
 /// [`crate::maintain::DynamicGraph`] instead.
 #[derive(Clone)]

@@ -96,9 +96,9 @@ pub trait UnitIncidence: Sync {
 }
 
 // Every graph backend is a unit incidence: the adjacency itself.
-// This one impl covers `CsrGraph` (owned and mmapped) and the delta
-// overlay (the engine peels the logical base ± deltas graph directly,
-// so batch-dynamic maintenance never rebuilds a CSR just to re-peel).
+// This one impl covers `CsrGraph` and the delta overlay (the engine
+// peels the logical base ± deltas graph directly, so batch-dynamic
+// maintenance never rebuilds a CSR just to re-peel).
 impl<G: GraphBackend> UnitIncidence for G {
     #[inline]
     fn incident(&self, v: u32) -> &[u32] {

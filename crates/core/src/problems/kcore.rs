@@ -26,7 +26,7 @@ use kcore_parallel::{HashBag, RunStats};
 use rayon::prelude::*;
 
 /// The k-core decomposition problem over one graph, generic over the
-/// adjacency backend: plain or mmapped CSR, or the overlay graph that
+/// adjacency backend: plain CSR, or the overlay graph that
 /// [`crate::DynamicGraph`] peels.
 pub(crate) struct KCoreProblem<'g, G = CsrGraph> {
     pub(crate) g: &'g G,

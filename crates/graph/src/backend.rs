@@ -3,9 +3,9 @@
 //!
 //! [`GraphBackend`] abstracts the read API the peel actually uses —
 //! vertex/arc counts, degrees, and neighbor slices — so the same peel
-//! engine runs over the plain CSR arrays ([`crate::CsrGraph`], owned or
-//! mmap-backed) and the delta-overlay logical graph
-//! ([`crate::OverlayGraph`]) that batch-dynamic maintenance re-peels.
+//! engine runs over the plain CSR arrays ([`crate::CsrGraph`]) and the
+//! delta-overlay logical graph ([`crate::OverlayGraph`]) that
+//! batch-dynamic maintenance re-peels.
 //! Every backend serves a vertex's neighbors as a borrowed slice of
 //! its own storage.
 
@@ -19,7 +19,7 @@ use rayon::prelude::*;
 /// [`crate::CsrGraph`]: symmetric arcs, strictly increasing per-vertex
 /// neighbor lists, no self-loops. Algorithms over any two backends of
 /// the same logical graph produce bit-identical results (enforced by
-/// `proptest_backends` and `proptest_maintain` in `kcore`).
+/// `proptest_maintain` in `kcore`).
 pub trait GraphBackend: Sync {
     /// Number of vertices `n`.
     fn num_vertices(&self) -> usize;

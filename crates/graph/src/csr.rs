@@ -5,18 +5,8 @@
 //! arcs: every undirected edge `{u, v}` appears both as `u -> v` and
 //! `v -> u`. This matches the convention of the paper (directed inputs
 //! are symmetrized, and `m` counts arcs, as in GBBS / Ligra).
-//!
-//! The arrays live either on the heap (`Owned`, the normal case) or
-//! inside a read-only file mapping (`Mapped`, produced by
-//! [`crate::io::map_binary`]): the `KCOREGR1` binary layout puts both
-//! arrays on their natural alignment, so a mapped graph is a
-//! first-class `CsrGraph` — same API, same algorithms — whose pages
-//! the OS faults in lazily and can evict under pressure, which is what
-//! lets datasets larger than RAM peel at all.
 
-use crate::mmap::{MmapRegion, RawSlice};
 use rayon::prelude::*;
-use std::sync::Arc;
 
 /// Vertex identifier.
 ///
@@ -33,23 +23,13 @@ pub type VertexId = u32;
 /// invariants listed on [`CsrGraph::from_parts`].
 // Serde derives were dropped with the offline dependency set; the
 // binary/text formats in `crate::io` cover (de)serialization needs.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct CsrGraph {
-    storage: Storage,
-}
-
-/// Where the CSR arrays live. `offsets[v]..offsets[v + 1]` indexes the
-/// edge array with the neighbors of `v`; offsets has length `n + 1`
-/// and ends at the arc count.
-#[derive(Clone)]
-enum Storage {
-    /// Heap-allocated arrays — everything built in-process.
-    Owned { offsets: Box<[usize]>, edges: Box<[VertexId]> },
-    /// Slices into a shared read-only file mapping. The on-disk `u64`
-    /// offsets alias `usize` directly (the mapped loader is gated to
-    /// 64-bit little-endian targets), so there is no decode step at
-    /// all — the file bytes *are* the working arrays.
-    Mapped { region: Arc<MmapRegion>, offsets: RawSlice<usize>, edges: RawSlice<VertexId> },
+    /// `n + 1` entries ending at the arc count: `offsets[v]..offsets[v + 1]`
+    /// indexes `edges` with the neighbors of `v`.
+    offsets: Box<[usize]>,
+    /// The concatenated per-vertex-sorted adjacency lists.
+    edges: Box<[VertexId]>,
 }
 
 impl CsrGraph {
@@ -80,12 +60,7 @@ impl CsrGraph {
     /// checked before any adjacency list is sliced, so arbitrary arrays
     /// (a malformed file, say) are safe to pass.
     pub fn try_from_parts(offsets: Vec<usize>, edges: Vec<VertexId>) -> Result<Self, String> {
-        let g = Self {
-            storage: Storage::Owned {
-                offsets: offsets.into_boxed_slice(),
-                edges: edges.into_boxed_slice(),
-            },
-        };
+        let g = Self { offsets: offsets.into_boxed_slice(), edges: edges.into_boxed_slice() };
         g.check()?;
         Ok(g)
     }
@@ -99,29 +74,7 @@ impl CsrGraph {
     /// return wrong corenesses.
     pub fn from_parts_unchecked(offsets: Vec<usize>, edges: Vec<VertexId>) -> Self {
         debug_assert!(!offsets.is_empty() && *offsets.last().unwrap() == edges.len());
-        Self {
-            storage: Storage::Owned {
-                offsets: offsets.into_boxed_slice(),
-                edges: edges.into_boxed_slice(),
-            },
-        }
-    }
-
-    /// Wraps pre-validated slices inside a file mapping (see
-    /// [`crate::io::map_binary`], which checks the header and section
-    /// bounds before calling this). Trusts content invariants exactly
-    /// like [`CsrGraph::from_parts_unchecked`].
-    pub(crate) fn from_mapped(
-        region: Arc<MmapRegion>,
-        offsets: RawSlice<usize>,
-        edges: RawSlice<VertexId>,
-    ) -> Self {
-        Self { storage: Storage::Mapped { region, offsets, edges } }
-    }
-
-    /// Whether this graph's arrays live in a read-only file mapping.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self.storage, Storage::Mapped { .. })
+        Self { offsets: offsets.into_boxed_slice(), edges: edges.into_boxed_slice() }
     }
 
     /// The empty graph (no vertices, no edges).
@@ -129,56 +82,36 @@ impl CsrGraph {
         Self::from_parts_unchecked(vec![0], Vec::new())
     }
 
-    /// The offsets array (`n + 1` entries, ends at the arc count).
-    #[inline]
-    fn offsets(&self) -> &[usize] {
-        match &self.storage {
-            Storage::Owned { offsets, .. } => offsets,
-            Storage::Mapped { offsets, .. } => offsets.as_slice(),
-        }
-    }
-
-    /// The concatenated per-vertex-sorted adjacency array.
-    #[inline]
-    fn edge_array(&self) -> &[VertexId] {
-        match &self.storage {
-            Storage::Owned { edges, .. } => edges,
-            Storage::Mapped { edges, .. } => edges.as_slice(),
-        }
-    }
-
     /// Number of vertices `n`.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.offsets().len() - 1
+        self.offsets.len() - 1
     }
 
     /// Number of directed arcs `m` (twice the number of undirected edges).
     #[inline]
     pub fn num_arcs(&self) -> usize {
-        self.edge_array().len()
+        self.edges.len()
     }
 
     /// Number of undirected edges (`num_arcs / 2`).
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.edge_array().len() / 2
+        self.edges.len() / 2
     }
 
     /// Degree of vertex `v` in the original graph.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
         let v = v as usize;
-        let offsets = self.offsets();
-        offsets[v + 1] - offsets[v]
+        self.offsets[v + 1] - self.offsets[v]
     }
 
     /// The sorted neighbor list of `v`.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
         let v = v as usize;
-        let offsets = self.offsets();
-        &self.edge_array()[offsets[v]..offsets[v + 1]]
+        &self.edges[self.offsets[v]..self.offsets[v + 1]]
     }
 
     /// The range of arc positions belonging to `v` — indexes any array
@@ -187,8 +120,7 @@ impl CsrGraph {
     #[inline]
     pub fn arc_range(&self, v: VertexId) -> std::ops::Range<usize> {
         let v = v as usize;
-        let offsets = self.offsets();
-        offsets[v]..offsets[v + 1]
+        self.offsets[v]..self.offsets[v + 1]
     }
 
     /// Whether the undirected edge `{u, v}` is present (binary search).
@@ -273,12 +205,12 @@ impl CsrGraph {
 
     /// Checks all structural invariants, returning a description of the
     /// first violation.
-    fn check(&self) -> Result<(), String> {
-        let offsets = self.offsets();
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let offsets = &self.offsets;
         if offsets.first() != Some(&0) {
             return Err("offsets must start at 0".into());
         }
-        if offsets.last() != Some(&self.edge_array().len()) {
+        if offsets.last() != Some(&self.edges.len()) {
             return Err("offsets must end at the arc count".into());
         }
         if let Some(v) = offsets.windows(2).position(|w| w[0] > w[1]) {
@@ -328,8 +260,8 @@ impl crate::backend::GraphBackend for CsrGraph {
 
     fn memory(&self) -> crate::stats::MemoryFootprint {
         crate::stats::MemoryFootprint {
-            backend: if self.is_mapped() { "csr-mmap" } else { "csr" },
-            offsets_bytes: std::mem::size_of_val(self.offsets()),
+            backend: "csr",
+            offsets_bytes: std::mem::size_of_val(&*self.offsets),
             neighbor_bytes: self.num_arcs() * std::mem::size_of::<VertexId>(),
             aux_bytes: 0,
             arcs: self.num_arcs(),
@@ -337,36 +269,13 @@ impl crate::backend::GraphBackend for CsrGraph {
     }
 }
 
-impl PartialEq for CsrGraph {
-    fn eq(&self, other: &Self) -> bool {
-        // Storage flavor is irrelevant: a mapped graph equals its
-        // owned twin.
-        self.offsets() == other.offsets() && self.edge_array() == other.edge_array()
-    }
-}
-
-impl Eq for CsrGraph {}
-
 impl std::fmt::Debug for CsrGraph {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CsrGraph")
             .field("n", &self.num_vertices())
             .field("arcs", &self.num_arcs())
             .field("max_degree", &self.max_degree())
-            .field("mapped", &self.is_mapped())
             .finish()
-    }
-}
-
-// Keep the `region` field from tripping the dead-code lint: it exists
-// purely to own the mapping for the raw slices' lifetime.
-impl Storage {
-    #[allow(dead_code)]
-    fn region(&self) -> Option<&Arc<MmapRegion>> {
-        match self {
-            Storage::Owned { .. } => None,
-            Storage::Mapped { region, .. } => Some(region),
-        }
     }
 }
 

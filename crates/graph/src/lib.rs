@@ -4,15 +4,14 @@
 //! the input side:
 //!
 //! * [`CsrGraph`] — an immutable, cache-friendly compressed-sparse-row
-//!   representation of an undirected graph (stored as symmetric arcs),
-//!   heap-allocated or pointing zero-copy into a read-only file mapping.
+//!   representation of an undirected graph (stored as symmetric arcs).
 //! * [`GraphBuilder`] — turns arbitrary edge lists into a [`CsrGraph`],
 //!   symmetrizing, deduplicating, and dropping self-loops along the way.
 //! * [`StreamBuilder`] — the large-input ingestion path: bounded edge
 //!   shards finished by a parallel counting sort, so building never
 //!   holds one giant arc vector.
 //! * [`GraphBackend`] — the storage seam the k-core peel runs over:
-//!   plain CSR (owned or mmapped) or the [`OverlayGraph`] delta view.
+//!   plain CSR or the [`OverlayGraph`] delta view.
 //!   The triangle-side types ([`TriangleCtx`], [`EdgeIndex`]) take
 //!   [`CsrGraph`] itself — their kernels lean on random access into
 //!   raw arc arrays.
@@ -24,7 +23,7 @@
 //!   RMAT / Barabási–Albert power-law graphs, planted-core web-like
 //!   graphs, k-NN graphs, and the adversarial HCNS construction).
 //! * [`io`] — edge-list text, adjacency-graph text, and the compact
-//!   `KCOREGR1` binary format, which [`io::map_binary`] maps zero-copy.
+//!   `KCOREGR1` binary format; every reader validates what it reads.
 //! * [`stats`] — degree statistics used by the benchmark tables.
 //! * [`edges`] / [`triangles`] — the edge-id view ([`EdgeIndex`]) and
 //!   parallel triangle primitives that back *edge* peeling (k-truss):
@@ -47,7 +46,6 @@ pub mod dodg;
 pub mod edges;
 pub mod gen;
 pub mod io;
-pub mod mmap;
 pub mod overlay;
 pub mod stats;
 pub mod triangles;
@@ -57,6 +55,5 @@ pub use builder::{GraphBuilder, StreamBuilder};
 pub use csr::{CsrGraph, VertexId};
 pub use dodg::TriangleCtx;
 pub use edges::EdgeIndex;
-pub use mmap::MmapRegion;
 pub use overlay::OverlayGraph;
 pub use stats::{GraphStats, MemoryFootprint};

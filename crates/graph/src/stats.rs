@@ -16,7 +16,7 @@ use rayon::prelude::*;
 /// Produced by [`GraphBackend::memory`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryFootprint {
-    /// Short backend name (`"csr"`, `"csr-mmap"` or `"overlay"`).
+    /// Short backend name (`"csr"` or `"overlay"`).
     pub backend: &'static str,
     /// Bytes in the per-vertex offset array.
     pub offsets_bytes: usize,
