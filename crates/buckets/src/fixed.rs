@@ -17,7 +17,7 @@
 //! vertex peeled earlier or moved lower — are filtered at extraction by
 //! re-reading the live key.
 
-use crate::{BucketStructure, PriorityView};
+use crate::{BucketStructure, LiveView};
 use crossbeam::queue::SegQueue;
 use kcore_parallel::primitives::{pack, par_min_by};
 
@@ -48,7 +48,7 @@ impl FixedBuckets {
     /// Scans overflow and distributes the window `[base, base + b)`,
     /// anchored at the smallest live overflow key or at `cap` if that
     /// is lower; returns the new base.
-    fn rebuild(&mut self, cap: u32, view: &dyn PriorityView) -> u32 {
+    fn rebuild(&mut self, cap: u32, view: &LiveView<'_>) -> u32 {
         // Overflow holds every live vertex at or past the new window, so
         // the buckets have nothing to add: after the first build they
         // hold only dead entries, and before it only early
@@ -86,7 +86,7 @@ impl FixedBuckets {
 }
 
 impl BucketStructure for FixedBuckets {
-    fn next_frontier(&mut self, floor: u32, cap: u32, view: &dyn PriorityView) -> (u32, Vec<u32>) {
+    fn next_frontier(&mut self, floor: u32, cap: u32, view: &LiveView<'_>) -> (u32, Vec<u32>) {
         let mut k = floor;
         while k < cap {
             if !self.built || k >= self.base.saturating_add(self.b) {
@@ -117,7 +117,7 @@ impl BucketStructure for FixedBuckets {
         // are rediscovered from overflow at the next rebuild. Every
         // in-window bucket holds a single key, so the old key never
         // saves a push here.
-        if new_key >= self.base && new_key < self.base + self.b {
+        if new_key >= self.base && new_key < self.base.saturating_add(self.b) {
             self.buckets[(new_key - self.base) as usize].push(v);
         }
     }
@@ -130,7 +130,9 @@ impl BucketStructure for FixedBuckets {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{at, run_round_start_decreases, run_static_schedule, TestView};
+    use crate::testutil::{
+        at, run_engine_schedule, run_round_start_decreases, run_static_schedule, TestView,
+    };
 
     #[test]
     fn round_start_decreases_surface_once() {
@@ -222,6 +224,17 @@ mod tests {
             assert!(at(&mut s, k, &view).is_empty());
         }
         assert_eq!(at(&mut s, 20, &view), vec![0]);
+    }
+
+    #[test]
+    fn a_window_reaching_past_u32_max_files_decreases() {
+        // The window opens at u32::MAX - 8 and its end saturates; a
+        // decrease into it is filed, not overflowed.
+        let keys = [u32::MAX - 2, u32::MAX - 8];
+        let in_round = [(u32::MAX - 8, 0, u32::MAX - 5)];
+        let mut s = FixedBuckets::new(&keys, 16);
+        let opened = run_engine_schedule(&mut s, &keys, &[], &in_round);
+        assert_eq!(opened, [u32::MAX - 8, u32::MAX - 5]);
     }
 
     #[test]

@@ -1,56 +1,56 @@
 //! The hierarchical bucketing structure (HBS, paper Sec. 5.2).
 //!
-//! HBS manages the active set as a monotone radix heap over induced
-//! priorities: relative to a moving anchor `base`, the first
-//! `NUM_SINGLE` buckets each hold one exact key (`base`, `base + 1`,
-//! ...), and the buckets after them hold exponentially growing key
-//! ranges (`[base + 8, base + 16)`, `[base + 16, base + 32)`, ...).
-//! `DecreaseKey` is a single push into the bucket owning the new key —
-//! `O(1)`, and `O(log d(v))` total per vertex across the run, because a
-//! vertex entry migrates toward bucket 0 through at most
-//! logarithmically many redistributions.
+//! HBS manages the active set as a monotone radix heap (Ahuja,
+//! Mehlhorn, Orlin, Tarjan, JACM'90) over induced priorities, laid out
+//! around a moving anchor `base`:
 //!
-//! Laziness: nothing moves while the round walks the single-key span;
-//! a round opens at the first of those buckets holding a live element,
-//! so empty keys cost one empty pop each. When the walk runs past the
-//! span, [`HierarchicalBuckets::next_frontier`] re-anchors at the
-//! smallest live key (or at the caller's cap, if that is lower) and
-//! redistributes every stored entry by its *live* key (stale copies
-//! from earlier decrements are deduplicated here; dead entries are
-//! dropped). Keys only decrease and never drop below the current
-//! round, so every entry re-files at or after the anchor — the
-//! monotone-heap invariant.
+//! * a key in `base`'s aligned 8-key block (`key ^ base < 8`) sits in
+//!   the exact single-key bucket `key & 7`;
+//! * any other key sits in the ranged bucket
+//!   `8 + floor(log2(key ^ base)) - 3`, named by the highest bit in
+//!   which it differs from `base`.
 //!
-//! The redistribution itself is outside that per-vertex bound: it
-//! pops, sorts and re-files all `S` stored entries, `O(S log S)` work,
-//! including entries that do not move. It runs only when a round's walk
-//! leaves the single-key span, and the anchor then jumps to a live key
-//! (or the cap) at least `NUM_SINGLE` past the old one — so at most
-//! once per round opened (or cap reached), and at most `kmax / 8 + 1`
-//! times in a run, however many empty keys lie between the rounds.
+//! `DecreaseKey` is a single push into the bucket owning the new key,
+//! and only when that bucket differs from the old key's: `O(1)`, and
+//! `O(log d(v))` pushes per vertex across the run, because its bucket
+//! index only ever goes down.
+//!
+//! Laziness: nothing moves while the round walks the anchor's block; a
+//! round opens at the first exact bucket holding a live element, so an
+//! empty key costs one empty pop. When the walk leaves the block,
+//! [`HierarchicalBuckets::next_frontier`] re-anchors: it pops the
+//! first ranged bucket holding a live entry, drops its dead entries
+//! and the stale copies whose live key maps to another bucket, moves
+//! the anchor to its smallest live key (or to the caller's cap, if
+//! that is lower) and re-files only that bucket's entries. Every bucket
+//! below it can hold only dead or stale entries, so it is cleared. The
+//! new anchor shares with the old one every bit above the popped
+//! bucket's, so every ranged bucket above it keeps its index, and each
+//! re-filed entry lands in a strictly lower bucket: re-anchoring stays
+//! inside the `O(log d(v))` per-vertex bound
+//! ([`HierarchicalBuckets::refiled_entries`] counts it).
 
-use crate::{BucketStructure, PriorityView};
+use crate::{BucketStructure, LiveView};
 use crossbeam::queue::SegQueue;
 use kcore_check::sync::atomic::{AtomicU32, Ordering};
 
-/// Exact single-key buckets before the exponential tail (the paper uses
-/// eight).
+/// Exact single-key buckets: one per key of the anchor's aligned block
+/// (the paper uses eight).
 const NUM_SINGLE: u32 = 8;
 
-/// Bucket count: 8 single + one per power-of-two range. Key offsets
-/// are `< 2^32`, so `floor(log2((2^32 - 1) / 8)) = 28` is the largest
-/// ranged index and 29 ranged buckets suffice.
+/// Bucket count: 8 exact + one per differing high bit. The highest
+/// differing bit of two `u32` keys outside one 8-key block is one of
+/// bits 3..=31, so 29 ranged buckets suffice.
 const NUM_BUCKETS: usize = NUM_SINGLE as usize + 29;
 
 /// Bucket owning `key` when the layout is anchored at `base`.
 fn bucket_index(base: u32, key: u32) -> usize {
     debug_assert!(key >= base, "key {key} below anchor {base}");
-    let d = key - base;
+    let d = key ^ base;
     if d < NUM_SINGLE {
-        d as usize
+        (key % NUM_SINGLE) as usize
     } else {
-        let ranged = 31 - (d / NUM_SINGLE).leading_zeros(); // floor(log2(d / 8))
-        NUM_SINGLE as usize + ranged as usize
+        (NUM_SINGLE + d.ilog2() - NUM_SINGLE.ilog2()) as usize
     }
 }
 
@@ -61,6 +61,8 @@ pub struct HierarchicalBuckets {
     /// `on_decrease` during peels, hence atomic.
     base: AtomicU32,
     buckets: Vec<SegQueue<u32>>,
+    /// Entries re-filed by re-anchoring so far.
+    refiled: u64,
 }
 
 impl HierarchicalBuckets {
@@ -79,7 +81,7 @@ impl HierarchicalBuckets {
         for (v, key) in entries {
             buckets[bucket_index(base, key)].push(v);
         }
-        Self { base: AtomicU32::new(base), buckets }
+        Self { base: AtomicU32::new(base), buckets, refiled: 0 }
     }
 
     /// Stored entries across all buckets (diagnostic; includes stale
@@ -88,65 +90,86 @@ impl HierarchicalBuckets {
         self.buckets.iter().map(SegQueue::len).sum()
     }
 
-    /// Re-anchors the layout at the smallest live key, or at `cap` if
-    /// that is lower, re-filing every entry by its live key; returns
-    /// the new anchor. Duplicate copies of a vertex (one per historical
-    /// decrement) collapse to one; dead entries drop out.
-    fn redistribute(&mut self, cap: u32, view: &dyn PriorityView) -> u32 {
-        let mut live: Vec<u32> = Vec::new();
-        for bucket in &self.buckets {
+    /// Entries re-filed by re-anchoring over the structure's lifetime
+    /// (diagnostic): each one moved to a strictly lower bucket, so a
+    /// vertex is re-filed at most `O(log d(v))` times.
+    pub fn refiled_entries(&self) -> u64 {
+        self.refiled
+    }
+
+    /// Re-anchors once the walk has left the anchor's block: the
+    /// smallest live key, or `cap` if that is lower, becomes the new
+    /// anchor, which is returned. Requires every live key and `cap` to
+    /// lie outside the old block.
+    fn reanchor(&mut self, cap: u32, view: &LiveView<'_>) -> u32 {
+        let base = self.base.load(Ordering::Relaxed);
+        let cap_bucket = bucket_index(base, cap);
+        // The exact buckets hold keys below the walk: dead or stale.
+        for bucket in &self.buckets[..NUM_SINGLE as usize] {
+            while bucket.pop().is_some() {}
+        }
+        let mut anchor = cap;
+        for (j, bucket) in self.buckets.iter().enumerate().skip(NUM_SINGLE as usize) {
+            if j > cap_bucket {
+                // Every key of this bucket and above lies past `cap`,
+                // and none of them changes bucket under an anchor at it.
+                break;
+            }
+            let mut live = Vec::new();
             while let Some(v) = bucket.pop() {
-                if view.alive(v) {
+                if view.alive(v) && bucket_index(base, view.key(v)) == j {
                     live.push(v);
                 }
             }
+            let Some(min) = live.iter().map(|&v| view.key(v)).min() else {
+                continue;
+            };
+            anchor = min.min(cap);
+            self.refiled += live.len() as u64;
+            for v in live {
+                self.buckets[bucket_index(anchor, view.key(v))].push(v);
+            }
+            break;
         }
-        live.sort_unstable();
-        live.dedup();
-        let anchor = live.iter().map(|&v| view.key(v)).min().map_or(cap, |k| k.min(cap));
         self.base.store(anchor, Ordering::Relaxed);
-        for v in live {
-            self.buckets[bucket_index(anchor, view.key(v))].push(v);
-        }
         anchor
     }
 
-    /// Pops single-key bucket `k - base`: the live entries still at
-    /// key `k`. Entries for vertices that moved to a lower key have a
-    /// fresher copy elsewhere; entries already peeled are dead — both
-    /// are dropped, never re-filed.
-    fn pop_single(&self, k: u32, base: u32, view: &dyn PriorityView) -> Vec<u32> {
-        let bucket = &self.buckets[(k - base) as usize];
+    /// Pops exact bucket `k & 7`: the live entries still at key `k`.
+    /// Entries for vertices that moved to a lower key have a fresher
+    /// copy elsewhere; entries already peeled are dead — both are
+    /// dropped, never re-filed.
+    fn pop_single(&self, k: u32, view: &LiveView<'_>) -> Vec<u32> {
+        let bucket = &self.buckets[(k % NUM_SINGLE) as usize];
         let mut frontier = Vec::with_capacity(bucket.len());
         while let Some(v) = bucket.pop() {
             if view.alive(v) && view.key(v) == k {
                 frontier.push(v);
             }
         }
-        // A vertex can appear twice in one single-key bucket only if it
-        // was filed here both by redistribution and by an `on_decrease`
-        // racing an earlier round's extraction; dedup to keep the
-        // exactly-once frontier contract.
+        // Concurrent decrements push in any order; sorting keeps the
+        // frontier (and so the peel's schedule) deterministic. A vertex
+        // enters the bucket of key `k` once: when its key becomes `k`.
         frontier.sort_unstable();
-        frontier.dedup();
+        debug_assert!(frontier.windows(2).all(|w| w[0] < w[1]), "a vertex filed twice at {k}");
         frontier
     }
 }
 
 impl BucketStructure for HierarchicalBuckets {
-    fn next_frontier(&mut self, floor: u32, cap: u32, view: &dyn PriorityView) -> (u32, Vec<u32>) {
+    fn next_frontier(&mut self, floor: u32, cap: u32, view: &LiveView<'_>) -> (u32, Vec<u32>) {
         let mut base = self.base.load(Ordering::Relaxed);
         debug_assert!(floor >= base, "rounds must be non-decreasing");
         let mut k = floor;
         while k < cap {
-            if k - base >= NUM_SINGLE {
-                // Past the single-key span: jump straight to the
+            if k ^ base >= NUM_SINGLE {
+                // Past the anchor's block: jump straight to the
                 // smallest live key (every key in between is empty).
-                base = self.redistribute(cap, view);
+                base = self.reanchor(cap, view);
                 k = base;
                 continue;
             }
-            let frontier = self.pop_single(k, base, view);
+            let frontier = self.pop_single(k, view);
             if !frontier.is_empty() {
                 return (k, frontier);
             }
@@ -159,7 +182,7 @@ impl BucketStructure for HierarchicalBuckets {
         let base = self.base.load(Ordering::Relaxed);
         let target = bucket_index(base, new_key);
         // Same-bucket moves are free: the copy filed when v entered
-        // this bucket (at construction, redistribution, or the last
+        // this bucket (at construction, a re-anchor, or the last
         // boundary crossing) still covers it. Exponential ranges make
         // this the common case — a vertex crosses only O(log d(v))
         // boundaries, which is the whole point of HBS.
@@ -176,7 +199,10 @@ impl BucketStructure for HierarchicalBuckets {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{at, run_round_start_decreases, run_static_schedule, TestView};
+    use crate::testutil::{
+        at, refile_bound, run_engine_schedule, run_round_start_decreases, run_static_schedule,
+        TestView,
+    };
 
     #[test]
     fn round_start_decreases_surface_once() {
@@ -185,6 +211,8 @@ mod tests {
 
     #[test]
     fn bucket_index_layout() {
+        // Anchored at 0: the block [0, 8) is exact, then one bucket per
+        // highest set bit.
         assert_eq!(bucket_index(0, 0), 0);
         assert_eq!(bucket_index(0, 7), 7);
         assert_eq!(bucket_index(0, 8), 8);
@@ -193,8 +221,44 @@ mod tests {
         assert_eq!(bucket_index(0, 31), 9);
         assert_eq!(bucket_index(0, 32), 10);
         assert_eq!(bucket_index(0, u32::MAX), NUM_BUCKETS - 1);
-        assert_eq!(bucket_index(100, 103), 3);
-        assert_eq!(bucket_index(100, 120), 9);
+        // Anchored at 100 (block [96, 104)): exact keys sit at `key & 7`,
+        // and the ranges follow the highest bit differing from 100.
+        assert_eq!(bucket_index(100, 100), 4);
+        assert_eq!(bucket_index(100, 103), 7);
+        assert_eq!(bucket_index(100, 104), 8); // 104 ^ 100 = 12
+        assert_eq!(bucket_index(100, 120), 9); // 120 ^ 100 = 28
+        assert_eq!(bucket_index(100, 127), 9);
+        assert_eq!(bucket_index(100, 128), 12); // 128 ^ 100 = 228
+        assert_eq!(bucket_index(100, u32::MAX), NUM_BUCKETS - 1);
+        // An unaligned anchor leaves fewer exact keys: 13's block ends
+        // at 16, and bit 3 of 13 is set, so bucket 8 holds no key >= 13.
+        assert_eq!(bucket_index(13, 13), 5);
+        assert_eq!(bucket_index(13, 15), 7);
+        assert_eq!(bucket_index(13, 16), 9);
+        // Re-anchoring inside bucket 8 (at 104) leaves higher buckets
+        // alone and moves bucket 8's keys down.
+        assert_eq!(bucket_index(104, 128), 12);
+        assert_eq!(bucket_index(104, 106), 2);
+    }
+
+    /// A fixed schedule of 3000 keys below 5000, each vertex lowered
+    /// in up to three rounds: the entries re-anchoring re-files stay
+    /// within `Σ_v (⌈log₂(key₀(v) + 1)⌉ + 1)`.
+    #[test]
+    fn refiles_stay_within_the_log_bound() {
+        let hash = |i: u32| i.wrapping_mul(2654435761) >> 8;
+        let keys: Vec<u32> = (0..3000).map(|i| hash(i) % 5000).collect();
+        let in_round: Vec<(u32, u32, u32)> = (0..9000)
+            .map(|j| {
+                let (v, r) = (j / 3, hash(j + 1) % 2000);
+                (r, v, r + 1 + hash(j + 2) % (keys[v as usize] / 2 + 1))
+            })
+            .collect();
+        let mut s = HierarchicalBuckets::new(&keys);
+        run_engine_schedule(&mut s, &keys, &[], &in_round);
+        let (refiled, bound) = (s.refiled_entries(), refile_bound(&keys));
+        assert!(refiled > 1000, "only {refiled} entries re-filed");
+        assert!(refiled <= bound, "{refiled} re-filed entries, bound {bound}");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! graphs. Skipping empty keys costs nothing extra: pass 1 finds the
 //! smallest live key whether or not it is the floor.
 
-use crate::{BucketStructure, HierarchicalBuckets, PriorityView};
+use crate::{BucketStructure, HierarchicalBuckets, LiveView};
 use kcore_parallel::primitives::split_at_min;
 
 /// Flat active-array frontier source.
@@ -38,14 +38,14 @@ impl SingleBucket {
     /// `base`); every live one must have key `>= base`. Costs one pass
     /// over the survivors, not over the whole universe, and files them
     /// in id order.
-    pub fn into_hierarchical(self, base: u32, view: &dyn PriorityView) -> HierarchicalBuckets {
+    pub fn into_hierarchical(self, base: u32, view: &LiveView<'_>) -> HierarchicalBuckets {
         let live = self.active.into_iter().filter(|&v| view.alive(v));
         HierarchicalBuckets::with_entries(base, live.map(|v| (v, view.key(v))))
     }
 }
 
 impl BucketStructure for SingleBucket {
-    fn next_frontier(&mut self, floor: u32, cap: u32, view: &dyn PriorityView) -> (u32, Vec<u32>) {
+    fn next_frontier(&mut self, floor: u32, cap: u32, view: &LiveView<'_>) -> (u32, Vec<u32>) {
         // Refine A (drop everything peeled in earlier rounds) and take
         // the frontier at the smallest live key, O(|A|) as Thm. 3.1
         // assumes.
@@ -71,7 +71,7 @@ mod tests {
     use crate::testutil::{
         at, run_engine_schedule, run_round_start_decreases, run_static_schedule, TestView,
     };
-    use crate::PriorityView;
+    use crate::LiveView;
     use kcore_parallel::pool::{per_worker_stats, with_threads};
 
     /// A [`SingleBucket`] that checks, after every drain, that the
@@ -83,12 +83,7 @@ mod tests {
     }
 
     impl BucketStructure for CountsSurvivors {
-        fn next_frontier(
-            &mut self,
-            floor: u32,
-            cap: u32,
-            view: &dyn PriorityView,
-        ) -> (u32, Vec<u32>) {
+        fn next_frontier(&mut self, floor: u32, cap: u32, view: &LiveView<'_>) -> (u32, Vec<u32>) {
             let live = (0..self.n).filter(|&v| view.alive(v) && view.key(v) >= floor).count();
             let (k, frontier) = self.inner.next_frontier(floor, cap, view);
             assert_eq!(self.inner.active_len(), live - frontier.len(), "survivors of round {k}");

@@ -50,31 +50,12 @@
 use super::sampling::SamplingState;
 use super::vgc;
 use crate::Config;
-use kcore_buckets::{BucketStrategy, BucketStructure, PriorityView, SingleBucket};
+use kcore_buckets::{BucketStrategy, BucketStructure, LiveView, SingleBucket, UNSET};
 use kcore_check::sync::atomic::{AtomicU32, Ordering};
 use kcore_graph::GraphBackend;
 use kcore_obs::span;
 use kcore_parallel::{HashBag, RunStats, TechniqueCounters};
 use rayon::prelude::*;
-
-/// Settle-round sentinel for elements that have not settled yet.
-pub(crate) const UNSET: u32 = u32::MAX;
-
-/// Live peeling state exposed to bucket structures.
-pub(crate) struct LiveView<'a> {
-    pub(crate) prio: &'a [AtomicU32],
-    pub(crate) settled: &'a [AtomicU32],
-}
-
-impl PriorityView for LiveView<'_> {
-    fn key(&self, v: u32) -> u32 {
-        self.prio[v as usize].load(Ordering::Relaxed)
-    }
-
-    fn alive(&self, v: u32) -> bool {
-        self.settled[v as usize].load(Ordering::Relaxed) == UNSET
-    }
-}
 
 /// Unit-decrement incidence: `incident(e)` lists the elements whose
 /// settling costs `e` exactly one priority unit each (and vice versa —

@@ -70,9 +70,9 @@
 //! true priority is at least its counter, hence at least the horizon,
 //! hence at least `k`.
 
-use super::engine::{UnitIncidence, UNSET};
+use super::engine::UnitIncidence;
 use crate::config::Sampling;
-use kcore_buckets::BucketStructure;
+use kcore_buckets::{BucketStructure, UNSET};
 use kcore_check::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use kcore_obs::span;
 use kcore_parallel::primitives::pack_index;
