@@ -1,7 +1,8 @@
 //! Bucketing-structure comparison (the paper's Fig. 8 axis): the same
-//! decomposition under each frontier-management strategy, on the graphs
-//! that stress them — HCNS for bucket depth, a dense planted core for
-//! high `k_max`, and a grid for the sparse regime.
+//! decomposition under each of the three frontier-management strategies
+//! (the flat array, HBS, and the adaptive switch between them at θ),
+//! on the graphs that stress them — HCNS for bucket depth, a dense
+//! planted core for high `k_max`, and a grid for the sparse regime.
 
 use criterion::{black_box, criterion_group, Criterion};
 use kcore::{BucketStrategy, Config, Decomposition};

@@ -190,10 +190,6 @@ impl BucketStructure for HierarchicalBuckets {
             self.buckets[target].push(v);
         }
     }
-
-    fn name(&self) -> &'static str {
-        "HBS"
-    }
 }
 
 #[cfg(test)]

@@ -7,17 +7,13 @@
 //! elements are opaque `u32` ids and the priority is whatever monotone
 //! key the peeling problem maintains — vertex induced degree for k-core,
 //! edge triangle support for k-truss, and so on; the structures never
-//! interpret either. Three strategies are implemented behind the
-//! [`BucketStructure`] trait:
+//! interpret either. Two structures implement the [`BucketStructure`]
+//! contract:
 //!
 //! * [`SingleBucket`] — the plain framework (Alg. 1): keep the active set
 //!   as a flat array and split each round's frontier and survivors out
 //!   of it in one fused two-pass drain. `O(|A|)` work per round, optimal
 //!   in total (Thm. 3.1) but with a large constant on dense graphs.
-//! * [`FixedBuckets`] — Julienne's strategy: materialize the next `b`
-//!   frontiers every `b` rounds and keep the rest in an overflow list.
-//!   `O(d(v)/b + b)` per vertex; [`BucketStrategy::Fixed`] uses
-//!   Julienne's `b = 16`.
 //! * [`HierarchicalBuckets`] — the paper's **HBS**: eight single-key
 //!   buckets for the anchor's aligned 8-key block, then one ranged
 //!   bucket per highest bit in which a key differs from the anchor,
@@ -31,14 +27,14 @@
 //! per-round frontier at the smallest live key
 //! ([`BucketStructure::next_frontier`]), reading the engine's live
 //! priorities and settle marks through one concrete [`LiveView`].
-//! [`BucketStrategy`] names the four ablation choices (the three
-//! structures plus the adaptive single-to-HBS switch).
+//! [`BucketStrategy`] names the three ablation choices (the flat array,
+//! HBS, and the paper's adaptive flat-to-HBS switch), and
+//! [`BucketStrategy::build`] returns the one concrete type a run peels
+//! with, [`Buckets`], which owns the adaptive upgrade.
 
-pub mod fixed;
 pub mod hbs;
 pub mod single;
 
-pub use fixed::FixedBuckets;
 pub use hbs::HierarchicalBuckets;
 pub use single::SingleBucket;
 
@@ -118,30 +114,24 @@ pub trait BucketStructure: Send + Sync {
     /// active element with priority exactly `k`, or `(cap, [])` when no
     /// live key lies below `cap`. Requires `floor < cap`.
     ///
-    /// Required (no default): each strategy finds the next non-empty
+    /// Required (no default): each structure finds the next non-empty
     /// key natively — a scan for the flat array, a re-anchor at the
-    /// smallest key for HBS and the fixed window — so an empty key
-    /// costs no round.
+    /// smallest key for HBS — so an empty key costs no round.
     fn next_frontier(&mut self, floor: u32, cap: u32, view: &LiveView<'_>) -> (u32, Vec<u32>);
 
     /// Notifies the structure that `v`'s priority dropped from
     /// `old_key` to `new_key` while the algorithm is peeling round `k`.
     fn on_decrease(&self, v: u32, old_key: u32, new_key: u32, k: u32);
-
-    /// Human-readable strategy name (for benchmark tables).
-    fn name(&self) -> &'static str;
 }
 
 /// Which bucketing strategy a decomposition run should use. This is the
-/// third axis of the paper's Tab. 3 ablation.
+/// third axis of the paper's Tab. 3 ablation: the flat array, HBS, and
+/// the paper's switch from the first to the second.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BucketStrategy {
     /// No bucket structure (equivalently, one bucket): scan the active
     /// array each round.
     Single,
-    /// Julienne-style fixed window of 16 single-key buckets plus an
-    /// overflow list.
-    Fixed,
     /// The hierarchical bucketing structure of Sec. 5.
     Hierarchical,
     /// The paper's final design (Sec. 5.3): start with a single bucket
@@ -150,29 +140,27 @@ pub enum BucketStrategy {
     Adaptive,
 }
 
+/// Floor at which [`BucketStrategy::Adaptive`] hands the flat array's
+/// survivors to HBS: the paper's θ (Sec. 5.3).
+const ADAPTIVE_THETA: u32 = 16;
+
 impl BucketStrategy {
     /// Every strategy, in ablation order — the list tests and
     /// benchmarks sweep.
-    pub const ALL: [BucketStrategy; 4] = [
-        BucketStrategy::Single,
-        BucketStrategy::Fixed,
-        BucketStrategy::Hierarchical,
-        BucketStrategy::Adaptive,
-    ];
+    pub const ALL: [BucketStrategy; 3] =
+        [BucketStrategy::Single, BucketStrategy::Hierarchical, BucketStrategy::Adaptive];
 
     /// Instantiates the strategy over elements whose initial priorities
     /// are `priorities` (induced degrees for k-core, triangle supports
     /// for k-truss, ...).
-    pub fn build(self, priorities: &[u32]) -> Box<dyn BucketStructure> {
+    pub fn build(self, priorities: &[u32]) -> Buckets {
+        let flat = |adaptive| Buckets::Flat { array: SingleBucket::new(priorities), adaptive };
         match self {
-            BucketStrategy::Single => Box::new(SingleBucket::new(priorities)),
-            BucketStrategy::Fixed => Box::new(FixedBuckets::new(priorities, 16)),
-            BucketStrategy::Hierarchical => Box::new(HierarchicalBuckets::new(priorities)),
-            // Adaptive switching is orchestrated by the framework (it
-            // owns the live priority state needed to rebuild); it starts
-            // with a single bucket, whose survivors seed HBS
-            // (`SingleBucket::into_hierarchical`).
-            BucketStrategy::Adaptive => Box::new(SingleBucket::new(priorities)),
+            BucketStrategy::Single => flat(false),
+            BucketStrategy::Hierarchical => {
+                Buckets::Hierarchical(HierarchicalBuckets::new(priorities))
+            }
+            BucketStrategy::Adaptive => flat(true),
         }
     }
 }
@@ -181,16 +169,58 @@ impl std::fmt::Display for BucketStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BucketStrategy::Single => write!(f, "1-bucket"),
-            BucketStrategy::Fixed => write!(f, "16-bucket"),
             BucketStrategy::Hierarchical => write!(f, "HBS"),
             BucketStrategy::Adaptive => write!(f, "adaptive-HBS"),
         }
     }
 }
 
+/// The bucket structure of one run, as [`BucketStrategy::build`]
+/// returns it: the flat array or HBS, one concrete type, so a peel's
+/// `on_decrease` is a `match` rather than a virtual call.
+pub enum Buckets {
+    /// The flat active array. Under the adaptive strategy it hands its
+    /// survivors to HBS, via [`SingleBucket::into_hierarchical`], at
+    /// the first `next_frontier` whose floor reaches θ = 16.
+    Flat {
+        /// The active array.
+        array: SingleBucket,
+        /// Whether the array upgrades at θ: [`BucketStrategy::Adaptive`].
+        adaptive: bool,
+    },
+    /// HBS, built as such or upgraded from the flat array.
+    Hierarchical(HierarchicalBuckets),
+}
+
+impl BucketStructure for Buckets {
+    fn next_frontier(&mut self, floor: u32, cap: u32, view: &LiveView<'_>) -> (u32, Vec<u32>) {
+        // The upgrade reads each survivor's live key, so decrements filed
+        // at this floor before the call (a no-op on the flat array) are
+        // in HBS at their lowered keys.
+        if let Buckets::Flat { array, adaptive: true } = self {
+            if floor >= ADAPTIVE_THETA {
+                let flat = std::mem::take(array);
+                *self = Buckets::Hierarchical(flat.into_hierarchical(floor, view));
+            }
+        }
+        match self {
+            Buckets::Flat { array, .. } => array.next_frontier(floor, cap, view),
+            Buckets::Hierarchical(hbs) => hbs.next_frontier(floor, cap, view),
+        }
+    }
+
+    #[inline]
+    fn on_decrease(&self, v: u32, old_key: u32, new_key: u32, k: u32) {
+        // The flat array rescans every round: only HBS files decreases.
+        if let Buckets::Hierarchical(hbs) = self {
+            hbs.on_decrease(v, old_key, new_key, k);
+        }
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod testutil {
-    use super::{BucketStructure, HierarchicalBuckets, LiveView, SingleBucket, UNSET};
+    use super::{BucketStructure, LiveView, UNSET};
     use kcore_check::sync::atomic::{AtomicU32, Ordering};
 
     /// A mutable priority table for driving bucket structures in tests:
@@ -222,40 +252,6 @@ pub(crate) mod testutil {
 
         pub fn kill(&self, v: u32) {
             self.settled[v as usize].store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// The adaptive strategy as the peel engine runs it: a flat array
-    /// that hands its survivors to an HBS anchored at the floor once a
-    /// round opens at or above θ = 16.
-    pub enum Upgrading {
-        Flat(SingleBucket),
-        Hbs(HierarchicalBuckets),
-    }
-
-    impl BucketStructure for Upgrading {
-        fn next_frontier(&mut self, floor: u32, cap: u32, view: &LiveView<'_>) -> (u32, Vec<u32>) {
-            if let Upgrading::Flat(flat) = self {
-                if floor >= 16 {
-                    let flat = std::mem::replace(flat, SingleBucket::new(&[]));
-                    *self = Upgrading::Hbs(flat.into_hierarchical(floor, view));
-                }
-            }
-            match self {
-                Upgrading::Flat(s) => s.next_frontier(floor, cap, view),
-                Upgrading::Hbs(s) => s.next_frontier(floor, cap, view),
-            }
-        }
-
-        fn on_decrease(&self, v: u32, old_key: u32, new_key: u32, k: u32) {
-            match self {
-                Upgrading::Flat(s) => s.on_decrease(v, old_key, new_key, k),
-                Upgrading::Hbs(s) => s.on_decrease(v, old_key, new_key, k),
-            }
-        }
-
-        fn name(&self) -> &'static str {
-            "upgrading"
         }
     }
 
@@ -389,7 +385,7 @@ pub(crate) mod testutil {
 
 #[cfg(test)]
 mod tests {
-    use super::testutil::{refile_bound, run_engine_schedule, Upgrading};
+    use super::testutil::{refile_bound, run_engine_schedule};
     use super::*;
     use proptest::collection::vec;
     use proptest::prelude::*;
@@ -409,23 +405,44 @@ mod tests {
         let want = [0, 3, 20, 40, 41, 45, 100, 299];
         for strategy in BucketStrategy::ALL {
             let mut s = strategy.build(&keys);
-            let opened = run_engine_schedule(&mut *s, &keys, &scheduled, &in_round);
-            assert_eq!(opened, want, "under {strategy}");
-        }
-        for b in [1, 4] {
-            let mut s = FixedBuckets::new(&keys, b);
             let opened = run_engine_schedule(&mut s, &keys, &scheduled, &in_round);
-            assert_eq!(opened, want, "under a width-{b} window");
+            assert_eq!(opened, want, "under {strategy}");
         }
     }
 
+    /// The adaptive strategy as it ships: a flat array until the first
+    /// floor at or past θ, HBS from there on, and the same rounds as
+    /// the flat array throughout. The single bucket never upgrades,
+    /// and neither does an adaptive run whose keys all lie below θ.
+    #[test]
+    fn adaptive_upgrades_to_hbs_at_theta() {
+        let keys: Vec<u32> = (0..500).map(|i| (i * i) % 300).collect();
+        let in_round: Vec<(u32, u32, u32)> =
+            (0..200).map(|v| (v % 40, v, v % 40 + 1 + v % 7)).collect();
+        let want = run_engine_schedule(&mut SingleBucket::new(&keys), &keys, &[], &in_round);
+        let mut single = BucketStrategy::Single.build(&keys);
+        assert_eq!(run_engine_schedule(&mut single, &keys, &[], &in_round), want);
+        assert!(matches!(single, Buckets::Flat { .. }), "the single bucket upgraded");
+        let mut adaptive = BucketStrategy::Adaptive.build(&keys);
+        assert_eq!(run_engine_schedule(&mut adaptive, &keys, &[], &in_round), want);
+        let Buckets::Hierarchical(hbs) = &adaptive else {
+            panic!("keys up to 299 never reached HBS");
+        };
+        assert!(hbs.refiled_entries() > 0, "HBS never re-anchored past the handoff");
+        assert!(hbs.refiled_entries() <= refile_bound(&keys));
+        let low = [3, 15, 0, 9];
+        let mut adaptive = BucketStrategy::Adaptive.build(&low);
+        run_engine_schedule(&mut adaptive, &low, &[], &[]);
+        assert!(matches!(adaptive, Buckets::Flat { .. }), "upgraded below θ");
+    }
+
     proptest! {
-        /// Every strategy, the engine's adaptive upgrade and two narrow
-        /// windows, on random keys spanning the exact block and several
-        /// ranged buckets, with random scheduled decreases (some onto
-        /// the floor) and in-round decreases, and caps at the unaligned
-        /// keys 13 and 299: each opens the same rounds as the flat
-        /// array and keeps the contract, and HBS re-files within its
+        /// Every strategy, the adaptive upgrade included, on random keys
+        /// spanning the exact block and several ranged buckets, with
+        /// random scheduled decreases (some onto the floor) and in-round
+        /// decreases, and caps at the unaligned keys 13 and 299: each
+        /// opens the same rounds as the flat array and keeps the
+        /// contract, and whichever run ends on HBS re-filed within its
         /// log bound.
         #[test]
         fn every_strategy_keeps_the_contract_on_random_schedules(
@@ -450,19 +467,12 @@ mod tests {
             let want = run_engine_schedule(&mut SingleBucket::new(&keys), &keys, &sched, &in_round);
             for strategy in BucketStrategy::ALL {
                 let mut s = strategy.build(&keys);
-                let opened = run_engine_schedule(&mut *s, &keys, &sched, &in_round);
-                prop_assert_eq!(&opened, &want, "under {}", strategy);
-            }
-            let mut s = Upgrading::Flat(SingleBucket::new(&keys));
-            prop_assert_eq!(&run_engine_schedule(&mut s, &keys, &sched, &in_round), &want);
-            for b in [1, 4] {
-                let mut s = FixedBuckets::new(&keys, b);
                 let opened = run_engine_schedule(&mut s, &keys, &sched, &in_round);
-                prop_assert_eq!(&opened, &want, "under a width-{} window", b);
+                prop_assert_eq!(&opened, &want, "under {}", strategy);
+                if let Buckets::Hierarchical(hbs) = &s {
+                    prop_assert!(hbs.refiled_entries() <= refile_bound(&keys), "under {}", strategy);
+                }
             }
-            let mut hbs = HierarchicalBuckets::new(&keys);
-            run_engine_schedule(&mut hbs, &keys, &sched, &in_round);
-            prop_assert!(hbs.refiled_entries() <= refile_bound(&keys));
         }
     }
 }

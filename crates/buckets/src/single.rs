@@ -15,6 +15,7 @@ use crate::{BucketStructure, HierarchicalBuckets, LiveView};
 use kcore_parallel::primitives::split_at_min;
 
 /// Flat active-array frontier source.
+#[derive(Default)]
 pub struct SingleBucket {
     active: Vec<u32>,
 }
@@ -59,10 +60,6 @@ impl BucketStructure for SingleBucket {
     fn on_decrease(&self, _v: u32, _old_key: u32, _new_key: u32, _k: u32) {
         // Nothing to maintain: frontiers are recomputed by scanning.
     }
-
-    fn name(&self) -> &'static str {
-        "1-bucket"
-    }
 }
 
 #[cfg(test)]
@@ -92,10 +89,6 @@ mod tests {
 
         fn on_decrease(&self, v: u32, old_key: u32, new_key: u32, k: u32) {
             self.inner.on_decrease(v, old_key, new_key, k);
-        }
-
-        fn name(&self) -> &'static str {
-            self.inner.name()
         }
     }
 

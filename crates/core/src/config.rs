@@ -172,8 +172,8 @@ mod tests {
 
     #[test]
     fn with_strategy_overrides_only_the_strategy() {
-        let c = Config::with_strategy(BucketStrategy::Fixed);
-        assert_eq!(c.bucket_strategy, BucketStrategy::Fixed);
+        let c = Config::with_strategy(BucketStrategy::Hierarchical);
+        assert_eq!(c.bucket_strategy, BucketStrategy::Hierarchical);
         assert_eq!(c.techniques, Config::default().techniques);
     }
 

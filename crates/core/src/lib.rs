@@ -11,7 +11,7 @@
 //!   atomic clamped decrements for `DecreaseKey` and a parallel hash
 //!   bag for intra-round frontier collection. Per-round initial
 //!   frontiers come from a pluggable [`BucketStrategy`] (single bucket,
-//!   Julienne-style fixed window, HBS, or the adaptive hybrid).
+//!   HBS, or the adaptive hybrid).
 //! * **k-core** ([`Decomposition::kcore`]) — vertices by induced
 //!   degree, bit-compatible with the pre-engine implementation. [`bz`]
 //!   is the sequential Batagelj–Zaveršnik oracle it is tested against.

@@ -13,8 +13,8 @@
 //!   phase, and result assembly.
 //!   The clients live in [`crate::problems`].
 //! * [`PeelEngine`] — owns everything else: one round/subround loop,
-//!   the hash-bag frontier, the pluggable bucket structure with its
-//!   adaptive upgrade, and the sampling and VGC hooks.
+//!   the hash-bag frontier, the run's [`Buckets`] (whose adaptive
+//!   strategy upgrades itself at θ), and the sampling and VGC hooks.
 //!
 //! Every round is Alg. 1's: it opens at the smallest live priority `k`
 //! at or above the floor, takes every element of priority exactly `k`,
@@ -50,7 +50,7 @@
 use super::sampling::SamplingState;
 use super::vgc;
 use crate::Config;
-use kcore_buckets::{BucketStrategy, BucketStructure, LiveView, SingleBucket, UNSET};
+use kcore_buckets::{BucketStructure, Buckets, LiveView, UNSET};
 use kcore_check::sync::atomic::{AtomicU32, Ordering};
 use kcore_graph::GraphBackend;
 use kcore_obs::span;
@@ -314,34 +314,6 @@ fn peel<P: PeelProblem>(config: &Config, problem: &P, stats: &mut RunStats) -> V
     }
 }
 
-/// Round at which [`BucketStrategy::Adaptive`] switches from the flat
-/// active array to HBS: the paper's θ (Sec. 5.3).
-const ADAPTIVE_THETA: u32 = 16;
-
-/// A run's bucket structure. [`BucketStrategy::Adaptive`] keeps its
-/// flat array typed until the θ upgrade, which seeds HBS from the
-/// array's survivors; every other strategy is fixed for the run.
-enum Buckets {
-    AdaptiveFlat(SingleBucket),
-    Fixed(Box<dyn BucketStructure>),
-}
-
-impl Buckets {
-    fn get(&self) -> &dyn BucketStructure {
-        match self {
-            Buckets::AdaptiveFlat(flat) => flat,
-            Buckets::Fixed(bucket) => &**bucket,
-        }
-    }
-
-    fn get_mut(&mut self) -> &mut dyn BucketStructure {
-        match self {
-            Buckets::AdaptiveFlat(flat) => flat,
-            Buckets::Fixed(bucket) => &mut **bucket,
-        }
-    }
-}
-
 /// The round loop (Alg. 1), shared by every problem and technique.
 ///
 /// Each round opens at the smallest live priority `k` and drains its
@@ -364,10 +336,7 @@ fn rounds<P: PeelProblem, S: Step>(
     let n = init.len();
     let prio: Vec<AtomicU32> = init.iter().map(|&d| AtomicU32::new(d)).collect();
     let settled: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNSET)).collect();
-    let mut bucket = match config.bucket_strategy {
-        BucketStrategy::Adaptive => Buckets::AdaptiveFlat(SingleBucket::new(&init)),
-        strategy => Buckets::Fixed(strategy.build(&init)),
-    };
+    let mut bucket = config.bucket_strategy.build(&init);
     let max_prio = init.iter().copied().max().unwrap_or(0);
     drop(init);
     let mut remaining = n;
@@ -376,23 +345,15 @@ fn rounds<P: PeelProblem, S: Step>(
         assert!(floor <= max_prio, "peeling stalled: {remaining} elements left above {max_prio}");
         let _round = span!("round", floor);
         let view = LiveView { prio: &prio, settled: &settled };
-        // Adaptive starts on the flat array and upgrades to HBS at the
-        // θ-core; the other strategies are fixed for the whole run.
-        bucket = match bucket {
-            Buckets::AdaptiveFlat(flat) if floor >= ADAPTIVE_THETA => {
-                Buckets::Fixed(Box::new(flat.into_hierarchical(floor, &view)))
-            }
-            bucket => bucket,
-        };
         let (k, mut frontier) = {
             let _drain = span!("bucket.drain", floor);
             let (k, frontier, work) =
-                open_round(problem, &step, bucket.get_mut(), &view, floor, max_prio);
+                open_round(problem, &step, &mut bucket, &view, floor, max_prio);
             stats.keys_skipped += u64::from(k - floor);
             stats.work += work;
             (k, frontier)
         };
-        let r = Round { problem, prio: &prio, settled: &settled, bucket: bucket.get(), k };
+        let r = Round { problem, prio: &prio, settled: &settled, bucket: &bucket, k };
         step.round_start(&r, &frontier);
         let mut subrounds = 0u32;
         loop {
@@ -437,7 +398,7 @@ fn rounds<P: PeelProblem, S: Step>(
 fn open_round<P: PeelProblem, S: Step>(
     problem: &P,
     step: &S,
-    bucket: &mut dyn BucketStructure,
+    bucket: &mut Buckets,
     view: &LiveView<'_>,
     mut floor: u32,
     max_prio: u32,
@@ -474,7 +435,7 @@ struct Round<'a, P> {
     problem: &'a P,
     prio: &'a [AtomicU32],
     settled: &'a [AtomicU32],
-    bucket: &'a dyn BucketStructure,
+    bucket: &'a Buckets,
     /// The round's key: its elements settle with it, no priority drops
     /// below it, and elements that reach it settle this round.
     k: u32,
@@ -534,7 +495,7 @@ pub(crate) struct OnlineCtx<'a> {
     pub(crate) prio: &'a [AtomicU32],
     pub(crate) settled: &'a [AtomicU32],
     pub(crate) bag: &'a HashBag,
-    pub(crate) bucket: &'a dyn BucketStructure,
+    pub(crate) bucket: &'a Buckets,
     pub(crate) sampling: Option<&'a SamplingState>,
     pub(crate) counters: &'a TechniqueCounters,
     /// VGC chain bound; 0 disables chasing.
@@ -633,7 +594,7 @@ impl Step for Fused<'_> {
 struct Lowering<'a> {
     prio: &'a [AtomicU32],
     bag: &'a HashBag,
-    bucket: &'a dyn BucketStructure,
+    bucket: &'a Buckets,
     k: u32,
 }
 

@@ -16,8 +16,9 @@
 //!    frontier; updates that stay above it are reported to the bucket
 //!    structure instead.
 //!
-//! Initial per-round frontiers come from a pluggable
-//! [`kcore_buckets::BucketStructure`]; total work is `O(n + m)` plus
+//! Initial per-round frontiers come from the run's
+//! [`kcore_buckets::Buckets`] (a flat array, HBS, or the adaptive
+//! switch between them); total work is `O(n + m)` plus
 //! the structure's maintenance cost (Thm. 3.1).
 //!
 //! The modules:

@@ -72,7 +72,7 @@
 
 use super::engine::UnitIncidence;
 use crate::config::Sampling;
-use kcore_buckets::{BucketStructure, UNSET};
+use kcore_buckets::{BucketStructure, Buckets, UNSET};
 use kcore_check::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use kcore_obs::span;
 use kcore_parallel::primitives::pack_index;
@@ -211,7 +211,7 @@ impl SamplingState {
         inc: &dyn UnitIncidence,
         prio: &[AtomicU32],
         settled: &[AtomicU32],
-        bucket: &dyn BucketStructure,
+        bucket: &Buckets,
         counters: &TechniqueCounters,
     ) -> Vec<u32> {
         self.sampled.retain(|&v| {

@@ -37,6 +37,7 @@
 //! lists commute, so no settle barrier is needed.
 
 use super::engine::{clamped_update, OnlineCtx};
+use kcore_buckets::BucketStructure;
 use kcore_check::sync::atomic::Ordering;
 
 /// Settles `v` at round `k`, processes its removals, and — with

@@ -4,7 +4,8 @@
 //! (the role parlaylib/GBBS utilities play for the original
 //! implementation):
 //!
-//! * [`primitives`] — `pack`, prefix scans, and counting, the building
+//! * [`primitives`] — `pack_index`, the fused flat-array drain
+//!   `split_at_min`, prefix scans, and counting, the building
 //!   blocks the paper assumes in Sec. 2 (“Parallel Primitives”).
 //! * [`intersect`] — hybrid sorted-adjacency intersection kernels
 //!   (merge / packed-bitset probe) with a per-pair choice from the list

@@ -96,7 +96,7 @@ pub fn scheduler_delta<T>(f: impl FnOnce() -> T) -> (T, SchedulerStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::primitives::{pack, pack_index, split_at_min, split_at_min_reference};
+    use crate::primitives::{pack_index, split_at_min, split_at_min_reference};
     use rayon::prelude::*;
 
     #[test]
@@ -171,13 +171,10 @@ mod tests {
     }
 
     #[test]
-    fn pack_and_pack_index_fork_across_their_blocks() {
+    fn pack_index_forks_across_its_blocks() {
         let input: Vec<u32> =
             (0..THREE_BLOCKS as u32).map(|i| i.wrapping_mul(2654435761)).collect();
         let keep = |x: &u32| x.is_multiple_of(3);
-        let (packed, splits) = splits_on_two_workers(|| pack(&input, keep));
-        assert_eq!(packed, input.iter().copied().filter(keep).collect::<Vec<_>>());
-        assert!(splits > 0, "pack over {THREE_BLOCKS} items must split");
         let (indices, splits) =
             splits_on_two_workers(|| pack_index(input.len(), |i| keep(&input[i])));
         let want: Vec<u32> =

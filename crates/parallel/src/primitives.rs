@@ -1,15 +1,15 @@
-//! Order-preserving parallel `pack`, prefix scans, and counting.
+//! Order-preserving parallel pack, prefix scans, and counting.
 //!
 //! `Pack` is the workhorse primitive of the paper's framework (Alg. 1
 //! extracts frontiers and refines the active set with it, and Thm. 3.1's
-//! work bound assumes it costs `O(|A|)`). The implementation here is the
-//! textbook three-phase blocked pack: per-block count, exclusive scan
-//! over block counts, per-block write — `O(n)` work, `O(log n)` span,
-//! and stable (output preserves input order), which keeps every
-//! algorithm in this workspace deterministic run-to-run.
-//! [`split_at_min`] fuses a flat-array round drain (refine, find the
-//! smallest live key, take its frontier) into the same two block
-//! passes.
+//! work bound assumes it costs `O(|A|)`). [`pack_index`] is the
+//! textbook three-phase blocked pack over an index range: per-block
+//! count, exclusive scan over block counts, per-block write — `O(n)`
+//! work, `O(log n)` span, and stable (output preserves input order),
+//! which keeps every algorithm in this workspace deterministic
+//! run-to-run. [`split_at_min`] fuses a flat-array round drain (refine,
+//! find the smallest live key, take its frontier) into the same two
+//! block passes.
 //!
 //! The block loops have one item per 4096 input items, so an input
 //! under 2048 blocks (~8.4M items) gives them fewer items than the
@@ -93,39 +93,12 @@ impl<T: Copy> BlockWriter<T> {
     }
 }
 
-/// Returns all elements of `input` satisfying `pred`, preserving order.
-/// Inputs of more than one block fork across their blocks.
-pub fn pack<T, F>(input: &[T], pred: F) -> Vec<T>
-where
-    T: Copy + Send + Sync,
-    F: Fn(&T) -> bool + Sync,
-{
-    let n = input.len();
-    if n <= BLOCK {
-        return input.iter().copied().filter(|x| pred(x)).collect();
-    }
-    let blocks = n.div_ceil(BLOCK);
-    let counts: Vec<usize> = (0..blocks)
-        .into_par_iter()
-        .with_max_len(1)
-        .map(|b| input[block(b, n)].iter().filter(|x| pred(x)).count())
-        .collect();
-    let out = BlockedOutput::new(counts);
-    (0..blocks).into_par_iter().with_max_len(1).for_each(|b| {
-        let mut slots = out.block(b);
-        input[block(b, n)].iter().filter(|x| pred(x)).for_each(|&x| slots.push(x));
-        slots.finish();
-    });
-    // SAFETY: every block's writer finished above.
-    unsafe { out.into_vec() }
-}
-
 /// Returns the indices `i` in `0..n` for which `pred(i)` holds, in order.
 ///
 /// This is the form used to extract frontiers ("all active vertices with
 /// induced degree k") without materializing the candidate array first.
-/// Ranges of more than one block fork across their blocks, like
-/// [`pack`].
+/// Ranges of at most one block run sequentially; longer ones fork
+/// across their blocks.
 pub fn pack_index<F>(n: usize, pred: F) -> Vec<u32>
 where
     F: Fn(usize) -> bool + Sync,
@@ -172,7 +145,7 @@ pub struct MinSplit<T> {
 /// per block, the live items, their smallest key and the items at that
 /// key; pass 2 writes the frontier and the rest through offsets scanned
 /// from those counts. `O(n)` work, and inputs of more than one block
-/// fork across their blocks in both passes, like [`pack`].
+/// fork across their blocks in both passes, like [`pack_index`].
 pub fn split_at_min<T, F>(input: &[T], cap: u32, key: F) -> MinSplit<T>
 where
     T: Copy + Send + Sync,
@@ -271,9 +244,14 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// Exclusive prefix sum; returns `(prefix, total)`.
 ///
-/// Sequential — callers only scan per-*block* aggregates (a few thousand
-/// entries), never per-element arrays, so a parallel scan would cost
-/// more in fork overhead than it saves.
+/// Sequential. Most callers scan per-block or per-shard aggregates (a
+/// few thousand entries at most), where a parallel scan would cost more
+/// in fork overhead than it saves. Three scan per-vertex arrays: the
+/// forward-arc and out-degree counts of `TriangleCtx::build` and the
+/// forward-arc counts of `EdgeIndex::build` in `kcore-graph`, and the
+/// deduped adjacency lengths of the CSR builder's recompact. Whether a
+/// sequential scan is the right choice at those lengths (n = 490k on a
+/// 700×700 road grid) has not been measured.
 pub fn exclusive_scan(counts: &[usize]) -> (Vec<usize>, usize) {
     let mut prefix = Vec::with_capacity(counts.len());
     let mut acc = 0usize;
@@ -311,21 +289,6 @@ where
     }
 }
 
-/// Parallel minimum of `f(i)` over `0..n`; `None` when `n == 0`.
-/// Ranges of at most one block run sequentially, like [`pack`]'s;
-/// longer ones are past the rayon shim's inline cutoff and fork over
-/// items at the pool's default grain.
-pub fn par_min_by<F, T>(n: usize, f: F) -> Option<T>
-where
-    F: Fn(usize) -> T + Sync,
-    T: Ord + Send,
-{
-    if n <= BLOCK {
-        return (0..n).map(f).min();
-    }
-    (0..n).into_par_iter().map(&f).min()
-}
-
 /// [`split_at_min`] computed sequentially, item by item: the reference
 /// its tests compare against.
 #[cfg(test)]
@@ -344,40 +307,43 @@ pub(crate) fn split_at_min_reference<T: Copy>(
 mod tests {
     use super::*;
 
+    /// `pack_index` over a predicate that reads a value array, checked
+    /// against the sequential filter of the same indices.
+    fn pack_index_of_values(vals: &[u32], keep: impl Fn(u32) -> bool + Sync) -> Vec<u32> {
+        let got = pack_index(vals.len(), |i| keep(vals[i]));
+        let want: Vec<u32> = (0..vals.len() as u32).filter(|&i| keep(vals[i as usize])).collect();
+        assert_eq!(got, want, "n = {}", vals.len());
+        got
+    }
+
     #[test]
     fn pack_small_and_large_agree_with_filter() {
         for n in [0usize, 1, 10, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17] {
-            let input: Vec<u64> = (0..n as u64).collect();
-            let got = pack(&input, |&x| x % 3 == 0);
-            let want: Vec<u64> = input.iter().copied().filter(|&x| x % 3 == 0).collect();
-            assert_eq!(got, want, "n = {n}");
+            let vals: Vec<u32> = (0..n as u32).collect();
+            pack_index_of_values(&vals, |x| x % 3 == 0);
         }
     }
 
     #[test]
     fn pack_preserves_order() {
-        let input: Vec<u32> = (0..(2 * BLOCK as u32 + 5)).rev().collect();
-        let got = pack(&input, |&x| x % 2 == 1);
-        let mut sorted = got.clone();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        assert_eq!(got, sorted, "descending input must stay descending");
+        let vals: Vec<u32> = (0..(2 * BLOCK as u32 + 5)).rev().collect();
+        let kept: Vec<u32> =
+            pack_index_of_values(&vals, |x| x % 2 == 1).iter().map(|&i| vals[i as usize]).collect();
+        assert!(kept.windows(2).all(|w| w[0] > w[1]), "descending input must stay descending");
     }
 
     #[test]
     fn pack_all_and_none() {
-        let input: Vec<u32> = (0..10_000).collect();
-        assert_eq!(pack(&input, |_| true), input);
-        assert!(pack(&input, |_| false).is_empty());
+        let n = 10_000;
+        assert_eq!(pack_index(n, |_| true), (0..n as u32).collect::<Vec<_>>());
+        assert!(pack_index(n, |_| false).is_empty());
     }
 
     #[test]
     fn pack_index_matches_pack() {
         let n = 2 * BLOCK + 123;
         let vals: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2654435761)).collect();
-        let by_index = pack_index(n, |i| vals[i].is_multiple_of(7));
-        let by_value: Vec<u32> =
-            (0..n as u32).filter(|&i| vals[i as usize].is_multiple_of(7)).collect();
-        assert_eq!(by_index, by_value);
+        pack_index_of_values(&vals, |x| x.is_multiple_of(7));
     }
 
     #[test]
@@ -406,22 +372,14 @@ mod tests {
     }
 
     #[test]
-    fn par_min_matches_sequential_on_both_paths() {
-        for n in [0usize, 1, BLOCK, 3 * BLOCK + 17] {
-            let key = |i: usize| (i * 7919 + 13) % 10_007;
-            assert_eq!(par_min_by(n, key), (0..n).map(key).min(), "n = {n}");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "than its count pass found")]
     fn a_predicate_that_changes_between_passes_panics() {
         use kcore_check::sync::atomic::{AtomicUsize, Ordering};
-        let input: Vec<u32> = (0..2 * BLOCK as u32).collect();
+        let n = 2 * BLOCK;
         // Keeps nothing on the count pass and everything on the write
         // pass, which must stop at its block's range.
         let calls = AtomicUsize::new(0);
-        pack(&input, |_| calls.fetch_add(1, Ordering::Relaxed) >= input.len());
+        pack_index(n, |_| calls.fetch_add(1, Ordering::Relaxed) >= n);
     }
 
     /// Keys for the split tests: `None` marks a dead item.

@@ -3,7 +3,7 @@
 //! elements under arbitrary insert/extract schedules.
 
 use kcore_parallel::hashbag::HashBag;
-use kcore_parallel::primitives::{exclusive_scan, pack, pack_index};
+use kcore_parallel::primitives::{exclusive_scan, pack_index};
 use proptest::prelude::*;
 use rayon::prelude::*;
 
@@ -11,8 +11,10 @@ proptest! {
     #[test]
     fn pack_equals_sequential_filter(input in proptest::collection::vec(any::<u32>(), 0..8192),
                                      modulus in 1u32..16) {
-        let got = pack(&input, |&x| x % modulus == 0);
-        let want: Vec<u32> = input.iter().copied().filter(|&x| x % modulus == 0).collect();
+        // Random values make the kept indices irregular, across blocks.
+        let got = pack_index(input.len(), |i| input[i] % modulus == 0);
+        let want: Vec<u32> =
+            (0..input.len() as u32).filter(|&i| input[i as usize] % modulus == 0).collect();
         prop_assert_eq!(got, want);
     }
 
