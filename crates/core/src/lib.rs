@@ -20,7 +20,8 @@
 //! * **k-truss** ([`Decomposition::ktruss`]) — edges by triangle
 //!   support, the snapshot-rule client: a dying edge charges the
 //!   surviving edges of its triangles under a consistent settle
-//!   snapshot. [`sequential_trussness`] is its recount oracle.
+//!   snapshot. [`sequential_trussness`], a sequential bin-sort truss
+//!   decomposition that shares no code with the peel, is its oracle.
 //! * **densest subgraph** ([`Decomposition::densest`]) — Charikar's
 //!   greedy as the k-core peel plus a per-round density post-pass over
 //!   the coreness; a 2-approximation. [`sequential_greedy_density`] is

@@ -42,7 +42,11 @@
 //!   depend on other elements' settle state (k-truss: a dying edge
 //!   decrements the other two edges of a triangle only while the
 //!   triangle is still alive), applied through the CAS clamp
-//!   [`clamped_update`]. Two global syncs per subround.
+//!   [`clamped_update`]. Two global syncs per subround, except a
+//!   subround whose frontier holds every element still live: it
+//!   settles and stamps, and skips the rule phase, since every
+//!   decrement it could emit lands on a settled element, which the
+//!   clamp ignores. That final subround takes one sync.
 //!
 //! Sampling and VGC refine the fused step only: a snapshot problem
 //! accepts both and ignores them.
@@ -238,8 +242,9 @@ pub trait PeelProblem: Sync {
     /// Sequential point after a two-phase subround's rule phase: called
     /// once per subround with its settled `frontier`, after every rule
     /// evaluation of the subround has returned and before the next
-    /// subround settles. No rule runs concurrently, so the problem may
-    /// restructure state its rule reads. An element
+    /// subround settles. A subround that settles every element still
+    /// live has no rule phase and no call. No rule runs concurrently,
+    /// so the problem may restructure state its rule reads. An element
     /// that is not [`SettleView::alive`] in `view` is dead in every
     /// later subround's view. Default: nothing.
     #[inline]
@@ -366,7 +371,7 @@ fn rounds<P: PeelProblem, S: Step>(
             subrounds += 1;
             let _subround = span!("subround", frontier.len());
             remaining -= frontier.len();
-            let wave = step.subround(&r, &frontier);
+            let wave = step.subround(&r, &frontier, remaining == 0);
             remaining -= wave.chased;
             stats.max_frontier = stats.max_frontier.max(frontier.len());
             stats.work += frontier.len() as u64 + wave.work;
@@ -475,8 +480,15 @@ trait Step {
         u32::MAX
     }
 
-    /// Peels one frontier.
-    fn subround<P: PeelProblem>(&mut self, r: &Round<'_, P>, frontier: &[u32]) -> Wave;
+    /// Peels one frontier; `settles_all` says that it holds every
+    /// element still live, so no decrement it emits can land on a live
+    /// element.
+    fn subround<P: PeelProblem>(
+        &mut self,
+        r: &Round<'_, P>,
+        frontier: &[u32],
+        settles_all: bool,
+    ) -> Wave;
 
     /// Folds run-long counters into `stats` once the run completes.
     fn finish(&self, _stats: &mut RunStats) {}
@@ -558,7 +570,7 @@ impl Step for Fused<'_> {
         self.sampling.as_ref().map_or(u32::MAX, SamplingState::horizon)
     }
 
-    fn subround<P: PeelProblem>(&mut self, r: &Round<'_, P>, frontier: &[u32]) -> Wave {
+    fn subround<P: PeelProblem>(&mut self, r: &Round<'_, P>, frontier: &[u32], _: bool) -> Wave {
         self.counters.reset_subround();
         let arcs: usize = frontier.iter().map(|&v| self.inc.num_incident(v)).sum();
         let ctx = OnlineCtx {
@@ -616,7 +628,9 @@ impl Lowering<'_> {
 /// element against the frozen snapshot, lowering every element it
 /// emits. Because the rule sees a fixed snapshot, the stored values,
 /// and so the whole decomposition, are deterministic. Two global syncs
-/// per subround.
+/// per subround, except a final subround that settles every element
+/// still live: it runs neither the rule phase nor
+/// [`PeelProblem::after_rule_phase`], and takes one.
 struct TwoPhase<'p> {
     /// Subround stamps: 0 = never settled; ids start at 1 and never
     /// reset, so [`SettleView::state`] tells same-subround peers from
@@ -635,7 +649,12 @@ impl<'p> TwoPhase<'p> {
 }
 
 impl Step for TwoPhase<'_> {
-    fn subround<P: PeelProblem>(&mut self, r: &Round<'_, P>, frontier: &[u32]) -> Wave {
+    fn subround<P: PeelProblem>(
+        &mut self,
+        r: &Round<'_, P>,
+        frontier: &[u32],
+        settles_all: bool,
+    ) -> Wave {
         self.current += 1;
         let (stamps, current) = (&self.stamps, self.current);
         // Settle the whole frontier first; the rule phase starts only
@@ -646,6 +665,11 @@ impl Step for TwoPhase<'_> {
                 r.settled[e as usize].store(r.k, Ordering::Relaxed);
                 stamps[e as usize].store(current, Ordering::Relaxed);
             });
+        }
+        if settles_all {
+            // Every decrement the rule could emit lands on a settled
+            // element, which the clamp ignores: nothing is left to lower.
+            return Wave { next: Vec::new(), chased: 0, syncs: 1, chain: 1, work: 0 };
         }
         let view = SettleView::new(stamps, current);
         let lower = Lowering { prio: r.prio, bag: &self.bag, bucket: r.bucket, k: r.k };

@@ -63,15 +63,27 @@
 //!
 //! Because the snapshot is identical for every worker, the emitted
 //! multiset — and therefore the whole decomposition — is deterministic.
+//!
+//! A subround whose frontier holds every edge still live (the last one
+//! of the peel) has no survivor to charge: every triangle it could
+//! visit has all three edges `Peer` or some edge `Dead`, so the rule
+//! would emit nothing. The engine settles that frontier and skips the
+//! rule phase and the compaction after it, one sync instead of two. On
+//! a graph whose densest part dies last, such as a planted clique,
+//! that subround is most of the peel's triangle work.
+//!
+//! [`sequential_trussness`] is the oracle: Wang & Cheng's sequential
+//! bin-sort decomposition, `O(m^1.5 log n)`, sharing no code with the
+//! peel.
 
 use crate::peel::engine::{ElementState, Incidence, PeelProblem, SettleView, SnapshotRule};
 use kcore_check::cell::UnsafeCell;
-use kcore_graph::triangles::for_each_triangle_of_edge;
 use kcore_graph::{CsrGraph, EdgeIndex, TriangleCtx, VertexId};
 use kcore_obs::span;
 use kcore_parallel::primitives::{pack_index, SendPtr};
 use kcore_parallel::RunStats;
 use rayon::prelude::*;
+use std::sync::Arc;
 
 /// The element id of an arc whose edge lies in no triangle.
 const NO_ELEMENT: u32 = u32::MAX;
@@ -154,7 +166,7 @@ impl PeelProblem for KTrussProblem<'_> {
         for (&e, r) in self.edges.iter().zip(rounds) {
             trussness[e as usize] = r + 2;
         }
-        TrussnessResult { index: self.ctx.edge_index().clone(), trussness, stats }
+        TrussnessResult { index: self.ctx.shared_edge_index(), trussness, stats }
     }
 }
 
@@ -371,7 +383,8 @@ impl LiveLists {
 /// by [`EdgeIndex`] edge id) plus the run's instrumentation counters.
 #[derive(Debug, Clone)]
 pub struct TrussnessResult {
-    index: EdgeIndex,
+    /// Shared with the [`TriangleCtx`] the peel ran over.
+    index: Arc<EdgeIndex>,
     trussness: Vec<u32>,
     stats: RunStats,
 }
@@ -411,44 +424,84 @@ impl TrussnessResult {
     }
 }
 
-/// Sequential triangle-recount peeler: the k-truss oracle.
+/// Sequential bin-sort truss decomposition (Wang & Cheng, VLDB'12):
+/// the k-truss oracle, indexed by [`EdgeIndex::build`] edge id.
 ///
-/// Maintains no incremental support state at all — every peel decision
-/// re-counts the candidate edge's surviving triangles from the alive
-/// set, so a bookkeeping bug in the parallel rule cannot be mirrored
-/// here. Quadratic-ish (`O(m)` recounts per removal); use on test-sized
-/// graphs only.
+/// The support-ordered analogue of BZ's coreness peel: edges sit in
+/// bins by their current support, the lowest one is removed next with
+/// trussness `support + 2`, and each triangle it closes with two
+/// surviving edges lowers every survivor still above its support by
+/// one, moving it down a bin. A removal finds its triangles by scanning
+/// the adjacency list of its endpoint of smaller degree and looking
+/// each neighbor up in the other endpoint's sorted list, so the run is
+/// `O(m^1.5 log n)`. It shares nothing with the parallel peel: no
+/// [`TriangleCtx`], orientation or intersection kernel, and no
+/// snapshot rule.
 pub fn sequential_trussness(g: &CsrGraph) -> Vec<u32> {
     let idx = EdgeIndex::build(g);
     let m = idx.num_edges();
-    let mut alive = vec![true; m];
-    let mut trussness = vec![0u32; m];
-    let recount = |e: u32, alive: &[bool]| -> u32 {
-        let mut support = 0u32;
-        for_each_triangle_of_edge(g, &idx, e, |fe, ge, _w| {
-            if alive[fe as usize] && alive[ge as usize] {
-                support += 1;
+    // Calls `f(fe, ge)` for each triangle of edge `e`: the ids of its
+    // edges to the third vertex from the smaller and the larger-degree
+    // endpoint.
+    let triangles = |e: u32, f: &mut dyn FnMut(u32, u32)| {
+        let (u, v) = idx.endpoints(e);
+        let (a, b) = if g.degree(u) <= g.degree(v) { (u, v) } else { (v, u) };
+        for (&w, &fe) in g.neighbors(a).iter().zip(idx.edge_ids(g, a)) {
+            if let Some(ge) = idx.edge_id(g, b, w) {
+                f(fe, ge);
             }
-        });
-        support
+        }
     };
-    let mut removed = 0usize;
-    let mut k = 0u32;
-    while removed < m {
-        // Remove, one at a time, any alive edge whose recounted support
-        // is <= k; when none remains, advance the round.
-        'peel: loop {
-            for e in 0..m as u32 {
-                if alive[e as usize] && recount(e, &alive) <= k {
-                    alive[e as usize] = false;
-                    trussness[e as usize] = k + 2;
-                    removed += 1;
-                    continue 'peel;
+    let mut support: Vec<u32> = (0..m as u32)
+        .map(|e| {
+            let mut s = 0;
+            triangles(e, &mut |_, _| s += 1);
+            s
+        })
+        .collect();
+    // Bin sort by support: `order` lists the edges by support, `start[s]`
+    // is the first position of bin `s`, and `pos` inverts `order`.
+    let top = support.iter().copied().max().unwrap_or(0) as usize;
+    let mut start = vec![0usize; top + 2];
+    for &s in &support {
+        start[s as usize + 1] += 1;
+    }
+    for s in 0..=top {
+        start[s + 1] += start[s];
+    }
+    let mut order = vec![0u32; m];
+    let mut pos = vec![0usize; m];
+    let mut fill = start.clone();
+    for e in 0..m {
+        let s = support[e] as usize;
+        (order[fill[s]], pos[e]) = (e as u32, fill[s]);
+        fill[s] += 1;
+    }
+    let mut removed = vec![false; m];
+    let mut trussness = vec![0u32; m];
+    for i in 0..m {
+        let e = order[i];
+        let k = support[e as usize];
+        trussness[e as usize] = k + 2;
+        triangles(e, &mut |fe, ge| {
+            if removed[fe as usize] || removed[ge as usize] {
+                return;
+            }
+            for x in [fe, ge] {
+                // A survivor at `k` leaves at this level anyway; one
+                // above it moves to the front of its bin, then down.
+                let s = support[x as usize];
+                if s > k {
+                    let first = start[s as usize];
+                    let y = order[first];
+                    order.swap(first, pos[x as usize]);
+                    (pos[y as usize], pos[x as usize]) = (pos[x as usize], first);
+                    start[s as usize] += 1;
+                    support[x as usize] = s - 1;
                 }
             }
-            break;
-        }
-        k += 1;
+        });
+        removed[e as usize] = true;
     }
     trussness
 }
@@ -460,7 +513,92 @@ mod tests {
     use crate::{Config, Decomposition};
     use kcore_buckets::BucketStrategy;
     use kcore_check::sync::atomic::{AtomicU32, Ordering};
+    use kcore_graph::triangles::for_each_triangle_of_edge;
     use kcore_graph::{gen, GraphBuilder};
+    use kcore_parallel::pool::with_threads;
+
+    /// Brute-force recount peeler, the reference the bins oracle is
+    /// pinned to. It keeps no incremental support state: every peel
+    /// decision recounts the candidate edge's surviving triangles from
+    /// the alive set. Far beyond quadratic; tiny graphs only.
+    fn recount_trussness(g: &CsrGraph) -> Vec<u32> {
+        let idx = EdgeIndex::build(g);
+        let m = idx.num_edges();
+        let mut alive = vec![true; m];
+        let mut trussness = vec![0u32; m];
+        let recount = |e: u32, alive: &[bool]| -> u32 {
+            let mut support = 0u32;
+            for_each_triangle_of_edge(g, &idx, e, |fe, ge, _w| {
+                if alive[fe as usize] && alive[ge as usize] {
+                    support += 1;
+                }
+            });
+            support
+        };
+        let mut removed = 0usize;
+        let mut k = 0u32;
+        while removed < m {
+            // Remove, one at a time, any alive edge whose recounted
+            // support is <= k; when none remains, advance the round.
+            'peel: loop {
+                for e in 0..m as u32 {
+                    if alive[e as usize] && recount(e, &alive) <= k {
+                        alive[e as usize] = false;
+                        trussness[e as usize] = k + 2;
+                        removed += 1;
+                        continue 'peel;
+                    }
+                }
+                break;
+            }
+            k += 1;
+        }
+        trussness
+    }
+
+    #[test]
+    fn bins_oracle_matches_the_brute_force_recount() {
+        let wheel = {
+            let rim = (1..30u32).map(|i| (i, if i + 1 < 30 { i + 1 } else { 1 }));
+            GraphBuilder::new(30).edges(rim.chain((1..30).map(|i| (0, i)))).build()
+        };
+        let graphs = [
+            ("empty", CsrGraph::empty()),
+            ("K6", gen::complete(6)),
+            ("wheel", wheel),
+            ("planted_core", gen::planted_core(50, 2, 10, 3)),
+            ("barabasi_albert", gen::barabasi_albert(60, 3, 7)),
+            ("rmat", gen::rmat(6, 5, 0.57, 0.19, 0.19, 2)),
+            ("erdos_renyi", gen::erdos_renyi(40, 200, 5)),
+            ("mesh", gen::mesh(6, 6)),
+            ("hcns", gen::hcns(7)),
+            ("grid2d", gen::grid2d(5, 5)),
+        ];
+        for (name, g) in &graphs {
+            assert_eq!(sequential_trussness(g), recount_trussness(g), "{name}");
+        }
+    }
+
+    #[test]
+    fn ktruss_matches_the_bins_oracle_at_scale() {
+        // Graphs well past the rayon shim's 2048-item inline cutoff, so
+        // the peel's loops fork on 2 workers. The planted clique's
+        // edges all die in one final subround, which settles every
+        // live edge and skips its rule phase.
+        let graphs = [
+            ("planted_core", gen::planted_core(20_000, 4, 150, 11)),
+            ("rmat", gen::rmat(13, 8, 0.57, 0.19, 0.19, 12)),
+        ];
+        for (name, g) in &graphs {
+            let want = sequential_trussness(g);
+            for threads in [1, 2] {
+                let r = with_threads(threads, || Decomposition::ktruss(g).run());
+                assert!(r.trussness() == want.as_slice(), "{name} on {threads} workers");
+                let s = r.stats();
+                assert_eq!(s.global_syncs, 2 * s.subrounds - 1, "{name}: the last subround");
+            }
+        }
+    }
 
     /// Every bucket strategy, through the internally built context and
     /// through one supplied context reused across the strategies. The
@@ -476,7 +614,7 @@ mod tests {
                 assert_eq!(
                     got.trussness(),
                     want.as_slice(),
-                    "{label}: {strategy} ({path} context) disagrees with the recount oracle"
+                    "{label}: {strategy} ({path} context) disagrees with the bins oracle"
                 );
             }
         }
@@ -575,16 +713,18 @@ mod tests {
         assert_eq!(got.trussness(), want.trussness());
         assert_eq!(s.sampled_vertices, 0);
         assert_eq!(s.resamples, 0);
-        assert_eq!(s.global_syncs, 2 * s.subrounds, "settle + rule phases");
+        assert_eq!(s.global_syncs, 2 * s.subrounds - 1, "settle + rule phases, but the last");
     }
 
     #[test]
     fn two_phase_subrounds_charge_two_syncs() {
+        // Settle, then rule; the final subround settles every edge
+        // still live and skips its rule phase, so it charges one.
         let g = gen::planted_core(60, 2, 12, 3);
         let r = Decomposition::ktruss(&g).config(Config::default()).run();
         let s = r.stats();
         assert!(s.subrounds > 0);
-        assert_eq!(s.global_syncs, 2 * s.subrounds, "settle + rule phases");
+        assert_eq!(s.global_syncs, 2 * s.subrounds - 1, "settle + rule phases, but the last");
     }
 
     #[test]

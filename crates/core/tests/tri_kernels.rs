@@ -8,7 +8,7 @@
 //!
 //! * fused supports equal the reference full-list recount
 //!   ([`kcore_graph::triangles::edge_supports`]);
-//! * trussness equals the sequential recount oracle
+//! * trussness equals the sequential bin-sort oracle
 //!   ([`sequential_trussness`]), through both the internal-setup path
 //!   and the supplied-[`TriangleCtx`] path ([`Decomposition::with_ctx`]);
 //! * a wheel sends every rim–hub pair through the hub probe inside the
@@ -43,12 +43,11 @@ fn assert_kernel_matrix(g: &CsrGraph) {
     assert_eq!(
         r.trussness(),
         sequential_trussness(g).as_slice(),
-        "trussness drifted from the recount oracle"
+        "trussness drifted from the bins oracle"
     );
 }
 
-/// Arbitrary messy edge list (duplicates and self-loops allowed), kept
-/// small enough for the quadratic-ish truss recount oracle.
+/// Arbitrary messy edge list (duplicates and self-loops allowed).
 fn arb_graph() -> impl Strategy<Value = CsrGraph> {
     (2usize..32).prop_flat_map(|n| {
         let edge = (0..n as u32, 0..n as u32);

@@ -75,7 +75,8 @@ pub struct RunStats {
     /// do not depend on it.
     pub subrounds: u64,
     /// Global synchronization points (≥ subrounds; a two-phase subround
-    /// has 2: settle, then rule).
+    /// has 2: settle, then rule; one that settles every element still
+    /// live skips the rule and has 1).
     pub global_syncs: u64,
     /// Operation-count proxy for work W: vertices touched + arcs
     /// traversed + active-set scans.
